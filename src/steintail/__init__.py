@@ -3,7 +3,6 @@ bounds, exact Malliavin G on one-dimensional Wiener chaos, and tail-comparison
 certificates, with a Monte-Carlo/quadrature verification harness on top."""
 
 from .bounds import (
-    TailReport,
     asymptotic_tail_constant,
     implicit_lower_bound,
     pearson_lower,
@@ -31,7 +30,6 @@ from .pearson import (
     moment,
     quantile,
     sample,
-    stein_kernel_and_q,
     tail,
 )
 from .stein import (
@@ -45,6 +43,7 @@ from .stein import (
 from .verify import (
     Hypothesis,
     ScenarioSpec,
+    TailReport,
     empirical_tail,
     run_scenario,
     slope_estimate,
@@ -60,7 +59,6 @@ __all__ = [
     "quantile",
     "sample",
     "moment",
-    "stein_kernel_and_q",
     "IndicatorSteinSolution",
     "solve_indicator",
     "f_eval",

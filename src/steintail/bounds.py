@@ -16,13 +16,9 @@ Three layers of machinery:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
-
-import numpy as np
 
 from . import pearson, quadrature
 from .errors import (
@@ -35,7 +31,6 @@ from .errors import (
 from .pearson import CaseTag, PearsonCoefficients, PearsonLaw, q_function, stein_kernel
 
 __all__ = [
-    "TailReport",
     "Direction",
     "phi_envelope",
     "implicit_lower_bound",
@@ -65,7 +60,7 @@ def phi_envelope(law: PearsonLaw, x: float) -> tuple[float, float]:
     if not law.support_a < x < law.support_b:
         raise DomainError(f"envelope point {x} outside the open support")
     c = law.coeffs
-    flux = float(pearson._g_rho(law, np.asarray(x)))
+    flux = float(pearson.flux(law, x))
     q = float(q_function(c, x))
     g_prime = 2.0 * c.alpha * x + c.beta
     if x >= 0.0:
@@ -202,60 +197,3 @@ def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float,
 def regime_threshold(coeffs: PearsonCoefficients) -> float:
     """z_min = 10 sqrt(gamma/(1-alpha)): below it large-z verdicts are informational."""
     return 10.0 * math.sqrt(pearson.variance(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# tail report
-
-
-class Verdict(str, Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class TailReport:
-    """Per-z certificates, empirical tails, and verdicts for one scenario."""
-
-    z_grid: tuple[float, ...]
-    phi_star: tuple[float, ...]
-    lower_cert: tuple[float, ...]
-    upper_cert: tuple[float, ...]
-    empirical: tuple[float, ...]
-    ci_half_width: float
-    verdicts: tuple[str, ...]
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        n = len(self.z_grid)
-        for name in ("phi_star", "lower_cert", "upper_cert", "empirical", "verdicts"):
-            if len(getattr(self, name)) != n:
-                raise DomainError(f"TailReport field {name} length mismatch")
-        if any(b >= a for a, b in zip(self.phi_star, self.phi_star[1:])):
-            raise DomainError("phi_star must be strictly decreasing along the grid")
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v != Verdict.FAIL.value for v in self.verdicts)
-
-    def to_csv(self) -> str:
-        lines = ["z,phi_star,lower,upper,empirical,ci,verdict"]
-        for i, z in enumerate(self.z_grid):
-            lines.append(
-                f"{z!r},{self.phi_star[i]!r},{self.lower_cert[i]!r},{self.upper_cert[i]!r},"
-                f"{self.empirical[i]!r},{self.ci_half_width!r},{self.verdicts[i]}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "z": list(self.z_grid),
-            "phi_star": list(self.phi_star),
-            "lower": list(self.lower_cert),
-            "upper": list(self.upper_cert),
-            "empirical": list(self.empirical),
-            "ci": self.ci_half_width,
-            "verdicts": list(self.verdicts),
-            "meta": self.meta,
-        })

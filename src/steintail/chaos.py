@@ -40,6 +40,7 @@ __all__ = [
     "g_function",
     "g_from_conditional",
     "dominance_margin",
+    "margin_extrema",
     "ibp_check",
     "expect_polynomial",
 ]
@@ -321,9 +322,6 @@ class PolynomialChaosLaw:
             return 0.0
         return float(sum(_gauss_interval_prob(u, v) for u, v in self.superlevel_intervals(x)))
 
-    def cdf(self, x: float) -> float:
-        return 1.0 - self.tail(x)
-
     def partial_first_moment(self, x: float) -> float:
         """E[X 1_{X > x}], closed form via the Hermite antiderivative.
 
@@ -402,8 +400,8 @@ def g_from_conditional(x_series: HermiteSeries, x: float) -> float:
     return float(np.dot(weights, values) / np.sum(weights))
 
 
-def _margin_extrema(x_series: HermiteSeries, coeffs: PearsonCoefficients,
-                    grid: np.ndarray) -> dict:
+def margin_extrema(x_series: HermiteSeries, coeffs: PearsonCoefficients,
+                   grid: np.ndarray) -> dict:
     """Extrema of G(n) - g(X(n)) over candidate points plus the +-inf regimes."""
     poly = x_series.to_polynomial()
     g_poly = malliavin_G(x_series)
@@ -473,7 +471,7 @@ def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients,
     grid span; leading-coefficient analysis extends the verdict to +-inf.
     """
     grid = np.linspace(-8.0, 8.0, 4001) if n_grid is None else np.asarray(n_grid, dtype=float)
-    res = _margin_extrema(x_series, coeffs, grid)
+    res = margin_extrema(x_series, coeffs, grid)
     return res["min"], res["argmin"]
 
 

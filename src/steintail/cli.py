@@ -152,12 +152,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_law(args) -> int:
-    text = pearson.law_to_json(build_law(_coeffs(args))) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, pearson.law_to_json(build_law(_coeffs(args))) + "\n")
     return 0
 
 
@@ -188,10 +183,7 @@ def _cmd_stein(args) -> int:
     sol = stein.solve_indicator(law, args.z)
     grid = stein.certification_grid(law, args.z, 500) if args.grid is None else _parse_grid(args.grid)
     grid = np.asarray(grid[grid != args.z], dtype=float)
-    f = stein.f_eval(sol, grid)
-    fp = stein._fprime_grid(sol, grid)
-    g = np.asarray(pearson.stein_kernel(law.coeffs, grid))
-    res = g * fp - grid * f - ((grid <= args.z).astype(float) - sol.eh)
+    f, fp, res = stein.evaluate(sol, grid)
     cert = stein.certify_fprime(sol, grid)
     if args.format == "json":
         payload = {
@@ -299,10 +291,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SteintailError as exc:
-        print(f"steintail {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SteintailError, OSError) as exc:
         print(f"steintail {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -17,8 +17,14 @@ The classification by degree and root pattern of g gives five canonical shapes:
 This module classifies coefficient triples, recovers canonical shape/scale
 parameters, and evaluates densities, tails, quantiles, moments, and the
 companion function q(z) = (1-alpha)z**2 + gamma that controls every derivative
-bound downstream.  Laws with beta < 0 in the half-line cases are represented as
-reflections of the canonical beta > 0 form and carry ``mirrored=True``.
+bound downstream.
+
+All evaluation goes through one table, ``_CASES``: per case, vectorized
+closed forms on the canonical beta >= 0 form for the log-density, the tail,
+the cdf and the inverse tail (case 5 integrates its tail numerically).  Laws
+with beta < 0 in the half-line cases are reflections of the canonical form and
+carry ``mirrored=True``; they are evaluated at -x with the tail and the cdf
+swapped.  The scalar ``tail``/``cdf`` are the grid functions on a 0-d input.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import interpolate as _interp
@@ -52,15 +58,16 @@ __all__ = [
     "support",
     "stein_kernel",
     "q_function",
-    "stein_kernel_and_q",
     "log_density",
     "density",
+    "flux",
     "tail",
     "tail_grid",
     "log_tail",
     "cdf",
     "cdf_grid",
     "quantile",
+    "quantile_grid",
     "sample",
     "moment",
     "moment_exists",
@@ -216,8 +223,14 @@ def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
     delta = math.sqrt(4.0 * al * ga - be * be) / (2.0 * al)
     r = 1.0 + 1.0 / (2.0 * al)
     s = mu / (al * delta)
-    log_c = -_case5_log_integral(r, s, mu, delta)
-    return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, log_c)
+    # normalize by quadrature, shifted by the integrand's peak
+    z_peak = s * delta / (2.0 * r) - mu
+    m = _case5_unnorm_logpdf(z_peak, r, s, mu, delta)
+    val = quadrature.adaptive(
+        lambda z: math.exp(_case5_unnorm_logpdf(z, r, s, mu, delta) - m),
+        -math.inf, math.inf,
+    )
+    return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, -(m + math.log(val)))
 
 
 def _case5_unnorm_logpdf(z, r: float, s: float, mu: float, delta: float):
@@ -225,15 +238,150 @@ def _case5_unnorm_logpdf(z, r: float, s: float, mu: float, delta: float):
     return -r * np.log(u * u + delta * delta) + s * np.arctan(u / delta)
 
 
-def _case5_log_integral(r: float, s: float, mu: float, delta: float) -> float:
-    """log of the normalization integral, shifted by the integrand's peak."""
-    z_peak = s * delta / (2.0 * r) - mu
-    m = _case5_unnorm_logpdf(z_peak, r, s, mu, delta)
-    val = quadrature.adaptive(
-        lambda z: math.exp(_case5_unnorm_logpdf(z, r, s, mu, delta) - m),
-        -math.inf, math.inf,
-    )
-    return m + math.log(val)
+# ---------------------------------------------------------------------------
+# the case table: vectorized forms on the canonical (beta >= 0) form, for
+# points z of any shape, 0-d included; mirroring is applied in `_side` and
+# `quantile_grid`, so only the half-line cases see upper=False in `inverse`
+
+
+class _Forms(NamedTuple):
+    log_pdf: Callable  # (law, z) -> ln rho
+    side: Callable     # (law, z, upper) -> P[Z > z] if upper else P[Z <= z]
+    inverse: Callable  # (law, p, upper) -> z where that side equals p
+
+
+def _gamma_log_pdf(law: PearsonLaw, z):
+    u = z + law.mu
+    inside = u > 0.0
+    v = np.where(inside, u, 1.0)
+    out = np.where(inside, law.log_norm_const + (law.r - 1.0) * np.log(v) - v / law.s, -np.inf)
+    if law.r < 1.0:  # endpoint pole: continuous limit is +inf
+        out = np.where(u == 0.0, np.inf, out)
+    return out
+
+
+def _beta_log_pdf(law: PearsonLaw, z):
+    a, b = law.support_a, law.support_b
+    inside = (z > a) & (z < b)
+    za = np.where(inside, z - a, 1.0)
+    bz = np.where(inside, b - z, 1.0)
+    out = np.where(inside, law.log_norm_const + (law.r - 1.0) * np.log(za) + (law.s - 1.0) * np.log(bz), -np.inf)
+    if law.r < 1.0:
+        out = np.where(z == a, np.inf, out)
+    if law.s < 1.0:
+        out = np.where(z == b, np.inf, out)
+    return out
+
+
+def _beta_side(law: PearsonLaw, z, upper: bool):
+    a, b = law.support_a, law.support_b
+    if upper:
+        return _sp.betainc(law.s, law.r, np.clip((b - z) / (b - a), 0.0, 1.0))
+    return _sp.betainc(law.r, law.s, np.clip((z - a) / (b - a), 0.0, 1.0))
+
+
+def _invgamma_log_pdf(law: PearsonLaw, z):
+    u = z + law.mu
+    inside = u > 0.0
+    v = np.where(inside, u, 1.0)
+    return np.where(inside, law.log_norm_const - law.r * np.log(v) - law.s / v, -np.inf)
+
+
+def _invgamma_side(law: PearsonLaw, z, upper: bool):
+    # the tail is the lower regularized gamma of s/(z + mu), the cdf the upper
+    u = z + law.mu
+    inside = u > 0.0
+    arg = np.where(inside, law.s / np.maximum(u, 1e-300), np.inf)
+    fn = _sp.gammainc if upper else _sp.gammaincc
+    return np.where(inside, fn(law.r - 1.0, arg), 1.0 if upper else 0.0)
+
+
+def _case5_log_pdf(law: PearsonLaw, z):
+    return law.log_norm_const + _case5_unnorm_logpdf(z, law.r, law.s, law.mu, law.delta)
+
+
+def _case5_quad_tail(law: PearsonLaw, z: float) -> float:
+    # scalar QUADPACK from the side away from the peak; the integrand stays a
+    # plain math expression, which keeps the cost per evaluation low
+    z_peak = law.s * law.delta / (2.0 * law.r) - law.mu
+    f = lambda x: math.exp(law.log_norm_const + _case5_unnorm_logpdf(x, law.r, law.s, law.mu, law.delta))
+    if z >= z_peak:
+        return quadrature.adaptive(f, z, math.inf, epsabs=1e-300, epsrel=1e-11)
+    return 1.0 - quadrature.adaptive(f, -math.inf, z, epsabs=1e-300, epsrel=1e-11)
+
+
+def _case5_side(law: PearsonLaw, zs, upper: bool):
+    if not upper:  # the cdf is the tail of the reflected law of -Z, same normalization
+        c = law.coeffs
+        law = replace(law, coeffs=PearsonCoefficients(c.alpha, -c.beta, c.gamma), s=-law.s, mu=-law.mu)
+        zs = -zs
+    if zs.size == 1:
+        return np.full(zs.shape, _case5_quad_tail(law, float(zs.flat[0])))
+    # integrate once on a refined grid in arctan coordinates, then read off
+    order = np.argsort(zs)
+    zs_sorted = zs[order]
+    mu, delta = law.mu, law.delta
+    t_user = np.arctan((zs_sorted + mu) / delta)
+    t_all = np.unique(np.concatenate([t_user, np.linspace(t_user[0], t_user[-1], 1025)]))
+    f_t = lambda t: np.exp(_case5_log_pdf(law, delta * np.tan(t) - mu)) * delta / np.cos(t) ** 2
+    tails_all = quadrature.tail_accumulate(f_t, t_all, _case5_quad_tail(law, float(zs_sorted[-1])))
+    result = np.empty_like(zs_sorted)
+    result[order] = tails_all[np.searchsorted(t_all, t_user)]
+    return result
+
+
+_CASE5_P_MIN = 1e-9
+
+
+@functools.lru_cache(maxsize=32)
+def _case5_inverse_table(law: PearsonLaw) -> Callable:
+    """Monotone interpolant of tail -> z on a dense arctan-uniform grid.
+
+    Tails are clipped to the range the table covers, cut to [P_MIN, 1 - P_MIN].
+    """
+    z_lo = quantile(law, 1.0 - _CASE5_P_MIN)
+    z_hi = quantile(law, _CASE5_P_MIN)
+    mu, delta = law.mu, law.delta
+    t = np.linspace(math.atan((z_lo + mu) / delta), math.atan((z_hi + mu) / delta), 4097)
+    z_grid = delta * np.tan(t) - mu
+    z_grid[0], z_grid[-1] = z_lo, z_hi
+    f_t = lambda tt: np.exp(_case5_log_pdf(law, delta * np.tan(tt) - mu)) * delta / np.cos(tt) ** 2
+    tails = quadrature.tail_accumulate(f_t, t, tail(law, z_hi))
+    interp = _interp.PchipInterpolator(tails[::-1], z_grid[::-1], extrapolate=False)
+    p_lo, p_hi = max(tails[-1], _CASE5_P_MIN), min(tails[0], 1.0 - _CASE5_P_MIN)
+    return lambda p: interp(np.clip(p, p_lo, p_hi))
+
+
+_CASES = {
+    CaseTag.NORMAL: _Forms(
+        lambda law, z: law.log_norm_const - z * z / (2.0 * law.coeffs.gamma),
+        lambda law, z, upper: 0.5 * _sp.erfc((z if upper else -z) / (law.s * math.sqrt(2.0))),
+        lambda law, p, upper: law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p)),
+    CaseTag.GAMMA: _Forms(
+        _gamma_log_pdf,
+        lambda law, z, upper: (_sp.gammaincc if upper else _sp.gammainc)(
+            law.r, np.maximum(z + law.mu, 0.0) / law.s),
+        lambda law, p, upper: law.s * (_sp.gammainccinv if upper else _sp.gammaincinv)(law.r, p) - law.mu),
+    CaseTag.BETA: _Forms(
+        _beta_log_pdf,
+        _beta_side,
+        lambda law, p, upper: law.support_b - (law.support_b - law.support_a) * _sp.betaincinv(law.s, law.r, p)),
+    CaseTag.INVERSE_GAMMA_TYPE: _Forms(
+        _invgamma_log_pdf,
+        _invgamma_side,
+        lambda law, p, upper: law.s / (_sp.gammaincinv if upper else _sp.gammainccinv)(law.r - 1.0, p) - law.mu),
+    CaseTag.NO_REAL_ROOTS: _Forms(
+        _case5_log_pdf,
+        _case5_side,
+        lambda law, p, upper: _case5_inverse_table(law)(p)),
+}
+
+
+def _side(law: PearsonLaw, x: np.ndarray, upper: bool) -> np.ndarray:
+    """P[Z > x] (upper) or P[Z <= x] at every point of x."""
+    if law.mirrored:
+        x, upper = -x, not upper
+    return _CASES[law.case].side(law, x, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -258,53 +406,16 @@ def q_function(coeffs: PearsonCoefficients, x):
     return float(val) if val.ndim == 0 else val
 
 
-def stein_kernel_and_q(coeffs: PearsonCoefficients, x):
-    return stein_kernel(coeffs, x), q_function(coeffs, x)
-
-
 # ---------------------------------------------------------------------------
-# density
+# density, flux, tails
 
 
 def log_density(law: PearsonLaw, x):
     """ln rho(x); -inf outside the closed support, the continuous limit at a, b."""
     x = np.asarray(x, dtype=float)
-    z = -x if law.mirrored else x
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = _canonical_log_density(law, z)
+        val = _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
     return float(val) if val.ndim == 0 else val
-
-
-def _canonical_log_density(law: PearsonLaw, z: np.ndarray) -> np.ndarray:
-    a, b = law.support_a, law.support_b
-    if law.mirrored:
-        a, b = -b, -a
-    case, lc = law.case, law.log_norm_const
-    if case is CaseTag.NORMAL:
-        return lc - z * z / (2.0 * law.coeffs.gamma)
-    if case is CaseTag.NO_REAL_ROOTS:
-        return lc + _case5_unnorm_logpdf(z, law.r, law.s, law.mu, law.delta)
-    out = np.full(np.shape(z), -np.inf)
-    if case is CaseTag.GAMMA:
-        inside = z > a
-        u = np.where(inside, z + law.mu, 1.0)
-        out = np.where(inside, lc + (law.r - 1.0) * np.log(u) - u / law.s, -np.inf)
-        if law.r < 1.0:  # endpoint pole: continuous limit is +inf
-            out = np.where(z == a, np.inf, out)
-    elif case is CaseTag.BETA:
-        inside = (z > a) & (z < b)
-        za = np.where(inside, z - a, 1.0)
-        bz = np.where(inside, b - z, 1.0)
-        out = np.where(inside, lc + (law.r - 1.0) * np.log(za) + (law.s - 1.0) * np.log(bz), -np.inf)
-        if law.r < 1.0:
-            out = np.where(z == a, np.inf, out)
-        if law.s < 1.0:
-            out = np.where(z == b, np.inf, out)
-    elif case is CaseTag.INVERSE_GAMMA_TYPE:
-        inside = z > a
-        u = np.where(inside, z + law.mu, 1.0)
-        out = np.where(inside, lc - law.r * np.log(u) - law.s / u, -np.inf)
-    return out
 
 
 def density(law: PearsonLaw, x):
@@ -312,155 +423,33 @@ def density(law: PearsonLaw, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# tails
+def flux(law: PearsonLaw, x) -> np.ndarray:
+    """g(x) rho(x) in log space; 0 where the kernel vanishes, even against a density pole."""
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(stein_kernel(law.coeffs, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.exp(np.log(g) + log_density(law, x))
+    return np.where(g > 0.0, val, 0.0)
 
 
 def tail(law: PearsonLaw, z) -> float:
     """Survival probability P[Z > z], absolute error <= 1e-10."""
-    z = float(z)
-    case = law.case
-    if case is CaseTag.NORMAL:
-        return 0.5 * float(_sp.erfc(z / (law.s * math.sqrt(2.0))))
-    if case is CaseTag.GAMMA:
-        if law.mirrored:
-            if z >= law.support_b:
-                return 0.0
-            return float(_sp.gammainc(law.r, (law.mu - z) / law.s))
-        if z <= law.support_a:
-            return 1.0
-        return float(_sp.gammaincc(law.r, (z + law.mu) / law.s))
-    if case is CaseTag.BETA:
-        w = law.support_b - law.support_a
-        u = (law.support_b - z) / w
-        return float(_sp.betainc(law.s, law.r, min(max(u, 0.0), 1.0)))
-    if case is CaseTag.INVERSE_GAMMA_TYPE:
-        if law.mirrored:
-            if z >= law.support_b:
-                return 0.0
-            return float(_sp.gammaincc(law.r - 1.0, law.s / (law.mu - z)))
-        if z <= law.support_a:
-            return 1.0
-        return float(_sp.gammainc(law.r - 1.0, law.s / (z + law.mu)))
-    return _case5_tail(law, z)
-
-
-def _case5_tail(law: PearsonLaw, z: float) -> float:
-    z_peak = law.s * law.delta / (2.0 * law.r) - law.mu
-    f = lambda x: math.exp(law.log_norm_const + _case5_unnorm_logpdf(x, law.r, law.s, law.mu, law.delta))
-    if z >= z_peak:
-        return quadrature.adaptive(f, z, math.inf, epsabs=1e-300, epsrel=1e-11)
-    return 1.0 - quadrature.adaptive(f, -math.inf, z, epsabs=1e-300, epsrel=1e-11)
+    return float(_side(law, np.asarray(float(z)), upper=True))
 
 
 def tail_grid(law: PearsonLaw, zs) -> np.ndarray:
     """Vectorized tails on an arbitrary grid."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if law.case is not CaseTag.NO_REAL_ROOTS:
-        return _closed_tail_vec(law, zs)
-    if zs.size == 1:
-        return np.array([tail(law, float(zs[0]))])
-    # integrate once on a refined grid in arctan coordinates, then read off
-    order = np.argsort(zs)
-    zs_sorted = zs[order]
-    mu, delta = law.mu, law.delta
-    t_user = np.arctan((zs_sorted + mu) / delta)
-    t_all = np.unique(np.concatenate([t_user, np.linspace(t_user[0], t_user[-1], 1025)]))
-    f_t = lambda t: np.exp(log_density(law, delta * np.tan(t) - mu)) * delta / np.cos(t) ** 2
-    tails_all = quadrature.tail_accumulate(f_t, t_all, tail(law, float(zs_sorted[-1])))
-    result = np.empty_like(zs_sorted)
-    result[order] = tails_all[np.searchsorted(t_all, t_user)]
-    return result
-
-
-def _closed_tail_vec(law: PearsonLaw, zs: np.ndarray) -> np.ndarray:
-    case = law.case
-    if case is CaseTag.NORMAL:
-        return 0.5 * _sp.erfc(zs / (law.s * math.sqrt(2.0)))
-    if case is CaseTag.GAMMA:
-        if law.mirrored:
-            arg = np.maximum(law.mu - zs, 0.0) / law.s
-            return _sp.gammainc(law.r, arg)
-        arg = np.maximum(zs + law.mu, 0.0) / law.s
-        return _sp.gammaincc(law.r, arg)
-    if case is CaseTag.BETA:
-        w = law.support_b - law.support_a
-        u = np.clip((law.support_b - zs) / w, 0.0, 1.0)
-        return _sp.betainc(law.s, law.r, u)
-    # inverse-gamma-type
-    if law.mirrored:
-        below = zs < law.support_b
-        arg = np.where(below, law.s / np.maximum(law.mu - zs, 1e-300), np.inf)
-        return np.where(below, _sp.gammaincc(law.r - 1.0, arg), 0.0)
-    above = zs > law.support_a
-    arg = np.where(above, law.s / np.maximum(zs + law.mu, 1e-300), np.inf)
-    return np.where(above, _sp.gammainc(law.r - 1.0, arg), 1.0)
+    return _side(law, np.atleast_1d(np.asarray(zs, dtype=float)), upper=True)
 
 
 def cdf(law: PearsonLaw, z) -> float:
     """P[Z <= z], complement-free so it keeps relative accuracy near the lower end."""
-    z = float(z)
-    case = law.case
-    if case is CaseTag.NORMAL:
-        return 0.5 * float(_sp.erfc(-z / (law.s * math.sqrt(2.0))))
-    if case is CaseTag.GAMMA:
-        if law.mirrored:
-            return float(_sp.gammaincc(law.r, max(law.mu - z, 0.0) / law.s)) if z < law.support_b else 1.0
-        if z <= law.support_a:
-            return 0.0
-        return float(_sp.gammainc(law.r, (z + law.mu) / law.s))
-    if case is CaseTag.BETA:
-        w = law.support_b - law.support_a
-        u = (z - law.support_a) / w
-        return float(_sp.betainc(law.r, law.s, min(max(u, 0.0), 1.0)))
-    if case is CaseTag.INVERSE_GAMMA_TYPE:
-        if law.mirrored:
-            return float(_sp.gammainc(law.r - 1.0, law.s / (law.mu - z))) if z < law.support_b else 1.0
-        if z <= law.support_a:
-            return 0.0
-        return float(_sp.gammaincc(law.r - 1.0, law.s / (z + law.mu)))
-    z_peak = law.s * law.delta / (2.0 * law.r) - law.mu
-    f = lambda x: math.exp(law.log_norm_const + _case5_unnorm_logpdf(x, law.r, law.s, law.mu, law.delta))
-    if z <= z_peak:
-        return quadrature.adaptive(f, -math.inf, z, epsabs=1e-300, epsrel=1e-11)
-    return 1.0 - quadrature.adaptive(f, z, math.inf, epsabs=1e-300, epsrel=1e-11)
+    return float(_side(law, np.asarray(float(z)), upper=False))
 
 
 def cdf_grid(law: PearsonLaw, zs) -> np.ndarray:
     """Vectorized complement-free CDF on an arbitrary grid."""
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    case = law.case
-    if case is CaseTag.NORMAL:
-        return 0.5 * _sp.erfc(-zs / (law.s * math.sqrt(2.0)))
-    if case is CaseTag.GAMMA:
-        if law.mirrored:
-            return _sp.gammaincc(law.r, np.maximum(law.mu - zs, 0.0) / law.s)
-        return _sp.gammainc(law.r, np.maximum(zs + law.mu, 0.0) / law.s)
-    if case is CaseTag.BETA:
-        w = law.support_b - law.support_a
-        return _sp.betainc(law.r, law.s, np.clip((zs - law.support_a) / w, 0.0, 1.0))
-    if case is CaseTag.INVERSE_GAMMA_TYPE:
-        if law.mirrored:
-            below = zs < law.support_b
-            arg = np.where(below, law.s / np.maximum(law.mu - zs, 1e-300), np.inf)
-            return np.where(below, _sp.gammainc(law.r - 1.0, arg), 1.0)
-        above = zs > law.support_a
-        arg = np.where(above, law.s / np.maximum(zs + law.mu, 1e-300), np.inf)
-        return np.where(above, _sp.gammaincc(law.r - 1.0, arg), 0.0)
-    if zs.size == 1:
-        return np.array([cdf(law, float(zs[0]))])
-    # left-accumulated mirror of tail_grid
-    order = np.argsort(zs)
-    zs_sorted = zs[order]
-    mu, delta = law.mu, law.delta
-    t_user = np.arctan((zs_sorted + mu) / delta)
-    t_all = np.unique(np.concatenate([t_user, np.linspace(t_user[0], t_user[-1], 1025)]))
-    f_t = lambda t: np.exp(log_density(law, delta * np.tan(t) - mu)) * delta / np.cos(t) ** 2
-    panels = quadrature.panel_integrals(f_t, t_all)
-    cum = np.concatenate([[0.0], np.cumsum(panels)]) + cdf(law, float(zs_sorted[0]))
-    result = np.empty_like(zs_sorted)
-    result[order] = cum[np.searchsorted(t_all, t_user)]
-    return result
+    return _side(law, np.atleast_1d(np.asarray(zs, dtype=float)), upper=False)
 
 
 def log_tail(law: PearsonLaw, z) -> float:
@@ -509,41 +498,15 @@ def quantile(law: PearsonLaw, p: float) -> float:
     return float(_opt.brentq(f, lo, hi, xtol=1e-14, rtol=4.0 * np.finfo(float).eps, maxiter=200))
 
 
-def _quantile_batch(law: PearsonLaw, p: np.ndarray) -> np.ndarray:
-    """Vectorized inverse of the tail; used by the sampler."""
-    case = law.case
-    if case is CaseTag.NORMAL:
-        return law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p)
-    if case is CaseTag.GAMMA:
-        if law.mirrored:
-            return law.mu - law.s * _sp.gammaincinv(law.r, p)
-        return law.s * _sp.gammainccinv(law.r, p) - law.mu
-    if case is CaseTag.BETA:
-        w = law.support_b - law.support_a
-        return law.support_b - w * _sp.betaincinv(law.s, law.r, p)
-    if case is CaseTag.INVERSE_GAMMA_TYPE:
-        if law.mirrored:
-            return law.mu - law.s / _sp.gammainccinv(law.r - 1.0, p)
-        return law.s / _sp.gammaincinv(law.r - 1.0, p) - law.mu
-    interp = _case5_inverse_table(law)
-    return interp(np.clip(p, _CASE5_P_MIN, 1.0 - _CASE5_P_MIN))
+def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
+    """Vectorized inverse of the tail, the sampler's inverse CDF.
 
-
-_CASE5_P_MIN = 1e-9
-
-
-@functools.lru_cache(maxsize=32)
-def _case5_inverse_table(law: PearsonLaw):
-    """Monotone interpolant of tail -> z on a dense arctan-uniform grid."""
-    z_lo = quantile(law, 1.0 - _CASE5_P_MIN)
-    z_hi = quantile(law, _CASE5_P_MIN)
-    mu, delta = law.mu, law.delta
-    t = np.linspace(math.atan((z_lo + mu) / delta), math.atan((z_hi + mu) / delta), 4097)
-    z_grid = delta * np.tan(t) - mu
-    z_grid[0], z_grid[-1] = z_lo, z_hi
-    f_t = lambda tt: np.exp(log_density(law, delta * np.tan(tt) - mu)) * delta / np.cos(tt) ** 2
-    tails = quadrature.tail_accumulate(f_t, t, tail(law, z_hi))
-    return _interp.PchipInterpolator(tails[::-1], z_grid[::-1], extrapolate=False)
+    Closed forms except in case 5, which interpolates a monotone table and
+    clips p to the tail range the table covers.
+    """
+    p = np.asarray(p, dtype=float)
+    inverse = _CASES[law.case].inverse
+    return -inverse(law, p, False) if law.mirrored else inverse(law, p, True)
 
 
 def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
@@ -555,7 +518,7 @@ def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     u = rng.uniform_stream(seed, n)
-    return _quantile_batch(law, u)
+    return quantile_grid(law, u)
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +573,6 @@ class PearsonDiagnostics:
     passed: bool
 
 
-def _g_rho(law: PearsonLaw, x: np.ndarray) -> np.ndarray:
-    # log-space product; where the kernel vanishes the flux limit is 0 even
-    # against a density pole: g rho -> 0 at the support ends
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(stein_kernel(law.coeffs, x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.exp(np.log(g) + log_density(law, x))
-    return np.where(g > 0.0, val, 0.0)
-
-
 def check_pearson_identities(law: PearsonLaw, n_grid: int = 201, tol: float = 1e-6) -> PearsonDiagnostics:
     """Numerical check of the flux identity (g rho)' = -x rho and unit mass/zero mean."""
     lo = quantile(law, 0.95)
@@ -631,8 +584,8 @@ def check_pearson_identities(law: PearsonLaw, n_grid: int = 201, tol: float = 1e
         1.0 + np.abs(grid),
     ])
     # five-point central difference of the flux g*rho
-    d = (_g_rho(law, grid - 2 * h) - 8 * _g_rho(law, grid - h)
-         + 8 * _g_rho(law, grid + h) - _g_rho(law, grid + 2 * h)) / (12 * h)
+    d = (flux(law, grid - 2 * h) - 8 * flux(law, grid - h)
+         + 8 * flux(law, grid + h) - flux(law, grid + 2 * h)) / (12 * h)
     flux_residual = float(np.max(np.abs(d + grid * np.exp(log_density(law, grid)))))
 
     f = lambda x: float(density(law, x))
@@ -646,8 +599,8 @@ def check_pearson_identities(law: PearsonLaw, n_grid: int = 201, tol: float = 1e
 
     q_lo = quantile(law, 1.0 - 1e-8)
     q_hi = quantile(law, 1e-8)
-    flux_lo = float(_g_rho(law, np.asarray(q_lo)))
-    flux_hi = float(_g_rho(law, np.asarray(q_hi)))
+    flux_lo = float(flux(law, np.asarray(q_lo)))
+    flux_hi = float(flux(law, np.asarray(q_hi)))
     worst = max(flux_residual, norm_err, mean_err, flux_lo, flux_hi)
     return PearsonDiagnostics(flux_residual, norm_err, mean_err, flux_lo, flux_hi, tol, worst < tol)
 
@@ -656,20 +609,10 @@ _JSON_FIELDS = ("alpha", "beta", "gamma", "case", "r", "s", "mu", "delta", "a", 
 
 
 def law_to_json(law: PearsonLaw) -> str:
-    obj = {
-        "alpha": law.coeffs.alpha,
-        "beta": law.coeffs.beta,
-        "gamma": law.coeffs.gamma,
-        "case": law.case.value,
-        "r": law.r,
-        "s": law.s,
-        "mu": law.mu,
-        "delta": law.delta,
-        "a": law.support_a,
-        "b": law.support_b,
-        "logC": law.log_norm_const,
-    }
-    return json.dumps(obj)
+    c = law.coeffs
+    values = (c.alpha, c.beta, c.gamma, law.case.value, law.r, law.s, law.mu, law.delta,
+              law.support_a, law.support_b, law.log_norm_const)
+    return json.dumps(dict(zip(_JSON_FIELDS, values)))
 
 
 def law_from_json(text: str) -> PearsonLaw:

@@ -34,6 +34,7 @@ __all__ = [
     "IndicatorSteinSolution",
     "SteinDerivativeCertificate",
     "solve_indicator",
+    "evaluate",
     "f_eval",
     "fprime_eval",
     "fprime_limits_at_threshold",
@@ -51,12 +52,6 @@ class IndicatorSteinSolution:
     eh: float        # E[h(Z)] = F(z)
     phi_star_z: float  # Phi(z) = 1 - eh, complement-free
 
-    def f(self, x):
-        return f_eval(self, x)
-
-    def fprime(self, x: float) -> float:
-        return fprime_eval(self, x)
-
 
 def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
     z = float(z)
@@ -65,89 +60,77 @@ def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
     return IndicatorSteinSolution(law, z, pearson.cdf(law, z), pearson.tail(law, z))
 
 
-def _flux(sol: IndicatorSteinSolution, x: np.ndarray) -> np.ndarray:
-    return pearson._g_rho(sol.law, x)
+def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f, f', residual g f' - x f - (h - E[h])) on a grid, in one pass.
 
-
-def f_eval(sol: IndicatorSteinSolution, x):
-    """Bounded solution; support endpoints get their continuous limits."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    Support endpoints get the continuous limits of f; at the kinks {z, a, b}
+    f' and the residual are one-sided values, so callers that need them
+    exclude those points.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     law, z = sol.law, sol.z
     a, b = law.support_a, law.support_b
-    out = np.empty_like(xs)
+    f, fp = np.empty_like(xs), np.empty_like(xs)
+    g = np.asarray(stein_kernel(law.coeffs, xs))
+    h = (xs <= z).astype(float)
 
     inside = (xs > a) & (xs < b)
     if np.any(inside):
         xi = xs[inside]
-        flux = _flux(sol, xi)
+        flux = pearson.flux(law, xi)
         cdf_i = pearson.cdf_grid(law, xi)
         tail_i = pearson.tail_grid(law, xi)
-        num = np.where(xi <= z, cdf_i * sol.phi_star_z, sol.eh * tail_i)
+        left = xi <= z
+        num = np.where(left, cdf_i * sol.phi_star_z, sol.eh * tail_i)
+        num_p = np.where(left,
+                         sol.phi_star_z * (xi * cdf_i + flux),
+                         sol.eh * (xi * tail_i - flux))
         with np.errstate(divide="ignore", invalid="ignore"):
             val = num / flux
+            fp[inside] = num_p / (g[inside] * flux)
         # beyond-double-range fallback: L'Hopital ratio of vanishing num/flux
         bad = ~np.isfinite(val) | (flux == 0.0)
         if np.any(bad):
             xi_b = xi[bad]
             val[bad] = np.where(xi_b <= z, -sol.phi_star_z / xi_b, sol.eh / xi_b)
-        out[inside] = val
+        f[inside] = val
 
     outside = ~inside
-    if np.any(outside):
-        xo = xs[outside]
-        h = (xo <= z).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = -(h - sol.eh) / xo
-        # continuous limits at the endpoints
-        if math.isfinite(a):
-            val = np.where(xo == a, -(1.0 - sol.eh) / a, val)
-        if math.isfinite(b):
-            val = np.where(xo == b, sol.eh / b, val)
-        out[outside] = val
-
-    return float(out[0]) if np.ndim(x) == 0 else out
+    xo, ho = xs[outside], h[outside]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -(ho - sol.eh) / xo
+    # continuous limits at the endpoints
+    if math.isfinite(a):
+        val = np.where(xo == a, -(1.0 - sol.eh) / a, val)
+    if math.isfinite(b):
+        val = np.where(xo == b, sol.eh / b, val)
+    f[outside] = val
+    fp[outside] = (ho - sol.eh) / (xo * xo)
+    return f, fp, g * fp - xs * f - (h - sol.eh)
 
 
-def _fprime_grid(sol: IndicatorSteinSolution, xs: np.ndarray) -> np.ndarray:
-    law, z = sol.law, sol.z
-    a, b = law.support_a, law.support_b
-    out = np.empty_like(xs)
+def f_eval(sol: IndicatorSteinSolution, x):
+    """Bounded solution; support endpoints get their continuous limits."""
+    f = evaluate(sol, x)[0]
+    return float(f[0]) if np.ndim(x) == 0 else f
 
-    inside = (xs > a) & (xs < b)
-    if np.any(inside):
-        xi = xs[inside]
-        flux = _flux(sol, xi)
-        g = np.asarray(stein_kernel(law.coeffs, xi))
-        cdf_i = pearson.cdf_grid(law, xi)
-        tail_i = pearson.tail_grid(law, xi)
-        left = xi <= z
-        num = np.where(left,
-                       sol.phi_star_z * (xi * cdf_i + flux),
-                       sol.eh * (xi * tail_i - flux))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[inside] = num / (g * flux)
 
-    outside = ~inside
-    if np.any(outside):
-        xo = xs[outside]
-        h = (xo <= z).astype(float)
-        out[outside] = (h - sol.eh) / (xo * xo)
-    return out
+def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:
+    for kink in (sol.z, sol.law.support_a, sol.law.support_b):
+        if math.isfinite(kink) and np.any(xs == kink):
+            raise EvaluationAtKinkError(f"f' is not defined at the kink x={kink}")
 
 
 def fprime_eval(sol: IndicatorSteinSolution, x: float) -> float:
     """f'(x); raises at the non-differentiability points z, a, b."""
-    x = float(x)
-    for kink in (sol.z, sol.law.support_a, sol.law.support_b):
-        if math.isfinite(kink) and x == kink:
-            raise EvaluationAtKinkError(f"f' is not defined at x={x}")
-    return float(_fprime_grid(sol, np.array([x]))[0])
+    _reject_kinks(sol, float(x))
+    return float(evaluate(sol, x)[1][0])
 
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:
     """One-sided limits of f' at the indicator threshold."""
     z = sol.z
-    flux = float(_flux(sol, np.array([z]))[0])
+    flux = float(pearson.flux(sol.law, z))
     g = float(stein_kernel(sol.law.coeffs, z))
     left = sol.phi_star_z * (z * sol.eh + flux) / (g * flux)
     right = sol.eh * (z * sol.phi_star_z - flux) / (g * flux)
@@ -157,15 +140,8 @@ def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, floa
 def check_residual(sol: IndicatorSteinSolution, grid) -> float:
     """max over the grid of |g f' - x f - (h - E[h])|; grid must avoid {z, a, b}."""
     xs = np.asarray(grid, dtype=float)
-    for kink in (sol.z, sol.law.support_a, sol.law.support_b):
-        if math.isfinite(kink) and np.any(xs == kink):
-            raise EvaluationAtKinkError(f"residual grid contains the kink x={kink}")
-    g = np.asarray(stein_kernel(sol.law.coeffs, xs))
-    f = f_eval(sol, xs)
-    fp = _fprime_grid(sol, xs)
-    h = (xs <= sol.z).astype(float)
-    res = g * fp - xs * f - (h - sol.eh)
-    return float(np.max(np.abs(res)))
+    _reject_kinks(sol, xs)
+    return float(np.max(np.abs(evaluate(sol, xs)[2])))
 
 
 def residual_for_test_function(law: PearsonLaw, f, fprime, h, eh: float, grid) -> float:
@@ -227,7 +203,8 @@ def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertific
     xs = np.asarray(grid, dtype=float)
     law, z = sol.law, sol.z
     a, b = law.support_a, law.support_b
-    fp = _fprime_grid(sol, xs)
+    _reject_kinks(sol, xs)
+    _, fp, residual = evaluate(sol, xs)
     left = xs <= z
     sign_violations = int(np.sum((left & (fp < 0.0)) | (~left & (fp > 0.0))))
 
@@ -250,13 +227,12 @@ def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertific
 
     in_support = (xs > a) & (xs < b)
     uni_margin = float(ub_left - np.max(np.abs(fp[in_support]))) if np.any(in_support) else np.inf
-    residual_max = check_residual(sol, xs)
     passed = sign_violations == 0 and min_left >= 0.0 and min_right >= 0.0 and uni_margin >= 0.0
     return SteinDerivativeCertificate(
         z=z,
         grid_spec=f"{xs.min()}:{xs.max()}:{len(xs)}",
         n_points=len(xs),
-        residual_max=residual_max,
+        residual_max=float(np.max(np.abs(residual))),
         sign_violations=sign_violations,
         min_margin_left=min_left,
         min_margin_right=min_right,
@@ -278,11 +254,10 @@ def certification_grid(law: PearsonLaw, z: float, n: int = 2000) -> np.ndarray:
     lo = pearson.quantile(law, 1.0 - 1e-6)
     hi = pearson.quantile(law, 1e-6)
     parts = [np.linspace(lo, hi, n)]
+    w = hi - lo
     if math.isfinite(law.support_a):
-        w = hi - lo
         parts.append(np.linspace(law.support_a - 0.5 * w, law.support_a - 1e-6 * w, n // 20))
     if math.isfinite(law.support_b):
-        w = hi - lo
         parts.append(np.linspace(law.support_b + 1e-6 * w, law.support_b + 0.5 * w, n // 20))
     xs = np.sort(np.concatenate(parts))
     keep = np.ones(len(xs), dtype=bool)

@@ -20,14 +20,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import bounds, chaos, pearson, rng
-from .bounds import TailReport, Verdict
 from .chaos import HermiteSeries
 from .errors import DomainError, InsufficientRangeError, UncertifiedHypothesisError
 from .pearson import PearsonCoefficients, PearsonLaw, build_law
@@ -35,6 +34,8 @@ from .pearson import PearsonCoefficients, PearsonLaw, build_law
 __all__ = [
     "Hypothesis",
     "ScenarioSpec",
+    "TailReport",
+    "Verdict",
     "dkw_half_width",
     "empirical_tail",
     "run_scenario",
@@ -103,6 +104,63 @@ def empirical_tail(samples, z_grid, confidence: float = 0.99) -> tuple[np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# the report
+
+
+class Verdict(str, Enum):
+    PASS = "pass"
+    FAIL = "fail"
+    INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class TailReport:
+    """Per-z certificates, empirical tails, and verdicts for one scenario."""
+
+    z_grid: tuple[float, ...]
+    phi_star: tuple[float, ...]
+    lower_cert: tuple[float, ...]
+    upper_cert: tuple[float, ...]
+    empirical: tuple[float, ...]
+    ci_half_width: float
+    verdicts: tuple[str, ...]
+    meta: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        n = len(self.z_grid)
+        for name in ("phi_star", "lower_cert", "upper_cert", "empirical", "verdicts"):
+            if len(getattr(self, name)) != n:
+                raise DomainError(f"TailReport field {name} length mismatch")
+        if any(b >= a for a, b in zip(self.phi_star, self.phi_star[1:])):
+            raise DomainError("phi_star must be strictly decreasing along the grid")
+
+    @property
+    def all_passed(self) -> bool:
+        return all(v != Verdict.FAIL.value for v in self.verdicts)
+
+    def to_csv(self) -> str:
+        lines = ["z,phi_star,lower,upper,empirical,ci,verdict"]
+        for i, z in enumerate(self.z_grid):
+            lines.append(
+                f"{z!r},{self.phi_star[i]!r},{self.lower_cert[i]!r},{self.upper_cert[i]!r},"
+                f"{self.empirical[i]!r},{self.ci_half_width!r},{self.verdicts[i]}"
+            )
+        return "\n".join(lines) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps({
+            "z": list(self.z_grid),
+            "phi_star": list(self.phi_star),
+            "lower": list(self.lower_cert),
+            "upper": list(self.upper_cert),
+            "empirical": list(self.empirical),
+            "ci": self.ci_half_width,
+            "verdicts": list(self.verdicts),
+            "meta": self.meta,
+        })
+
+
+# ---------------------------------------------------------------------------
 # hypothesis certification
 
 
@@ -110,13 +168,13 @@ def _certify_chaos(series: HermiteSeries, spec: ScenarioSpec) -> dict:
     info = {}
     grid = np.linspace(-8.0, 8.0, 4001)
     if spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
-        res = chaos._margin_extrema(series, spec.reference, grid)
+        res = chaos.margin_extrema(series, spec.reference, grid)
         info["lower_margin"] = res["min"]
         if res["min"] < -MARGIN_TOL:
             raise UncertifiedHypothesisError(
                 f"G >= g(X) fails: margin {res['min']} at n = {res['argmin']}")
     if spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
-        res = chaos._margin_extrema(series, spec.upper_coeffs, grid)
+        res = chaos.margin_extrema(series, spec.upper_coeffs, grid)
         info["upper_margin"] = res["max"]
         if res["max"] > MARGIN_TOL:
             raise UncertifiedHypothesisError(
@@ -194,15 +252,15 @@ def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray]
     x_law = spec.x_model
 
     def sample_block(b: int, size: int) -> np.ndarray:
-        return pearson._quantile_batch(x_law, rng.uniform_block(spec.seed, b, size))
+        return pearson.quantile_grid(x_law, rng.uniform_block(spec.seed, b, size))
 
     return sample_block, lambda z: pearson.tail(x_law, z)
 
 
-def _tail_counts(spec: ScenarioSpec, zs: np.ndarray, n_workers: int) -> np.ndarray:
-    """Exceedance counts per grid point, reduced in block-index order."""
-    sample_block, _ = _block_sampler(spec)
-    n, bs = spec.n_samples, rng.BLOCK_SIZE
+def _tail_counts(sample_block: Callable[[int, int], np.ndarray], n: int, zs: np.ndarray,
+                 n_workers: int) -> np.ndarray:
+    """Exceedance counts of n draws per grid point, reduced in block-index order."""
+    bs = rng.BLOCK_SIZE
     blocks = list(range(rng.n_blocks(n)))
     sizes = [min(bs, n - b * bs) for b in blocks]
 
@@ -234,9 +292,9 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     else:
         cert_info = _certify_pearson(spec.x_model, spec)
 
-    _, exact_tail = _block_sampler(spec)
+    sample_block, exact_tail = _block_sampler(spec)
     zs = np.asarray(spec.z_grid)
-    counts = _tail_counts(spec, zs, n_workers)
+    counts = _tail_counts(sample_block, spec.n_samples, zs, n_workers)
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 
@@ -356,12 +414,10 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
     if isinstance(spec.x_model, HermiteSeries):
         x_obj = {"type": "hermite", "coeffs": list(spec.x_model.coeffs)}
     else:
-        c = spec.x_model.coeffs
-        x_obj = {"type": "pearson", "alpha": c.alpha, "beta": c.beta, "gamma": c.gamma}
+        x_obj = {"type": "pearson", **asdict(spec.x_model.coeffs)}
     obj = {
         "x_model": x_obj,
-        "reference": {"alpha": spec.reference.alpha, "beta": spec.reference.beta,
-                      "gamma": spec.reference.gamma},
+        "reference": asdict(spec.reference),
         "hypothesis": spec.hypothesis.value,
         "z_grid": list(spec.z_grid),
         "n_samples": spec.n_samples,
@@ -370,9 +426,7 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
         "c": spec.c_lower,
     }
     if spec.reference_upper is not None:
-        obj["reference_upper"] = {"alpha": spec.reference_upper.alpha,
-                                  "beta": spec.reference_upper.beta,
-                                  "gamma": spec.reference_upper.gamma}
+        obj["reference_upper"] = asdict(spec.reference_upper)
     if spec.k_upper is not None:
         obj["K"] = spec.k_upper
     return json.dumps(obj)

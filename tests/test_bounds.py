@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from steintail import pearson
 from steintail.bounds import (
     Direction,
-    TailReport,
     asymptotic_tail_constant,
     implicit_lower_bound,
     log_normalized_flux,
@@ -25,6 +24,7 @@ from steintail.errors import (
     UnsupportedCaseError,
 )
 from steintail.pearson import PearsonCoefficients, build_law, quantile, tail
+from steintail.verify import TailReport
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from steintail.pearson import (
     quantile,
     sample,
     stein_kernel,
-    stein_kernel_and_q,
     support,
     tail,
     tail_grid,
@@ -113,11 +112,11 @@ def test_build_normal_log_norm_const(normal_law):
 
 def test_case5_closed_form_constant_when_delta_one(case5_law):
     # quadrature normalization must agree with the closed complex-gamma form
-    from steintail.specfun import log_abs_gamma_complex, log_gamma
+    from scipy.special import gammaln, loggamma
 
     r, s = case5_law.r, case5_law.s
-    log_c = 2.0 * log_abs_gamma_complex(r, -s / 2.0) - 0.5 * math.log(math.pi) \
-        - log_gamma(r - 0.5) - log_gamma(r)
+    log_c = 2.0 * loggamma(complex(r, -s / 2.0)).real - 0.5 * math.log(math.pi) \
+        - gammaln(r - 0.5) - gammaln(r)
     assert case5_law.log_norm_const == pytest.approx(log_c, abs=1e-10)
     assert math.exp(case5_law.log_norm_const) == pytest.approx(8.0 / (3.0 * math.pi), rel=1e-10)
 
@@ -133,10 +132,10 @@ def test_case5_general_delta_scaling():
 
 
 def _case5_closed_log_c(r, s):
-    from steintail.specfun import log_abs_gamma_complex, log_gamma
+    from scipy.special import gammaln, loggamma
 
-    return 2.0 * log_abs_gamma_complex(r, -s / 2.0) - 0.5 * math.log(math.pi) \
-        - log_gamma(r - 0.5) - log_gamma(r)
+    return 2.0 * loggamma(complex(r, -s / 2.0)).real - 0.5 * math.log(math.pi) \
+        - gammaln(r - 0.5) - gammaln(r)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +249,13 @@ def test_log_tail_deep(gamma_law, normal_law):
 
 def test_kernel_and_q_examples():
     normal = PearsonCoefficients(0.0, 0.0, 1.0)
-    assert stein_kernel_and_q(normal, 2.0) == (pytest.approx(1.0), pytest.approx(5.0))
+    assert (stein_kernel(normal, 2.0), q_function(normal, 2.0)) == (pytest.approx(1.0), pytest.approx(5.0))
     beta = CANONICAL_COEFFS["beta"]
-    g, q = stein_kernel_and_q(beta, 0.75)
+    g, q = stein_kernel(beta, 0.75), q_function(beta, 0.75)
     assert g == 0.0
     assert q == pytest.approx(0.5625)
     gam = CANONICAL_COEFFS["gamma"]
-    assert stein_kernel_and_q(gam, 0.0) == (pytest.approx(2.0), pytest.approx(2.0))
+    assert (stein_kernel(gam, 0.0), q_function(gam, 0.0)) == (pytest.approx(2.0), pytest.approx(2.0))
 
 
 def test_q_minimum_at_zero(canonical_laws):
@@ -319,7 +318,7 @@ def test_quantile_batch_matches_scalar(canonical_laws):
     laws["gamma_mirrored"] = build_law(PearsonCoefficients(0.0, -2.0, 2.0))
     laws["invgamma_mirrored"] = build_law(PearsonCoefficients(0.5, -1.0, 0.5))
     for name, law in laws.items():
-        zs = pearson._quantile_batch(law, ps)
+        zs = pearson.quantile_grid(law, ps)
         for p, z in zip(ps, zs):
             assert z == pytest.approx(quantile(law, p), abs=5e-8), name
 
@@ -413,7 +412,7 @@ def test_check_identities_heavy_tail_flux():
     assert report.normalization_error < 1e-8 and report.mean_error < 1e-8
     assert 1e-6 < report.boundary_flux_high < 1e-4
     assert not report.passed
-    deeper = pearson._g_rho(law, np.asarray(quantile(law, 1e-11)))
+    deeper = pearson.flux(law, np.asarray(quantile(law, 1e-11)))
     assert deeper < report.boundary_flux_high / 50
 
 
@@ -439,3 +438,72 @@ def test_support_helper():
     assert support(CANONICAL_COEFFS["gamma"]) == (pytest.approx(-1.0), math.inf)
     a, b = support(CANONICAL_COEFFS["beta"])
     assert (a, b) == (pytest.approx(-0.5), pytest.approx(0.5))
+
+
+# ---------------------------------------------------------------------------
+# reflection: the law of -Z has coefficients (alpha, -beta, gamma)
+
+
+def _random_triples(seed=20240527):
+    """Admissible triples per case, twice with each sign of beta (beta = 0 for Normal)."""
+    rnd = np.random.default_rng(seed)
+    out = []
+    for sign in (1.0, -1.0) * 2:
+        out.append(("normal", PearsonCoefficients(0.0, 0.0, rnd.uniform(0.2, 3.0))))
+        out.append(("gamma", PearsonCoefficients(0.0, sign * rnd.uniform(0.3, 3.0), rnd.uniform(0.2, 3.0))))
+        out.append(("beta", PearsonCoefficients(-rnd.uniform(0.05, 2.0), sign * rnd.uniform(0.05, 1.0),
+                                                rnd.uniform(0.1, 2.0))))
+        al, be = rnd.uniform(0.05, 0.9), sign * rnd.uniform(0.3, 2.0)
+        out.append(("inverse_gamma_type", PearsonCoefficients(al, be, be * be / (4.0 * al))))
+        al, be = rnd.uniform(0.05, 0.45), sign * rnd.uniform(0.05, 1.0)
+        out.append(("no_real_roots", PearsonCoefficients(al, be, be * be / (4.0 * al) + rnd.uniform(0.1, 2.0))))
+    return out
+
+
+def _probe_points(law):
+    sd = math.sqrt(law.variance)
+    lo = law.support_a if math.isfinite(law.support_a) else -6.0 * sd
+    hi = law.support_b if math.isfinite(law.support_b) else 6.0 * sd
+    pts = np.concatenate([np.linspace(lo - 0.5 * sd, hi + 0.5 * sd, 41), [0.0, 0.3 * sd]])
+    ends = [e for e in (law.support_a, law.support_b) if math.isfinite(e)]
+    return np.concatenate([pts, ends])
+
+
+def test_reflection_swaps_tail_and_cdf():
+    for name, c in _random_triples():
+        law = build_law(c)
+        refl = build_law(PearsonCoefficients(c.alpha, -c.beta, c.gamma))
+        zs = _probe_points(law)
+        got, want = pearson.cdf_grid(law, zs), tail_grid(refl, -zs)
+        if law.case is CaseTag.NO_REAL_ROOTS:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(c))
+            assert pearson.cdf(law, 0.3) == pytest.approx(tail(refl, -0.3), abs=1e-14)
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=str(c))
+            assert pearson.cdf(law, zs[3]) == tail(refl, -zs[3]), c
+
+
+def test_reflection_log_density():
+    # exact where the canonical form is shared; Beta sums its two log terms in
+    # the other order after reflection, and case 5 normalizes the reflected
+    # integrand by its own quadrature
+    for name, c in _random_triples():
+        law = build_law(c)
+        refl = build_law(PearsonCoefficients(c.alpha, -c.beta, c.gamma))
+        zs = _probe_points(law)
+        got, want = log_density(law, zs), log_density(refl, -zs)
+        if law.case in (CaseTag.BETA, CaseTag.NO_REAL_ROOTS):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14, err_msg=str(c))
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=str(c))
+
+
+def test_case5_inverse_finite_at_extreme_probabilities():
+    # the inverse table must serve every uniform the stream can produce,
+    # including both ends of its clip range
+    u = np.concatenate([[2.0**-53, 1.0 - 1e-9, 1.0 - 2.0**-53], np.logspace(-12, -8, 2000)])
+    for c in (PearsonCoefficients(0.25, 0.0, 0.25), PearsonCoefficients(0.25, 0.3, 0.25)):
+        law = build_law(c)
+        zs = pearson.quantile_grid(law, u)
+        assert np.all(np.isfinite(zs)), (c, u[~np.isfinite(zs)])
+        assert np.all(np.isfinite(sample(law, 5000, seed=3)))

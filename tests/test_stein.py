@@ -246,7 +246,7 @@ def test_residual_generic_matches_indicator_path(gamma_law):
     generic = stein.residual_for_test_function(
         gamma_law,
         f=lambda x: f_eval(sol, x),
-        fprime=lambda x: stein._fprime_grid(sol, np.asarray(x, dtype=float)),
+        fprime=lambda x: stein.evaluate(sol, x)[1],
         h=lambda x: (np.asarray(x) <= 1.5).astype(float),
         eh=sol.eh,
         grid=grid,
@@ -259,14 +259,14 @@ def test_kernel_divergence_condition(canonical_laws):
     # matches the closed form ln[flux(0)/flux(x)]
     for name, law in canonical_laws.items():
         a, b = law.support_a, law.support_b
-        flux0 = float(pearson._g_rho(law, np.asarray(0.0)))
+        flux0 = float(pearson.flux(law, np.asarray(0.0)))
         prev = -np.inf
         vals = []
         for k in range(1, 5):
             eps = 10.0 ** (-k)
             x = b - eps * (b - min(a, 0.0)) if math.isfinite(b) else pearson.quantile(law, eps ** 1.5)
             val, _ = quad(lambda t: t / stein_kernel(law.coeffs, t), 0.0, x, limit=200)
-            closed = math.log(flux0) - math.log(float(pearson._g_rho(law, np.asarray(x))))
+            closed = math.log(flux0) - math.log(float(pearson.flux(law, np.asarray(x))))
             assert val == pytest.approx(closed, rel=1e-6), name
             assert val > prev, name
             prev = val

@@ -1,0 +1,79 @@
+"""Module boundaries of the steintail package, read from the source.
+
+No module reads a private (single-underscore) attribute of another steintail
+module, and every module is imported by another one unless it is an entry
+point (``cli`` or ``__init__``).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "steintail"
+ENTRY_POINTS = {"cli", "__init__"}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling(node: ast.ImportFrom) -> str | None:
+    """The sibling module named by a from-import, '' for the package itself, None if foreign."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "steintail":
+        return ".".join(node.module.split(".")[1:])
+    return None
+
+
+def _imports(tree: ast.Module, modules: set[str]) -> tuple[set[str], dict[str, str], list[str]]:
+    """(sibling modules imported, local alias -> sibling module, private names imported from siblings)."""
+    imported, aliases, private = set(), {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "steintail" and len(parts) == 2 and parts[1] in modules:
+                    imported.add(parts[1])
+                    if a.asname:
+                        aliases[a.asname] = parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            target = _sibling(node)
+            if target is None:
+                continue
+            for a in node.names:
+                if target == "" and a.name in modules:  # from . import pearson
+                    imported.add(a.name)
+                    aliases[a.asname or a.name] = a.name
+                elif target:
+                    imported.add(target)
+                    if _is_private(a.name):
+                        private.append(f"{target}.{a.name}")
+    return imported, aliases, private
+
+
+def test_no_module_reads_private_names_of_another():
+    modules = _modules()
+    violations = []
+    for name, tree in modules.items():
+        _, aliases, private = _imports(tree, set(modules))
+        violations += [f"{name} imports {p}" for p in private]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and aliases[node.value.id] != name
+                    and _is_private(node.attr)):
+                violations.append(f"{name}:{node.lineno} reads {aliases[node.value.id]}.{node.attr}")
+    assert not violations, violations
+
+
+def test_every_module_is_imported_or_an_entry_point():
+    modules = _modules()
+    imported_by_others = set()
+    for name, tree in modules.items():
+        imported, _, _ = _imports(tree, set(modules))
+        imported_by_others |= imported - {name}
+    orphans = sorted(set(modules) - imported_by_others - ENTRY_POINTS)
+    assert not orphans, f"modules imported by no other module: {orphans}"
