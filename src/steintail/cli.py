@@ -184,7 +184,7 @@ def _cmd_stein(args) -> int:
     grid = stein.certification_grid(law, args.z, 500) if args.grid is None else _parse_grid(args.grid)
     grid = np.asarray(grid[grid != args.z], dtype=float)
     f, fp, res = stein.evaluate(sol, grid)
-    cert = stein.certify_fprime(sol, grid)
+    cert = stein.certify_fprime(sol, grid, values=(f, fp, res))
     if args.format == "json":
         payload = {
             "rows": [{"x": float(x), "f": float(a), "fprime": float(b), "residual": float(r)}

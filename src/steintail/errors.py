@@ -55,3 +55,7 @@ class InsufficientRangeError(DomainError):
 
 class UncertifiedHypothesisError(SteintailError):
     """Scenario dominance hypothesis could not be certified."""
+
+
+class InverseTableError(SteintailError):
+    """The sampler's inverse table misses its accuracy bound for this law."""

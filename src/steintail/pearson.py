@@ -20,11 +20,13 @@ companion function q(z) = (1-alpha)z**2 + gamma that controls every derivative
 bound downstream.
 
 All evaluation goes through one table, ``_CASES``: per case, vectorized
-closed forms on the canonical beta >= 0 form for the log-density, the tail,
-the cdf and the inverse tail (case 5 integrates its tail numerically).  Laws
-with beta < 0 in the half-line cases are reflections of the canonical form and
-carry ``mirrored=True``; they are evaluated at -x with the tail and the cdf
-swapped.  The scalar ``tail``/``cdf`` are the grid functions on a 0-d input.
+closed forms on the canonical beta >= 0 form for the log-density, the tail and
+the cdf (case 5 integrates its tail numerically).  Laws with beta < 0 in the
+half-line cases are reflections of the canonical form and carry
+``mirrored=True``; they are evaluated at -x with the tail and the cdf swapped.
+The scalar ``tail``/``cdf`` are the grid functions on a 0-d input.  The sampler
+inverts the tail through one cached cubic-Hermite table per non-Normal law,
+built from the per-case forms in ``_INVERSES``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import interpolate as _interp
 from scipy import optimize as _opt
 from scipy import special as _sp
 
@@ -46,6 +47,7 @@ from .errors import (
     DomainError,
     InvalidCoefficientsError,
     InvalidProbabilityError,
+    InverseTableError,
     MomentDoesNotExistError,
 )
 
@@ -113,8 +115,9 @@ def classify(coeffs: PearsonCoefficients) -> CaseTag:
     """Classify coefficients into one of the five canonical cases.
 
     Degree and discriminant are tested with the relative snap tolerance
-    TAU_CLS.  The combination alpha > 0 with two real roots is rejected: its
-    support component cannot contain 0 with the centering convention used here.
+    TAU_CLS.  The combination alpha > 0 with two real roots is Pearson type VI
+    (beta-prime or F laws), which is not one of the five supported cases
+    (docs/DECISIONS.md, decision 5).
     """
     coeffs.validate()
     a, b, g = coeffs.alpha, coeffs.beta, coeffs.gamma
@@ -131,7 +134,7 @@ def classify(coeffs: PearsonCoefficients) -> CaseTag:
     if disc < 0.0:
         return CaseTag.NO_REAL_ROOTS
     raise InvalidCoefficientsError(
-        "alpha > 0 with two real roots puts 0 outside the support; not an admissible centered law"
+        "alpha > 0 with two real roots is Pearson type VI (beta-prime or F law), which steintail does not support"
     )
 
 
@@ -240,14 +243,13 @@ def _case5_unnorm_logpdf(z, r: float, s: float, mu: float, delta: float):
 
 # ---------------------------------------------------------------------------
 # the case table: vectorized forms on the canonical (beta >= 0) form, for
-# points z of any shape, 0-d included; mirroring is applied in `_side` and
-# `quantile_grid`, so only the half-line cases see upper=False in `inverse`
+# points z of any shape, 0-d included; mirroring is applied in `_side` and in
+# the sampler's inverse table
 
 
 class _Forms(NamedTuple):
     log_pdf: Callable  # (law, z) -> ln rho
     side: Callable     # (law, z, upper) -> P[Z > z] if upper else P[Z <= z]
-    inverse: Callable  # (law, p, upper) -> z where that side equals p
 
 
 def _gamma_log_pdf(law: PearsonLaw, z):
@@ -310,6 +312,13 @@ def _case5_quad_tail(law: PearsonLaw, z: float) -> float:
     return 1.0 - quadrature.adaptive(f, -math.inf, z, epsabs=1e-300, epsrel=1e-11)
 
 
+def _case5_xi_log_pdf(law: PearsonLaw, xi):
+    """ln of the density of xi = asinh((Z + mu)/delta), in forms that overflow in neither tail."""
+    log_cosh = np.logaddexp(xi, -xi) - math.log(2.0)
+    return (law.log_norm_const + (1.0 - 2.0 * law.r) * (math.log(law.delta) + log_cosh)
+            + 2.0 * law.s * np.arctan(np.tanh(0.5 * xi)))
+
+
 def _case5_side(law: PearsonLaw, zs, upper: bool):
     if not upper:  # the cdf is the tail of the reflected law of -Z, same normalization
         c = law.coeffs
@@ -317,63 +326,35 @@ def _case5_side(law: PearsonLaw, zs, upper: bool):
         zs = -zs
     if zs.size == 1:
         return np.full(zs.shape, _case5_quad_tail(law, float(zs.flat[0])))
-    # integrate once on a refined grid in arctan coordinates, then read off
+    # integrate once on a refined grid in xi = asinh((z + mu)/delta), then read
+    # off; xi keeps full relative precision in both power tails
     order = np.argsort(zs)
     zs_sorted = zs[order]
-    mu, delta = law.mu, law.delta
-    t_user = np.arctan((zs_sorted + mu) / delta)
-    t_all = np.unique(np.concatenate([t_user, np.linspace(t_user[0], t_user[-1], 1025)]))
-    f_t = lambda t: np.exp(_case5_log_pdf(law, delta * np.tan(t) - mu)) * delta / np.cos(t) ** 2
-    tails_all = quadrature.tail_accumulate(f_t, t_all, _case5_quad_tail(law, float(zs_sorted[-1])))
+    xi_user = np.arcsinh((zs_sorted + law.mu) / law.delta)
+    xi_all = np.unique(np.concatenate([xi_user, np.linspace(xi_user[0], xi_user[-1], 1025)]))
+    f = lambda xi: np.exp(_case5_xi_log_pdf(law, xi))
+    end = float(xi_all[-1])
+    if end >= math.asinh(law.s / (2.0 * law.r)):  # right of the peak
+        right = quadrature.adaptive(f, end, math.inf, epsabs=1e-300, epsrel=1e-11)
+    else:
+        right = 1.0 - quadrature.adaptive(f, -math.inf, end, epsabs=1e-300, epsrel=1e-11)
+    tails_all = quadrature.tail_accumulate(f, xi_all, right)
     result = np.empty_like(zs_sorted)
-    result[order] = tails_all[np.searchsorted(t_all, t_user)]
+    result[order] = tails_all[np.searchsorted(xi_all, xi_user)]
     return result
-
-
-_CASE5_P_MIN = 1e-9
-
-
-@functools.lru_cache(maxsize=32)
-def _case5_inverse_table(law: PearsonLaw) -> Callable:
-    """Monotone interpolant of tail -> z on a dense arctan-uniform grid.
-
-    Tails are clipped to the range the table covers, cut to [P_MIN, 1 - P_MIN].
-    """
-    z_lo = quantile(law, 1.0 - _CASE5_P_MIN)
-    z_hi = quantile(law, _CASE5_P_MIN)
-    mu, delta = law.mu, law.delta
-    t = np.linspace(math.atan((z_lo + mu) / delta), math.atan((z_hi + mu) / delta), 4097)
-    z_grid = delta * np.tan(t) - mu
-    z_grid[0], z_grid[-1] = z_lo, z_hi
-    f_t = lambda tt: np.exp(_case5_log_pdf(law, delta * np.tan(tt) - mu)) * delta / np.cos(tt) ** 2
-    tails = quadrature.tail_accumulate(f_t, t, tail(law, z_hi))
-    interp = _interp.PchipInterpolator(tails[::-1], z_grid[::-1], extrapolate=False)
-    p_lo, p_hi = max(tails[-1], _CASE5_P_MIN), min(tails[0], 1.0 - _CASE5_P_MIN)
-    return lambda p: interp(np.clip(p, p_lo, p_hi))
 
 
 _CASES = {
     CaseTag.NORMAL: _Forms(
         lambda law, z: law.log_norm_const - z * z / (2.0 * law.coeffs.gamma),
-        lambda law, z, upper: 0.5 * _sp.erfc((z if upper else -z) / (law.s * math.sqrt(2.0))),
-        lambda law, p, upper: law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p)),
+        lambda law, z, upper: 0.5 * _sp.erfc((z if upper else -z) / (law.s * math.sqrt(2.0)))),
     CaseTag.GAMMA: _Forms(
         _gamma_log_pdf,
         lambda law, z, upper: (_sp.gammaincc if upper else _sp.gammainc)(
-            law.r, np.maximum(z + law.mu, 0.0) / law.s),
-        lambda law, p, upper: law.s * (_sp.gammainccinv if upper else _sp.gammaincinv)(law.r, p) - law.mu),
-    CaseTag.BETA: _Forms(
-        _beta_log_pdf,
-        _beta_side,
-        lambda law, p, upper: law.support_b - (law.support_b - law.support_a) * _sp.betaincinv(law.s, law.r, p)),
-    CaseTag.INVERSE_GAMMA_TYPE: _Forms(
-        _invgamma_log_pdf,
-        _invgamma_side,
-        lambda law, p, upper: law.s / (_sp.gammaincinv if upper else _sp.gammainccinv)(law.r - 1.0, p) - law.mu),
-    CaseTag.NO_REAL_ROOTS: _Forms(
-        _case5_log_pdf,
-        _case5_side,
-        lambda law, p, upper: _case5_inverse_table(law)(p)),
+            law.r, np.maximum(z + law.mu, 0.0) / law.s)),
+    CaseTag.BETA: _Forms(_beta_log_pdf, _beta_side),
+    CaseTag.INVERSE_GAMMA_TYPE: _Forms(_invgamma_log_pdf, _invgamma_side),
+    CaseTag.NO_REAL_ROOTS: _Forms(_case5_log_pdf, _case5_side),
 }
 
 
@@ -468,6 +449,187 @@ def log_tail(law: PearsonLaw, z) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the sampler's inverse table: every non-Normal law samples through one cubic
+# Hermite table of y(t), with t the logit of the tail probability of the
+# canonical law and y an end-free coordinate of it: ln(z + mu) on a half-line
+# (taken from the canonical variable, never from x, so a density pole at the
+# end loses nothing), the logit of the position in the interval for Beta, and
+# z itself in case 5.  Nodes are exact inverses, and the slopes are exact too:
+# dy/dt = -u(1-u)/rho_y(y), with rho_y the density of y.
+
+_TABLE_NODES = 8193
+_T_MAX = math.log(2.0**53 - 1.0)  # logit(1 - 2^-53); the nodes span [-_T_MAX, _T_MAX]
+_H = 2.0 * _T_MAX / (_TABLE_NODES - 1)
+_TABLE_TOL = 1e-10  # bound on |logit p' - logit p|, node error plus interpolation error
+_NEWTON_TOL = 0.5 * _TABLE_TOL  # case 5's node error; closed-form nodes are exact to rounding
+_NEWTON_STEPS = 8
+_CHUNK = 1 << 14  # 128 KB temporaries: small enough for the allocator to reuse, per thread
+
+
+def _logit(u: np.ndarray) -> np.ndarray:
+    """ln(u / (1 - u)); 1 - u is exact for u >= 1/2, so the upper tail keeps its digits."""
+    t = 1.0 - u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(u, t, out=t)
+        return np.log(t, out=t)
+
+
+def _hermite(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The table at the points t, in Horner form; t is overwritten."""
+    t += _T_MAX
+    t *= 1.0 / _H
+    k = t.astype(np.intp)
+    np.minimum(k, coef.shape[1] - 1, out=k)
+    t -= k
+    c0, c1, c2, c3 = coef
+    y = c3[k]
+    y *= t
+    y += c2[k]
+    y *= t
+    y += c1[k]
+    y *= t
+    y += c0[k]
+    return y
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_table(law: PearsonLaw) -> np.ndarray:
+    """Horner coefficients, shape (4, nodes - 1), of y on each interval of t.
+
+    The cubic's error peaks mid-interval, so the table is checked against the
+    exact inverse at every midpoint, as an error in t.  Exact slopes inside
+    the Fritsch-Carlson region make every piece monotone.  A table that fails
+    either check raises ``InverseTableError``.
+    """
+    form = _INVERSES[law.case]
+    t = np.linspace(-_T_MAX, _T_MAX, 2 * _TABLE_NODES - 1)  # the nodes and the midpoints between them
+    with np.errstate(all="ignore"):
+        y = form.nodes(law, t)
+        # ln u(1-u) = -softplus(-t) - softplus(t)
+        slope = -np.exp(-np.logaddexp(0.0, -t) - np.logaddexp(0.0, t) - form.log_pdf(law, y))
+        y0, y1, m0, m1 = y[:-2:2], y[2::2], _H * slope[:-2:2], _H * slope[2::2]
+        coef = np.array([y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1])
+        err = float(np.max(np.abs(_hermite(coef, t[1::2].copy()) - y[1::2]) / -slope[1::2]))
+        a, b = m0 / (y1 - y0), m1 / (y1 - y0)
+        monotone = bool(np.all((a >= 0.0) & (b >= 0.0) & (a * a + b * b <= 9.0)))
+    bound = _TABLE_TOL - form.node_err
+    if not (err <= bound and monotone):  # NaN fails too
+        raise InverseTableError(f"inverse table for {law.coeffs} misses its bound: interpolation error "
+                                f"in logit {err:.3g} (bound {bound:.3g}), monotone pieces: {monotone}")
+    return coef
+
+
+def _two_sided(t: np.ndarray, upper: Callable, lower: Callable) -> np.ndarray:
+    """upper(p) at the tail p = expit(t) for t <= 0, lower(q) at the cdf q = expit(-t) for t > 0."""
+    up = t <= 0.0
+    p = _sp.expit(-np.abs(t))
+    y = np.empty_like(t)
+    y[up] = upper(p[up])
+    y[~up] = lower(p[~up])
+    return y
+
+
+def _log_small_inverse(x: np.ndarray, p: np.ndarray, a: float, log_k: float) -> np.ndarray:
+    """ln x for an inverse x of F(x) = p, where F(x) ~ x^a / k at 0.
+
+    Below 1e-250 the power law replaces the closed form, which underflows
+    there for small shapes; the next term of F is O(x) smaller.
+    """
+    return np.where(x > 1e-250, np.log(x), (np.log(p) + log_k) / a)
+
+
+def _gamma_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
+    r, log_k = law.r, _sp.gammaln(law.r + 1.0)  # P(r, x) ~ x^r / Gamma(r + 1)
+    return math.log(law.s) + _two_sided(
+        t, lambda p: _log_small_inverse(_sp.gammainccinv(r, p), 1.0 - p, r, log_k),
+        lambda q: _log_small_inverse(_sp.gammaincinv(r, q), q, r, log_k))
+
+
+def _beta_logit_inverse(p: np.ndarray, a: float, b: float) -> np.ndarray:
+    """logit x for I_x(a, b) = p; x and 1 - x each come from their own inverse."""
+    log_beta = _sp.betaln(a, b)  # I_x(a, b) ~ x^a / (a B(a, b))
+    return (_log_small_inverse(_sp.betaincinv(a, b, p), p, a, math.log(a) + log_beta)
+            - _log_small_inverse(_sp.betainccinv(b, a, p), 1.0 - p, b, math.log(b) + log_beta))
+
+
+def _beta_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
+    a, b = law.support_a, law.support_b
+    v = np.exp(-np.abs(y))
+    v /= 1.0 + v  # expit(-|y|): the position's distance to the nearer end, in units of b - a
+    v *= b - a
+    return np.where(y < 0.0, a + v, b - v)
+
+
+def _half_line_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
+    np.exp(y, out=y)
+    y -= law.mu
+    return y
+
+
+def _case5_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
+    """z at logit-tail t: Newton steps on logit P[Z > z] in xi = asinh((z + mu)/delta).
+
+    The start interpolates a grid in xi that reaches past both tails' smallest
+    targets; in xi the power tails make logit P[Z > z] nearly linear.  The
+    targets go through the quadrature grids a few thousand at a time, which
+    bounds the memory the grids take.
+    """
+    mu, delta, e = law.mu, law.delta, 2.0 * law.r - 1.0
+
+    def reach(s: float) -> float:
+        # xi beyond which that tail is below every target, from
+        # rho <= C e^(max(s, 0) pi/2) |z + mu|^(-2r)
+        return math.asinh(math.exp((law.log_norm_const + max(s, 0.0) * math.pi / 2.0 - math.log(e)
+                                    + _T_MAX + 1.0) / e) / delta)
+
+    def logit_and_slope(xi):
+        z = delta * np.sinh(xi) - mu
+        s, c = tail_grid(law, z), cdf_grid(law, z)
+        return np.log(s) - np.log(c), -np.exp(_case5_xi_log_pdf(law, xi)) / (s * c)
+
+    def newton(target):
+        xi = np.interp(-target, -logit[ok], grid[ok])  # logit falls as xi grows
+        for _ in range(_NEWTON_STEPS):
+            value, slope = logit_and_slope(xi)
+            err = np.max(np.abs(value - target))
+            if err <= _NEWTON_TOL:
+                return delta * np.sinh(xi) - mu
+            xi -= (value - target) / slope
+        raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
+
+    grid = np.linspace(-reach(-law.s), reach(law.s), 2049)
+    logit, _ = logit_and_slope(grid)
+    ok = np.isfinite(logit)
+    return np.concatenate([newton(part) for part in np.array_split(t, 8)])
+
+
+class _Inverse(NamedTuple):
+    nodes: Callable    # (law, t) -> y at logit-tail t, on the canonical form
+    log_pdf: Callable  # (law, y) -> ln rho_y
+    to_z: Callable     # (law, y) -> z, overwriting y where it can
+    node_err: float = 0.0  # bound on the nodes' own error in logit
+
+
+_INVERSES = {
+    CaseTag.GAMMA: _Inverse(
+        _gamma_nodes,
+        lambda law, y: law.log_norm_const + law.r * y - np.exp(y) / law.s,
+        _half_line_to_z),
+    CaseTag.BETA: _Inverse(
+        lambda law, t: _two_sided(t, lambda p: -_beta_logit_inverse(p, law.s, law.r),
+                                  lambda q: _beta_logit_inverse(q, law.r, law.s)),
+        lambda law, y: -_sp.betaln(law.r, law.s) - law.r * np.logaddexp(0.0, -y) - law.s * np.logaddexp(0.0, y),
+        _beta_to_z),
+    CaseTag.INVERSE_GAMMA_TYPE: _Inverse(
+        lambda law, t: math.log(law.s) - np.log(_two_sided(
+            t, lambda p: _sp.gammaincinv(law.r - 1.0, p), lambda q: _sp.gammainccinv(law.r - 1.0, q))),
+        lambda law, y: law.log_norm_const + (1.0 - law.r) * y - law.s * np.exp(-y),
+        _half_line_to_z),
+    CaseTag.NO_REAL_ROOTS: _Inverse(_case5_nodes, _case5_log_pdf, lambda law, y: y, _NEWTON_TOL),
+}
+
+
+# ---------------------------------------------------------------------------
 # quantiles and sampling
 
 
@@ -501,24 +663,43 @@ def quantile(law: PearsonLaw, p: float) -> float:
 def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     """Vectorized inverse of the tail, the sampler's inverse CDF.
 
-    Closed forms except in case 5, which interpolates a monotone table and
-    clips p to the tail range the table covers.
+    Normal uses the closed form.  Every other case reads one cached
+    cubic-Hermite table (``_inverse_table``) and serves p in
+    [2^-53, 1 - 2^-53], the range of the ``rng`` uniforms; p outside it raises
+    ``InvalidProbabilityError``.  Contract: the result is the exact inverse at
+    some p' with |logit p' - logit p| <= 1e-10, that is a relative error of at
+    most 1e-10 in the smaller of p and 1 - p, up to the rounding of the
+    returned double; it is non-increasing in p.
     """
     p = np.asarray(p, dtype=float)
-    inverse = _CASES[law.case].inverse
-    return -inverse(law, p, False) if law.mirrored else inverse(law, p, True)
+    if law.case is CaseTag.NORMAL:
+        return law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p)
+    coef, form = _inverse_table(law), _INVERSES[law.case]
+    flat = p.ravel()
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _CHUNK):  # chunks keep the temporaries small
+        t = _logit(flat[lo:lo + _CHUNK])
+        if law.mirrored:  # X = -Z: the tail of X at x is the cdf of Z at -x
+            np.negative(t, out=t)
+        if not (-_T_MAX <= t.min() and t.max() <= _T_MAX):  # NaN fails too
+            raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
+                                          f"values in [{flat[lo:lo + _CHUNK].min()}, {flat[lo:lo + _CHUNK].max()}]")
+        x = form.to_z(law, _hermite(coef, t))
+        out[lo:lo + _CHUNK] = -x if law.mirrored else x
+    return out.reshape(p.shape)
 
 
 def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws by inverse CDF on counter-based uniform blocks.
 
     Deterministic given (seed, n); block decomposition keeps the stream
-    identical no matter how callers partition the work.
+    identical no matter how callers partition the work.  Each draw meets the
+    ``quantile_grid`` contract: a relative error of at most 1e-10 in the
+    smaller tail probability of its uniform.
     """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    u = rng.uniform_stream(seed, n)
-    return quantile_grid(law, u)
+    return quantile_grid(law, rng.uniform_stream(seed, n))
 
 
 # ---------------------------------------------------------------------------

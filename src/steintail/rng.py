@@ -23,10 +23,13 @@ def n_blocks(n: int, block_size: int = BLOCK_SIZE) -> int:
 
 
 def uniform_block(seed: int, block_index: int, size: int) -> np.ndarray:
-    """Uniforms on (0, 1); the open left endpoint keeps inverse CDFs finite."""
+    """Uniforms in [2^-53, 1 - 2^-53]; keeping 0 out keeps inverse CDFs finite.
+
+    ``random`` returns multiples of 2^-53, so raising 0 to 2^-53 changes no
+    other value.
+    """
     u = _block_generator(seed, block_index).random(size)
-    tiny = 2.0 ** -53
-    return np.where(u == 0.0, tiny, u)
+    return np.maximum(u, 2.0 ** -53, out=u)
 
 
 def normal_block(seed: int, block_index: int, size: int) -> np.ndarray:

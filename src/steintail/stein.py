@@ -192,19 +192,20 @@ def derivative_bound_left(sol: IndicatorSteinSolution) -> float:
     return z / (g * g * rho) + 1.0 / float(q_function(law.coeffs, 0.0))
 
 
-def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertificate:
+def certify_fprime(sol: IndicatorSteinSolution, grid, values=None) -> SteinDerivativeCertificate:
     """Check the sign pattern and both derivative bounds over the grid.
 
     Inside the support the bounds are 0 <= f' <= z/(g(z)^2 rho(z)) + 1/q(0)
     left of z and -1/q(z) <= f' <= 0 right of z.  Outside a finite-support
     law's interval the derivative is (h - E[h])/x^2, bounded by (1-E[h])/a^2
-    below a and by E[h]/b^2 in magnitude above b.
+    below a and by E[h]/b^2 in magnitude above b.  ``values`` is
+    ``evaluate(sol, grid)`` when the caller already has it.
     """
     xs = np.asarray(grid, dtype=float)
     law, z = sol.law, sol.z
     a, b = law.support_a, law.support_b
     _reject_kinks(sol, xs)
-    _, fp, residual = evaluate(sol, xs)
+    _, fp, residual = evaluate(sol, xs) if values is None else values
     left = xs <= z
     sign_violations = int(np.sum((left & (fp < 0.0)) | (~left & (fp > 0.0))))
 

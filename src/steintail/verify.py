@@ -97,9 +97,7 @@ def empirical_tail(samples, z_grid, confidence: float = 0.99) -> tuple[np.ndarra
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("empirical_tail needs at least one sample")
-    zs = np.asarray(z_grid, dtype=float)
-    s = np.sort(samples)
-    counts = samples.size - np.searchsorted(s, zs, side="right")
+    counts = _exceedances(samples, np.asarray(z_grid, dtype=float))
     return counts / samples.size, dkw_half_width(samples.size, confidence)
 
 
@@ -257,6 +255,11 @@ def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray]
     return sample_block, lambda z: pearson.tail(x_law, z)
 
 
+def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Number of xs above each z: one pass over the draws per threshold, no block x z matrix."""
+    return np.array([np.count_nonzero(xs > z) for z in zs], dtype=np.int64)
+
+
 def _tail_counts(sample_block: Callable[[int, int], np.ndarray], n: int, zs: np.ndarray,
                  n_workers: int) -> np.ndarray:
     """Exceedance counts of n draws per grid point, reduced in block-index order."""
@@ -265,8 +268,7 @@ def _tail_counts(sample_block: Callable[[int, int], np.ndarray], n: int, zs: np.
     sizes = [min(bs, n - b * bs) for b in blocks]
 
     def one(b: int) -> np.ndarray:
-        xs = sample_block(b, sizes[b])
-        return (xs[:, None] > zs[None, :]).sum(axis=0).astype(np.int64)
+        return _exceedances(sample_block(b, sizes[b]), zs)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:

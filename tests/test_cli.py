@@ -102,6 +102,20 @@ def test_stein_json_certificate(capsys):
     assert payload["certificate"]["residual_max"] < 1e-8
 
 
+def test_stein_evaluates_the_grid_once(capsys, monkeypatch):
+    # the rows and the certificate share one stein.evaluate pass:
+    # one cdf_grid and one tail_grid call
+    calls = []
+    for name in ("cdf_grid", "tail_grid"):
+        fn = getattr(pearson, name)
+        monkeypatch.setattr(pearson, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    code, _, _ = run_cli(capsys, "stein", "--alpha", "0", "--beta", "2", "--gamma", "2",
+                         "--z", "2", "--format", "json")
+    assert code == 0
+    assert sorted(calls) == ["cdf_grid", "tail_grid"]
+
+
 def test_envelope_brackets(capsys):
     code, out, _ = run_cli(capsys, "envelope", "--alpha", "0", "--beta", "0", "--gamma", "1",
                            "--grid", "1:4:7")

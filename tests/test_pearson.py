@@ -64,6 +64,18 @@ def test_classify_rejections():
         classify(PearsonCoefficients(0.25, 2.0, 1.0))
 
 
+def test_classify_names_pearson_type_vi():
+    # roots -189.47 and -0.53: g > 0 on (-0.53, inf), which contains 0, so
+    # the law exists; it is Pearson type VI, which is not supported
+    c = PearsonCoefficients(0.01, 1.9, 1.0)
+    disc = math.sqrt(c.beta**2 - 4.0 * c.alpha * c.gamma)
+    roots = sorted(((-c.beta - disc) / (2 * c.alpha), (-c.beta + disc) / (2 * c.alpha)))
+    assert roots[0] < roots[1] < 0.0 and c.kernel(0.0) > 0.0
+    with pytest.raises(InvalidCoefficientsError, match="Pearson type VI") as info:
+        classify(c)
+    assert "outside the support" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # parameter recovery
 

@@ -1,0 +1,201 @@
+"""The sampler's inverse CDF (``pearson.quantile_grid``) against independent oracles.
+
+Cases 2-4 are compared with scipy's closed-form inverses on the smaller side:
+near a density pole the double-precision x limits any sampler, so the tail at
+the sample is compared with the tail at the closed-form x.  Case 5 has no
+closed form and is compared with the exact tail at the sample.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
+
+from steintail import pearson, rng
+from steintail.errors import InvalidProbabilityError, InverseTableError
+from steintail.pearson import CaseTag, PearsonCoefficients, build_law
+
+from conftest import CANONICAL_COEFFS
+
+U_MIN = 2.0**-53
+TOL = 1e-10
+
+ACCEPTANCE_LAWS = [c for name, c in CANONICAL_COEFFS.items() if name != "normal"] + [
+    PearsonCoefficients(0.0, -2.0, 2.0),      # mirrored Gamma, pole (r = 1/2)
+    PearsonCoefficients(0.5, -1.0, 0.5),      # mirrored inverse-gamma type
+    PearsonCoefficients(0.0, 1.0, 0.1),       # Gamma, pole (r = 0.1)
+    PearsonCoefficients(-0.5, 0.3, 0.25),     # Beta, pole at a (r = 0.61)
+    PearsonCoefficients(0.25, 0.3, 0.25),     # case 5, skewed
+    PearsonCoefficients(0.45, 0.0, 0.25),     # case 5, heavy tails
+]
+
+
+def _probe(n: int) -> np.ndarray:
+    """Uniforms from 2^-53 to 1 - 2^-53, evenly spaced in logit, both ends included."""
+    t_max = math.log(2.0**53 - 1.0)
+    return np.clip(sp.expit(np.linspace(-t_max, t_max, n)), U_MIN, 1.0 - U_MIN)
+
+
+def _closed_form(law, u: np.ndarray) -> np.ndarray:
+    """The exact inverse of the tail at u, from the smaller side's closed form."""
+    upper = u <= 0.5
+    p = np.where(upper, u, 1.0 - u)  # 1 - u is exact for u >= 1/2
+    canon_upper = upper != law.mirrored  # the tail of X = -Z is the cdf of Z
+    r, s, mu = law.r, law.s, law.mu
+    if law.case is CaseTag.GAMMA:
+        z = s * np.where(canon_upper, sp.gammainccinv(r, p), sp.gammaincinv(r, p)) - mu
+    elif law.case is CaseTag.INVERSE_GAMMA_TYPE:
+        z = s / np.where(canon_upper, sp.gammaincinv(r - 1.0, p), sp.gammainccinv(r - 1.0, p)) - mu
+    else:
+        # the positions from a and from b, each from its own inverse; x from the nearer end
+        a, b = law.support_a, law.support_b
+        v = np.where(canon_upper, sp.betainccinv(r, s, p), sp.betaincinv(r, s, p))
+        w = np.where(canon_upper, sp.betaincinv(s, r, p), sp.betainccinv(s, r, p))
+        z = np.where(v <= w, a + (b - a) * v, b - (b - a) * w)
+    return -z if law.mirrored else z
+
+
+def _smaller_side(law, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The tail at x where u <= 1/2, the cdf elsewhere."""
+    upper = u <= 0.5
+    if law.case is CaseTag.BETA:
+        # from the nearer end of the interval, where the argument keeps its digits
+        a, b = law.support_a, law.support_b
+        v, w = (x - a) / (b - a), (b - x) / (b - a)
+        near_a = v <= w
+        tail = np.where(near_a, sp.betaincc(law.r, law.s, v), sp.betainc(law.s, law.r, w))
+        cdf = np.where(near_a, sp.betainc(law.r, law.s, v), sp.betaincc(law.s, law.r, w))
+        return np.where(upper, tail, cdf)
+    return np.where(upper, pearson.tail_grid(law, x), pearson.cdf_grid(law, x))
+
+
+def _errors(law, u: np.ndarray):
+    """(samples, absolute error, error relative to the smaller side's probability)."""
+    x = pearson.quantile_grid(law, u)
+    p = np.where(u <= 0.5, u, 1.0 - u)
+    if law.case is CaseTag.NO_REAL_ROOTS:
+        err = np.abs(_smaller_side(law, x, u) - p)
+    else:
+        err = np.abs(_smaller_side(law, x, u) - _smaller_side(law, _closed_form(law, u), u))
+    return x, err, err / p
+
+
+@pytest.mark.parametrize("coeffs", ACCEPTANCE_LAWS, ids=str)
+def test_inverse_accuracy_over_the_whole_uniform_range(coeffs):
+    law = build_law(coeffs)
+    u = _probe(4001)
+    x, err, _ = _errors(law, u)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) <= 0.0)
+    assert err.max() <= TOL, (coeffs, u[np.argmax(err)])
+
+
+@pytest.mark.parametrize("coeffs", list(CANONICAL_COEFFS.values()) + ACCEPTANCE_LAWS[4:], ids=str)
+def test_inverse_finite_and_unclipped_at_extreme_probabilities(coeffs):
+    # every uniform the stream can emit, with no clip: the deepest probes are
+    # resolved to a relative error far below the gaps between them
+    law = build_law(coeffs)
+    u = np.concatenate([[U_MIN], np.logspace(-15, -8, 50), [1.0 - 1e-9, 1.0 - U_MIN]])
+    x = pearson.quantile_grid(law, u)
+    assert np.all(np.isfinite(x))
+    if law.case is CaseTag.NORMAL:
+        np.testing.assert_allclose(sp.erfc(x / math.sqrt(2.0)) / 2.0, u, rtol=1e-12)
+        return
+    _, _, rel = _errors(law, u)
+    assert rel.max() <= 1e-9, (coeffs, u[np.argmax(rel)])
+
+
+def test_inverse_rejects_probabilities_outside_the_stream(gamma_law, case5_law):
+    for law in (gamma_law, case5_law):
+        for bad in (0.0, 1.0, 1e-17, -0.5, 2.0, math.nan):
+            with pytest.raises(InvalidProbabilityError):
+                pearson.quantile_grid(law, np.array([0.5, bad]))
+
+
+def test_inverse_table_raises_where_it_misses_its_bound():
+    # a Beta law with both shapes 0.025: two density poles and almost no mass
+    # between them; the cubic misses 1e-10 in logit there, and says so
+    law = build_law(PearsonCoefficients(-20.0, 0.0, 5.0))
+    assert law.r == pytest.approx(0.025) and law.s == pytest.approx(0.025)
+    with pytest.raises(InverseTableError, match="misses its bound"):
+        pearson.sample(law, 10, seed=1)
+
+
+def test_inverse_keeps_shape_and_matches_blocked_sampling(beta_law):
+    u = _probe(12).reshape(3, 4)
+    assert pearson.quantile_grid(beta_law, u).shape == (3, 4)
+    assert pearson.quantile_grid(beta_law, np.array([], dtype=float)).shape == (0,)
+    # the whole stream at once equals the block-by-block draws
+    n = rng.BLOCK_SIZE + 17
+    whole = pearson.quantile_grid(beta_law, rng.uniform_stream(5, n))
+    np.testing.assert_array_equal(pearson.sample(beta_law, n, seed=5), whole)
+
+
+# ---------------------------------------------------------------------------
+# property tests over random admissible triples, by case
+
+
+def _gamma_triples():
+    # r = gamma / beta^2 spans density poles (r < 1) and near-normal shapes
+    return st.tuples(st.floats(0.01, 50.0), st.floats(0.1, 10.0), st.booleans()).map(
+        lambda a: PearsonCoefficients(0.0, a[1] if a[2] else -a[1], a[0] * a[1] ** 2))
+
+
+def _beta_triples():
+    # shapes r, s (poles below 1) and width w: alpha = -1/(r + s), a = -r w/(r + s),
+    # b = s w/(r + s).  Below shapes of about 0.05 the bulk of a skewed law sits
+    # within a few ulps of its end, where no double x can resolve it; with
+    # r + s below about 0.12 the table raises (see the test above)
+    return st.tuples(st.floats(0.08, 20.0), st.floats(0.08, 20.0), st.floats(0.1, 10.0)).map(
+        lambda a: PearsonCoefficients(-1.0 / (a[0] + a[1]), (a[1] - a[0]) * a[2] / (a[0] + a[1]) ** 2,
+                                      a[0] * a[1] * a[2] ** 2 / (a[0] + a[1]) ** 3))
+
+
+def _invgamma_triples():
+    return st.tuples(st.floats(0.02, 0.95), st.floats(0.1, 5.0), st.booleans()).map(
+        lambda a: PearsonCoefficients(a[0], a[1] if a[2] else -a[1], a[1] ** 2 / (4.0 * a[0])))
+
+
+def _case5_triples():
+    return st.tuples(st.floats(0.02, 0.95), st.floats(-2.0, 2.0), st.floats(0.05, 4.0)).map(
+        lambda a: PearsonCoefficients(a[0], a[1], a[1] ** 2 / (4.0 * a[0]) + a[2]))
+
+
+def _check_property(coeffs):
+    law = build_law(coeffs)
+    u = _probe(401)
+    x, err, _ = _errors(law, u)
+    assert np.all(np.isfinite(x)), coeffs
+    assert np.all(np.diff(x) <= 0.0), coeffs
+    assert err.max() <= TOL, (coeffs, u[np.argmax(err)], err.max())
+
+
+_PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_PROPERTY
+@given(_gamma_triples())
+def test_property_gamma(coeffs):
+    _check_property(coeffs)
+
+
+@_PROPERTY
+@given(_beta_triples())
+def test_property_beta(coeffs):
+    _check_property(coeffs)
+
+
+@_PROPERTY
+@given(_invgamma_triples())
+def test_property_inverse_gamma_type(coeffs):
+    _check_property(coeffs)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_case5_triples())
+def test_property_case5(coeffs):
+    _check_property(coeffs)

@@ -2,10 +2,14 @@
 
 No module reads a private (single-underscore) attribute of another steintail
 module, and every module is imported by another one unless it is an entry
-point (``cli`` or ``__init__``).
+point (``cli`` or ``__init__``).  Sampling stays off ``scipy.stats``, whose
+import alone costs about half a second and 17 MB.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "steintail"
@@ -77,3 +81,17 @@ def test_every_module_is_imported_or_an_entry_point():
         imported_by_others |= imported - {name}
     orphans = sorted(set(modules) - imported_by_others - ENTRY_POINTS)
     assert not orphans, f"modules imported by no other module: {orphans}"
+
+
+def test_sampling_does_not_import_scipy_stats():
+    script = (
+        "import sys, steintail\n"
+        "from steintail import pearson\n"
+        "for c in [(0, 0, 1), (0, 2, 2), (-0.25, 0, 0.0625), (0.5, 1, 0.5), (0.25, 0, 0.25)]:\n"
+        "    pearson.sample(pearson.build_law(pearson.PearsonCoefficients(*c)), 1000, seed=1)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
