@@ -7,6 +7,7 @@ Three layers of machinery:
   pair for z < 0;
 * comparison bounds for a dominating/dominated variable X: the implicit
   integral lower bound P[X>z] >= Phi(z) - (1/q(z)) int_z^b (2x-z) P[X>x] dx,
+  with the integral exact from X's partial moments (Fubini, no quadrature),
   its explicit closure ((c-2) q(z)) / ((c-2) q(z) + 2 z^2) * Phi(z), and the
   admissible multiplier infimum (1-alpha)/(1-2*alpha) for upper bounds;
 * asymptotic constants: the limit K of the normalized flux z^kappa e^(z/s)
@@ -18,13 +19,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Callable
 
-from . import pearson, quadrature
+from . import pearson
 from .errors import (
     DomainError,
     InvalidConstantError,
-    NonIntegrableTailError,
     ThirdMomentError,
     UnsupportedCaseError,
 )
@@ -33,6 +32,7 @@ from .pearson import CaseTag, PearsonCoefficients, PearsonLaw, q_function, stein
 __all__ = [
     "Direction",
     "phi_envelope",
+    "implicit_integral",
     "implicit_lower_bound",
     "pearson_lower",
     "pearson_upper_constant",
@@ -80,27 +80,26 @@ def tail_sandwich(law: PearsonLaw, z: float) -> tuple[float, float]:
     return max(lower, 0.0), upper
 
 
-def implicit_lower_bound(law: PearsonLaw, tail_of_x: Callable[[float], float], z: float) -> float:
-    """Phi(z) - (1/q(z)) int_z^b (2x - z) P[X > x] dx by adaptive quadrature.
+def implicit_integral(x_moments, z: float, b: float) -> float:
+    """int_z^b (2x - z) P[X > x] dx in closed form from the partial moments of X.
 
-    The integrand is truncated where tail_of_x drops below 1e-14; the weight
-    grows only linearly so the discarded mass is negligible.
+    By Fubini the integral is E[m (m - z); X > z] with m = min(X, b).  With
+    J(y) = E[X (X - z); X > y] that is J(z), less J(b) - b (b - z) P[X > b]
+    for a finite b.  x_moments(y) returns (P[X > y], E[X; X > y], E[X^2; X > y]).
     """
+    _, m1, m2 = x_moments(z)
+    integral = m2 - z * m1
+    if math.isfinite(b):
+        t_b, m1_b, m2_b = x_moments(b)
+        integral -= m2_b - z * m1_b - b * (b - z) * t_b
+    return integral
+
+
+def implicit_lower_bound(law: PearsonLaw, x_moments, z: float) -> float:
+    """Phi(z) - (1/q(z)) int_z^b (2x - z) P[X > x] dx, the integral by ``implicit_integral``."""
     if not 0.0 < z < law.support_b:
         raise DomainError(f"requires 0 < z < b, got z={z}")
-    b = law.support_b
-    if math.isfinite(b):
-        x_hi = b
-    else:
-        x_hi = max(2.0 * z, z + math.sqrt(law.variance))
-        for _ in range(200):
-            if tail_of_x(x_hi) < 1e-14:
-                break
-            x_hi *= 2.0
-        else:
-            raise NonIntegrableTailError("tail of X does not decay below 1e-14")
-    integral = quadrature.adaptive(lambda x: (2.0 * x - z) * tail_of_x(x), z, x_hi,
-                                   epsabs=1e-13, epsrel=1e-9)
+    integral = implicit_integral(x_moments, z, law.support_b)
     return pearson.tail(law, z) - integral / float(q_function(law.coeffs, z))
 
 

@@ -74,15 +74,28 @@ def _gauss_interval_prob(u: float, v: float) -> float:
     """P[u < N <= v] in complement-free form on either side of 0."""
     if v <= u:
         return 0.0
+    sf = lambda x: 0.5 * math.erfc(x / math.sqrt(2.0))  # P[N > x], exactly 0 and 1 at +-inf
     if u >= 0.0:
-        hi = 0.0 if v == math.inf else 0.5 * math.erfc(v / math.sqrt(2.0))
-        return 0.5 * math.erfc(u / math.sqrt(2.0)) - hi
+        return sf(u) - sf(v)
     if v <= 0.0:
-        lo = 0.0 if u == -math.inf else 0.5 * math.erfc(-u / math.sqrt(2.0))
-        return 0.5 * math.erfc(-v / math.sqrt(2.0)) - lo
-    left = 0.0 if u == -math.inf else 0.5 * math.erfc(-u / math.sqrt(2.0))
-    right = 0.0 if v == math.inf else 0.5 * math.erfc(v / math.sqrt(2.0))
-    return 1.0 - left - right
+        return sf(-v) - sf(-u)
+    return 1.0 - sf(-u) - sf(v)
+
+
+def _gauss_integral(herm, intervals) -> float:
+    """Integral of P(n) phi(n) over the intervals, for P = sum_k herm_k H_k.
+
+    (H_{k-1} phi)' = -H_k phi, so with A = sum_{k>=1} herm_k H_{k-1} each
+    interval (u, v) gives herm_0 P[u < N <= v] + A(u) phi(u) - A(v) phi(v).
+    """
+    shift = np.asarray(herm[1:], dtype=float)
+
+    def edge(n: float) -> float:
+        if not shift.size or not math.isfinite(n):
+            return 0.0
+        return float(herme.hermeval(n, shift) * _phi(n))
+
+    return float(sum(herm[0] * _gauss_interval_prob(u, v) + (edge(u) - edge(v)) for u, v in intervals))
 
 
 @dataclass(frozen=True)
@@ -197,15 +210,11 @@ class HermiteSeries:
         val = herme.hermeval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
         return float(val) if np.ndim(x) == 0 else val
 
-    def shift_down(self) -> np.ndarray:
-        """Hermite coefficients of sum_{m>=1} c_m H_{m-1}: the -DL^{-1} factor."""
-        return np.asarray(self.coeffs[1:], dtype=float)
-
 
 def malliavin_G(x_series: HermiteSeries) -> PolynomialInN:
     """G(N) = X'(N) * sum_m c_m H_{m-1}(N), expanded to monomial form."""
     deriv = herme.hermeder(np.asarray(x_series.coeffs))       # sum n c_n H_{n-1}
-    shift = x_series.shift_down()                              # sum   c_m H_{m-1}
+    shift = np.asarray(x_series.coeffs[1:])                    # sum   c_m H_{m-1}: the -DL^{-1} factor
     prod = npoly.polymul(herme.herme2poly(deriv), herme.herme2poly(shift))
     return PolynomialInN.from_array(prod)
 
@@ -320,22 +329,13 @@ class PolynomialChaosLaw:
             return 1.0
         if x >= self.support_b:
             return 0.0
-        return float(sum(_gauss_interval_prob(u, v) for u, v in self.superlevel_intervals(x)))
+        return _gauss_integral((1.0,), self.superlevel_intervals(x))
 
-    def partial_first_moment(self, x: float) -> float:
-        """E[X 1_{X > x}], closed form via the Hermite antiderivative.
-
-        With A = sum_{k>=1} c_k H_{k-1}, each integral of X against the
-        Gaussian weight over (u, v) equals A(u) phi(u) - A(v) phi(v).
-        """
-        shift = self.series.shift_down()
-
-        def flux(n: float) -> float:
-            if not math.isfinite(n):
-                return 0.0
-            return float(herme.hermeval(n, shift) * _phi(n))
-
-        return float(sum(flux(u) - flux(v) for u, v in self.superlevel_intervals(x)))
+    def partial_moments(self, x: float) -> tuple[float, float, float]:
+        """(P[X > x], E[X; X > x], E[X^2; X > x]), closed form over one set of superlevel intervals."""
+        c = self.series.coeffs
+        intervals = self.superlevel_intervals(x)
+        return tuple(_gauss_integral(herm, intervals) for herm in ((1.0,), c, herme.hermemul(c, c)))
 
     def quantile(self, p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -385,7 +385,7 @@ def g_function(x_series: HermiteSeries, x: float) -> float:
     rho = law.density(x)
     if rho == 0.0:
         raise OutsideSupportError(f"density vanishes at {x}")
-    return law.partial_first_moment(x) / rho
+    return _gauss_integral(x_series.coeffs, law.superlevel_intervals(x)) / rho
 
 
 def g_from_conditional(x_series: HermiteSeries, x: float) -> float:

@@ -64,6 +64,7 @@ __all__ = [
     "density",
     "flux",
     "tail",
+    "partial_moments",
     "tail_grid",
     "log_tail",
     "cdf",
@@ -276,10 +277,15 @@ def _beta_log_pdf(law: PearsonLaw, z):
 
 
 def _beta_side(law: PearsonLaw, z, upper: bool):
+    # each point from its nearer end, so no argument rounds next to 1; a midpoint
+    # goes to betainc on either side, so the reflected law reads the same expression
     a, b = law.support_a, law.support_b
-    if upper:
-        return _sp.betainc(law.s, law.r, np.clip((b - z) / (b - a), 0.0, 1.0))
-    return _sp.betainc(law.r, law.s, np.clip((z - a) / (b - a), 0.0, 1.0))
+    near_a = z - a < b - z if upper else z - a <= b - z
+    x = np.clip(np.where(near_a, z - a, b - z) / (b - a), 0.0, 1.0)
+    out = np.empty_like(x)
+    out[near_a] = (_sp.betaincc if upper else _sp.betainc)(law.r, law.s, x[near_a])
+    out[~near_a] = (_sp.betainc if upper else _sp.betaincc)(law.s, law.r, x[~near_a])
+    return out
 
 
 def _invgamma_log_pdf(law: PearsonLaw, z):
@@ -421,6 +427,20 @@ def tail(law: PearsonLaw, z) -> float:
 def tail_grid(law: PearsonLaw, zs) -> np.ndarray:
     """Vectorized tails on an arbitrary grid."""
     return _side(law, np.atleast_1d(np.asarray(zs, dtype=float)), upper=True)
+
+
+def partial_moments(law: PearsonLaw, y) -> tuple[float, float, float]:
+    """(P[Z > y], E[Z; Z > y], E[Z^2; Z > y]) in closed form.
+
+    E[Z; Z > y] is the flux g(y) rho(y), and the Stein identity with the test
+    function x 1{x > y} gives E[Z^2; Z > y] = ((y + beta) g rho + gamma P[Z > y]) / (1 - alpha),
+    valid for every admissible alpha < 1.
+    """
+    c, t = law.coeffs, tail(law, y)
+    if not law.support_a < y < law.support_b:  # no flux out here, and y may be infinite
+        return t, 0.0, c.gamma * t / (1.0 - c.alpha)
+    f = float(flux(law, y))
+    return t, f, ((y + c.beta) * f + c.gamma * t) / (1.0 - c.alpha)
 
 
 def cdf(law: PearsonLaw, z) -> float:

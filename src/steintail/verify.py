@@ -237,22 +237,15 @@ def _certify_pearson(x_law: PearsonLaw, spec: ScenarioSpec) -> dict:
 # block sampling
 
 
-def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray], Callable[[float], float]]:
-    """Per-block sampler and the exact tail evaluator of the X model."""
+def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray], Callable]:
+    """Per-block sampler and the X model's exact y -> (P[X > y], E[X; X > y], E[X^2; X > y])."""
     if isinstance(spec.x_model, HermiteSeries):
-        law = chaos.law_of_polynomial(spec.x_model)
         series = spec.x_model
-
-        def sample_block(b: int, size: int) -> np.ndarray:
-            return series.evaluate(rng.normal_block(spec.seed, b, size))
-
-        return sample_block, law.tail
+        return (lambda b, size: series.evaluate(rng.normal_block(spec.seed, b, size)),
+                chaos.law_of_polynomial(series).partial_moments)
     x_law = spec.x_model
-
-    def sample_block(b: int, size: int) -> np.ndarray:
-        return pearson.quantile_grid(x_law, rng.uniform_block(spec.seed, b, size))
-
-    return sample_block, lambda z: pearson.tail(x_law, z)
+    return (lambda b, size: pearson.quantile_grid(x_law, rng.uniform_block(spec.seed, b, size)),
+            lambda y: pearson.partial_moments(x_law, y))
 
 
 def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -262,7 +255,7 @@ def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 def _tail_counts(sample_block: Callable[[int, int], np.ndarray], n: int, zs: np.ndarray,
                  n_workers: int) -> np.ndarray:
-    """Exceedance counts of n draws per grid point, reduced in block-index order."""
+    """Exceedance counts of n draws per grid point, summed over the blocks."""
     bs = rng.BLOCK_SIZE
     blocks = list(range(rng.n_blocks(n)))
     sizes = [min(bs, n - b * bs) for b in blocks]
@@ -275,10 +268,7 @@ def _tail_counts(sample_block: Callable[[int, int], np.ndarray], n: int, zs: np.
             parts = list(ex.map(one, blocks))
     else:
         parts = [one(b) for b in blocks]
-    total = np.zeros(len(zs), dtype=np.int64)
-    for part in parts:  # index order, independent of completion order
-        total += part
-    return total
+    return np.sum(parts, axis=0, dtype=np.int64)  # integer sums: exact in any order
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +284,7 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     else:
         cert_info = _certify_pearson(spec.x_model, spec)
 
-    sample_block, exact_tail = _block_sampler(spec)
+    sample_block, x_moments = _block_sampler(spec)
     zs = np.asarray(spec.z_grid)
     counts = _tail_counts(sample_block, spec.n_samples, zs, n_workers)
     emp = counts / spec.n_samples
@@ -309,47 +299,37 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
         k_upper = 2.0 * bounds.pearson_upper_constant(spec.upper_coeffs.alpha)
 
     phi_star, lower_cert, upper_cert, verdicts = [], [], [], []
-    deep_flags = []
+    deep_flags, exact_tail = [], []
     for i, z in enumerate(spec.z_grid):
-        t_ref = pearson.tail(ref_law, z)
-        phi_star.append(t_ref)
-        s_exact = exact_tail(z)
+        phi_star.append(pearson.tail(ref_law, z))
+        s_exact = x_moments(z)[0]
+        exact_tail.append(s_exact)
         deep = s_exact * spec.n_samples < DEEP_TAIL_MIN_COUNT
         deep_flags.append(deep)
         s_hi = s_exact if deep else emp[i] + eps
         s_lo = s_exact if deep else max(emp[i] - eps, 0.0)
 
-        asserted_ok, informational_ok = True, True
+        misses = []  # (bound missed, asserted): an asserted miss fails, any other is inconclusive
         low_val = -math.inf
         if check_lower:
-            ilb = bounds.implicit_lower_bound(ref_law, exact_tail, z)
+            ilb = bounds.implicit_lower_bound(ref_law, x_moments, z)
             plb, _ = bounds.pearson_lower(ref_law, z, spec.c_lower)
             low_val = max(ilb, plb) if z >= z_min_lower else ilb
-            if s_hi < ilb:
-                asserted_ok = False
-            if z >= z_min_lower:
-                if s_hi < plb:
-                    asserted_ok = False
-            elif s_hi < plb:
-                informational_ok = False
+            misses += [(s_hi < ilb, True), (s_hi < plb, z >= z_min_lower)]
         lower_cert.append(low_val)
 
         up_val = math.nan
         if check_upper:
             up_val = k_upper * pearson.tail(upper_law, z)
-            if z >= z_min_upper:
-                if s_lo > up_val:
-                    asserted_ok = False
-            elif s_lo > up_val:
-                informational_ok = False
+            misses.append((s_lo > up_val, z >= z_min_upper))
         upper_cert.append(up_val)
 
-        if not asserted_ok:
+        if any(missed and asserted for missed, asserted in misses):
             verdicts.append(Verdict.FAIL.value)
-        elif informational_ok:
-            verdicts.append(Verdict.PASS.value)
-        else:
+        elif any(missed for missed, _ in misses):
             verdicts.append(Verdict.INCONCLUSIVE.value)
+        else:
+            verdicts.append(Verdict.PASS.value)
 
     meta = {
         "scenario": json.loads(scenario_to_json(spec)),
@@ -359,7 +339,7 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
         "z_min_lower": z_min_lower if check_lower else None,
         "z_min_upper": z_min_upper if check_upper else None,
         "deep_tail": deep_flags,
-        "exact_tail_x": [exact_tail(z) for z in spec.z_grid],
+        "exact_tail_x": exact_tail,
     }
     return TailReport(
         z_grid=spec.z_grid,
