@@ -11,14 +11,16 @@ is therefore an explicit polynomial in N, the law of X is an explicit
 pushforward of the Gaussian through a polynomial (computable branch by
 branch), and the identity E[X m(X)] = E[m'(X) G] can be checked to quadrature
 exactness.  This is the module that produces the dominated/dominating
-variables fed to the tail-comparison machinery.
+variables fed to the tail-comparison machinery, and the exact extrema of the
+dominance margin G - g(X) that certify them; ``verify`` uses the same routine
+for a Pearson X, with x and its kernel in place of X(n) and G(n).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e as herme
@@ -120,10 +122,6 @@ class PolynomialInN:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> float:
-        return self.coeffs[-1]
 
     def __call__(self, x):
         val = npoly.polyval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
@@ -246,12 +244,7 @@ class PolynomialChaosLaw:
         return list(zip(pts[:-1], pts[1:]))
 
     def _value_at(self, n: float) -> float:
-        if n == math.inf:
-            return math.inf if self.poly.leading > 0 else -math.inf
-        if n == -math.inf:
-            sign = 1.0 if self.poly.degree % 2 == 0 else -1.0
-            return math.inf if sign * self.poly.leading > 0 else -math.inf
-        return self.poly(n)
+        return _poly_limit(self.poly.coeffs, n) if math.isinf(n) else self.poly(n)
 
     @staticmethod
     def _expand(f, start: float, direction: float) -> float:
@@ -357,20 +350,16 @@ class PolynomialChaosLaw:
         return self.series.variance
 
 
+@functools.lru_cache(maxsize=32)
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
+    """The exact law of X, cached per series: g_function and g_from_conditional ask for it on every call."""
     poly = x_series.to_polynomial()
     if poly.degree < 1:
         raise DomainError("polynomial variable must be nonconstant")
     dpoly = poly.derivative()
     crit = tuple(float(t) for t in dpoly.real_roots())
-    vals = [poly(t) for t in crit]
-    lead = poly.leading
-    lo_end = math.inf if (poly.degree % 2 == 0 and lead > 0) else -math.inf
-    hi_end = math.inf if lead > 0 else -math.inf
-    candidates = vals + [lo_end, hi_end]
-    support_a = min(candidates)
-    support_b = max(candidates)
-    return PolynomialChaosLaw(x_series, poly, dpoly, crit, support_a, support_b)
+    values = [poly(t) for t in crit] + [_poly_limit(poly.coeffs, end) for end in (-math.inf, math.inf)]
+    return PolynomialChaosLaw(x_series, poly, dpoly, crit, min(values), max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -400,78 +389,54 @@ def g_from_conditional(x_series: HermiteSeries, x: float) -> float:
     return float(np.dot(weights, values) / np.sum(weights))
 
 
-def margin_extrema(x_series: HermiteSeries, coeffs: PearsonCoefficients,
-                   grid: np.ndarray) -> dict:
-    """Extrema of G(n) - g(X(n)) over candidate points plus the +-inf regimes."""
-    poly = x_series.to_polynomial()
-    g_poly = malliavin_G(x_series)
+def margin_extrema(x_poly, g_poly, coeffs: PearsonCoefficients, domain) -> dict:
+    """Exact extrema of G(t) - g(X(t)) over t in the domain, g the reference kernel clipped to its support.
+
+    X and G are polynomials in t, monomial coefficients low to high: X(n) and
+    G(n) over the whole line for a chaos variable, x and g_X(x) over the
+    support of a Pearson one.  Where X lies in the closed reference support
+    [a, b] the margin is the inside piece G - (alpha X^2 + beta X + gamma),
+    elsewhere the outside piece G.  The kernel vanishes at a finite a or b, so
+    the margin is continuous and its extrema lie among 0, the critical points
+    of both pieces, the crossings X = a and X = b, the finite ends of the
+    domain, and the limits at its infinite ends: +-inf for a nonconstant
+    piece, the constant itself otherwise.  Each piece is evaluated from its
+    subtracted coefficients, so identical kernels give 0.0 exactly.
+    """
+    x_poly, g_poly = np.asarray(x_poly, dtype=float), np.asarray(g_poly, dtype=float)
     a, b = pearson_support(coeffs)
     quad_comp = npoly.polyadd(
-        npoly.polyadd(
-            coeffs.alpha * npoly.polymul(np.asarray(poly.coeffs), np.asarray(poly.coeffs)),
-            coeffs.beta * np.asarray(poly.coeffs)),
-        [coeffs.gamma])
-    m_in = npoly.polysub(np.asarray(g_poly.coeffs), quad_comp)
+        npoly.polyadd(coeffs.alpha * npoly.polymul(x_poly, x_poly), coeffs.beta * x_poly), [coeffs.gamma])
+    m_in = npoly.polysub(g_poly, quad_comp)
 
-    candidates = [grid]
-    candidates.append(_real_roots(npoly.polyder(m_in)))
-    candidates.append(_real_roots(npoly.polyder(np.asarray(g_poly.coeffs))))
-    for level in (a, b):
-        if math.isfinite(level):
-            candidates.append(_real_roots(npoly.polysub(np.asarray(poly.coeffs), [level])))
-    cand = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in candidates]))
+    candidates = [[0.0], _real_roots(npoly.polyder(m_in)), _real_roots(npoly.polyder(g_poly))]
+    candidates += [_real_roots(npoly.polysub(x_poly, [level])) for level in (a, b) if math.isfinite(level)]
+    candidates.append([end for end in domain if math.isfinite(end)])
+    ts = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in candidates]))
+    ts = ts[(ts >= domain[0]) & (ts <= domain[1])]
+    x_vals = npoly.polyval(ts, x_poly)
+    margin = np.where((x_vals >= a) & (x_vals <= b), npoly.polyval(ts, m_in), npoly.polyval(ts, g_poly))
+    points = list(zip(margin.tolist(), ts.tolist()))
 
-    # evaluate each region's piece from its subtracted coefficients, so exact
-    # domination (identical polynomials) yields margin 0 to the last bit
-    x_vals = np.asarray(poly(cand))
-    inside = (x_vals > a) & (x_vals < b)
-    margin = np.where(inside, npoly.polyval(cand, m_in), npoly.polyval(cand, np.asarray(g_poly.coeffs)))
-    i_min, i_max = int(np.argmin(margin)), int(np.argmax(margin))
-    result = {
-        "min": float(margin[i_min]), "argmin": float(cand[i_min]),
-        "max": float(margin[i_max]), "argmax": float(cand[i_max]),
-    }
-
-    # asymptotic regimes: which piece is active for |n| -> inf and its limit sign
-    for direction in (+1.0, -1.0):
-        x_limit = _poly_limit(np.asarray(poly.coeffs), direction)
-        inside = (b == math.inf) if x_limit > 0 else (a == -math.inf)
-        piece = m_in if inside else np.asarray(g_poly.coeffs)
-        limit = _poly_limit(piece, direction)
-        if limit < 0.0:
-            result["min"] = -math.inf
-            result["argmin"] = direction * math.inf
-        elif limit > 0.0:
-            pass  # margin escapes upward; finite candidates already cover the min
-        # zero polynomial: exact equality regime, covered by candidates
-    return result
+    for end in domain:
+        if math.isinf(end):
+            inside = (b == math.inf) if _poly_limit(x_poly, end) > 0 else (a == -math.inf)
+            points.append((_poly_limit(m_in if inside else g_poly, end), end))
+    lo = min(points, key=lambda p: p[0])
+    hi = max(points, key=lambda p: p[0])
+    return {"min": lo[0], "argmin": lo[1], "max": hi[0], "argmax": hi[1]}
 
 
-def _poly_limit(coeffs: np.ndarray, direction: float) -> float:
-    """Sign of the polynomial limit as n -> direction * inf (0 for the zero poly)."""
-    scale = np.max(np.abs(coeffs)) if len(coeffs) else 0.0
-    if scale == 0.0:
-        return 0.0
-    nz = np.nonzero(np.abs(coeffs) > 1e-12 * scale)[0]
-    if nz.size == 0:
-        return 0.0
-    deg = nz[-1]
-    lead = coeffs[deg]
-    sign = lead if direction > 0 else lead * (-1.0) ** deg
-    return math.copysign(1.0, sign)
+def _poly_limit(coeffs, end: float) -> float:
+    """Limit of the polynomial as t -> end = +-inf: its constant if it has no other term."""
+    deg = max((k for k, c in enumerate(coeffs) if k > 0 and c != 0.0), default=0)
+    return math.copysign(math.inf, coeffs[deg] * end**deg) if deg else float(coeffs[0])
 
 
-def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients,
-                     n_grid: Optional[Sequence[float]] = None) -> tuple[float, float]:
-    """(min margin, argmin) of G(n) - g(X(n)) over the effective Gaussian range.
-
-    The candidate set joins the grid (default 4001 points on [-8, 8]) with the
-    exact critical points of the margin pieces and the support-boundary
-    crossings of X, so for polynomials the reported minimum is exact over the
-    grid span; leading-coefficient analysis extends the verdict to +-inf.
-    """
-    grid = np.linspace(-8.0, 8.0, 4001) if n_grid is None else np.asarray(n_grid, dtype=float)
-    res = margin_extrema(x_series, coeffs, grid)
+def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tuple[float, float]:
+    """(min margin, argmin) of G(n) - g(X(n)) over the whole line, exact (see ``margin_extrema``)."""
+    res = margin_extrema(x_series.to_polynomial().coeffs, malliavin_G(x_series).coeffs, coeffs,
+                         (-math.inf, math.inf))
     return res["min"], res["argmin"]
 
 

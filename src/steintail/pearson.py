@@ -380,7 +380,8 @@ def stein_kernel(coeffs: PearsonCoefficients, x):
     a, b = support(coeffs)
     x = np.asarray(x, dtype=float)
     inside = (x > a) & (x < b)
-    val = np.where(inside, coeffs.kernel(x), 0.0)
+    val = np.zeros(x.shape)
+    val[inside] = coeffs.kernel(x[inside])  # only inside points: the kernel at +-inf is nan
     return float(val) if val.ndim == 0 else val
 
 

@@ -21,6 +21,7 @@ REL_TOL = 1e-10
 
 # 16-node Gauss-Legendre rule on [-1, 1]; exact through degree 31 per panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_PANEL_CHUNK = 4096
 
 
 def adaptive(
@@ -47,15 +48,20 @@ def adaptive(
 
 
 def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
-    """Integral of f over each consecutive pair of grid points (vectorized f)."""
+    """Integral of f over each consecutive pair of grid points (vectorized f).
+
+    f is called on _PANEL_CHUNK panels at a time, so its temporaries stay a
+    few MB whatever the grid size.
+    """
     grid = np.asarray(grid, dtype=float)
-    lo, hi = grid[:-1], grid[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # nodes: (n_panels, 16)
-    xs = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = f_vec(xs.ravel()).reshape(xs.shape)
-    return half * (vals @ _GL_WEIGHTS)
+    half = 0.5 * (grid[1:] - grid[:-1])
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    out = np.empty(half.size)
+    for i in range(0, half.size, _PANEL_CHUNK):
+        h, m = half[i:i + _PANEL_CHUNK], mid[i:i + _PANEL_CHUNK]
+        xs = m[:, None] + h[:, None] * _GL_NODES[None, :]  # (panels, 16)
+        out[i:i + _PANEL_CHUNK] = h * (f_vec(xs.ravel()).reshape(xs.shape) @ _GL_WEIGHTS)
+    return out
 
 
 def tail_accumulate(

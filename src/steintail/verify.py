@@ -3,8 +3,9 @@ hypothesis into per-threshold tail verdicts.
 
 A scenario fixes a model for X (a polynomial chaos variable with an exact law,
 or a quadratic-kernel law), a reference coefficient triple, a z grid, and a
-sample budget.  The runner certifies the dominance hypothesis (numerically for
-chaos variables, by quadratic comparison for Pearson X), draws reproducible
+sample budget.  The runner certifies the dominance hypothesis exactly, over the
+whole support of X, through one polynomial margin routine for both models
+(``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible
 counter-based samples, and compares the empirical survival function, wrapped
 in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.
 
@@ -17,6 +18,7 @@ exact tail (relative Monte-Carlo error explodes out there).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -162,74 +164,34 @@ class TailReport:
 # hypothesis certification
 
 
-def _certify_chaos(series: HermiteSeries, spec: ScenarioSpec) -> dict:
+def _certify(spec: ScenarioSpec) -> dict:
+    """Exact margins of the dominance hypothesis over the whole support of X; raises if one fails.
+
+    A chaos X gives the polynomials X(n) and G(n) on the line, a Pearson X
+    gives x and its own kernel g_X(x) on its support; both go through
+    ``chaos.margin_extrema``.
+    """
+    x = spec.x_model
+    if isinstance(x, HermiteSeries):
+        x_poly, g_poly, domain = x.to_polynomial().coeffs, chaos.malliavin_G(x).coeffs, (-math.inf, math.inf)
+    else:
+        c = x.coeffs
+        x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)
+    # a Sandwich without its own upper reference asks for the same extrema twice
+    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(x_poly, g_poly, coeffs, domain))
     info = {}
-    grid = np.linspace(-8.0, 8.0, 4001)
     if spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
-        res = chaos.margin_extrema(series, spec.reference, grid)
+        res = extrema(spec.reference)
         info["lower_margin"] = res["min"]
         if res["min"] < -MARGIN_TOL:
             raise UncertifiedHypothesisError(
-                f"G >= g(X) fails: margin {res['min']} at n = {res['argmin']}")
+                f"G >= g(X) fails: margin {res['min']} at {res['argmin']}")
     if spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
-        res = chaos.margin_extrema(series, spec.upper_coeffs, grid)
+        res = extrema(spec.upper_coeffs)
         info["upper_margin"] = res["max"]
         if res["max"] > MARGIN_TOL:
             raise UncertifiedHypothesisError(
-                f"G <= g_upper(X) fails: margin {res['max']} at n = {res['argmax']}")
-    return info
-
-
-def _quadratic_margin_range(cx: PearsonCoefficients, cref: PearsonCoefficients,
-                            x_law: PearsonLaw) -> tuple[float, float]:
-    """Range of g_X(x) - g_ref(x) over the effective support of X."""
-    lo = pearson.quantile(x_law, 1.0 - 1e-9)
-    hi = pearson.quantile(x_law, 1e-9)
-    pts = list(np.linspace(lo, hi, 2001))
-    d_a, d_b = cx.alpha - cref.alpha, cx.beta - cref.beta
-    if d_a != 0.0:
-        pts.append(-d_b / (2.0 * d_a))
-    a_ref, b_ref = pearson.support(cref)
-    pts.extend(v for v in (a_ref, b_ref) if math.isfinite(v))
-    pts = np.asarray([p for p in pts if x_law.support_a < p < x_law.support_b])
-    diff = np.asarray(pearson.stein_kernel(cx, pts)) - np.asarray(pearson.stein_kernel(cref, pts))
-    lo_m, hi_m = float(np.min(diff)), float(np.max(diff))
-    # unbounded-support limits from the leading difference coefficient
-    for direction, end in ((1.0, x_law.support_b), (-1.0, x_law.support_a)):
-        if math.isfinite(end):
-            continue
-        ref_end = b_ref if direction > 0 else a_ref
-        if math.isfinite(ref_end):
-            hi_m = math.inf  # reference kernel clips to 0, X kernel grows
-            continue
-        for coef in (d_a, d_b * direction, cx.gamma - cref.gamma):
-            if coef != 0.0:
-                if coef > 0:
-                    hi_m = math.inf
-                else:
-                    lo_m = -math.inf
-                break
-    return lo_m, hi_m
-
-
-def _certify_pearson(x_law: PearsonLaw, spec: ScenarioSpec) -> dict:
-    info = {}
-    if spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
-        if x_law.coeffs == spec.reference:
-            info["lower_margin"] = 0.0
-        else:
-            lo_m, _ = _quadratic_margin_range(x_law.coeffs, spec.reference, x_law)
-            info["lower_margin"] = lo_m
-            if lo_m < -MARGIN_TOL:
-                raise UncertifiedHypothesisError(f"g_X >= g_ref fails with margin {lo_m}")
-    if spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
-        if x_law.coeffs == spec.upper_coeffs:
-            info["upper_margin"] = 0.0
-        else:
-            _, hi_m = _quadratic_margin_range(x_law.coeffs, spec.upper_coeffs, x_law)
-            info["upper_margin"] = hi_m
-            if hi_m > MARGIN_TOL:
-                raise UncertifiedHypothesisError(f"g_X <= g_upper fails with margin {hi_m}")
+                f"G <= g_upper(X) fails: margin {res['max']} at {res['argmax']}")
     return info
 
 
@@ -238,14 +200,20 @@ def _certify_pearson(x_law: PearsonLaw, spec: ScenarioSpec) -> dict:
 
 
 def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray], Callable]:
-    """Per-block sampler and the X model's exact y -> (P[X > y], E[X; X > y], E[X^2; X > y])."""
+    """Per-block sampler and the X model's exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]).
+
+    The moments are memoized: the runner reads them at each z, and the
+    implicit bound reads them at z and at the reference's right end again.
+    """
     if isinstance(spec.x_model, HermiteSeries):
         series = spec.x_model
-        return (lambda b, size: series.evaluate(rng.normal_block(spec.seed, b, size)),
-                chaos.law_of_polynomial(series).partial_moments)
-    x_law = spec.x_model
-    return (lambda b, size: pearson.quantile_grid(x_law, rng.uniform_block(spec.seed, b, size)),
-            lambda y: pearson.partial_moments(x_law, y))
+        sample = lambda b, size: series.evaluate(rng.normal_block(spec.seed, b, size))
+        moments = chaos.law_of_polynomial(series).partial_moments
+    else:
+        x_law = spec.x_model
+        sample = lambda b, size: pearson.quantile_grid(x_law, rng.uniform_block(spec.seed, b, size))
+        moments = lambda y: pearson.partial_moments(x_law, y)
+    return sample, functools.cache(moments)
 
 
 def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -279,10 +247,7 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     """Execute the scenario and return the per-threshold report."""
     ref_law = build_law(spec.reference)
     upper_law = build_law(spec.upper_coeffs)
-    if isinstance(spec.x_model, HermiteSeries):
-        cert_info = _certify_chaos(spec.x_model, spec)
-    else:
-        cert_info = _certify_pearson(spec.x_model, spec)
+    cert_info = _certify(spec)
 
     sample_block, x_moments = _block_sampler(spec)
     zs = np.asarray(spec.z_grid)

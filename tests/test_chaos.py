@@ -16,6 +16,7 @@ from steintail.chaos import (
     ibp_check,
     law_of_polynomial,
     malliavin_G,
+    margin_extrema,
 )
 from steintail.errors import DomainError, OutsideSupportError
 from steintail.pearson import PearsonCoefficients
@@ -125,6 +126,16 @@ def test_h1_law_is_standard_normal():
     law = law_of_polynomial(H1)
     assert law.tail(0.0) == pytest.approx(0.5)
     assert law.density(0.3) == pytest.approx(PHI(0.3), rel=1e-13)
+
+
+def test_odd_degree_negative_leading_law_covers_the_line():
+    # X(n) -> +inf as n -> -inf: the support is the whole line, and -H1 is a standard normal
+    for series in (HermiteSeries((0.0, -1.0)), HermiteSeries((0.0, 1.0, 0.0, -0.1))):
+        law = law_of_polynomial(series)
+        assert (law.support_a, law.support_b) == (-math.inf, math.inf)
+        assert law.tail(2.0) == pytest.approx(law.partial_moments(2.0)[0], rel=1e-14)
+    want = 0.5 * math.erfc(0.5 / math.sqrt(2.0))
+    assert law_of_polynomial(HermiteSeries((0.0, -1.0))).tail(0.5) == pytest.approx(want, rel=1e-13)
 
 
 def test_h3_law_symmetry():
@@ -242,11 +253,24 @@ def test_dominance_strict_margin():
         assert g_poly(n) - (2.0 * x + 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dominance_refinement_invariance():
-    c = PearsonCoefficients(0.0, 2.0, 1.0)
-    m1, _ = dominance_margin(H2, c, np.linspace(-8, 8, 4001))
-    m2, _ = dominance_margin(H2, c, np.linspace(-8, 8, 16001))
-    assert m1 == pytest.approx(m2, abs=1e-12)
+def test_margin_extrema_false_certificates():
+    x = HermiteSeries((0.0, 1.0, 0.0, 1e-5))
+    res = margin_extrema(x.to_polynomial().coeffs, malliavin_G(x).coeffs, PearsonCoefficients(0.0, 0.0, 1.01),
+                         (-math.inf, math.inf))
+    assert res["max"] == math.inf and math.isinf(res["argmax"])
+    res = margin_extrema((0.0, 1.0), (1.0, 0.1, 0.0), PearsonCoefficients(0.0, 0.05, 0.725), (-10.0, math.inf))
+    assert res["min"] == pytest.approx(-0.225, rel=1e-12)
+    assert res["argmin"] == -10.0
+    assert res["max"] == math.inf
+
+
+def test_margin_extrema_identical_kernels_are_exactly_zero():
+    # a support end counts as inside: the Beta kernel rounds to -3.3e-16 at its own end
+    for c in [PearsonCoefficients(0.0, 0.0, 1.0), PearsonCoefficients(0.0, -2.0, 2.0),
+              PearsonCoefficients(-0.3, 0.1, 0.7), PearsonCoefficients(0.5, 1.0, 0.5),
+              PearsonCoefficients(0.25, 0.0, 0.25)]:
+        res = margin_extrema((0.0, 1.0), (c.gamma, c.beta, c.alpha), c, pearson.support(c))
+        assert (res["min"], res["max"]) == (0.0, 0.0), c
 
 
 def test_dominance_unbounded_failure():

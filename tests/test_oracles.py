@@ -178,3 +178,46 @@ def _check_partial_moments(coeffs):
 @given(data=st.data())
 def test_property_partial_moments(triples, data):
     _check_partial_moments(data.draw(triples()))
+
+
+# ---------------------------------------------------------------------------
+# dominance margins: the exact extrema bound G - g(X) wherever it is evaluated directly
+
+
+def _hermite_series():
+    """Centered Hermite series of degree 1 to 4, leading coefficient at least 0.05 in size."""
+    return st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=d - 1), st.floats(0.05, 1.0), st.booleans(),
+    )).map(lambda a: chaos.HermiteSeries((0.0, *a[0], a[1] if a[2] else -a[1])))
+
+
+def _pearson_triples():
+    return st.one_of(_normal_triples(), _gamma_triples(), _beta_triples(), _invgamma_triples(), _case5_triples())
+
+
+def _assert_within_extrema(res, big_g, x, coeffs):
+    g = pearson.stein_kernel(coeffs, x)
+    tol = 1e-9 * (1.0 + np.abs(big_g) + np.abs(g))
+    margin = big_g - g
+    assert np.all(res["min"] - tol <= margin), (res, coeffs)
+    assert np.all(margin <= res["max"] + tol), (res, coeffs)
+
+
+@pytest.mark.parametrize("triples", [_normal_triples, _gamma_triples, _beta_triples, _invgamma_triples,
+                                      _case5_triples], ids=["normal", "gamma", "beta", "invgamma", "case5"])
+@settings(max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_property_margin_extrema(triples, data):
+    ref = data.draw(triples())
+    series = data.draw(_hermite_series())
+    big_g = chaos.malliavin_G(series)
+    res = chaos.margin_extrema(series.to_polynomial().coeffs, big_g.coeffs, ref, (-math.inf, math.inf))
+    ns = np.linspace(-8.0, 8.0, 1001)
+    _assert_within_extrema(res, big_g(ns), series.evaluate(ns), ref)
+
+    cx = data.draw(_pearson_triples())
+    a, b = pearson.support(cx)
+    sd = math.sqrt(pearson.variance(cx))
+    xs = np.linspace(a if math.isfinite(a) else -20.0 * sd, b if math.isfinite(b) else 20.0 * sd, 1001)
+    res = chaos.margin_extrema((0.0, 1.0), (cx.gamma, cx.beta, cx.alpha), ref, (a, b))
+    _assert_within_extrema(res, pearson.stein_kernel(cx, xs), xs, ref)

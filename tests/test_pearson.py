@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +226,18 @@ def test_tail_grid_matches_scalar(case5_law, gamma_law):
         np.testing.assert_allclose(tg, ts, rtol=1e-9, atol=1e-13)
 
 
+def test_case5_tail_grid_memory(case5_law):
+    # the quadrature panels are integrated in chunks, so the peak does not grow with the grid
+    zs = np.linspace(-30.0, 60.0, 64_000)
+    tracemalloc.start()
+    try:
+        tail_grid(case5_law, zs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
 def test_mirrored_gamma_reflection():
     law_pos = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
     law_neg = build_law(PearsonCoefficients(0.0, -2.0, 2.0))
@@ -268,6 +282,19 @@ def test_kernel_and_q_examples():
     assert q == pytest.approx(0.5625)
     gam = CANONICAL_COEFFS["gamma"]
     assert (stein_kernel(gam, 0.0), q_function(gam, 0.0)) == (pytest.approx(2.0), pytest.approx(2.0))
+
+
+def test_kernel_at_infinity_is_zero_without_warnings(canonical_laws):
+    xs = np.array([-math.inf, -3.0, -0.2, 0.0, 0.1, 0.7, 5.0, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, law in canonical_laws.items():
+            c = law.coeffs
+            g = stein_kernel(c, xs)
+            assert g[0] == g[-1] == 0.0, name
+            inside = (xs > law.support_a) & (xs < law.support_b)
+            assert np.array_equal(g[inside], c.kernel(xs[inside])), name
+            assert pearson.flux(law, -math.inf) == pearson.flux(law, math.inf) == 0.0, name
 
 
 def test_q_minimum_at_zero(canonical_laws):

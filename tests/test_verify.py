@@ -87,6 +87,23 @@ def test_uncertified_hypothesis_raises():
         run_scenario(spec)
 
 
+def test_chaos_margin_escaping_upward_is_not_certified():
+    # G(n) - 1.01 grows like 3e-10 n^4: G(16) = 1.0102, so G <= 1.01 fails far out
+    spec = ScenarioSpec(x_model=HermiteSeries((0.0, 1.0, 0.0, 1e-5)), reference=PearsonCoefficients(0.0, 0.0, 1.01),
+                        hypothesis=Hypothesis.DOMINATED_UPPER, z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+    with pytest.raises(UncertifiedHypothesisError, match="margin inf"):
+        run_scenario(spec)
+
+
+def test_pearson_margin_at_the_support_end_is_not_certified():
+    # g_X - g_ref = 0.05 x + 0.275 on the support (-10, inf) of X: -0.225 at its end
+    spec = ScenarioSpec(x_model=build_law(PearsonCoefficients(0.0, 0.1, 1.0)),
+                        reference=PearsonCoefficients(0.0, 0.05, 0.725),
+                        hypothesis=Hypothesis.DOMINATES_LOWER, z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+    with pytest.raises(UncertifiedHypothesisError, match="at -10.0"):
+        run_scenario(spec)
+
+
 def test_h2_equality_scenario_passes():
     rep = run_scenario(h2_gamma_spec())
     assert rep.all_passed
