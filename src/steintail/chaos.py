@@ -151,11 +151,14 @@ class PolynomialInN:
 
 
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a monomial-coefficient polynomial, Newton-polished."""
-    scale = np.max(np.abs(coeffs))
-    if scale == 0.0:
+    """Real roots of a monomial-coefficient polynomial, Newton-polished.
+
+    Only exact trailing zeros are dropped: a tiny leading coefficient still
+    places roots, far out.
+    """
+    nz = np.nonzero(coeffs)[0]
+    if nz.size == 0:
         return np.array([])
-    nz = np.nonzero(np.abs(coeffs) > 1e-14 * scale)[0]
     c = coeffs[: nz[-1] + 1]
     if len(c) <= 1:
         return np.array([])

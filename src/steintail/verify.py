@@ -177,17 +177,15 @@ def _certify(spec: ScenarioSpec) -> dict:
     else:
         c = x.coeffs
         x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)
-    # a Sandwich without its own upper reference asks for the same extrema twice
-    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(x_poly, g_poly, coeffs, domain))
     info = {}
     if spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
-        res = extrema(spec.reference)
+        res = chaos.margin_extrema(x_poly, g_poly, spec.reference, domain)
         info["lower_margin"] = res["min"]
         if res["min"] < -MARGIN_TOL:
             raise UncertifiedHypothesisError(
                 f"G >= g(X) fails: margin {res['min']} at {res['argmin']}")
     if spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
-        res = extrema(spec.upper_coeffs)
+        res = chaos.margin_extrema(x_poly, g_poly, spec.upper_coeffs, domain)
         info["upper_margin"] = res["max"]
         if res["max"] > MARGIN_TOL:
             raise UncertifiedHypothesisError(

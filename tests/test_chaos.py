@@ -264,6 +264,15 @@ def test_margin_extrema_false_certificates():
     assert res["max"] == math.inf
 
 
+def test_margin_extrema_keeps_a_tiny_leading_term():
+    # G - g = 1e-12 x^2 - 300 x: the minimum -2.25e16 sits at x = 1.5e14, where only the 2e-12 term
+    # of the derivative places it; it is -300 already at x = 1
+    res = margin_extrema((0.0, 1.0), (1.0, 0.0, 1e-12), PearsonCoefficients(0.0, 300.0, 1.0),
+                         (-math.inf, math.inf))
+    assert res["min"] == pytest.approx(-2.25e16, rel=1e-12)
+    assert res["argmin"] == pytest.approx(1.5e14, rel=1e-12)
+
+
 def test_margin_extrema_identical_kernels_are_exactly_zero():
     # a support end counts as inside: the Beta kernel rounds to -3.3e-16 at its own end
     for c in [PearsonCoefficients(0.0, 0.0, 1.0), PearsonCoefficients(0.0, -2.0, 2.0),

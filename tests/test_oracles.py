@@ -195,6 +195,12 @@ def _pearson_triples():
     return st.one_of(_normal_triples(), _gamma_triples(), _beta_triples(), _invgamma_triples(), _case5_triples())
 
 
+def _far_points(top: float) -> np.ndarray:
+    """+-10^k for k from 0 to top: extrema pushed out by a tiny leading term land among them."""
+    far = np.logspace(0.0, top, int(20 * top) + 1)
+    return np.concatenate([-far[::-1], far])
+
+
 def _assert_within_extrema(res, big_g, x, coeffs):
     g = pearson.stein_kernel(coeffs, x)
     tol = 1e-9 * (1.0 + np.abs(big_g) + np.abs(g))
@@ -212,12 +218,33 @@ def test_property_margin_extrema(triples, data):
     series = data.draw(_hermite_series())
     big_g = chaos.malliavin_G(series)
     res = chaos.margin_extrema(series.to_polynomial().coeffs, big_g.coeffs, ref, (-math.inf, math.inf))
-    ns = np.linspace(-8.0, 8.0, 1001)
+    ns = np.concatenate([np.linspace(-8.0, 8.0, 1001), _far_points(12.0)])
     _assert_within_extrema(res, big_g(ns), series.evaluate(ns), ref)
 
     cx = data.draw(_pearson_triples())
     a, b = pearson.support(cx)
     sd = math.sqrt(pearson.variance(cx))
     xs = np.linspace(a if math.isfinite(a) else -20.0 * sd, b if math.isfinite(b) else 20.0 * sd, 1001)
+    _check_pearson_margin(cx, ref, xs)
+
+
+def _check_pearson_margin(cx, ref, xs):
+    a, b = pearson.support(cx)
+    xs = np.concatenate([xs, _far_points(32.0)])
+    xs = xs[(xs >= a) & (xs <= b)]
     res = chaos.margin_extrema((0.0, 1.0), (cx.gamma, cx.beta, cx.alpha), ref, (a, b))
     _assert_within_extrema(res, pearson.stein_kernel(cx, xs), xs, ref)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_property_margin_extrema_tiny_leading_term(data):
+    # an x^2 term of 1e-30 to 1e-13 in g_X or in the reference kernel (snapped to Normal or Gamma)
+    # puts the extremum of the margin out at about 1/alpha, far beyond any sampled range
+    cx, ref = (data.draw(st.one_of(_normal_triples(), _gamma_triples())) for _ in range(2))
+    tiny = data.draw(st.tuples(st.floats(-30.0, -13.0), st.booleans()).map(lambda t: (-1.0) ** t[1] * 10.0 ** t[0]))
+    if data.draw(st.booleans()):
+        cx = PearsonCoefficients(tiny, cx.beta, cx.gamma)
+    else:
+        ref = PearsonCoefficients(tiny, ref.beta, ref.gamma)
+    _check_pearson_margin(cx, ref, np.linspace(-20.0, 20.0, 1001))

@@ -104,6 +104,19 @@ def test_pearson_margin_at_the_support_end_is_not_certified():
         run_scenario(spec)
 
 
+@pytest.mark.parametrize("x_coeffs, ref, hypothesis", [
+    # G - g = 1e-13 x^2 - 300 x on the line: -300 at x = 1
+    ((1e-13, 0.0, 1.0), (0.0, 300.0, 1.0), Hypothesis.DOMINATES_LOWER),
+    # G - g_upper = x - 1e-15 x^2 on (-1, inf): +1 at x = 1
+    ((0.0, 1.0, 1.0), (1e-15, 0.0, 1.0), Hypothesis.DOMINATED_UPPER),
+], ids=["lower", "upper"])
+def test_pearson_margin_with_a_tiny_leading_term_is_not_certified(x_coeffs, ref, hypothesis):
+    spec = ScenarioSpec(x_model=build_law(PearsonCoefficients(*x_coeffs)), reference=PearsonCoefficients(*ref),
+                        hypothesis=hypothesis, z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+    with pytest.raises(UncertifiedHypothesisError):
+        run_scenario(spec)
+
+
 def test_h2_equality_scenario_passes():
     rep = run_scenario(h2_gamma_spec())
     assert rep.all_passed
