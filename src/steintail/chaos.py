@@ -21,13 +21,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as npoly
-from scipy import optimize as _opt
 
-from . import rng
+from . import quadrature
 from .errors import DomainError, OutsideSupportError
 from .pearson import PearsonCoefficients, support as pearson_support
 
@@ -112,20 +112,21 @@ class PolynomialInN:
 
     @staticmethod
     def from_array(arr) -> "PolynomialInN":
+        """The polynomial with these coefficients; only exact trailing zeros are dropped."""
         arr = np.atleast_1d(np.asarray(arr, dtype=float))
-        scale = np.max(np.abs(arr)) if arr.size else 0.0
-        if scale > 0.0:
-            nz = np.nonzero(np.abs(arr) > 1e-14 * scale)[0]
-            arr = arr[: nz[-1] + 1] if nz.size else arr[:1] * 0.0
-        return PolynomialInN(tuple(float(v) for v in arr))
+        nz = np.nonzero(arr)[0]
+        return PolynomialInN(tuple(float(v) for v in (arr[: nz[-1] + 1] if nz.size else arr[:1])))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        val = npoly.polyval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
-        return float(val) if np.ndim(x) == 0 else val
+        x = np.asarray(x, dtype=float)
+        val = self.coeffs[-1] + 0.0 * x
+        for c in self.coeffs[-2::-1]:  # Horner, in the order of npoly.polyval
+            val = c + val * x
+        return float(val) if val.ndim == 0 else val
 
     def derivative(self) -> "PolynomialInN":
         return PolynomialInN.from_array(npoly.polyder(np.asarray(self.coeffs)))
@@ -205,19 +206,46 @@ class HermiteSeries:
         return float(sum(math.factorial(n) * c * c for n, c in enumerate(self.coeffs)))
 
     def to_polynomial(self) -> PolynomialInN:
-        return PolynomialInN.from_array(herme.herme2poly(np.asarray(self.coeffs)))
+        return PolynomialInN.from_array([float(v) for v in _exact_monomials(self.coeffs)])
 
     def evaluate(self, x):
         val = herme.hermeval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
         return float(val) if np.ndim(x) == 0 else val
 
 
+def _exact_monomials(herm) -> list[Fraction]:
+    """Monomial coefficients of sum_k herm_k H_k, exact.
+
+    Floats are dyadic rationals and the H_k have integer coefficients.
+    """
+    out = [Fraction(0)] * len(herm)
+    prev, cur = [], [1]  # H_{k-1}, H_k
+    for k, c in enumerate(herm):
+        if c:
+            c = Fraction(c)
+            for j, h in enumerate(cur):
+                out[j] += c * h
+        nxt = [0, *cur]  # H_{k+1} = x H_k - k H_{k-1}
+        for j, h in enumerate(prev):
+            nxt[j] -= k * h
+        prev, cur = cur, nxt
+    return out
+
+
+@functools.lru_cache(maxsize=32)
 def malliavin_G(x_series: HermiteSeries) -> PolynomialInN:
-    """G(N) = X'(N) * sum_m c_m H_{m-1}(N), expanded to monomial form."""
-    deriv = herme.hermeder(np.asarray(x_series.coeffs))       # sum n c_n H_{n-1}
-    shift = np.asarray(x_series.coeffs[1:])                    # sum   c_m H_{m-1}: the -DL^{-1} factor
-    prod = npoly.polymul(herme.herme2poly(deriv), herme.herme2poly(shift))
-    return PolynomialInN.from_array(prod)
+    """G(N) = X'(N) * sum_m c_m H_{m-1}(N) in monomial form, each coefficient rounded once from its exact value.
+
+    Cached per series like ``law_of_polynomial``: g_from_conditional asks for it on every call.
+    """
+    c = x_series.coeffs
+    deriv = _exact_monomials([k * Fraction(c[k]) for k in range(1, len(c))])  # sum n c_n H_{n-1}
+    shift = _exact_monomials(c[1:])  # sum c_m H_{m-1}: the -DL^{-1} factor
+    prod = [Fraction(0)] * (len(deriv) + len(shift) - 1)
+    for i, a in enumerate(deriv):
+        for j, b in enumerate(shift):
+            prod[i + j] += a * b
+    return PolynomialInN.from_array([float(v) for v in prod])
 
 
 # ---------------------------------------------------------------------------
@@ -229,124 +257,68 @@ class PolynomialChaosLaw:
     """Pushforward of the standard Gaussian through a polynomial.
 
     Critical points of the polynomial split the line into monotone branches;
-    every evaluator below reduces to branch inverses (bracketed Brent solves)
-    plus closed-form Gaussian integrals.
+    every evaluator below reduces to branch inverses (one bracketed
+    ``quadrature.solve_monotone`` call per level) plus closed-form Gaussian
+    integrals.
     """
 
     series: HermiteSeries
     poly: PolynomialInN
     dpoly: PolynomialInN
     crit_points: tuple[float, ...]
+    end_values: tuple[float, ...]  # X at -inf, at each critical point and at +inf (limits at the ends)
     support_a: float
     support_b: float
 
     # -- structure ---------------------------------------------------------
 
-    def _branches(self):
-        pts = (-math.inf, *self.crit_points, math.inf)
-        return list(zip(pts[:-1], pts[1:]))
+    def level(self, x: float) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+        """The strictly-crossing preimages (n, X'(n)) of level x, and disjoint
+        intervals whose union is {n : X(n) > x}.
 
-    def _value_at(self, n: float) -> float:
-        return _poly_limit(self.poly.coeffs, n) if math.isinf(n) else self.poly(n)
-
-    @staticmethod
-    def _expand(f, start: float, direction: float) -> float:
-        """Walk geometrically from start until f changes sign."""
-        s0 = f(start)
-        step = 1.0
-        for _ in range(80):
-            pt = start + direction * step
-            if f(pt) * s0 <= 0.0:
-                return pt
-            step *= 2.0
-        raise DomainError("failed to bracket a branch inverse")
-
-    def _solve_on_branch(self, lo: float, hi: float, v_lo: float, v_hi: float, x: float) -> float:
-        """Unique n in the monotone branch (lo, hi) with X(n) = x; x crosses strictly."""
-        f = lambda n: self.poly(n) - x
-        if math.isfinite(lo) and math.isfinite(hi):
-            u, v = lo, hi
-        elif math.isfinite(hi):
-            u, v = self._expand(f, hi, -1.0), hi
-        elif math.isfinite(lo):
-            u, v = lo, self._expand(f, lo, +1.0)
-        else:
-            s0 = f(0.0)
-            if s0 == 0.0:
-                return 0.0
-            go_right = (s0 < 0.0) == (v_hi > v_lo)
-            pt = self._expand(f, 0.0, +1.0 if go_right else -1.0)
-            u, v = (0.0, pt) if go_right else (pt, 0.0)
-        return float(_opt.brentq(f, u, v, xtol=1e-13, rtol=4.0 * np.finfo(float).eps, maxiter=200))
-
-    def preimages(self, x: float) -> list[tuple[float, float]]:
-        """Strictly-crossing preimage points (n_i, X'(n_i)) of level x."""
-        out = []
-        for lo, hi in self._branches():
-            v_lo, v_hi = self._value_at(lo), self._value_at(hi)
-            v_min, v_max = min(v_lo, v_hi), max(v_lo, v_hi)
-            if not (v_min < x < v_max):
-                continue
-            n = self._solve_on_branch(lo, hi, v_lo, v_hi, x)
-            out.append((n, float(self.dpoly(n))))
-        return out
-
-    def superlevel_intervals(self, x: float) -> list[tuple[float, float]]:
-        """Disjoint intervals whose union is {n : X(n) > x}."""
-        out = []
-        for lo, hi in self._branches():
-            v_lo, v_hi = self._value_at(lo), self._value_at(hi)
-            if v_lo < v_hi:  # increasing
-                if v_hi <= x:
-                    continue
-                if v_lo >= x:
-                    out.append((lo, hi))
-                else:
-                    out.append((self._solve_on_branch(lo, hi, v_lo, v_hi, x), hi))
-            else:  # decreasing
-                if v_lo <= x:
-                    continue
-                if v_hi >= x:
-                    out.append((lo, hi))
-                else:
-                    out.append((lo, self._solve_on_branch(lo, hi, v_lo, v_hi, x)))
-        return out
+        The critical points split the line into monotone branches; the
+        crossings of x on all of them are solved in one call.  Every real root
+        of X(n) - x lies within the Fujiwara bound R, which closes the
+        infinite branches.
+        """
+        pts, vals = (-math.inf, *self.crit_points, math.inf), self.end_values
+        rows = list(zip(pts[:-1], pts[1:], vals[:-1], vals[1:]))
+        cross = [k for k, (_, _, u, v) in enumerate(rows) if min(u, v) < x < max(u, v)]
+        roots = {}
+        if cross:
+            c, d = self.poly.coeffs, self.poly.degree
+            r = 2.0 * max(abs((c[d - k] - (x if k == d else 0.0)) / c[d]) ** (1.0 / k) for k in range(1, d + 1))
+            lo, hi, u, v = (np.array(col) for col in zip(*(rows[k] for k in cross)))
+            ns = quadrature.solve_monotone(lambda n: (self.poly(n) - x, self.dpoly(n)),
+                                           np.maximum(lo, -r), np.minimum(hi, r), v > u, xtol=1e-13)
+            roots = dict(zip(cross, zip(ns.tolist(), self.dpoly(ns).tolist())))
+        preimages, above = [], []
+        for k, (lo, hi, u, v) in enumerate(rows):
+            if k in roots:
+                n, slope = roots[k]
+                preimages.append((n, slope))
+                above.append((n, hi) if v > u else (lo, n))
+            elif max(u, v) > x:
+                above.append((lo, hi))
+        return preimages, above
 
     # -- evaluators ---------------------------------------------------------
 
     def density(self, x: float) -> float:
-        pre = self.preimages(x)
-        if not pre:
-            return 0.0
-        return float(sum(_phi(n) / abs(d) for n, d in pre))
+        return float(np.sum(_preimage_weights(self.level(x)[0])))
 
     def tail(self, x: float) -> float:
         if x < self.support_a:
             return 1.0
         if x >= self.support_b:
             return 0.0
-        return _gauss_integral((1.0,), self.superlevel_intervals(x))
+        return _gauss_integral((1.0,), self.level(x)[1])
 
     def partial_moments(self, x: float) -> tuple[float, float, float]:
         """(P[X > x], E[X; X > x], E[X^2; X > x]), closed form over one set of superlevel intervals."""
         c = self.series.coeffs
-        intervals = self.superlevel_intervals(x)
+        intervals = self.level(x)[1]
         return tuple(_gauss_integral(herm, intervals) for herm in ((1.0,), c, herme.hermemul(c, c)))
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise DomainError(f"quantile requires 0 < p < 1, got {p}")
-        step = math.sqrt(self.series.variance)
-        lo, hi = -step, step
-        while self.tail(lo) < p and lo > self.support_a:
-            lo = max(lo * 2.0, self.support_a)
-        while self.tail(hi) > p and hi < self.support_b:
-            hi = min(hi * 2.0, self.support_b)
-        return float(_opt.brentq(lambda t: self.tail(t) - p, lo, hi, xtol=1e-13, maxiter=200))
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        draws = rng.normal_stream(seed, n)
-        return self.series.evaluate(draws)
 
     @property
     def variance(self) -> float:
@@ -361,12 +333,17 @@ def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
         raise DomainError("polynomial variable must be nonconstant")
     dpoly = poly.derivative()
     crit = tuple(float(t) for t in dpoly.real_roots())
-    values = [poly(t) for t in crit] + [_poly_limit(poly.coeffs, end) for end in (-math.inf, math.inf)]
-    return PolynomialChaosLaw(x_series, poly, dpoly, crit, min(values), max(values))
+    values = (_poly_limit(poly.coeffs, -math.inf), *(poly(t) for t in crit), _poly_limit(poly.coeffs, math.inf))
+    return PolynomialChaosLaw(x_series, poly, dpoly, crit, values, min(values), max(values))
 
 
 # ---------------------------------------------------------------------------
 # the conditional kernel g and dominance checks
+
+
+def _preimage_weights(pre) -> np.ndarray:
+    """phi(n) / |X'(n)| per preimage (n, X'(n)): the density of X at the level is their sum."""
+    return np.array([_phi(n) / abs(d) for n, d in pre], dtype=float)
 
 
 def g_function(x_series: HermiteSeries, x: float) -> float:
@@ -374,21 +351,20 @@ def g_function(x_series: HermiteSeries, x: float) -> float:
     law = law_of_polynomial(x_series)
     if not law.support_a < x < law.support_b:
         raise OutsideSupportError(f"{x} outside the support ({law.support_a}, {law.support_b})")
-    rho = law.density(x)
+    pre, above = law.level(x)
+    rho = float(np.sum(_preimage_weights(pre)))
     if rho == 0.0:
         raise OutsideSupportError(f"density vanishes at {x}")
-    return _gauss_integral(x_series.coeffs, law.superlevel_intervals(x)) / rho
+    return _gauss_integral(x_series.coeffs, above) / rho
 
 
 def g_from_conditional(x_series: HermiteSeries, x: float) -> float:
     """E[G | X = x] as a preimage-weighted average of the polynomial G."""
-    law = law_of_polynomial(x_series)
-    pre = law.preimages(x)
+    pre = law_of_polynomial(x_series).level(x)[0]
     if not pre:
         raise OutsideSupportError(f"no preimages of {x}")
-    g_poly = malliavin_G(x_series)
-    weights = np.array([_phi(n) / abs(d) for n, d in pre])
-    values = np.array([g_poly(n) for n, _ in pre])
+    weights = _preimage_weights(pre)
+    values = malliavin_G(x_series)(np.array([n for n, _ in pre]))
     return float(np.dot(weights, values) / np.sum(weights))
 
 

@@ -45,10 +45,6 @@ class OutsideSupportError(DomainError):
     """Evaluation point outside the support of the law."""
 
 
-class NonIntegrableTailError(SteintailError):
-    """Tail-weighted integral failed to converge."""
-
-
 class InsufficientRangeError(DomainError):
     """Fit grid spans less than one decade."""
 

@@ -21,12 +21,14 @@ bound downstream.
 
 All evaluation goes through one table, ``_CASES``: per case, vectorized
 closed forms on the canonical beta >= 0 form for the log-density, the tail and
-the cdf (case 5 integrates its tail numerically).  Laws with beta < 0 in the
-half-line cases are reflections of the canonical form and carry
-``mirrored=True``; they are evaluated at -x with the tail and the cdf swapped.
-The scalar ``tail``/``cdf`` are the grid functions on a 0-d input.  The sampler
-inverts the tail through one cached cubic-Hermite table per non-Normal law,
-built from the per-case forms in ``_INVERSES``.
+the cdf (case 5 reads one cached table of Gauss-Legendre panels, which also
+gives its normalization).  Laws with beta < 0 in the half-line cases are
+reflections of the canonical form and carry ``mirrored=True``; they are
+evaluated at -x with the tail and the cdf swapped.  The scalar ``tail``/``cdf``
+are the grid functions on a 0-d input.  The sampler inverts the tail through
+one cached cubic-Hermite table per non-Normal law, built from the per-case
+forms in ``_INVERSES``; ``quantile`` polishes those forms' start with Newton
+steps on the exact tail.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 from . import quadrature, rng
@@ -75,7 +76,6 @@ __all__ = [
     "moment",
     "moment_exists",
     "variance",
-    "check_pearson_identities",
     "law_to_json",
     "law_from_json",
 ]
@@ -227,19 +227,9 @@ def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
     delta = math.sqrt(4.0 * al * ga - be * be) / (2.0 * al)
     r = 1.0 + 1.0 / (2.0 * al)
     s = mu / (al * delta)
-    # normalize by quadrature, shifted by the integrand's peak
-    z_peak = s * delta / (2.0 * r) - mu
-    m = _case5_unnorm_logpdf(z_peak, r, s, mu, delta)
-    val = quadrature.adaptive(
-        lambda z: math.exp(_case5_unnorm_logpdf(z, r, s, mu, delta) - m),
-        -math.inf, math.inf,
-    )
-    return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, -(m + math.log(val)))
-
-
-def _case5_unnorm_logpdf(z, r: float, s: float, mu: float, delta: float):
-    u = z + mu
-    return -r * np.log(u * u + delta * delta) + s * np.arctan(u / delta)
+    # rho(z) dz = C delta^(1 - 2r) f(xi) dxi, with f the table's xi-density
+    log_c = -((1.0 - 2.0 * r) * math.log(delta) + _case5_table(r, s).log_mass)
+    return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, log_c)
 
 
 # ---------------------------------------------------------------------------
@@ -305,49 +295,95 @@ def _invgamma_side(law: PearsonLaw, z, upper: bool):
 
 
 def _case5_log_pdf(law: PearsonLaw, z):
-    return law.log_norm_const + _case5_unnorm_logpdf(z, law.r, law.s, law.mu, law.delta)
+    # ln rho(z) = ln f(xi) - ln(mass) - ln(delta cosh xi): no large constant cancels, however small alpha is
+    xi = np.arcsinh((z + law.mu) / law.delta)
+    return (_case5_log_f(law.r, law.s, xi) - _case5_table(law.r, law.s).log_mass
+            - math.log(law.delta) - _log_cosh(xi))
 
 
-def _case5_quad_tail(law: PearsonLaw, z: float) -> float:
-    # scalar QUADPACK from the side away from the peak; the integrand stays a
-    # plain math expression, which keeps the cost per evaluation low
-    z_peak = law.s * law.delta / (2.0 * law.r) - law.mu
-    f = lambda x: math.exp(law.log_norm_const + _case5_unnorm_logpdf(x, law.r, law.s, law.mu, law.delta))
-    if z >= z_peak:
-        return quadrature.adaptive(f, z, math.inf, epsabs=1e-300, epsrel=1e-11)
-    return 1.0 - quadrature.adaptive(f, -math.inf, z, epsabs=1e-300, epsrel=1e-11)
+# Case 5 integrates in xi = asinh((z + mu)/delta), where the density is
+# C delta^(1 - 2r) f(xi) with f(xi) = cosh(xi)^(1 - 2r) e^(s gd(xi)): both power
+# tails become exponential, e^(-(2r - 1)|xi|), and keep full relative precision.
+# One cached table per (r, s) holds uniform Gauss-Legendre panels over the
+# range where f is within e^-_XI_DROP of its peak, and their normalized masses
+# summed from each end; every tail, cdf and normalization reads it.
+
+_XI_DROP = 800.0  # beyond, the mass is below the smallest double, whatever r and s
+_XI_STEP = 8.0    # panel width times the largest |d ln f/d xi| on the table
+_XI_WIDTH = 1.0   # widest panel: f has poles at xi = +-i pi/2
 
 
-def _case5_xi_log_pdf(law: PearsonLaw, xi):
-    """ln of the density of xi = asinh((Z + mu)/delta), in forms that overflow in neither tail."""
-    log_cosh = np.logaddexp(xi, -xi) - math.log(2.0)
-    return (law.log_norm_const + (1.0 - 2.0 * law.r) * (math.log(law.delta) + log_cosh)
-            + 2.0 * law.s * np.arctan(np.tanh(0.5 * xi)))
+class _XiTable(NamedTuple):
+    edges: np.ndarray  # panel ends in xi, uniform
+    log_mass: float    # ln of the integral of f over the line
+    upper: np.ndarray  # P[xi > edges[k]], summed from the right end
+    lower: np.ndarray  # P[xi <= edges[k]], summed from the left end
+
+
+def _log_cosh(xi):
+    """ln cosh(xi), to full relative precision near 0 too and without overflow."""
+    a = np.abs(xi)
+    h = np.sinh(0.5 * np.minimum(a, 1.0))
+    return np.where(a > 1.0, a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0), np.log1p(2.0 * h * h))
+
+
+def _case5_log_f(r: float, s: float, xi):
+    """ln f(xi) = (1 - 2r) ln cosh(xi) + s gd(xi)."""
+    return (1.0 - 2.0 * r) * _log_cosh(xi) + 2.0 * s * np.arctan(np.tanh(0.5 * xi))
+
+
+@functools.lru_cache(maxsize=32)
+def _case5_table(r: float, s: float) -> _XiTable:
+    """The panels of f for shape r and skew s; their width and range follow from r and s alone.
+
+    ln f is unimodal, with its peak at sinh(xi) = s/e, e = 2r - 1, and slope
+    s sech(xi) - e tanh(xi), whose extreme lies at sinh(xi) = -e/s with the
+    value hypot(e, s) or at an end of the range.  The range ends where ln f
+    has fallen by _XI_DROP, found by one bracketed solve per side inside the
+    crude bound ln f - peak <= |s| pi/2 - e(|xi| - ln 2).
+    """
+    e = 2.0 * r - 1.0
+    slope = lambda xi: s / np.cosh(xi) - e * np.tanh(xi)
+    xi_peak = math.asinh(s / e)
+    peak = float(_case5_log_f(r, s, xi_peak))
+    far = math.log(2.0) + (_XI_DROP + abs(s) * math.pi / 2.0) / e
+    lo, hi = quadrature.solve_monotone(lambda xi: (_case5_log_f(r, s, xi) - peak + _XI_DROP, slope(xi)),
+                                       [-far, xi_peak], [xi_peak, far], [True, False], xtol=1e-9)
+    steepest = max(abs(slope(lo)), abs(slope(hi)))
+    if s != 0.0 and lo < math.asinh(-e / s) < hi:
+        steepest = math.hypot(e, s)
+    n = math.ceil((hi - lo) / min(_XI_WIDTH, _XI_STEP / steepest))
+    edges = np.linspace(lo, hi, n + 1)
+    panels = quadrature.panel_integrals(lambda xi: np.exp(_case5_log_f(r, s, xi) - peak), edges[:-1], edges[1:])
+    upper = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+    lower = np.insert(np.cumsum(panels), 0, 0.0)
+    # each sum divided by its own total, so both reach exactly 1 at their far end
+    return _XiTable(edges, peak + math.log(upper[0]), upper / upper[0], lower / lower[-1])
+
+
+def _case5_xi_side(law: PearsonLaw, xi: np.ndarray, upper: bool) -> np.ndarray:
+    """P[Xi > xi] (upper) or P[Xi <= xi] at every point of a 1-d xi.
+
+    Each point adds to the table's sum on its far side the part of its own
+    panel on that side, a 16-node rule of its own; so a point's value does not
+    depend on the other points.
+    """
+    tab = _case5_table(law.r, law.s)
+    edges = tab.edges
+    x = np.clip(xi, edges[0], edges[-1])  # beyond the ends the far-side mass is below the smallest double
+    if upper:  # from x up to the first panel end at or above it
+        k = np.minimum(np.searchsorted(edges, x), edges.size - 1)
+        lo, hi, base = x, edges[k], tab.upper[k]
+    else:  # from the last panel end at or below x
+        k = np.maximum(np.searchsorted(edges, x, side="right") - 1, 0)
+        lo, hi, base = edges[k], x, tab.lower[k]
+    rho = lambda t: np.exp(_case5_log_f(law.r, law.s, t) - tab.log_mass)
+    return base + quadrature.panel_integrals(rho, lo, hi)
 
 
 def _case5_side(law: PearsonLaw, zs, upper: bool):
-    if not upper:  # the cdf is the tail of the reflected law of -Z, same normalization
-        c = law.coeffs
-        law = replace(law, coeffs=PearsonCoefficients(c.alpha, -c.beta, c.gamma), s=-law.s, mu=-law.mu)
-        zs = -zs
-    if zs.size == 1:
-        return np.full(zs.shape, _case5_quad_tail(law, float(zs.flat[0])))
-    # integrate once on a refined grid in xi = asinh((z + mu)/delta), then read
-    # off; xi keeps full relative precision in both power tails
-    order = np.argsort(zs)
-    zs_sorted = zs[order]
-    xi_user = np.arcsinh((zs_sorted + law.mu) / law.delta)
-    xi_all = np.unique(np.concatenate([xi_user, np.linspace(xi_user[0], xi_user[-1], 1025)]))
-    f = lambda xi: np.exp(_case5_xi_log_pdf(law, xi))
-    end = float(xi_all[-1])
-    if end >= math.asinh(law.s / (2.0 * law.r)):  # right of the peak
-        right = quadrature.adaptive(f, end, math.inf, epsabs=1e-300, epsrel=1e-11)
-    else:
-        right = 1.0 - quadrature.adaptive(f, -math.inf, end, epsabs=1e-300, epsrel=1e-11)
-    tails_all = quadrature.tail_accumulate(f, xi_all, right)
-    result = np.empty_like(zs_sorted)
-    result[order] = tails_all[np.searchsorted(xi_all, xi_user)]
-    return result
+    xi = np.arcsinh((np.ravel(zs) + law.mu) / law.delta)
+    return _case5_xi_side(law, xi, upper).reshape(np.shape(zs))
 
 
 _CASES = {
@@ -421,7 +457,14 @@ def flux(law: PearsonLaw, x) -> np.ndarray:
 
 
 def tail(law: PearsonLaw, z) -> float:
-    """Survival probability P[Z > z], absolute error <= 1e-10."""
+    """Survival probability P[Z > z], the same value as ``tail_grid`` gives at z.
+
+    Normal, Gamma, Beta and the inverse-gamma type read scipy.special's
+    regularized functions, Beta from the nearer end.  Case 5 reads its cached
+    xi-panel table (``_case5_table``): within 1e-12 relative of mpmath for
+    z + mu up to 1e6 delta (tests/test_oracles.py), and 0 where the tail is
+    below the smallest double.
+    """
     return float(_side(law, np.asarray(float(z)), upper=True))
 
 
@@ -587,41 +630,34 @@ def _half_line_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _case5_start(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
+    """xi at logit-tail t, interpolated in the logit at the panel ends of the case-5 table."""
+    tab = _case5_table(law.r, law.s)
+    with np.errstate(divide="ignore"):
+        logit = np.log(tab.upper) - np.log(tab.lower)
+    ok = np.isfinite(logit)
+    return np.interp(-t, -logit[ok], tab.edges[ok])  # logit falls as xi grows
+
+
 def _case5_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
     """z at logit-tail t: Newton steps on logit P[Z > z] in xi = asinh((z + mu)/delta).
 
-    The start interpolates a grid in xi that reaches past both tails' smallest
-    targets; in xi the power tails make logit P[Z > z] nearly linear.  The
-    targets go through the quadrature grids a few thousand at a time, which
-    bounds the memory the grids take.
+    The start interpolates the logit at the panel ends of the case-5 table; in
+    xi the power tails make it nearly linear.
     """
-    mu, delta, e = law.mu, law.delta, 2.0 * law.r - 1.0
-
-    def reach(s: float) -> float:
-        # xi beyond which that tail is below every target, from
-        # rho <= C e^(max(s, 0) pi/2) |z + mu|^(-2r)
-        return math.asinh(math.exp((law.log_norm_const + max(s, 0.0) * math.pi / 2.0 - math.log(e)
-                                    + _T_MAX + 1.0) / e) / delta)
-
     def logit_and_slope(xi):
-        z = delta * np.sinh(xi) - mu
-        s, c = tail_grid(law, z), cdf_grid(law, z)
-        return np.log(s) - np.log(c), -np.exp(_case5_xi_log_pdf(law, xi)) / (s * c)
+        s, c = _case5_xi_side(law, xi, True), _case5_xi_side(law, xi, False)
+        rho = np.exp(_case5_log_f(law.r, law.s, xi) - _case5_table(law.r, law.s).log_mass)
+        return np.log(s) - np.log(c), -rho / (s * c)
 
-    def newton(target):
-        xi = np.interp(-target, -logit[ok], grid[ok])  # logit falls as xi grows
-        for _ in range(_NEWTON_STEPS):
-            value, slope = logit_and_slope(xi)
-            err = np.max(np.abs(value - target))
-            if err <= _NEWTON_TOL:
-                return delta * np.sinh(xi) - mu
-            xi -= (value - target) / slope
-        raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
-
-    grid = np.linspace(-reach(-law.s), reach(law.s), 2049)
-    logit, _ = logit_and_slope(grid)
-    ok = np.isfinite(logit)
-    return np.concatenate([newton(part) for part in np.array_split(t, 8)])
+    xi = _case5_start(law, t)
+    for _ in range(_NEWTON_STEPS):
+        value, slope = logit_and_slope(xi)
+        err = np.max(np.abs(value - t))
+        if err <= _NEWTON_TOL:
+            return law.delta * np.sinh(xi) - law.mu
+        xi -= (value - t) / slope
+    raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
 
 
 class _Inverse(NamedTuple):
@@ -654,31 +690,40 @@ _INVERSES = {
 # quantiles and sampling
 
 
+def _quantile_start(law: PearsonLaw, p: float) -> float:
+    """A start for the quantile: the closed-form inverse, or for case 5 the table's interpolation."""
+    t = np.array([math.log(p) - math.log1p(-p)])
+    with np.errstate(all="ignore"):
+        if law.case is CaseTag.NORMAL:
+            return law.s * math.sqrt(2.0) * float(_sp.erfcinv(2.0 * p))
+        if law.case is CaseTag.NO_REAL_ROOTS:
+            return law.delta * float(np.sinh(_case5_start(law, t)[0])) - law.mu
+        form, sign = _INVERSES[law.case], -1.0 if law.mirrored else 1.0
+        return sign * float(form.to_z(law, form.nodes(law, sign * t))[0])
+
+
 def quantile(law: PearsonLaw, p: float) -> float:
-    """z with tail(z) = p, by geometric bracketing plus Brent's method."""
+    """z with tail(z) = p, for every 0 < p < 1.
+
+    Newton steps on the exact tail, safeguarded by bisection
+    (``quadrature.solve_monotone``).  They start from the inverse forms the
+    sampler's table is built from, without building the table: erfcinv for
+    Normal, the closed-form inverses for Gamma, Beta and the inverse-gamma
+    type, and for case 5 the logit interpolated between the xi-panel ends.
+    The bracket is the support, cut by Cantelli's inequality
+    P[Z > z] <= var/(var + z^2) to [-sd sqrt(p/(1-p)), sd sqrt((1-p)/p)], so p
+    down to the smallest positive double is served too.
+    """
     if not 0.0 < p < 1.0:
         raise InvalidProbabilityError(f"quantile requires 0 < p < 1, got {p}")
-    a, b = law.support_a, law.support_b
-    step = math.sqrt(law.variance)
-    t0 = tail(law, 0.0)
-    f = lambda z: tail(law, z) - p
-    if t0 == p:
-        return 0.0
-    if t0 > p:  # root to the right of 0
-        lo, hi = 0.0, min(step, 0.5 * b) if math.isfinite(b) else step
-        while tail(law, hi) > p:
-            lo = hi
-            hi = 0.5 * (hi + b) if math.isfinite(b) else 2.0 * hi
-            if math.isfinite(b) and b - hi < 1e-15 * max(1.0, abs(b)):
-                return b
-    else:
-        hi, lo = 0.0, max(-step, 0.5 * a) if math.isfinite(a) else -step
-        while tail(law, lo) < p:
-            hi = lo
-            lo = 0.5 * (lo + a) if math.isfinite(a) else 2.0 * lo
-            if math.isfinite(a) and lo - a < 1e-15 * max(1.0, abs(a)):
-                return a
-    return float(_opt.brentq(f, lo, hi, xtol=1e-14, rtol=4.0 * np.finfo(float).eps, maxiter=200))
+    sd = math.sqrt(law.variance)
+    a = max(law.support_a, -sd * math.sqrt(p) / math.sqrt(1.0 - p))
+    b = min(law.support_b, sd * math.sqrt(1.0 - p) / math.sqrt(p))
+    x0 = _quantile_start(law, p)
+    x0 = [min(max(x0, a), b)] if math.isfinite(x0) else None
+    root = quadrature.solve_monotone(lambda z: (_side(law, z, upper=True) - p, -density(law, z)),
+                                     [a], [b], False, x0, xtol=1e-14)
+    return float(root[0])
 
 
 def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
@@ -761,50 +806,7 @@ def variance(coeffs: PearsonCoefficients) -> float:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and serialization
-
-
-@dataclass(frozen=True)
-class PearsonDiagnostics:
-    max_flux_residual: float      # max |(g rho)' + x rho| on the interior grid
-    normalization_error: float    # |integral of rho - 1|
-    mean_error: float             # |integral of x rho|
-    boundary_flux_low: float      # g rho near the lower support end
-    boundary_flux_high: float     # g rho near the upper support end
-    tolerance: float
-    passed: bool
-
-
-def check_pearson_identities(law: PearsonLaw, n_grid: int = 201, tol: float = 1e-6) -> PearsonDiagnostics:
-    """Numerical check of the flux identity (g rho)' = -x rho and unit mass/zero mean."""
-    lo = quantile(law, 0.95)
-    hi = quantile(law, 0.05)
-    grid = np.linspace(min(lo, hi), max(lo, hi), n_grid)
-    h = 1e-3 * np.minimum.reduce([
-        grid - law.support_a,        # +inf when the end is infinite
-        law.support_b - grid,
-        1.0 + np.abs(grid),
-    ])
-    # five-point central difference of the flux g*rho
-    d = (flux(law, grid - 2 * h) - 8 * flux(law, grid - h)
-         + 8 * flux(law, grid + h) - flux(law, grid + 2 * h)) / (12 * h)
-    flux_residual = float(np.max(np.abs(d + grid * np.exp(log_density(law, grid)))))
-
-    f = lambda x: float(density(law, x))
-    xf = lambda x: x * float(density(law, x))
-    a, b = law.support_a, law.support_b
-    pts = None
-    if math.isfinite(a) and math.isfinite(b):
-        pts = [a + 0.1 * (b - a), a + 0.9 * (b - a)]
-    norm_err = abs(quadrature.adaptive(f, a, b, points=pts) - 1.0)
-    mean_err = abs(quadrature.adaptive(xf, a, b, points=pts))
-
-    q_lo = quantile(law, 1.0 - 1e-8)
-    q_hi = quantile(law, 1e-8)
-    flux_lo = float(flux(law, np.asarray(q_lo)))
-    flux_hi = float(flux(law, np.asarray(q_hi)))
-    worst = max(flux_residual, norm_err, mean_err, flux_lo, flux_hi)
-    return PearsonDiagnostics(flux_residual, norm_err, mean_err, flux_lo, flux_hi, tol, worst < tol)
+# serialization
 
 
 _JSON_FIELDS = ("alpha", "beta", "gamma", "case", "r", "s", "mu", "delta", "a", "b", "logC")

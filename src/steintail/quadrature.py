@@ -1,81 +1,92 @@
-"""Quadrature helpers shared by the law, bound, and chaos modules.
+"""Numerical kernels shared by the law and chaos modules.
 
-Adaptive work goes through QUADPACK (Gauss-Kronrod with the usual rational
-substitutions on infinite ranges).  Grid-restricted cumulative integrals use
-fixed-order Gauss-Legendre panels between consecutive grid points, which keeps
-relative accuracy in deep tails when accumulated from the small end.
+``panel_integrals`` integrates over many intervals at once with fixed-order
+Gauss-Legendre panels; summed from the small end, panels keep relative
+accuracy in deep tails.  ``solve_monotone`` finds the roots of many monotone
+functions at once, by Newton steps safeguarded with bisection.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _int
 
-from .errors import NonIntegrableTailError
-
-ABS_TOL = 1e-12
-REL_TOL = 1e-10
+from .errors import DomainError
 
 # 16-node Gauss-Legendre rule on [-1, 1]; exact through degree 31 per panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_CHUNK = 4096
+_MAX_STEPS = 400  # bisection alone spans the doubles in about 2 x (10 + 53) steps
+_RTOL = 4.0 * np.finfo(float).eps
 
 
-def adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    points=None,
-    epsabs: float = ABS_TOL,
-    epsrel: float = REL_TOL,
-    limit: int = 200,
-) -> float:
-    """Adaptive integral of f over (a, b); raises if QUADPACK fails to converge."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _int.IntegrationWarning)
-        try:
-            if points is not None and np.isfinite(a) and np.isfinite(b):
-                val, _ = _int.quad(f, a, b, points=points, epsabs=epsabs, epsrel=epsrel, limit=limit)
-            else:
-                val, _ = _int.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-        except _int.IntegrationWarning as exc:
-            raise NonIntegrableTailError(f"quadrature on ({a}, {b}) did not converge: {exc}") from None
-    return val
+def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """Integral of f over each interval (lo[i], hi[i]) (vectorized f).
 
-
-def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
-    """Integral of f over each consecutive pair of grid points (vectorized f).
-
-    f is called on _PANEL_CHUNK panels at a time, so its temporaries stay a
-    few MB whatever the grid size.
+    Each interval is computed on its own, so its value does not depend on the
+    others.  f is called on _PANEL_CHUNK intervals at a time, so its
+    temporaries stay a few MB whatever the number of intervals.
     """
-    grid = np.asarray(grid, dtype=float)
-    half = 0.5 * (grid[1:] - grid[:-1])
-    mid = 0.5 * (grid[1:] + grid[:-1])
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     out = np.empty(half.size)
     for i in range(0, half.size, _PANEL_CHUNK):
         h, m = half[i:i + _PANEL_CHUNK], mid[i:i + _PANEL_CHUNK]
-        xs = m[:, None] + h[:, None] * _GL_NODES[None, :]  # (panels, 16)
-        out[i:i + _PANEL_CHUNK] = h * (f_vec(xs.ravel()).reshape(xs.shape) @ _GL_WEIGHTS)
+        xs = m[:, None] + h[:, None] * _GL_NODES[None, :]  # (intervals, 16)
+        out[i:i + _PANEL_CHUNK] = h * np.sum(f_vec(xs.ravel()).reshape(xs.shape) * _GL_WEIGHTS, axis=1)
     return out
 
 
-def tail_accumulate(
-    f_vec: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    tail_at_right: float,
-) -> np.ndarray:
-    """Right tails at each grid point given the tail at the last point.
+def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisection point of each bracket.
 
-    tail(grid[i]) = tail(grid[-1]) + integral of f from grid[i] to grid[-1],
-    assembled from panel integrals so the deep-tail end keeps relative accuracy.
+    Where the ends' magnitudes, counted as at least 1, differ by more than a
+    factor 4, it is their geometric mean, or 0 if they differ in sign: a
+    bracket as wide as the doubles then closes in about 2 x (10 + 53) steps.
+    Otherwise it is the midpoint.
     """
-    panels = panel_integrals(f_vec, grid)
-    out = np.empty(len(grid))
-    out[-1] = tail_at_right
-    out[:-1] = tail_at_right + np.cumsum(panels[::-1])[::-1]
-    return out
+    a, b = np.maximum(np.abs(lo), 1.0), np.maximum(np.abs(hi), 1.0)
+    geo = np.where((lo >= 0.0) | (hi <= 0.0), np.sign(lo + hi) * np.sqrt(a) * np.sqrt(b), 0.0)
+    return np.where(np.maximum(a, b) > 4.0 * np.minimum(a, b), geo, 0.5 * lo + 0.5 * hi)
+
+
+def solve_monotone(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lo, hi, increasing, x0=None,
+                   *, xtol: float) -> np.ndarray:
+    """Roots of many strictly monotone functions at once, each inside its finite bracket.
+
+    f(x) returns (value, slope) of every problem at its iterate x[i].  Problem
+    i has one root in [lo[i], hi[i]] and is increasing where increasing[i].
+    Each step is Newton's where it stays inside the current bracket and is at
+    most half the step before last, and a bisection otherwise (rtsafe,
+    Numerical Recipes 9.4); the sign of f at each iterate shrinks the bracket.
+    A problem stops after a Newton step of at most tol = xtol + 4 eps |x|
+    (xtol > 0), or at a bisection of a bracket no wider than 2 tol.  x0 are
+    optional starting points inside the brackets.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    sign = np.where(increasing, 1.0, -1.0)
+    x = _split(lo, hi) if x0 is None else np.array(x0, dtype=float)
+    step_old = step = hi - lo
+    active = np.ones(lo.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_STEPS):
+            val, slope = f(x)
+            below = sign * val < 0.0  # the root is right of x
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            dx = val / slope
+            x_new = x - dx
+            newton = (x_new >= lo) & (x_new <= hi) & (np.abs(dx) <= 0.5 * step_old) & np.isfinite(slope)
+            if newton.all():
+                left = np.abs(dx)
+            else:
+                x_new = np.where(newton, x_new, _split(lo, hi))
+                left = np.where(newton, np.abs(dx), 0.5 * (hi - lo))  # what this step leaves unresolved
+            step_old, step = step, np.abs(x_new - x)
+            x = np.where(active, x_new, x)
+            active &= left > xtol + _RTOL * np.abs(x)
+            if not active.any():
+                return x
+    raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")

@@ -52,6 +52,72 @@ def test_beta_tail_and_cdf_near_the_ends(end, offset):
 
 
 # ---------------------------------------------------------------------------
+# case 5 (Pearson type IV) tails, cdf and normalization
+
+
+def _case5_oracle(coeffs: PearsonCoefficients):
+    """ln C from |Gamma(r + i s/2)|^2, and z -> (P[Z > z], P[Z <= z]) by mpmath.
+
+    The smaller side integrates the density of xi = asinh((z + mu)/delta) from
+    xi(z) away from the peak, scaled by its value at xi(z) (mpmath's error
+    control is absolute), on steps growing by 4 from the local decay length;
+    the larger side is 1 minus it.
+    """
+    al, be, ga = (mp.mpf(v) for v in (coeffs.alpha, coeffs.beta, coeffs.gamma))
+    mu, delta = be / (2 * al), mp.sqrt(4 * al * ga - be * be) / (2 * al)
+    r = 1 + 1 / (2 * al)
+    s, e = mu / (al * delta), 2 * r - 1
+    log_c = (2 * mp.re(mp.loggamma(r + 0.5j * s)) - mp.log(mp.pi) / 2 - mp.loggamma(r - mp.mpf(1) / 2)
+             - mp.loggamma(r) + e * mp.log(delta))
+    log_rho = lambda xi: log_c - e * (mp.log(delta) + mp.log(mp.cosh(xi))) + s * mp.atan(mp.sinh(xi))
+
+    def sides(z: float):
+        xi0 = mp.asinh((mp.mpf(z) + mu) / delta)
+        upper = xi0 >= mp.asinh(s / e)
+        steps = [4**k / (abs(s / mp.cosh(xi0) - e * mp.tanh(xi0)) + mp.sqrt(e)) for k in range(-1, 9)]
+        pts = [xi0, *(xi0 + h for h in steps), mp.inf] if upper else [-mp.inf, *(xi0 - h for h in steps[::-1]), xi0]
+        l0 = log_rho(xi0)
+        small = mp.exp(l0) * mp.quad(lambda xi: mp.exp(log_rho(xi) - l0), pts)
+        return (small, 1 - small) if upper else (1 - small, small)
+
+    return log_c, sides
+
+
+CASE5_ORACLE_LAWS = [
+    ((0.25, 0.0, 0.25), (-30.0, -2.0, 0.7, 3.0, 50.0, 1e6)),
+    ((0.5, 1.0, 1.0), (-30.0, -2.0, 0.7, 3.0, 50.0, 1e6)),
+    ((0.9, -0.3, 1.0), (-30.0, -2.0, 0.7, 3.0, 50.0, 1e6)),
+    ((0.05, 0.2, 1.0), (-30.0, -2.0, 0.7, 3.0, 50.0, 1e6)),
+    # alpha near 0, where the law is nearly Normal (docs/DECISIONS.md, decision 2)
+    ((1e-9, 0.0, 1.0), (-30.0, -1.0, 0.5, 8.0)),
+    ((1e-11, 0.0, 1.0), (-8.0, 0.5, 3.0, 30.0)),
+]
+
+
+@pytest.mark.parametrize("coeffs, zs", CASE5_ORACLE_LAWS, ids=[str(c) for c, _ in CASE5_ORACLE_LAWS])
+def test_case5_tail_cdf_and_constant_against_mpmath(coeffs, zs):
+    law = build_law(PearsonCoefficients(*coeffs))
+    with mp.workdps(30):
+        log_c, sides = _case5_oracle(law.coeffs)
+        assert _rel(law.log_norm_const, log_c) <= 1e-14
+        for z in zs:
+            want_tail, want_cdf = sides(z)
+            t, c = pearson.tail(law, z), pearson.cdf(law, z)
+            assert _rel(t, want_tail) <= REL and _rel(c, want_cdf) <= REL, (z, t, c)
+
+
+def test_case5_tiny_alpha_leaves_the_normal_limit_linearly():
+    # (alpha, 0, 1) tends to the Normal of variance 1/(1 - alpha); its tail's
+    # relative distance from that Normal is first order in alpha
+    def gap(alpha, z):
+        law = build_law(PearsonCoefficients(alpha, 0.0, 1.0))
+        return pearson.tail(law, z) / float(mp.ncdf(-z * mp.sqrt(1 - mp.mpf(alpha)))) - 1.0
+
+    for z in (3.0, 8.0):
+        assert gap(1e-9, z) / gap(1e-11, z) == pytest.approx(100.0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
 # the implicit-bound integral
 
 

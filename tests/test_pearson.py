@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from steintail.pearson import (
     CaseTag,
     PearsonCoefficients,
     build_law,
-    check_pearson_identities,
     classify,
     density,
     law_from_json,
@@ -238,6 +238,33 @@ def test_case5_tail_grid_memory(case5_law):
     assert peak <= 8e6
 
 
+@pytest.mark.parametrize("z", [-30.0, -1.0, 0.3, 2.0, 50.0, 1e3, 1e6])
+def test_case5_scalar_tail_is_the_grid_value_whatever_the_other_points(case5_law, z):
+    # every point reads the one xi-panel table on its own
+    t = tail(case5_law, z)
+    for w in (-5.0, 0.0, 50.0 + 1e-9, 7e5, 1e8):
+        assert tail_grid(case5_law, [z, w])[0] == t
+        assert pearson.cdf_grid(case5_law, [w, z])[1] == pearson.cdf(case5_law, z)
+
+
+def test_case5_one_point_grid_deep_in_the_tail(case5_law):
+    one = tail_grid(case5_law, [1e6])
+    assert np.isfinite(one[0]) and one[0] == tail_grid(case5_law, [1e6, 1e7])[0]
+    assert one[0] == pytest.approx(1.6976527263e-31, rel=1e-9)  # (8 / (15 pi)) z^-5 (1 + O(z^-2))
+    assert tail(case5_law, 1e300) == 0.0 and pearson.cdf(case5_law, 1e300) == 1.0
+
+
+def test_case5_cdf_is_complement_free_in_the_left_tail():
+    # the law of -Z is (alpha, -beta, gamma), so the cdf far left is a tail far right,
+    # far below the 1e-16 a complement 1 - tail could resolve
+    for c in (PearsonCoefficients(0.25, 0.0, 0.25), PearsonCoefficients(0.5, 1.0, 1.0)):
+        law, refl = build_law(c), build_law(PearsonCoefficients(c.alpha, -c.beta, c.gamma))
+        for z in (50.0, 1e3, 1e6):
+            low = pearson.cdf(law, -z)
+            assert 0.0 < low < 1e-5
+            assert low == pytest.approx(tail(refl, z), rel=1e-13), (c, z)
+
+
 def test_mirrored_gamma_reflection():
     law_pos = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
     law_neg = build_law(PearsonCoefficients(0.0, -2.0, 2.0))
@@ -431,7 +458,46 @@ def test_moment_nonexistent_raises():
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and serialization
+# flux identity, mass and mean, with scipy's QUADPACK as the oracle
+
+
+@dataclass(frozen=True)
+class PearsonDiagnostics:
+    max_flux_residual: float      # max |(g rho)' + x rho| on the interior grid
+    normalization_error: float    # |integral of rho - 1|
+    mean_error: float             # |integral of x rho|
+    boundary_flux_low: float      # g rho near the lower support end
+    boundary_flux_high: float     # g rho near the upper support end
+    tolerance: float
+    passed: bool
+
+
+def check_pearson_identities(law, n_grid: int = 201, tol: float = 1e-6) -> PearsonDiagnostics:
+    """Numerical check of the flux identity (g rho)' = -x rho and unit mass/zero mean."""
+    lo = quantile(law, 0.95)
+    hi = quantile(law, 0.05)
+    grid = np.linspace(min(lo, hi), max(lo, hi), n_grid)
+    h = 1e-3 * np.minimum.reduce([
+        grid - law.support_a,        # +inf when the end is infinite
+        law.support_b - grid,
+        1.0 + np.abs(grid),
+    ])
+    # five-point central difference of the flux g*rho
+    d = (pearson.flux(law, grid - 2 * h) - 8 * pearson.flux(law, grid - h)
+         + 8 * pearson.flux(law, grid + h) - pearson.flux(law, grid + 2 * h)) / (12 * h)
+    flux_residual = float(np.max(np.abs(d + grid * np.exp(log_density(law, grid)))))
+
+    a, b = law.support_a, law.support_b
+    opts = {"epsabs": 1e-12, "epsrel": 1e-10, "limit": 200}
+    if math.isfinite(a) and math.isfinite(b):
+        opts["points"] = [a + 0.1 * (b - a), a + 0.9 * (b - a)]
+    norm_err = abs(quad(lambda x: density(law, x), a, b, **opts)[0] - 1.0)
+    mean_err = abs(quad(lambda x: x * density(law, x), a, b, **opts)[0])
+
+    flux_lo = float(pearson.flux(law, np.asarray(quantile(law, 1.0 - 1e-8))))
+    flux_hi = float(pearson.flux(law, np.asarray(quantile(law, 1e-8))))
+    worst = max(flux_residual, norm_err, mean_err, flux_lo, flux_hi)
+    return PearsonDiagnostics(flux_residual, norm_err, mean_err, flux_lo, flux_hi, tol, worst < tol)
 
 
 def test_check_pearson_identities(canonical_laws):
@@ -459,6 +525,10 @@ def test_identities_tight_for_normal(normal_law):
     report = check_pearson_identities(normal_law)
     assert report.max_flux_residual < 1e-8
     assert report.normalization_error < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# serialization
 
 
 def test_json_round_trip(canonical_laws):

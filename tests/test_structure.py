@@ -3,7 +3,8 @@
 No module reads a private (single-underscore) attribute of another steintail
 module, and every module is imported by another one unless it is an entry
 point (``cli`` or ``__init__``).  Sampling stays off ``scipy.stats``, whose
-import alone costs about half a second and 17 MB.
+import alone costs about half a second and 17 MB, and the library and the CLI
+load neither ``scipy.optimize`` nor ``scipy.integrate``.
 """
 
 import ast
@@ -81,6 +82,23 @@ def test_every_module_is_imported_or_an_entry_point():
         imported_by_others |= imported - {name}
     orphans = sorted(set(modules) - imported_by_others - ENTRY_POINTS)
     assert not orphans, f"modules imported by no other module: {orphans}"
+
+
+def test_library_and_cli_load_only_scipy_special():
+    # scipy.optimize and scipy.integrate cost about 0.3 s of every process start
+    script = (
+        "import sys, steintail, steintail.cli\n"
+        "from steintail import chaos, pearson\n"
+        "law = pearson.build_law(pearson.PearsonCoefficients(0.25, 0.0, 0.25))\n"
+        "pearson.tail(law, 2.0), pearson.quantile(law, 1e-6)\n"
+        "pearson.quantile(pearson.build_law(pearson.PearsonCoefficients(0.0, 2.0, 2.0)), 0.3)\n"
+        "chaos.g_function(chaos.HermiteSeries((0.0, 1.0, 0.0, 0.1)), 0.5)\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sampling_does_not_import_scipy_stats():

@@ -109,10 +109,21 @@ def test_pearson_margin_at_the_support_end_is_not_certified():
     ((1e-13, 0.0, 1.0), (0.0, 300.0, 1.0), Hypothesis.DOMINATES_LOWER),
     # G - g_upper = x - 1e-15 x^2 on (-1, inf): +1 at x = 1
     ((0.0, 1.0, 1.0), (1e-15, 0.0, 1.0), Hypothesis.DOMINATED_UPPER),
-], ids=["lower", "upper"])
+    # the same with a case-5 X of alpha = 1e-12, buildable on the xi-panel route
+    ((1e-12, 0.0, 1.0), (0.0, 300.0, 1.0), Hypothesis.DOMINATES_LOWER),
+], ids=["lower", "upper", "lower-alpha-1e-12"])
 def test_pearson_margin_with_a_tiny_leading_term_is_not_certified(x_coeffs, ref, hypothesis):
     spec = ScenarioSpec(x_model=build_law(PearsonCoefficients(*x_coeffs)), reference=PearsonCoefficients(*ref),
                         hypothesis=hypothesis, z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+    with pytest.raises(UncertifiedHypothesisError):
+        run_scenario(spec)
+
+
+def test_chaos_margin_with_a_tiny_leading_coefficient_is_not_certified():
+    # X = H1 + 1e-20 H3: G = (1 + 3c(n^2 - 1))(1 + c(n^2 - 1)), c = 1e-20, so G - 1
+    # grows like 4c n^2 and has no upper bound; the exact polynomials keep c
+    spec = ScenarioSpec(x_model=HermiteSeries((0.0, 1.0, 0.0, 1e-20)), reference=PearsonCoefficients(0.0, 0.0, 1.0),
+                        hypothesis=Hypothesis.DOMINATED_UPPER, z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
     with pytest.raises(UncertifiedHypothesisError):
         run_scenario(spec)
 
