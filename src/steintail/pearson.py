@@ -228,7 +228,8 @@ def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
     r = 1.0 + 1.0 / (2.0 * al)
     s = mu / (al * delta)
     # rho(z) dz = C delta^(1 - 2r) f(xi) dxi, with f the table's xi-density
-    log_c = -((1.0 - 2.0 * r) * math.log(delta) + _case5_table(r, s).log_mass)
+    tab = _case5_table(r, s)
+    log_c = -((1.0 - 2.0 * r) * math.log(delta) + tab.log_peak + tab.log_mass)
     return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, log_c)
 
 
@@ -295,18 +296,16 @@ def _invgamma_side(law: PearsonLaw, z, upper: bool):
 
 
 def _case5_log_pdf(law: PearsonLaw, z):
-    # ln rho(z) = ln f(xi) - ln(mass) - ln(delta cosh xi): no large constant cancels, however small alpha is
+    # ln rho(z) = ln(f(xi)/f(xi_m)) - ln(mass) - ln(delta cosh xi): no large constant cancels, however small alpha is
     xi = np.arcsinh((z + law.mu) / law.delta)
     return (_case5_log_f(law.r, law.s, xi) - _case5_table(law.r, law.s).log_mass
             - math.log(law.delta) - _log_cosh(xi))
 
 
 # Case 5 integrates in xi = asinh((z + mu)/delta), where the density is
-# C delta^(1 - 2r) f(xi) with f(xi) = cosh(xi)^(1 - 2r) e^(s gd(xi)): both power
-# tails become exponential, e^(-(2r - 1)|xi|), and keep full relative precision.
-# One cached table per (r, s) holds uniform Gauss-Legendre panels over the
-# range where f is within e^-_XI_DROP of its peak, and their normalized masses
-# summed from each end; every tail, cdf and normalization reads it.
+# C delta^(1 - 2r) f(xi), f(xi) = cosh(xi)^(1 - 2r) e^(s gd(xi)), and both power
+# tails are exponential.  Every tail, cdf and normalization reads one cached
+# table per (r, s) of panels summed from each end (docs/DECISIONS.md, decision 2).
 
 _XI_DROP = 800.0  # beyond, the mass is below the smallest double, whatever r and s
 _XI_STEP = 8.0    # panel width times the largest |d ln f/d xi| on the table
@@ -315,59 +314,73 @@ _XI_WIDTH = 1.0   # widest panel: f has poles at xi = +-i pi/2
 
 class _XiTable(NamedTuple):
     edges: np.ndarray  # panel ends in xi, uniform
-    log_mass: float    # ln of the integral of f over the line
+    log_mass: float    # ln of the integral of f/f(xi_m) over the line
+    log_peak: float    # ln f(xi_m)
     upper: np.ndarray  # P[xi > edges[k]], summed from the right end
     lower: np.ndarray  # P[xi <= edges[k]], summed from the left end
 
 
 def _log_cosh(xi):
-    """ln cosh(xi), to full relative precision near 0 too and without overflow."""
+    """ln cosh(xi) without overflow, to an absolute error of a few eps |xi|."""
     a = np.abs(xi)
-    h = np.sinh(0.5 * np.minimum(a, 1.0))
-    return np.where(a > 1.0, a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0), np.log1p(2.0 * h * h))
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
 
 
 def _case5_log_f(r: float, s: float, xi):
-    """ln f(xi) = (1 - 2r) ln cosh(xi) + s gd(xi)."""
-    return (1.0 - 2.0 * r) * _log_cosh(xi) + 2.0 * s * np.arctan(np.tanh(0.5 * xi))
+    """ln f(xi) - ln f(xi_m), the peak at sinh(xi_m) = s/(2r - 1), in d = xi - xi_m.
+
+    gd(xi) - gd(xi_m) = 2 arctan(S t / (1 + T t)) and, for |d| < 1,
+    cosh(xi)/cosh(xi_m) = 1 + u (u + T (2 + u)) / (2 + 2u), with t = tanh(d/2),
+    u = expm1(d), T = tanh(xi_m), S = sech(xi_m): rounding grows with |s d S|,
+    not with |s|, which is huge for a small alpha with beta != 0.
+    """
+    e = 2.0 * r - 1.0
+    xm = math.asinh(s / e)
+    tm, sm = math.tanh(xm), 1.0 / math.cosh(xm)
+    shape = np.shape(xi)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    d = xi - xm
+    near = np.abs(d) < 1.0
+    log_ratio = np.empty_like(d)
+    u = np.expm1(d[near])
+    log_ratio[near] = np.log1p(u * (u + tm * (2.0 + u)) / (2.0 + 2.0 * u))
+    log_ratio[~near] = _log_cosh(xi[~near]) - _log_cosh(xm)
+    t = np.tanh(0.5 * d)
+    return (-e * log_ratio + 2.0 * s * np.arctan(sm * t / (1.0 + tm * t))).reshape(shape)
 
 
 @functools.lru_cache(maxsize=32)
 def _case5_table(r: float, s: float) -> _XiTable:
     """The panels of f for shape r and skew s; their width and range follow from r and s alone.
 
-    ln f is unimodal, with its peak at sinh(xi) = s/e, e = 2r - 1, and slope
-    s sech(xi) - e tanh(xi), whose extreme lies at sinh(xi) = -e/s with the
-    value hypot(e, s) or at an end of the range.  The range ends where ln f
-    has fallen by _XI_DROP, found by one bracketed solve per side inside the
-    crude bound ln f - peak <= |s| pi/2 - e(|xi| - ln 2).
+    The range ends where ln f has fallen by _XI_DROP, one bracketed solve per
+    side inside the bound ln f - peak <= |s| pi/2 - e(|xi| - ln 2), e = 2r - 1.
+    The slope s sech(xi) - e tanh(xi) is extreme at sinh(xi) = -e/s, where it
+    is hypot(e, s), or at an end.
     """
     e = 2.0 * r - 1.0
     slope = lambda xi: s / np.cosh(xi) - e * np.tanh(xi)
     xi_peak = math.asinh(s / e)
-    peak = float(_case5_log_f(r, s, xi_peak))
     far = math.log(2.0) + (_XI_DROP + abs(s) * math.pi / 2.0) / e
-    lo, hi = quadrature.solve_monotone(lambda xi: (_case5_log_f(r, s, xi) - peak + _XI_DROP, slope(xi)),
-                                       [-far, xi_peak], [xi_peak, far], [True, False], xtol=1e-9)
+    with np.errstate(over="ignore"):
+        lo, hi = quadrature.solve_monotone(lambda xi: (_case5_log_f(r, s, xi) + _XI_DROP, slope(xi)),
+                                           [-far, xi_peak], [xi_peak, far], [True, False], xtol=1e-9)
     steepest = max(abs(slope(lo)), abs(slope(hi)))
     if s != 0.0 and lo < math.asinh(-e / s) < hi:
         steepest = math.hypot(e, s)
     n = math.ceil((hi - lo) / min(_XI_WIDTH, _XI_STEP / steepest))
     edges = np.linspace(lo, hi, n + 1)
-    panels = quadrature.panel_integrals(lambda xi: np.exp(_case5_log_f(r, s, xi) - peak), edges[:-1], edges[1:])
+    panels = quadrature.panel_integrals(lambda xi: np.exp(_case5_log_f(r, s, xi)), edges[:-1], edges[1:])
     upper = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
     lower = np.insert(np.cumsum(panels), 0, 0.0)
     # each sum divided by its own total, so both reach exactly 1 at their far end
-    return _XiTable(edges, peak + math.log(upper[0]), upper / upper[0], lower / lower[-1])
+    log_peak = (1.0 - 2.0 * r) * float(_log_cosh(xi_peak)) + 2.0 * s * math.atan(math.tanh(0.5 * xi_peak))
+    return _XiTable(edges, math.log(upper[0]), log_peak, upper / upper[0], lower / lower[-1])
 
 
 def _case5_xi_side(law: PearsonLaw, xi: np.ndarray, upper: bool) -> np.ndarray:
-    """P[Xi > xi] (upper) or P[Xi <= xi] at every point of a 1-d xi.
-
-    Each point adds to the table's sum on its far side the part of its own
-    panel on that side, a 16-node rule of its own; so a point's value does not
-    depend on the other points.
-    """
+    """P[Xi > xi] (upper) or P[Xi <= xi] at every point of a 1-d xi: the table's sum
+    beyond the point's panel plus its own rule over the rest, so no point depends on another."""
     tab = _case5_table(law.r, law.s)
     edges = tab.edges
     x = np.clip(xi, edges[0], edges[-1])  # beyond the ends the far-side mass is below the smallest double
@@ -382,7 +395,8 @@ def _case5_xi_side(law: PearsonLaw, xi: np.ndarray, upper: bool) -> np.ndarray:
 
 
 def _case5_side(law: PearsonLaw, zs, upper: bool):
-    xi = np.arcsinh((np.ravel(zs) + law.mu) / law.delta)
+    with np.errstate(over="ignore"):  # xi = +-inf beyond the doubles is right
+        xi = np.arcsinh((np.ravel(zs) + law.mu) / law.delta)
     return _case5_xi_side(law, xi, upper).reshape(np.shape(zs))
 
 
@@ -437,7 +451,7 @@ def q_function(coeffs: PearsonCoefficients, x):
 def log_density(law: PearsonLaw, x):
     """ln rho(x); -inf outside the closed support, the continuous limit at a, b."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val = _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
     return float(val) if val.ndim == 0 else val
 
@@ -457,13 +471,11 @@ def flux(law: PearsonLaw, x) -> np.ndarray:
 
 
 def tail(law: PearsonLaw, z) -> float:
-    """Survival probability P[Z > z], the same value as ``tail_grid`` gives at z.
+    """Survival probability P[Z > z], the value ``tail_grid`` gives at z.
 
-    Normal, Gamma, Beta and the inverse-gamma type read scipy.special's
-    regularized functions, Beta from the nearer end.  Case 5 reads its cached
-    xi-panel table (``_case5_table``): within 1e-12 relative of mpmath for
-    z + mu up to 1e6 delta (tests/test_oracles.py), and 0 where the tail is
-    below the smallest double.
+    Cases 1-4 read scipy.special (Beta from the nearer end); case 5 its xi-panel
+    table, within 1e-12 relative of mpmath for z + mu up to 1e6 delta
+    (tests/test_oracles.py).  A tail below the smallest double is 0.
     """
     return float(_side(law, np.asarray(float(z)), upper=True))
 
@@ -690,40 +702,39 @@ _INVERSES = {
 # quantiles and sampling
 
 
-def _quantile_start(law: PearsonLaw, p: float) -> float:
-    """A start for the quantile: the closed-form inverse, or for case 5 the table's interpolation."""
-    t = np.array([math.log(p) - math.log1p(-p)])
-    with np.errstate(all="ignore"):
-        if law.case is CaseTag.NORMAL:
-            return law.s * math.sqrt(2.0) * float(_sp.erfcinv(2.0 * p))
-        if law.case is CaseTag.NO_REAL_ROOTS:
-            return law.delta * float(np.sinh(_case5_start(law, t)[0])) - law.mu
-        form, sign = _INVERSES[law.case], -1.0 if law.mirrored else 1.0
-        return sign * float(form.to_z(law, form.nodes(law, sign * t))[0])
-
-
 def quantile(law: PearsonLaw, p: float) -> float:
-    """z with tail(z) = p, for every 0 < p < 1.
+    """z with tail(z) = p, for every 0 < p < 1 (docs/DECISIONS.md, decision 8).
 
-    Newton steps on the exact tail, safeguarded by bisection
-    (``quadrature.solve_monotone``).  They start from the inverse forms the
-    sampler's table is built from, without building the table: erfcinv for
-    Normal, the closed-form inverses for Gamma, Beta and the inverse-gamma
-    type, and for case 5 the logit interpolated between the xi-panel ends.
-    The bracket is the support, cut by Cantelli's inequality
-    P[Z > z] <= var/(var + z^2) to [-sd sqrt(p/(1-p)), sd sqrt((1-p)/p)], so p
-    down to the smallest positive double is served too.
+    Newton steps on the log of the tail, or of the cdf for p > 1/2, guarded
+    by bisection (``quadrature.solve_monotone``), inside the support cut by
+    Cantelli's inequality P[Z > z] <= var/(var + z^2).  They start from the
+    inverses the sampler's table is built from, without building the table:
+    erfcinv, the closed forms of cases 2-4, and case 5's panel-end logits.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbabilityError(f"quantile requires 0 < p < 1, got {p}")
     sd = math.sqrt(law.variance)
     a = max(law.support_a, -sd * math.sqrt(p) / math.sqrt(1.0 - p))
     b = min(law.support_b, sd * math.sqrt(1.0 - p) / math.sqrt(p))
-    x0 = _quantile_start(law, p)
+    t = np.array([math.log(p) - math.log1p(-p)])
+    with np.errstate(all="ignore"):
+        if law.case is CaseTag.NORMAL:
+            x0 = law.s * math.sqrt(2.0) * float(_sp.erfcinv(2.0 * p))
+        elif law.case is CaseTag.NO_REAL_ROOTS:
+            x0 = law.delta * float(np.sinh(_case5_start(law, t)[0])) - law.mu
+        else:
+            form, sign = _INVERSES[law.case], -1.0 if law.mirrored else 1.0
+            x0 = sign * float(form.to_z(law, form.nodes(law, sign * t))[0])
+    upper = p <= 0.5  # solve on the smaller side, 1 - p being exact for p >= 1/2
+    sign, target = (1.0, math.log(p)) if upper else (-1.0, math.log1p(-p))
+
+    def log_side(z):  # ln P[Z > z] - ln p, or ln(1 - p) - ln P[Z <= z]; both fall as z grows
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_side = np.log(_side(law, z, upper))
+            return sign * (ln_side - target), -np.exp(log_density(law, z) - ln_side)
+
     x0 = [min(max(x0, a), b)] if math.isfinite(x0) else None
-    root = quadrature.solve_monotone(lambda z: (_side(law, z, upper=True) - p, -density(law, z)),
-                                     [a], [b], False, x0, xtol=1e-14)
-    return float(root[0])
+    return float(quadrature.solve_monotone(log_side, [a], [b], False, x0, xtol=1e-14)[0])
 
 
 def quantile_grid(law: PearsonLaw, p) -> np.ndarray:

@@ -16,7 +16,7 @@ from .errors import DomainError
 
 # 16-node Gauss-Legendre rule on [-1, 1]; exact through degree 31 per panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANEL_CHUNK = 4096
+_PANEL_CHUNK = 2048
 _MAX_STEPS = 400  # bisection alone spans the doubles in about 2 x (10 + 53) steps
 _RTOL = 4.0 * np.finfo(float).eps
 
@@ -40,13 +40,8 @@ def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.nda
 
 
 def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection point of each bracket.
-
-    Where the ends' magnitudes, counted as at least 1, differ by more than a
-    factor 4, it is their geometric mean, or 0 if they differ in sign: a
-    bracket as wide as the doubles then closes in about 2 x (10 + 53) steps.
-    Otherwise it is the midpoint.
-    """
+    """Bisection points: where the ends' magnitudes, counted as at least 1, differ by more than 4x,
+    their geometric mean (0 across a sign change), so the doubles' whole range closes in ~128 steps."""
     a, b = np.maximum(np.abs(lo), 1.0), np.maximum(np.abs(hi), 1.0)
     geo = np.where((lo >= 0.0) | (hi <= 0.0), np.sign(lo + hi) * np.sqrt(a) * np.sqrt(b), 0.0)
     return np.where(np.maximum(a, b) > 4.0 * np.minimum(a, b), geo, 0.5 * lo + 0.5 * hi)
@@ -61,9 +56,10 @@ def solve_monotone(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lo,
     Each step is Newton's where it stays inside the current bracket and is at
     most half the step before last, and a bisection otherwise (rtsafe,
     Numerical Recipes 9.4); the sign of f at each iterate shrinks the bracket.
-    A problem stops after a Newton step of at most tol = xtol + 4 eps |x|
-    (xtol > 0), or at a bisection of a bracket no wider than 2 tol.  x0 are
-    optional starting points inside the brackets.
+    A problem stops after a Newton step of at most xtol + 4 eps |x|, or when
+    bisection can no longer split its bracket: the root is then within one
+    double, however steep f is there.  x0 are optional starting points inside
+    the brackets.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     sign = np.where(increasing, 1.0, -1.0)
@@ -79,14 +75,11 @@ def solve_monotone(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lo,
             dx = val / slope
             x_new = x - dx
             newton = (x_new >= lo) & (x_new <= hi) & (np.abs(dx) <= 0.5 * step_old) & np.isfinite(slope)
-            if newton.all():
-                left = np.abs(dx)
-            else:
+            if not newton.all():
                 x_new = np.where(newton, x_new, _split(lo, hi))
-                left = np.where(newton, np.abs(dx), 0.5 * (hi - lo))  # what this step leaves unresolved
             step_old, step = step, np.abs(x_new - x)
             x = np.where(active, x_new, x)
-            active &= left > xtol + _RTOL * np.abs(x)
+            active &= np.where(newton, np.abs(dx) > xtol + _RTOL * np.abs(x), step > 0.0)
             if not active.any():
                 return x
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")

@@ -106,6 +106,18 @@ def test_case5_tail_cdf_and_constant_against_mpmath(coeffs, zs):
             assert _rel(t, want_tail) <= REL and _rel(c, want_cdf) <= REL, (z, t, c)
 
 
+def test_case5_strongly_skewed_tail_and_cdf_against_mpmath():
+    # s = mu / (alpha delta) = -3.4e6: ln f is evaluated relative to its peak, where
+    # (1 - 2r) ln cosh(xi) and s gd(xi), each about 1e7, cancel to O(1)
+    law = build_law(PearsonCoefficients(8.5e-6, -1.8, 95409.7))
+    with mp.workdps(30):
+        _, sides = _case5_oracle(law.coeffs)
+        for z in (-927.0, -309.0, 0.0, 309.0, 927.0):  # 0 and +-1, +-3 sd
+            want_tail, want_cdf = sides(z)
+            t, c = pearson.tail(law, z), pearson.cdf(law, z)
+            assert _rel(t, want_tail) <= REL and _rel(c, want_cdf) <= REL, (z, t, c)
+
+
 def test_case5_tiny_alpha_leaves_the_normal_limit_linearly():
     # (alpha, 0, 1) tends to the Normal of variance 1/(1 - alpha); its tail's
     # relative distance from that Normal is first order in alpha
