@@ -69,7 +69,8 @@ def hermite_eval(n: int, x):
 
 
 def _phi(x):
-    return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
+    with np.errstate(over="ignore"):  # n^2 = inf beyond 1e154, where phi is 0 anyway
+        return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
 
 
 def _gauss_interval_prob(u: float, v: float) -> float:
@@ -131,9 +132,6 @@ class PolynomialInN:
     def derivative(self) -> "PolynomialInN":
         return PolynomialInN.from_array(npoly.polyder(np.asarray(self.coeffs)))
 
-    def real_roots(self) -> np.ndarray:
-        return _real_roots(np.asarray(self.coeffs))
-
     def __str__(self) -> str:
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -151,6 +149,13 @@ class PolynomialInN:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
+def _log2_root_bound(c) -> float:
+    """log2 max_k |c_(d-k) / c_d|^(1/k), in logs so no ratio overflows; the roots of sum c_k N^k lie within twice it."""
+    d = len(c) - 1
+    return max(((math.log2(abs(c[d - k])) - math.log2(abs(c[d]))) / k for k in range(1, d + 1) if c[d - k]),
+               default=-math.inf)
+
+
 def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     """Real roots of a monomial-coefficient polynomial, Newton-polished.
 
@@ -163,7 +168,13 @@ def _real_roots(coeffs: np.ndarray) -> np.ndarray:
     c = coeffs[: nz[-1] + 1]
     if len(c) <= 1:
         return np.array([])
-    roots = npoly.polyroots(c)
+    # polyroots' companion matrix holds c_k / c_d, below 2^(d b) for the root bound 2^(b+1): past 2^512 it
+    # is built for t = N / 2^e instead, from coefficients rescaled by powers of two (exact)
+    d, b = len(c) - 1, _log2_root_bound(c)
+    e = math.floor(b) if d * b > 512.0 else 0
+    if e > 1000:
+        raise DomainError("polynomial roots reach beyond the doubles")
+    roots = npoly.polyroots(np.ldexp(c, (np.arange(d + 1) - d) * e - math.frexp(c[d])[1])) * 2.0 ** e
     real = roots[np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots.real))].real
     if real.size == 0:
         return real
@@ -232,12 +243,8 @@ def _exact_monomials(herm) -> list[Fraction]:
     return out
 
 
-@functools.lru_cache(maxsize=32)
 def malliavin_G(x_series: HermiteSeries) -> PolynomialInN:
-    """G(N) = X'(N) * sum_m c_m H_{m-1}(N) in monomial form, each coefficient rounded once from its exact value.
-
-    Cached per series like ``law_of_polynomial``: g_from_conditional asks for it on every call.
-    """
+    """G(N) = X'(N) * sum_m c_m H_{m-1}(N) in monomial form, each coefficient rounded once from its exact value."""
     c = x_series.coeffs
     deriv = _exact_monomials([k * Fraction(c[k]) for k in range(1, len(c))])  # sum n c_n H_{n-1}
     shift = _exact_monomials(c[1:])  # sum c_m H_{m-1}: the -DL^{-1} factor
@@ -286,8 +293,8 @@ class PolynomialChaosLaw:
         cross = [k for k, (_, _, u, v) in enumerate(rows) if min(u, v) < x < max(u, v)]
         roots = {}
         if cross:
-            c, d = self.poly.coeffs, self.poly.degree
-            r = 2.0 * max(abs((c[d - k] - (x if k == d else 0.0)) / c[d]) ** (1.0 / k) for k in range(1, d + 1))
+            log2_r = 1.0 + _log2_root_bound((self.poly.coeffs[0] - x, *self.poly.coeffs[1:]))
+            r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
             lo, hi, u, v = (np.array(col) for col in zip(*(rows[k] for k in cross)))
             ns = quadrature.solve_monotone(lambda n: (self.poly(n) - x, self.dpoly(n)),
                                            np.maximum(lo, -r), np.minimum(hi, r), v > u, xtol=1e-13)
@@ -332,7 +339,7 @@ def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
     if poly.degree < 1:
         raise DomainError("polynomial variable must be nonconstant")
     dpoly = poly.derivative()
-    crit = tuple(float(t) for t in dpoly.real_roots())
+    crit = tuple(float(t) for t in _real_roots(np.asarray(dpoly.coeffs)))
     values = (_poly_limit(poly.coeffs, -math.inf), *(poly(t) for t in crit), _poly_limit(poly.coeffs, math.inf))
     return PolynomialChaosLaw(x_series, poly, dpoly, crit, values, min(values), max(values))
 

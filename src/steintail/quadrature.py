@@ -59,9 +59,11 @@ def solve_monotone(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lo,
     A problem stops after a Newton step of at most xtol + 4 eps |x|, or when
     bisection can no longer split its bracket: the root is then within one
     double, however steep f is there.  x0 are optional starting points inside
-    the brackets.
+    the brackets.  A bracket end that is not finite raises DomainError.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DomainError("bracketed solve needs finite brackets")
     sign = np.where(increasing, 1.0, -1.0)
     x = _split(lo, hi) if x0 is None else np.array(x0, dtype=float)
     step_old = step = hi - lo

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from steintail import pearson, rng
+from steintail import pearson, quadrature, rng
 from steintail.chaos import (
     HermiteSeries,
     PolynomialInN,
@@ -102,6 +102,26 @@ def test_G_and_X_keep_a_tiny_leading_coefficient():
     assert x.to_polynomial().coeffs == (0.0, float(1 - 3 * c), 0.0, 1e-20)
     want = (1 - 4 * c + 3 * c * c, 0, 4 * c - 6 * c * c, 0, 3 * c * c)
     assert malliavin_G(x).coeffs == tuple(float(v) for v in want)
+
+
+def test_law_keeps_a_subnormal_leading_coefficient():
+    # X = H1 + 1e-310 H3 and X = H1 + 1e-300 H2: the ratios c_1 / c_d are no doubles, so the
+    # critical points come from rescaled coefficients and the root bound is taken in logs;
+    # where phi is not 0, X is N to within 1e-250
+    for series, crit in [((0.0, 1.0, 0.0, 1e-310), ()), ((0.0, 1.0, 1e-300), (-5e299,))]:
+        x = HermiteSeries(series)
+        law = law_of_polynomial(x)
+        assert law.crit_points == pytest.approx(crit, rel=1e-14)
+        for z in (-2.0, 1.0, 5.0):
+            assert law.tail(z) == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-14), (series, z)
+            assert law.density(z) == pytest.approx(PHI(z), rel=1e-14), (series, z)
+            assert g_function(x, z) == pytest.approx(1.0, rel=1e-12), (series, z)
+            assert g_from_conditional(x, z) == pytest.approx(1.0, rel=1e-14), (series, z)
+
+
+def test_bracketed_solve_needs_finite_brackets():
+    with pytest.raises(DomainError):
+        quadrature.solve_monotone(lambda n: (n, np.ones_like(n)), [-math.inf], [1.0], True, xtol=1e-13)
 
 
 def test_G_degree_invariant():
