@@ -2,13 +2,14 @@
 bounds, exact Malliavin G on one-dimensional Wiener chaos, and tail-comparison
 certificates, with a Monte-Carlo/quadrature verification harness on top."""
 
+__version__ = "0.1.0"
+
 from .bounds import (
     asymptotic_tail_constant,
     implicit_lower_bound,
     pearson_lower,
     pearson_upper_constant,
     phi_envelope,
-    tail_sandwich,
     variance_bound_check,
 )
 from .chaos import (
@@ -36,8 +37,6 @@ from .stein import (
     IndicatorSteinSolution,
     certify_fprime,
     check_residual,
-    f_eval,
-    fprime_eval,
     solve_indicator,
 )
 from .verify import (
@@ -61,8 +60,6 @@ __all__ = [
     "moment",
     "IndicatorSteinSolution",
     "solve_indicator",
-    "f_eval",
-    "fprime_eval",
     "check_residual",
     "certify_fprime",
     "TailReport",
@@ -71,7 +68,6 @@ __all__ = [
     "pearson_lower",
     "pearson_upper_constant",
     "asymptotic_tail_constant",
-    "tail_sandwich",
     "variance_bound_check",
     "HermiteSeries",
     "PolynomialInN",

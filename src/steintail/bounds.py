@@ -10,9 +10,11 @@ Three layers of machinery:
   with the integral exact from X's partial moments (Fubini, no quadrature),
   its explicit closure ((c-2) q(z)) / ((c-2) q(z) + 2 z^2) * Phi(z), and the
   admissible multiplier infimum (1-alpha)/(1-2*alpha) for upper bounds;
-* asymptotic constants: the limit K of the normalized flux z^kappa e^(z/s)
-  g(z) rho(z), which sandwiches z-power-normalized tails in
-  [K (1-2 alpha)/(1-alpha), K] (exact squeeze in the linear-kernel case).
+* asymptotic constants: the limit K of the normalized flux
+  z^(-p) e^(z/scale) g(z) rho(z), read from the law's right-tail form
+  g rho ~ K z^p e^(-z/scale) (``pearson.tail_asymptotics``), which sandwiches
+  z-power-normalized tails in [K (1-2 alpha)/(1-alpha), K] (exact squeeze in
+  the linear-kernel case).
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ import math
 from enum import Enum
 
 from . import pearson
-from .errors import (
-    DomainError,
-    InvalidConstantError,
-    ThirdMomentError,
-    UnsupportedCaseError,
-)
-from .pearson import CaseTag, PearsonCoefficients, PearsonLaw, q_function, stein_kernel
+from .errors import DomainError, InvalidConstantError, ThirdMomentError
+from .pearson import PearsonCoefficients, PearsonLaw, q_function, stein_kernel
 
 __all__ = [
     "Direction",
@@ -38,7 +35,6 @@ __all__ = [
     "pearson_upper_constant",
     "asymptotic_tail_constant",
     "normalized_tail",
-    "tail_sandwich",
     "variance_bound_check",
     "regime_threshold",
 ]
@@ -63,21 +59,9 @@ def phi_envelope(law: PearsonLaw, x: float) -> tuple[float, float]:
     flux = float(pearson.flux(law, x))
     q = float(q_function(c, x))
     g_prime = 2.0 * c.alpha * x + c.beta
-    if x >= 0.0:
-        lower = max(x - g_prime, 0.0) / q * flux
-        upper = flux / x if x > 0.0 else 1.0
-    else:
-        lower = max(g_prime - x, 0.0) / q * flux
-        upper = flux / (-x)
-    return lower, min(upper, 1.0)
-
-
-def tail_sandwich(law: PearsonLaw, z: float) -> tuple[float, float]:
-    """Finite-z certified bracket (lo, hi) with lo <= P[Z > z] <= hi, z > 0."""
-    if not z > 0.0:
-        raise DomainError(f"tail_sandwich requires z > 0, got {z}")
-    lower, upper = phi_envelope(law, z)
-    return max(lower, 0.0), upper
+    gap = x - g_prime if x >= 0.0 else g_prime - x  # the mirrored pair for x < 0
+    upper = flux / abs(x) if x != 0.0 else 1.0
+    return max(gap, 0.0) / q * flux, min(upper, 1.0)
 
 
 def implicit_integral(x_moments, z: float, b: float) -> float:
@@ -131,29 +115,24 @@ def pearson_upper_constant(alpha: float) -> float:
 def asymptotic_tail_constant(law: PearsonLaw) -> tuple[float, float]:
     """Closed-form limit K of the normalized flux and the sandwich lower factor.
 
-    Defined for laws with b = +inf.  Linear kernel: K = C s e^(-mu/s) with an
-    exact squeeze (lower factor 1).  Quadratic kernels: K = C alpha (times
-    e^(s pi / 2) when the kernel has no real roots) and the normalized tail
-    z^(1+1/alpha) P[Z > z] ends up in [K (1-2 alpha)/(1-alpha), K].
+    Defined for laws whose flux has the right tail g rho ~ K z^p e^(-z/scale)
+    (``pearson.tail_asymptotics``); K is formed from ln K.  An exponential
+    tail (the linear kernel) squeezes exactly (lower factor 1).  Quadratic
+    kernels: the normalized tail z^(1+1/alpha) P[Z > z] ends up in
+    [K (1-2 alpha)/(1-alpha), K].  A K beyond the doubles raises
+    ``DomainError``.
     """
-    if law.support_b != math.inf:
-        raise UnsupportedCaseError(f"asymptotic constant needs b = +inf, got case {law.case.value}"
-                                   + (" (mirrored)" if law.mirrored else ""))
+    log_k, _, scale = pearson.tail_asymptotics(law)
+    try:
+        k = math.exp(log_k)
+    except OverflowError:
+        raise DomainError(f"asymptotic constant K = exp({log_k:.6g}) is beyond the doubles") from None
     al = law.coeffs.alpha
-    c_norm = math.exp(law.log_norm_const)
-    if law.case is CaseTag.GAMMA:
-        return c_norm * law.s * math.exp(-law.mu / law.s), 1.0
-    if law.case is CaseTag.INVERSE_GAMMA_TYPE:
-        k = c_norm * al
-    elif law.case is CaseTag.NO_REAL_ROOTS:
-        k = c_norm * al * math.exp(law.s * math.pi / 2.0)
-    else:
-        raise UnsupportedCaseError(f"no asymptotic constant for case {law.case.value}")
-    return k, max((1.0 - 2.0 * al) / (1.0 - al), 0.0)
+    return k, 1.0 if math.isfinite(scale) else max((1.0 - 2.0 * al) / (1.0 - al), 0.0)
 
 
 def normalized_tail(law: PearsonLaw, z: float) -> float:
-    """Tail rescaled so that it converges into [K * lower_factor, K].
+    """Tail rescaled so that it converges into [K * lower_factor, K]: z times the flux normalizer.
 
     Linear kernel: z^(1-r) e^(z/s) P[Z > z] -> K exactly (note the exponent
     1 - r = 1 - mu/s; the growth normalizer must cancel the z^(r-1) factor of
@@ -162,22 +141,16 @@ def normalized_tail(law: PearsonLaw, z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"normalized_tail requires z > 0, got {z}")
     lt = pearson.log_tail(law, z)
-    if law.case is CaseTag.GAMMA and not law.mirrored:
-        return math.exp(lt + z / law.s + (1.0 - law.r) * math.log(z))
-    if law.case in (CaseTag.INVERSE_GAMMA_TYPE, CaseTag.NO_REAL_ROOTS) and not law.mirrored:
-        return math.exp(lt + (1.0 + 1.0 / law.coeffs.alpha) * math.log(z))
-    raise UnsupportedCaseError(f"no tail normalization for case {law.case.value}")
+    _, p, scale = pearson.tail_asymptotics(law)
+    return math.exp(lt + z / scale + (1.0 - p) * math.log(z))
 
 
 def log_normalized_flux(law: PearsonLaw, z: float) -> float:
-    """log of the flux normalizer whose limit is ln K; numeric-limit oracle hook."""
+    """ln(z^(-p) e^(z/scale) g(z) rho(z)), whose limit is ln K; numeric-limit oracle hook."""
     lg = math.log(float(stein_kernel(law.coeffs, z)))
     lr = float(pearson.log_density(law, z))
-    if law.case is CaseTag.GAMMA and not law.mirrored:
-        return lg + lr + z / law.s - law.r * math.log(z)
-    if law.case in (CaseTag.INVERSE_GAMMA_TYPE, CaseTag.NO_REAL_ROOTS) and not law.mirrored:
-        return lg + lr + math.log(z) / law.coeffs.alpha
-    raise UnsupportedCaseError(f"no flux normalization for case {law.case.value}")
+    _, p, scale = pearson.tail_asymptotics(law)
+    return lg + lr + z / scale - p * math.log(z)
 
 
 def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float,

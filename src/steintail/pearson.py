@@ -19,16 +19,17 @@ parameters, and evaluates densities, tails, quantiles, moments, and the
 companion function q(z) = (1-alpha)z**2 + gamma that controls every derivative
 bound downstream.
 
-All evaluation goes through one table, ``_CASES``: per case, vectorized
-closed forms on the canonical beta >= 0 form for the log-density, the tail and
-the cdf (case 5 reads one cached table of Gauss-Legendre panels, which also
-gives its normalization).  Laws with beta < 0 in the half-line cases are
+Everything that depends on the case is one row of one table, ``_CASES``
+(docs/DECISIONS.md, decision 9): the support, the canonical parameters and
+log C, the vectorized log-density and tail/cdf on the canonical beta >= 0
+form (case 5 reads one cached table of Gauss-Legendre panels, which also
+gives its normalization), the quantile start and the sampler's inverse, and
+the right-tail asymptotics.  Laws with beta < 0 in the half-line cases are
 reflections of the canonical form and carry ``mirrored=True``; they are
 evaluated at -x with the tail and the cdf swapped.  The scalar ``tail``/``cdf``
 are the grid functions on a 0-d input.  The sampler inverts the tail through
-one cached cubic-Hermite table per non-Normal law, built from the per-case
-forms in ``_INVERSES``; ``quantile`` polishes those forms' start with Newton
-steps on the exact tail.
+one cached cubic-Hermite table per non-Normal law; ``quantile`` polishes the
+row's start with Newton steps on the exact tail.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .errors import (
     InvalidProbabilityError,
     InverseTableError,
     MomentDoesNotExistError,
+    UnsupportedCaseError,
 )
 
 __all__ = [
@@ -68,6 +70,7 @@ __all__ = [
     "partial_moments",
     "tail_grid",
     "log_tail",
+    "tail_asymptotics",
     "cdf",
     "cdf_grid",
     "quantile",
@@ -84,6 +87,7 @@ __all__ = [
 TAU_CLS = 1e-12
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TINY = np.finfo(float).tiny  # below it a double is subnormal and holds few digits
 
 
 class CaseTag(str, Enum):
@@ -140,21 +144,10 @@ def classify(coeffs: PearsonCoefficients) -> CaseTag:
 
 
 def support(coeffs: PearsonCoefficients) -> tuple[float, float]:
-    """Open interval (a, b) where the kernel is positive and contains 0."""
-    case = classify(coeffs)
-    al, be = coeffs.alpha, coeffs.beta
-    if case is CaseTag.NORMAL or case is CaseTag.NO_REAL_ROOTS:
-        return (-math.inf, math.inf)
-    if case is CaseTag.GAMMA:
-        root = -coeffs.gamma / be
-        return (root, math.inf) if be > 0 else (-math.inf, root)
-    if case is CaseTag.INVERSE_GAMMA_TYPE:
-        root = -be / (2.0 * al)
-        return (root, math.inf) if be > 0 else (-math.inf, root)
-    disc = math.sqrt(be * be - 4.0 * al * coeffs.gamma)
-    r1 = (-be - disc) / (2.0 * al)
-    r2 = (-be + disc) / (2.0 * al)
-    return (min(r1, r2), max(r1, r2))
+    """Open interval (a, b) where the kernel is positive and contains 0: between the real roots of g nearest 0."""
+    roots = _CASES[classify(coeffs)].roots(coeffs)
+    return (max((x for x in roots if x < 0.0), default=-math.inf),
+            min((x for x in roots if x > 0.0), default=math.inf))
 
 
 @dataclass(frozen=True)
@@ -185,63 +178,66 @@ class PearsonLaw:
 def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
     """Recover canonical parameters and the log normalization constant."""
     case = classify(coeffs)
-    al, be, ga = coeffs.alpha, coeffs.beta, coeffs.gamma
     a, b = support(coeffs)
-
-    if case is CaseTag.NORMAL:
-        sigma = math.sqrt(ga)
-        return PearsonLaw(coeffs, case, None, sigma, 0.0, None, a, b,
-                          -0.5 * _LOG_2PI - math.log(sigma))
-
-    mirrored = be < 0.0 and case in (CaseTag.GAMMA, CaseTag.INVERSE_GAMMA_TYPE)
-    bc = abs(be) if mirrored else be
-
-    if case is CaseTag.GAMMA:
-        s = bc
-        mu = ga / bc
-        r = ga / (bc * bc)
-        log_c = -r * math.log(s) - _sp.gammaln(r)
-        return PearsonLaw(coeffs, case, r, s, mu, None, a, b, log_c, mirrored)
-
-    if case is CaseTag.BETA:
-        w = b - a
-        r = a / (al * w)
-        s = -b / (al * w)
-        # exact consequence of the recovery; guards against root-order slips
-        assert r > 0 and s > 0 and abs(w * r / (r + s) + a) <= 1e-9 * max(1.0, w)
-        log_beta_fn = _sp.gammaln(r) + _sp.gammaln(s) - _sp.gammaln(r + s)
-        log_c = -log_beta_fn - (r + s - 1.0) * math.log(w)
-        return PearsonLaw(coeffs, case, r, s, None, None, a, b, log_c)
-
-    if case is CaseTag.INVERSE_GAMMA_TYPE:
-        mu = bc / (2.0 * al)
-        r = 2.0 + 1.0 / al
-        s = mu / al
-        if not s > 0.0:
-            raise InvalidCoefficientsError("degenerate inverse-gamma-type law (s = 0)")
-        log_c = (r - 1.0) * math.log(s) - _sp.gammaln(r - 1.0)
-        return PearsonLaw(coeffs, case, r, s, mu, None, a, b, log_c, mirrored)
-
-    # NoRealRoots: kernel alpha*((z+mu)^2 + delta^2)
-    mu = be / (2.0 * al)
-    delta = math.sqrt(4.0 * al * ga - be * be) / (2.0 * al)
-    r = 1.0 + 1.0 / (2.0 * al)
-    s = mu / (al * delta)
-    # rho(z) dz = C delta^(1 - 2r) f(xi) dxi, with f the table's xi-density
-    tab = _case5_table(r, s)
-    log_c = -((1.0 - 2.0 * r) * math.log(delta) + tab.log_peak + tab.log_mass)
-    return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, log_c)
+    mirrored = a == -math.inf and b < math.inf  # a left half-line reflects the canonical right one
+    canonical = PearsonCoefficients(coeffs.alpha, -coeffs.beta, coeffs.gamma) if mirrored else coeffs
+    r, s, mu, delta, log_c = _CASES[case].params(canonical, a, b)
+    return PearsonLaw(coeffs, case, r, s, mu, delta, a, b, log_c, mirrored)
 
 
 # ---------------------------------------------------------------------------
-# the case table: vectorized forms on the canonical (beta >= 0) form, for
-# points z of any shape, 0-d included; mirroring is applied in `_side` and in
-# the sampler's inverse table
+# the per-case forms that `_CASES` collects: roots of g, canonical parameters,
+# and vectorized forms on the canonical (beta >= 0) form, for points z of any
+# shape, 0-d included; mirroring is applied in `_side` and in the sampler
 
 
-class _Forms(NamedTuple):
-    log_pdf: Callable  # (law, z) -> ln rho
-    side: Callable     # (law, z, upper) -> P[Z > z] if upper else P[Z <= z]
+def _beta_roots(coeffs: PearsonCoefficients) -> tuple[float, float]:
+    al, be = coeffs.alpha, coeffs.beta
+    disc = math.sqrt(be * be - 4.0 * al * coeffs.gamma)
+    return (-be - disc) / (2.0 * al), (-be + disc) / (2.0 * al)
+
+
+def _gamma_params(c: PearsonCoefficients, a: float, b: float):
+    r = c.gamma / (c.beta * c.beta)
+    return r, c.beta, c.gamma / c.beta, None, -r * math.log(c.beta) - _sp.gammaln(r)
+
+
+def _beta_params(c: PearsonCoefficients, a: float, b: float):
+    w = b - a
+    r = a / (c.alpha * w)
+    s = -b / (c.alpha * w)
+    # exact consequence of the recovery; guards against root-order slips
+    assert r > 0 and s > 0 and abs(w * r / (r + s) + a) <= 1e-9 * max(1.0, w)
+    log_beta_fn = _sp.gammaln(r) + _sp.gammaln(s) - _sp.gammaln(r + s)
+    return r, s, None, None, -log_beta_fn - (r + s - 1.0) * math.log(w)
+
+
+def _invgamma_params(c: PearsonCoefficients, a: float, b: float):
+    mu = c.beta / (2.0 * c.alpha)
+    r = 2.0 + 1.0 / c.alpha
+    s = mu / c.alpha
+    if not s > 0.0:
+        raise InvalidCoefficientsError("degenerate inverse-gamma-type law (s = 0)")
+    return r, s, mu, None, (r - 1.0) * math.log(s) - _sp.gammaln(r - 1.0)
+
+
+def _case5_params(c: PearsonCoefficients, a: float, b: float):
+    # kernel alpha*((z+mu)^2 + delta^2)
+    mu = c.beta / (2.0 * c.alpha)
+    delta = math.sqrt(4.0 * c.alpha * c.gamma - c.beta * c.beta) / (2.0 * c.alpha)
+    r = 1.0 + 1.0 / (2.0 * c.alpha)
+    s = mu / (c.alpha * delta)
+    # rho(z) dz = C delta^(1 - 2r) f(xi) dxi, with f the table's xi-density
+    tab = _case5_table(r, s)
+    return r, s, mu, delta, -((1.0 - 2.0 * r) * math.log(delta) + tab.log_peak + tab.log_mass)
+
+
+def _normal_side(law: PearsonLaw, z, upper: bool):
+    u = z if upper else -z
+    out = 0.5 * _sp.erfc(u / (law.s * math.sqrt(2.0)))
+    if not out.all():  # erfc flushes to 0 below about 1e-309; log_ndtr keeps the subnormals
+        out = np.where(out == 0.0, np.exp(_sp.log_ndtr(-u / law.s)), out)
+    return out
 
 
 def _gamma_log_pdf(law: PearsonLaw, z):
@@ -252,6 +248,15 @@ def _gamma_log_pdf(law: PearsonLaw, z):
     if law.r < 1.0:  # endpoint pole: continuous limit is +inf
         out = np.where(u == 0.0, np.inf, out)
     return out
+
+
+def _gamma_log_tail(law: PearsonLaw, z: float) -> float:
+    t = tail(law, z)
+    if t > 0.0:
+        return math.log(t)
+    # Q(r, x) ~ x^(r-1) e^(-x)/Gamma(r) for large x
+    x = (z + law.mu) / law.s
+    return (law.r - 1.0) * math.log(x) - x - float(_sp.gammaln(law.r))
 
 
 def _beta_log_pdf(law: PearsonLaw, z):
@@ -400,17 +405,216 @@ def _case5_side(law: PearsonLaw, zs, upper: bool):
     return _case5_xi_side(law, xi, upper).reshape(np.shape(zs))
 
 
+# ---------------------------------------------------------------------------
+# the sampler's inverse table: every non-Normal law samples through one cubic
+# Hermite table of y(t), with t the logit of the tail probability of the
+# canonical law and y an end-free coordinate of it: ln(z + mu) on a half-line
+# (taken from the canonical variable, never from x, so a density pole at the
+# end loses nothing), the logit of the position in the interval for Beta, and
+# z itself in case 5.  Nodes are exact inverses, and the slopes are exact too:
+# dy/dt = -u(1-u)/rho_y(y), with rho_y the density of y.
+
+_TABLE_NODES = 8193
+_T_MAX = math.log(2.0**53 - 1.0)  # logit(1 - 2^-53); the nodes span [-_T_MAX, _T_MAX]
+_H = 2.0 * _T_MAX / (_TABLE_NODES - 1)
+_TABLE_TOL = 1e-10  # bound on |logit p' - logit p|, node error plus interpolation error
+_NEWTON_TOL = 0.5 * _TABLE_TOL  # case 5's node error; closed-form nodes are exact to rounding
+_NEWTON_STEPS = 8
+_CHUNK = 1 << 14  # 128 KB temporaries: small enough for the allocator to reuse, per thread
+
+
+def _logit(u: np.ndarray) -> np.ndarray:
+    """ln(u / (1 - u)); 1 - u is exact for u >= 1/2, so the upper tail keeps its digits."""
+    t = 1.0 - u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(u, t, out=t)
+        return np.log(t, out=t)
+
+
+def _hermite(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The table at the points t, in Horner form; t is overwritten."""
+    t += _T_MAX
+    t *= 1.0 / _H
+    k = t.astype(np.intp)
+    np.minimum(k, coef.shape[1] - 1, out=k)
+    t -= k
+    c0, c1, c2, c3 = coef
+    y = c3[k]
+    y *= t
+    y += c2[k]
+    y *= t
+    y += c1[k]
+    y *= t
+    y += c0[k]
+    return y
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_table(law: PearsonLaw) -> np.ndarray:
+    """Horner coefficients, shape (4, nodes - 1), of y on each interval of t.
+
+    The cubic's error peaks mid-interval, so the table is checked against the
+    exact inverse at every midpoint, as an error in t.  Exact slopes inside
+    the Fritsch-Carlson region make every piece monotone.  A table that fails
+    either check raises ``InverseTableError``.
+    """
+    form = _CASES[law.case]
+    t = np.linspace(-_T_MAX, _T_MAX, 2 * _TABLE_NODES - 1)  # the nodes and the midpoints between them
+    with np.errstate(all="ignore"):
+        y = form.nodes(law, t)
+        # ln u(1-u) = -softplus(-t) - softplus(t)
+        slope = -np.exp(-np.logaddexp(0.0, -t) - np.logaddexp(0.0, t) - form.y_log_pdf(law, y))
+        y0, y1, m0, m1 = y[:-2:2], y[2::2], _H * slope[:-2:2], _H * slope[2::2]
+        coef = np.array([y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1])
+        err = float(np.max(np.abs(_hermite(coef, t[1::2].copy()) - y[1::2]) / -slope[1::2]))
+        a, b = m0 / (y1 - y0), m1 / (y1 - y0)
+        monotone = bool(np.all((a >= 0.0) & (b >= 0.0) & (a * a + b * b <= 9.0)))
+    bound = _TABLE_TOL - form.node_err
+    if not (err <= bound and monotone):  # NaN fails too
+        raise InverseTableError(f"inverse table for {law.coeffs} misses its bound: interpolation error "
+                                f"in logit {err:.3g} (bound {bound:.3g}), monotone pieces: {monotone}")
+    return coef
+
+
+def _two_sided(t: np.ndarray, upper: Callable, lower: Callable) -> np.ndarray:
+    """upper(p) at the tail p = expit(t) for t <= 0, lower(q) at the cdf q = expit(-t) for t > 0."""
+    up = t <= 0.0
+    p = _sp.expit(-np.abs(t))
+    y = np.empty_like(t)
+    y[up] = upper(p[up])
+    y[~up] = lower(p[~up])
+    return y
+
+
+def _log_small_inverse(x: np.ndarray, p: np.ndarray, a: float, log_k: float) -> np.ndarray:
+    """ln x for an inverse x of F(x) = p, where F(x) ~ x^a / k at 0.
+
+    Below 1e-250 the power law replaces the closed form, which underflows
+    there for small shapes; the next term of F is O(x) smaller.
+    """
+    return np.where(x > 1e-250, np.log(x), (np.log(p) + log_k) / a)
+
+
+def _gamma_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
+    r, log_k = law.r, _sp.gammaln(law.r + 1.0)  # P(r, x) ~ x^r / Gamma(r + 1)
+    return math.log(law.s) + _two_sided(
+        t, lambda p: _log_small_inverse(_sp.gammainccinv(r, p), 1.0 - p, r, log_k),
+        lambda q: _log_small_inverse(_sp.gammaincinv(r, q), q, r, log_k))
+
+
+def _beta_logit_inverse(p: np.ndarray, a: float, b: float) -> np.ndarray:
+    """logit x for I_x(a, b) = p; x and 1 - x each come from their own inverse."""
+    log_beta = _sp.betaln(a, b)  # I_x(a, b) ~ x^a / (a B(a, b))
+    return (_log_small_inverse(_sp.betaincinv(a, b, p), p, a, math.log(a) + log_beta)
+            - _log_small_inverse(_sp.betainccinv(b, a, p), 1.0 - p, b, math.log(b) + log_beta))
+
+
+def _beta_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
+    a, b = law.support_a, law.support_b
+    v = np.exp(-np.abs(y))
+    v /= 1.0 + v  # expit(-|y|): the position's distance to the nearer end, in units of b - a
+    v *= b - a
+    return np.where(y < 0.0, a + v, b - v)
+
+
+def _half_line_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
+    np.exp(y, out=y)
+    y -= law.mu
+    return y
+
+
+def _inverse_start(law: PearsonLaw, p: float) -> float:
+    """The closed-form inverse that the sampler's table interpolates, at the tail p."""
+    form, sign = _CASES[law.case], -1.0 if law.mirrored else 1.0
+    t = np.array([math.log(p) - math.log1p(-p)])
+    return sign * float(form.to_z(law, form.nodes(law, sign * t))[0])
+
+
+def _case5_xi_start(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
+    """xi at logit-tail t, interpolated in the logit at the panel ends of the case-5 table."""
+    tab = _case5_table(law.r, law.s)
+    with np.errstate(divide="ignore"):
+        logit = np.log(tab.upper) - np.log(tab.lower)
+    ok = np.isfinite(logit)
+    return np.interp(-t, -logit[ok], tab.edges[ok])  # logit falls as xi grows
+
+
+def _case5_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
+    """z at logit-tail t: Newton steps on logit P[Z > z] in xi = asinh((z + mu)/delta).
+
+    The start interpolates the logit at the panel ends of the case-5 table; in
+    xi the power tails make it nearly linear.
+    """
+    def logit_and_slope(xi):
+        s, c = _case5_xi_side(law, xi, True), _case5_xi_side(law, xi, False)
+        rho = np.exp(_case5_log_f(law.r, law.s, xi) - _case5_table(law.r, law.s).log_mass)
+        return np.log(s) - np.log(c), -rho / (s * c)
+
+    xi = _case5_xi_start(law, t)
+    for _ in range(_NEWTON_STEPS):
+        value, slope = logit_and_slope(xi)
+        err = np.max(np.abs(value - t))
+        if err <= _NEWTON_TOL:
+            return law.delta * np.sinh(xi) - law.mu
+        xi -= (value - t) / slope
+    raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
+
+
+class _Case(NamedTuple):
+    """One row of ``_CASES``: everything that depends on the case (docs/DECISIONS.md, decision 9)."""
+
+    roots: Callable    # coeffs -> the real roots of g; the support ends at the nearest ones around 0
+    params: Callable   # (canonical coeffs, a, b) -> (r, s, mu, delta, ln C)
+    log_pdf: Callable  # (law, z) -> ln rho, on the canonical form
+    side: Callable     # (law, z, upper) -> P[Z > z] if upper else P[Z <= z], on the canonical form
+    # the sampler's inverse table (docs/DECISIONS.md, decision 4); no nodes: `start` is the exact inverse
+    nodes: Optional[Callable] = None      # (law, t) -> y at logit-tail t, on the canonical form
+    y_log_pdf: Optional[Callable] = None  # (law, y) -> ln rho_y
+    to_z: Optional[Callable] = None       # (law, y) -> z, overwriting y where it can
+    node_err: float = 0.0                 # bound on the nodes' own error in logit
+    start: Callable = _inverse_start      # (law, p) -> z near the quantile at tail p, mirroring included
+    log_tail: Optional[Callable] = None    # (law, z) -> ln P[Z > z], canonical, past the tail's underflow
+    right_tail: Optional[Callable] = None  # law -> (ln K, p, scale) of the canonical form
+
+
 _CASES = {
-    CaseTag.NORMAL: _Forms(
-        lambda law, z: law.log_norm_const - z * z / (2.0 * law.coeffs.gamma),
-        lambda law, z, upper: 0.5 * _sp.erfc((z if upper else -z) / (law.s * math.sqrt(2.0)))),
-    CaseTag.GAMMA: _Forms(
-        _gamma_log_pdf,
-        lambda law, z, upper: (_sp.gammaincc if upper else _sp.gammainc)(
-            law.r, np.maximum(z + law.mu, 0.0) / law.s)),
-    CaseTag.BETA: _Forms(_beta_log_pdf, _beta_side),
-    CaseTag.INVERSE_GAMMA_TYPE: _Forms(_invgamma_log_pdf, _invgamma_side),
-    CaseTag.NO_REAL_ROOTS: _Forms(_case5_log_pdf, _case5_side),
+    CaseTag.NORMAL: _Case(
+        lambda c: (),
+        lambda c, a, b: (None, math.sqrt(c.gamma), 0.0, None, -0.5 * _LOG_2PI - math.log(math.sqrt(c.gamma))),
+        log_pdf=lambda law, z: law.log_norm_const - z * z / (2.0 * law.coeffs.gamma),
+        side=_normal_side,
+        start=lambda law, p: law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p),
+        log_tail=lambda law, z: float(_sp.log_ndtr(-z / law.s))),
+    CaseTag.GAMMA: _Case(
+        lambda c: (-c.gamma / c.beta,), _gamma_params, _gamma_log_pdf,
+        side=lambda law, z, upper: (_sp.gammaincc if upper else _sp.gammainc)(
+            law.r, np.maximum(z + law.mu, 0.0) / law.s),
+        nodes=_gamma_nodes, y_log_pdf=lambda law, y: law.log_norm_const + law.r * y - np.exp(y) / law.s,
+        to_z=_half_line_to_z,
+        log_tail=_gamma_log_tail,
+        right_tail=lambda law: (law.log_norm_const + math.log(law.s) - law.mu / law.s, law.r, law.s)),
+    CaseTag.BETA: _Case(
+        _beta_roots, _beta_params, _beta_log_pdf, _beta_side,
+        nodes=lambda law, t: _two_sided(t, lambda p: -_beta_logit_inverse(p, law.s, law.r),
+                                        lambda q: _beta_logit_inverse(q, law.r, law.s)),
+        y_log_pdf=lambda law, y: (-_sp.betaln(law.r, law.s) - law.r * np.logaddexp(0.0, -y)
+                                  - law.s * np.logaddexp(0.0, y)),
+        to_z=_beta_to_z),
+    CaseTag.INVERSE_GAMMA_TYPE: _Case(
+        lambda c: (-c.beta / (2.0 * c.alpha),), _invgamma_params, _invgamma_log_pdf, _invgamma_side,
+        nodes=lambda law, t: math.log(law.s) - np.log(_two_sided(
+            t, lambda p: _sp.gammaincinv(law.r - 1.0, p), lambda q: _sp.gammainccinv(law.r - 1.0, q))),
+        y_log_pdf=lambda law, y: law.log_norm_const + (1.0 - law.r) * y - law.s * np.exp(-y),
+        to_z=_half_line_to_z,
+        right_tail=lambda law: (law.log_norm_const + math.log(law.coeffs.alpha), -1.0 / law.coeffs.alpha, math.inf)),
+    CaseTag.NO_REAL_ROOTS: _Case(
+        lambda c: (), _case5_params, _case5_log_pdf, _case5_side,
+        nodes=_case5_nodes, y_log_pdf=_case5_log_pdf, to_z=lambda law, y: y, node_err=_NEWTON_TOL,
+        start=lambda law, p: law.delta * float(np.sinh(
+            _case5_xi_start(law, np.array([math.log(p) - math.log1p(-p)]))[0])) - law.mu,
+        # g rho ~ C alpha e^(s gd(inf)) z^(-1/alpha), gd(inf) = pi/2
+        right_tail=lambda law: (law.log_norm_const + math.log(law.coeffs.alpha) + law.s * math.pi / 2.0,
+                                -1.0 / law.coeffs.alpha, math.inf)),
 }
 
 
@@ -473,9 +677,10 @@ def flux(law: PearsonLaw, x) -> np.ndarray:
 def tail(law: PearsonLaw, z) -> float:
     """Survival probability P[Z > z], the value ``tail_grid`` gives at z.
 
-    Cases 1-4 read scipy.special (Beta from the nearer end); case 5 its xi-panel
-    table, within 1e-12 relative of mpmath for z + mu up to 1e6 delta
-    (tests/test_oracles.py).  A tail below the smallest double is 0.
+    Cases 1-4 read scipy.special (Beta from the nearer end, Normal through
+    log_ndtr where erfc flushes to 0); case 5 its xi-panel table, within
+    1e-12 relative of mpmath for z + mu up to 1e6 delta (tests/test_oracles.py).
+    A tail below the smallest double is 0.
     """
     return float(_side(law, np.asarray(float(z)), upper=True))
 
@@ -510,192 +715,29 @@ def cdf_grid(law: PearsonLaw, zs) -> np.ndarray:
 
 
 def log_tail(law: PearsonLaw, z) -> float:
-    """ln P[Z > z], with asymptotic continuation where the tail underflows."""
+    """ln P[Z > z]: the case's own form where it has one (Normal's log_ndtr, Gamma's
+    asymptotic continuation where the tail underflows), else the log of the tail."""
     z = float(z)
-    if law.case is CaseTag.NORMAL:
-        return float(_sp.log_ndtr(-z / law.s))
+    form = _CASES[law.case].log_tail
+    if form is not None and not law.mirrored:
+        return form(law, z)
     t = tail(law, z)
     if t > 0.0:
         return math.log(t)
-    if law.case is CaseTag.GAMMA and not law.mirrored:
-        # Q(r, x) ~ x^(r-1) e^(-x)/Gamma(r) for large x
-        x = (z + law.mu) / law.s
-        return (law.r - 1.0) * math.log(x) - x - float(_sp.gammaln(law.r))
     raise DomainError(f"tail underflow at z={z} with no asymptotic branch for case {law.case.value}")
 
 
-# ---------------------------------------------------------------------------
-# the sampler's inverse table: every non-Normal law samples through one cubic
-# Hermite table of y(t), with t the logit of the tail probability of the
-# canonical law and y an end-free coordinate of it: ln(z + mu) on a half-line
-# (taken from the canonical variable, never from x, so a density pole at the
-# end loses nothing), the logit of the position in the interval for Beta, and
-# z itself in case 5.  Nodes are exact inverses, and the slopes are exact too:
-# dy/dt = -u(1-u)/rho_y(y), with rho_y the density of y.
+def tail_asymptotics(law: PearsonLaw) -> tuple[float, float, float]:
+    """The right tail g(z) rho(z) ~ K z^p e^(-z/scale) as (ln K, p, scale), from the case's row.
 
-_TABLE_NODES = 8193
-_T_MAX = math.log(2.0**53 - 1.0)  # logit(1 - 2^-53); the nodes span [-_T_MAX, _T_MAX]
-_H = 2.0 * _T_MAX / (_TABLE_NODES - 1)
-_TABLE_TOL = 1e-10  # bound on |logit p' - logit p|, node error plus interpolation error
-_NEWTON_TOL = 0.5 * _TABLE_TOL  # case 5's node error; closed-form nodes are exact to rounding
-_NEWTON_STEPS = 8
-_CHUNK = 1 << 14  # 128 KB temporaries: small enough for the allocator to reuse, per thread
-
-
-def _logit(u: np.ndarray) -> np.ndarray:
-    """ln(u / (1 - u)); 1 - u is exact for u >= 1/2, so the upper tail keeps its digits."""
-    t = 1.0 - u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(u, t, out=t)
-        return np.log(t, out=t)
-
-
-def _hermite(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The table at the points t, in Horner form; t is overwritten."""
-    t += _T_MAX
-    t *= 1.0 / _H
-    k = t.astype(np.intp)
-    np.minimum(k, coef.shape[1] - 1, out=k)
-    t -= k
-    c0, c1, c2, c3 = coef
-    y = c3[k]
-    y *= t
-    y += c2[k]
-    y *= t
-    y += c1[k]
-    y *= t
-    y += c0[k]
-    return y
-
-
-@functools.lru_cache(maxsize=32)
-def _inverse_table(law: PearsonLaw) -> np.ndarray:
-    """Horner coefficients, shape (4, nodes - 1), of y on each interval of t.
-
-    The cubic's error peaks mid-interval, so the table is checked against the
-    exact inverse at every midpoint, as an error in t.  Exact slopes inside
-    the Fritsch-Carlson region make every piece monotone.  A table that fails
-    either check raises ``InverseTableError``.
+    Gamma: K = C s e^(-mu/s), p = r, scale = s.  Quadratic kernels: p = -1/alpha,
+    scale = inf.  A finite right end or a Gaussian tail raises ``UnsupportedCaseError``.
     """
-    form = _INVERSES[law.case]
-    t = np.linspace(-_T_MAX, _T_MAX, 2 * _TABLE_NODES - 1)  # the nodes and the midpoints between them
-    with np.errstate(all="ignore"):
-        y = form.nodes(law, t)
-        # ln u(1-u) = -softplus(-t) - softplus(t)
-        slope = -np.exp(-np.logaddexp(0.0, -t) - np.logaddexp(0.0, t) - form.log_pdf(law, y))
-        y0, y1, m0, m1 = y[:-2:2], y[2::2], _H * slope[:-2:2], _H * slope[2::2]
-        coef = np.array([y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1])
-        err = float(np.max(np.abs(_hermite(coef, t[1::2].copy()) - y[1::2]) / -slope[1::2]))
-        a, b = m0 / (y1 - y0), m1 / (y1 - y0)
-        monotone = bool(np.all((a >= 0.0) & (b >= 0.0) & (a * a + b * b <= 9.0)))
-    bound = _TABLE_TOL - form.node_err
-    if not (err <= bound and monotone):  # NaN fails too
-        raise InverseTableError(f"inverse table for {law.coeffs} misses its bound: interpolation error "
-                                f"in logit {err:.3g} (bound {bound:.3g}), monotone pieces: {monotone}")
-    return coef
-
-
-def _two_sided(t: np.ndarray, upper: Callable, lower: Callable) -> np.ndarray:
-    """upper(p) at the tail p = expit(t) for t <= 0, lower(q) at the cdf q = expit(-t) for t > 0."""
-    up = t <= 0.0
-    p = _sp.expit(-np.abs(t))
-    y = np.empty_like(t)
-    y[up] = upper(p[up])
-    y[~up] = lower(p[~up])
-    return y
-
-
-def _log_small_inverse(x: np.ndarray, p: np.ndarray, a: float, log_k: float) -> np.ndarray:
-    """ln x for an inverse x of F(x) = p, where F(x) ~ x^a / k at 0.
-
-    Below 1e-250 the power law replaces the closed form, which underflows
-    there for small shapes; the next term of F is O(x) smaller.
-    """
-    return np.where(x > 1e-250, np.log(x), (np.log(p) + log_k) / a)
-
-
-def _gamma_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
-    r, log_k = law.r, _sp.gammaln(law.r + 1.0)  # P(r, x) ~ x^r / Gamma(r + 1)
-    return math.log(law.s) + _two_sided(
-        t, lambda p: _log_small_inverse(_sp.gammainccinv(r, p), 1.0 - p, r, log_k),
-        lambda q: _log_small_inverse(_sp.gammaincinv(r, q), q, r, log_k))
-
-
-def _beta_logit_inverse(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    """logit x for I_x(a, b) = p; x and 1 - x each come from their own inverse."""
-    log_beta = _sp.betaln(a, b)  # I_x(a, b) ~ x^a / (a B(a, b))
-    return (_log_small_inverse(_sp.betaincinv(a, b, p), p, a, math.log(a) + log_beta)
-            - _log_small_inverse(_sp.betainccinv(b, a, p), 1.0 - p, b, math.log(b) + log_beta))
-
-
-def _beta_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
-    a, b = law.support_a, law.support_b
-    v = np.exp(-np.abs(y))
-    v /= 1.0 + v  # expit(-|y|): the position's distance to the nearer end, in units of b - a
-    v *= b - a
-    return np.where(y < 0.0, a + v, b - v)
-
-
-def _half_line_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
-    np.exp(y, out=y)
-    y -= law.mu
-    return y
-
-
-def _case5_start(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
-    """xi at logit-tail t, interpolated in the logit at the panel ends of the case-5 table."""
-    tab = _case5_table(law.r, law.s)
-    with np.errstate(divide="ignore"):
-        logit = np.log(tab.upper) - np.log(tab.lower)
-    ok = np.isfinite(logit)
-    return np.interp(-t, -logit[ok], tab.edges[ok])  # logit falls as xi grows
-
-
-def _case5_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
-    """z at logit-tail t: Newton steps on logit P[Z > z] in xi = asinh((z + mu)/delta).
-
-    The start interpolates the logit at the panel ends of the case-5 table; in
-    xi the power tails make it nearly linear.
-    """
-    def logit_and_slope(xi):
-        s, c = _case5_xi_side(law, xi, True), _case5_xi_side(law, xi, False)
-        rho = np.exp(_case5_log_f(law.r, law.s, xi) - _case5_table(law.r, law.s).log_mass)
-        return np.log(s) - np.log(c), -rho / (s * c)
-
-    xi = _case5_start(law, t)
-    for _ in range(_NEWTON_STEPS):
-        value, slope = logit_and_slope(xi)
-        err = np.max(np.abs(value - t))
-        if err <= _NEWTON_TOL:
-            return law.delta * np.sinh(xi) - law.mu
-        xi -= (value - t) / slope
-    raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
-
-
-class _Inverse(NamedTuple):
-    nodes: Callable    # (law, t) -> y at logit-tail t, on the canonical form
-    log_pdf: Callable  # (law, y) -> ln rho_y
-    to_z: Callable     # (law, y) -> z, overwriting y where it can
-    node_err: float = 0.0  # bound on the nodes' own error in logit
-
-
-_INVERSES = {
-    CaseTag.GAMMA: _Inverse(
-        _gamma_nodes,
-        lambda law, y: law.log_norm_const + law.r * y - np.exp(y) / law.s,
-        _half_line_to_z),
-    CaseTag.BETA: _Inverse(
-        lambda law, t: _two_sided(t, lambda p: -_beta_logit_inverse(p, law.s, law.r),
-                                  lambda q: _beta_logit_inverse(q, law.r, law.s)),
-        lambda law, y: -_sp.betaln(law.r, law.s) - law.r * np.logaddexp(0.0, -y) - law.s * np.logaddexp(0.0, y),
-        _beta_to_z),
-    CaseTag.INVERSE_GAMMA_TYPE: _Inverse(
-        lambda law, t: math.log(law.s) - np.log(_two_sided(
-            t, lambda p: _sp.gammaincinv(law.r - 1.0, p), lambda q: _sp.gammainccinv(law.r - 1.0, q))),
-        lambda law, y: law.log_norm_const + (1.0 - law.r) * y - law.s * np.exp(-y),
-        _half_line_to_z),
-    CaseTag.NO_REAL_ROOTS: _Inverse(_case5_nodes, _case5_log_pdf, lambda law, y: y, _NEWTON_TOL),
-}
+    form = _CASES[law.case].right_tail
+    if form is None or law.support_b != math.inf:
+        raise UnsupportedCaseError(f"no right tail g rho ~ K z^p e^(-z/scale) for case {law.case.value}"
+                                   + (" (mirrored)" if law.mirrored else ""))
+    return form(law)
 
 
 # ---------------------------------------------------------------------------
@@ -708,29 +750,29 @@ def quantile(law: PearsonLaw, p: float) -> float:
     Newton steps on the log of the tail, or of the cdf for p > 1/2, guarded
     by bisection (``quadrature.solve_monotone``), inside the support cut by
     Cantelli's inequality P[Z > z] <= var/(var + z^2).  They start from the
-    inverses the sampler's table is built from, without building the table:
-    erfcinv, the closed forms of cases 2-4, and case 5's panel-end logits.
+    row's ``start``, the inverse the sampler's table is built from, without
+    building the table: erfcinv, the closed forms of cases 2-4, and case 5's
+    panel-end logits.  Where the tail is subnormal the row's ``log_tail``
+    gives its logarithm, so p keeps its digits down to the smallest double.
     """
     if not 0.0 < p < 1.0:
         raise InvalidProbabilityError(f"quantile requires 0 < p < 1, got {p}")
     sd = math.sqrt(law.variance)
     a = max(law.support_a, -sd * math.sqrt(p) / math.sqrt(1.0 - p))
     b = min(law.support_b, sd * math.sqrt(1.0 - p) / math.sqrt(p))
-    t = np.array([math.log(p) - math.log1p(-p)])
+    row = _CASES[law.case]
     with np.errstate(all="ignore"):
-        if law.case is CaseTag.NORMAL:
-            x0 = law.s * math.sqrt(2.0) * float(_sp.erfcinv(2.0 * p))
-        elif law.case is CaseTag.NO_REAL_ROOTS:
-            x0 = law.delta * float(np.sinh(_case5_start(law, t)[0])) - law.mu
-        else:
-            form, sign = _INVERSES[law.case], -1.0 if law.mirrored else 1.0
-            x0 = sign * float(form.to_z(law, form.nodes(law, sign * t))[0])
+        x0 = float(row.start(law, p))
     upper = p <= 0.5  # solve on the smaller side, 1 - p being exact for p >= 1/2
     sign, target = (1.0, math.log(p)) if upper else (-1.0, math.log1p(-p))
+    deep = row.log_tail if upper and not law.mirrored else None
 
     def log_side(z):  # ln P[Z > z] - ln p, or ln(1 - p) - ln P[Z <= z]; both fall as z grows
         with np.errstate(divide="ignore", invalid="ignore"):
-            ln_side = np.log(_side(law, z, upper))
+            side = _side(law, z, upper)
+            ln_side = np.log(side)
+            if deep is not None and side[0] < _TINY:  # a subnormal holds few digits
+                ln_side[0] = deep(law, float(z[0]))
             return sign * (ln_side - target), -np.exp(log_density(law, z) - ln_side)
 
     x0 = [min(max(x0, a), b)] if math.isfinite(x0) else None
@@ -749,9 +791,10 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     returned double; it is non-increasing in p.
     """
     p = np.asarray(p, dtype=float)
-    if law.case is CaseTag.NORMAL:
-        return law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p)
-    coef, form = _inverse_table(law), _INVERSES[law.case]
+    row = _CASES[law.case]
+    if row.nodes is None:
+        return row.start(law, p)
+    coef = _inverse_table(law)
     flat = p.ravel()
     out = np.empty(flat.shape)
     for lo in range(0, flat.size, _CHUNK):  # chunks keep the temporaries small
@@ -761,7 +804,7 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
         if not (-_T_MAX <= t.min() and t.max() <= _T_MAX):  # NaN fails too
             raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
                                           f"values in [{flat[lo:lo + _CHUNK].min()}, {flat[lo:lo + _CHUNK].max()}]")
-        x = form.to_z(law, _hermite(coef, t))
+        x = row.to_z(law, _hermite(coef, t))
         out[lo:lo + _CHUNK] = -x if law.mirrored else x
     return out.reshape(p.shape)
 

@@ -35,8 +35,6 @@ __all__ = [
     "SteinDerivativeCertificate",
     "solve_indicator",
     "evaluate",
-    "f_eval",
-    "fprime_eval",
     "fprime_limits_at_threshold",
     "check_residual",
     "certify_fprime",
@@ -109,22 +107,10 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
     return f, fp, g * fp - xs * f - (h - sol.eh)
 
 
-def f_eval(sol: IndicatorSteinSolution, x):
-    """Bounded solution; support endpoints get their continuous limits."""
-    f = evaluate(sol, x)[0]
-    return float(f[0]) if np.ndim(x) == 0 else f
-
-
 def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:
     for kink in (sol.z, sol.law.support_a, sol.law.support_b):
         if math.isfinite(kink) and np.any(xs == kink):
             raise EvaluationAtKinkError(f"f' is not defined at the kink x={kink}")
-
-
-def fprime_eval(sol: IndicatorSteinSolution, x: float) -> float:
-    """f'(x); raises at the non-differentiability points z, a, b."""
-    _reject_kinks(sol, float(x))
-    return float(evaluate(sol, x)[1][0])
 
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:

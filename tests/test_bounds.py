@@ -14,7 +14,6 @@ from steintail.bounds import (
     pearson_lower,
     pearson_upper_constant,
     phi_envelope,
-    tail_sandwich,
     variance_bound_check,
 )
 from steintail.errors import (
@@ -85,7 +84,7 @@ def test_envelope_outside_support(beta_law):
 
 
 def test_sandwich_normal_width(normal_law):
-    lo, hi = tail_sandwich(normal_law, 4.0)
+    lo, hi = phi_envelope(normal_law, 4.0)
     t = tail(normal_law, 4.0)
     assert lo <= t <= hi
     assert (hi - lo) / t < 0.07  # envelope ratio (z^2/(z^2+1))^-1 at z=4
@@ -204,13 +203,28 @@ def test_asymptotic_constant_unsupported(normal_law, beta_law):
 
 
 def test_flux_limit_oracle(gamma_law, invgamma_law, case5_law):
-    # brute-force numeric limit of the defining expression over two decades
-    for law in (gamma_law, invgamma_law, case5_law):
+    # brute-force numeric limit of the defining expression over two decades;
+    # (0.25, 100, 10000.01) has s = 4000, so e^(s pi/2) alone is beyond the
+    # doubles, and its flux settles only for z far beyond s delta = 800
+    skewed = build_law(PearsonCoefficients(0.25, 100.0, 10000.01))
+    for law, zs in ((gamma_law, (1e2, 1e3, 1e4)), (invgamma_law, (1e2, 1e3, 1e4)),
+                    (case5_law, (1e2, 1e3, 1e4)), (skewed, (1e6, 1e7, 1e8))):
         k, _ = asymptotic_tail_constant(law)
-        errs = [abs(math.exp(log_normalized_flux(law, z) - math.log(k)) - 1.0)
-                for z in (1e2, 1e3, 1e4)]
-        assert errs[2] < 1e-3, law.case
-        assert errs[0] > errs[2], law.case
+        errs = [abs(math.exp(log_normalized_flux(law, z) - math.log(k)) - 1.0) for z in zs]
+        assert errs[2] < 1e-3, law.coeffs
+        assert errs[0] > errs[2], law.coeffs
+
+
+def test_asymptotic_constant_beyond_the_doubles_raises():
+    # K = C alpha with ln C = 4.6e4: a typed error, not OverflowError
+    with pytest.raises(DomainError):
+        asymptotic_tail_constant(build_law(PearsonCoefficients(1e-4, 0.0, 1.0)))
+
+
+def test_tail_asymptotics_fields(gamma_law, invgamma_law, case5_law):
+    assert pearson.tail_asymptotics(gamma_law)[1:] == (gamma_law.r, gamma_law.s)
+    for law in (invgamma_law, case5_law):
+        assert pearson.tail_asymptotics(law)[1:] == (-1.0 / law.coeffs.alpha, math.inf)
 
 
 def test_normalized_tail_gamma_at_60(gamma_law):

@@ -32,6 +32,26 @@ def _rel(got: float, want) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Normal tails below the normal doubles: erfc flushes to 0 near 1e-309
+
+
+@pytest.mark.parametrize("p", [1e-300, 1e-310, 1e-320, 5e-324])
+def test_normal_quantile_down_to_the_smallest_double(p):
+    law = build_law(PearsonCoefficients(0.0, 0.0, 1.0))
+    want = mp.findroot(lambda z: mp.log(mp.erfc(z / mp.sqrt(2)) / 2) - mp.log(p), 38.0)
+    assert _rel(pearson.quantile(law, p), want) < REL
+
+
+def test_normal_tail_keeps_the_subnormals():
+    law = build_law(PearsonCoefficients(0.0, 0.0, 1.0))
+    z = 37.75  # erfc(z / sqrt 2) is 0 in double; the tail is 3.76e-312
+    assert _rel(pearson.tail(law, z), mp.erfc(z / mp.sqrt(2)) / 2) < 1e-10
+    assert _rel(pearson.cdf(law, -z), mp.erfc(z / mp.sqrt(2)) / 2) < 1e-10
+    tails = pearson.tail_grid(law, np.linspace(37.0, 38.4, 15))
+    assert np.all(tails > 0.0) and np.all(np.diff(tails) <= 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Beta tails near both ends
 
 SKEWED_BETA = PearsonCoefficients(-1.07, 1.152, 0.0302)  # r = 0.021

@@ -12,8 +12,6 @@ from steintail.stein import (
     certification_grid,
     certify_fprime,
     check_residual,
-    f_eval,
-    fprime_eval,
     fprime_limits_at_threshold,
     solve_indicator,
 )
@@ -32,14 +30,14 @@ def _z_values(law):
 def test_f_value_normal_z0(normal_law):
     sol = solve_indicator(normal_law, 1e-300)  # z -> 0+ limit
     # closed form F(0)(1-F(0))/phi(0) = sqrt(2 pi)/4
-    assert f_eval(sol, 0.0) == pytest.approx(math.sqrt(2 * math.pi) / 4, rel=1e-9)
+    assert stein.evaluate(sol, 0.0)[0][0] == pytest.approx(math.sqrt(2 * math.pi) / 4, rel=1e-9)
 
 
 def test_f_value_normal_z2(normal_law):
     sol = solve_indicator(normal_law, 2.0)
     phi2 = math.exp(-2.0) / math.sqrt(2 * math.pi)
     expected = 0.9772498680518208 * 0.022750131948179212 / phi2  # erfc oracle
-    assert f_eval(sol, 2.0) == pytest.approx(expected, rel=1e-10)
+    assert stein.evaluate(sol, 2.0)[0][0] == pytest.approx(expected, rel=1e-10)
     assert expected == pytest.approx(0.4117830, rel=1e-5)
 
 
@@ -50,24 +48,24 @@ def test_f_by_direct_quadrature(normal_law, gamma_law):
         num, _ = quad(lambda y: ((y <= z) - sol.eh) * density(law, y),
                       law.support_a, x, limit=200, epsabs=1e-13, epsrel=1e-12)
         flux = stein_kernel(law.coeffs, x) * density(law, x)
-        assert f_eval(sol, x) == pytest.approx(num / flux, rel=1e-8)
+        assert stein.evaluate(sol, x)[0][0] == pytest.approx(num / flux, rel=1e-8)
 
 
 def test_f_vanishes_at_infinity(normal_law):
     sol = solve_indicator(normal_law, 1.0)
-    assert abs(f_eval(sol, 1e8)) < 1e-7
-    assert abs(f_eval(sol, -1e8)) < 1e-7
+    assert abs(stein.evaluate(sol, 1e8)[0][0]) < 1e-7
+    assert abs(stein.evaluate(sol, -1e8)[0][0]) < 1e-7
 
 
 def test_f_outside_support_formula(beta_law, gamma_law):
     solb = solve_indicator(beta_law, 0.2)
     x = 0.75
-    assert f_eval(solb, x) == pytest.approx(-(0.0 - solb.eh) / x, rel=1e-12)
+    assert stein.evaluate(solb, x)[0][0] == pytest.approx(-(0.0 - solb.eh) / x, rel=1e-12)
     x = -0.8
-    assert f_eval(solb, x) == pytest.approx(-(1.0 - solb.eh) / x, rel=1e-12)
+    assert stein.evaluate(solb, x)[0][0] == pytest.approx(-(1.0 - solb.eh) / x, rel=1e-12)
     solg = solve_indicator(gamma_law, 1.0)
     x = -1.5
-    assert f_eval(solg, x) == pytest.approx(-(1.0 - solg.eh) / x, rel=1e-12)
+    assert stein.evaluate(solg, x)[0][0] == pytest.approx(-(1.0 - solg.eh) / x, rel=1e-12)
 
 
 def test_f_continuous_at_threshold_and_endpoints(canonical_laws):
@@ -75,11 +73,13 @@ def test_f_continuous_at_threshold_and_endpoints(canonical_laws):
         for z in _z_values(law):
             sol = solve_indicator(law, z)
             eps = 1e-9 * max(1.0, abs(z))
-            assert f_eval(sol, z - eps) == pytest.approx(f_eval(sol, z + eps), rel=1e-6), name
+            below, above = stein.evaluate(sol, [z - eps, z + eps])[0]
+            assert below == pytest.approx(above, rel=1e-6), name
             for end in (law.support_a, law.support_b):
                 if math.isfinite(end):
                     inner = end + math.copysign(1e-9, -end)
-                    assert f_eval(sol, inner) == pytest.approx(f_eval(sol, end), rel=1e-5), name
+                    f_inner, f_end = stein.evaluate(sol, [inner, end])[0]
+                    assert f_inner == pytest.approx(f_end, rel=1e-5), name
 
 
 def test_f_bounded_on_grids(canonical_laws):
@@ -87,7 +87,7 @@ def test_f_bounded_on_grids(canonical_laws):
         for z in _z_values(law):
             sol = solve_indicator(law, z)
             grid = certification_grid(law, z, 500)
-            vals = f_eval(sol, grid)
+            vals = stein.evaluate(sol, grid)[0]
             assert np.all(np.isfinite(vals)), name
 
 
@@ -106,10 +106,10 @@ def test_solve_indicator_threshold_validation(normal_law, beta_law):
 
 def test_fprime_examples(normal_law):
     sol = solve_indicator(normal_law, 1.0)
-    v = fprime_eval(sol, 2.0)
+    v = stein.evaluate(sol, 2.0)[1][0]
     assert v < 0.0
     assert v >= -1.0 / 2.0  # -1/q(1), q(1) = 2
-    v = fprime_eval(sol, 0.5)
+    v = stein.evaluate(sol, 0.5)[1][0]
     phi1 = math.exp(-0.5) / math.sqrt(2 * math.pi)
     assert 0.0 <= v <= 1.0 / phi1 + 1.0
 
@@ -124,25 +124,26 @@ def test_fprime_finite_difference(canonical_laws):
                 if abs(x - z) < 1e-4 or x <= law.support_a or x >= law.support_b:
                     continue
                 eps = 1e-5 * max(1.0, abs(x))
-                fd = (f_eval(sol, x + eps) - f_eval(sol, x - eps)) / (2 * eps)
-                assert fprime_eval(sol, x) == pytest.approx(fd, rel=2e-5, abs=1e-6), (name, x)
+                f_up, f_down = stein.evaluate(sol, [x + eps, x - eps])[0]
+                fd = (f_up - f_down) / (2 * eps)
+                assert stein.evaluate(sol, x)[1][0] == pytest.approx(fd, rel=2e-5, abs=1e-6), (name, x)
 
 
 def test_fprime_kink_errors(normal_law, beta_law):
     sol = solve_indicator(normal_law, 1.0)
     with pytest.raises(EvaluationAtKinkError):
-        fprime_eval(sol, 1.0)
+        check_residual(sol, [1.0])
     solb = solve_indicator(beta_law, 0.2)
     with pytest.raises(EvaluationAtKinkError):
-        fprime_eval(solb, 0.5)
+        certify_fprime(solb, [0.5])
 
 
 def test_fprime_one_sided_limits(normal_law):
     sol = solve_indicator(normal_law, 1.0)
     left, right = fprime_limits_at_threshold(sol)
     eps = 1e-8
-    assert fprime_eval(sol, 1.0 - eps) == pytest.approx(left, rel=1e-5)
-    assert fprime_eval(sol, 1.0 + eps) == pytest.approx(right, rel=1e-5)
+    assert stein.evaluate(sol, 1.0 - eps)[1][0] == pytest.approx(left, rel=1e-5)
+    assert stein.evaluate(sol, 1.0 + eps)[1][0] == pytest.approx(right, rel=1e-5)
     assert left >= 0.0 >= right
 
 
@@ -187,7 +188,7 @@ def test_certificate_beta_outside_branch(beta_law):
     cert = certify_fprime(sol, grid)
     assert cert.passed
     x = 0.7
-    assert fprime_eval(sol, x) == pytest.approx(-sol.eh / x**2, rel=1e-12)
+    assert stein.evaluate(sol, x)[1][0] == pytest.approx(-sol.eh / x**2, rel=1e-12)
 
 
 def test_certificate_json_round_trip(normal_law):
@@ -245,7 +246,7 @@ def test_residual_generic_matches_indicator_path(gamma_law):
     grid = certification_grid(gamma_law, 1.5, 300)
     generic = stein.residual_for_test_function(
         gamma_law,
-        f=lambda x: f_eval(sol, x),
+        f=lambda x: stein.evaluate(sol, x)[0],
         fprime=lambda x: stein.evaluate(sol, x)[1],
         h=lambda x: (np.asarray(x) <= 1.5).astype(float),
         eh=sol.eh,

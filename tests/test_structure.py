@@ -2,13 +2,17 @@
 
 No module reads a private (single-underscore) attribute of another steintail
 module, and every module is imported by another one unless it is an entry
-point (``cli`` or ``__init__``).  Sampling stays off ``scipy.stats``, whose
-import alone costs about half a second and 17 MB, and the library and the CLI
-load neither ``scipy.optimize`` nor ``scipy.integrate``.
+point (``cli`` or ``__init__``).  A Pearson case is known in one place: only
+``pearson.classify`` and the rows of ``pearson._CASES`` name a ``CaseTag``
+member, and ``bounds`` reads neither the tag nor a canonical parameter.
+Sampling stays off ``scipy.stats``, whose import alone costs about half a
+second and 17 MB, and the library and the CLI load neither ``scipy.optimize``
+nor ``scipy.integrate``.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +86,41 @@ def test_every_module_is_imported_or_an_entry_point():
         imported_by_others |= imported - {name}
     orphans = sorted(set(modules) - imported_by_others - ENTRY_POINTS)
     assert not orphans, f"modules imported by no other module: {orphans}"
+
+
+def _case_tag_members(pearson: ast.Module) -> set[str]:
+    cls = next(n for n in pearson.body if isinstance(n, ast.ClassDef) and n.name == "CaseTag")
+    return {t.id for n in cls.body if isinstance(n, ast.Assign) for t in n.targets}
+
+
+def test_only_classify_and_the_case_table_name_a_case():
+    modules = _modules()
+    members = _case_tag_members(modules["pearson"])
+    allowed = set()
+    for node in modules["pearson"].body:
+        is_classify = isinstance(node, ast.FunctionDef) and node.name == "classify"
+        is_table = isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_CASES" for t in node.targets)
+        if is_classify or is_table:
+            allowed |= {id(n) for n in ast.walk(node)}
+    named = [f"{name}:{node.lineno} names {node.attr}" for name, tree in modules.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in members and id(node) not in allowed]
+    assert not named, named
+
+
+def test_bounds_reads_no_case_tag_and_no_canonical_parameter():
+    tree = _modules()["bounds"]
+    reads = [f"bounds:{node.lineno} reads .{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in {"CaseTag", "r", "s", "mu", "delta"}]
+    reads += [f"bounds:{node.lineno} imports CaseTag" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and any(a.name == "CaseTag" for a in node.names)]
+    assert not reads, reads
+
+
+def test_version_matches_pyproject():
+    import steintail
+
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert steintail.__version__ == re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1)
 
 
 def test_library_and_cli_load_only_scipy_special():
