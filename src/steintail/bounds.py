@@ -142,7 +142,11 @@ def normalized_tail(law: PearsonLaw, z: float) -> float:
         raise DomainError(f"normalized_tail requires z > 0, got {z}")
     lt = pearson.log_tail(law, z)
     _, p, scale = pearson.tail_asymptotics(law)
-    return math.exp(lt + z / scale + (1.0 - p) * math.log(z))
+    log_val = lt + z / scale + (1.0 - p) * math.log(z)
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise DomainError(f"normalized tail exp({log_val:.6g}) at z={z} is beyond the doubles") from None
 
 
 def log_normalized_flux(law: PearsonLaw, z: float) -> float:
@@ -153,14 +157,13 @@ def log_normalized_flux(law: PearsonLaw, z: float) -> float:
     return lg + lr + z / scale - p * math.log(z)
 
 
-def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float,
-                         direction: Direction | str, rel_tol: float = 1e-9) -> bool:
-    """Compare Var[X] against the reference variance gamma/(1-alpha)."""
+def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float, direction: Direction | str) -> bool:
+    """Compare Var[X] against the reference variance gamma/(1-alpha), to a relative 1e-9."""
     if var_of_x < 0.0:
         raise DomainError(f"variance must be nonnegative, got {var_of_x}")
     direction = Direction(direction)
     target = pearson.variance(coeffs)
-    slack = rel_tol * target
+    slack = 1e-9 * target
     if direction is Direction.GE:
         return var_of_x >= target - slack
     return var_of_x <= target + slack

@@ -123,10 +123,7 @@ class PolynomialInN:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        val = self.coeffs[-1] + 0.0 * x
-        for c in self.coeffs[-2::-1]:  # Horner, in the order of npoly.polyval
-            val = c + val * x
+        val = npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
         return float(val) if val.ndim == 0 else val
 
     def derivative(self) -> "PolynomialInN":

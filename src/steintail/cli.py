@@ -223,8 +223,8 @@ def _cmd_bounds(args) -> int:
         z = float(z)
         lo, hi = bounds.phi_envelope(law, z)
         plb, _ = bounds.pearson_lower(law, z, args.c)
-        upper = k * pearson.tail(law, z) if k is not None else None
-        rows.append((z, float(pearson.tail(law, z)), float(lo), float(hi), float(plb), upper))
+        t = pearson.tail(law, z)
+        rows.append((z, t, float(lo), float(hi), float(plb), k * t if k is not None else None))
     _table(args, ["z", "phi_star", "envelope_lo", "envelope_hi", "pearson_lower", "k_phi_star"], rows)
     return 0
 

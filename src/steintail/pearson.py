@@ -192,9 +192,10 @@ def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
 
 
 def _beta_roots(coeffs: PearsonCoefficients) -> tuple[float, float]:
+    """q/alpha and gamma/q with q = -(beta + sign(beta) sqrt(disc))/2: neither root cancels."""
     al, be = coeffs.alpha, coeffs.beta
-    disc = math.sqrt(be * be - 4.0 * al * coeffs.gamma)
-    return (-be - disc) / (2.0 * al), (-be + disc) / (2.0 * al)
+    q = -0.5 * (be + math.copysign(math.sqrt(be * be - 4.0 * al * coeffs.gamma), be))
+    return q / al, (coeffs.gamma / q if be else -q / al)  # beta = 0: the exactly symmetric pair
 
 
 def _gamma_params(c: PearsonCoefficients, a: float, b: float):

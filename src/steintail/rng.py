@@ -18,8 +18,8 @@ def _block_generator(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def n_blocks(n: int, block_size: int = BLOCK_SIZE) -> int:
-    return (n + block_size - 1) // block_size
+def n_blocks(n: int) -> int:
+    return (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
 def uniform_block(seed: int, block_index: int, size: int) -> np.ndarray:
@@ -36,18 +36,18 @@ def normal_block(seed: int, block_index: int, size: int) -> np.ndarray:
     return _block_generator(seed, block_index).standard_normal(size)
 
 
-def _assemble(block_fn, seed: int, n: int, block_size: int) -> np.ndarray:
+def _assemble(block_fn, seed: int, n: int) -> np.ndarray:
     out = np.empty(n)
-    for b in range(n_blocks(n, block_size)):
-        lo = b * block_size
-        hi = min(lo + block_size, n)
+    for b in range(n_blocks(n)):
+        lo = b * BLOCK_SIZE
+        hi = min(lo + BLOCK_SIZE, n)
         out[lo:hi] = block_fn(seed, b, hi - lo)
     return out
 
 
-def uniform_stream(seed: int, n: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    return _assemble(uniform_block, seed, n, block_size)
+def uniform_stream(seed: int, n: int) -> np.ndarray:
+    return _assemble(uniform_block, seed, n)
 
 
-def normal_stream(seed: int, n: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    return _assemble(normal_block, seed, n, block_size)
+def normal_stream(seed: int, n: int) -> np.ndarray:
+    return _assemble(normal_block, seed, n)

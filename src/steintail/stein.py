@@ -8,14 +8,21 @@ Phi, the equation
 has a unique bounded continuous solution.  Writing the Schoutens integral form
 with the indicator reduced, the solution factors into complement-free products
 
-    f(x) = F(x) Phi(z) / (g(x) rho(x))     for x <= z,
+    f(x) = F(x) Phi(z) / (g(x) rho(x))     for a < x <= z,
     f(x) = F(z) Phi(x) / (g(x) rho(x))     for z <= x < b,
-    f(x) = -(h(x) - E[h(Z)]) / x           outside [a, b],
 
 so both the numerator and the flux g*rho vanish together at the support ends
 and no catastrophic cancellation occurs.  The derivative has closed forms with
 parallel structure, a fixed sign pattern (nonnegative left of z, nonpositive
 right of z), and explicit bounds through q(x) = x^2 - x g'(x) + g(x).
+
+One limit rule covers every point where the flux is 0 or a quotient is not
+finite (outside [a, b], at a and b, where the flux underflows):
+
+    f(x) = -(h(x) - E[h(Z)]) / x,          f'(x) = (h(x) - E[h(Z)]) / x^2,
+
+with h - E[h] taken complement-free, Phi(z) left of z and -F(z) right of it;
+the residual reads the same vector.
 """
 
 from __future__ import annotations
@@ -58,53 +65,36 @@ def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
     return IndicatorSteinSolution(law, z, pearson.cdf(law, z), pearson.tail(law, z))
 
 
+def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray):
+    """g, the flux g rho (0 outside the open support) and the (left, right)
+    numerators of f and of g f' at every point: f = N / flux, g f' = N' / flux.
+    """
+    law = sol.law
+    flux = pearson.flux(law, xs)
+    cdf, tail = pearson.cdf_grid(law, xs), pearson.tail_grid(law, xs)
+    num = (cdf * sol.phi_star_z, sol.eh * tail)
+    num_p = (sol.phi_star_z * (xs * cdf + flux), sol.eh * (xs * tail - flux))
+    return np.asarray(stein_kernel(law.coeffs, xs)), flux, num, num_p
+
+
 def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(f, f', residual g f' - x f - (h - E[h])) on a grid, in one pass.
 
-    Support endpoints get the continuous limits of f; at the kinks {z, a, b}
-    f' and the residual are one-sided values, so callers that need them
-    exclude those points.
+    Where the flux is 0 or a quotient is not finite (outside the support, at
+    its ends, past underflow) f and f' take their one-sided limits; at the
+    kinks {z, a, b} f' and the residual are one-sided values, so callers that
+    need them exclude those points.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    law, z = sol.law, sol.z
-    a, b = law.support_a, law.support_b
-    f, fp = np.empty_like(xs), np.empty_like(xs)
-    g = np.asarray(stein_kernel(law.coeffs, xs))
-    h = (xs <= z).astype(float)
-
-    inside = (xs > a) & (xs < b)
-    if np.any(inside):
-        xi = xs[inside]
-        flux = pearson.flux(law, xi)
-        cdf_i = pearson.cdf_grid(law, xi)
-        tail_i = pearson.tail_grid(law, xi)
-        left = xi <= z
-        num = np.where(left, cdf_i * sol.phi_star_z, sol.eh * tail_i)
-        num_p = np.where(left,
-                         sol.phi_star_z * (xi * cdf_i + flux),
-                         sol.eh * (xi * tail_i - flux))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = num / flux
-            fp[inside] = num_p / (g[inside] * flux)
-        # beyond-double-range fallback: L'Hopital ratio of vanishing num/flux
-        bad = ~np.isfinite(val) | (flux == 0.0)
-        if np.any(bad):
-            xi_b = xi[bad]
-            val[bad] = np.where(xi_b <= z, -sol.phi_star_z / xi_b, sol.eh / xi_b)
-        f[inside] = val
-
-    outside = ~inside
-    xo, ho = xs[outside], h[outside]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -(ho - sol.eh) / xo
-    # continuous limits at the endpoints
-    if math.isfinite(a):
-        val = np.where(xo == a, -(1.0 - sol.eh) / a, val)
-    if math.isfinite(b):
-        val = np.where(xo == b, sol.eh / b, val)
-    f[outside] = val
-    fp[outside] = (ho - sol.eh) / (xo * xo)
-    return f, fp, g * fp - xs * f - (h - sol.eh)
+    left = xs <= sol.z
+    hc = np.where(left, sol.phi_star_z, -sol.eh)  # h - E[h], complement-free
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g, flux, num, num_p = _numerators(sol, xs)
+        f = np.where(left, *num) / flux
+        fp = np.where(left, *num_p) / (g * flux)
+        f = np.where((flux > 0.0) & np.isfinite(f), f, -hc / xs)
+        fp = np.where((flux > 0.0) & np.isfinite(fp), fp, hc / (xs * xs))
+    return f, fp, g * fp - xs * f - hc
 
 
 def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:
@@ -115,12 +105,8 @@ def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:
     """One-sided limits of f' at the indicator threshold."""
-    z = sol.z
-    flux = float(pearson.flux(sol.law, z))
-    g = float(stein_kernel(sol.law.coeffs, z))
-    left = sol.phi_star_z * (z * sol.eh + flux) / (g * flux)
-    right = sol.eh * (z * sol.phi_star_z - flux) / (g * flux)
-    return left, right
+    g, flux, _, num_p = _numerators(sol, np.array([sol.z]))
+    return tuple(float(n[0] / (g[0] * flux[0])) for n in num_p)
 
 
 def check_residual(sol: IndicatorSteinSolution, grid) -> float:
@@ -170,21 +156,13 @@ class SteinDerivativeCertificate:
         })
 
 
-def derivative_bound_left(sol: IndicatorSteinSolution) -> float:
-    """Upper bound z/(g(z)^2 rho(z)) + 1/q(0) for f' left of the threshold."""
-    law, z = sol.law, sol.z
-    g = float(stein_kernel(law.coeffs, z))
-    rho = float(pearson.density(law, z))
-    return z / (g * g * rho) + 1.0 / float(q_function(law.coeffs, 0.0))
-
-
 def certify_fprime(sol: IndicatorSteinSolution, grid, values=None) -> SteinDerivativeCertificate:
     """Check the sign pattern and both derivative bounds over the grid.
 
     Inside the support the bounds are 0 <= f' <= z/(g(z)^2 rho(z)) + 1/q(0)
     left of z and -1/q(z) <= f' <= 0 right of z.  Outside a finite-support
-    law's interval the derivative is (h - E[h])/x^2, bounded by (1-E[h])/a^2
-    below a and by E[h]/b^2 in magnitude above b.  ``values`` is
+    law's interval the derivative is (h - E[h])/x^2, bounded by Phi(z)/a^2
+    below a and by F(z)/b^2 in magnitude above b.  ``values`` is
     ``evaluate(sol, grid)`` when the caller already has it.
     """
     xs = np.asarray(grid, dtype=float)
@@ -195,25 +173,16 @@ def certify_fprime(sol: IndicatorSteinSolution, grid, values=None) -> SteinDeriv
     left = xs <= z
     sign_violations = int(np.sum((left & (fp < 0.0)) | (~left & (fp > 0.0))))
 
-    ub_left = derivative_bound_left(sol)
-    q_z = float(q_function(law.coeffs, z))
-    margins_left, margins_right = [np.inf], [np.inf]
-    for region, lo_b, hi_b in (
-        (left & (xs > a), 0.0, ub_left),
-        (left & (xs <= a), 0.0, (1.0 - sol.eh) / (a * a) if math.isfinite(a) else np.inf),
-        (~left & (xs < b), -1.0 / q_z, 0.0),
-        (~left & (xs >= b), -sol.eh / (b * b) if math.isfinite(b) else -np.inf, 0.0),
-    ):
-        if not np.any(region):
-            continue
-        vals = fp[region]
-        m = np.minimum(vals - lo_b, hi_b - vals)
-        (margins_left if lo_b == 0.0 else margins_right).append(float(np.min(m)))
-    min_left = float(min(margins_left))
-    min_right = float(min(margins_right))
+    g_z = float(stein_kernel(law.coeffs, z))
+    ub_left = z / (g_z * g_z * float(pearson.density(law, z))) + 1.0 / float(q_function(law.coeffs, 0.0))
+    lower = np.where(left, 0.0, np.where(xs < b, -1.0 / float(q_function(law.coeffs, z)), -sol.eh / (b * b)))
+    upper = np.where(left, np.where(xs > a, ub_left, sol.phi_star_z / (a * a)), 0.0)
+    margins = np.minimum(fp - lower, upper - fp)
+    min_left = float(np.min(margins[left], initial=np.inf))
+    min_right = float(np.min(margins[~left], initial=np.inf))
 
     in_support = (xs > a) & (xs < b)
-    uni_margin = float(ub_left - np.max(np.abs(fp[in_support]))) if np.any(in_support) else np.inf
+    uni_margin = float(ub_left - np.max(np.abs(fp[in_support]), initial=-np.inf))
     passed = sign_violations == 0 and min_left >= 0.0 and min_right >= 0.0 and uni_margin >= 0.0
     return SteinDerivativeCertificate(
         z=z,

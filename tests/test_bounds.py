@@ -239,6 +239,12 @@ def test_normalized_tail_case5_at_50(case5_law):
     assert lf * k * 0.95 <= val <= k * 1.05
 
 
+def test_normalized_tail_beyond_the_doubles_is_a_domain_error():
+    # z^(1 + 1/alpha) P[Z > z] for alpha = 1e-4 is about exp(1.6e4) at z = 5
+    with pytest.raises(DomainError):
+        normalized_tail(build_law(PearsonCoefficients(1e-4, 0.0, 1.0)), 5.0)
+
+
 # ---------------------------------------------------------------------------
 # variance comparisons
 

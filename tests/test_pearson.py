@@ -99,6 +99,19 @@ def test_build_beta_parameters(beta_law):
     assert beta_law.support_b == pytest.approx(0.5)
 
 
+def test_build_beta_with_roots_of_far_apart_size():
+    # the textbook quadratic formula cancels the small root of g to -0.0 here
+    import mpmath as mp
+    law = build_law(PearsonCoefficients(-1e-6, 1e6, 1.0))
+    mp.mp.dps = 50
+    al, be = mp.mpf(-1e-6), mp.mpf(1e6)
+    disc = mp.sqrt(be * be + 4 * mp.mpf(1e-6))
+    for end, exact in ((law.support_a, (-be + disc) / (2 * al)), (law.support_b, (-be - disc) / (2 * al))):
+        assert abs(end - float(exact)) <= 4 * math.ulp(float(exact))
+    for x in (0.0, 1.0, 1e6):
+        assert abs(tail(law, x) + pearson.cdf(law, x) - 1.0) <= 1e-15
+
+
 def test_build_inverse_gamma_parameters(invgamma_law):
     assert invgamma_law.r == pytest.approx(4.0)
     assert invgamma_law.s == pytest.approx(2.0)

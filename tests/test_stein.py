@@ -91,6 +91,53 @@ def test_f_bounded_on_grids(canonical_laws):
             assert np.all(np.isfinite(vals)), name
 
 
+# the five canonical laws, the mirrored half-line laws and a skewed Beta
+SWEEP_COEFFS = (
+    pearson.PearsonCoefficients(0.0, 0.0, 1.0),
+    pearson.PearsonCoefficients(0.0, 2.0, 2.0),
+    pearson.PearsonCoefficients(-0.25, 0.0, 0.0625),
+    pearson.PearsonCoefficients(0.5, 1.0, 0.5),
+    pearson.PearsonCoefficients(0.25, 0.0, 0.25),
+    pearson.PearsonCoefficients(0.0, -2.0, 2.0),
+    pearson.PearsonCoefficients(0.5, -1.0, 0.5),
+    pearson.PearsonCoefficients(-1.07, 1.152, 0.0302),
+)
+
+
+@pytest.mark.parametrize("coeffs", SWEEP_COEFFS, ids=str)
+def test_evaluate_finite_far_out_and_at_the_ends(coeffs):
+    # the Normal's flux underflows to 0 from |x| of about 38.6 sd on; there,
+    # outside the support and at its ends f and f' are the one-sided limits
+    law = pearson.build_law(coeffs)
+    sd = math.sqrt(law.variance)
+    extra = [-1e8, 1e8] + [e for e in (law.support_a, law.support_b) if math.isfinite(e)]
+    if law.case is pearson.CaseTag.NORMAL:
+        extra += [-40.0, -38.6, 38.6, 40.0]
+    xs = np.concatenate([np.linspace(-10.0 * sd, 10.0 * sd, 801), extra])
+    for k in (0.3, 1.0, 2.0, 4.0, 6.0):
+        if not k * sd < law.support_b:
+            continue
+        sol = solve_indicator(law, k * sd)
+        f, fp, res = stein.evaluate(sol, xs)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(fp)) and np.all(np.isfinite(res)), k
+        zero = pearson.flux(law, xs) == 0.0
+        h_centered = np.where(xs <= sol.z, sol.phi_star_z, -sol.eh)
+        np.testing.assert_array_equal(fp[zero], h_centered[zero] / xs[zero] ** 2)
+
+
+def test_outside_limits_keep_a_tail_below_the_complement(beta_law):
+    # Phi(z) = 3.0e-18 while 1 - F(z) rounds to 0: h - E[h] left of z is Phi(z)
+    sol = solve_indicator(beta_law, beta_law.support_b - 1e-9)
+    assert sol.phi_star_z == pytest.approx(3.0e-18, rel=1e-3) and 1.0 - sol.eh == 0.0
+    f, fp, _ = stein.evaluate(sol, -0.6)
+    assert f[0] == pytest.approx(sol.phi_star_z / 0.6, rel=1e-14)
+    assert fp[0] == pytest.approx(sol.phi_star_z / 0.36, rel=1e-14)
+    grid = certification_grid(beta_law, sol.z, 2000)
+    assert grid.min() < beta_law.support_a
+    cert = certify_fprime(sol, grid)
+    assert cert.passed and cert.min_margin_left > 0.0
+
+
 def test_solve_indicator_threshold_validation(normal_law, beta_law):
     with pytest.raises(ThresholdOutOfRangeError):
         solve_indicator(normal_law, -1.0)
@@ -145,6 +192,20 @@ def test_fprime_one_sided_limits(normal_law):
     assert stein.evaluate(sol, 1.0 - eps)[1][0] == pytest.approx(left, rel=1e-5)
     assert stein.evaluate(sol, 1.0 + eps)[1][0] == pytest.approx(right, rel=1e-5)
     assert left >= 0.0 >= right
+
+
+def test_fprime_limits_read_the_shared_numerators(canonical_laws):
+    for name, law in canonical_laws.items():
+        for z in _z_values(law):
+            sol = solve_indicator(law, z)
+            g, flux, _, (num_left, num_right) = stein._numerators(sol, np.array([z]))
+            left, right = fprime_limits_at_threshold(sol)
+            assert left == num_left[0] / (g[0] * flux[0]), name
+            assert right == num_right[0] / (g[0] * flux[0]), name
+            # the scalar closed forms at z, operation for operation
+            g_z, flux_z = stein_kernel(law.coeffs, z), float(pearson.flux(law, z))
+            assert left == sol.phi_star_z * (z * sol.eh + flux_z) / (g_z * flux_z), name
+            assert right == sol.eh * (z * sol.phi_star_z - flux_z) / (g_z * flux_z), name
 
 
 # ---------------------------------------------------------------------------
