@@ -8,12 +8,13 @@ Ornstein-Uhlenbeck generator divides by it.  The carre-du-champ-style quantity
     G = <DX, -DL^{-1}X> = X'(N) * sum_m c_m H_{m-1}(N)
 
 is therefore an explicit polynomial in N, the law of X is an explicit
-pushforward of the Gaussian through a polynomial (computable branch by
-branch), and the identity E[X m(X)] = E[m'(X) G] can be checked to quadrature
-exactness.  This is the module that produces the dominated/dominating
-variables fed to the tail-comparison machinery, and the exact extrema of the
-dominance margin G - g(X) that certify them; ``verify`` uses the same routine
-for a Pearson X, with x and its kernel in place of X(n) and G(n).
+pushforward of the Gaussian read off the level crossings of X(n), and the
+identity E[X m(X)] = E[m'(X) G] can be checked to quadrature exactness.
+This module produces the dominated/dominating variables fed to the
+tail-comparison machinery, and the exact extrema of the dominance margin
+G - g(X) that certify them; ``verify`` uses the same routine for a Pearson X,
+with x and its kernel in place of X(n) and G(n).  Every real root is a
+bracketed sign change solved by ``quadrature.solve_monotone``.
 """
 
 from __future__ import annotations
@@ -153,38 +154,46 @@ def _log2_root_bound(c) -> float:
                default=-math.inf)
 
 
-def _real_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Real roots of a monomial-coefficient polynomial, Newton-polished.
+def _sign_changes(c: np.ndarray, dc: np.ndarray, splits: np.ndarray) -> np.ndarray:
+    """Sorted sign changes of p = sum c_k t^k, monotone between the sorted splits; dc holds p'.
 
-    Only exact trailing zeros are dropped: a tiny leading coefficient still
-    places roots, far out.
+    The signs at +-inf are those of p's limits, and the Fujiwara bound R
+    closes the outer pieces.  Every piece whose end signs differ is solved in one
+    ``quadrature.solve_monotone`` call; a split where p is exactly 0 between
+    opposite signs is a root.  Roots of even multiplicity change no sign.  A
+    solve stops after a Newton step below 1e-13 + 4 eps |t|; at an odd multiple
+    root Newton creeps in linearly until rounding noise, about eps^(1/m) |t|
+    wide, ends it.
     """
-    nz = np.nonzero(coeffs)[0]
-    if nz.size == 0:
-        return np.array([])
-    c = coeffs[: nz[-1] + 1]
+    signs = np.sign([_poly_limit(c, -math.inf), *npoly.polyval(splits, c), _poly_limit(c, math.inf)])
+    found = splits[(signs[1:-1] == 0.0) & (signs[:-2] * signs[2:] < 0.0)]
+    cross = signs[:-1] * signs[1:] < 0.0
+    if cross.any():
+        log2_r = 1.0 + _log2_root_bound(c)
+        r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
+        ends = np.concatenate([[-r], splits, [r]])
+        solved = quadrature.solve_monotone(lambda t: (npoly.polyval(t, c), npoly.polyval(t, dc)),
+                                           ends[:-1][cross], ends[1:][cross], signs[1:][cross] > 0.0, xtol=1e-13)
+        found = np.sort(np.concatenate([found, solved]))
+    return found
+
+
+def _real_roots(coeffs) -> np.ndarray:
+    """Sorted real roots of odd multiplicity of a monomial-coefficient polynomial.
+
+    It is monotone between the roots of its derivative, so this recurses down
+    the derivative sequence, one bracketed solve per order.  Only exact
+    trailing zeros are dropped: a tiny leading coefficient still places roots,
+    far out.  A factor t^k is divided out, so a root 0 is exact: no rounding
+    noise would end Newton's creep into it.
+    """
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) <= 1:
         return np.array([])
-    # polyroots' companion matrix holds c_k / c_d, below 2^(d b) for the root bound 2^(b+1): past 2^512 it
-    # is built for t = N / 2^e instead, from coefficients rescaled by powers of two (exact)
-    d, b = len(c) - 1, _log2_root_bound(c)
-    e = math.floor(b) if d * b > 512.0 else 0
-    if e > 1000:
-        raise DomainError("polynomial roots reach beyond the doubles")
-    roots = npoly.polyroots(np.ldexp(c, (np.arange(d + 1) - d) * e - math.frexp(c[d])[1])) * 2.0 ** e
-    real = roots[np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots.real))].real
-    if real.size == 0:
-        return real
-    d = npoly.polyder(c)
-    for _ in range(3):
-        fv = npoly.polyval(real, c)
-        dv = npoly.polyval(real, d)
-        step = np.where(np.abs(dv) > 1e-300, fv / np.where(dv == 0.0, 1.0, dv), 0.0)
-        real = real - step
-    real = np.sort(real)
-    keep = np.ones(real.size, dtype=bool)
-    keep[1:] = np.diff(real) > 1e-10 * (1.0 + np.abs(real[1:]))
-    return real[keep]
+    if k := int(np.flatnonzero(c)[0]):
+        return np.sort(np.append(_real_roots(c[k:]), [0.0] * (k % 2)))
+    dc = npoly.polyder(c)
+    return _sign_changes(c, dc, _real_roots(dc))
 
 
 @dataclass(frozen=True)
@@ -260,17 +269,17 @@ def malliavin_G(x_series: HermiteSeries) -> PolynomialInN:
 class PolynomialChaosLaw:
     """Pushforward of the standard Gaussian through a polynomial.
 
-    Critical points of the polynomial split the line into monotone branches;
-    every evaluator below reduces to branch inverses (one bracketed
-    ``quadrature.solve_monotone`` call per level) plus closed-form Gaussian
-    integrals.
+    Every evaluator below reduces to the crossings of a level between the
+    critical points of X(n) (one bracketed solve per level) plus closed-form
+    Gaussian integrals.  G(n) is kept next to X(n) and X'(n), so the kernels
+    and margins build each once per series.
     """
 
     series: HermiteSeries
     poly: PolynomialInN
     dpoly: PolynomialInN
+    gpoly: PolynomialInN  # G(n) = <DX, -DL^{-1}X>, see ``malliavin_G``
     crit_points: tuple[float, ...]
-    end_values: tuple[float, ...]  # X at -inf, at each critical point and at +inf (limits at the ends)
     support_a: float
     support_b: float
 
@@ -280,31 +289,15 @@ class PolynomialChaosLaw:
         """The strictly-crossing preimages (n, X'(n)) of level x, and disjoint
         intervals whose union is {n : X(n) > x}.
 
-        The critical points split the line into monotone branches; the
-        crossings of x on all of them are solved in one call.  Every real root
-        of X(n) - x lies within the Fujiwara bound R, which closes the
-        infinite branches.
+        The crossings are the sign changes of X(n) - x between the critical
+        points; {X > x} alternates between them, starting from the sign of
+        X - x at -inf.  A level equal to a critical value has no preimage there.
         """
-        pts, vals = (-math.inf, *self.crit_points, math.inf), self.end_values
-        rows = list(zip(pts[:-1], pts[1:], vals[:-1], vals[1:]))
-        cross = [k for k, (_, _, u, v) in enumerate(rows) if min(u, v) < x < max(u, v)]
-        roots = {}
-        if cross:
-            log2_r = 1.0 + _log2_root_bound((self.poly.coeffs[0] - x, *self.poly.coeffs[1:]))
-            r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
-            lo, hi, u, v = (np.array(col) for col in zip(*(rows[k] for k in cross)))
-            ns = quadrature.solve_monotone(lambda n: (self.poly(n) - x, self.dpoly(n)),
-                                           np.maximum(lo, -r), np.minimum(hi, r), v > u, xtol=1e-13)
-            roots = dict(zip(cross, zip(ns.tolist(), self.dpoly(ns).tolist())))
-        preimages, above = [], []
-        for k, (lo, hi, u, v) in enumerate(rows):
-            if k in roots:
-                n, slope = roots[k]
-                preimages.append((n, slope))
-                above.append((n, hi) if v > u else (lo, n))
-            elif max(u, v) > x:
-                above.append((lo, hi))
-        return preimages, above
+        c = npoly.polysub(self.poly.coeffs, [x])
+        ns = _sign_changes(c, np.asarray(self.dpoly.coeffs), np.asarray(self.crit_points))
+        pts = [-math.inf, *ns.tolist(), math.inf]
+        first = 0 if _poly_limit(c, -math.inf) > 0.0 else 1
+        return list(zip(pts[1:-1], self.dpoly(ns).tolist())), list(zip(pts[first:-1:2], pts[first + 1::2]))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -331,14 +324,12 @@ class PolynomialChaosLaw:
 
 @functools.lru_cache(maxsize=32)
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
-    """The exact law of X, cached per series: g_function and g_from_conditional ask for it on every call."""
-    poly = x_series.to_polynomial()
-    if poly.degree < 1:
-        raise DomainError("polynomial variable must be nonconstant")
+    """The exact law of X with X(n), X'(n) and G(n), cached per series: every kernel and margin asks for it."""
+    poly = x_series.to_polynomial()  # degree >= 1: H_n has leading coefficient 1
     dpoly = poly.derivative()
-    crit = tuple(float(t) for t in _real_roots(np.asarray(dpoly.coeffs)))
+    crit = tuple(_real_roots(dpoly.coeffs).tolist())
     values = (_poly_limit(poly.coeffs, -math.inf), *(poly(t) for t in crit), _poly_limit(poly.coeffs, math.inf))
-    return PolynomialChaosLaw(x_series, poly, dpoly, crit, values, min(values), max(values))
+    return PolynomialChaosLaw(x_series, poly, dpoly, malliavin_G(x_series), crit, min(values), max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +355,12 @@ def g_function(x_series: HermiteSeries, x: float) -> float:
 
 def g_from_conditional(x_series: HermiteSeries, x: float) -> float:
     """E[G | X = x] as a preimage-weighted average of the polynomial G."""
-    pre = law_of_polynomial(x_series).level(x)[0]
+    law = law_of_polynomial(x_series)
+    pre = law.level(x)[0]
     if not pre:
         raise OutsideSupportError(f"no preimages of {x}")
     weights = _preimage_weights(pre)
-    values = malliavin_G(x_series)(np.array([n for n, _ in pre]))
+    values = law.gpoly(np.array([n for n, _ in pre]))
     return float(np.dot(weights, values) / np.sum(weights))
 
 
@@ -418,8 +410,8 @@ def _poly_limit(coeffs, end: float) -> float:
 
 def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tuple[float, float]:
     """(min margin, argmin) of G(n) - g(X(n)) over the whole line, exact (see ``margin_extrema``)."""
-    res = margin_extrema(x_series.to_polynomial().coeffs, malliavin_G(x_series).coeffs, coeffs,
-                         (-math.inf, math.inf))
+    law = law_of_polynomial(x_series)
+    res = margin_extrema(law.poly.coeffs, law.gpoly.coeffs, coeffs, (-math.inf, math.inf))
     return res["min"], res["argmin"]
 
 
@@ -451,8 +443,8 @@ def ibp_check(x_series: HermiteSeries, m_poly) -> float:
     growth, which Gaussian integrability covers at this scale.
     """
     m = np.asarray(m_poly.coeffs if isinstance(m_poly, PolynomialInN) else m_poly, dtype=float)
-    x_poly = np.asarray(x_series.to_polynomial().coeffs)
-    g_poly = np.asarray(malliavin_G(x_series).coeffs)
+    law = law_of_polynomial(x_series)
+    x_poly, g_poly = np.asarray(law.poly.coeffs), np.asarray(law.gpoly.coeffs)
     lhs = npoly.polymul(x_poly, _compose(m, x_poly))
     rhs = npoly.polymul(_compose(npoly.polyder(m), x_poly), g_poly)
     return abs(expect_polynomial(lhs) - expect_polynomial(rhs))

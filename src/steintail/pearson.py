@@ -246,8 +246,8 @@ def _gamma_log_pdf(law: PearsonLaw, z):
     inside = u > 0.0
     v = np.where(inside, u, 1.0)
     out = np.where(inside, law.log_norm_const + (law.r - 1.0) * np.log(v) - v / law.s, -np.inf)
-    if law.r < 1.0:  # endpoint pole: continuous limit is +inf
-        out = np.where(u == 0.0, np.inf, out)
+    if law.r <= 1.0:  # continuous limit at the end: a pole, or ln C where the exponent r - 1 is 0
+        out = np.where(u == 0.0, np.inf if law.r < 1.0 else law.log_norm_const, out)
     return out
 
 
@@ -266,10 +266,10 @@ def _beta_log_pdf(law: PearsonLaw, z):
     za = np.where(inside, z - a, 1.0)
     bz = np.where(inside, b - z, 1.0)
     out = np.where(inside, law.log_norm_const + (law.r - 1.0) * np.log(za) + (law.s - 1.0) * np.log(bz), -np.inf)
-    if law.r < 1.0:
-        out = np.where(z == a, np.inf, out)
-    if law.s < 1.0:
-        out = np.where(z == b, np.inf, out)
+    if law.r <= 1.0:  # as for the Gamma, a pole or the finite limit at each end
+        out = np.where(z == a, np.inf if law.r < 1.0 else law.log_norm_const + (law.s - 1.0) * math.log(b - a), out)
+    if law.s <= 1.0:
+        out = np.where(z == b, np.inf if law.s < 1.0 else law.log_norm_const + (law.r - 1.0) * math.log(b - a), out)
     return out
 
 

@@ -81,9 +81,10 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
     """(f, f', residual g f' - x f - (h - E[h])) on a grid, in one pass.
 
     Where the flux is 0 or a quotient is not finite (outside the support, at
-    its ends, past underflow) f and f' take their one-sided limits; at the
-    kinks {z, a, b} f' and the residual are one-sided values, so callers that
-    need them exclude those points.
+    its ends, past underflow) f and f' take their one-sided limits, and at
+    x = +-inf the residual takes its limit 0; at the kinks {z, a, b} f' and
+    the residual are one-sided values, so callers that need them exclude those
+    points.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     left = xs <= sol.z
@@ -94,7 +95,8 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
         fp = np.where(left, *num_p) / (g * flux)
         f = np.where((flux > 0.0) & np.isfinite(f), f, -hc / xs)
         fp = np.where((flux > 0.0) & np.isfinite(fp), fp, hc / (xs * xs))
-    return f, fp, g * fp - xs * f - hc
+        residual = np.where(np.isfinite(xs), g * fp - xs * f - hc, 0.0)  # its limit at +-inf, where x f = inf * 0
+    return f, fp, residual
 
 
 def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:

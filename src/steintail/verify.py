@@ -173,7 +173,8 @@ def _certify(spec: ScenarioSpec) -> dict:
     """
     x = spec.x_model
     if isinstance(x, HermiteSeries):
-        x_poly, g_poly, domain = x.to_polynomial().coeffs, chaos.malliavin_G(x).coeffs, (-math.inf, math.inf)
+        law = chaos.law_of_polynomial(x)
+        x_poly, g_poly, domain = law.poly.coeffs, law.gpoly.coeffs, (-math.inf, math.inf)
     else:
         c = x.coeffs
         x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)

@@ -9,12 +9,15 @@ mass beyond the smallest nodes of any 50-digit quadrature.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy.integrate import quad
 
 from steintail import bounds, chaos, pearson
@@ -348,3 +351,43 @@ def test_property_margin_extrema_tiny_leading_term(data):
     else:
         ref = PearsonCoefficients(tiny, ref.beta, ref.gamma)
     _check_pearson_margin(cx, ref, np.linspace(-20.0, 20.0, 1001))
+
+
+# ---------------------------------------------------------------------------
+# real roots of a polynomial: sympy's exact isolation of the float coefficients
+
+
+def _exact_odd_roots(c) -> list[float]:
+    """Odd-multiplicity real roots of sum c_k t^k, isolated by sympy on the exact value of each double."""
+    t = sympy.Symbol("t")
+    poly = sympy.Poly([sympy.Rational(Fraction(float(v))) for v in c[::-1]], t)
+    return sorted(float((a + b) / 2) for (a, b), m in poly.intervals(eps=sympy.Rational(1, 10**18)) if m % 2)
+
+
+def test_real_roots_against_exact_isolation():
+    # roots at least 1e-3 (1 + |t|) apart and complex pairs; the tolerance is 1e-12 (1 + |t|) plus
+    # the rounding bound of Horner's rule over the slope: the rounding of p alone moves a root that far
+    rnd = np.random.default_rng(20240527)
+    for _ in range(200):
+        d = int(rnd.integers(1, 9))
+        pairs = int(rnd.integers(0, d // 2 + 1))
+        real = np.sort(rnd.uniform(-3.0, 3.0, d - 2 * pairs))
+        while np.any(np.diff(real) < 1e-3 * (1.0 + np.abs(real[1:]))):
+            real = np.sort(rnd.uniform(-3.0, 3.0, d - 2 * pairs))
+        z = rnd.uniform(-3.0, 3.0, pairs) + 1j * rnd.uniform(0.05, 2.0, pairs)
+        lead = rnd.choice([-1.0, 1.0]) * 10.0 ** rnd.uniform(-3.0, 3.0)
+        c = lead * npoly.polyfromroots(np.concatenate([real, z, z.conj()])).real
+        want = np.array(_exact_odd_roots(c))
+        got = chaos._real_roots(c)
+        assert got.shape == want.shape, (c, want, got)
+        rounding = 2 * d * np.finfo(float).eps * npoly.polyval(np.abs(want), np.abs(c))
+        tol = 1e-12 * (1.0 + np.abs(want)) + rounding / np.abs(npoly.polyval(want, npoly.polyder(c)))
+        assert np.all(np.abs(got - want) <= tol), (c, want, got)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_real_roots_of_a_monomial_and_a_power_of_t_factor(d):
+    # c_d t^d has root bound -inf: its root 0 is exact, of odd multiplicity or none
+    assert chaos._real_roots(np.eye(d + 1)[d] * -2.5).tolist() == [0.0] * (d % 2)
+    c = npoly.polymul(np.eye(d + 1)[d], [-1e60, 1.0])  # t^d (t - 1e60): the root 0 takes no solve
+    assert chaos._real_roots(c).tolist() == sorted([0.0] * (d % 2) + [1e60])

@@ -180,6 +180,18 @@ def test_density_values(normal_law, gamma_law, beta_law):
     assert density(beta_law, 0.4999999) < 1e-5
 
 
+def test_log_density_at_an_end_with_exponent_one_is_the_finite_limit():
+    # the exponential (0, 1, 1) on (-1, inf) and the uniform Beta (-0.5, 0, 0.5) on (-1, 1)
+    assert log_density(build_law(PearsonCoefficients(0.0, 1.0, 1.0)), -1.0) == 0.0
+    assert log_density(build_law(PearsonCoefficients(0.0, -1.0, 1.0)), 1.0) == 0.0  # mirrored
+    uniform = build_law(PearsonCoefficients(-0.5, 0.0, 0.5))
+    np.testing.assert_allclose(log_density(uniform, [-1.0, 1.0]), -math.log(2.0), rtol=1e-15)
+    # an exponent 1 at one end only: rho = 3/64 (x + 3)^2 on (-3, 1) vanishes at -3 and is 3/4 at 1
+    skewed = build_law(PearsonCoefficients(-0.25, -0.5, 0.75))
+    assert (skewed.r, skewed.s) == (3.0, 1.0)
+    np.testing.assert_allclose(log_density(skewed, [-3.0, 1.0]), [-math.inf, math.log(0.75)], rtol=1e-14)
+
+
 def test_density_integrates_to_one(canonical_laws):
     for name, law in canonical_laws.items():
         a, b = law.support_a, law.support_b

@@ -125,6 +125,15 @@ def test_evaluate_finite_far_out_and_at_the_ends(coeffs):
         np.testing.assert_array_equal(fp[zero], h_centered[zero] / xs[zero] ** 2)
 
 
+def test_evaluate_at_infinity_returns_the_limits(canonical_laws):
+    # x f is inf * 0 there; the residual's limit is 0 (tier-1 turns a RuntimeWarning into an error)
+    for name, law in canonical_laws.items():
+        sol = solve_indicator(law, 0.5 * min(1.0, law.support_b))
+        f, fp, res = stein.evaluate(sol, [-math.inf, math.inf])
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(fp)), name
+        assert res.tolist() == [0.0, 0.0], name
+
+
 def test_outside_limits_keep_a_tail_below_the_complement(beta_law):
     # Phi(z) = 3.0e-18 while 1 - F(z) rounds to 0: h - E[h] left of z is Phi(z)
     sol = solve_indicator(beta_law, beta_law.support_b - 1e-9)

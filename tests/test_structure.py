@@ -7,7 +7,9 @@ point (``cli`` or ``__init__``).  A Pearson case is known in one place: only
 member, and ``bounds`` reads neither the tag nor a canonical parameter.
 Sampling stays off ``scipy.stats``, whose import alone costs about half a
 second and 17 MB, and the library and the CLI load neither ``scipy.optimize``
-nor ``scipy.integrate``.
+nor ``scipy.integrate``.  Every root goes through ``quadrature.solve_monotone``:
+no module names a library root finder (companion matrix, eigenvalues, Brent or
+Newton).
 """
 
 import ast
@@ -114,6 +116,25 @@ def test_bounds_reads_no_case_tag_and_no_canonical_parameter():
     reads += [f"bounds:{node.lineno} imports CaseTag" for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and any(a.name == "CaseTag" for a in node.names)]
     assert not reads, reads
+
+
+ROOT_FINDERS = {"polyroots", "roots", "eig", "eigvals", "brentq", "newton"}
+
+
+def test_no_module_names_a_library_root_finder():
+    named = []
+    for name, tree in _modules().items():
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        bound = {(a.asname or a.name).split(".")[0] for n in imports for a in n.names}
+        named += [f"{name}:{n.lineno} imports {a.name}" for n in imports for a in n.names
+                  if a.name.split(".")[-1] in ROOT_FINDERS]
+        for node in ast.walk(tree):
+            base = node
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(node, ast.Attribute) and node.attr in ROOT_FINDERS and getattr(base, "id", None) in bound:
+                named.append(f"{name}:{node.lineno} names {ast.unparse(node)}")
+    assert not named, named
 
 
 def test_version_matches_pyproject():
