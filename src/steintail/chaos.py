@@ -159,14 +159,23 @@ def _sign_changes(c: np.ndarray, dc: np.ndarray, splits: np.ndarray) -> np.ndarr
 
     The signs at +-inf are those of p's limits, and the Fujiwara bound R
     closes the outer pieces.  Every piece whose end signs differ is solved in one
-    ``quadrature.solve_monotone`` call; a split where p is exactly 0 between
-    opposite signs is a root.  Roots of even multiplicity change no sign.  A
-    solve stops after a Newton step below 1e-13 + 4 eps |t|; at an odd multiple
-    root Newton creeps in linearly until rounding noise, about eps^(1/m) |t|
-    wide, ends it.
+    ``quadrature.solve_monotone`` call; a run of splits where p is exactly 0
+    between opposite signs is one root, its middle split.  Roots of even
+    multiplicity change no sign.  A solve stops after a Newton step below
+    1e-13 + 4 eps |t|; at an odd multiple root, or where p is close to a power
+    c t^k across a wide piece, Newton gains only (m - 1)/m a step, and the
+    solver's patience rule closes the distance.  Near an odd multiple root
+    rounding noise, about eps^(1/m) |t| wide, leaves no sign to follow, and
+    bisection ends there; the noise can also put several splits, all with
+    p = 0, at such a root.
     """
-    signs = np.sign([_poly_limit(c, -math.inf), *npoly.polyval(splits, c), _poly_limit(c, math.inf)])
-    found = splits[(signs[1:-1] == 0.0) & (signs[:-2] * signs[2:] < 0.0)]
+    with np.errstate(over="ignore"):  # past the doubles p is +-inf, which keeps its sign
+        signs = np.sign([_poly_limit(c, -math.inf), *npoly.polyval(splits, c), _poly_limit(c, math.inf)])
+    found = splits[:0]
+    if not signs.all():  # some split has p = 0; the limits at +-inf never do
+        nz = np.flatnonzero(signs)
+        run = (np.diff(nz) > 1) & (signs[nz[:-1]] * signs[nz[1:]] < 0.0)
+        found = splits[(nz[:-1][run] + nz[1:][run]) // 2 - 1]
     cross = signs[:-1] * signs[1:] < 0.0
     if cross.any():
         log2_r = 1.0 + _log2_root_bound(c)

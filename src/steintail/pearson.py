@@ -504,10 +504,19 @@ def _gamma_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
 
 
 def _beta_logit_inverse(p: np.ndarray, a: float, b: float) -> np.ndarray:
-    """logit x for I_x(a, b) = p; x and 1 - x each come from their own inverse."""
+    """logit x for I_x(a, b) = p, from the one inverse of x or 1 - x that is at most 1/2.
+
+    p <= I_(1/2)(a, b) puts x at or below 1/2; the other end is then log1p of
+    minus the one solved.
+    """
     log_beta = _sp.betaln(a, b)  # I_x(a, b) ~ x^a / (a B(a, b))
-    return (_log_small_inverse(_sp.betaincinv(a, b, p), p, a, math.log(a) + log_beta)
-            - _log_small_inverse(_sp.betainccinv(b, a, p), 1.0 - p, b, math.log(b) + log_beta))
+    near_0 = p <= _sp.betainc(a, b, 0.5)
+    out = np.empty_like(p)
+    x = _sp.betaincinv(a, b, p[near_0])
+    out[near_0] = _log_small_inverse(x, p[near_0], a, math.log(a) + log_beta) - np.log1p(-x)
+    w = _sp.betainccinv(b, a, p[~near_0])  # 1 - x
+    out[~near_0] = np.log1p(-w) - _log_small_inverse(w, 1.0 - p[~near_0], b, math.log(b) + log_beta)
+    return out
 
 
 def _beta_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
@@ -543,21 +552,32 @@ def _case5_xi_start(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
 def _case5_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
     """z at logit-tail t: Newton steps on logit P[Z > z] in xi = asinh((z + mu)/delta).
 
-    The start interpolates the logit at the panel ends of the case-5 table; in
-    xi the power tails make it nearly linear.
+    Each point integrates only its smaller side, the tail for t <= 0 and the
+    cdf for t > 0: with that side v, the logit is +-(ln v - log1p(-v)) and
+    its slope -rho/(v(1 - v)).  As in ``quadrature.solve_monotone``, a point
+    stops after the step from a residual within _NEWTON_TOL, and only the
+    others are evaluated again; stopping before that step would leave node
+    errors near _NEWTON_TOL, which the midpoint check counts once more.  The
+    start interpolates the logit at the panel ends of the case-5 table; in xi
+    the power tails make it nearly linear.
     """
-    def logit_and_slope(xi):
-        s, c = _case5_xi_side(law, xi, True), _case5_xi_side(law, xi, False)
-        rho = np.exp(_case5_log_f(law.r, law.s, xi) - _case5_table(law.r, law.s).log_mass)
-        return np.log(s) - np.log(c), -rho / (s * c)
-
+    log_mass = _case5_table(law.r, law.s).log_mass
     xi = _case5_xi_start(law, t)
+    todo = np.arange(t.size)
     for _ in range(_NEWTON_STEPS):
-        value, slope = logit_and_slope(xi)
-        err = np.max(np.abs(value - t))
-        if err <= _NEWTON_TOL:
+        x, tt = xi[todo], t[todo]
+        upper = tt <= 0.0
+        v = np.empty_like(x)
+        v[upper] = _case5_xi_side(law, x[upper], True)
+        v[~upper] = _case5_xi_side(law, x[~upper], False)
+        logit = np.log(v) - np.log1p(-v)
+        res = np.where(upper, logit, -logit) - tt
+        rho = np.exp(_case5_log_f(law.r, law.s, x) - log_mass)
+        xi[todo] = x + res * v * (1.0 - v) / rho  # d logit-tail / d xi = -rho/(v(1 - v)) on either side
+        todo = todo[~(np.abs(res) <= _NEWTON_TOL)]  # NaN never passes
+        if not todo.size:
             return law.delta * np.sinh(xi) - law.mu
-        xi -= (value - t) / slope
+    err = float(np.max(np.abs(res)))
     raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
 
 

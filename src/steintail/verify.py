@@ -178,15 +178,16 @@ def _certify(spec: ScenarioSpec) -> dict:
     else:
         c = x.coeffs
         x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)
+    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(x_poly, g_poly, coeffs, domain))
     info = {}
     if spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
-        res = chaos.margin_extrema(x_poly, g_poly, spec.reference, domain)
+        res = extrema(spec.reference)
         info["lower_margin"] = res["min"]
         if res["min"] < -MARGIN_TOL:
             raise UncertifiedHypothesisError(
                 f"G >= g(X) fails: margin {res['min']} at {res['argmin']}")
     if spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
-        res = chaos.margin_extrema(x_poly, g_poly, spec.upper_coeffs, domain)
+        res = extrema(spec.upper_coeffs)  # a Sandwich with one reference reads the extrema above
         info["upper_margin"] = res["max"]
         if res["max"] > MARGIN_TOL:
             raise UncertifiedHypothesisError(

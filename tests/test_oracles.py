@@ -391,3 +391,33 @@ def test_real_roots_of_a_monomial_and_a_power_of_t_factor(d):
     assert chaos._real_roots(np.eye(d + 1)[d] * -2.5).tolist() == [0.0] * (d % 2)
     c = npoly.polymul(np.eye(d + 1)[d], [-1e60, 1.0])  # t^d (t - 1e60): the root 0 takes no solve
     assert chaos._real_roots(c).tolist() == sorted([0.0] * (d % 2) + [1e60])
+
+
+@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("e", [10, 50, 60, 70])
+def test_real_roots_of_an_odd_multiple_root_inside_a_wide_piece(m, e):
+    # (t - 1)^m (t - 10^e): p' keeps its sign across 1, so 1 lies deep inside the piece
+    # [-R, 0.75 10^e] and Newton from its middle gains only (m - 1)/m a step.  Horner's
+    # rounding, 2 d eps 2^m 10^e at 1, leaves no sign within 2 (2 d eps)^(1/m) of it;
+    # there an odd number of crossings is what the doubles resolve
+    c = npoly.polymul(npoly.polypow([-1.0, 1.0], m), [-10.0**e, 1.0])
+    got = chaos._real_roots(c)
+    noise = 2.0 * (2 * (m + 1) * np.finfo(float).eps) ** (1.0 / m)
+    assert got[:-1].size % 2 == 1 and np.all(np.abs(got[:-1] - 1.0) <= noise), got
+    assert got[-1] == pytest.approx(10.0**e, rel=1e-12)
+
+
+@pytest.mark.parametrize("e", [60, 70])
+def test_real_roots_of_a_simple_root_past_a_power_law_stretch(e):
+    # (t - 1)(t^2 + 1)(t - 10^e) is about -10^e t^3 between 1 and 10^e: Newton there
+    # shrinks the distance by 2/3 a step, too slow to close 10^e within the solver's steps
+    c = npoly.polymul([-1.0, 1.0, -1.0, 1.0], [-10.0**e, 1.0])
+    got = chaos._real_roots(c)
+    assert got.size == 2 and abs(got[0] - 1.0) <= 1e-13 and got[1] == pytest.approx(10.0**e, rel=1e-12)
+
+
+def test_sign_changes_take_a_run_of_zero_splits_as_one_root():
+    # rounding noise can put several splits with p exactly 0 at an odd multiple root
+    # ((t - 1)^5 (t - 1e10) gives two); between opposite signs the run is one root
+    assert chaos._sign_changes(np.array([0.0, 1.0]), np.array([1.0]), np.array([0.0, 0.0])).tolist() == [0.0]
+    assert chaos._sign_changes(np.array([0.0, 0.0, 1.0]), np.array([0.0, 2.0]), np.array([0.0, 0.0])).tolist() == []

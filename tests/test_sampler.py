@@ -8,6 +8,7 @@ closed form and is compared with the exact tail at the sample.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -132,6 +133,56 @@ def test_inverse_keeps_shape_and_matches_blocked_sampling(beta_law):
     n = rng.BLOCK_SIZE + 17
     whole = pearson.quantile_grid(beta_law, rng.uniform_stream(5, n))
     np.testing.assert_array_equal(pearson.sample(beta_law, n, seed=5), whole)
+
+
+# ---------------------------------------------------------------------------
+# the table's nodes: case 5 from Newton steps on the smaller side, Beta from one inverse
+
+
+CASE5_NODE_LAWS = [c for c in ACCEPTANCE_LAWS if build_law(c).case is CaseTag.NO_REAL_ROOTS] + [
+    PearsonCoefficients(0.25, 100.0, 10000.01),  # skew s = 4000
+    PearsonCoefficients(1e-9, 0.0, 1.0),         # r = 5e8, nearly normal
+    PearsonCoefficients(0.25, -0.3, 0.25),       # the skewed law reflected
+]
+
+
+@pytest.mark.parametrize("coeffs", CASE5_NODE_LAWS, ids=str)
+def test_case5_nodes_meet_the_newton_tolerance_on_the_smaller_side(coeffs):
+    # the nodes and midpoints the table is built from, each checked on the exact
+    # tail (t <= 0) or cdf (t > 0): the side at or below 1/2, whose logit keeps its digits
+    law = build_law(coeffs)
+    t = np.linspace(-pearson._T_MAX, pearson._T_MAX, 2 * pearson._TABLE_NODES - 1)
+    z = pearson._case5_nodes(law, t)
+    upper = t <= 0.0
+    v = np.where(upper, pearson.tail_grid(law, z), pearson.cdf_grid(law, z))
+    logit = np.log(v) - np.log1p(-v)
+    err = np.abs(np.where(upper, logit, -logit) - t)
+    assert err.max() <= pearson._NEWTON_TOL, (coeffs, t[np.argmax(err)], err.max())
+
+
+BETA_SPLIT_LAWS = [
+    PearsonCoefficients(-0.25, 0.0, 0.0625),   # r = s = 2
+    PearsonCoefficients(-1.07, 1.152, 0.0302),  # r = 0.021, s = 0.91
+    PearsonCoefficients(-1.0 / 0.15, -0.01 / 0.15**2, 0.08 * 0.07 / 0.15**3),  # r = 0.08, s = 0.07
+]
+
+
+@pytest.mark.parametrize("coeffs", BETA_SPLIT_LAWS, ids=str)
+def test_beta_nodes_against_mpmath_across_the_inverse_split(coeffs):
+    # logit x for I_x(a, b) = p comes from the inverse of x below I_(1/2)(a, b) and
+    # from that of 1 - x above it; both sides against a 40-digit root, in both shape orders
+    law = build_law(coeffs)
+    for a, b in ((law.r, law.s), (law.s, law.r)):
+        half = float(sp.betainc(a, b, 0.5))
+        band = half * (1.0 + np.linspace(-1e-3, 1e-3, 21) * min(1.0, (1.0 - half) / half))
+        got = pearson._beta_logit_inverse(band, a, b)
+        with mp.workdps(40):
+            f = lambda p: lambda y: mp.betainc(a, b, 0, 1 / (1 + mp.exp(-y)), regularized=True) - p
+            want = [float(mp.findroot(f(mp.mpf(p)), mp.mpf(g))) for p, g in zip(band, got)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=f"{coeffs} shapes {a}, {b}")
+        # steps of 1e-11 p across the split move x by far more than the inverses' few ulps
+        logits = pearson._beta_logit_inverse(half * (1.0 + 1e-11 * np.arange(-50, 51)), a, b)
+        assert np.all(np.diff(logits) > 0.0), (coeffs, a, b)
 
 
 # ---------------------------------------------------------------------------

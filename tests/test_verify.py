@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from steintail import pearson
+from steintail import chaos, pearson
 from steintail.chaos import HermiteSeries
 from steintail.errors import (
     DomainError,
@@ -168,6 +168,20 @@ def test_h2_upper_reference_scenario():
     assert rep.meta["certification"]["upper_margin"] == pytest.approx(-1.0)
     assert rep.all_passed
     assert rep.meta["deep_tail"][1] and rep.meta["deep_tail"][2]
+
+
+@pytest.mark.parametrize("upper, calls", [(None, 1), (PearsonCoefficients(0.0, 2.0, 3.0), 2)],
+                         ids=["one-reference", "distinct-upper"])
+def test_sandwich_computes_each_reference_margin_once(monkeypatch, upper, calls):
+    # a Sandwich reads the min and the max of one margin_extrema call per distinct reference
+    seen = []
+    extrema = chaos.margin_extrema
+    monkeypatch.setattr(chaos, "margin_extrema", lambda *args: seen.append(args[2]) or extrema(*args))
+    rep = run_scenario(h2_gamma_spec(reference_upper=upper, z_grid=(2.0, 3.0), n_samples=10**4))
+    assert len(seen) == calls
+    assert seen[0] == PearsonCoefficients(0.0, 2.0, 2.0) and seen[-1] == (upper or seen[0])
+    assert rep.meta["certification"]["lower_margin"] == 0.0
+    assert rep.meta["certification"]["upper_margin"] == (-1.0 if upper else 0.0)
 
 
 def test_pearson_x_model_equality():
