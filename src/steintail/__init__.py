@@ -14,7 +14,6 @@ from .bounds import (
 )
 from .chaos import (
     HermiteSeries,
-    PolynomialInN,
     dominance_margin,
     g_function,
     hermite_eval,
@@ -70,7 +69,6 @@ __all__ = [
     "asymptotic_tail_constant",
     "variance_bound_check",
     "HermiteSeries",
-    "PolynomialInN",
     "hermite_eval",
     "malliavin_G",
     "law_of_polynomial",

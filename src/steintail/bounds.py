@@ -24,7 +24,7 @@ from enum import Enum
 
 from . import pearson
 from .errors import DomainError, InvalidConstantError, ThirdMomentError
-from .pearson import PearsonCoefficients, PearsonLaw, q_function, stein_kernel
+from .pearson import PearsonCoefficients, PearsonLaw, q_function
 
 __all__ = [
     "Direction",
@@ -147,14 +147,6 @@ def normalized_tail(law: PearsonLaw, z: float) -> float:
         return math.exp(log_val)
     except OverflowError:
         raise DomainError(f"normalized tail exp({log_val:.6g}) at z={z} is beyond the doubles") from None
-
-
-def log_normalized_flux(law: PearsonLaw, z: float) -> float:
-    """ln(z^(-p) e^(z/scale) g(z) rho(z)), whose limit is ln K; numeric-limit oracle hook."""
-    lg = math.log(float(stein_kernel(law.coeffs, z)))
-    lr = float(pearson.log_density(law, z))
-    _, p, scale = pearson.tail_asymptotics(law)
-    return lg + lr + z / scale - p * math.log(z)
 
 
 def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float, direction: Direction | str) -> bool:

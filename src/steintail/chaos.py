@@ -10,6 +10,9 @@ Ornstein-Uhlenbeck generator divides by it.  The carre-du-champ-style quantity
 is therefore an explicit polynomial in N, the law of X is an explicit
 pushforward of the Gaussian read off the level crossings of X(n), and the
 identity E[X m(X)] = E[m'(X) G] can be checked to quadrature exactness.
+Every polynomial in n is a plain tuple of monomial coefficients, low to high:
+X(n) and G(n) are computed in exact rationals and each coefficient is rounded
+once, and X'(n) is the derivative of the rounded X(n).
 This module produces the dominated/dominating variables fed to the
 tail-comparison machinery, and the exact extrema of the dominance margin
 G - g(X) that certify them; ``verify`` uses the same routine for a Pearson X,
@@ -35,7 +38,6 @@ from .pearson import PearsonCoefficients, support as pearson_support
 __all__ = [
     "MAX_DEGREE",
     "HermiteSeries",
-    "PolynomialInN",
     "hermite_eval",
     "malliavin_G",
     "law_of_polynomial",
@@ -100,51 +102,6 @@ def _gauss_integral(herm, intervals) -> float:
         return float(herme.hermeval(n, shift) * _phi(n))
 
     return float(sum(herm[0] * _gauss_interval_prob(u, v) + (edge(u) - edge(v)) for u, v in intervals))
-
-
-@dataclass(frozen=True)
-class PolynomialInN:
-    """Polynomial in the driving standard normal, monomial coefficients low to high."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise DomainError("polynomial needs at least one coefficient")
-
-    @staticmethod
-    def from_array(arr) -> "PolynomialInN":
-        """The polynomial with these coefficients; only exact trailing zeros are dropped."""
-        arr = np.atleast_1d(np.asarray(arr, dtype=float))
-        nz = np.nonzero(arr)[0]
-        return PolynomialInN(tuple(float(v) for v in (arr[: nz[-1] + 1] if nz.size else arr[:1])))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        val = npoly.polyval(np.asarray(x, dtype=float), self.coeffs)
-        return float(val) if val.ndim == 0 else val
-
-    def derivative(self) -> "PolynomialInN":
-        return PolynomialInN.from_array(npoly.polyder(np.asarray(self.coeffs)))
-
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0.0 and self.degree > 0:
-                continue
-            base = "1" if k == 0 else ("N" if k == 1 else f"N^{k}")
-            if k == 0:
-                terms.append(f"{c:g}")
-            elif c == 1.0:
-                terms.append(base)
-            elif c == -1.0:
-                terms.append(f"-{base}")
-            else:
-                terms.append(f"{c:g}*{base}")
-        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
 def _log2_root_bound(c) -> float:
@@ -216,6 +173,8 @@ class HermiteSeries:
         object.__setattr__(self, "coeffs", c)
         if len(c) < 2:
             raise DomainError("series must reach at least grade 1")
+        if not all(map(math.isfinite, c)):
+            raise DomainError(f"coefficients must be finite, got {c}")
         if c[0] != 0.0:
             raise DomainError(f"c_0 must be 0 (centered variable), got {c[0]}")
         if c[-1] == 0.0:
@@ -231,8 +190,9 @@ class HermiteSeries:
     def variance(self) -> float:
         return float(sum(math.factorial(n) * c * c for n, c in enumerate(self.coeffs)))
 
-    def to_polynomial(self) -> PolynomialInN:
-        return PolynomialInN.from_array([float(v) for v in _exact_monomials(self.coeffs)])
+    def to_polynomial(self) -> tuple[float, ...]:
+        """X(n) as monomial coefficients low to high, each rounded once from its exact value."""
+        return _rounded(_exact_monomials(self.coeffs))
 
     def evaluate(self, x):
         val = herme.hermeval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
@@ -258,7 +218,15 @@ def _exact_monomials(herm) -> list[Fraction]:
     return out
 
 
-def malliavin_G(x_series: HermiteSeries) -> PolynomialInN:
+def _rounded(coeffs) -> tuple[float, ...]:
+    """The coefficients as doubles, low to high; only trailing zeros are dropped, and one is kept."""
+    c = [float(v) for v in coeffs]
+    while len(c) > 1 and c[-1] == 0.0:
+        c.pop()
+    return tuple(c)
+
+
+def malliavin_G(x_series: HermiteSeries) -> tuple[float, ...]:
     """G(N) = X'(N) * sum_m c_m H_{m-1}(N) in monomial form, each coefficient rounded once from its exact value."""
     c = x_series.coeffs
     deriv = _exact_monomials([k * Fraction(c[k]) for k in range(1, len(c))])  # sum n c_n H_{n-1}
@@ -267,7 +235,7 @@ def malliavin_G(x_series: HermiteSeries) -> PolynomialInN:
     for i, a in enumerate(deriv):
         for j, b in enumerate(shift):
             prod[i + j] += a * b
-    return PolynomialInN.from_array([float(v) for v in prod])
+    return _rounded(prod)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +253,9 @@ class PolynomialChaosLaw:
     """
 
     series: HermiteSeries
-    poly: PolynomialInN
-    dpoly: PolynomialInN
-    gpoly: PolynomialInN  # G(n) = <DX, -DL^{-1}X>, see ``malliavin_G``
+    poly: tuple[float, ...]  # X(n), monomial coefficients low to high
+    dpoly: tuple[float, ...]  # X'(n)
+    gpoly: tuple[float, ...]  # G(n) = <DX, -DL^{-1}X>, see ``malliavin_G``
     crit_points: tuple[float, ...]
     support_a: float
     support_b: float
@@ -302,11 +270,14 @@ class PolynomialChaosLaw:
         points; {X > x} alternates between them, starting from the sign of
         X - x at -inf.  A level equal to a critical value has no preimage there.
         """
-        c = npoly.polysub(self.poly.coeffs, [x])
-        ns = _sign_changes(c, np.asarray(self.dpoly.coeffs), np.asarray(self.crit_points))
+        if math.isnan(x):
+            raise DomainError("level must be a number, got nan")
+        c = npoly.polysub(self.poly, [x])
+        ns = _sign_changes(c, np.asarray(self.dpoly), np.asarray(self.crit_points))
         pts = [-math.inf, *ns.tolist(), math.inf]
         first = 0 if _poly_limit(c, -math.inf) > 0.0 else 1
-        return list(zip(pts[1:-1], self.dpoly(ns).tolist())), list(zip(pts[first:-1:2], pts[first + 1::2]))
+        slopes = npoly.polyval(ns, self.dpoly).tolist()
+        return list(zip(pts[1:-1], slopes)), list(zip(pts[first:-1:2], pts[first + 1::2]))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -335,9 +306,9 @@ class PolynomialChaosLaw:
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
     """The exact law of X with X(n), X'(n) and G(n), cached per series: every kernel and margin asks for it."""
     poly = x_series.to_polynomial()  # degree >= 1: H_n has leading coefficient 1
-    dpoly = poly.derivative()
-    crit = tuple(_real_roots(dpoly.coeffs).tolist())
-    values = (_poly_limit(poly.coeffs, -math.inf), *(poly(t) for t in crit), _poly_limit(poly.coeffs, math.inf))
+    dpoly = _rounded(npoly.polyder(poly))
+    crit = tuple(_real_roots(dpoly).tolist())
+    values = (_poly_limit(poly, -math.inf), *npoly.polyval(crit, poly).tolist(), _poly_limit(poly, math.inf))
     return PolynomialChaosLaw(x_series, poly, dpoly, malliavin_G(x_series), crit, min(values), max(values))
 
 
@@ -369,7 +340,7 @@ def g_from_conditional(x_series: HermiteSeries, x: float) -> float:
     if not pre:
         raise OutsideSupportError(f"no preimages of {x}")
     weights = _preimage_weights(pre)
-    values = law.gpoly(np.array([n for n, _ in pre]))
+    values = npoly.polyval([n for n, _ in pre], law.gpoly)
     return float(np.dot(weights, values) / np.sum(weights))
 
 
@@ -420,7 +391,7 @@ def _poly_limit(coeffs, end: float) -> float:
 def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tuple[float, float]:
     """(min margin, argmin) of G(n) - g(X(n)) over the whole line, exact (see ``margin_extrema``)."""
     law = law_of_polynomial(x_series)
-    res = margin_extrema(law.poly.coeffs, law.gpoly.coeffs, coeffs, (-math.inf, math.inf))
+    res = margin_extrema(law.poly, law.gpoly, coeffs, (-math.inf, math.inf))
     return res["min"], res["argmin"]
 
 
@@ -444,16 +415,15 @@ def expect_polynomial(poly_coeffs) -> float:
     return float(np.dot(w, npoly.polyval(x, c)) / _SQRT_2PI)
 
 
-def ibp_check(x_series: HermiteSeries, m_poly) -> float:
+def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
     """|E[X m(X)] - E[m'(X) G]| by exact Gauss-Hermite quadrature.
 
-    m is a polynomial (monomial coefficients or PolynomialInN); the bounded
+    m is a polynomial, monomial coefficients low to high; the bounded
     derivative hypothesis of the underlying identity is relaxed to polynomial
     growth, which Gaussian integrability covers at this scale.
     """
-    m = np.asarray(m_poly.coeffs if isinstance(m_poly, PolynomialInN) else m_poly, dtype=float)
+    m = np.asarray(m_coeffs, dtype=float)
     law = law_of_polynomial(x_series)
-    x_poly, g_poly = np.asarray(law.poly.coeffs), np.asarray(law.gpoly.coeffs)
-    lhs = npoly.polymul(x_poly, _compose(m, x_poly))
-    rhs = npoly.polymul(_compose(npoly.polyder(m), x_poly), g_poly)
+    lhs = npoly.polymul(law.poly, _compose(m, law.poly))
+    rhs = npoly.polymul(_compose(npoly.polyder(m), law.poly), law.gpoly)
     return abs(expect_polynomial(lhs) - expect_polynomial(rhs))

@@ -14,6 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import bounds, chaos, pearson, stein, verify
 from .errors import SteintailError
@@ -205,8 +206,7 @@ def _cmd_envelope(args) -> int:
     rows = []
     for z in _parse_grid(args.grid):
         lo, hi = bounds.phi_envelope(law, float(z))
-        t = pearson.tail(law, float(z))
-        target = t if z >= 0 else 1.0 - t
+        target = pearson.tail(law, float(z)) if z >= 0 else pearson.cdf(law, float(z))
         rows.append((float(z), float(lo), float(target), float(hi)))
     _table(args, ["z", "lower", "tail", "upper"], rows)
     return 0
@@ -229,16 +229,37 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _format_polynomial(coeffs: tuple[float, ...]) -> str:
+    """Monomial coefficients low to high as text, zero terms left out: (1, -1, 0, 2) is '1 - N + 2*N^3'."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0.0 and len(coeffs) > 1:
+            continue
+        base = "N" if k == 1 else f"N^{k}"
+        if k == 0:
+            terms.append(f"{c:g}")
+        elif c == 1.0:
+            terms.append(base)
+        elif c == -1.0:
+            terms.append(f"-{base}")
+        else:
+            terms.append(f"{c:g}*{base}")
+    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
 def _cmd_chaos_g(args) -> int:
+    reference = (args.alpha, args.beta, args.gamma)
+    if None in reference and reference != (None, None, None):
+        raise SteintailError("the dominance check needs all three of --alpha, --beta and --gamma")
     series = chaos.HermiteSeries(_parse_coeff_list(args.coeffs))
     g = chaos.malliavin_G(series)
-    print(g)
-    if args.alpha is not None and args.beta is not None and args.gamma is not None:
-        margin, arg = chaos.dominance_margin(series, PearsonCoefficients(args.alpha, args.beta, args.gamma))
+    print(_format_polynomial(g))
+    if None not in reference:
+        margin, arg = chaos.dominance_margin(series, PearsonCoefficients(*reference))
         print(f"dominance_margin={margin!r} at n={arg!r}")
     if args.grid is not None:
-        rows = [(float(n), float(g(float(n)))) for n in _parse_grid(args.grid)]
-        _table(args, ["n", "G"], rows)
+        ns = _parse_grid(args.grid)
+        _table(args, ["n", "G"], list(zip(ns.tolist(), npoly.polyval(ns, g).tolist())))
     if args.density_grid is not None:
         law = chaos.law_of_polynomial(series)
         rows = [(float(x), law.density(float(x))) for x in _parse_grid(args.density_grid)]

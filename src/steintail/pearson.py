@@ -107,6 +107,8 @@ class PearsonCoefficients:
     gamma: float
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
+            raise InvalidCoefficientsError(f"coefficients must be finite, got {self}")
         if not self.gamma > 0.0:
             raise InvalidCoefficientsError(f"gamma must be positive (g(0) > 0), got {self.gamma}")
         if not self.alpha < 1.0:
@@ -194,7 +196,10 @@ def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
 def _beta_roots(coeffs: PearsonCoefficients) -> tuple[float, float]:
     """q/alpha and gamma/q with q = -(beta + sign(beta) sqrt(disc))/2: neither root cancels."""
     al, be = coeffs.alpha, coeffs.beta
-    q = -0.5 * (be + math.copysign(math.sqrt(be * be - 4.0 * al * coeffs.gamma), be))
+    disc = be * be - 4.0 * al * coeffs.gamma
+    if not math.isfinite(disc):
+        raise InvalidCoefficientsError(f"discriminant of {coeffs} is beyond the doubles")
+    q = -0.5 * (be + math.copysign(math.sqrt(disc), be))
     return q / al, (coeffs.gamma / q if be else -q / al)  # beta = 0: the exactly symmetric pair
 
 
@@ -207,8 +212,9 @@ def _beta_params(c: PearsonCoefficients, a: float, b: float):
     w = b - a
     r = a / (c.alpha * w)
     s = -b / (c.alpha * w)
-    # exact consequence of the recovery; guards against root-order slips
-    assert r > 0 and s > 0 and abs(w * r / (r + s) + a) <= 1e-9 * max(1.0, w)
+    # exact consequence of the recovery; fails on a root-order slip or a shape lost to underflow
+    if not (r > 0 and s > 0 and abs(w * r / (r + s) + a) <= 1e-9 * max(1.0, w)):
+        raise InvalidCoefficientsError(f"Beta shapes of {c} are not recoverable in doubles: r={r}, s={s}")
     log_beta_fn = _sp.gammaln(r) + _sp.gammaln(s) - _sp.gammaln(r + s)
     return r, s, None, None, -log_beta_fn - (r + s - 1.0) * math.log(w)
 

@@ -36,18 +36,11 @@ def normal_block(seed: int, block_index: int, size: int) -> np.ndarray:
     return _block_generator(seed, block_index).standard_normal(size)
 
 
-def _assemble(block_fn, seed: int, n: int) -> np.ndarray:
+def uniform_stream(seed: int, n: int) -> np.ndarray:
+    """n uniforms, block b at [b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)."""
     out = np.empty(n)
     for b in range(n_blocks(n)):
         lo = b * BLOCK_SIZE
         hi = min(lo + BLOCK_SIZE, n)
-        out[lo:hi] = block_fn(seed, b, hi - lo)
+        out[lo:hi] = uniform_block(seed, b, hi - lo)
     return out
-
-
-def uniform_stream(seed: int, n: int) -> np.ndarray:
-    return _assemble(uniform_block, seed, n)
-
-
-def normal_stream(seed: int, n: int) -> np.ndarray:
-    return _assemble(normal_block, seed, n)

@@ -46,7 +46,6 @@ __all__ = [
     "check_residual",
     "certify_fprime",
     "certification_grid",
-    "residual_for_test_function",
 ]
 
 
@@ -116,14 +115,6 @@ def check_residual(sol: IndicatorSteinSolution, grid) -> float:
     xs = np.asarray(grid, dtype=float)
     _reject_kinks(sol, xs)
     return float(np.max(np.abs(evaluate(sol, xs)[2])))
-
-
-def residual_for_test_function(law: PearsonLaw, f, fprime, h, eh: float, grid) -> float:
-    """Residual of the Stein equation for caller-supplied f, f', h, E[h(Z)]."""
-    xs = np.asarray(grid, dtype=float)
-    g = np.asarray(stein_kernel(law.coeffs, xs))
-    res = g * fprime(xs) - xs * f(xs) - (h(xs) - eh)
-    return float(np.max(np.abs(res)))
 
 
 # ---------------------------------------------------------------------------

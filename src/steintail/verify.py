@@ -78,9 +78,13 @@ class ScenarioSpec:
         object.__setattr__(self, "z_grid", zs)
         if any(b <= a for a, b in zip(zs, zs[1:])) or not zs:
             raise DomainError("z_grid must be nonempty and strictly increasing")
+        if not all(map(math.isfinite, zs)):
+            raise DomainError(f"z_grid must be finite, got {zs}")
         _, b = pearson.support(self.reference)
         if zs[0] <= 0.0 or zs[-1] >= b:
             raise DomainError(f"z_grid must lie in (0, b) = (0, {b})")
+        if self.k_upper is not None and not 0.0 < self.k_upper < math.inf:
+            raise DomainError(f"k_upper must be finite and positive, got {self.k_upper}")
 
     @property
     def upper_coeffs(self) -> PearsonCoefficients:
@@ -174,7 +178,7 @@ def _certify(spec: ScenarioSpec) -> dict:
     x = spec.x_model
     if isinstance(x, HermiteSeries):
         law = chaos.law_of_polynomial(x)
-        x_poly, g_poly, domain = law.poly.coeffs, law.gpoly.coeffs, (-math.inf, math.inf)
+        x_poly, g_poly, domain = law.poly, law.gpoly, (-math.inf, math.inf)
     else:
         c = x.coeffs
         x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)

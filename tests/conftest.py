@@ -1,6 +1,15 @@
+import numpy as np
 import pytest
 
+from steintail import rng
 from steintail.pearson import PearsonCoefficients, build_law
+
+
+def normal_stream(seed: int, n: int) -> np.ndarray:
+    """n standard normals, rng's blocks 0, 1, ... in order: the reference for block-wise sampling."""
+    sizes = [min(rng.BLOCK_SIZE, n - b * rng.BLOCK_SIZE) for b in range(rng.n_blocks(n))]
+    return np.concatenate([rng.normal_block(seed, b, size) for b, size in enumerate(sizes)])
+
 
 # one coefficient triple per canonical case, reused across the suite
 CANONICAL_COEFFS = {

@@ -9,7 +9,6 @@ from steintail.bounds import (
     Direction,
     asymptotic_tail_constant,
     implicit_lower_bound,
-    log_normalized_flux,
     normalized_tail,
     pearson_lower,
     pearson_upper_constant,
@@ -22,8 +21,16 @@ from steintail.errors import (
     ThirdMomentError,
     UnsupportedCaseError,
 )
-from steintail.pearson import PearsonCoefficients, build_law, quantile, tail
+from steintail.pearson import PearsonCoefficients, build_law, quantile, stein_kernel, tail
 from steintail.verify import TailReport
+
+
+def log_normalized_flux(law, z: float) -> float:
+    """ln(z^(-p) e^(z/scale) g(z) rho(z)), whose limit is ln K: the numeric-limit oracle for K."""
+    lg = math.log(float(stein_kernel(law.coeffs, z)))
+    lr = float(pearson.log_density(law, z))
+    _, p, scale = pearson.tail_asymptotics(law)
+    return lg + lr + z / scale - p * math.log(z)
 
 
 # ---------------------------------------------------------------------------

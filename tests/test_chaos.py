@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import normal_stream
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from steintail import pearson, quadrature, rng
+from steintail import pearson, quadrature
 from steintail.chaos import (
     HermiteSeries,
-    PolynomialInN,
     dominance_margin,
     expect_polynomial,
     g_from_conditional,
@@ -87,11 +88,11 @@ def test_series_variance_isometry():
 
 
 def test_G_for_first_grades():
-    assert malliavin_G(H1).coeffs == (1.0,)
-    assert malliavin_G(H2).coeffs == (0.0, 0.0, 2.0)  # exactly 2 N^2
+    assert malliavin_G(H1) == (1.0,)
+    assert malliavin_G(H2) == (0.0, 0.0, 2.0)  # exactly 2 N^2
     g3 = malliavin_G(H3)
     # 3 (N^2 - 1)^2 = 3 - 6 N^2 + 3 N^4
-    assert g3.coeffs == (3.0, 0.0, -6.0, 0.0, 3.0)
+    assert g3 == (3.0, 0.0, -6.0, 0.0, 3.0)
 
 
 def test_G_and_X_keep_a_tiny_leading_coefficient():
@@ -99,9 +100,9 @@ def test_G_and_X_keep_a_tiny_leading_coefficient():
     # G = (1 + 3c u)(1 + c u) = 1 + 4c u + 3c^2 u^2; each coefficient is rounded once
     c = Fraction(1e-20)
     x = HermiteSeries((0.0, 1.0, 0.0, 1e-20))
-    assert x.to_polynomial().coeffs == (0.0, float(1 - 3 * c), 0.0, 1e-20)
+    assert x.to_polynomial() == (0.0, float(1 - 3 * c), 0.0, 1e-20)
     want = (1 - 4 * c + 3 * c * c, 0, 4 * c - 6 * c * c, 0, 3 * c * c)
-    assert malliavin_G(x).coeffs == tuple(float(v) for v in want)
+    assert malliavin_G(x) == tuple(float(v) for v in want)
 
 
 def test_law_keeps_a_subnormal_leading_coefficient():
@@ -119,6 +120,23 @@ def test_law_keeps_a_subnormal_leading_coefficient():
             assert g_from_conditional(x, z) == pytest.approx(1.0, rel=1e-14), (series, z)
 
 
+def test_non_finite_series_coefficients_are_rejected():
+    # before, (0, nan) and (0, 1, inf) built and law_of_polynomial raised ValueError and OverflowError
+    for c in [(0.0, math.nan), (0.0, 1.0, math.inf), (0.0, -math.inf, 1.0)]:
+        with pytest.raises(DomainError, match="finite"):
+            HermiteSeries(c)
+
+
+def test_nan_level_raises():
+    # before, tail(nan) read 0.99999994 and E[G | X = nan] 33.67
+    x = HermiteSeries((0.0, 1.0, 0.0, 0.1))
+    law = law_of_polynomial(x)
+    for f in (law.level, law.tail, law.density, law.partial_moments,
+              lambda v: g_function(x, v), lambda v: g_from_conditional(x, v)):
+        with pytest.raises(DomainError):
+            f(math.nan)
+
+
 def test_bracketed_solve_needs_finite_brackets():
     with pytest.raises(DomainError):
         quadrature.solve_monotone(lambda n: (n, np.ones_like(n)), [-math.inf], [1.0], True, xtol=1e-13)
@@ -134,7 +152,7 @@ def test_G_degree_invariant():
         s = HermiteSeries(tuple(c))
         g = malliavin_G(s)
         if s.degree >= 1:
-            assert g.degree == 2 * (s.degree - 1)
+            assert len(g) - 1 == 2 * (s.degree - 1)
 
 
 def test_expected_G_equals_variance():
@@ -145,7 +163,7 @@ def test_expected_G_equals_variance():
         if c[-1] == 0.0:
             c[-1] = 0.7
         s = HermiteSeries(tuple(c))
-        eg = expect_polynomial(malliavin_G(s).coeffs)
+        eg = expect_polynomial(malliavin_G(s))
         assert abs(eg - s.variance) < 1e-10 * max(1.0, s.variance)
 
 
@@ -190,7 +208,7 @@ def test_h3_law_symmetry():
 def test_law_density_integrates_to_one_and_centered():
     for series in (H2, H3, HermiteSeries((0.0, 0.5, 1.0, 0.25))):
         law = law_of_polynomial(series)
-        crit_vals = sorted(law.poly(t) for t in law.crit_points)
+        crit_vals = sorted(polyval(t, law.poly) for t in law.crit_points)
         a = law.support_a if math.isfinite(law.support_a) else _law_quantile(law, 1 - 1e-13)
         b = law.support_b if math.isfinite(law.support_b) else _law_quantile(law, 1e-13)
         pts = [v for v in crit_vals if a < v < b]
@@ -203,7 +221,7 @@ def test_law_density_integrates_to_one_and_centered():
 
 def test_law_sampling_matches_tail():
     law = law_of_polynomial(H2)
-    xs = H2.evaluate(rng.normal_stream(19, 200_000))
+    xs = H2.evaluate(normal_stream(19, 200_000))
     for z in [-0.5, 0.0, 1.0, 3.0]:
         assert float(np.mean(xs > z)) == pytest.approx(law.tail(z), abs=5e-3)
 
@@ -238,7 +256,7 @@ def test_g_two_routes_agree_on_grid():
         lo = _law_quantile(law, 0.95)
         hi = _law_quantile(law, 0.05)
         for x in np.linspace(lo, hi, 25):
-            crit_vals = [law.poly(t) for t in law.crit_points]
+            crit_vals = [polyval(t, law.poly) for t in law.crit_points]
             if any(abs(x - v) < 1e-6 for v in crit_vals):
                 continue
             assert g_function(series, float(x)) == pytest.approx(
@@ -251,7 +269,7 @@ def test_g_function_quadrature_oracle():
     law = law_of_polynomial(H3)
     x = 0.7
     upper = _law_quantile(law, 1e-13)
-    pts = [law.poly(t) for t in law.crit_points if x < law.poly(t) < upper]
+    pts = [polyval(t, law.poly) for t in law.crit_points if x < polyval(t, law.poly) < upper]
     num, _ = quad(lambda y: y * law.density(y), x, upper, points=sorted(pts),
                   limit=400, epsabs=1e-12, epsrel=1e-10)
     assert g_function(H3, x) == pytest.approx(num / law.density(x), rel=1e-7)
@@ -284,12 +302,12 @@ def test_dominance_strict_margin():
     g_poly = malliavin_G(H2)
     for n in [-2.0, 1.0, 3.0]:  # interior points match the bare difference +1
         x = H2.evaluate(n)
-        assert g_poly(n) - (2.0 * x + 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert polyval(n, g_poly) - (2.0 * x + 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_margin_extrema_false_certificates():
     x = HermiteSeries((0.0, 1.0, 0.0, 1e-5))
-    res = margin_extrema(x.to_polynomial().coeffs, malliavin_G(x).coeffs, PearsonCoefficients(0.0, 0.0, 1.01),
+    res = margin_extrema(x.to_polynomial(), malliavin_G(x), PearsonCoefficients(0.0, 0.0, 1.01),
                          (-math.inf, math.inf))
     assert res["max"] == math.inf and math.isinf(res["argmax"])
     res = margin_extrema((0.0, 1.0), (1.0, 0.1, 0.0), PearsonCoefficients(0.0, 0.05, 0.725), (-10.0, math.inf))
@@ -335,8 +353,8 @@ def test_ibp_h2_examples():
 
 def test_ibp_cross_checks_closed_moments():
     x_poly = H2.to_polynomial()
-    assert expect_polynomial(np.polynomial.polynomial.polymul(x_poly.coeffs, x_poly.coeffs)) == pytest.approx(2.0, rel=1e-13)
-    lhs = np.polynomial.polynomial.polymul(x_poly.coeffs, np.polynomial.polynomial.polymul(x_poly.coeffs, x_poly.coeffs))
+    assert expect_polynomial(np.polynomial.polynomial.polymul(x_poly, x_poly)) == pytest.approx(2.0, rel=1e-13)
+    lhs = np.polynomial.polynomial.polymul(x_poly, np.polynomial.polynomial.polymul(x_poly, x_poly))
     assert expect_polynomial(lhs) == pytest.approx(8.0, rel=1e-13)
 
 
@@ -353,16 +371,14 @@ def test_ibp_random_series():
 
 
 # ---------------------------------------------------------------------------
-# polynomial wrapper
-
-
-def test_polynomial_str():
-    assert str(malliavin_G(H1)) == "1"
-    assert str(malliavin_G(H2)) == "2*N^2"
-    assert str(PolynomialInN((1.0, -1.0))) == "1 - N"
+# monomial coefficient tuples
 
 
 def test_polynomial_trim_and_derivative():
-    p = PolynomialInN.from_array([1.0, 2.0, 0.0, 0.0])
-    assert p.coeffs == (1.0, 2.0)
-    assert p.derivative().coeffs == (2.0,)
+    # X = H1 + 1e-200 H2: G = 1 + 3e-200 N + 2e-400 N^2, whose top coefficient
+    # rounds to 0 and is dropped; a G that rounds to 0 entirely keeps one 0
+    assert malliavin_G(HermiteSeries((0.0, 1.0, 1e-200))) == (1.0, 3e-200)
+    assert malliavin_G(HermiteSeries((0.0, 1e-200))) == (0.0,)
+    assert HermiteSeries((0.0, 1.0, 2.0)).to_polynomial() == (-2.0, 1.0, 2.0)
+    assert law_of_polynomial(HermiteSeries((0.0, 1.0, 2.0))).dpoly == (1.0, 4.0)
+    assert law_of_polynomial(H1).dpoly == (1.0,)

@@ -125,6 +125,19 @@ def test_envelope_brackets(capsys):
         assert lo <= t <= hi
 
 
+def test_envelope_reads_the_cdf_left_of_0(capsys):
+    # for z < 0 the envelope brackets P[Z <= z], which 1 - tail loses to cancellation
+    code, out, _ = run_cli(capsys, "envelope", "--alpha", "0", "--beta", "0", "--gamma", "1",
+                           "--grid=-10:-8:2")
+    assert code == 0
+    normal = build_law(PearsonCoefficients(0.0, 0.0, 1.0))
+    for line in out.strip().splitlines()[1:]:
+        z, lo, t, hi = map(float, line.split(","))
+        assert t == pearson.cdf(normal, z)
+        assert lo <= t <= hi
+    assert t == pytest.approx(6.220960574271829e-16, rel=1e-14)  # Phi(-8)
+
+
 def test_bounds_table(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--alpha", "0", "--beta", "0", "--gamma", "1",
                            "--z-grid", "1:5:5", "--c", "4", "--K", "1.5")
@@ -139,6 +152,21 @@ def test_chaos_g_constant(capsys):
     code, out, _ = run_cli(capsys, "chaos-g", "--coeffs", "0,1")
     assert code == 0
     assert out.strip() == "1"
+
+
+def test_chaos_g_prints_G_in_monomial_form(capsys):
+    # G of H1 + c H2 is (1 + 2c N)(1 + c N) = 1 + 3c N + 2c^2 N^2: c = -1/3 gives the -N term
+    for coeffs, want in (("0,1", "1"), ("0,0,1", "2*N^2"), ("0,1,-0.3333333333333333", "1 - N + 0.222222*N^2")):
+        code, out, _ = run_cli(capsys, "chaos-g", "--coeffs", coeffs)
+        assert code == 0
+        assert out.strip() == want
+
+
+def test_chaos_g_needs_all_three_reference_flags(capsys):
+    for flags in (["--alpha", "0"], ["--alpha", "0", "--beta", "2"], ["--gamma", "2"]):
+        code, out, err = run_cli(capsys, "chaos-g", "--coeffs", "0,0,1", *flags)
+        assert code == 1
+        assert "--alpha, --beta and --gamma" in err
 
 
 def test_chaos_g_density_export(capsys):

@@ -78,6 +78,14 @@ def test_classify_names_pearson_type_vi():
     assert "outside the support" not in str(info.value)
 
 
+def test_non_finite_coefficients_are_rejected():
+    # before, (0, nan, 1) built a Gamma law with NaN parameters and (0, inf, 1) one with NaN ln C
+    for c in [(0.0, math.nan, 1.0), (0.0, math.inf, 1.0), (math.nan, 0.0, 1.0), (-math.inf, 0.0, 1.0),
+              (0.0, 0.0, math.inf)]:
+        with pytest.raises(InvalidCoefficientsError, match="finite"):
+            build_law(PearsonCoefficients(*c))
+
+
 # ---------------------------------------------------------------------------
 # parameter recovery
 
@@ -110,6 +118,16 @@ def test_build_beta_with_roots_of_far_apart_size():
         assert abs(end - float(exact)) <= 4 * math.ulp(float(exact))
     for x in (0.0, 1.0, 1e6):
         assert abs(tail(law, x) + pearson.cdf(law, x) - 1.0) <= 1e-15
+
+
+def test_beta_recovery_failures_raise_typed_errors():
+    # beta^2 - 4 alpha gamma overflows: before, the roots were +-inf and the support the whole line
+    for f in (pearson.support, build_law):
+        with pytest.raises(InvalidCoefficientsError, match="discriminant"):
+            f(PearsonCoefficients(-1e308, 0.0, 1.0))
+    # the small root -1e-320 gives the shape r = 1e-330, which underflows to 0
+    with pytest.raises(InvalidCoefficientsError, match="not recoverable"):
+        build_law(PearsonCoefficients(-1.0, 1e10, 1e-310))
 
 
 def test_build_inverse_gamma_parameters(invgamma_law):

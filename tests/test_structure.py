@@ -137,6 +137,13 @@ def test_no_module_names_a_library_root_finder():
     assert not named, named
 
 
+def test_no_assert_statement_in_src():
+    # python -O strips asserts, so a check that guards a result must raise
+    found = [f"{name}:{node.lineno}" for name, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
 def test_version_matches_pyproject():
     import steintail
 

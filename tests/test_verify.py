@@ -1,7 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from conftest import normal_stream
 
 from steintail import chaos, pearson
 from steintail.chaos import HermiteSeries
@@ -77,6 +79,15 @@ def test_scenario_validation():
         h2_gamma_spec(z_grid=(2.0, 1.0))
     with pytest.raises(DomainError):
         h2_gamma_spec(z_grid=(-1.0, 2.0))
+
+
+def test_scenario_rejects_non_finite_thresholds_and_constants():
+    # before, z = nan and K = nan ran to 'pass' verdicts on NaN certificates
+    with pytest.raises(DomainError):
+        h2_gamma_spec(hypothesis=Hypothesis.DOMINATED_UPPER, z_grid=(1.0, math.nan))
+    for k in (math.nan, math.inf, 0.0, -1.5):
+        with pytest.raises(DomainError):
+            h2_gamma_spec(k_upper=k)
 
 
 def test_uncertified_hypothesis_raises():
@@ -239,9 +250,7 @@ def test_block_counts_match_empirical_tail():
     spec = h2_gamma_spec()
     rep = run_scenario(spec)
     law = spec.x_model
-    from steintail import rng as _rng
-
-    draws = law.evaluate(_rng.normal_stream(spec.seed, spec.n_samples))
+    draws = law.evaluate(normal_stream(spec.seed, spec.n_samples))
     tails, _ = empirical_tail(draws, spec.z_grid)
     np.testing.assert_array_equal(np.asarray(rep.empirical), tails)
 
