@@ -269,9 +269,13 @@ class PolynomialChaosLaw:
         The crossings are the sign changes of X(n) - x between the critical
         points; {X > x} alternates between them, starting from the sign of
         X - x at -inf.  A level equal to a critical value has no preimage there.
+        An infinite level has none either, and {X > x} is the whole line at
+        -inf and empty at +inf.
         """
         if math.isnan(x):
             raise DomainError("level must be a number, got nan")
+        if math.isinf(x):
+            return [], ([(-math.inf, math.inf)] if x < 0.0 else [])
         c = npoly.polysub(self.poly, [x])
         ns = _sign_changes(c, np.asarray(self.dpoly), np.asarray(self.crit_points))
         pts = [-math.inf, *ns.tolist(), math.inf]

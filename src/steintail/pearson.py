@@ -205,7 +205,12 @@ def _beta_roots(coeffs: PearsonCoefficients) -> tuple[float, float]:
 
 def _gamma_params(c: PearsonCoefficients, a: float, b: float):
     r = c.gamma / (c.beta * c.beta)
-    return r, c.beta, c.gamma / c.beta, None, -r * math.log(c.beta) - _sp.gammaln(r)
+    mu = c.gamma / c.beta
+    log_c = -r * math.log(c.beta) - _sp.gammaln(r)
+    # the mean r s = mu is an exact consequence of the recovery; it fails on a shape lost to underflow
+    if not (abs(r * c.beta - mu) <= 1e-9 * mu and math.isfinite(log_c)):
+        raise InvalidCoefficientsError(f"Gamma shape of {c} is not recoverable in doubles: r={r}, ln C={log_c}")
+    return r, c.beta, mu, None, log_c
 
 
 def _beta_params(c: PearsonCoefficients, a: float, b: float):
@@ -427,7 +432,6 @@ _H = 2.0 * _T_MAX / (_TABLE_NODES - 1)
 _TABLE_TOL = 1e-10  # bound on |logit p' - logit p|, node error plus interpolation error
 _NEWTON_TOL = 0.5 * _TABLE_TOL  # case 5's node error; closed-form nodes are exact to rounding
 _NEWTON_STEPS = 8
-_CHUNK = 1 << 14  # 128 KB temporaries: small enough for the allocator to reuse, per thread
 
 
 def _logit(u: np.ndarray) -> np.ndarray:
@@ -824,15 +828,16 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     coef = _inverse_table(law)
     flat = p.ravel()
     out = np.empty(flat.shape)
-    for lo in range(0, flat.size, _CHUNK):  # chunks keep the temporaries small
-        t = _logit(flat[lo:lo + _CHUNK])
+    for lo in range(0, flat.size, rng.CHUNK):  # chunks keep the temporaries small
+        chunk = flat[lo:lo + rng.CHUNK]
+        t = _logit(chunk)
         if law.mirrored:  # X = -Z: the tail of X at x is the cdf of Z at -x
             np.negative(t, out=t)
         if not (-_T_MAX <= t.min() and t.max() <= _T_MAX):  # NaN fails too
             raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
-                                          f"values in [{flat[lo:lo + _CHUNK].min()}, {flat[lo:lo + _CHUNK].max()}]")
+                                          f"values in [{chunk.min()}, {chunk.max()}]")
         x = row.to_z(law, _hermite(coef, t))
-        out[lo:lo + _CHUNK] = -x if law.mirrored else x
+        out[lo:lo + rng.CHUNK] = -x if law.mirrored else x
     return out.reshape(p.shape)
 
 

@@ -4,13 +4,17 @@ Draws come from Philox generators keyed by (seed, block_index), so block b of a
 stream is computable without generating blocks 0..b-1.  Assembling blocks by
 index makes the output independent of the order in which blocks are produced,
 which is what guarantees byte-identical results under parallel execution.
+Consumers transform a block CHUNK draws at a time: the block size fixes the
+stream, the chunk size only bounds the temporaries (docs/DECISIONS.md,
+decision 10).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK_SIZE = 1 << 16
+BLOCK_SIZE = 1 << 16  # draws per Philox key: fixes the stream
+CHUNK = 1 << 14  # draws per transform: 128 KB temporaries, small enough for the allocator to reuse
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:

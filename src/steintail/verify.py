@@ -203,21 +203,25 @@ def _certify(spec: ScenarioSpec) -> dict:
 # block sampling
 
 
-def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray], Callable]:
-    """Per-block sampler and the X model's exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]).
+def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray],
+                                                Callable[[np.ndarray], np.ndarray], Callable]:
+    """Per-block draw, its map to X, and the X model's exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]).
 
-    The moments are memoized: the runner reads them at each z, and the
-    implicit bound reads them at z and at the reference's right end again.
+    The map acts draw by draw, so it takes any slice of a block.  The moments
+    are memoized: the runner reads them at each z, and the implicit bound
+    reads them at z and at the reference's right end again.
     """
     if isinstance(spec.x_model, HermiteSeries):
         series = spec.x_model
-        sample = lambda b, size: series.evaluate(rng.normal_block(spec.seed, b, size))
+        draw = lambda b, size: rng.normal_block(spec.seed, b, size)
+        to_x = series.evaluate
         moments = chaos.law_of_polynomial(series).partial_moments
     else:
         x_law = spec.x_model
-        sample = lambda b, size: pearson.quantile_grid(x_law, rng.uniform_block(spec.seed, b, size))
+        draw = lambda b, size: rng.uniform_block(spec.seed, b, size)
+        to_x = lambda u: pearson.quantile_grid(x_law, u)
         moments = lambda y: pearson.partial_moments(x_law, y)
-    return sample, functools.cache(moments)
+    return draw, to_x, functools.cache(moments)
 
 
 def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -225,15 +229,25 @@ def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(xs > z) for z in zs], dtype=np.int64)
 
 
-def _tail_counts(sample_block: Callable[[int, int], np.ndarray], n: int, zs: np.ndarray,
-                 n_workers: int) -> np.ndarray:
-    """Exceedance counts of n draws per grid point, summed over the blocks."""
-    bs = rng.BLOCK_SIZE
+def _tail_counts(draw: Callable[[int, int], np.ndarray], to_x: Callable[[np.ndarray], np.ndarray], n: int,
+                 zs: np.ndarray, n_workers: int) -> np.ndarray:
+    """Exceedance counts of n draws per grid point, summed over the blocks.
+
+    Each block is drawn whole and mapped to X in place, ``rng.CHUNK`` draws
+    at a time, so the map's temporaries stay small enough for the allocator
+    to reuse; the block is then counted in one pass, since counting chunk by
+    chunk costs more in per-call overhead than it saves (docs/DECISIONS.md,
+    decision 10).
+    """
+    bs, ch = rng.BLOCK_SIZE, rng.CHUNK
     blocks = list(range(rng.n_blocks(n)))
     sizes = [min(bs, n - b * bs) for b in blocks]
 
     def one(b: int) -> np.ndarray:
-        return _exceedances(sample_block(b, sizes[b]), zs)
+        xs = draw(b, sizes[b])
+        for lo in range(0, xs.size, ch):
+            xs[lo:lo + ch] = to_x(xs[lo:lo + ch])
+        return _exceedances(xs, zs)
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
@@ -253,9 +267,9 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     upper_law = build_law(spec.upper_coeffs)
     cert_info = _certify(spec)
 
-    sample_block, x_moments = _block_sampler(spec)
+    draw, to_x, x_moments = _block_sampler(spec)
     zs = np.asarray(spec.z_grid)
-    counts = _tail_counts(sample_block, spec.n_samples, zs, n_workers)
+    counts = _tail_counts(draw, to_x, spec.n_samples, zs, n_workers)
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 

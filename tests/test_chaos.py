@@ -137,6 +137,24 @@ def test_nan_level_raises():
             f(math.nan)
 
 
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, 0.1), (0.0, 1.0, 0.0, -0.1), (0.0, 0.0, 1.0)],
+                         ids=["whole-line", "whole-line-reversed", "half-line"])
+def test_infinite_levels_read_the_limits(coeffs):
+    # before, every evaluator raised "bracketed solve needs finite brackets" at +-inf on the whole line
+    x = HermiteSeries(coeffs)
+    law = law_of_polynomial(x)
+    assert (law.tail(-math.inf), law.tail(math.inf)) == (1.0, 0.0)
+    assert (law.density(-math.inf), law.density(math.inf)) == (0.0, 0.0)
+    p, m1, m2 = law.partial_moments(-math.inf)
+    assert (p, m1) == (1.0, 0.0) and m2 == pytest.approx(x.variance, rel=1e-15)
+    assert law.partial_moments(math.inf) == (0.0, 0.0, 0.0)
+    for end in (-math.inf, math.inf):
+        with pytest.raises(OutsideSupportError):
+            g_from_conditional(x, end)
+        with pytest.raises(OutsideSupportError):
+            g_function(x, end)
+
+
 def test_bracketed_solve_needs_finite_brackets():
     with pytest.raises(DomainError):
         quadrature.solve_monotone(lambda n: (n, np.ones_like(n)), [-math.inf], [1.0], True, xtol=1e-13)

@@ -130,6 +130,16 @@ def test_beta_recovery_failures_raise_typed_errors():
         build_law(PearsonCoefficients(-1.0, 1e10, 1e-310))
 
 
+def test_gamma_recovery_failures_raise_typed_errors():
+    # r = gamma / beta^2 underflows to 0: before, the law built with ln C = -inf and a tail of 0
+    for coeffs in ((0.0, 1e200, 1.0), (-1.0, 1e200, 1.0), (0.0, -1e200, 1.0)):
+        with pytest.raises(InvalidCoefficientsError, match="not recoverable"):
+            build_law(PearsonCoefficients(*coeffs))
+    # r = 1e-308 still holds its digits: the law builds, its mean r s = mu intact
+    law = build_law(PearsonCoefficients(0.0, 1e154, 1.0))
+    assert (law.r, law.s, law.mu) == (1e-308, 1e154, 1e-154) and math.isfinite(law.log_norm_const)
+
+
 def test_build_inverse_gamma_parameters(invgamma_law):
     assert invgamma_law.r == pytest.approx(4.0)
     assert invgamma_law.s == pytest.approx(2.0)

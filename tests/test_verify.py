@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import normal_stream
 
-from steintail import chaos, pearson
+from steintail import chaos, pearson, rng, verify
 from steintail.chaos import HermiteSeries
 from steintail.errors import (
     DomainError,
@@ -253,6 +253,26 @@ def test_block_counts_match_empirical_tail():
     draws = law.evaluate(normal_stream(spec.seed, spec.n_samples))
     tails, _ = empirical_tail(draws, spec.z_grid)
     np.testing.assert_array_equal(np.asarray(rep.empirical), tails)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("x_model, reference, zs", [
+    (HermiteSeries((0.0, 1.0, 0.0, 0.1)), PearsonCoefficients(0.0, 2.0, 2.0), (-1.0, 0.0, 0.5, 2.0, 4.0)),
+    (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), PearsonCoefficients(-0.25, 0.0, 0.0625),
+     (0.05, 0.1, 0.2, 0.4)),
+], ids=["chaos", "pearson"])
+def test_chunked_counts_match_the_whole_stream(x_model, reference, zs, n_workers):
+    # n ends mid-block and mid-chunk: blocks mapped chunk by chunk give the counts of the whole stream
+    n = 2 * rng.BLOCK_SIZE + rng.CHUNK + 17
+    spec = ScenarioSpec(x_model=x_model, reference=reference, hypothesis=Hypothesis.DOMINATES_LOWER,
+                        z_grid=(0.1,), n_samples=n, seed=77)
+    draw, to_x, _ = verify._block_sampler(spec)
+    counts = verify._tail_counts(draw, to_x, n, np.asarray(zs), n_workers)
+    if isinstance(x_model, HermiteSeries):
+        xs = x_model.evaluate(normal_stream(spec.seed, n))
+    else:
+        xs = pearson.quantile_grid(x_model, rng.uniform_stream(spec.seed, n))
+    assert counts.tolist() == [int((xs > z).sum()) for z in zs]
 
 
 def test_dkw_consistency_over_repetitions():
