@@ -32,7 +32,7 @@ from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
-from .errors import DomainError, OutsideSupportError
+from .errors import DomainError, OutsideSupportError, as_int
 from .pearson import PearsonCoefficients, support as pearson_support
 
 __all__ = [
@@ -57,7 +57,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def hermite_eval(n: int, x):
     """Probabilists' Hermite H_n(x) by the three-term recurrence."""
-    if n < 0 or n != int(n):
+    n = as_int(n, "Hermite degree")
+    if n < 0:
         raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
     if n > MAX_DEGREE:
         raise DomainError(f"Hermite degree {n} exceeds the overflow guard {MAX_DEGREE}")
@@ -138,7 +139,7 @@ def _sign_changes(c: np.ndarray, dc: np.ndarray, splits: np.ndarray) -> np.ndarr
         log2_r = 1.0 + _log2_root_bound(c)
         r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
         ends = np.concatenate([[-r], splits, [r]])
-        solved = quadrature.solve_monotone(lambda t: (npoly.polyval(t, c), npoly.polyval(t, dc)),
+        solved = quadrature.solve_monotone(lambda t, i: (npoly.polyval(t, c), npoly.polyval(t, dc)),
                                            ends[:-1][cross], ends[1:][cross], signs[1:][cross] > 0.0, xtol=1e-13)
         found = np.sort(np.concatenate([found, solved]))
     return found

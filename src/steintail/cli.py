@@ -46,10 +46,9 @@ def _parse_coeff_list(text: str) -> tuple[float, ...]:
         raise SteintailError(f"coefficients must be comma-separated numbers, got {text!r}") from None
 
 
-def _add_coeff_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
+def _add_coeff_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    for name in ("--alpha", "--beta", "--gamma"):
+        p.add_argument(name, type=float, required=required)
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -125,9 +124,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("chaos-g", help="Malliavin G of a Hermite series; optional dominance check")
     p.add_argument("--coeffs", type=str, required=True, help="c0,c1,... in the Hermite basis")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
+    _add_coeff_args(p, required=False)
     p.add_argument("--grid", type=str, default=None, help="emit sampled CSV (n, G(n))")
     p.add_argument("--density-grid", type=str, default=None, help="emit sampled CSV (x, rho_X(x))")
     _add_output_args(p)

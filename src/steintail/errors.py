@@ -1,4 +1,4 @@
-"""Semantic exception hierarchy. Public functions raise these, never bare ValueError."""
+"""Semantic exception hierarchy and the integer-argument check. Public functions raise these, never bare ValueError."""
 
 
 class SteintailError(Exception):
@@ -55,3 +55,13 @@ class UncertifiedHypothesisError(SteintailError):
 
 class InverseTableError(SteintailError):
     """The sampler's inverse table misses its accuracy bound for this law."""
+
+
+def as_int(value, what: str) -> int:
+    """value as an int where it is an integer-valued number (2.0 is 2); anything else raises DomainError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")

@@ -27,9 +27,9 @@ gives its normalization), the quantile start and the sampler's inverse, and
 the right-tail asymptotics.  Laws with beta < 0 in the half-line cases are
 reflections of the canonical form and carry ``mirrored=True``; they are
 evaluated at -x with the tail and the cdf swapped.  The scalar ``tail``/``cdf``
-are the grid functions on a 0-d input.  The sampler inverts the tail through
-one cached cubic-Hermite table per non-Normal law; ``quantile`` polishes the
-row's start with Newton steps on the exact tail.
+are the grid functions on a 0-d input; a NaN point raises ``DomainError``.
+The sampler inverts the tail through one cached cubic-Hermite table per law
+but the Normal; case 5's nodes and ``quantile`` are bracketed Newton solves.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .errors import (
     InverseTableError,
     MomentDoesNotExistError,
     UnsupportedCaseError,
+    as_int,
 )
 
 __all__ = [
@@ -263,12 +264,22 @@ def _gamma_log_pdf(law: PearsonLaw, z):
 
 
 def _gamma_log_tail(law: PearsonLaw, z: float) -> float:
+    """ln Q(r, x), x = (z + mu)/s: the log of the tail down to the smallest normal double.
+
+    Below it Q = x^r e^(-x) h/Gamma(r), in logs, with h the Legendre continued fraction
+    1/(x + 1 - r - 1(1 - r)/(x + 3 - r - 2(2 - r)/(x + 5 - r - ...))) (DLMF 8.9.2) summed from
+    its 16th term: there 6 terms reach the rounding for every r from 1e-3 to 1e12, fewer further out.
+    """
     t = tail(law, z)
-    if t > 0.0:
+    if t >= _TINY:
         return math.log(t)
-    # Q(r, x) ~ x^(r-1) e^(-x)/Gamma(r) for large x
-    x = (z + law.mu) / law.s
-    return (law.r - 1.0) * math.log(x) - x - float(_sp.gammaln(law.r))
+    r, x = law.r, (z + law.mu) / law.s
+    if x == math.inf:
+        return -math.inf
+    f = 0.0
+    for k in range(16, 0, -1):
+        f = k * (k - r) / (x + 2 * k + 1 - r - f)
+    return r * math.log(x) - x - float(_sp.gammaln(r)) - math.log(x + 1.0 - r - f)
 
 
 def _beta_log_pdf(law: PearsonLaw, z):
@@ -380,7 +391,7 @@ def _case5_table(r: float, s: float) -> _XiTable:
     xi_peak = math.asinh(s / e)
     far = math.log(2.0) + (_XI_DROP + abs(s) * math.pi / 2.0) / e
     with np.errstate(over="ignore"):
-        lo, hi = quadrature.solve_monotone(lambda xi: (_case5_log_f(r, s, xi) + _XI_DROP, slope(xi)),
+        lo, hi = quadrature.solve_monotone(lambda xi, i: (_case5_log_f(r, s, xi) + _XI_DROP, slope(xi)),
                                            [-far, xi_peak], [xi_peak, far], [True, False], xtol=1e-9)
     steepest = max(abs(slope(lo)), abs(slope(hi)))
     if s != 0.0 and lo < math.asinh(-e / s) < hi:
@@ -431,7 +442,6 @@ _T_MAX = math.log(2.0**53 - 1.0)  # logit(1 - 2^-53); the nodes span [-_T_MAX, _
 _H = 2.0 * _T_MAX / (_TABLE_NODES - 1)
 _TABLE_TOL = 1e-10  # bound on |logit p' - logit p|, node error plus interpolation error
 _NEWTON_TOL = 0.5 * _TABLE_TOL  # case 5's node error; closed-form nodes are exact to rounding
-_NEWTON_STEPS = 8
 
 
 def _logit(u: np.ndarray) -> np.ndarray:
@@ -560,35 +570,29 @@ def _case5_xi_start(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
 
 
 def _case5_nodes(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
-    """z at logit-tail t: Newton steps on logit P[Z > z] in xi = asinh((z + mu)/delta).
+    """z at logit-tail t: one ``quadrature.solve_monotone`` on logit P[Z > z] in xi = asinh((z + mu)/delta).
 
     Each point integrates only its smaller side, the tail for t <= 0 and the
     cdf for t > 0: with that side v, the logit is +-(ln v - log1p(-v)) and
-    its slope -rho/(v(1 - v)).  As in ``quadrature.solve_monotone``, a point
-    stops after the step from a residual within _NEWTON_TOL, and only the
-    others are evaluated again; stopping before that step would leave node
-    errors near _NEWTON_TOL, which the midpoint check counts once more.  The
-    start interpolates the logit at the panel ends of the case-5 table; in xi
-    the power tails make it nearly linear.
+    its slope -rho/(v(1 - v)).  Every bracket is the table's range, and the
+    start interpolates the logit at its panel ends; in xi the power tails make
+    it nearly linear.  A node stops after a Newton step of at most 1e-12 in
+    xi, which leaves its logit residual far inside _NEWTON_TOL, the node error
+    the midpoint check charges; only the nodes still running are integrated again.
     """
-    log_mass = _case5_table(law.r, law.s).log_mass
-    xi = _case5_xi_start(law, t)
-    todo = np.arange(t.size)
-    for _ in range(_NEWTON_STEPS):
-        x, tt = xi[todo], t[todo]
-        upper = tt <= 0.0
-        v = np.empty_like(x)
-        v[upper] = _case5_xi_side(law, x[upper], True)
-        v[~upper] = _case5_xi_side(law, x[~upper], False)
+    tab = _case5_table(law.r, law.s)
+
+    def logit_side(xi, i):  # falls as xi grows, on either side
+        up, v = t[i] <= 0.0, np.empty_like(xi)
+        v[up] = _case5_xi_side(law, xi[up], True)
+        v[~up] = _case5_xi_side(law, xi[~up], False)
         logit = np.log(v) - np.log1p(-v)
-        res = np.where(upper, logit, -logit) - tt
-        rho = np.exp(_case5_log_f(law.r, law.s, x) - log_mass)
-        xi[todo] = x + res * v * (1.0 - v) / rho  # d logit-tail / d xi = -rho/(v(1 - v)) on either side
-        todo = todo[~(np.abs(res) <= _NEWTON_TOL)]  # NaN never passes
-        if not todo.size:
-            return law.delta * np.sinh(xi) - law.mu
-    err = float(np.max(np.abs(res)))
-    raise InverseTableError(f"case-5 inverse for {law.coeffs} did not converge: logit error {err:.3g}")
+        rho = np.exp(_case5_log_f(law.r, law.s, xi) - tab.log_mass)
+        return np.where(up, logit, -logit) - t[i], -rho / (v * (1.0 - v))
+
+    ends = np.full(t.shape, tab.edges[0]), np.full(t.shape, tab.edges[-1])
+    xi = quadrature.solve_monotone(logit_side, *ends, False, _case5_xi_start(law, t), xtol=1e-12)
+    return law.delta * np.sinh(xi) - law.mu
 
 
 class _Case(NamedTuple):
@@ -649,8 +653,17 @@ _CASES = {
 }
 
 
-def _side(law: PearsonLaw, x: np.ndarray, upper: bool) -> np.ndarray:
+def _points(x) -> np.ndarray:
+    """x as an array of doubles; a NaN point has no tail, density or kernel, and raises ``DomainError``."""
+    x = np.asarray(x, dtype=float)
+    if math.isnan(x) if x.ndim == 0 else np.isnan(x).any():  # a scalar skips the ufunc's microsecond
+        raise DomainError("evaluation point is NaN")
+    return x
+
+
+def _side(law: PearsonLaw, x, upper: bool) -> np.ndarray:
     """P[Z > x] (upper) or P[Z <= x] at every point of x."""
+    x = _points(x)
     if law.mirrored:
         x, upper = -x, not upper
     return _CASES[law.case].side(law, x, upper)
@@ -663,7 +676,7 @@ def _side(law: PearsonLaw, x: np.ndarray, upper: bool) -> np.ndarray:
 def stein_kernel(coeffs: PearsonCoefficients, x):
     """g(x) = (alpha x^2 + beta x + gamma) on the open support, 0 outside."""
     a, b = support(coeffs)
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     inside = (x > a) & (x < b)
     val = np.zeros(x.shape)
     val[inside] = coeffs.kernel(x[inside])  # only inside points: the kernel at +-inf is nan
@@ -673,7 +686,7 @@ def stein_kernel(coeffs: PearsonCoefficients, x):
 def q_function(coeffs: PearsonCoefficients, x):
     """q(x) = x^2 - x g'(x) + g(x): (1-alpha)x^2 + gamma inside, x^2 outside."""
     a, b = support(coeffs)
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     inside = (x > a) & (x < b)
     val = np.where(inside, (1.0 - coeffs.alpha) * x * x + coeffs.gamma, x * x)
     return float(val) if val.ndim == 0 else val
@@ -685,7 +698,7 @@ def q_function(coeffs: PearsonCoefficients, x):
 
 def log_density(law: PearsonLaw, x):
     """ln rho(x); -inf outside the closed support, the continuous limit at a, b."""
-    x = np.asarray(x, dtype=float)
+    x = _points(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         val = _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
     return float(val) if val.ndim == 0 else val
@@ -698,7 +711,6 @@ def density(law: PearsonLaw, x):
 
 def flux(law: PearsonLaw, x) -> np.ndarray:
     """g(x) rho(x) in log space; 0 where the kernel vanishes, even against a density pole."""
-    x = np.asarray(x, dtype=float)
     g = np.asarray(stein_kernel(law.coeffs, x))
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.exp(np.log(g) + log_density(law, x))
@@ -713,12 +725,12 @@ def tail(law: PearsonLaw, z) -> float:
     1e-12 relative of mpmath for z + mu up to 1e6 delta (tests/test_oracles.py).
     A tail below the smallest double is 0.
     """
-    return float(_side(law, np.asarray(float(z)), upper=True))
+    return float(_side(law, float(z), upper=True))
 
 
 def tail_grid(law: PearsonLaw, zs) -> np.ndarray:
     """Vectorized tails on an arbitrary grid."""
-    return _side(law, np.atleast_1d(np.asarray(zs, dtype=float)), upper=True)
+    return _side(law, np.atleast_1d(zs), upper=True)
 
 
 def partial_moments(law: PearsonLaw, y) -> tuple[float, float, float]:
@@ -737,18 +749,18 @@ def partial_moments(law: PearsonLaw, y) -> tuple[float, float, float]:
 
 def cdf(law: PearsonLaw, z) -> float:
     """P[Z <= z], complement-free so it keeps relative accuracy near the lower end."""
-    return float(_side(law, np.asarray(float(z)), upper=False))
+    return float(_side(law, float(z), upper=False))
 
 
 def cdf_grid(law: PearsonLaw, zs) -> np.ndarray:
     """Vectorized complement-free CDF on an arbitrary grid."""
-    return _side(law, np.atleast_1d(np.asarray(zs, dtype=float)), upper=False)
+    return _side(law, np.atleast_1d(zs), upper=False)
 
 
 def log_tail(law: PearsonLaw, z) -> float:
     """ln P[Z > z]: the case's own form where it has one (Normal's log_ndtr, Gamma's
-    asymptotic continuation where the tail underflows), else the log of the tail."""
-    z = float(z)
+    continued fraction below the smallest normal double), else the log of the tail."""
+    z = float(_points(z))
     form = _CASES[law.case].log_tail
     if form is not None and not law.mirrored:
         return form(law, z)
@@ -798,7 +810,7 @@ def quantile(law: PearsonLaw, p: float) -> float:
     sign, target = (1.0, math.log(p)) if upper else (-1.0, math.log1p(-p))
     deep = row.log_tail if upper and not law.mirrored else None
 
-    def log_side(z):  # ln P[Z > z] - ln p, or ln(1 - p) - ln P[Z <= z]; both fall as z grows
+    def log_side(z, i):  # ln P[Z > z] - ln p, or ln(1 - p) - ln P[Z <= z]; both fall as z grows
         with np.errstate(divide="ignore", invalid="ignore"):
             side = _side(law, z, upper)
             ln_side = np.log(side)
@@ -849,6 +861,7 @@ def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
     ``quantile_grid`` contract: a relative error of at most 1e-10 in the
     smaller tail probability of its uniform.
     """
+    n, seed = as_int(n, "sample size"), as_int(seed, "seed")
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     return quantile_grid(law, rng.uniform_stream(seed, n))
@@ -869,7 +882,8 @@ def moment_exists(coeffs: PearsonCoefficients, m: int) -> bool:
 def moment(coeffs: PearsonCoefficients, m: int) -> float:
     """E[Z^m] by the exact recursion (1 - alpha k) E[Z^{k+1}] = beta k E[Z^k] + gamma k E[Z^{k-1}]."""
     coeffs.validate()
-    if m < 0 or m != int(m):
+    m = as_int(m, "moment order")
+    if m < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {m}")
     if not moment_exists(coeffs, m):
         raise MomentDoesNotExistError(

@@ -48,35 +48,38 @@ def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(np.maximum(a, b) > 4.0 * np.minimum(a, b), geo, 0.5 * lo + 0.5 * hi)
 
 
-def solve_monotone(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lo, hi, increasing, x0=None,
-                   *, xtol: float) -> np.ndarray:
+def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], lo, hi, increasing,
+                   x0=None, *, xtol: float) -> np.ndarray:
     """Roots of many strictly monotone functions at once, each inside its finite bracket.
 
-    f(x) returns (value, slope) of every problem at its iterate x[i].  Problem
-    i has one root in [lo[i], hi[i]] and is increasing where increasing[i].
-    Each step is Newton's where it stays inside the current bracket and is at
-    most half the step before last, and a bisection otherwise (rtsafe,
-    Numerical Recipes 9.4); the sign of f at each iterate shrinks the bracket.
-    From step _PATIENCE on, a Newton step must be at most half the last step:
-    Newton on a power c x^k, or at a root of multiplicity k, gains only
-    (k - 1)/k a step, which the first rule lets pass for k <= 3, and across
-    the doubles' range that takes hundreds.  No solve that ends sooner is
-    touched by the second rule.  A problem stops after a Newton step of at
-    most xtol + 4 eps |x|, or when bisection can no longer split its bracket:
-    the root is then within one double, however steep f is there.  x0 are
-    optional starting points inside the brackets.  A bracket end that is not
-    finite raises DomainError.
+    f(x, i) returns (value, slope) of the problems i, the indices of those
+    still running, at their iterates x.  Problem i has one root in
+    [lo[i], hi[i]] and is increasing where increasing[i].  Each step is
+    Newton's where it stays inside the current bracket and is at most half the
+    step before last, and a bisection otherwise (rtsafe, Numerical Recipes
+    9.4); the sign of f at each iterate shrinks the bracket.  From step
+    _PATIENCE on, a Newton step must be at most half the last step: Newton on
+    a power c x^k, or at a root of multiplicity k, gains only (k - 1)/k a
+    step, which the first rule lets pass for k <= 3, and across the doubles'
+    range that takes hundreds.  No solve that ends sooner is touched by the
+    second rule.  A problem stops after a Newton step of at most
+    xtol + 4 eps |x|, or when bisection can no longer split its bracket: the
+    root is then within one double, however steep f is there.  It then leaves
+    the working arrays, so f never sees it again, and no problem's steps depend
+    on another's.  x0 are optional starting points inside the brackets.  A
+    bracket end that is not finite raises DomainError.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("bracketed solve needs finite brackets")
-    sign = np.where(increasing, 1.0, -1.0)
-    x = _split(lo, hi) if x0 is None else np.array(x0, dtype=float)
+    sign = np.full(lo.shape, np.where(increasing, 1.0, -1.0))
+    x = _split(lo, hi) if x0 is None else np.array(x0, dtype=float, ndmin=1)
+    root = np.empty(lo.shape)
+    i = np.arange(lo.size)
     step_old = step = hi - lo
-    active = np.ones(lo.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(_MAX_STEPS):
-            val, slope = f(x)
+            val, slope = f(x, i)
             below = sign * val < 0.0  # the root is right of x
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -86,9 +89,11 @@ def solve_monotone(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], lo,
             newton = (x_new >= lo) & (x_new <= hi) & (np.abs(dx) <= 0.5 * limit) & np.isfinite(slope)
             if not newton.all():
                 x_new = np.where(newton, x_new, _split(lo, hi))
-            step_old, step = step, np.abs(x_new - x)
-            x = np.where(active, x_new, x)
-            active &= np.where(newton, np.abs(dx) > xtol + _RTOL * np.abs(x), step > 0.0)
-            if not active.any():
-                return x
+            step_old, step, x = step, np.abs(x_new - x), x_new
+            going = np.where(newton, np.abs(dx) > xtol + _RTOL * np.abs(x), step > 0.0)
+            if not going.all():
+                root[i[~going]] = x[~going]
+                if not going.any():
+                    return root
+                x, lo, hi, sign, step_old, step, i = (a[going] for a in (x, lo, hi, sign, step_old, step, i))
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds, chaos, pearson, rng
 from .chaos import HermiteSeries
-from .errors import DomainError, InsufficientRangeError, UncertifiedHypothesisError
+from .errors import DomainError, InsufficientRangeError, UncertifiedHypothesisError, as_int
 from .pearson import PearsonCoefficients, PearsonLaw, build_law
 
 __all__ = [
@@ -70,6 +70,8 @@ class ScenarioSpec:
     k_upper: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_samples", as_int(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         if self.n_samples < 10_000:
             raise DomainError(f"scenario needs n_samples >= 10^4, got {self.n_samples}")
         if not 0.0 < self.confidence < 1.0:
@@ -419,8 +421,8 @@ def scenario_from_json(text: str) -> ScenarioSpec:
         reference=_coeffs_from_obj(obj["reference"]),
         hypothesis=Hypothesis(obj["hypothesis"]),
         z_grid=tuple(float(z) for z in obj["z_grid"]),
-        n_samples=int(obj["n_samples"]),
-        seed=int(obj["seed"]),
+        n_samples=obj["n_samples"],
+        seed=obj["seed"],
         confidence=float(obj.get("confidence", 0.99)),
         reference_upper=_coeffs_from_obj(obj["reference_upper"]) if "reference_upper" in obj else None,
         c_lower=float(obj.get("c", 4.0)),

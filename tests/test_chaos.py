@@ -59,6 +59,15 @@ def test_hermite_eval_guard():
         hermite_eval(-1, 0.0)
 
 
+def test_hermite_degree_takes_integer_values_and_refuses_the_rest():
+    xs = np.linspace(-2.0, 2.0, 5)
+    np.testing.assert_array_equal(hermite_eval(2.0, xs), hermite_eval(2, xs))
+    assert hermite_eval(np.int64(3), 2.0) == hermite_eval(3, 2.0)
+    for bad in (2.5, math.nan, math.inf, "2"):
+        with pytest.raises(DomainError, match="must be an integer"):
+            hermite_eval(bad, 0.5)
+
+
 def test_hermite_orthogonality_by_quadrature():
     from numpy.polynomial.hermite_e import hermegauss
 
@@ -157,7 +166,7 @@ def test_infinite_levels_read_the_limits(coeffs):
 
 def test_bracketed_solve_needs_finite_brackets():
     with pytest.raises(DomainError):
-        quadrature.solve_monotone(lambda n: (n, np.ones_like(n)), [-math.inf], [1.0], True, xtol=1e-13)
+        quadrature.solve_monotone(lambda n, i: (n, np.ones_like(n)), [-math.inf], [1.0], True, xtol=1e-13)
 
 
 def test_G_degree_invariant():

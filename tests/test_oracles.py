@@ -18,6 +18,7 @@ import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from scipy import special as sp
 from scipy.integrate import quad
 
 from steintail import bounds, chaos, pearson
@@ -52,6 +53,33 @@ def test_normal_tail_keeps_the_subnormals():
     assert _rel(pearson.cdf(law, -z), mp.erfc(z / mp.sqrt(2)) / 2) < 1e-10
     tails = pearson.tail_grid(law, np.linspace(37.0, 38.4, 15))
     assert np.all(tails > 0.0) and np.all(np.diff(tails) <= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Gamma tails below the normal doubles: gammaincc keeps few digits, then flushes to 0
+
+DEEP_GAMMA_LAWS = [PearsonCoefficients(0.0, 2.0, 2.0), PearsonCoefficients(0.0, 0.5, 2.0),
+                   PearsonCoefficients(0.0, 10.0, 1.0)]  # r = 0.5, 0.125, 0.01
+
+
+def _gamma_log_tail_mp(law, z):
+    return mp.log(mp.gammainc(law.r, (mp.mpf(z) + mp.mpf(law.mu)) / mp.mpf(law.s), mp.inf, regularized=True))
+
+
+@pytest.mark.parametrize("coeffs", DEEP_GAMMA_LAWS, ids=str)
+def test_gamma_log_tail_from_the_normal_underflow_to_ten_times_beyond(coeffs):
+    law = build_law(coeffs)
+    z_under = float(sp.gammainccinv(law.r, np.finfo(float).tiny)) * law.s - law.mu  # tail = smallest normal
+    for z in np.geomspace(z_under, 10.0 * z_under, 13):
+        assert _rel(pearson.log_tail(law, z), _gamma_log_tail_mp(law, z)) < REL, z
+
+
+@pytest.mark.parametrize("coeffs", DEEP_GAMMA_LAWS, ids=str)
+@pytest.mark.parametrize("p", [1e-310, 1e-320, 5e-324])
+def test_gamma_quantile_down_to_the_smallest_double(coeffs, p):
+    law = build_law(coeffs)
+    x = mp.findroot(lambda x: mp.log(mp.gammainc(law.r, x, mp.inf, regularized=True)) - mp.log(p), -math.log(p))
+    assert _rel(pearson.quantile(law, p), x * mp.mpf(law.s) - mp.mpf(law.mu)) < REL
 
 
 # ---------------------------------------------------------------------------

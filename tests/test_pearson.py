@@ -10,6 +10,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from steintail import pearson
 from steintail.errors import (
+    DomainError,
     InvalidCoefficientsError,
     InvalidProbabilityError,
     MomentDoesNotExistError,
@@ -350,6 +351,30 @@ def test_log_tail_deep(gamma_law, normal_law):
 
 
 # ---------------------------------------------------------------------------
+# NaN points: no tail, density or kernel; a typed error, never a NaN or a clipped value
+
+NAN_POINT_LAWS = {**CANONICAL_COEFFS, "inverse_gamma_type_0.25": PearsonCoefficients(0.25, 1.0, 1.0),
+                  "mirrored_gamma": PearsonCoefficients(0.0, -2.0, 2.0)}
+
+
+@pytest.mark.parametrize("coeffs", NAN_POINT_LAWS.values(), ids=NAN_POINT_LAWS.keys())
+def test_nan_points_raise_a_typed_error(coeffs):
+    law = build_law(coeffs)
+    scalar = [pearson.tail, pearson.cdf, pearson.log_tail, pearson.partial_moments, log_density, density,
+              pearson.flux, lambda law, x: stein_kernel(law.coeffs, x), lambda law, x: q_function(law.coeffs, x)]
+    grid = [tail_grid, pearson.cdf_grid, log_density, density, pearson.flux,
+            lambda law, x: stein_kernel(law.coeffs, x), lambda law, x: q_function(law.coeffs, x)]
+    for fn in scalar:
+        with pytest.raises(DomainError, match="NaN"):
+            fn(law, math.nan)
+    for fn in grid:
+        with pytest.raises(DomainError, match="NaN"):
+            fn(law, np.array([0.0, math.nan]))
+    # the infinite points keep their limits
+    np.testing.assert_array_equal(tail_grid(law, [-math.inf, math.inf]), [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
 # kernel and q
 
 
@@ -501,6 +526,19 @@ def test_moment_existence_sweep():
             if alpha >= 0 else PearsonCoefficients(alpha, 0.0, 1.0)
         for m in range(0, 9):
             assert moment_exists(coeffs, m) == (m < limit), (alpha, m)
+
+
+def test_integer_arguments_take_integer_values_and_refuse_the_rest(gamma_law):
+    c = CANONICAL_COEFFS["gamma"]
+    assert moment(c, 2.0) == moment(c, 2) and moment(c, np.int64(3)) == moment(c, 3)
+    np.testing.assert_array_equal(sample(gamma_law, 5.0, 1.0), sample(gamma_law, 5, 1))
+    for bad in (2.5, math.nan, math.inf, "2"):
+        with pytest.raises(DomainError, match="must be an integer"):
+            moment(c, bad)
+        with pytest.raises(DomainError, match="must be an integer"):
+            sample(gamma_law, bad, 1)
+        with pytest.raises(DomainError, match="must be an integer"):
+            sample(gamma_law, 5, bad)
 
 
 def test_moment_nonexistent_raises():

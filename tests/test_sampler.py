@@ -160,6 +160,23 @@ def test_case5_nodes_meet_the_newton_tolerance_on_the_smaller_side(coeffs):
     assert err.max() <= pearson._NEWTON_TOL, (coeffs, t[np.argmax(err)], err.max())
 
 
+@pytest.mark.parametrize("coeffs", CASE5_NODE_LAWS, ids=str)
+def test_case5_nodes_integrate_few_points_per_node(coeffs, monkeypatch):
+    # a cost guard by count: each solver step integrates only the nodes still running,
+    # each on its smaller side; at most 3.25 points per node and midpoint on average
+    law = build_law(coeffs)
+    points, side = [], pearson._case5_xi_side
+
+    def counted(law, xi, upper):
+        points.append(xi.size)
+        return side(law, xi, upper)
+
+    monkeypatch.setattr(pearson, "_case5_xi_side", counted)
+    t = np.linspace(-pearson._T_MAX, pearson._T_MAX, 2 * pearson._TABLE_NODES - 1)
+    pearson._case5_nodes(law, t)
+    assert sum(points) / t.size <= 3.25, sum(points) / t.size
+
+
 BETA_SPLIT_LAWS = [
     PearsonCoefficients(-0.25, 0.0, 0.0625),   # r = s = 2
     PearsonCoefficients(-1.07, 1.152, 0.0302),  # r = 0.021, s = 0.91

@@ -346,6 +346,21 @@ def test_scenario_json_round_trip():
     assert rep1.to_csv() == rep2.to_csv()
 
 
+def test_scenario_integers_take_integer_values_and_refuse_the_rest():
+    spec = h2_gamma_spec(n_samples=20000.0, seed=3.0)
+    assert (spec.n_samples, spec.seed) == (20000, 3) and type(spec.n_samples) is type(spec.seed) is int
+    assert run_scenario(spec).to_json() == run_scenario(h2_gamma_spec(n_samples=20000, seed=3)).to_json()
+    for field, bad in [("n_samples", 20000.7), ("seed", 3.9), ("n_samples", "20000"), ("seed", math.nan)]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            h2_gamma_spec(**{field: bad})
+    # a scenario file asks for exactly what runs, or is refused
+    obj = json.loads(scenario_to_json(h2_gamma_spec()))
+    assert scenario_from_json(json.dumps({**obj, "n_samples": 20000.0, "seed": 3.0})) == spec
+    for field, bad in [("n_samples", 20000.7), ("seed", 3.9)]:
+        with pytest.raises(DomainError, match="must be an integer"):
+            scenario_from_json(json.dumps({**obj, field: bad}))
+
+
 def test_scenario_json_missing_field():
     with pytest.raises(DomainError):
         scenario_from_json(json.dumps({"x_model": {"type": "hermite", "coeffs": [0, 1]}}))
