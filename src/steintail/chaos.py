@@ -112,7 +112,12 @@ def _log2_root_bound(c) -> float:
                default=-math.inf)
 
 
-def _sign_changes(c: np.ndarray, dc: np.ndarray, splits: np.ndarray) -> np.ndarray:
+def _horner(c, t):
+    """sum c_k t^k by Horner (c low to high, () is 0; t a number, array or Polynomial): polyval's steps at finite t."""
+    return functools.reduce(lambda acc, ck: acc * t + ck, c[-2::-1], c[-1]) if len(c) else 0.0
+
+
+def _sign_changes(c, dc, splits: np.ndarray) -> np.ndarray:
     """Sorted sign changes of p = sum c_k t^k, monotone between the sorted splits; dc holds p'.
 
     The signs at +-inf are those of p's limits, and the Fujiwara bound R
@@ -128,7 +133,7 @@ def _sign_changes(c: np.ndarray, dc: np.ndarray, splits: np.ndarray) -> np.ndarr
     p = 0, at such a root.
     """
     with np.errstate(over="ignore"):  # past the doubles p is +-inf, which keeps its sign
-        signs = np.sign([_poly_limit(c, -math.inf), *npoly.polyval(splits, c), _poly_limit(c, math.inf)])
+        signs = np.sign([_poly_limit(c, -math.inf), *_horner(c, splits), _poly_limit(c, math.inf)])
     found = splits[:0]
     if not signs.all():  # some split has p = 0; the limits at +-inf never do
         nz = np.flatnonzero(signs)
@@ -139,7 +144,7 @@ def _sign_changes(c: np.ndarray, dc: np.ndarray, splits: np.ndarray) -> np.ndarr
         log2_r = 1.0 + _log2_root_bound(c)
         r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
         ends = np.concatenate([[-r], splits, [r]])
-        solved = quadrature.solve_monotone(lambda t, i: (npoly.polyval(t, c), npoly.polyval(t, dc)),
+        solved = quadrature.solve_monotone(lambda t, i: (_horner(c, t), _horner(dc, t)),
                                            ends[:-1][cross], ends[1:][cross], signs[1:][cross] > 0.0, xtol=1e-13)
         found = np.sort(np.concatenate([found, solved]))
     return found
@@ -277,12 +282,11 @@ class PolynomialChaosLaw:
             raise DomainError("level must be a number, got nan")
         if math.isinf(x):
             return [], ([(-math.inf, math.inf)] if x < 0.0 else [])
-        c = npoly.polysub(self.poly, [x])
-        ns = _sign_changes(c, np.asarray(self.dpoly), np.asarray(self.crit_points))
-        pts = [-math.inf, *ns.tolist(), math.inf]
+        c = (self.poly[0] - x, *self.poly[1:])
+        ns = _sign_changes(c, self.dpoly, np.asarray(self.crit_points)).tolist()
+        pts = [-math.inf, *ns, math.inf]
         first = 0 if _poly_limit(c, -math.inf) > 0.0 else 1
-        slopes = npoly.polyval(ns, self.dpoly).tolist()
-        return list(zip(pts[1:-1], slopes)), list(zip(pts[first:-1:2], pts[first + 1::2]))
+        return [(n, _horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -404,14 +408,6 @@ def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tu
 # integration-by-parts checks
 
 
-def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Coefficients of outer(inner(n)) by Horner in polynomial arithmetic."""
-    acc = np.array([0.0])
-    for c in outer[::-1]:
-        acc = npoly.polyadd(npoly.polymul(acc, inner), [c])
-    return acc
-
-
 def expect_polynomial(poly_coeffs) -> float:
     """E[p(N)] by probabilists' Gauss-Hermite with exactness-level node count."""
     c = np.atleast_1d(np.asarray(poly_coeffs, dtype=float))
@@ -427,8 +423,7 @@ def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
     derivative hypothesis of the underlying identity is relaxed to polynomial
     growth, which Gaussian integrability covers at this scale.
     """
-    m = np.asarray(m_coeffs, dtype=float)
     law = law_of_polynomial(x_series)
-    lhs = npoly.polymul(law.poly, _compose(m, law.poly))
-    rhs = npoly.polymul(_compose(npoly.polyder(m), law.poly), law.gpoly)
-    return abs(expect_polynomial(lhs) - expect_polynomial(rhs))
+    x = npoly.Polynomial(law.poly)  # m(X) by Horner in polynomial arithmetic
+    lhs, rhs = x * _horner(m_coeffs, x), _horner(npoly.polyder(m_coeffs), x) * npoly.Polynomial(law.gpoly)
+    return abs(expect_polynomial(lhs.coef) - expect_polynomial(rhs.coef))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -22,7 +23,11 @@ from .pearson import PearsonCoefficients, build_law
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1; "-" then a digit or "inf" starts a value (-1:1:3, -inf)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")

@@ -765,8 +765,8 @@ def log_tail(law: PearsonLaw, z) -> float:
     if form is not None and not law.mirrored:
         return form(law, z)
     t = tail(law, z)
-    if t > 0.0:
-        return math.log(t)
+    if t > 0.0 or z >= law.support_b:  # from the right end on the tail is exactly 0
+        return math.log(t) if t else -math.inf
     raise DomainError(f"tail underflow at z={z} with no asymptotic branch for case {law.case.value}")
 
 

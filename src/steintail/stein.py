@@ -64,20 +64,21 @@ def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
     return IndicatorSteinSolution(law, z, pearson.cdf(law, z), pearson.tail(law, z))
 
 
-def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray):
-    """g, the flux g rho (0 outside the open support) and the (left, right)
-    numerators of f and of g f' at every point: f = N / flux, g f' = N' / flux.
+def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray, left: np.ndarray):
+    """g, the flux g rho (0 outside the open support) and the numerators of f and of g f' at every
+    point, f = N / flux and g f' = N' / flux, each from its own side alone: F(x) where ``left``, else Phi(x).
     """
     law = sol.law
-    flux = pearson.flux(law, xs)
-    cdf, tail = pearson.cdf_grid(law, xs), pearson.tail_grid(law, xs)
-    num = (cdf * sol.phi_star_z, sol.eh * tail)
-    num_p = (sol.phi_star_z * (xs * cdf + flux), sol.eh * (xs * tail - flux))
-    return np.asarray(stein_kernel(law.coeffs, xs)), flux, num, num_p
+    side = np.empty_like(xs)
+    side[left] = pearson.cdf_grid(law, xs[left])
+    side[~left] = pearson.tail_grid(law, xs[~left])
+    flux, weight = pearson.flux(law, xs), np.where(left, sol.phi_star_z, sol.eh)
+    num_p = weight * (xs * side + np.where(left, flux, -flux))  # x F + flux left, x Phi - flux right
+    return np.asarray(stein_kernel(law.coeffs, xs)), flux, weight * side, num_p
 
 
 def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, f', residual g f' - x f - (h - E[h])) on a grid, in one pass.
+    """(f, f', residual g f' - x f - (h - E[h])) on a grid in one pass, each point reading one side.
 
     Where the flux is 0 or a quotient is not finite (outside the support, at
     its ends, past underflow) f and f' take their one-sided limits, and at
@@ -89,9 +90,8 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
     left = xs <= sol.z
     hc = np.where(left, sol.phi_star_z, -sol.eh)  # h - E[h], complement-free
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, flux, num, num_p = _numerators(sol, xs)
-        f = np.where(left, *num) / flux
-        fp = np.where(left, *num_p) / (g * flux)
+        g, flux, num, num_p = _numerators(sol, xs, left)
+        f, fp = num / flux, num_p / (g * flux)
         f = np.where((flux > 0.0) & np.isfinite(f), f, -hc / xs)
         fp = np.where((flux > 0.0) & np.isfinite(fp), fp, hc / (xs * xs))
         residual = np.where(np.isfinite(xs), g * fp - xs * f - hc, 0.0)  # its limit at +-inf, where x f = inf * 0
@@ -106,8 +106,8 @@ def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:
     """One-sided limits of f' at the indicator threshold."""
-    g, flux, _, num_p = _numerators(sol, np.array([sol.z]))
-    return tuple(float(n[0] / (g[0] * flux[0])) for n in num_p)
+    g, flux, _, num_p = _numerators(sol, np.array([sol.z, sol.z]), np.array([True, False]))
+    return tuple(float(n / (g[0] * flux[0])) for n in num_p)
 
 
 def check_residual(sol: IndicatorSteinSolution, grid) -> float:

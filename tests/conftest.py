@@ -20,6 +20,11 @@ CANONICAL_COEFFS = {
     "no_real_roots": PearsonCoefficients(0.25, 0.0, 0.25),
 }
 
+# the canonical cases, the inverse-gamma type with alpha = 1/4, and two mirrored laws (right ends 1 and 2)
+WIDER_COEFFS = {**CANONICAL_COEFFS, "inverse_gamma_type_0.25": PearsonCoefficients(0.25, 1.0, 1.0),
+                "mirrored_gamma": PearsonCoefficients(0.0, -2.0, 2.0),
+                "mirrored_inverse_gamma": PearsonCoefficients(0.25, -1.0, 1.0)}
+
 
 @pytest.fixture(scope="session")
 def canonical_laws():

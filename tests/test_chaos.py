@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import normal_stream
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from steintail import pearson, quadrature
+from steintail import chaos, pearson, quadrature
 from steintail.chaos import (
     HermiteSeries,
     dominance_margin,
@@ -376,6 +378,7 @@ def test_ibp_h2_examples():
     assert ibp_check(H2, (0.0, 1.0)) < 1e-10            # E[X^2]=2 vs E[G]=2
     assert ibp_check(H2, (0.0, 0.0, 1.0)) < 1e-10        # E[X^3]=8 vs E[2X(2X+2)]=8
     assert ibp_check(H1, (0.0, 0.0, 0.0, 1.0)) < 1e-10   # E[N^4]=3 vs E[3N^2]=3
+    assert ibp_check(H2, ()) == 0.0                      # m = 0, the empty coefficient sequence
 
 
 def test_ibp_cross_checks_closed_moments():
@@ -409,3 +412,33 @@ def test_polynomial_trim_and_derivative():
     assert HermiteSeries((0.0, 1.0, 2.0)).to_polynomial() == (-2.0, 1.0, 2.0)
     assert law_of_polynomial(HermiteSeries((0.0, 1.0, 2.0))).dpoly == (1.0, 4.0)
     assert law_of_polynomial(H1).dpoly == (1.0,)
+
+
+# nonzero magnitudes from 1e-30 to 1e30 of either sign, and exact zeros below the leading term
+_MAGNITUDES = st.floats(1e-30, 1e30).flatmap(lambda v: st.sampled_from((v, -v)))
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lower=st.lists(st.one_of(st.just(0.0), _MAGNITUDES), min_size=1, max_size=64), lead=_MAGNITUDES,
+       ts=st.lists(_FINITE, min_size=1, max_size=8))
+def test_horner_equals_polyval_bit_for_bit(lower, lead, ts):
+    # degrees 1 to 64 at finite points: the same operations, so the same doubles, overflow and NaN included
+    c = (*lower, lead)
+    with np.errstate(all="ignore"):
+        expected = polyval(np.array(ts), c)
+        got = chaos._horner(c, np.array(ts))
+    assert got.tobytes() == expected.tobytes()
+    assert np.array([chaos._horner(c, t) for t in ts]).tobytes() == expected.tobytes()  # on Python floats
+
+
+@pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, 0.1), (0.0, 0.0, 1.0), (0.0, 1.0, 0.2)],
+                         ids=["H1+0.1H3", "H2", "H1+0.2H2"])
+def test_level_crossings_match_polyval_evaluation_exactly(coeffs, monkeypatch):
+    # the series of the benchmark's chaos kernels; the reference evaluates every polynomial by polyval
+    x = HermiteSeries(coeffs)
+    law = law_of_polynomial(x)
+    levels = [float(v) for v in x.evaluate(np.linspace(-2.5, 2.5, 41))] + [law.support_a, law.support_b]
+    got = [law.level(v) for v in levels]
+    monkeypatch.setattr(chaos, "_horner", lambda c, t: polyval(t, c))
+    assert got == [law.level(v) for v in levels]

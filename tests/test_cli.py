@@ -116,6 +116,36 @@ def test_stein_evaluates_the_grid_once(capsys, monkeypatch):
     assert sorted(calls) == ["cdf_grid", "tail_grid"]
 
 
+NORMAL_ARGS = ("--alpha", "0", "--beta", "0", "--gamma", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("tail", *NORMAL_ARGS, "--grid", "-1:1:3"),
+    ("stein", *NORMAL_ARGS, "--z", "0.5", "--grid", "-1:1:3"),
+    ("chaos-g", "--coeffs", "0,1", "--grid", "-1:1:3"),
+    ("chaos-g", "--coeffs", "0,1", "--density-grid", "-1:1:3"),
+    ("chaos-g", "--coeffs", "0,1", "--density-grid=-1:1:3"),
+])
+def test_grids_may_start_with_a_minus_sign(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert [line.split(",")[0] for line in out.strip().splitlines()[-3:]] == ["-1.0", "0.0", "1.0"]
+
+
+def test_points_may_start_with_a_minus_sign(capsys):
+    for at, row in (("-1e-300", "-1e-300,0.5"), ("-inf", "-inf,1.0"), ("-Infinity", "-inf,1.0")):
+        code, out, err = run_cli(capsys, "tail", *NORMAL_ARGS, "--at", at)
+        assert code == 0, err
+        assert out.split() == ["x,tail", row]
+
+
+def test_z_grid_starting_with_a_minus_sign_reaches_the_command(capsys):
+    # the grid is read, and the command refuses its negative thresholds
+    code, _, err = run_cli(capsys, "bounds", *NORMAL_ARGS, "--z-grid", "-1:1:3")
+    assert code == 1
+    assert "requires z > 0, got -1.0" in err
+
+
 def test_envelope_brackets(capsys):
     code, out, _ = run_cli(capsys, "envelope", "--alpha", "0", "--beta", "0", "--gamma", "1",
                            "--grid", "1:4:7")

@@ -35,7 +35,7 @@ from steintail.pearson import (
     tail_grid,
 )
 
-from conftest import CANONICAL_COEFFS
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +348,16 @@ def test_log_tail_deep(gamma_law, normal_law):
     assert pearson.log_tail(normal_law, 60.0) == pytest.approx(-1804.08, rel=1e-3)
     lt = pearson.log_tail(gamma_law, 1500.0)
     assert lt == pytest.approx((gamma_law.r - 1) * math.log(750.5) - 750.5 - math.lgamma(0.5), rel=1e-6)
+
+
+@pytest.mark.parametrize("coeffs", WIDER_COEFFS.values(), ids=WIDER_COEFFS.keys())
+def test_log_tail_is_minus_inf_at_and_beyond_the_right_end(coeffs):
+    # the tail is exactly 0 there, so its log is -inf, not an underflow error
+    law = build_law(coeffs)
+    ends = [z for z in (law.support_b, 1000.0, math.inf) if z >= law.support_b]
+    for z in ends:
+        assert tail(law, z) == 0.0, z
+        assert pearson.log_tail(law, z) == -math.inf, z
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import WIDER_COEFFS
 from scipy.integrate import quad
 
 from steintail import pearson, stein
 from steintail.errors import EvaluationAtKinkError, ThresholdOutOfRangeError
-from steintail.pearson import density, quantile, stein_kernel
+from steintail.pearson import build_law, density, quantile, stein_kernel
 from steintail.stein import (
     certification_grid,
     certify_fprime,
@@ -23,6 +24,24 @@ def residual_for_test_function(law, f, fprime, h, eh: float, grid) -> float:
     g = np.asarray(stein_kernel(law.coeffs, xs))
     res = g * fprime(xs) - xs * f(xs) - (h(xs) - eh)
     return float(np.max(np.abs(res)))
+
+
+def evaluate_both_sides(sol, xs):
+    """(f, f', residual) from the cdf and the tail at every point, one of them selected per point:
+    the both-sides reference for ``evaluate``, which evaluates one side per point."""
+    law = sol.law
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    left = xs <= sol.z
+    hc = np.where(left, sol.phi_star_z, -sol.eh)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g, flux = np.asarray(stein_kernel(law.coeffs, xs)), pearson.flux(law, xs)
+        cdf, tail = pearson.cdf_grid(law, xs), pearson.tail_grid(law, xs)
+        f = np.where(left, cdf * sol.phi_star_z, sol.eh * tail) / flux
+        fp = np.where(left, sol.phi_star_z * (xs * cdf + flux), sol.eh * (xs * tail - flux)) / (g * flux)
+        f = np.where((flux > 0.0) & np.isfinite(f), f, -hc / xs)
+        fp = np.where((flux > 0.0) & np.isfinite(fp), fp, hc / (xs * xs))
+        residual = np.where(np.isfinite(xs), g * fp - xs * f - hc, 0.0)
+    return f, fp, residual
 
 
 def _z_values(law):
@@ -215,7 +234,8 @@ def test_fprime_limits_read_the_shared_numerators(canonical_laws):
     for name, law in canonical_laws.items():
         for z in _z_values(law):
             sol = solve_indicator(law, z)
-            g, flux, _, (num_left, num_right) = stein._numerators(sol, np.array([z]))
+            g, flux, _, num_p = stein._numerators(sol, np.array([z, z]), np.array([True, False]))
+            num_left, num_right = num_p[:1], num_p[1:]
             left, right = fprime_limits_at_threshold(sol)
             assert left == num_left[0] / (g[0] * flux[0]), name
             assert right == num_right[0] / (g[0] * flux[0]), name
@@ -223,6 +243,29 @@ def test_fprime_limits_read_the_shared_numerators(canonical_laws):
             g_z, flux_z = stein_kernel(law.coeffs, z), float(pearson.flux(law, z))
             assert left == sol.phi_star_z * (z * sol.eh + flux_z) / (g_z * flux_z), name
             assert right == sol.eh * (z * sol.phi_star_z - flux_z) / (g_z * flux_z), name
+
+
+@pytest.mark.parametrize("coeffs", WIDER_COEFFS.values(), ids=WIDER_COEFFS.keys())
+def test_one_side_per_point_equals_both_sides_bit_for_bit(coeffs):
+    law = build_law(coeffs)
+    for frac in (0.2, 0.5, 0.9):
+        z = frac * min(2.0, law.support_b)
+        sol, grid = solve_indicator(law, z), certification_grid(law, z)
+        for got, want in zip(stein.evaluate(sol, grid), evaluate_both_sides(sol, grid)):
+            assert got.tobytes() == want.tobytes(), z
+
+
+def test_evaluate_reads_one_side_per_point(canonical_laws, monkeypatch):
+    sizes = []
+    for name in ("cdf_grid", "tail_grid"):
+        fn = getattr(pearson, name)
+        monkeypatch.setattr(pearson, name, lambda law, zs, _fn=fn: sizes.append(np.size(zs)) or _fn(law, zs))
+    for name, law in canonical_laws.items():
+        z = _z_values(law)[0]
+        sol, grid = solve_indicator(law, z), certification_grid(law, z, 1000)
+        sizes.clear()
+        stein.evaluate(sol, grid)
+        assert sum(sizes) == grid.size, name
 
 
 # ---------------------------------------------------------------------------
