@@ -56,8 +56,8 @@ def phi_envelope(law: PearsonLaw, x: float) -> tuple[float, float]:
     if not law.support_a < x < law.support_b:
         raise DomainError(f"envelope point {x} outside the open support")
     c = law.coeffs
-    flux = float(pearson.flux(law, x))
-    q = float(q_function(c, x))
+    flux = pearson.flux(law, x)
+    q = q_function(law, x)
     g_prime = 2.0 * c.alpha * x + c.beta
     gap = x - g_prime if x >= 0.0 else g_prime - x  # the mirrored pair for x < 0
     upper = flux / abs(x) if x != 0.0 else 1.0
@@ -84,7 +84,7 @@ def implicit_lower_bound(law: PearsonLaw, x_moments, z: float) -> float:
     if not 0.0 < z < law.support_b:
         raise DomainError(f"requires 0 < z < b, got z={z}")
     integral = implicit_integral(x_moments, z, law.support_b)
-    return pearson.tail(law, z) - integral / float(q_function(law.coeffs, z))
+    return pearson.tail(law, z) - integral / q_function(law, z)
 
 
 def pearson_lower(law: PearsonLaw, z: float, c: float) -> tuple[float, float]:
@@ -99,7 +99,7 @@ def pearson_lower(law: PearsonLaw, z: float, c: float) -> tuple[float, float]:
     if not z > 0.0:
         raise DomainError(f"requires z > 0, got {z}")
     al = law.coeffs.alpha
-    q = float(q_function(law.coeffs, z))
+    q = q_function(law, z)
     bound = (c - 2.0) * q / ((c - 2.0) * q + 2.0 * z * z) * pearson.tail(law, z)
     asymptotic = (c - 2.0) * (1.0 - al) / (c - al * (c - 2.0))
     return bound, asymptotic

@@ -187,7 +187,7 @@ def _cmd_stein(args) -> int:
     grid = stein.certification_grid(law, args.z, 500) if args.grid is None else _parse_grid(args.grid)
     grid = np.asarray(grid[grid != args.z], dtype=float)
     f, fp, res = stein.evaluate(sol, grid)
-    cert = stein.certify_fprime(sol, grid, values=(f, fp, res))
+    cert = stein.certify_fprime(sol, grid)
     if args.format == "json":
         payload = {
             "rows": [{"x": float(x), "f": float(a), "fprime": float(b), "residual": float(r)}
@@ -280,7 +280,7 @@ def _cmd_verify(args) -> int:
 def _cmd_asym(args) -> int:
     law = build_law(_coeffs(args))
     zs = _parse_grid(args.z_grid)
-    lt = [pearson.log_tail(law, float(z)) for z in zs]
+    lt = pearson.log_tail(law, zs)
     slope = verify.slope_estimate(zs, lt, args.mode, p=args.p)
     row = {"mode": args.mode, "p": args.p, "slope": slope}
     if args.format == "json":

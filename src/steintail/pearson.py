@@ -26,8 +26,9 @@ form (case 5 reads one cached table of Gauss-Legendre panels, which also
 gives its normalization), the quantile start and the sampler's inverse, and
 the right-tail asymptotics.  Laws with beta < 0 in the half-line cases are
 reflections of the canonical form and carry ``mirrored=True``; they are
-evaluated at -x with the tail and the cdf swapped.  The scalar ``tail``/``cdf``
-are the grid functions on a 0-d input; a NaN point raises ``DomainError``.
+evaluated at -x with the tail and the cdf swapped.  Every pointwise evaluator
+is called as (law, x), x a number or an array of any shape (``_at``): a number
+gives a float, an array an array of x's shape; a NaN point raises ``DomainError``.
 The sampler inverts the tail through one cached cubic-Hermite table per law
 but the Normal; case 5's nodes and ``quantile`` are bracketed Newton solves.
 """
@@ -69,11 +70,9 @@ __all__ = [
     "flux",
     "tail",
     "partial_moments",
-    "tail_grid",
     "log_tail",
     "tail_asymptotics",
     "cdf",
-    "cdf_grid",
     "quantile",
     "quantile_grid",
     "sample",
@@ -148,7 +147,11 @@ def classify(coeffs: PearsonCoefficients) -> CaseTag:
 
 def support(coeffs: PearsonCoefficients) -> tuple[float, float]:
     """Open interval (a, b) where the kernel is positive and contains 0: between the real roots of g nearest 0."""
-    roots = _CASES[classify(coeffs)].roots(coeffs)
+    return _support(coeffs, classify(coeffs))
+
+
+def _support(coeffs: PearsonCoefficients, case: CaseTag) -> tuple[float, float]:
+    roots = _CASES[case].roots(coeffs)
     return (max((x for x in roots if x < 0.0), default=-math.inf),
             min((x for x in roots if x > 0.0), default=math.inf))
 
@@ -181,7 +184,7 @@ class PearsonLaw:
 def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
     """Recover canonical parameters and the log normalization constant."""
     case = classify(coeffs)
-    a, b = support(coeffs)
+    a, b = _support(coeffs, case)
     mirrored = a == -math.inf and b < math.inf  # a left half-line reflects the canonical right one
     canonical = PearsonCoefficients(coeffs.alpha, -coeffs.beta, coeffs.gamma) if mirrored else coeffs
     r, s, mu, delta, log_c = _CASES[case].params(canonical, a, b)
@@ -190,8 +193,8 @@ def build_law(coeffs: PearsonCoefficients) -> PearsonLaw:
 
 # ---------------------------------------------------------------------------
 # the per-case forms that `_CASES` collects: roots of g, canonical parameters,
-# and vectorized forms on the canonical (beta >= 0) form, for points z of any
-# shape, 0-d included; mirroring is applied in `_side` and in the sampler
+# and vectorized forms on the canonical (beta >= 0) form, for 1-d points z;
+# mirroring is applied in `_side`, `_log_density` and in the sampler
 
 
 def _beta_roots(coeffs: PearsonCoefficients) -> tuple[float, float]:
@@ -263,23 +266,23 @@ def _gamma_log_pdf(law: PearsonLaw, z):
     return out
 
 
-def _gamma_log_tail(law: PearsonLaw, z: float) -> float:
+def _gamma_log_tail(law: PearsonLaw, z):
     """ln Q(r, x), x = (z + mu)/s: the log of the tail down to the smallest normal double.
 
     Below it Q = x^r e^(-x) h/Gamma(r), in logs, with h the Legendre continued fraction
     1/(x + 1 - r - 1(1 - r)/(x + 3 - r - 2(2 - r)/(x + 5 - r - ...))) (DLMF 8.9.2) summed from
     its 16th term: there 6 terms reach the rounding for every r from 1e-3 to 1e12, fewer further out.
     """
-    t = tail(law, z)
-    if t >= _TINY:
-        return math.log(t)
-    r, x = law.r, (z + law.mu) / law.s
-    if x == math.inf:
-        return -math.inf
+    t = _side(law, z, True)
+    deep = t < _TINY
+    r, x = law.r, (z[deep] + law.mu) / law.s
     f = 0.0
     for k in range(16, 0, -1):
         f = k * (k - r) / (x + 2 * k + 1 - r - f)
-    return r * math.log(x) - x - float(_sp.gammaln(r)) - math.log(x + 1.0 - r - f)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = inf: the tail's log is -inf
+        out = np.log(t)
+        out[deep] = np.where(x == np.inf, -np.inf, r * np.log(x) - x - _sp.gammaln(r) - np.log(x + 1.0 - r - f))
+    return out
 
 
 def _beta_log_pdf(law: PearsonLaw, z):
@@ -365,8 +368,6 @@ def _case5_log_f(r: float, s: float, xi):
     e = 2.0 * r - 1.0
     xm = math.asinh(s / e)
     tm, sm = math.tanh(xm), 1.0 / math.cosh(xm)
-    shape = np.shape(xi)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     d = xi - xm
     near = np.abs(d) < 1.0
     log_ratio = np.empty_like(d)
@@ -374,7 +375,7 @@ def _case5_log_f(r: float, s: float, xi):
     log_ratio[near] = np.log1p(u * (u + tm * (2.0 + u)) / (2.0 + 2.0 * u))
     log_ratio[~near] = _log_cosh(xi[~near]) - _log_cosh(xm)
     t = np.tanh(0.5 * d)
-    return (-e * log_ratio + 2.0 * s * np.arctan(sm * t / (1.0 + tm * t))).reshape(shape)
+    return -e * log_ratio + 2.0 * s * np.arctan(sm * t / (1.0 + tm * t))
 
 
 @functools.lru_cache(maxsize=32)
@@ -424,8 +425,8 @@ def _case5_xi_side(law: PearsonLaw, xi: np.ndarray, upper: bool) -> np.ndarray:
 
 def _case5_side(law: PearsonLaw, zs, upper: bool):
     with np.errstate(over="ignore"):  # xi = +-inf beyond the doubles is right
-        xi = np.arcsinh((np.ravel(zs) + law.mu) / law.delta)
-    return _case5_xi_side(law, xi, upper).reshape(np.shape(zs))
+        xi = np.arcsinh((zs + law.mu) / law.delta)
+    return _case5_xi_side(law, xi, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +620,7 @@ _CASES = {
         log_pdf=lambda law, z: law.log_norm_const - z * z / (2.0 * law.coeffs.gamma),
         side=_normal_side,
         start=lambda law, p: law.s * math.sqrt(2.0) * _sp.erfcinv(2.0 * p),
-        log_tail=lambda law, z: float(_sp.log_ndtr(-z / law.s))),
+        log_tail=lambda law, z: _sp.log_ndtr(-z / law.s)),
     CaseTag.GAMMA: _Case(
         lambda c: (-c.gamma / c.beta,), _gamma_params, _gamma_log_pdf,
         side=lambda law, z, upper: (_sp.gammaincc if upper else _sp.gammainc)(
@@ -653,121 +654,116 @@ _CASES = {
 }
 
 
-def _points(x) -> np.ndarray:
-    """x as an array of doubles; a NaN point has no tail, density or kernel, and raises ``DomainError``."""
+def _at(rows: Callable, law: PearsonLaw, x, *args):
+    """The row form ``rows`` at x, a number or an array of any shape: the one entry of every pointwise
+    evaluator.  x is checked once; row forms take 1-d points and the composites call them unchecked."""
     x = np.asarray(x, dtype=float)
     if math.isnan(x) if x.ndim == 0 else np.isnan(x).any():  # a scalar skips the ufunc's microsecond
         raise DomainError("evaluation point is NaN")
-    return x
+    val = rows(law, x.reshape(-1), *args)
+    return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
 
-def _side(law: PearsonLaw, x, upper: bool) -> np.ndarray:
+def _side(law: PearsonLaw, x: np.ndarray, upper: bool):
     """P[Z > x] (upper) or P[Z <= x] at every point of x."""
-    x = _points(x)
     if law.mirrored:
         x, upper = -x, not upper
     return _CASES[law.case].side(law, x, upper)
 
 
-# ---------------------------------------------------------------------------
-# kernel and companion function
-
-
-def stein_kernel(coeffs: PearsonCoefficients, x):
-    """g(x) = (alpha x^2 + beta x + gamma) on the open support, 0 outside."""
-    a, b = support(coeffs)
-    x = _points(x)
-    inside = (x > a) & (x < b)
+def _kernel(law: PearsonLaw, x: np.ndarray) -> np.ndarray:
+    inside = (x > law.support_a) & (x < law.support_b)
     val = np.zeros(x.shape)
-    val[inside] = coeffs.kernel(x[inside])  # only inside points: the kernel at +-inf is nan
-    return float(val) if val.ndim == 0 else val
+    val[inside] = law.coeffs.kernel(x[inside])  # only inside points: the kernel at +-inf is nan
+    return val
 
 
-def q_function(coeffs: PearsonCoefficients, x):
+def _log_density(law: PearsonLaw, x: np.ndarray):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
+
+
+def _flux(law: PearsonLaw, x: np.ndarray) -> np.ndarray:
+    g = _kernel(law, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = np.exp(np.log(g) + _log_density(law, x))
+    return np.where(g > 0.0, val, 0.0)
+
+
+def _log_tail(law: PearsonLaw, z: np.ndarray):
+    form = _CASES[law.case].log_tail
+    if form is not None and not law.mirrored:
+        return form(law, z)
+    t = _side(law, z, True)
+    lost = (t == 0.0) & (z < law.support_b)  # from the right end on the tail is exactly 0
+    if lost.any():
+        raise DomainError(f"tail underflow at z={z[lost][0]} with no asymptotic branch for case {law.case.value}")
+    with np.errstate(divide="ignore"):
+        return np.log(t)
+
+
+def stein_kernel(law: PearsonLaw, x):
+    """g(x) = (alpha x^2 + beta x + gamma) on the open support, 0 outside."""
+    return _at(_kernel, law, x)
+
+
+def q_function(law: PearsonLaw, x):
     """q(x) = x^2 - x g'(x) + g(x): (1-alpha)x^2 + gamma inside, x^2 outside."""
-    a, b = support(coeffs)
-    x = _points(x)
-    inside = (x > a) & (x < b)
-    val = np.where(inside, (1.0 - coeffs.alpha) * x * x + coeffs.gamma, x * x)
-    return float(val) if val.ndim == 0 else val
-
-
-# ---------------------------------------------------------------------------
-# density, flux, tails
+    return _at(lambda law, x: np.where((x > law.support_a) & (x < law.support_b),
+                                       (1.0 - law.coeffs.alpha) * x * x + law.coeffs.gamma, x * x), law, x)
 
 
 def log_density(law: PearsonLaw, x):
     """ln rho(x); -inf outside the closed support, the continuous limit at a, b."""
-    x = _points(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        val = _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
-    return float(val) if val.ndim == 0 else val
+    return _at(_log_density, law, x)
 
 
 def density(law: PearsonLaw, x):
-    out = np.exp(log_density(law, x))
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    return _at(lambda law, x: np.exp(_log_density(law, x)), law, x)
 
 
-def flux(law: PearsonLaw, x) -> np.ndarray:
+def flux(law: PearsonLaw, x):
     """g(x) rho(x) in log space; 0 where the kernel vanishes, even against a density pole."""
-    g = np.asarray(stein_kernel(law.coeffs, x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.exp(np.log(g) + log_density(law, x))
-    return np.where(g > 0.0, val, 0.0)
+    return _at(_flux, law, x)
 
 
-def tail(law: PearsonLaw, z) -> float:
-    """Survival probability P[Z > z], the value ``tail_grid`` gives at z.
+def tail(law: PearsonLaw, z):
+    """Survival probability P[Z > z].
 
     Cases 1-4 read scipy.special (Beta from the nearer end, Normal through
     log_ndtr where erfc flushes to 0); case 5 its xi-panel table, within
     1e-12 relative of mpmath for z + mu up to 1e6 delta (tests/test_oracles.py).
     A tail below the smallest double is 0.
     """
-    return float(_side(law, float(z), upper=True))
+    return _at(_side, law, z, True)
 
 
-def tail_grid(law: PearsonLaw, zs) -> np.ndarray:
-    """Vectorized tails on an arbitrary grid."""
-    return _side(law, np.atleast_1d(zs), upper=True)
+tail_grid = tail  # the benchmark harness reads tails under this old name; no steintail module does
 
 
-def partial_moments(law: PearsonLaw, y) -> tuple[float, float, float]:
+def cdf(law: PearsonLaw, z):
+    """P[Z <= z], complement-free so it keeps relative accuracy near the lower end."""
+    return _at(_side, law, z, False)
+
+
+def log_tail(law: PearsonLaw, z):
+    """ln P[Z > z]: the case's own form where it has one (Normal's log_ndtr, Gamma's
+    continued fraction below the smallest normal double), else the log of the tail."""
+    return _at(_log_tail, law, z)
+
+
+def partial_moments(law: PearsonLaw, y: float) -> tuple[float, float, float]:
     """(P[Z > y], E[Z; Z > y], E[Z^2; Z > y]) in closed form.
 
     E[Z; Z > y] is the flux g(y) rho(y), and the Stein identity with the test
     function x 1{x > y} gives E[Z^2; Z > y] = ((y + beta) g rho + gamma P[Z > y]) / (1 - alpha),
     valid for every admissible alpha < 1.
     """
-    c, t = law.coeffs, tail(law, y)
+    c, t, y = law.coeffs, tail(law, y), float(y)
     if not law.support_a < y < law.support_b:  # no flux out here, and y may be infinite
         return t, 0.0, c.gamma * t / (1.0 - c.alpha)
-    f = float(flux(law, y))
+    f = float(_flux(law, np.asarray(y)))
     return t, f, ((y + c.beta) * f + c.gamma * t) / (1.0 - c.alpha)
-
-
-def cdf(law: PearsonLaw, z) -> float:
-    """P[Z <= z], complement-free so it keeps relative accuracy near the lower end."""
-    return float(_side(law, float(z), upper=False))
-
-
-def cdf_grid(law: PearsonLaw, zs) -> np.ndarray:
-    """Vectorized complement-free CDF on an arbitrary grid."""
-    return _side(law, np.atleast_1d(zs), upper=False)
-
-
-def log_tail(law: PearsonLaw, z) -> float:
-    """ln P[Z > z]: the case's own form where it has one (Normal's log_ndtr, Gamma's
-    continued fraction below the smallest normal double), else the log of the tail."""
-    z = float(_points(z))
-    form = _CASES[law.case].log_tail
-    if form is not None and not law.mirrored:
-        return form(law, z)
-    t = tail(law, z)
-    if t > 0.0 or z >= law.support_b:  # from the right end on the tail is exactly 0
-        return math.log(t) if t else -math.inf
-    raise DomainError(f"tail underflow at z={z} with no asymptotic branch for case {law.case.value}")
 
 
 def tail_asymptotics(law: PearsonLaw) -> tuple[float, float, float]:
@@ -815,56 +811,56 @@ def quantile(law: PearsonLaw, p: float) -> float:
             side = _side(law, z, upper)
             ln_side = np.log(side)
             if deep is not None and side[0] < _TINY:  # a subnormal holds few digits
-                ln_side[0] = deep(law, float(z[0]))
-            return sign * (ln_side - target), -np.exp(log_density(law, z) - ln_side)
+                ln_side = deep(law, z)
+            return sign * (ln_side - target), -np.exp(_log_density(law, z) - ln_side)
 
     x0 = [min(max(x0, a), b)] if math.isfinite(x0) else None
     return float(quadrature.solve_monotone(log_side, [a], [b], False, x0, xtol=1e-14)[0])
 
 
 def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
-    """Vectorized inverse of the tail, the sampler's inverse CDF.
+    """Vectorized inverse of the tail, the sampler's inverse CDF, on p mapped whole (decision 10).
 
-    Normal uses the closed form.  Every other case reads one cached
-    cubic-Hermite table (``_inverse_table``) and serves p in
-    [2^-53, 1 - 2^-53], the range of the ``rng`` uniforms; p outside it raises
-    ``InvalidProbabilityError``.  Contract: the result is the exact inverse at
-    some p' with |logit p' - logit p| <= 1e-10, that is a relative error of at
+    Every case serves p in [2^-53, 1 - 2^-53], the range of the ``rng``
+    uniforms; p outside it raises ``InvalidProbabilityError``.  Normal uses
+    the closed form.  Every other case reads one cached cubic-Hermite table
+    (``_inverse_table``).  Contract: the result is the exact inverse at some
+    p' with |logit p' - logit p| <= 1e-10, that is a relative error of at
     most 1e-10 in the smaller of p and 1 - p, up to the rounding of the
     returned double; it is non-increasing in p.
     """
     p = np.asarray(p, dtype=float)
+    if p.size and not (2.0**-53 <= p.min() and p.max() <= 1.0 - 2.0**-53):  # NaN fails too
+        raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
+                                      f"values in [{p.min()}, {p.max()}]")
     row = _CASES[law.case]
     if row.nodes is None:
         return row.start(law, p)
-    coef = _inverse_table(law)
-    flat = p.ravel()
-    out = np.empty(flat.shape)
-    for lo in range(0, flat.size, rng.CHUNK):  # chunks keep the temporaries small
-        chunk = flat[lo:lo + rng.CHUNK]
-        t = _logit(chunk)
-        if law.mirrored:  # X = -Z: the tail of X at x is the cdf of Z at -x
-            np.negative(t, out=t)
-        if not (-_T_MAX <= t.min() and t.max() <= _T_MAX):  # NaN fails too
-            raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
-                                          f"values in [{chunk.min()}, {chunk.max()}]")
-        x = row.to_z(law, _hermite(coef, t))
-        out[lo:lo + rng.CHUNK] = -x if law.mirrored else x
-    return out.reshape(p.shape)
+    t = _logit(p.reshape(-1))
+    if law.mirrored:  # X = -Z: the tail of X at x is the cdf of Z at -x
+        np.negative(t, out=t)
+    x = row.to_z(law, _hermite(_inverse_table(law), t))
+    if law.mirrored:
+        np.negative(x, out=x)
+    return x.reshape(p.shape)
 
 
 def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws by inverse CDF on counter-based uniform blocks.
 
     Deterministic given (seed, n); block decomposition keeps the stream
-    identical no matter how callers partition the work.  Each draw meets the
+    identical no matter how callers partition the work.  The stream is mapped
+    in place, ``rng.CHUNK`` draws at a time.  Each draw meets the
     ``quantile_grid`` contract: a relative error of at most 1e-10 in the
     smaller tail probability of its uniform.
     """
     n, seed = as_int(n, "sample size"), as_int(seed, "seed")
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
-    return quantile_grid(law, rng.uniform_stream(seed, n))
+    u = rng.uniform_stream(seed, n)
+    for lo in range(0, n, rng.CHUNK):
+        u[lo:lo + rng.CHUNK] = quantile_grid(law, u[lo:lo + rng.CHUNK])
+    return u
 
 
 # ---------------------------------------------------------------------------

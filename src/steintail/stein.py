@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pearson
-from .errors import EvaluationAtKinkError, ThresholdOutOfRangeError
+from .errors import DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
 from .pearson import PearsonLaw, q_function, stein_kernel
 
 __all__ = [
@@ -70,11 +70,11 @@ def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray, left: np.ndarray):
     """
     law = sol.law
     side = np.empty_like(xs)
-    side[left] = pearson.cdf_grid(law, xs[left])
-    side[~left] = pearson.tail_grid(law, xs[~left])
+    side[left] = pearson.cdf(law, xs[left])
+    side[~left] = pearson.tail(law, xs[~left])
     flux, weight = pearson.flux(law, xs), np.where(left, sol.phi_star_z, sol.eh)
     num_p = weight * (xs * side + np.where(left, flux, -flux))  # x F + flux left, x Phi - flux right
-    return np.asarray(stein_kernel(law.coeffs, xs)), flux, weight * side, num_p
+    return stein_kernel(law, xs), flux, weight * side, num_p
 
 
 def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,10 +98,15 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
     return f, fp, residual
 
 
-def _reject_kinks(sol: IndicatorSteinSolution, xs: np.ndarray) -> None:
+def _checked_grid(sol: IndicatorSteinSolution, grid) -> np.ndarray:
+    """grid as an array of doubles, nonempty and clear of the kinks {z, a, b}, where f' is not defined."""
+    xs = np.asarray(grid, dtype=float)
+    if xs.size == 0:
+        raise DomainError("the grid is empty")
     for kink in (sol.z, sol.law.support_a, sol.law.support_b):
         if math.isfinite(kink) and np.any(xs == kink):
             raise EvaluationAtKinkError(f"f' is not defined at the kink x={kink}")
+    return xs
 
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:
@@ -111,9 +116,8 @@ def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, floa
 
 
 def check_residual(sol: IndicatorSteinSolution, grid) -> float:
-    """max over the grid of |g f' - x f - (h - E[h])|; grid must avoid {z, a, b}."""
-    xs = np.asarray(grid, dtype=float)
-    _reject_kinks(sol, xs)
+    """max over the grid of |g f' - x f - (h - E[h])|; grid must be nonempty and avoid {z, a, b}."""
+    xs = _checked_grid(sol, grid)
     return float(np.max(np.abs(evaluate(sol, xs)[2])))
 
 
@@ -149,26 +153,25 @@ class SteinDerivativeCertificate:
         })
 
 
-def certify_fprime(sol: IndicatorSteinSolution, grid, values=None) -> SteinDerivativeCertificate:
+def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertificate:
     """Check the sign pattern and both derivative bounds over the grid.
 
     Inside the support the bounds are 0 <= f' <= z/(g(z)^2 rho(z)) + 1/q(0)
     left of z and -1/q(z) <= f' <= 0 right of z.  Outside a finite-support
     law's interval the derivative is (h - E[h])/x^2, bounded by Phi(z)/a^2
-    below a and by F(z)/b^2 in magnitude above b.  ``values`` is
-    ``evaluate(sol, grid)`` when the caller already has it.
+    below a and by F(z)/b^2 in magnitude above b.  The grid must be
+    nonempty and avoid {z, a, b}.
     """
-    xs = np.asarray(grid, dtype=float)
+    xs = _checked_grid(sol, grid)
     law, z = sol.law, sol.z
     a, b = law.support_a, law.support_b
-    _reject_kinks(sol, xs)
-    _, fp, residual = evaluate(sol, xs) if values is None else values
+    _, fp, residual = evaluate(sol, xs)
     left = xs <= z
     sign_violations = int(np.sum((left & (fp < 0.0)) | (~left & (fp > 0.0))))
 
-    g_z = float(stein_kernel(law.coeffs, z))
-    ub_left = z / (g_z * g_z * float(pearson.density(law, z))) + 1.0 / float(q_function(law.coeffs, 0.0))
-    lower = np.where(left, 0.0, np.where(xs < b, -1.0 / float(q_function(law.coeffs, z)), -sol.eh / (b * b)))
+    g_z = stein_kernel(law, z)
+    ub_left = z / (g_z * g_z * pearson.density(law, z)) + 1.0 / q_function(law, 0.0)
+    lower = np.where(left, 0.0, np.where(xs < b, -1.0 / q_function(law, z), -sol.eh / (b * b)))
     upper = np.where(left, np.where(xs > a, ub_left, sol.phi_star_z / (a * a)), 0.0)
     margins = np.minimum(fp - lower, upper - fp)
     min_left = float(np.min(margins[left], initial=np.inf))

@@ -283,10 +283,11 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     if k_upper is None and check_upper:
         k_upper = 2.0 * bounds.pearson_upper_constant(spec.upper_coeffs.alpha)
 
-    phi_star, lower_cert, upper_cert, verdicts = [], [], [], []
+    phi_star = pearson.tail(ref_law, zs).tolist()
+    upper_cert = (k_upper * pearson.tail(upper_law, zs)).tolist() if check_upper else [math.nan] * zs.size
+    lower_cert, verdicts = [], []
     deep_flags, exact_tail = [], []
     for i, z in enumerate(spec.z_grid):
-        phi_star.append(pearson.tail(ref_law, z))
         s_exact = x_moments(z)[0]
         exact_tail.append(s_exact)
         deep = s_exact * spec.n_samples < DEEP_TAIL_MIN_COUNT
@@ -303,11 +304,8 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
             misses += [(s_hi < ilb, True), (s_hi < plb, z >= z_min_lower)]
         lower_cert.append(low_val)
 
-        up_val = math.nan
         if check_upper:
-            up_val = k_upper * pearson.tail(upper_law, z)
-            misses.append((s_lo > up_val, z >= z_min_upper))
-        upper_cert.append(up_val)
+            misses.append((s_lo > upper_cert[i], z >= z_min_upper))
 
         if any(missed and asserted for missed, asserted in misses):
             verdicts.append(Verdict.FAIL.value)

@@ -62,7 +62,7 @@ def test_criterion_1_pearson_ode_identity(canonical_laws):
             ld = lambda x: pearson.log_density(law, x)
             fd = (ld(grid - 2 * h) - 8 * ld(grid - h) + 8 * ld(grid + h) - ld(grid + 2 * h)) / (12 * h)
             c = law.coeffs
-            target = -((2 * c.alpha + 1) * grid + c.beta) / pearson.stein_kernel(c, grid)
+            target = -((2 * c.alpha + 1) * grid + c.beta) / pearson.stein_kernel(law, grid)
             worst = max(worst, float(np.max(np.abs(fd - target))))
     _report(1, worst < 1e-6, f"max |rho'/rho + ((2a+1)x+b)/g| = {worst:.3e} "
             f"over 5 cases x 200 points in {t['elapsed']:.2f}s")
@@ -104,7 +104,7 @@ def test_criterion_4_envelope(canonical_laws):
     worst = math.inf
     for name, law in canonical_laws.items():
         zs = np.linspace(pearson.quantile(law, 0.95), pearson.quantile(law, 1e-4), 50)
-        tails = pearson.tail_grid(law, zs)
+        tails = pearson.tail(law, zs)
         for z, tval in zip(zs, tails):
             lo, hi = bounds.phi_envelope(law, float(z))
             target = float(tval) if z >= 0 else 1.0 - float(tval)

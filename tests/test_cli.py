@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from steintail import pearson
+from steintail import pearson, stein
 from steintail.cli import run
 from steintail.pearson import PearsonCoefficients, build_law
 
@@ -102,18 +103,17 @@ def test_stein_json_certificate(capsys):
     assert payload["certificate"]["residual_max"] < 1e-8
 
 
-def test_stein_evaluates_the_grid_once(capsys, monkeypatch):
-    # the rows and the certificate share one stein.evaluate pass:
-    # one cdf_grid and one tail_grid call
-    calls = []
-    for name in ("cdf_grid", "tail_grid"):
-        fn = getattr(pearson, name)
-        monkeypatch.setattr(pearson, name,
-                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
-    code, _, _ = run_cli(capsys, "stein", "--alpha", "0", "--beta", "2", "--gamma", "2",
-                         "--z", "2", "--format", "json")
+def test_stein_rows_and_certificate_come_from_the_one_grid(capsys):
+    # the rows are stein.evaluate on the grid and the certificate is stein.certify_fprime on it
+    code, out, _ = run_cli(capsys, "stein", "--alpha", "0", "--beta", "2", "--gamma", "2",
+                           "--z", "2", "--format", "json")
     assert code == 0
-    assert sorted(calls) == ["cdf_grid", "tail_grid"]
+    payload = json.loads(out)
+    sol = stein.solve_indicator(build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 2.0)
+    grid = np.array([row["x"] for row in payload["rows"]])
+    f, fp, res = stein.evaluate(sol, grid)
+    assert [(row["f"], row["fprime"], row["residual"]) for row in payload["rows"]] == list(zip(f, fp, res))
+    assert payload["certificate"] == json.loads(stein.certify_fprime(sol, grid).to_json())
 
 
 NORMAL_ARGS = ("--alpha", "0", "--beta", "0", "--gamma", "1")

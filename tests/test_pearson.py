@@ -32,7 +32,6 @@ from steintail.pearson import (
     stein_kernel,
     support,
     tail,
-    tail_grid,
 )
 
 from conftest import CANONICAL_COEFFS, WIDER_COEFFS
@@ -239,7 +238,7 @@ def test_log_density_derivative_identity(canonical_laws):
             h = 1e-3 * min(x - law.support_a, law.support_b - x, 1.0 + abs(x))
             fd = (log_density(law, x - 2 * h) - 8 * log_density(law, x - h)
                   + 8 * log_density(law, x + h) - log_density(law, x + 2 * h)) / (12 * h)
-            target = -((2 * c.alpha + 1) * x + c.beta) / stein_kernel(c, x)
+            target = -((2 * c.alpha + 1) * x + c.beta) / stein_kernel(law, x)
             assert abs(fd - target) < 1e-6, (name, x)
 
 
@@ -266,7 +265,7 @@ def test_tail_against_quadrature(canonical_laws):
 def test_tail_monotone_and_limits(canonical_laws):
     for name, law in canonical_laws.items():
         zs = np.linspace(quantile(law, 1 - 1e-6), quantile(law, 1e-6), 100)
-        ts = tail_grid(law, zs)
+        ts = tail(law, zs)
         assert np.all(np.diff(ts) < 0.0), name
         assert np.all((ts >= 0.0) & (ts <= 1.0)), name
         assert ts[0] > 1 - 1e-5 and ts[-1] < 1e-5, name
@@ -275,7 +274,7 @@ def test_tail_monotone_and_limits(canonical_laws):
 def test_tail_grid_matches_scalar(case5_law, gamma_law):
     zs = np.array([-3.0, -1.0, 0.0, 0.7, 2.0, 11.0, 50.0])
     for law in (case5_law, gamma_law):
-        tg = tail_grid(law, zs)
+        tg = tail(law, zs)
         ts = np.array([tail(law, z) for z in zs])
         np.testing.assert_allclose(tg, ts, rtol=1e-9, atol=1e-13)
 
@@ -285,7 +284,7 @@ def test_case5_tail_grid_memory(case5_law):
     zs = np.linspace(-30.0, 60.0, 64_000)
     tracemalloc.start()
     try:
-        tail_grid(case5_law, zs)
+        tail(case5_law, zs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -297,13 +296,13 @@ def test_case5_scalar_tail_is_the_grid_value_whatever_the_other_points(case5_law
     # every point reads the one xi-panel table on its own
     t = tail(case5_law, z)
     for w in (-5.0, 0.0, 50.0 + 1e-9, 7e5, 1e8):
-        assert tail_grid(case5_law, [z, w])[0] == t
-        assert pearson.cdf_grid(case5_law, [w, z])[1] == pearson.cdf(case5_law, z)
+        assert tail(case5_law, [z, w])[0] == t
+        assert pearson.cdf(case5_law, [w, z])[1] == pearson.cdf(case5_law, z)
 
 
 def test_case5_one_point_grid_deep_in_the_tail(case5_law):
-    one = tail_grid(case5_law, [1e6])
-    assert np.isfinite(one[0]) and one[0] == tail_grid(case5_law, [1e6, 1e7])[0]
+    one = tail(case5_law, [1e6])
+    assert np.isfinite(one[0]) and one[0] == tail(case5_law, [1e6, 1e7])[0]
     assert one[0] == pytest.approx(1.6976527263e-31, rel=1e-9)  # (8 / (15 pi)) z^-5 (1 + O(z^-2))
     assert tail(case5_law, 1e300) == 0.0 and pearson.cdf(case5_law, 1e300) == 1.0
 
@@ -348,6 +347,10 @@ def test_log_tail_deep(gamma_law, normal_law):
     assert pearson.log_tail(normal_law, 60.0) == pytest.approx(-1804.08, rel=1e-3)
     lt = pearson.log_tail(gamma_law, 1500.0)
     assert lt == pytest.approx((gamma_law.r - 1) * math.log(750.5) - 750.5 - math.lgamma(0.5), rel=1e-6)
+    # on an array the continued fraction runs on the subnormal points only, each as on its own
+    zs = np.array([40.0, 1500.0, 5.0, 1420.0, math.inf, 3000.0])
+    expected = [pearson.log_tail(gamma_law, z) for z in zs]
+    assert pearson.log_tail(gamma_law, zs).tolist() == expected and tail(gamma_law, 1500.0) < 2.3e-308
 
 
 @pytest.mark.parametrize("coeffs", WIDER_COEFFS.values(), ids=WIDER_COEFFS.keys())
@@ -371,9 +374,8 @@ NAN_POINT_LAWS = {**CANONICAL_COEFFS, "inverse_gamma_type_0.25": PearsonCoeffici
 def test_nan_points_raise_a_typed_error(coeffs):
     law = build_law(coeffs)
     scalar = [pearson.tail, pearson.cdf, pearson.log_tail, pearson.partial_moments, log_density, density,
-              pearson.flux, lambda law, x: stein_kernel(law.coeffs, x), lambda law, x: q_function(law.coeffs, x)]
-    grid = [tail_grid, pearson.cdf_grid, log_density, density, pearson.flux,
-            lambda law, x: stein_kernel(law.coeffs, x), lambda law, x: q_function(law.coeffs, x)]
+              pearson.flux, stein_kernel, q_function]
+    grid = [tail, pearson.cdf, log_density, density, pearson.flux, stein_kernel, q_function]
     for fn in scalar:
         with pytest.raises(DomainError, match="NaN"):
             fn(law, math.nan)
@@ -381,7 +383,39 @@ def test_nan_points_raise_a_typed_error(coeffs):
         with pytest.raises(DomainError, match="NaN"):
             fn(law, np.array([0.0, math.nan]))
     # the infinite points keep their limits
-    np.testing.assert_array_equal(tail_grid(law, [-math.inf, math.inf]), [1.0, 0.0])
+    np.testing.assert_array_equal(tail(law, [-math.inf, math.inf]), [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# one calling convention: (law, x), x a number or an array of any shape
+
+EVALUATORS = [pearson.tail, pearson.cdf, pearson.log_tail, density, log_density, pearson.flux,
+              stein_kernel, q_function]
+ONE_RULE_LAWS = {**CANONICAL_COEFFS, "mirrored_gamma": WIDER_COEFFS["mirrored_gamma"],
+                 "mirrored_inverse_gamma": WIDER_COEFFS["mirrored_inverse_gamma"]}
+
+
+@pytest.mark.parametrize("coeffs", ONE_RULE_LAWS.values(), ids=ONE_RULE_LAWS.keys())
+@pytest.mark.parametrize("fn", EVALUATORS, ids=[fn.__name__ for fn in EVALUATORS])
+def test_every_evaluator_takes_a_number_or_an_array_of_any_shape(fn, coeffs):
+    law = build_law(coeffs)
+    sd = math.sqrt(law.variance)
+    xs = np.array([[-1.5, -0.7, 0.0], [0.3, 1.2, 2.5]]) * sd  # inside and, for the bounded laws, outside
+    out = fn(law, xs)
+    assert isinstance(out, np.ndarray) and out.shape == xs.shape
+    for x, v in zip(xs.flat, out.flat):
+        for number in (float(x), np.float64(x), np.array(x)):
+            got = fn(law, number)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == fn(law, np.array([x])).tobytes() == v.tobytes(), x
+    for empty in (np.empty(0), np.empty((0, 3)), []):
+        got = fn(law, empty)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(empty)
+    bad = xs.copy()
+    bad[1, 1] = math.nan
+    for nan_points in (bad, math.nan):
+        with pytest.raises(DomainError, match="NaN"):
+            fn(law, nan_points)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +423,13 @@ def test_nan_points_raise_a_typed_error(coeffs):
 
 
 def test_kernel_and_q_examples():
-    normal = PearsonCoefficients(0.0, 0.0, 1.0)
+    normal = build_law(PearsonCoefficients(0.0, 0.0, 1.0))
     assert (stein_kernel(normal, 2.0), q_function(normal, 2.0)) == (pytest.approx(1.0), pytest.approx(5.0))
-    beta = CANONICAL_COEFFS["beta"]
+    beta = build_law(CANONICAL_COEFFS["beta"])
     g, q = stein_kernel(beta, 0.75), q_function(beta, 0.75)
     assert g == 0.0
     assert q == pytest.approx(0.5625)
-    gam = CANONICAL_COEFFS["gamma"]
+    gam = build_law(CANONICAL_COEFFS["gamma"])
     assert (stein_kernel(gam, 0.0), q_function(gam, 0.0)) == (pytest.approx(2.0), pytest.approx(2.0))
 
 
@@ -405,7 +439,7 @@ def test_kernel_at_infinity_is_zero_without_warnings(canonical_laws):
         warnings.simplefilter("error")
         for name, law in canonical_laws.items():
             c = law.coeffs
-            g = stein_kernel(c, xs)
+            g = stein_kernel(law, xs)
             assert g[0] == g[-1] == 0.0, name
             inside = (xs > law.support_a) & (xs < law.support_b)
             assert np.array_equal(g[inside], c.kernel(xs[inside])), name
@@ -417,9 +451,9 @@ def test_q_minimum_at_zero(canonical_laws):
         c = law.coeffs
         xs = np.linspace(max(law.support_a, -50), min(law.support_b, 50), 501)
         xs = xs[(xs > law.support_a) & (xs < law.support_b)]
-        qs = q_function(c, xs)
+        qs = q_function(law, xs)
         assert np.all(qs >= c.gamma - 1e-15), name
-        assert q_function(c, 0.0) == pytest.approx(c.gamma)
+        assert q_function(law, 0.0) == pytest.approx(c.gamma)
 
 
 def test_kernel_integral_definition(canonical_laws):
@@ -429,7 +463,7 @@ def test_kernel_integral_definition(canonical_laws):
             x = quantile(law, p)
             num, _ = quad(lambda y: y * density(law, y), x, law.support_b, limit=200)
             target = num / density(law, x)
-            assert stein_kernel(law.coeffs, x) == pytest.approx(target, abs=1e-8), name
+            assert stein_kernel(law, x) == pytest.approx(target, abs=1e-8), name
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +491,17 @@ def test_quantile_monotone(gamma_law):
     ps = np.linspace(0.01, 0.99, 25)
     zs = [quantile(gamma_law, p) for p in ps]
     assert all(b < a for a, b in zip(zs, zs[1:]))
+
+
+@pytest.mark.parametrize("name", ["normal", "gamma"])
+def test_quantile_grid_refuses_p_outside_the_uniforms_range(canonical_laws, name):
+    law = canonical_laws[name]
+    for p in (math.nan, 0.0, 1.0, 2.0, -1.0, 2.0**-54):
+        for ps in (p, np.array([0.5, p])):
+            with pytest.raises(InvalidProbabilityError):
+                pearson.quantile_grid(law, ps)
+    ends = pearson.quantile_grid(law, [2.0**-53, 1.0 - 2.0**-53])
+    assert np.all(np.isfinite(ends)) and ends[0] > ends[1]
 
 
 def test_quantile_domain(normal_law):
@@ -686,7 +731,7 @@ def test_reflection_swaps_tail_and_cdf():
         law = build_law(c)
         refl = build_law(PearsonCoefficients(c.alpha, -c.beta, c.gamma))
         zs = _probe_points(law)
-        got, want = pearson.cdf_grid(law, zs), tail_grid(refl, -zs)
+        got, want = pearson.cdf(law, zs), tail(refl, -zs)
         if law.case is CaseTag.NO_REAL_ROOTS:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14, err_msg=str(c))
             assert pearson.cdf(law, 0.3) == pytest.approx(tail(refl, -0.3), abs=1e-14)

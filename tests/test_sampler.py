@@ -70,7 +70,7 @@ def _smaller_side(law, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         tail = np.where(near_a, sp.betaincc(law.r, law.s, v), sp.betainc(law.s, law.r, w))
         cdf = np.where(near_a, sp.betainc(law.r, law.s, v), sp.betaincc(law.s, law.r, w))
         return np.where(upper, tail, cdf)
-    return np.where(upper, pearson.tail_grid(law, x), pearson.cdf_grid(law, x))
+    return np.where(upper, pearson.tail(law, x), pearson.cdf(law, x))
 
 
 def _errors(law, u: np.ndarray):
@@ -154,7 +154,7 @@ def test_case5_nodes_meet_the_newton_tolerance_on_the_smaller_side(coeffs):
     t = np.linspace(-pearson._T_MAX, pearson._T_MAX, 2 * pearson._TABLE_NODES - 1)
     z = pearson._case5_nodes(law, t)
     upper = t <= 0.0
-    v = np.where(upper, pearson.tail_grid(law, z), pearson.cdf_grid(law, z))
+    v = np.where(upper, pearson.tail(law, z), pearson.cdf(law, z))
     logit = np.log(v) - np.log1p(-v)
     err = np.abs(np.where(upper, logit, -logit) - t)
     assert err.max() <= pearson._NEWTON_TOL, (coeffs, t[np.argmax(err)], err.max())

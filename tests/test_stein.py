@@ -6,8 +6,8 @@ import pytest
 from conftest import WIDER_COEFFS
 from scipy.integrate import quad
 
-from steintail import pearson, stein
-from steintail.errors import EvaluationAtKinkError, ThresholdOutOfRangeError
+from steintail import bounds, pearson, stein
+from steintail.errors import DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
 from steintail.pearson import build_law, density, quantile, stein_kernel
 from steintail.stein import (
     certification_grid,
@@ -21,7 +21,7 @@ from steintail.stein import (
 def residual_for_test_function(law, f, fprime, h, eh: float, grid) -> float:
     """Residual of the Stein equation for caller-supplied f, f', h, E[h(Z)]: a reference for ``evaluate``."""
     xs = np.asarray(grid, dtype=float)
-    g = np.asarray(stein_kernel(law.coeffs, xs))
+    g = stein_kernel(law, xs)
     res = g * fprime(xs) - xs * f(xs) - (h(xs) - eh)
     return float(np.max(np.abs(res)))
 
@@ -34,8 +34,8 @@ def evaluate_both_sides(sol, xs):
     left = xs <= sol.z
     hc = np.where(left, sol.phi_star_z, -sol.eh)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, flux = np.asarray(stein_kernel(law.coeffs, xs)), pearson.flux(law, xs)
-        cdf, tail = pearson.cdf_grid(law, xs), pearson.tail_grid(law, xs)
+        g, flux = stein_kernel(law, xs), pearson.flux(law, xs)
+        cdf, tail = pearson.cdf(law, xs), pearson.tail(law, xs)
         f = np.where(left, cdf * sol.phi_star_z, sol.eh * tail) / flux
         fp = np.where(left, sol.phi_star_z * (xs * cdf + flux), sol.eh * (xs * tail - flux)) / (g * flux)
         f = np.where((flux > 0.0) & np.isfinite(f), f, -hc / xs)
@@ -74,7 +74,7 @@ def test_f_by_direct_quadrature(normal_law, gamma_law):
         sol = solve_indicator(law, z)
         num, _ = quad(lambda y: ((y <= z) - sol.eh) * density(law, y),
                       law.support_a, x, limit=200, epsabs=1e-13, epsrel=1e-12)
-        flux = stein_kernel(law.coeffs, x) * density(law, x)
+        flux = stein_kernel(law, x) * density(law, x)
         assert stein.evaluate(sol, x)[0][0] == pytest.approx(num / flux, rel=1e-8)
 
 
@@ -221,6 +221,32 @@ def test_fprime_kink_errors(normal_law, beta_law):
         certify_fprime(solb, [0.5])
 
 
+def test_empty_grids_raise_a_typed_error(normal_law):
+    sol = solve_indicator(normal_law, 1.0)
+    with pytest.raises(DomainError, match="empty"):
+        certify_fprime(sol, [])
+    with pytest.raises(DomainError, match="empty"):
+        check_residual(sol, [])
+
+
+def test_evaluating_and_certifying_never_classify(canonical_laws, monkeypatch):
+    # the built law carries its case and support, so no evaluator re-derives them
+    work = []
+    for law in canonical_laws.values():
+        sol = solve_indicator(law, _z_values(law)[0])
+        work.append((law, sol, certification_grid(law, sol.z, 200)))
+    calls = []
+    classify = pearson.classify
+    monkeypatch.setattr(pearson, "classify", lambda c: calls.append(c) or classify(c))
+    for law, sol, grid in work:
+        stein.evaluate(sol, grid)
+        certify_fprime(sol, grid)
+        bounds.phi_envelope(law, 0.5 * sol.z)
+    assert calls == []
+    pearson.support(work[0][0].coeffs)  # the counter sees a call that does classify
+    assert len(calls) == 1
+
+
 def test_fprime_one_sided_limits(normal_law):
     sol = solve_indicator(normal_law, 1.0)
     left, right = fprime_limits_at_threshold(sol)
@@ -240,7 +266,7 @@ def test_fprime_limits_read_the_shared_numerators(canonical_laws):
             assert left == num_left[0] / (g[0] * flux[0]), name
             assert right == num_right[0] / (g[0] * flux[0]), name
             # the scalar closed forms at z, operation for operation
-            g_z, flux_z = stein_kernel(law.coeffs, z), float(pearson.flux(law, z))
+            g_z, flux_z = stein_kernel(law, z), pearson.flux(law, z)
             assert left == sol.phi_star_z * (z * sol.eh + flux_z) / (g_z * flux_z), name
             assert right == sol.eh * (z * sol.phi_star_z - flux_z) / (g_z * flux_z), name
 
@@ -257,7 +283,7 @@ def test_one_side_per_point_equals_both_sides_bit_for_bit(coeffs):
 
 def test_evaluate_reads_one_side_per_point(canonical_laws, monkeypatch):
     sizes = []
-    for name in ("cdf_grid", "tail_grid"):
+    for name in ("cdf", "tail"):
         fn = getattr(pearson, name)
         monkeypatch.setattr(pearson, name, lambda law, zs, _fn=fn: sizes.append(np.size(zs)) or _fn(law, zs))
     for name, law in canonical_laws.items():
@@ -335,12 +361,12 @@ def test_stein_identity_for_smooth_test_function(canonical_laws):
         a, b = law.support_a, law.support_b
         t_cut = quantile(law, 1e-4) if math.isinf(b) else b
         core, _ = quad(
-            lambda x: (stein_kernel(law.coeffs, x) * math.cos(x) - x * math.sin(x)) * density(law, x),
+            lambda x: (stein_kernel(law, x) * math.cos(x) - x * math.sin(x)) * density(law, x),
             a, t_cut, limit=400, epsabs=1e-12, epsrel=1e-11,
         )
         val = core
         if math.isinf(b):
-            gcos, _ = quad(lambda x: stein_kernel(law.coeffs, x) * density(law, x),
+            gcos, _ = quad(lambda x: stein_kernel(law, x) * density(law, x),
                            t_cut, np.inf, weight="cos", wvar=1.0, epsabs=1e-12, limit=400)
             xsin, _ = quad(lambda x: x * density(law, x),
                            t_cut, np.inf, weight="sin", wvar=1.0, epsabs=1e-12, limit=400)
@@ -387,7 +413,7 @@ def test_kernel_divergence_condition(canonical_laws):
         for k in range(1, 5):
             eps = 10.0 ** (-k)
             x = b - eps * (b - min(a, 0.0)) if math.isfinite(b) else pearson.quantile(law, eps ** 1.5)
-            val, _ = quad(lambda t: t / stein_kernel(law.coeffs, t), 0.0, x, limit=200)
+            val, _ = quad(lambda t: t / stein_kernel(law, t), 0.0, x, limit=200)
             closed = math.log(flux0) - math.log(float(pearson.flux(law, np.asarray(x))))
             assert val == pytest.approx(closed, rel=1e-6), name
             assert val > prev, name

@@ -180,3 +180,17 @@ def test_sampling_does_not_import_scipy_stats():
                           env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_reads_the_old_tail_grid_name():
+    # pearson keeps ``tail_grid = tail`` for the benchmark harness only; steintail itself calls ``tail``
+    readers = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "tail_grid":
+                readers.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and node.id == "tail_grid" and not isinstance(node.ctx, ast.Store):
+                readers.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "tail_grid" for a in node.names):
+                readers.append(f"{name}:{node.lineno}")
+    assert not readers, readers

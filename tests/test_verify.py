@@ -226,7 +226,7 @@ def test_pearson_x_model_strict_dominance():
     # infimum is 0; certification only needs nonnegativity
     assert rep.meta["certification"]["lower_margin"] >= 0.0
     x = 1.0  # interior points carry the full gap
-    assert pearson.stein_kernel(law.coeffs, x) - pearson.stein_kernel(spec.reference, x) == pytest.approx(1.0)
+    assert pearson.stein_kernel(law, x) - pearson.stein_kernel(build_law(spec.reference), x) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def test_dkw_consistency_over_repetitions():
     # tail must stay inside the band in at least 90 repetitions
     law = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
     zs = np.linspace(-0.9, 6.0, 25)
-    exact = pearson.tail_grid(law, zs)
+    exact = pearson.tail(law, zs)
     eps = dkw_half_width(10**5, 0.9)
     hits = 0
     for rep_seed in range(100):
