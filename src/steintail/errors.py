@@ -1,5 +1,7 @@
 """Semantic exception hierarchy and the integer-argument check. Public functions raise these, never bare ValueError."""
 
+import numpy as np
+
 
 class SteintailError(Exception):
     """Base error for this package."""
@@ -58,9 +60,10 @@ class InverseTableError(SteintailError):
 
 
 def as_int(value, what: str) -> int:
-    """value as an int where it is an integer-valued number (2.0 is 2); anything else raises DomainError."""
+    """value as an int where it is an integer-valued number (2.0 is 2); anything else, a bool
+    included, raises DomainError."""
     try:
-        if int(value) == value:
+        if int(value) == value and not isinstance(value, (bool, np.bool_)):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

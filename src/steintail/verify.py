@@ -7,7 +7,10 @@ sample budget.  The runner certifies the dominance hypothesis exactly, over the
 whole support of X, through one polynomial margin routine for both models
 (``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible
 counter-based samples, and compares the empirical survival function, wrapped
-in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.
+in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.  A
+Pearson X is counted on its uniforms, mapping only the draws in a narrow band
+around each threshold; the counts equal those of mapping every draw
+(decision 10).
 
 Two policies keep the verdicts honest: the explicit large-z bounds are only
 asserted past the regime threshold 10 sqrt(variance) (below it they are
@@ -95,17 +98,20 @@ class ScenarioSpec:
 
 def dkw_half_width(n: int, confidence: float) -> float:
     """Uniform band half-width sqrt(ln(2/(1-confidence)) / (2n))."""
+    n = as_int(n, "sample count")
     if n < 1 or not 0.0 < confidence < 1.0:
         raise DomainError("need n >= 1 and confidence in (0,1)")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
 
 
 def empirical_tail(samples, z_grid, confidence: float = 0.99) -> tuple[np.ndarray, float]:
-    """Empirical survival function on the grid and its DKW half-width."""
-    samples = np.asarray(samples, dtype=float)
+    """Empirical survival function on the grid and its DKW half-width; a NaN sample or threshold raises."""
+    samples, zs = np.asarray(samples, dtype=float), np.asarray(z_grid, dtype=float)
     if samples.size == 0:
         raise DomainError("empirical_tail needs at least one sample")
-    counts = _exceedances(samples, np.asarray(z_grid, dtype=float))
+    if np.isnan(samples).any() or np.isnan(zs).any():
+        raise DomainError("empirical_tail needs samples and thresholds that are not NaN")
+    counts = _exceedances(samples, zs)
     return counts / samples.size, dkw_half_width(samples.size, confidence)
 
 
@@ -202,28 +208,94 @@ def _certify(spec: ScenarioSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# block sampling
+# block sampling and counting
+
+_BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around a threshold
+_WIDEN = 16.0  # a band whose check fails widens by this factor
+_ROUNDING = 2.0**-32  # margin for the map's rounding, relative to |x| + the law's scale (decision 10)
+_U_MIN, _U_MAX = 2.0**-53, 1.0 - 2.0**-53  # the range of rng's uniforms
+_OFFSETS = np.array([-1.0, -0.5, 0.5, 1.0])  # a band's lower end, its check points and its upper end, in half-widths
 
 
-def _block_sampler(spec: ScenarioSpec) -> tuple[Callable[[int, int], np.ndarray],
-                                                Callable[[np.ndarray], np.ndarray], Callable]:
-    """Per-block draw, its map to X, and the X model's exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]).
+def _bands(law: PearsonLaw, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per threshold z, uniforms lo <= hi such that every draw below lo maps above z and every
+    draw above hi maps to z or below, by ``pearson.quantile_grid``, which is non-increasing in u.
 
-    The map acts draw by draw, so it takes any slice of a block.  The moments
-    are memoized: the runner reads them at each z, and the implicit bound
-    reads them at z and at the reference's right end again.
+    The band starts at logit P[X > z] +- ``_BAND``.  Its ends are accepted once the map, at the
+    check points halfway between them and the centre, lies on the correct side of z by
+    ``_ROUNDING`` (|x| + scale); the halfway gap covers the rounding of the logit.  An end at the
+    edge of the uniforms' range has no draw beyond it and needs no check.  A failing band widens
+    by ``_WIDEN``; by a half-width of 2^8 both ends sit at the edges, so the loop ends, with the
+    band mapping every draw (docs/DECISIONS.md, decision 10).
     """
-    if isinstance(spec.x_model, HermiteSeries):
-        series = spec.x_model
-        draw = lambda b, size: rng.normal_block(spec.seed, b, size)
-        to_x = series.evaluate
-        moments = chaos.law_of_polynomial(series).partial_moments
+    scale = math.sqrt(law.variance) + sum(abs(v) for v in (law.mu, law.support_a, law.support_b)
+                                          if v is not None and math.isfinite(v))
+    p = np.clip(pearson.tail(law, zs), _U_MIN, _U_MAX)
+    centres = np.log(p) - np.log1p(-p)
+    lo, hi = np.empty(zs.shape), np.empty(zs.shape)
+    for i, (z, t) in enumerate(zip(zs, centres)):
+        w = _BAND
+        while True:
+            with np.errstate(over="ignore"):  # expit of the ends and check points, in the uniforms' range
+                u_lo, c_lo, c_hi, u_hi = np.clip(1.0 / (1.0 + np.exp(-t - w * _OFFSETS)), _U_MIN, _U_MAX)
+            x_lo, x_hi = pearson.quantile_grid(law, np.array([c_lo, c_hi]))
+            if ((u_lo == _U_MIN or (c_lo > u_lo and x_lo - z > _ROUNDING * (abs(x_lo) + scale)))
+                    and (u_hi == _U_MAX or (c_hi < u_hi and z - x_hi >= _ROUNDING * (abs(x_hi) + scale)))):
+                break
+            w *= _WIDEN
+        lo[i], hi[i] = u_lo, u_hi
+    return lo, hi
+
+
+def _chaos_counter(series: HermiteSeries, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Block b's exceedance counts: its normals mapped to X in place, ``rng.CHUNK`` at a time, then
+    counted in one pass per threshold."""
+    ch = rng.CHUNK
+
+    def count(b: int, size: int) -> np.ndarray:
+        xs = rng.normal_block(seed, b, size)
+        for lo in range(0, xs.size, ch):
+            xs[lo:lo + ch] = series.evaluate(xs[lo:lo + ch])
+        return _exceedances(xs, zs)
+
+    return count
+
+
+def _pearson_counter(law: PearsonLaw, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Block b's exceedance counts, read off its uniforms: the draws below a threshold's band
+    count, the draws above it do not, and only the draws inside it go through ``quantile_grid``."""
+    lows, highs = _bands(law, zs)
+    ch = rng.CHUNK
+
+    def count(b: int, size: int) -> np.ndarray:
+        u = rng.uniform_block(seed, b, size)
+        counts = np.empty(zs.size, dtype=np.int64)
+        for i, (z, lo, hi) in enumerate(zip(zs, lows, highs)):
+            counts[i] = np.count_nonzero(u < lo)
+            if np.count_nonzero(u <= hi) > counts[i]:  # draws inside the band: the map decides
+                band = u[(u >= lo) & (u <= hi)]
+                counts[i] += sum(np.count_nonzero(pearson.quantile_grid(law, band[k:k + ch]) > z)
+                                 for k in range(0, band.size, ch))
+        return counts
+
+    return count
+
+
+def _block_sampler(x_model: Union[HermiteSeries, PearsonLaw], seed: int) -> tuple[Callable, Callable]:
+    """The X model's block counter, zs -> ((b, size) -> exceedance counts of block b over zs), and
+    its exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]).
+
+    A chaos X maps every draw (``_chaos_counter``): its map is not monotone.  A Pearson X counts in
+    uniform space (``_pearson_counter``).  The moments are memoized: the runner reads them at each
+    z, and the implicit bound reads them at z and at the reference's right end again.
+    """
+    if isinstance(x_model, HermiteSeries):
+        counter = functools.partial(_chaos_counter, x_model, seed)
+        moments = chaos.law_of_polynomial(x_model).partial_moments
     else:
-        x_law = spec.x_model
-        draw = lambda b, size: rng.uniform_block(spec.seed, b, size)
-        to_x = lambda u: pearson.quantile_grid(x_law, u)
-        moments = lambda y: pearson.partial_moments(x_law, y)
-    return draw, to_x, functools.cache(moments)
+        counter = functools.partial(_pearson_counter, x_model, seed)
+        moments = lambda y: pearson.partial_moments(x_model, y)
+    return counter, functools.cache(moments)
 
 
 def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -231,31 +303,22 @@ def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(xs > z) for z in zs], dtype=np.int64)
 
 
-def _tail_counts(draw: Callable[[int, int], np.ndarray], to_x: Callable[[np.ndarray], np.ndarray], n: int,
-                 zs: np.ndarray, n_workers: int) -> np.ndarray:
+def _tail_counts(counter: Callable, n: int, zs: np.ndarray, n_workers: int) -> np.ndarray:
     """Exceedance counts of n draws per grid point, summed over the blocks.
 
-    Each block is drawn whole and mapped to X in place, ``rng.CHUNK`` draws
-    at a time, so the map's temporaries stay small enough for the allocator
-    to reuse; the block is then counted in one pass, since counting chunk by
-    chunk costs more in per-call overhead than it saves (docs/DECISIONS.md,
-    decision 10).
+    ``counter(zs)`` sets up the block counter once (a Pearson X finds its bands here); the blocks
+    are then counted on ``n_workers`` threads.  Each block is a function of (seed, b) alone and the
+    counts are integers, so the sum is exact in any order (docs/DECISIONS.md, decision 10).
     """
-    bs, ch = rng.BLOCK_SIZE, rng.CHUNK
+    count = counter(zs)
+    bs = rng.BLOCK_SIZE
     blocks = list(range(rng.n_blocks(n)))
     sizes = [min(bs, n - b * bs) for b in blocks]
-
-    def one(b: int) -> np.ndarray:
-        xs = draw(b, sizes[b])
-        for lo in range(0, xs.size, ch):
-            xs[lo:lo + ch] = to_x(xs[lo:lo + ch])
-        return _exceedances(xs, zs)
-
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(one, blocks))
+            parts = list(ex.map(lambda b: count(b, sizes[b]), blocks))
     else:
-        parts = [one(b) for b in blocks]
+        parts = [count(b, sizes[b]) for b in blocks]
     return np.sum(parts, axis=0, dtype=np.int64)  # integer sums: exact in any order
 
 
@@ -269,9 +332,9 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     upper_law = build_law(spec.upper_coeffs)
     cert_info = _certify(spec)
 
-    draw, to_x, x_moments = _block_sampler(spec)
+    counter, x_moments = _block_sampler(spec.x_model, spec.seed)
     zs = np.asarray(spec.z_grid)
-    counts = _tail_counts(draw, to_x, spec.n_samples, zs, n_workers)
+    counts = _tail_counts(counter, spec.n_samples, zs, n_workers)
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import normal_stream
+from conftest import WIDER_COEFFS, normal_stream
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from steintail import chaos, pearson, rng, verify
 from steintail.chaos import HermiteSeries
@@ -66,6 +68,24 @@ def test_empirical_tail_normal_symmetry():
 def test_empirical_tail_validation():
     with pytest.raises(DomainError):
         empirical_tail(np.array([]), [0.0])
+
+
+def test_empirical_tail_refuses_nan():
+    # before, a NaN sample was counted as not above z (2/3 here) and a NaN z read 0
+    with pytest.raises(DomainError, match="NaN"):
+        empirical_tail([1.0, math.nan, 3.0], [0.0])
+    with pytest.raises(DomainError, match="NaN"):
+        empirical_tail([1.0, 2.0, 3.0], [0.0, math.nan])
+
+
+@pytest.mark.parametrize("n", [2.5, True, np.True_, "10", math.nan])
+def test_dkw_half_width_takes_an_integer_count(n):
+    with pytest.raises(DomainError, match="must be an integer"):
+        dkw_half_width(n, 0.99)
+
+
+def test_dkw_half_width_takes_integer_valued_floats():
+    assert dkw_half_width(1000.0, 0.99) == dkw_half_width(1000, 0.99)
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +276,117 @@ def test_block_counts_match_empirical_tail():
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("x_model, reference, zs", [
-    (HermiteSeries((0.0, 1.0, 0.0, 0.1)), PearsonCoefficients(0.0, 2.0, 2.0), (-1.0, 0.0, 0.5, 2.0, 4.0)),
-    (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), PearsonCoefficients(-0.25, 0.0, 0.0625),
-     (0.05, 0.1, 0.2, 0.4)),
+@pytest.mark.parametrize("x_model, zs", [
+    (HermiteSeries((0.0, 1.0, 0.0, 0.1)), (-1.0, 0.0, 0.5, 2.0, 4.0)),
+    (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), (0.05, 0.1, 0.2, 0.4)),
 ], ids=["chaos", "pearson"])
-def test_chunked_counts_match_the_whole_stream(x_model, reference, zs, n_workers):
-    # n ends mid-block and mid-chunk: blocks mapped chunk by chunk give the counts of the whole stream
+def test_chunked_counts_match_the_whole_stream(x_model, zs, n_workers):
+    # n ends mid-block and mid-chunk: blocks counted one by one give the counts of the whole stream
     n = 2 * rng.BLOCK_SIZE + rng.CHUNK + 17
-    spec = ScenarioSpec(x_model=x_model, reference=reference, hypothesis=Hypothesis.DOMINATES_LOWER,
-                        z_grid=(0.1,), n_samples=n, seed=77)
-    draw, to_x, _ = verify._block_sampler(spec)
-    counts = verify._tail_counts(draw, to_x, n, np.asarray(zs), n_workers)
+    seed = 77
+    counter, _ = verify._block_sampler(x_model, seed)
+    counts = verify._tail_counts(counter, n, np.asarray(zs), n_workers)
     if isinstance(x_model, HermiteSeries):
-        xs = x_model.evaluate(normal_stream(spec.seed, n))
+        xs = x_model.evaluate(normal_stream(seed, n))
     else:
-        xs = pearson.quantile_grid(x_model, rng.uniform_stream(spec.seed, n))
+        xs = pearson.quantile_grid(x_model, rng.uniform_stream(seed, n))
     assert counts.tolist() == [int((xs > z).sum()) for z in zs]
+
+
+# ---------------------------------------------------------------------------
+# a Pearson X counted in uniform space, against the full map of its stream
+
+
+def _counts_and_oracle(law, seed, n, zs, n_workers=1):
+    counter, _ = verify._block_sampler(law, seed)
+    counts = verify._tail_counts(counter, n, np.asarray(zs, dtype=float), n_workers)
+    xs = pearson.quantile_grid(law, rng.uniform_stream(seed, n))
+    return counts.tolist(), [int(np.count_nonzero(xs > z)) for z in zs]
+
+
+@pytest.fixture
+def mapped_points(monkeypatch):
+    """Every uniform that goes through ``pearson.quantile_grid``, in call order."""
+    seen, quantile_grid = [], pearson.quantile_grid
+
+    def counted(law, p):
+        seen.append(np.array(p, dtype=float).reshape(-1))
+        return quantile_grid(law, p)
+
+    monkeypatch.setattr(pearson, "quantile_grid", counted)
+    return seen
+
+
+@st.composite
+def _thresholds(draw, law):
+    """Quantiles of the law at random tails, and raw points around its bulk."""
+    ps = draw(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=4))
+    raw = draw(st.lists(st.floats(-4.0, 4.0), max_size=2))
+    return pearson.quantile_grid(law, np.array(ps)).tolist() + raw
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_uniform_space_counts_match_the_full_map(data):
+    # all five cases and the mirrored Gamma and inverse-gamma type; n mostly ends mid-block
+    # and, from the stream, one drawn X and the double just below it, whose band holds that draw
+    law = build_law(WIDER_COEFFS[data.draw(st.sampled_from(sorted(WIDER_COEFFS)), label="law")])
+    n = data.draw(st.integers(1, 3 * rng.BLOCK_SIZE), label="n")
+    seed = data.draw(st.integers(0, 2**63), label="seed")
+    n_workers = data.draw(st.sampled_from([1, 2]), label="n_workers")
+    x = float(pearson.quantile_grid(law, rng.uniform_stream(seed, n)[data.draw(st.integers(0, n - 1), label="j")]))
+    zs = data.draw(_thresholds(law), label="zs") + [x, math.nextafter(x, -math.inf)]
+    counts, oracle = _counts_and_oracle(law, seed, n, zs, n_workers)
+    assert counts == oracle
+
+
+def test_a_threshold_at_a_drawn_value_is_decided_by_the_map(mapped_points):
+    # z equal to one drawn X: that draw lies in z's band, so the map decides the tie (it does not count)
+    law, seed, n = build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5, rng.BLOCK_SIZE + 3
+    u = rng.uniform_stream(seed, n)
+    k = int(np.argmin(np.abs(u - 0.3)))
+    z = float(pearson.quantile_grid(law, u[k]))
+    mapped_points.clear()
+    counter, _ = verify._block_sampler(law, seed)
+    counts = verify._tail_counts(counter, n, np.array([z]), 1)
+    assert u[k] in np.concatenate(mapped_points)
+    assert counts.tolist() == [int(np.count_nonzero(pearson.quantile_grid(law, u) > z))]
+
+
+def test_thresholds_outside_the_support_and_past_the_smallest_uniform():
+    # Beta on (-0.5, 0.5): P[X > z] = 0 right of it and 1 left of it; Gamma at z = 100: P[X > z] < 2^-53
+    beta, gamma = build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), build_law(PearsonCoefficients(0.0, 2.0, 2.0))
+    assert pearson.tail(beta, [0.6, -0.7]).tolist() == [0.0, 1.0] and 0.0 < pearson.tail(gamma, 100.0) < 2.0**-53
+    n = 2 * rng.BLOCK_SIZE + 9
+    counts, oracle = _counts_and_oracle(beta, 11, n, [-0.7, 0.6])
+    assert counts == oracle == [n, 0]
+    counts, oracle = _counts_and_oracle(gamma, 11, n, [100.0])
+    assert counts == oracle == [0]
+
+
+def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end():
+    # Beta with r = 0.02, s = 1 on (-0.0196, 0.980): the median is about 1e-15 above a, so the map
+    # cannot tell the band's ends from z; the bands widen, up to the whole range, and counts still match
+    r, s = 0.02, 1.0
+    alpha, a, b = -1.0 / (r + s), -r / (r + s), s / (r + s)
+    law = build_law(PearsonCoefficients(alpha, -alpha * (a + b), alpha * a * b))
+    assert law.r == pytest.approx(r) and law.s == pytest.approx(s)
+    zs = np.sort(pearson.quantile_grid(law, np.array([0.6, 0.5, 0.3, 0.1, 1e-3])))
+    lo, hi = verify._bands(law, zs)
+    widths = np.log(hi / (1.0 - hi)) - np.log(lo / (1.0 - lo))
+    assert widths[0] > 70.0 and widths[-1] == pytest.approx(2 * verify._BAND, rel=1e-6)
+    counts, oracle = _counts_and_oracle(law, 3, 3 * rng.BLOCK_SIZE + 5, zs, n_workers=2)
+    assert counts == oracle
+
+
+def test_pearson_sandwich_maps_few_draws(mapped_points):
+    # a cost guard by count: a 10^6-draw Gamma sandwich maps its band draws and band checks only
+    # (10^6 points before, when every draw was mapped)
+    law = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
+    spec = ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=Hypothesis.SANDWICH,
+                        z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=10**6, seed=20240527)
+    assert run_scenario(spec).all_passed
+    assert sum(p.size for p in mapped_points) <= 1000
 
 
 def test_dkw_consistency_over_repetitions():
