@@ -30,7 +30,8 @@ evaluated at -x with the tail and the cdf swapped.  Every pointwise evaluator
 is called as (law, x), x a number or an array of any shape (``_at``): a number
 gives a float, an array an array of x's shape; a NaN point raises ``DomainError``.
 The sampler inverts the tail through one cached cubic-Hermite table per law
-but the Normal; case 5's nodes and ``quantile`` are bracketed Newton solves.
+but the Normal, built piece by piece as points reach it; case 5's nodes and
+``quantile`` are bracketed Newton solves.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Optional
@@ -453,49 +455,118 @@ def _logit(u: np.ndarray) -> np.ndarray:
         return np.log(t, out=t)
 
 
-def _hermite(coef: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The table at the points t, in Horner form; t is overwritten."""
+def _locate(t: np.ndarray) -> np.ndarray:
+    """The piece of the table each logit t falls in; t is overwritten by its coordinate in that piece."""
     t += _T_MAX
     t *= 1.0 / _H
     k = t.astype(np.intp)
-    np.minimum(k, coef.shape[1] - 1, out=k)
+    np.minimum(k, _TABLE_NODES - 2, out=k)
     t -= k
+    return k
+
+
+def _hermite(coef: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The cubics coef[:, k] at their coordinates u, in Horner form."""
     c0, c1, c2, c3 = coef
     y = c3[k]
-    y *= t
+    y *= u
     y += c2[k]
-    y *= t
+    y *= u
     y += c1[k]
-    y *= t
+    y *= u
     y += c0[k]
     return y
 
 
-@functools.lru_cache(maxsize=32)
-def _inverse_table(law: PearsonLaw) -> np.ndarray:
-    """Horner coefficients, shape (4, nodes - 1), of y on each interval of t.
+def _build_pieces(law: PearsonLaw, ks: np.ndarray):
+    """Horner coefficients, shape (4, ks.size), of y on the distinct pieces ks, and each
+    piece's check: its error in logit against the exact inverse at its midpoint, where the cubic's
+    error peaks, and whether it lies in the Fritsch-Carlson region, where exact slopes make it monotone.
 
-    The cubic's error peaks mid-interval, so the table is checked against the
-    exact inverse at every midpoint, as an error in t.  Exact slopes inside
-    the Fritsch-Carlson region make every piece monotone.  A table that fails
-    either check raises ``InverseTableError``.
+    Every node and midpoint is one elementwise solve, so a piece has the same bits whichever
+    other pieces are built with it.
     """
     form = _CASES[law.case]
-    t = np.linspace(-_T_MAX, _T_MAX, 2 * _TABLE_NODES - 1)  # the nodes and the midpoints between them
+    needed = np.zeros(_TABLE_NODES, dtype=bool)
+    needed[ks] = needed[ks + 1] = True  # each node once, where two pieces share it too
+    nodes = np.flatnonzero(needed)
+    at = np.cumsum(needed) - 1  # node j is solved at t[at[j]]
+    left, right, n = at[ks], at[ks + 1], nodes.size
+    grid = np.linspace(-_T_MAX, _T_MAX, 2 * _TABLE_NODES - 1)  # the nodes and the midpoints between them
+    t = grid[np.concatenate([2 * nodes, 2 * ks + 1])]
     with np.errstate(all="ignore"):
         y = form.nodes(law, t)
         # ln u(1-u) = -softplus(-t) - softplus(t)
         slope = -np.exp(-np.logaddexp(0.0, -t) - np.logaddexp(0.0, t) - form.y_log_pdf(law, y))
-        y0, y1, m0, m1 = y[:-2:2], y[2::2], _H * slope[:-2:2], _H * slope[2::2]
+        y0, y1, m0, m1 = y[left], y[right], _H * slope[left], _H * slope[right]
         coef = np.array([y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, 2.0 * (y0 - y1) + m0 + m1])
-        err = float(np.max(np.abs(_hermite(coef, t[1::2].copy()) - y[1::2]) / -slope[1::2]))
+        mid = t[n:].copy()
+        _locate(mid)  # the piece of each midpoint is its own
+        err = np.abs(_hermite(coef, np.arange(ks.size), mid) - y[n:]) / -slope[n:]
         a, b = m0 / (y1 - y0), m1 / (y1 - y0)
-        monotone = bool(np.all((a >= 0.0) & (b >= 0.0) & (a * a + b * b <= 9.0)))
-    bound = _TABLE_TOL - form.node_err
-    if not (err <= bound and monotone):  # NaN fails too
-        raise InverseTableError(f"inverse table for {law.coeffs} misses its bound: interpolation error "
-                                f"in logit {err:.3g} (bound {bound:.3g}), monotone pieces: {monotone}")
-    return coef
+        monotone = (a >= 0.0) & (b >= 0.0) & (a * a + b * b <= 9.0)
+    return coef, err, monotone
+
+
+class _InverseTable:
+    """One law's table, built piece by piece as draws reach it; a built piece never changes.
+
+    ``coef`` holds the Horner coefficients of every piece, ``built`` marks the pieces built so
+    far, and ``full`` says all are.  Threads may read one table at once: the pieces a call
+    needs are built under ``lock``, and a piece is marked built only after its coefficients are
+    stored.
+    """
+
+    def __init__(self, law: PearsonLaw):
+        self.law = law
+        self.coef = np.empty((4, _TABLE_NODES - 1))
+        self.built = np.zeros(_TABLE_NODES - 1, dtype=bool)
+        self.full = False
+        self.lock = threading.Lock()
+
+    def build(self, k: np.ndarray) -> None:
+        """Build the pieces k that are not built yet, in one call; a piece that misses its
+        bound or is not monotone raises ``InverseTableError`` and stays unbuilt."""
+        if self.full:
+            return
+        with self.lock:
+            new = np.zeros(_TABLE_NODES - 1, dtype=bool)
+            new[k] = True
+            new = np.flatnonzero(new & ~self.built)  # another thread may have built some meanwhile
+            if not new.size:
+                return
+            coef, err, monotone = _build_pieces(self.law, new)
+            bound = _TABLE_TOL - _CASES[self.law.case].node_err
+            bad = ~((err <= bound) & monotone)  # NaN fails too
+            if bad.any():
+                t = _H * new[bad] - _T_MAX
+                raise InverseTableError(
+                    f"inverse table for {self.law.coeffs} misses its bound on {bad.sum()} pieces in "
+                    f"t = [{t.min():.3g}, {t.max() + _H:.3g}]: interpolation error in logit "
+                    f"{np.max(err[bad]):.3g} (bound {bound:.3g}), monotone pieces: {bool(monotone.all())}")
+            self.coef[:, new] = coef
+            self.built[new] = True
+            self.full = bool(self.built.all())
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """y at the logit-tails t, building the pieces they fall in first; t is overwritten."""
+        k = _locate(t)
+        if not self.full and not self.built[k].all():
+            self.build(k)
+        return _hermite(self.coef, k, t)
+
+
+_TABLES_LOCK = threading.Lock()  # one table per law, however many threads ask for it at once
+
+
+@functools.lru_cache(maxsize=32)
+def _inverse_table(law: PearsonLaw) -> _InverseTable:
+    return _InverseTable(law)
+
+
+def _table(law: PearsonLaw) -> _InverseTable:
+    with _TABLES_LOCK:
+        return _inverse_table(law)
 
 
 def _two_sided(t: np.ndarray, upper: Callable, lower: Callable) -> np.ndarray:
@@ -824,10 +895,12 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     Every case serves p in [2^-53, 1 - 2^-53], the range of the ``rng``
     uniforms; p outside it raises ``InvalidProbabilityError``.  Normal uses
     the closed form.  Every other case reads one cached cubic-Hermite table
-    (``_inverse_table``).  Contract: the result is the exact inverse at some
-    p' with |logit p' - logit p| <= 1e-10, that is a relative error of at
-    most 1e-10 in the smaller of p and 1 - p, up to the rounding of the
-    returned double; it is non-increasing in p.
+    (``_inverse_table``), whose pieces are built the first time a point
+    falls in them, each checked as it is built: a call whose points reach a
+    piece that misses the bound raises ``InverseTableError``.  Contract: the
+    result is the exact inverse at some p' with |logit p' - logit p| <= 1e-10,
+    that is a relative error of at most 1e-10 in the smaller of p and 1 - p,
+    up to the rounding of the returned double; it is non-increasing in p.
     """
     p = np.asarray(p, dtype=float)
     if p.size and not (2.0**-53 <= p.min() and p.max() <= 1.0 - 2.0**-53):  # NaN fails too
@@ -839,7 +912,7 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     t = _logit(p.reshape(-1))
     if law.mirrored:  # X = -Z: the tail of X at x is the cdf of Z at -x
         np.negative(t, out=t)
-    x = row.to_z(law, _hermite(_inverse_table(law), t))
+    x = row.to_z(law, _table(law).at(t))
     if law.mirrored:
         np.negative(x, out=x)
     return x.reshape(p.shape)
@@ -852,11 +925,15 @@ def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
     identical no matter how callers partition the work.  The stream is mapped
     in place, ``rng.CHUNK`` draws at a time.  Each draw meets the
     ``quantile_grid`` contract: a relative error of at most 1e-10 in the
-    smaller tail probability of its uniform.
+    smaller tail probability of its uniform.  A stream may reach any piece of
+    the table, so every piece is built and checked before the first draw: a
+    law whose table misses its bound anywhere raises ``InverseTableError``.
     """
     n, seed = as_int(n, "sample size"), as_int(seed, "seed")
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
+    if _CASES[law.case].nodes is not None:
+        _table(law).build(np.arange(_TABLE_NODES - 1))
     u = rng.uniform_stream(seed, n)
     for lo in range(0, n, rng.CHUNK):
         u[lo:lo + rng.CHUNK] = quantile_grid(law, u[lo:lo + rng.CHUNK])

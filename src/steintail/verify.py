@@ -263,19 +263,24 @@ def _chaos_counter(series: HermiteSeries, seed: int, zs: np.ndarray) -> Callable
 
 def _pearson_counter(law: PearsonLaw, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """Block b's exceedance counts, read off its uniforms: the draws below a threshold's band
-    count, the draws above it do not, and only the draws inside it go through ``quantile_grid``."""
+    count, the draws above it do not, and only the draws inside it go through ``quantile_grid``.
+    A draw inside several bands is mapped once: the union of the bands is mapped, then each
+    threshold counts over its own band."""
     lows, highs = _bands(law, zs)
     ch = rng.CHUNK
 
     def count(b: int, size: int) -> np.ndarray:
         u = rng.uniform_block(seed, b, size)
-        counts = np.empty(zs.size, dtype=np.int64)
-        for i, (z, lo, hi) in enumerate(zip(zs, lows, highs)):
-            counts[i] = np.count_nonzero(u < lo)
-            if np.count_nonzero(u <= hi) > counts[i]:  # draws inside the band: the map decides
-                band = u[(u >= lo) & (u <= hi)]
-                counts[i] += sum(np.count_nonzero(pearson.quantile_grid(law, band[k:k + ch]) > z)
-                                 for k in range(0, band.size, ch))
+        counts = np.array([np.count_nonzero(u < lo) for lo in lows], dtype=np.int64)
+        banded = [i for i, hi in enumerate(highs) if np.count_nonzero(u <= hi) > counts[i]]
+        if banded:  # draws inside a band: the map decides
+            inside = np.zeros(u.shape, dtype=bool)
+            for i in banded:
+                inside |= (u >= lows[i]) & (u <= highs[i])
+            v = u[inside]
+            xs = np.concatenate([pearson.quantile_grid(law, v[k:k + ch]) for k in range(0, v.size, ch)])
+            for i in banded:
+                counts[i] += np.count_nonzero(xs[(v >= lows[i]) & (v <= highs[i])] > zs[i])
         return counts
 
     return count

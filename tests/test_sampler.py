@@ -6,7 +6,11 @@ the sample is compared with the tail at the closed-form x.  Case 5 has no
 closed form and is compared with the exact tail at the sample.
 """
 
+import functools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +22,7 @@ from scipy import special as sp
 from steintail import pearson, rng
 from steintail.errors import InvalidProbabilityError, InverseTableError
 from steintail.pearson import CaseTag, PearsonCoefficients, build_law
+from steintail.verify import Hypothesis, ScenarioSpec, run_scenario
 
 from conftest import CANONICAL_COEFFS
 
@@ -123,6 +128,130 @@ def test_inverse_table_raises_where_it_misses_its_bound():
     assert law.r == pytest.approx(0.025) and law.s == pytest.approx(0.025)
     with pytest.raises(InverseTableError, match="misses its bound"):
         pearson.sample(law, 10, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the table is built piece by piece, as points reach it
+
+
+PIECES = pearson._TABLE_NODES - 1
+ON_DEMAND_LAWS = [c for name, c in CANONICAL_COEFFS.items() if name != "normal"] + [
+    PearsonCoefficients(0.0, -2.0, 2.0),  # mirrored Gamma
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _full_table(coeffs):
+    table = pearson._InverseTable(build_law(coeffs))
+    table.build(np.arange(PIECES))
+    assert table.full
+    return table
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(coeffs=st.sampled_from(ON_DEMAND_LAWS),
+       batches=st.lists(st.lists(st.one_of(st.floats(U_MIN, 1.0 - U_MIN), st.floats(-36.0, 36.0).map(sp.expit)),
+                                 min_size=1, max_size=20), min_size=1, max_size=6))
+def test_partial_fills_in_any_order_equal_the_full_fill(coeffs, batches):
+    # batches of points fill a fresh table in their own order; every value and every built piece
+    # has the bits of the table built whole
+    law, full = build_law(coeffs), _full_table(coeffs)
+    table = pearson._InverseTable(law)
+    for batch in batches:
+        t = pearson._logit(np.clip(batch, U_MIN, 1.0 - U_MIN))
+        if law.mirrored:
+            t = -t
+        got, want = table.at(t.copy()), full.at(t.copy())
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert 0 < table.built.sum() <= sum(map(len, batches))
+    built = table.built
+    np.testing.assert_array_equal(table.coef[:, built].view(np.int64), full.coef[:, built].view(np.int64))
+
+
+# the laws and z grids of the benchmark's pearson_sandwich workload
+SANDWICH_CASES = [
+    (PearsonCoefficients(0.0, 2.0, 2.0), (1.0, 2.0, 3.0, 5.0, 8.0)),
+    (PearsonCoefficients(-0.25, 0.0, 0.0625), (0.05, 0.1, 0.2, 0.3, 0.4)),
+    (PearsonCoefficients(0.25, 1.0, 1.0), (1.0, 2.0, 3.0, 5.0, 8.0)),
+    (PearsonCoefficients(0.25, 0.0, 0.25), (1.0, 2.0, 3.0, 5.0, 8.0)),
+]
+
+
+@pytest.mark.parametrize("seed", [20240527, *range(1, 10)])
+def test_a_sandwich_scenario_builds_few_pieces(seed):
+    # a cost guard by count: a 10^6-draw equality sandwich maps only the draws near its
+    # thresholds, so it builds at most 2 pieces per threshold (8,192 when the table was built whole)
+    for coeffs, zs in SANDWICH_CASES:
+        law = build_law(coeffs)
+        pearson._inverse_table.cache_clear()
+        spec = ScenarioSpec(x_model=law, reference=coeffs, hypothesis=Hypothesis.SANDWICH, z_grid=zs,
+                            n_samples=10**6, seed=seed)
+        assert run_scenario(spec).all_passed
+        assert 0 < pearson._inverse_table(law).built.sum() <= 2 * len(zs), coeffs
+
+
+def test_a_table_that_misses_its_bound_in_the_middle_serves_its_tails():
+    # r = s = 0.025: the pieces that miss 1e-10 all sit around the middle; a call that reaches
+    # one raises, while a call in the tails is served and meets the contract
+    law = build_law(PearsonCoefficients(-20.0, 0.0, 5.0))
+    _, err, monotone = pearson._build_pieces(law, np.arange(PIECES))
+    bad = np.flatnonzero(~((err <= pearson._TABLE_TOL) & monotone))
+    assert bad.size == 44
+    piece_ends = pearson._H * bad - pearson._T_MAX, pearson._H * (bad + 1) - pearson._T_MAX
+    assert -0.21 <= piece_ends[0].min() and piece_ends[1].max() <= 0.21
+    pearson._inverse_table.cache_clear()
+    for p in (0.49, 0.51):
+        with pytest.raises(InverseTableError, match="misses its bound"):
+            pearson.quantile_grid(law, np.array([1e-3, p]))
+    p = 1e-3
+    assert pearson.quantile_grid(law, p) == pytest.approx(law.support_b, abs=1e-15)
+    # x rounds to b there, so the contract is checked on the table's y, the logit of the position
+    y = float(pearson._inverse_table(law).at(pearson._logit(np.array([p])))[0])
+    with mp.workdps(40):
+        tail = mp.betainc(law.s, law.r, 0, 1 / (1 + mp.exp(mp.mpf(y))), regularized=True)
+        assert abs(float(mp.log(tail / (1 - tail)) - mp.log(p / (1 - p)))) <= TOL
+
+
+def test_concurrent_scenarios_read_one_table():
+    # the table starts empty; four threads counting blocks give the report of one
+    law = build_law(PearsonCoefficients(0.25, 0.0, 0.25))
+    spec = ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=Hypothesis.SANDWICH,
+                        z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=4 * rng.BLOCK_SIZE + 11, seed=9)
+    reports = []
+    for n_workers in (4, 1):
+        pearson._inverse_table.cache_clear()
+        reports.append(run_scenario(spec, n_workers=n_workers))
+    assert reports[0].to_csv() == reports[1].to_csv() and reports[0].to_json() == reports[1].to_json()
+
+
+def test_concurrent_fills_give_the_serial_values(monkeypatch):
+    # four threads map overlapping points of one empty table, switching often; each gets the
+    # values that one thread gets, and every piece is built once, with the bits of the whole table
+    law = build_law(PearsonCoefficients(0.25, 0.3, 0.25))
+    p = _probe(8000)
+    pearson._inverse_table.cache_clear()
+    want = pearson.quantile_grid(law, p)
+    pearson._inverse_table.cache_clear()
+    built, build_pieces = [], pearson._build_pieces
+    monkeypatch.setattr(pearson, "_build_pieces", lambda law, ks: built.append(ks.size) or build_pieces(law, ks))
+    start = threading.Barrier(4)
+
+    def run(i):
+        start.wait(timeout=30)
+        return pearson.quantile_grid(law, p[1000 * i:1000 * i + 5000])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            got = [f.result(timeout=120) for f in [ex.submit(run, i) for i in range(4)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, x in enumerate(got):
+        np.testing.assert_array_equal(x, want[1000 * i:1000 * i + 5000])
+    table = pearson._inverse_table(law)
+    assert sum(built) == table.built.sum() and len(built) > 1
+    np.testing.assert_array_equal(table.coef[:, table.built], _full_table(law.coeffs).coef[:, table.built])
 
 
 def test_inverse_keeps_shape_and_matches_blocked_sampling(beta_law):

@@ -364,7 +364,7 @@ def test_thresholds_outside_the_support_and_past_the_smallest_uniform():
     assert counts == oracle == [0]
 
 
-def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end():
+def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end(mapped_points):
     # Beta with r = 0.02, s = 1 on (-0.0196, 0.980): the median is about 1e-15 above a, so the map
     # cannot tell the band's ends from z; the bands widen, up to the whole range, and counts still match
     r, s = 0.02, 1.0
@@ -375,8 +375,17 @@ def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end():
     lo, hi = verify._bands(law, zs)
     widths = np.log(hi / (1.0 - hi)) - np.log(lo / (1.0 - lo))
     assert widths[0] > 70.0 and widths[-1] == pytest.approx(2 * verify._BAND, rel=1e-6)
-    counts, oracle = _counts_and_oracle(law, 3, 3 * rng.BLOCK_SIZE + 5, zs, n_workers=2)
+    assert np.count_nonzero(widths > 70.0) == 2  # two thresholds at a, whose bands hold every draw
+    n = 3 * rng.BLOCK_SIZE + 5
+    counts, oracle = _counts_and_oracle(law, 3, n, zs, n_workers=2)
     assert counts == oracle
+    # a draw in several bands is mapped once: at most one block's worth of points per block
+    count = verify._block_sampler(law, 3)[0](zs)
+    for block in range(rng.n_blocks(n)):
+        mapped_points.clear()
+        size = min(rng.BLOCK_SIZE, n - block * rng.BLOCK_SIZE)
+        count(block, size)
+        assert sum(p.size for p in mapped_points) <= size
 
 
 def test_pearson_sandwich_maps_few_draws(mapped_points):
