@@ -15,12 +15,19 @@ Three layers of machinery:
   g rho ~ K z^p e^(-z/scale) (``pearson.tail_asymptotics``), which sandwiches
   z-power-normalized tails in [K (1-2 alpha)/(1-alpha), K] (exact squeeze in
   the linear-kernel case).
+
+The pointwise certificates (``phi_envelope``, ``implicit_integral``,
+``implicit_lower_bound``, ``pearson_lower``) take a number or an array of any
+shape, so a z grid is one call: they compose ``pearson``'s evaluators with
+broadcasting arithmetic, and a number gives a float.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+
+import numpy as np
 
 from . import pearson
 from .errors import DomainError, InvalidConstantError, ThirdMomentError
@@ -45,64 +52,80 @@ class Direction(str, Enum):
     LE = "LE"
 
 
-def phi_envelope(law: PearsonLaw, x: float) -> tuple[float, float]:
-    """Certified bracket from the flux g(x) rho(x).
+def _points(x):  # a number as a numpy scalar: the arithmetic broadcasts, and a number stays cheap
+    return np.asarray(x, dtype=float)[()]
 
-    For x > 0 the pair (lower, upper) brackets the tail P[Z > x]; for x < 0 it
-    brackets 1 - P[Z > x].  At x = 0 the upper bound degenerates to the trivial
-    1.
+
+def _out(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def phi_envelope(law: PearsonLaw, x):
+    """Certified bracket (lower, upper) from the flux g(x) rho(x).
+
+    For x > 0 it brackets the tail P[Z > x]; for x < 0 it brackets
+    1 - P[Z > x].  At x = 0 the upper bound degenerates to the trivial 1.
     """
-    x = float(x)
-    if not law.support_a < x < law.support_b:
-        raise DomainError(f"envelope point {x} outside the open support")
-    c = law.coeffs
-    flux = pearson.flux(law, x)
-    q = q_function(law, x)
+    x = _points(x)
+    inside = (law.support_a < x) & (x < law.support_b)
+    if not inside.all():  # NaN fails too
+        raise DomainError(f"envelope point {np.extract(~inside, x)[0]} outside the open support")
+    c, flux = law.coeffs, pearson.flux(law, x)
     g_prime = 2.0 * c.alpha * x + c.beta
-    gap = x - g_prime if x >= 0.0 else g_prime - x  # the mirrored pair for x < 0
-    upper = flux / abs(x) if x != 0.0 else 1.0
-    return max(gap, 0.0) / q * flux, min(upper, 1.0)
+    gap = np.where(x >= 0.0, x - g_prime, g_prime - x)  # the mirrored pair for x < 0
+    q = (1.0 - c.alpha) * x * x + c.gamma  # q(x) inside the support, as ``pearson.q_function`` forms it
+    with np.errstate(divide="ignore", invalid="ignore"):  # fmin reads 1 at x = 0
+        return _out(np.maximum(gap, 0.0) / q * flux), _out(np.fmin(flux / np.abs(x), 1.0))
 
 
-def implicit_integral(x_moments, z: float, b: float) -> float:
-    """int_z^b (2x - z) P[X > x] dx in closed form from the partial moments of X.
+def implicit_integral(z, b: float, at_z, at_b=None):
+    """int_z^b (2x - z) P[X > x] dx in closed form from the partial moments of X at z and at b.
 
     By Fubini the integral is E[m (m - z); X > z] with m = min(X, b).  With
     J(y) = E[X (X - z); X > y] that is J(z), less J(b) - b (b - z) P[X > b]
-    for a finite b.  x_moments(y) returns (P[X > y], E[X; X > y], E[X^2; X > y]).
+    for a finite b.  at_z holds (P[X > z], E[X; X > z], E[X^2; X > z]), each
+    a number or of z's shape, and at_b the same three numbers at a finite b.
     """
-    _, m1, m2 = x_moments(z)
+    z = _points(z)
+    if np.isnan(z).any():
+        raise DomainError("evaluation point is NaN")
+    _, m1, m2 = at_z
     integral = m2 - z * m1
     if math.isfinite(b):
-        t_b, m1_b, m2_b = x_moments(b)
-        integral -= m2_b - z * m1_b - b * (b - z) * t_b
-    return integral
+        if at_b is None:
+            raise DomainError(f"the integral to a finite b = {b} needs X's partial moments at b")
+        t_b, m1_b, m2_b = at_b
+        integral = integral - (m2_b - z * m1_b - b * (b - z) * t_b)
+    return _out(integral)
 
 
-def implicit_lower_bound(law: PearsonLaw, x_moments, z: float) -> float:
-    """Phi(z) - (1/q(z)) int_z^b (2x - z) P[X > x] dx, the integral by ``implicit_integral``."""
-    if not 0.0 < z < law.support_b:
-        raise DomainError(f"requires 0 < z < b, got z={z}")
-    integral = implicit_integral(x_moments, z, law.support_b)
-    return pearson.tail(law, z) - integral / q_function(law, z)
+def implicit_lower_bound(law: PearsonLaw, z, at_z, at_b=None):
+    """Phi(z) - (1/q(z)) int_z^b (2x - z) P[X > x] dx, the integral by ``implicit_integral`` from
+    X's partial moments at z and, for a finite right end b, at b."""
+    z = _points(z)
+    inside = (0.0 < z) & (z < law.support_b)
+    if not inside.all():  # NaN fails too
+        raise DomainError(f"requires 0 < z < b, got z={np.extract(~inside, z)[0]}")
+    integral = implicit_integral(z, law.support_b, at_z, at_b)
+    return _out(pearson.tail(law, z) - integral / q_function(law, z))
 
 
-def pearson_lower(law: PearsonLaw, z: float, c: float) -> tuple[float, float]:
+def pearson_lower(law: PearsonLaw, z, c: float):
     """Explicit lower-bound factor and its large-z limit.
 
     Returns (bound, asymptotic_constant) where
-    bound = (c-2) q(z) / ((c-2) q(z) + 2 z^2) * Phi(z) and the constant is
-    (c-2)(1-alpha) / (c - alpha (c-2)); both require c > 2.
+    bound = (c-2) q(z) / ((c-2) q(z) + 2 z^2) * Phi(z), of z's shape, and the
+    constant is (c-2)(1-alpha) / (c - alpha (c-2)); both require c > 2.
     """
     if not c > 2.0:
         raise InvalidConstantError(f"explicit lower bound requires c > 2, got {c}")
-    if not z > 0.0:
-        raise DomainError(f"requires z > 0, got {z}")
+    z = _points(z)
+    if not (z > 0.0).all():
+        raise DomainError(f"requires z > 0, got {np.extract(~(z > 0.0), z)[0]}")
     al = law.coeffs.alpha
     q = q_function(law, z)
     bound = (c - 2.0) * q / ((c - 2.0) * q + 2.0 * z * z) * pearson.tail(law, z)
-    asymptotic = (c - 2.0) * (1.0 - al) / (c - al * (c - 2.0))
-    return bound, asymptotic
+    return _out(bound), (c - 2.0) * (1.0 - al) / (c - al * (c - 2.0))
 
 
 def pearson_upper_constant(alpha: float) -> float:

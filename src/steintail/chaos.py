@@ -32,7 +32,7 @@ from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
-from .errors import DomainError, OutsideSupportError, as_int
+from .errors import DomainError, OutsideSupportError, as_int, pointwise
 from .pearson import PearsonCoefficients, support as pearson_support
 
 __all__ = [
@@ -254,8 +254,9 @@ class PolynomialChaosLaw:
 
     Every evaluator below reduces to the crossings of a level between the
     critical points of X(n) (one bracketed solve per level) plus closed-form
-    Gaussian integrals.  G(n) is kept next to X(n) and X'(n), so the kernels
-    and margins build each once per series.
+    Gaussian integrals.  The evaluators and both g routes take a number or an
+    array of levels of any shape (``_per_level``).  G(n) is kept next to X(n)
+    and X'(n), so the kernels and margins build each once per series.
     """
 
     series: HermiteSeries
@@ -290,21 +291,16 @@ class PolynomialChaosLaw:
 
     # -- evaluators ---------------------------------------------------------
 
-    def density(self, x: float) -> float:
-        return float(np.sum(_preimage_weights(self.level(x)[0])))
+    def density(self, x):
+        return _per_level(self, x, lambda v, pre, above: float(np.sum(_preimage_weights(pre))))
 
-    def tail(self, x: float) -> float:
-        if x < self.support_a:
-            return 1.0
-        if x >= self.support_b:
-            return 0.0
-        return _gauss_integral((1.0,), self.level(x)[1])
+    def tail(self, x):
+        return _per_level(self, x, lambda v, pre, above: _gauss_integral((1.0,), above))
 
-    def partial_moments(self, x: float) -> tuple[float, float, float]:
-        """(P[X > x], E[X; X > x], E[X^2; X > x]), closed form over one set of superlevel intervals."""
-        c = self.series.coeffs
-        intervals = self.level(x)[1]
-        return tuple(_gauss_integral(herm, intervals) for herm in ((1.0,), c, herme.hermemul(c, c)))
+    def partial_moments(self, x):
+        """(P[X > x], E[X; X > x], E[X^2; X > x]), closed form over one set of superlevel intervals per level."""
+        herms = ((1.0,), self.series.coeffs, herme.hermemul(self.series.coeffs, self.series.coeffs))
+        return _per_level(self, x, lambda v, pre, above: tuple(_gauss_integral(h, above) for h in herms), 3)
 
     @property
     def variance(self) -> float:
@@ -325,32 +321,48 @@ def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
 # the conditional kernel g and dominance checks
 
 
+def _per_level(law: PolynomialChaosLaw, x, at, width: int = 1):
+    """at(level, *law.level(level)) at every point of x, a number or an array of any shape
+    (``errors.pointwise``): the one loop over levels, one level solve per point.  at returns a float,
+    or a tuple of ``width``."""
+    def rows(law, xs):
+        out = np.array([at(v, *law.level(v)) for v in xs.tolist()], dtype=float)
+        return tuple(out.reshape(-1, width).T) if width > 1 else out
+
+    return pointwise(rows, law, x)
+
+
 def _preimage_weights(pre) -> np.ndarray:
     """phi(n) / |X'(n)| per preimage (n, X'(n)): the density of X at the level is their sum."""
     return np.array([_phi(n) / abs(d) for n, d in pre], dtype=float)
 
 
-def g_function(x_series: HermiteSeries, x: float) -> float:
+def g_function(x_series: HermiteSeries, x):
     """g(x) = E[X 1_{X>x}] / rho_X(x), the Stein kernel of the exact law."""
     law = law_of_polynomial(x_series)
-    if not law.support_a < x < law.support_b:
-        raise OutsideSupportError(f"{x} outside the support ({law.support_a}, {law.support_b})")
-    pre, above = law.level(x)
-    rho = float(np.sum(_preimage_weights(pre)))
-    if rho == 0.0:
-        raise OutsideSupportError(f"density vanishes at {x}")
-    return _gauss_integral(x_series.coeffs, above) / rho
+
+    def at(v: float, pre, above) -> float:
+        if not law.support_a < v < law.support_b:
+            raise OutsideSupportError(f"{v} outside the support ({law.support_a}, {law.support_b})")
+        rho = float(np.sum(_preimage_weights(pre)))
+        if rho == 0.0:
+            raise OutsideSupportError(f"density vanishes at {v}")
+        return _gauss_integral(x_series.coeffs, above) / rho
+
+    return _per_level(law, x, at)
 
 
-def g_from_conditional(x_series: HermiteSeries, x: float) -> float:
+def g_from_conditional(x_series: HermiteSeries, x):
     """E[G | X = x] as a preimage-weighted average of the polynomial G."""
     law = law_of_polynomial(x_series)
-    pre = law.level(x)[0]
-    if not pre:
-        raise OutsideSupportError(f"no preimages of {x}")
-    weights = _preimage_weights(pre)
-    values = npoly.polyval([n for n, _ in pre], law.gpoly)
-    return float(np.dot(weights, values) / np.sum(weights))
+
+    def at(v: float, pre, above) -> float:
+        if not pre:
+            raise OutsideSupportError(f"no preimages of {v}")
+        weights = _preimage_weights(pre)
+        return float(np.dot(weights, npoly.polyval([n for n, _ in pre], law.gpoly)) / np.sum(weights))
+
+    return _per_level(law, x, at)
 
 
 def margin_extrema(x_poly, g_poly, coeffs: PearsonCoefficients, domain) -> dict:

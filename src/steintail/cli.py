@@ -162,10 +162,9 @@ def _cmd_law(args) -> int:
 def _cmd_pointwise(args) -> int:
     law = build_law(_coeffs(args))
     fn = {"density": pearson.density, "tail": pearson.tail, "quantile": pearson.quantile}[args.command]
-    xs = [args.at] if args.grid is None else list(_parse_grid(args.grid))
-    rows = [(float(x), float(fn(law, float(x)))) for x in xs]
+    xs = np.array([args.at]) if args.grid is None else _parse_grid(args.grid)
     name_in = "p" if args.command == "quantile" else "x"
-    _table(args, [name_in, args.command], rows)
+    _table(args, [name_in, args.command], list(zip(xs.tolist(), fn(law, xs).tolist())))
     return 0
 
 
@@ -188,16 +187,12 @@ def _cmd_stein(args) -> int:
     grid = np.asarray(grid[grid != args.z], dtype=float)
     f, fp, res = stein.evaluate(sol, grid)
     cert = stein.certify_fprime(sol, grid)
+    header, rows = ["x", "f", "fprime", "residual"], list(zip(*(v.tolist() for v in (grid, f, fp, res))))
     if args.format == "json":
-        payload = {
-            "rows": [{"x": float(x), "f": float(a), "fprime": float(b), "residual": float(r)}
-                     for x, a, b, r in zip(grid, f, fp, res)],
-            "certificate": json.loads(cert.to_json()),
-        }
+        payload = {"rows": [dict(zip(header, row)) for row in rows], "certificate": json.loads(cert.to_json())}
         _emit(args, json.dumps(payload) + "\n")
     else:
-        rows = [(float(x), float(a), float(b), float(r)) for x, a, b, r in zip(grid, f, fp, res)]
-        _table(args, ["x", "f", "fprime", "residual"], rows)
+        _table(args, header, rows)
         print(f"residual_max={cert.residual_max!r} sign_violations={cert.sign_violations} "
               f"passed={cert.passed}", file=sys.stderr)
     return 0 if cert.passed else 2
@@ -205,12 +200,10 @@ def _cmd_stein(args) -> int:
 
 def _cmd_envelope(args) -> int:
     law = build_law(_coeffs(args))
-    rows = []
-    for z in _parse_grid(args.grid):
-        lo, hi = bounds.phi_envelope(law, float(z))
-        target = pearson.tail(law, float(z)) if z >= 0 else pearson.cdf(law, float(z))
-        rows.append((float(z), float(lo), float(target), float(hi)))
-    _table(args, ["z", "lower", "tail", "upper"], rows)
+    zs = _parse_grid(args.grid)
+    lo, hi = bounds.phi_envelope(law, zs)
+    target = np.where(zs >= 0.0, pearson.tail(law, zs), pearson.cdf(law, zs))
+    _table(args, ["z", "lower", "tail", "upper"], list(zip(*(v.tolist() for v in (zs, lo, target, hi)))))
     return 0
 
 
@@ -220,13 +213,12 @@ def _cmd_bounds(args) -> int:
     k = args.K
     if k is None:
         k = 2.0 * bounds.pearson_upper_constant(c.alpha) if c.alpha < 0.5 else None
-    rows = []
-    for z in _parse_grid(args.z_grid):
-        z = float(z)
-        lo, hi = bounds.phi_envelope(law, z)
-        plb, _ = bounds.pearson_lower(law, z, args.c)
-        t = pearson.tail(law, z)
-        rows.append((z, t, float(lo), float(hi), float(plb), k * t if k is not None else None))
+    zs = _parse_grid(args.z_grid)
+    lo, hi = bounds.phi_envelope(law, zs)
+    plb, _ = bounds.pearson_lower(law, zs, args.c)
+    t = pearson.tail(law, zs)
+    k_t = [None] * zs.size if k is None else (k * t).tolist()
+    rows = list(zip(*(v.tolist() for v in (zs, t, lo, hi, plb)), k_t))
     _table(args, ["z", "phi_star", "envelope_lo", "envelope_hi", "pearson_lower", "k_phi_star"], rows)
     return 0
 
@@ -263,9 +255,8 @@ def _cmd_chaos_g(args) -> int:
         ns = _parse_grid(args.grid)
         _table(args, ["n", "G"], list(zip(ns.tolist(), npoly.polyval(ns, g).tolist())))
     if args.density_grid is not None:
-        law = chaos.law_of_polynomial(series)
-        rows = [(float(x), law.density(float(x))) for x in _parse_grid(args.density_grid)]
-        _table(args, ["x", "rho"], rows)
+        xs = _parse_grid(args.density_grid)
+        _table(args, ["x", "rho"], list(zip(xs.tolist(), chaos.law_of_polynomial(series).density(xs).tolist())))
     return 0
 
 

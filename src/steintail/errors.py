@@ -1,4 +1,7 @@
-"""Semantic exception hierarchy and the integer-argument check. Public functions raise these, never bare ValueError."""
+"""Semantic exception hierarchy and the argument checks of every module; never a bare ValueError."""
+
+import contextlib
+import math
 
 import numpy as np
 
@@ -68,3 +71,27 @@ def as_int(value, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+@contextlib.contextmanager
+def reading(what: str):
+    """Reads input inside the block: text that is not JSON, a missing key or a value of the wrong kind
+    raises DomainError, which says what was read; a DomainError from inside passes as it is."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed {what} ({type(exc).__name__}: {exc})") from None
+
+
+def pointwise(rows, law, x, *args):
+    """rows(law, x as 1-d doubles, *args) at x, a number or an array of any shape: the one entry of every
+    pointwise evaluator.  A NaN point raises DomainError; a number gives a float, an array an array of x's
+    shape, and a tuple of rows a tuple of either."""
+    x = np.asarray(x, dtype=float)
+    if math.isnan(x) if x.ndim == 0 else np.isnan(x).any():  # a scalar skips the ufunc's microsecond
+        raise DomainError("evaluation point is NaN")
+    val = rows(law, x.reshape(-1), *args)
+    shaped = (lambda v: float(v[0])) if x.ndim == 0 else (lambda v: v.reshape(x.shape))
+    return tuple(map(shaped, val)) if isinstance(val, tuple) else shaped(val)

@@ -26,9 +26,10 @@ form (case 5 reads one cached table of Gauss-Legendre panels, which also
 gives its normalization), the quantile start and the sampler's inverse, and
 the right-tail asymptotics.  Laws with beta < 0 in the half-line cases are
 reflections of the canonical form and carry ``mirrored=True``; they are
-evaluated at -x with the tail and the cdf swapped.  Every pointwise evaluator
-is called as (law, x), x a number or an array of any shape (``_at``): a number
-gives a float, an array an array of x's shape; a NaN point raises ``DomainError``.
+evaluated at -x with the tail and the cdf swapped.  Every pointwise evaluator,
+``quantile`` and ``partial_moments`` included, is called as (law, x), x a number
+or an array of any shape (``errors.pointwise``): a number gives a float, an array
+an array of x's shape; a NaN point raises ``DomainError``.
 The sampler inverts the tail through one cached cubic-Hermite table per law
 but the Normal, built piece by piece as points reach it; case 5's nodes and
 ``quantile`` are bracketed Newton solves.
@@ -56,6 +57,8 @@ from .errors import (
     MomentDoesNotExistError,
     UnsupportedCaseError,
     as_int,
+    pointwise,
+    reading,
 )
 
 __all__ = [
@@ -625,11 +628,10 @@ def _half_line_to_z(law: PearsonLaw, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _inverse_start(law: PearsonLaw, p: float) -> float:
-    """The closed-form inverse that the sampler's table interpolates, at the tail p."""
+def _inverse_start(law: PearsonLaw, p: np.ndarray) -> np.ndarray:
+    """The closed-form inverse that the sampler's table interpolates, at the tails p."""
     form, sign = _CASES[law.case], -1.0 if law.mirrored else 1.0
-    t = np.array([math.log(p) - math.log1p(-p)])
-    return sign * float(form.to_z(law, form.nodes(law, sign * t))[0])
+    return sign * form.to_z(law, form.nodes(law, sign * (np.log(p) - np.log1p(-p))))
 
 
 def _case5_xi_start(law: PearsonLaw, t: np.ndarray) -> np.ndarray:
@@ -679,7 +681,7 @@ class _Case(NamedTuple):
     y_log_pdf: Optional[Callable] = None  # (law, y) -> ln rho_y
     to_z: Optional[Callable] = None       # (law, y) -> z, overwriting y where it can
     node_err: float = 0.0                 # bound on the nodes' own error in logit
-    start: Callable = _inverse_start      # (law, p) -> z near the quantile at tail p, mirroring included
+    start: Callable = _inverse_start      # (law, p) -> z near the quantiles at tails p, mirroring included
     log_tail: Optional[Callable] = None    # (law, z) -> ln P[Z > z], canonical, past the tail's underflow
     right_tail: Optional[Callable] = None  # law -> (ln K, p, scale) of the canonical form
 
@@ -717,22 +719,11 @@ _CASES = {
     CaseTag.NO_REAL_ROOTS: _Case(
         lambda c: (), _case5_params, _case5_log_pdf, _case5_side,
         nodes=_case5_nodes, y_log_pdf=_case5_log_pdf, to_z=lambda law, y: y, node_err=_NEWTON_TOL,
-        start=lambda law, p: law.delta * float(np.sinh(
-            _case5_xi_start(law, np.array([math.log(p) - math.log1p(-p)]))[0])) - law.mu,
+        start=lambda law, p: law.delta * np.sinh(_case5_xi_start(law, np.log(p) - np.log1p(-p))) - law.mu,
         # g rho ~ C alpha e^(s gd(inf)) z^(-1/alpha), gd(inf) = pi/2
         right_tail=lambda law: (law.log_norm_const + math.log(law.coeffs.alpha) + law.s * math.pi / 2.0,
                                 -1.0 / law.coeffs.alpha, math.inf)),
 }
-
-
-def _at(rows: Callable, law: PearsonLaw, x, *args):
-    """The row form ``rows`` at x, a number or an array of any shape: the one entry of every pointwise
-    evaluator.  x is checked once; row forms take 1-d points and the composites call them unchecked."""
-    x = np.asarray(x, dtype=float)
-    if math.isnan(x) if x.ndim == 0 else np.isnan(x).any():  # a scalar skips the ufunc's microsecond
-        raise DomainError("evaluation point is NaN")
-    val = rows(law, x.reshape(-1), *args)
-    return float(val[0]) if x.ndim == 0 else val.reshape(x.shape)
 
 
 def _side(law: PearsonLaw, x: np.ndarray, upper: bool):
@@ -775,27 +766,27 @@ def _log_tail(law: PearsonLaw, z: np.ndarray):
 
 def stein_kernel(law: PearsonLaw, x):
     """g(x) = (alpha x^2 + beta x + gamma) on the open support, 0 outside."""
-    return _at(_kernel, law, x)
+    return pointwise(_kernel, law, x)
 
 
 def q_function(law: PearsonLaw, x):
     """q(x) = x^2 - x g'(x) + g(x): (1-alpha)x^2 + gamma inside, x^2 outside."""
-    return _at(lambda law, x: np.where((x > law.support_a) & (x < law.support_b),
+    return pointwise(lambda law, x: np.where((x > law.support_a) & (x < law.support_b),
                                        (1.0 - law.coeffs.alpha) * x * x + law.coeffs.gamma, x * x), law, x)
 
 
 def log_density(law: PearsonLaw, x):
     """ln rho(x); -inf outside the closed support, the continuous limit at a, b."""
-    return _at(_log_density, law, x)
+    return pointwise(_log_density, law, x)
 
 
 def density(law: PearsonLaw, x):
-    return _at(lambda law, x: np.exp(_log_density(law, x)), law, x)
+    return pointwise(lambda law, x: np.exp(_log_density(law, x)), law, x)
 
 
 def flux(law: PearsonLaw, x):
     """g(x) rho(x) in log space; 0 where the kernel vanishes, even against a density pole."""
-    return _at(_flux, law, x)
+    return pointwise(_flux, law, x)
 
 
 def tail(law: PearsonLaw, z):
@@ -806,7 +797,7 @@ def tail(law: PearsonLaw, z):
     1e-12 relative of mpmath for z + mu up to 1e6 delta (tests/test_oracles.py).
     A tail below the smallest double is 0.
     """
-    return _at(_side, law, z, True)
+    return pointwise(_side, law, z, True)
 
 
 tail_grid = tail  # the benchmark harness reads tails under this old name; no steintail module does
@@ -814,27 +805,29 @@ tail_grid = tail  # the benchmark harness reads tails under this old name; no st
 
 def cdf(law: PearsonLaw, z):
     """P[Z <= z], complement-free so it keeps relative accuracy near the lower end."""
-    return _at(_side, law, z, False)
+    return pointwise(_side, law, z, False)
 
 
 def log_tail(law: PearsonLaw, z):
     """ln P[Z > z]: the case's own form where it has one (Normal's log_ndtr, Gamma's
     continued fraction below the smallest normal double), else the log of the tail."""
-    return _at(_log_tail, law, z)
+    return pointwise(_log_tail, law, z)
 
 
-def partial_moments(law: PearsonLaw, y: float) -> tuple[float, float, float]:
-    """(P[Z > y], E[Z; Z > y], E[Z^2; Z > y]) in closed form.
+def _partial_moments(law: PearsonLaw, y: np.ndarray):
+    c, t, f = law.coeffs, _side(law, y, True), _flux(law, y)
+    with np.errstate(invalid="ignore"):  # no flux out of the support, where y may be infinite
+        return t, f, (np.where(f > 0.0, (y + c.beta) * f, 0.0) + c.gamma * t) / (1.0 - c.alpha)
+
+
+def partial_moments(law: PearsonLaw, y):
+    """(P[Z > y], E[Z; Z > y], E[Z^2; Z > y]) in closed form, a tuple of floats for a number y.
 
     E[Z; Z > y] is the flux g(y) rho(y), and the Stein identity with the test
     function x 1{x > y} gives E[Z^2; Z > y] = ((y + beta) g rho + gamma P[Z > y]) / (1 - alpha),
     valid for every admissible alpha < 1.
     """
-    c, t, y = law.coeffs, tail(law, y), float(y)
-    if not law.support_a < y < law.support_b:  # no flux out here, and y may be infinite
-        return t, 0.0, c.gamma * t / (1.0 - c.alpha)
-    f = float(_flux(law, np.asarray(y)))
-    return t, f, ((y + c.beta) * f + c.gamma * t) / (1.0 - c.alpha)
+    return pointwise(_partial_moments, law, y)
 
 
 def tail_asymptotics(law: PearsonLaw) -> tuple[float, float, float]:
@@ -854,8 +847,35 @@ def tail_asymptotics(law: PearsonLaw) -> tuple[float, float, float]:
 # quantiles and sampling
 
 
-def quantile(law: PearsonLaw, p: float) -> float:
-    """z with tail(z) = p, for every 0 < p < 1 (docs/DECISIONS.md, decision 8).
+def _quantile(law: PearsonLaw, p: np.ndarray) -> np.ndarray:
+    if not ((0.0 < p) & (p < 1.0)).all():
+        raise InvalidProbabilityError(f"quantile requires 0 < p < 1, got values in [{p.min()}, {p.max()}]")
+    sd = math.sqrt(law.variance)
+    a = np.maximum(law.support_a, -sd * np.sqrt(p) / np.sqrt(1.0 - p))
+    b = np.minimum(law.support_b, sd * np.sqrt(1.0 - p) / np.sqrt(p))
+    row = _CASES[law.case]
+    with np.errstate(all="ignore"):
+        x0 = row.start(law, p)
+    upper = p <= 0.5  # solve on the smaller side, 1 - p being exact for p >= 1/2
+    sign, target = np.where(upper, 1.0, -1.0), np.where(upper, np.log(p), np.log1p(-p))
+    deep = row.log_tail if not law.mirrored else None
+
+    def log_side(z, i):  # ln P[Z > z] - ln p, or ln(1 - p) - ln P[Z <= z]; both fall as z grows
+        up, side = upper[i], np.empty_like(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            side[up], side[~up] = _side(law, z[up], True), _side(law, z[~up], False)
+            ln_side = np.log(side)
+            sub = up & (side < _TINY)  # a subnormal tail holds few digits
+            if deep is not None and sub.any():
+                ln_side[sub] = deep(law, z[sub])
+            return sign[i] * (ln_side - target[i]), -np.exp(_log_density(law, z) - ln_side)
+
+    x0 = np.where(np.isfinite(x0), np.minimum(np.maximum(x0, a), b), math.nan)
+    return quadrature.solve_monotone(log_side, a, b, False, x0, xtol=1e-14)
+
+
+def quantile(law: PearsonLaw, p):
+    """z with tail(z) = p, for every 0 < p < 1 (docs/DECISIONS.md, decision 8), in one solve for every p.
 
     Newton steps on the log of the tail, or of the cdf for p > 1/2, guarded
     by bisection (``quadrature.solve_monotone``), inside the support cut by
@@ -865,28 +885,7 @@ def quantile(law: PearsonLaw, p: float) -> float:
     panel-end logits.  Where the tail is subnormal the row's ``log_tail``
     gives its logarithm, so p keeps its digits down to the smallest double.
     """
-    if not 0.0 < p < 1.0:
-        raise InvalidProbabilityError(f"quantile requires 0 < p < 1, got {p}")
-    sd = math.sqrt(law.variance)
-    a = max(law.support_a, -sd * math.sqrt(p) / math.sqrt(1.0 - p))
-    b = min(law.support_b, sd * math.sqrt(1.0 - p) / math.sqrt(p))
-    row = _CASES[law.case]
-    with np.errstate(all="ignore"):
-        x0 = float(row.start(law, p))
-    upper = p <= 0.5  # solve on the smaller side, 1 - p being exact for p >= 1/2
-    sign, target = (1.0, math.log(p)) if upper else (-1.0, math.log1p(-p))
-    deep = row.log_tail if upper and not law.mirrored else None
-
-    def log_side(z, i):  # ln P[Z > z] - ln p, or ln(1 - p) - ln P[Z <= z]; both fall as z grows
-        with np.errstate(divide="ignore", invalid="ignore"):
-            side = _side(law, z, upper)
-            ln_side = np.log(side)
-            if deep is not None and side[0] < _TINY:  # a subnormal holds few digits
-                ln_side = deep(law, z)
-            return sign * (ln_side - target), -np.exp(_log_density(law, z) - ln_side)
-
-    x0 = [min(max(x0, a), b)] if math.isfinite(x0) else None
-    return float(quadrature.solve_monotone(log_side, [a], [b], False, x0, xtol=1e-14)[0])
+    return pointwise(_quantile, law, p)
 
 
 def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
@@ -993,11 +992,12 @@ def law_to_json(law: PearsonLaw) -> str:
 
 
 def law_from_json(text: str) -> PearsonLaw:
-    obj = json.loads(text)
-    missing = [k for k in _JSON_FIELDS if k not in obj]
-    if missing:
-        raise DomainError(f"law JSON missing fields: {missing}")
-    law = build_law(PearsonCoefficients(obj["alpha"], obj["beta"], obj["gamma"]))
+    with reading("law JSON"):
+        obj = json.loads(text)
+        missing = [k for k in _JSON_FIELDS if k not in obj]
+        if missing:
+            raise DomainError(f"law JSON missing fields: {missing}")
+        law = build_law(PearsonCoefficients(obj["alpha"], obj["beta"], obj["gamma"]))
     if law.case.value != obj["case"]:
         raise DomainError(f"case mismatch: stored {obj['case']}, rebuilt {law.case.value}")
     return law

@@ -66,15 +66,18 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
     xtol + 4 eps |x|, or when bisection can no longer split its bracket: the
     root is then within one double, however steep f is there.  It then leaves
     the working arrays, so f never sees it again, and no problem's steps depend
-    on another's.  x0 are optional starting points inside the brackets.  A
-    bracket end that is not finite raises DomainError.
+    on another's.  x0 are optional starting points inside the brackets; a NaN
+    start is the bracket's first bisection point.  A bracket end that is not
+    finite raises DomainError.
     """
     lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("bracketed solve needs finite brackets")
     sign = np.full(lo.shape, np.where(increasing, 1.0, -1.0))
-    x = _split(lo, hi) if x0 is None else np.array(x0, dtype=float, ndmin=1)
+    x = _split(lo, hi) if x0 is None else np.where(np.isnan(x0), _split(lo, hi), x0)
     root = np.empty(lo.shape)
+    if not lo.size:
+        return root
     i = np.arange(lo.size)
     step_old = step = hi - lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

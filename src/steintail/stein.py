@@ -203,8 +203,7 @@ def certification_grid(law: PearsonLaw, z: float, n: int = 2000) -> np.ndarray:
     exercised too.  Points within a relative 1e-9 neighborhood of {z, a, b}
     are dropped.
     """
-    lo = pearson.quantile(law, 1.0 - 1e-6)
-    hi = pearson.quantile(law, 1e-6)
+    lo, hi = pearson.quantile(law, np.array([1.0 - 1e-6, 1e-6])).tolist()
     parts = [np.linspace(lo, hi, n)]
     w = hi - lo
     if math.isfinite(law.support_a):

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import bounds, chaos, pearson, rng
 from .chaos import HermiteSeries
-from .errors import DomainError, InsufficientRangeError, UncertifiedHypothesisError, as_int
+from .errors import (DomainError, InsufficientRangeError, InvalidConstantError, UncertifiedHypothesisError,
+                     as_int, reading)
 from .pearson import PearsonCoefficients, PearsonLaw, build_law
 
 __all__ = [
@@ -57,6 +58,10 @@ class Hypothesis(str, Enum):
     DOMINATES_LOWER = "DominatesLower"
     DOMINATED_UPPER = "DominatedUpper"
     SANDWICH = "Sandwich"
+
+
+_LOWER = (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH)  # the hypotheses that check each side
+_UPPER = (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH)
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,10 @@ class ScenarioSpec:
             raise DomainError(f"z_grid must lie in (0, b) = (0, {b})")
         if self.k_upper is not None and not 0.0 < self.k_upper < math.inf:
             raise DomainError(f"k_upper must be finite and positive, got {self.k_upper}")
+        if self.hypothesis in _LOWER and not self.c_lower > 2.0:
+            raise InvalidConstantError(f"the explicit lower bound needs c > 2, got {self.c_lower}")
+        if self.hypothesis in _UPPER and self.k_upper is None:
+            bounds.pearson_upper_constant(self.upper_coeffs.alpha)  # raises ThirdMomentError for alpha >= 1/2
 
     @property
     def upper_coeffs(self) -> PearsonCoefficients:
@@ -192,13 +201,13 @@ def _certify(spec: ScenarioSpec) -> dict:
         x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)
     extrema = functools.cache(lambda coeffs: chaos.margin_extrema(x_poly, g_poly, coeffs, domain))
     info = {}
-    if spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
+    if spec.hypothesis in _LOWER:
         res = extrema(spec.reference)
         info["lower_margin"] = res["min"]
         if res["min"] < -MARGIN_TOL:
             raise UncertifiedHypothesisError(
                 f"G >= g(X) fails: margin {res['min']} at {res['argmin']}")
-    if spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
+    if spec.hypothesis in _UPPER:
         res = extrema(spec.upper_coeffs)  # a Sandwich with one reference reads the extrema above
         info["upper_margin"] = res["max"]
         if res["max"] > MARGIN_TOL:
@@ -226,24 +235,26 @@ def _bands(law: PearsonLaw, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_ROUNDING`` (|x| + scale); the halfway gap covers the rounding of the logit.  An end at the
     edge of the uniforms' range has no draw beyond it and needs no check.  A failing band widens
     by ``_WIDEN``; by a half-width of 2^8 both ends sit at the edges, so the loop ends, with the
-    band mapping every draw (docs/DECISIONS.md, decision 10).
+    band mapping every draw (docs/DECISIONS.md, decision 10).  Each round maps the check points of
+    every band still open in one call; a band that passes leaves the next round.
     """
     scale = math.sqrt(law.variance) + sum(abs(v) for v in (law.mu, law.support_a, law.support_b)
                                           if v is not None and math.isfinite(v))
     p = np.clip(pearson.tail(law, zs), _U_MIN, _U_MAX)
     centres = np.log(p) - np.log1p(-p)
-    lo, hi = np.empty(zs.shape), np.empty(zs.shape)
-    for i, (z, t) in enumerate(zip(zs, centres)):
-        w = _BAND
-        while True:
-            with np.errstate(over="ignore"):  # expit of the ends and check points, in the uniforms' range
-                u_lo, c_lo, c_hi, u_hi = np.clip(1.0 / (1.0 + np.exp(-t - w * _OFFSETS)), _U_MIN, _U_MAX)
-            x_lo, x_hi = pearson.quantile_grid(law, np.array([c_lo, c_hi]))
-            if ((u_lo == _U_MIN or (c_lo > u_lo and x_lo - z > _ROUNDING * (abs(x_lo) + scale)))
-                    and (u_hi == _U_MAX or (c_hi < u_hi and z - x_hi >= _ROUNDING * (abs(x_hi) + scale)))):
-                break
-            w *= _WIDEN
-        lo[i], hi[i] = u_lo, u_hi
+    lo, hi, w = np.empty(zs.shape), np.empty(zs.shape), np.full(zs.shape, _BAND)
+    todo = np.arange(zs.size)
+    while todo.size:
+        with np.errstate(over="ignore"):  # expit of the ends and check points, in the uniforms' range
+            u = np.clip(1.0 / (1.0 + np.exp(-centres[todo, None] - w[todo, None] * _OFFSETS)), _U_MIN, _U_MAX)
+        u_lo, c_lo, c_hi, u_hi = u.T
+        x_lo, x_hi = pearson.quantile_grid(law, u[:, 1:3]).T
+        z = zs[todo]
+        done = (((u_lo == _U_MIN) | ((c_lo > u_lo) & (x_lo - z > _ROUNDING * (np.abs(x_lo) + scale))))
+                & ((u_hi == _U_MAX) | ((c_hi < u_hi) & (z - x_hi >= _ROUNDING * (np.abs(x_hi) + scale)))))
+        lo[todo[done]], hi[todo[done]] = u_lo[done], u_hi[done]
+        todo = todo[~done]
+        w[todo] *= _WIDEN
     return lo, hi
 
 
@@ -288,19 +299,14 @@ def _pearson_counter(law: PearsonLaw, seed: int, zs: np.ndarray) -> Callable[[in
 
 def _block_sampler(x_model: Union[HermiteSeries, PearsonLaw], seed: int) -> tuple[Callable, Callable]:
     """The X model's block counter, zs -> ((b, size) -> exceedance counts of block b over zs), and
-    its exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]).
+    its exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]), y a number or an array.
 
     A chaos X maps every draw (``_chaos_counter``): its map is not monotone.  A Pearson X counts in
-    uniform space (``_pearson_counter``).  The moments are memoized: the runner reads them at each
-    z, and the implicit bound reads them at z and at the reference's right end again.
+    uniform space (``_pearson_counter``).
     """
     if isinstance(x_model, HermiteSeries):
-        counter = functools.partial(_chaos_counter, x_model, seed)
-        moments = chaos.law_of_polynomial(x_model).partial_moments
-    else:
-        counter = functools.partial(_pearson_counter, x_model, seed)
-        moments = lambda y: pearson.partial_moments(x_model, y)
-    return counter, functools.cache(moments)
+        return functools.partial(_chaos_counter, x_model, seed), chaos.law_of_polynomial(x_model).partial_moments
+    return functools.partial(_pearson_counter, x_model, seed), functools.partial(pearson.partial_moments, x_model)
 
 
 def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -343,44 +349,32 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 
-    check_lower = spec.hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH)
-    check_upper = spec.hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH)
     z_min_lower = bounds.regime_threshold(spec.reference)
     z_min_upper = bounds.regime_threshold(spec.upper_coeffs)
+    check_lower, check_upper = spec.hypothesis in _LOWER, spec.hypothesis in _UPPER
     k_upper = spec.k_upper
     if k_upper is None and check_upper:
         k_upper = 2.0 * bounds.pearson_upper_constant(spec.upper_coeffs.alpha)
 
-    phi_star = pearson.tail(ref_law, zs).tolist()
-    upper_cert = (k_upper * pearson.tail(upper_law, zs)).tolist() if check_upper else [math.nan] * zs.size
-    lower_cert, verdicts = [], []
-    deep_flags, exact_tail = [], []
-    for i, z in enumerate(spec.z_grid):
-        s_exact = x_moments(z)[0]
-        exact_tail.append(s_exact)
-        deep = s_exact * spec.n_samples < DEEP_TAIL_MIN_COUNT
-        deep_flags.append(deep)
-        s_hi = s_exact if deep else emp[i] + eps
-        s_lo = s_exact if deep else max(emp[i] - eps, 0.0)
-
-        misses = []  # (bound missed, asserted): an asserted miss fails, any other is inconclusive
-        low_val = -math.inf
-        if check_lower:
-            ilb = bounds.implicit_lower_bound(ref_law, x_moments, z)
-            plb, _ = bounds.pearson_lower(ref_law, z, spec.c_lower)
-            low_val = max(ilb, plb) if z >= z_min_lower else ilb
-            misses += [(s_hi < ilb, True), (s_hi < plb, z >= z_min_lower)]
-        lower_cert.append(low_val)
-
-        if check_upper:
-            misses.append((s_lo > upper_cert[i], z >= z_min_upper))
-
-        if any(missed and asserted for missed, asserted in misses):
-            verdicts.append(Verdict.FAIL.value)
-        elif any(missed for missed, _ in misses):
-            verdicts.append(Verdict.INCONCLUSIVE.value)
-        else:
-            verdicts.append(Verdict.PASS.value)
+    at_z = x_moments(zs)
+    exact = at_z[0]
+    deep = exact * spec.n_samples < DEEP_TAIL_MIN_COUNT
+    s_hi = np.where(deep, exact, emp + eps)
+    s_lo = np.where(deep, exact, np.maximum(emp - eps, 0.0))
+    missed = asserted = np.zeros(zs.shape, dtype=bool)  # an asserted miss fails, any other is inconclusive
+    lower_cert, upper_cert = np.full(zs.shape, -math.inf), np.full(zs.shape, math.nan)
+    if check_lower:
+        b = ref_law.support_b
+        ilb = bounds.implicit_lower_bound(ref_law, zs, at_z, x_moments(b) if math.isfinite(b) else None)
+        plb, _ = bounds.pearson_lower(ref_law, zs, spec.c_lower)
+        explicit = zs >= z_min_lower
+        lower_cert = np.where(explicit & (plb > ilb), plb, ilb)
+        missed, asserted = (s_hi < ilb) | (s_hi < plb), (s_hi < ilb) | ((s_hi < plb) & explicit)
+    if check_upper:
+        upper_cert = k_upper * pearson.tail(upper_law, zs)
+        missed, asserted = missed | (s_lo > upper_cert), asserted | ((s_lo > upper_cert) & (zs >= z_min_upper))
+    verdicts = np.where(asserted, Verdict.FAIL.value,
+                        np.where(missed, Verdict.INCONCLUSIVE.value, Verdict.PASS.value))
 
     meta = {
         "scenario": json.loads(scenario_to_json(spec)),
@@ -389,17 +383,17 @@ def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
         "c_lower": spec.c_lower,
         "z_min_lower": z_min_lower if check_lower else None,
         "z_min_upper": z_min_upper if check_upper else None,
-        "deep_tail": deep_flags,
-        "exact_tail_x": exact_tail,
+        "deep_tail": deep.tolist(),
+        "exact_tail_x": exact.tolist(),
     }
     return TailReport(
         z_grid=spec.z_grid,
-        phi_star=tuple(phi_star),
-        lower_cert=tuple(lower_cert),
-        upper_cert=tuple(upper_cert),
-        empirical=tuple(float(e) for e in emp),
+        phi_star=tuple(pearson.tail(ref_law, zs).tolist()),
+        lower_cert=tuple(lower_cert.tolist()),
+        upper_cert=tuple(upper_cert.tolist()),
+        empirical=tuple(emp.tolist()),
         ci_half_width=eps,
-        verdicts=tuple(verdicts),
+        verdicts=tuple(verdicts.tolist()),
         meta=meta,
     )
 
@@ -419,6 +413,8 @@ def slope_estimate(z_grid, log_tail, mode: str, p: float = 0.0) -> float:
     ys = np.asarray(log_tail, dtype=float)
     if zs.size != ys.size or zs.size < 3:
         raise DomainError("need matching grids with at least 3 points")
+    if not (np.isfinite(zs).all() and np.isfinite(ys).all()):
+        raise DomainError("slope grids and log tails must be finite (a log tail of -inf is a tail of 0)")
     if np.any(zs <= 0.0):
         raise DomainError("slope grids must be positive")
     if zs.max() / zs.min() < 10.0 * (1.0 - 1e-12):
@@ -470,27 +466,29 @@ def _coeffs_from_obj(obj: dict) -> PearsonCoefficients:
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
-    obj = json.loads(text)
-    required = ["x_model", "reference", "hypothesis", "z_grid", "n_samples", "seed"]
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise DomainError(f"scenario JSON missing fields: {missing}")
-    xm = obj["x_model"]
-    if xm.get("type") == "hermite":
-        x_model: Union[HermiteSeries, PearsonLaw] = HermiteSeries(tuple(float(v) for v in xm["coeffs"]))
-    elif xm.get("type") == "pearson":
-        x_model = build_law(_coeffs_from_obj(xm))
-    else:
-        raise DomainError(f"unknown x_model type {xm.get('type')!r}")
-    return ScenarioSpec(
-        x_model=x_model,
-        reference=_coeffs_from_obj(obj["reference"]),
-        hypothesis=Hypothesis(obj["hypothesis"]),
-        z_grid=tuple(float(z) for z in obj["z_grid"]),
-        n_samples=obj["n_samples"],
-        seed=obj["seed"],
-        confidence=float(obj.get("confidence", 0.99)),
-        reference_upper=_coeffs_from_obj(obj["reference_upper"]) if "reference_upper" in obj else None,
-        c_lower=float(obj.get("c", 4.0)),
-        k_upper=float(obj["K"]) if "K" in obj else None,
-    )
+    """The scenario in text; malformed text raises DomainError."""
+    with reading("scenario JSON"):
+        obj = json.loads(text)
+        required = ["x_model", "reference", "hypothesis", "z_grid", "n_samples", "seed"]
+        missing = [k for k in required if k not in obj]
+        if missing:
+            raise DomainError(f"scenario JSON missing fields: {missing}")
+        xm = obj["x_model"]
+        if xm.get("type") == "hermite":
+            x_model: Union[HermiteSeries, PearsonLaw] = HermiteSeries(tuple(float(v) for v in xm["coeffs"]))
+        elif xm.get("type") == "pearson":
+            x_model = build_law(_coeffs_from_obj(xm))
+        else:
+            raise DomainError(f"unknown x_model type {xm.get('type')!r}")
+        return ScenarioSpec(
+            x_model=x_model,
+            reference=_coeffs_from_obj(obj["reference"]),
+            hypothesis=Hypothesis(obj["hypothesis"]),
+            z_grid=tuple(float(z) for z in obj["z_grid"]),
+            n_samples=obj["n_samples"],
+            seed=obj["seed"],
+            confidence=float(obj.get("confidence", 0.99)),
+            reference_upper=_coeffs_from_obj(obj["reference_upper"]) if "reference_upper" in obj else None,
+            c_lower=float(obj.get("c", 4.0)),
+            k_upper=float(obj["K"]) if "K" in obj else None,
+        )

@@ -103,13 +103,13 @@ def test_sandwich_normal_width(normal_law):
 
 def test_implicit_lower_bound_zero_tail(normal_law, gamma_law):
     for law, z in [(normal_law, 1.0), (gamma_law, 2.0)]:
-        assert implicit_lower_bound(law, lambda y: (0.0, 0.0, 0.0), z) == pytest.approx(tail(law, z), rel=1e-12)
+        assert implicit_lower_bound(law, z, (0.0, 0.0, 0.0)) == pytest.approx(tail(law, z), rel=1e-12)
 
 
 def test_implicit_lower_bound_self(normal_law):
     # X = Z: the bound must stay below the true tail
     z = 1.0
-    val = implicit_lower_bound(normal_law, lambda y: pearson.partial_moments(normal_law, y), z)
+    val = implicit_lower_bound(normal_law, z, pearson.partial_moments(normal_law, z))
     t1 = tail(normal_law, 1.0)
     assert val <= t1
     # independent quadrature of the correction term
@@ -120,7 +120,7 @@ def test_implicit_lower_bound_self(normal_law):
 
 def test_implicit_lower_bound_chaos_vs_reference(gamma_law):
     # X with the same law as the reference: bound <= exact tail at z = 2
-    val = implicit_lower_bound(gamma_law, lambda y: pearson.partial_moments(gamma_law, y), 2.0)
+    val = implicit_lower_bound(gamma_law, 2.0, pearson.partial_moments(gamma_law, 2.0))
     assert val <= tail(gamma_law, 2.0)
 
 

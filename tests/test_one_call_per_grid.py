@@ -1,0 +1,272 @@
+"""One call per grid: every pointwise evaluator of pearson, chaos and bounds takes a number or an
+array of any shape, and an array call equals the calls at its numbers to the bit.  The callers
+(stein's certification grid, the scenario runner and its bands) make one call per grid."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS
+
+from steintail import bounds, chaos, pearson, stein, verify
+from steintail.chaos import HermiteSeries, law_of_polynomial
+from steintail.cli import run
+from steintail.errors import (
+    DomainError,
+    InvalidConstantError,
+    InvalidProbabilityError,
+    OutsideSupportError,
+    ThirdMomentError,
+)
+from steintail.pearson import PearsonCoefficients, build_law
+from steintail.verify import Hypothesis, ScenarioSpec, run_scenario, slope_estimate
+
+LAWS = {**CANONICAL_COEFFS, "mirrored_gamma": WIDER_COEFFS["mirrored_gamma"],
+        "mirrored_inverse_gamma": WIDER_COEFFS["mirrored_inverse_gamma"]}
+SERIES = {"H1+0.1H3": HermiteSeries((0.0, 1.0, 0.0, 0.1)), "H2": HermiteSeries((0.0, 0.0, 1.0)),
+          "H1+0.2H2": HermiteSeries((0.0, 1.0, 0.2))}
+
+
+def _members(v):
+    return v if isinstance(v, tuple) else (v,)
+
+
+def _check_array_equals_numbers(fn, xs):
+    """fn on the 2-d xs, on xs flattened and on no points, against fn at each number of xs."""
+    whole, flat = _members(fn(xs)), _members(fn(xs.ravel()))
+    assert all(isinstance(v, np.ndarray) and v.shape == xs.shape for v in whole)
+    assert all(v.shape == (xs.size,) for v in flat)
+    for k, x in enumerate(xs.flat):
+        got = _members(fn(float(x)))
+        assert all(type(g) is float for g in got), x
+        for g, w, f in zip(got, whole, flat):
+            assert np.float64(g).tobytes() == w.flat[k].tobytes() == f[k].tobytes(), x
+    for empty in (np.empty(0), np.empty((0, 2))):
+        assert all(v.shape == empty.shape for v in _members(fn(empty)))
+
+
+def _with_nan(xs):
+    bad = xs.copy()
+    bad.flat[-1] = math.nan
+    return bad
+
+
+# ---------------------------------------------------------------------------
+# pearson
+
+
+@pytest.mark.parametrize("coeffs", LAWS.values(), ids=LAWS.keys())
+def test_quantile_takes_an_array_of_p(coeffs):
+    law = build_law(coeffs)
+    ps = np.array([[1e-300, 1e-6, 0.3], [0.5, 0.9, 1.0 - 1e-6]])
+    _check_array_equals_numbers(lambda p: pearson.quantile(law, p), ps)
+    with pytest.raises(DomainError, match="NaN"):
+        pearson.quantile(law, _with_nan(ps))
+    for bad in (np.array([0.2, 0.0]), np.array([[0.5], [1.0]]), 1.5):
+        with pytest.raises(InvalidProbabilityError):
+            pearson.quantile(law, bad)
+
+
+@pytest.mark.parametrize("coeffs", LAWS.values(), ids=LAWS.keys())
+def test_partial_moments_take_an_array(coeffs):
+    law = build_law(coeffs)
+    sd = math.sqrt(law.variance)
+    ys = np.array([[-1.5, -0.7, 0.0], [0.3, 1.2, 2.5]]) * sd  # inside and, for the bounded laws, outside
+    ys[0, 0] = -math.inf
+    _check_array_equals_numbers(lambda y: pearson.partial_moments(law, y), ys)
+    with pytest.raises(DomainError, match="NaN"):
+        pearson.partial_moments(law, _with_nan(ys))
+
+
+# ---------------------------------------------------------------------------
+# chaos
+
+
+@pytest.mark.parametrize("series", SERIES.values(), ids=SERIES.keys())
+def test_chaos_evaluators_take_an_array_of_levels(series):
+    law = law_of_polynomial(series)
+    inside = series.evaluate(np.array([[-1.7, -0.4, 0.3], [0.9, 1.6, 2.2]]))
+    levels = inside.copy()
+    levels[0, 0], levels[1, 2] = -math.inf, math.inf
+    for fn in (law.tail, law.density, law.partial_moments):
+        _check_array_equals_numbers(fn, levels)
+        with pytest.raises(DomainError, match="NaN"):
+            fn(_with_nan(levels))
+    for fn in (chaos.g_function, chaos.g_from_conditional):
+        _check_array_equals_numbers(lambda x: fn(series, x), inside)
+        with pytest.raises(DomainError, match="NaN"):
+            fn(series, _with_nan(inside))
+        with pytest.raises(OutsideSupportError):
+            fn(series, np.append(inside, math.inf))
+
+
+# ---------------------------------------------------------------------------
+# bounds
+
+
+@pytest.mark.parametrize("coeffs", LAWS.values(), ids=LAWS.keys())
+def test_bounds_take_an_array_of_points(coeffs):
+    law = build_law(coeffs)
+    sd = math.sqrt(law.variance)
+    b = law.support_b
+    inside = np.clip(np.array([[-0.9, -0.2, 0.0], [0.1, 0.7, 1.4]]) * sd, law.support_a * 0.9, b * 0.9)
+    zs = np.clip(np.array([[0.05, 0.2, 0.4], [0.8, 1.3, 2.0]]) * sd, 0.0, b * 0.95)
+    at_b = pearson.partial_moments(law, b) if math.isfinite(b) else None
+    evaluators = {
+        "phi_envelope": (lambda x: bounds.phi_envelope(law, x), inside),
+        "pearson_lower": (lambda z: bounds.pearson_lower(law, z, 4.0)[0], zs),
+        "implicit_lower_bound": (lambda z: bounds.implicit_lower_bound(law, z, pearson.partial_moments(law, z),
+                                                                       at_b), zs),
+        "implicit_integral": (lambda z: bounds.implicit_integral(z, b, pearson.partial_moments(law, z), at_b), zs),
+    }
+    for name, (fn, xs) in evaluators.items():
+        _check_array_equals_numbers(fn, xs)
+        with pytest.raises(DomainError):
+            fn(_with_nan(xs))
+    with pytest.raises(DomainError, match="outside the open support"):
+        bounds.phi_envelope(law, np.array([0.0, law.support_b]))
+    with pytest.raises(DomainError, match="z > 0"):
+        bounds.pearson_lower(law, np.array([[1e-3], [-1e-3]]), 4.0)
+    with pytest.raises(DomainError, match="0 < z < b"):
+        bounds.implicit_lower_bound(law, np.array([0.1, 0.0]), (0.0, 0.0, 0.0), at_b)
+    if math.isfinite(b):
+        with pytest.raises(DomainError, match="partial moments at b"):
+            bounds.implicit_integral(0.1, b, (0.0, 0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the callers: cost guards by count
+
+
+def test_certification_grid_makes_one_quantile_call(monkeypatch):
+    calls, quantile = [], pearson.quantile
+    monkeypatch.setattr(pearson, "quantile", lambda law, p: calls.append(p) or quantile(law, p))
+    for coeffs in CANONICAL_COEFFS.values():
+        calls.clear()
+        stein.certification_grid(build_law(coeffs), 0.3, 200)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("x_model, reference, zs, b_calls", [
+    (HermiteSeries((0.0, 0.0, 1.0)), PearsonCoefficients(0.0, 2.0, 2.0), (1.0, 2.0, 3.0), 0),
+    (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), PearsonCoefficients(-0.25, 0.0, 0.0625), (0.05, 0.2, 0.4), 1),
+], ids=["chaos", "pearson-beta"])
+def test_run_scenario_reads_moments_once_on_the_grid_and_once_at_b(monkeypatch, x_model, reference, zs, b_calls):
+    calls, block_sampler = [], verify._block_sampler
+
+    def counted(model, seed):
+        counter, moments = block_sampler(model, seed)
+        return counter, lambda y: calls.append(np.shape(y)) or moments(y)
+
+    monkeypatch.setattr(verify, "_block_sampler", counted)
+    spec = ScenarioSpec(x_model=x_model, reference=reference, hypothesis=Hypothesis.SANDWICH, z_grid=zs,
+                        n_samples=20_000, seed=3)
+    assert run_scenario(spec).all_passed
+    assert calls == [(len(zs),)] + [()] * b_calls
+
+
+@pytest.mark.parametrize("coeffs, zs", [
+    (PearsonCoefficients(0.25, 0.0, 0.25), (1.0, 2.0, 3.0, 5.0, 8.0)),
+    (PearsonCoefficients(0.0, 2.0, 2.0), (1.0, 2.0, 3.0, 5.0, 8.0)),
+], ids=["case5", "gamma"])
+def test_bands_map_every_threshold_in_one_call_per_round(monkeypatch, coeffs, zs):
+    calls, quantile_grid = [], pearson.quantile_grid
+    monkeypatch.setattr(pearson, "quantile_grid", lambda law, p: calls.append(np.size(p)) or quantile_grid(law, p))
+    verify._bands(build_law(coeffs), np.array(zs))
+    assert calls == [2 * len(zs)]  # every band passes its first check: one round, two points per threshold
+
+
+def test_widening_bands_leave_the_round_once_they_pass(monkeypatch):
+    # the Beta whose bulk sits within ulps of its left end: the bands next to it widen, the others pass at once
+    r, s = 0.02, 1.0
+    alpha, a, b = -1.0 / (r + s), -r / (r + s), s / (r + s)
+    law = build_law(PearsonCoefficients(alpha, -alpha * (a + b), alpha * a * b))
+    zs = np.sort(pearson.quantile_grid(law, np.array([0.6, 0.5, 0.3, 0.1, 1e-3])))
+    calls, quantile_grid = [], pearson.quantile_grid
+    monkeypatch.setattr(pearson, "quantile_grid", lambda law, p: calls.append(np.size(p)) or quantile_grid(law, p))
+    verify._bands(law, zs)
+    assert calls[0] == 2 * zs.size and 2 <= len(calls) <= 9  # a half-width of 2^8 ends every band
+    assert all(n > 0 and n % 2 == 0 for n in calls) and calls == sorted(calls, reverse=True) and calls[1] < calls[0]
+
+
+# ---------------------------------------------------------------------------
+# scenario checks that come before any draw
+
+
+def _spec(**kw):
+    law = PearsonCoefficients(0.0, 2.0, 2.0)
+    args = dict(x_model=HermiteSeries((0.0, 0.0, 1.0)), reference=law, hypothesis=Hypothesis.SANDWICH,
+                z_grid=(1.0, 2.0), n_samples=20_000, seed=1)
+    return ScenarioSpec(**{**args, **kw})
+
+
+@pytest.mark.parametrize("c", [2.0, 1.0, math.nan])
+def test_a_lower_constant_of_at_most_2_is_refused_before_sampling(c):
+    for hypothesis in (Hypothesis.DOMINATES_LOWER, Hypothesis.SANDWICH):
+        with pytest.raises(InvalidConstantError):
+            _spec(hypothesis=hypothesis, c_lower=c)
+    _spec(hypothesis=Hypothesis.DOMINATED_UPPER, c_lower=c)  # the upper side reads no c
+
+
+def test_an_upper_reference_without_a_third_moment_needs_k():
+    heavy = PearsonCoefficients(0.5, 1.0, 0.5)
+    for hypothesis in (Hypothesis.DOMINATED_UPPER, Hypothesis.SANDWICH):
+        with pytest.raises(ThirdMomentError):
+            _spec(hypothesis=hypothesis, reference_upper=heavy)
+        _spec(hypothesis=hypothesis, reference_upper=heavy, k_upper=3.0)
+    _spec(hypothesis=Hypothesis.DOMINATES_LOWER, reference_upper=heavy)
+
+
+# ---------------------------------------------------------------------------
+# slope fits and malformed input: typed errors, exit code 1 at the CLI
+
+
+def test_slope_estimate_refuses_a_nan_or_infinite_point():
+    zs, ys = np.array([0.1, 0.5, 1.0, 2.0]), np.array([-1.0, -2.0, -3.0, -4.0])
+    for bad_z, bad_y in ((math.nan, -5.0), (math.inf, -5.0), (3.0, -math.inf), (3.0, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            slope_estimate(np.append(zs, bad_z), np.append(ys, bad_y), "loglog")
+
+
+def _run_cli(capsys, *argv):
+    code = run(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_asym_past_the_right_end_exits_1(capsys):
+    # the Beta on (-0.5, 0.5): the log tails are -inf past b, so no slope
+    code, err = _run_cli(capsys, "asym", "--alpha", "-0.25", "--beta", "0", "--gamma", "0.0625",
+                         "--mode", "loglog", "--z-grid", "0.05:1:5")
+    assert code == 1 and err.startswith("steintail asym: ") and "finite" in err
+
+
+GOOD_SCENARIO = {"x_model": {"type": "hermite", "coeffs": [0, 0, 1]},
+                 "reference": {"alpha": 0, "beta": 2, "gamma": 2},
+                 "hypothesis": "Sandwich", "z_grid": [1, 2, 3], "n_samples": 20000, "seed": 42}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps([GOOD_SCENARIO]),
+    json.dumps({**GOOD_SCENARIO, "x_model": [0, 0, 1]}),
+    json.dumps({**GOOD_SCENARIO, "reference": {"alpha": "x", "beta": 2, "gamma": 2}}),
+    json.dumps({**GOOD_SCENARIO, "x_model": {"type": "hermite", "coeffs": [0, "x"]}}),
+    json.dumps({**GOOD_SCENARIO, "hypothesis": "Nope"}),
+    json.dumps({**GOOD_SCENARIO, "z_grid": 3}),
+], ids=["not-json", "top-level-list", "x-model-list", "coefficient-text", "series-text", "hypothesis", "grid"])
+def test_malformed_scenario_files_exit_1(capsys, tmp_path, text):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    code, err = _run_cli(capsys, "verify", "--scenario", str(path))
+    assert code == 1 and err.startswith("steintail verify: ") and "Traceback" not in err
+
+
+GAMMA_JSON = json.loads(pearson.law_to_json(build_law(PearsonCoefficients(0.0, 2.0, 2.0))))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "nope", json.dumps({**GAMMA_JSON, "alpha": "x"})],
+                         ids=["list", "not-json", "coefficient-text"])
+def test_malformed_law_json_raises_a_domain_error(text):
+    with pytest.raises(DomainError):
+        pearson.law_from_json(text)

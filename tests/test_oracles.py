@@ -238,7 +238,8 @@ IMPLICIT_CASES = (
 @pytest.mark.parametrize("name, model, z, b, oracle", IMPLICIT_CASES,
                          ids=[f"{c[0]}-z{c[2]:g}" for c in IMPLICIT_CASES])
 def test_implicit_integral_against_mpmath(name, model, z, b, oracle):
-    got = bounds.implicit_integral(_x_moments(model), z, b)
+    moments = _x_moments(model)
+    got = bounds.implicit_integral(z, b, moments(z), moments(b) if math.isfinite(b) else None)
     assert _rel(got, oracle(z)) <= REL, (name, z, got)
 
 
@@ -248,7 +249,8 @@ def test_implicit_bound_with_finite_b_counts_the_mass_beyond_b():
     t_b = chaos.law_of_polynomial(TENTH_H1).tail(ref.support_b)
     assert t_b == pytest.approx(2.8665157187919e-07, rel=1e-12)
     z = 0.49
-    lower = bounds.implicit_lower_bound(ref, _x_moments(TENTH_H1), z)
+    moments = _x_moments(TENTH_H1)
+    lower = bounds.implicit_lower_bound(ref, z, moments(z), moments(ref.support_b))
     integral = _tail_integral(lambda x: mp.ncdf(-10 * x), z, mp.mpf(0.5))
     want = pearson.tail(ref, z) - integral / (1.25 * z * z + 0.0625)  # q(z) = (1 - alpha) z^2 + gamma
     assert _rel(lower, want) <= REL
@@ -257,7 +259,7 @@ def test_implicit_bound_with_finite_b_counts_the_mass_beyond_b():
 def test_heavy_case5_bound_is_finite_and_below_the_tail():
     law = build_law(PearsonCoefficients(0.9, 0.0, 1.0))
     for z in (2.0, 10.0, 1e3):
-        lower = bounds.implicit_lower_bound(law, _x_moments(law.coeffs), z)
+        lower = bounds.implicit_lower_bound(law, z, _x_moments(law.coeffs)(z))
         assert math.isfinite(lower) and lower <= pearson.tail(law, z)
 
 
@@ -299,7 +301,8 @@ def _check_partial_moments(coeffs):
     for y in zs:
         upper, lower = pearson.partial_moments(law, y), pearson.partial_moments(refl, -y)
         assert upper[2] + lower[2] == pytest.approx(pearson.moment(coeffs, 2), rel=1e-12)
-        bound = bounds.implicit_lower_bound(law, lambda v: pearson.partial_moments(law, v), y)
+        at_b = pearson.partial_moments(law, b) if math.isfinite(b) else None
+        bound = bounds.implicit_lower_bound(law, y, upper, at_b)
         assert math.isfinite(bound) and bound <= upper[0], (coeffs, y)
 
 
