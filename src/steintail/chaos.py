@@ -334,7 +334,7 @@ def _per_level(law: PolynomialChaosLaw, x, at, width: int = 1):
 
 def _preimage_weights(pre) -> np.ndarray:
     """phi(n) / |X'(n)| per preimage (n, X'(n)): the density of X at the level is their sum."""
-    return np.array([_phi(n) / abs(d) for n, d in pre], dtype=float)
+    return _phi([n for n, _ in pre]) / np.abs([d for _, d in pre])
 
 
 def g_function(x_series: HermiteSeries, x):

@@ -136,7 +136,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a scenario file and report verdicts")
     p.add_argument("--scenario", type=str, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="threads that count the sample blocks (default: one per usable CPU, at most one per "
+                        "block); the report does not depend on it")
     _add_output_args(p)
 
     p = sub.add_parser("asym", help="tail-slope fit against the law's asymptotic exponent")

@@ -24,6 +24,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -314,31 +316,59 @@ def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return np.array([np.count_nonzero(xs > z) for z in zs], dtype=np.int64)
 
 
-def _tail_counts(counter: Callable, n: int, zs: np.ndarray, n_workers: int) -> np.ndarray:
+def _worker_count(n_workers: Optional[int], blocks: int) -> int:
+    """The threads that count ``blocks`` blocks: ``n_workers`` (an integer >= 1) or, for None, the
+    CPUs this process may run on, capped at the block count (docs/DECISIONS.md, decision 10)."""
+    if n_workers is None:
+        n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    elif (n_workers := as_int(n_workers, "n_workers")) < 1:
+        raise DomainError(f"n_workers must be at least 1, got {n_workers}")
+    return min(n_workers, blocks)
+
+
+def _tail_counts(counter: Callable, n: int, zs: np.ndarray, n_workers: Optional[int] = None) -> np.ndarray:
     """Exceedance counts of n draws per grid point, summed over the blocks.
 
-    ``counter(zs)`` sets up the block counter once (a Pearson X finds its bands here); the blocks
-    are then counted on ``n_workers`` threads.  Each block is a function of (seed, b) alone and the
-    counts are integers, so the sum is exact in any order (docs/DECISIONS.md, decision 10).
+    ``counter(zs)`` sets up the block counter once (a Pearson X finds its bands here).  The blocks
+    then wait in a queue, and ``_worker_count(n_workers, blocks)`` threads take them one at a
+    time: the calling thread and a pool of the others, so one worker runs with no pool.  Each
+    block is a function of (seed, b) alone and the counts are integers, so the sum is exact in any
+    order (docs/DECISIONS.md, decision 10).
     """
-    count = counter(zs)
     bs = rng.BLOCK_SIZE
-    blocks = list(range(rng.n_blocks(n)))
-    sizes = [min(bs, n - b * bs) for b in blocks]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(lambda b: count(b, sizes[b]), blocks))
-    else:
-        parts = [count(b, sizes[b]) for b in blocks]
-    return np.sum(parts, axis=0, dtype=np.int64)  # integer sums: exact in any order
+    blocks = range(rng.n_blocks(n))
+    workers = _worker_count(n_workers, len(blocks))
+    count = counter(zs)
+    todo = queue.SimpleQueue()
+    for b in blocks:
+        todo.put(b)
+
+    def drain() -> np.ndarray:
+        total = np.zeros(zs.shape, dtype=np.int64)
+        while True:
+            try:
+                b = todo.get_nowait()
+            except queue.Empty:
+                return total
+            total += count(b, min(bs, n - b * bs))
+
+    if workers == 1:
+        return drain()
+    with ThreadPoolExecutor(max_workers=workers - 1) as ex:
+        helpers = [ex.submit(drain) for _ in range(workers - 1)]
+        return drain() + sum(f.result() for f in helpers)  # integer sums: exact in any order
 
 
 # ---------------------------------------------------------------------------
 # the runner
 
 
-def run_scenario(spec: ScenarioSpec, n_workers: int = 1) -> TailReport:
-    """Execute the scenario and return the per-threshold report."""
+def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailReport:
+    """Execute the scenario and return the per-threshold report.
+
+    The sample blocks are counted on ``n_workers`` threads, by default one per usable CPU, never
+    more than one per block; None or an integer >= 1, and the report does not depend on it.
+    """
     ref_law = build_law(spec.reference)
     upper_law = build_law(spec.upper_coeffs)
     cert_info = _certify(spec)

@@ -208,10 +208,10 @@ def test_criterion_9_slopes(gamma_law, case5_law):
 
 
 def test_criterion_10_determinism(scenario7_report):
-    rerun = verify.run_scenario(ScenarioSpec(**SCENARIO_7))
+    rerun = verify.run_scenario(ScenarioSpec(**SCENARIO_7), n_workers=1)
     parallel = verify.run_scenario(ScenarioSpec(**SCENARIO_7), n_workers=4)
     same_serial = scenario7_report.to_csv().encode() == rerun.to_csv().encode() \
         and scenario7_report.to_json().encode() == rerun.to_json().encode()
     same_parallel = scenario7_report.to_csv().encode() == parallel.to_csv().encode()
     _report(10, same_serial and same_parallel,
-            "byte-identical reports across repeated and 4-worker parallel runs")
+            "byte-identical reports across default, serial and 4-worker parallel runs")

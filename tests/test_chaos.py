@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +278,22 @@ def test_g_function_h3_branch_oracle():
     expected = (2 * w_out * 12.0 + w_mid * 3.0) / (2 * w_out + w_mid)
     assert g_from_conditional(H3, 0.0) == pytest.approx(expected, rel=1e-12)
     assert g_function(H3, 0.0) == pytest.approx(expected, rel=1e-9)
+
+
+def test_preimage_weights_are_the_per_preimage_doubles():
+    # one _phi call on all preimages gives the doubles of one call per preimage, on the 40 levels
+    # that the benchmark's reference_certify workload draws for each of its series at seed 20240527
+    rnd = random.Random(20240527)
+    for _ in range(40):  # the workload's Stein thresholds come first
+        rnd.uniform(0.1, 1.0)
+    for series in (HermiteSeries((0.0, 1.0, 0.0, 0.1)), H2, HermiteSeries((0.0, 1.0, 0.2))):
+        law = law_of_polynomial(series)
+        ns = [rnd.choice((-1.0, 1.0)) * rnd.uniform(0.3, 2.0) for _ in range(40)]
+        for x in (float(series.evaluate(n)) for n in ns):
+            pre, _ = law.level(x)
+            want = [float(chaos._phi(n)) / abs(d) for n, d in pre]
+            assert chaos._preimage_weights(pre).tolist() == want
+    assert chaos._preimage_weights([]).tolist() == []
 
 
 def test_g_two_routes_agree_on_grid():

@@ -1,9 +1,12 @@
 import json
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import WIDER_COEFFS, normal_stream
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS, normal_stream
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -261,9 +264,89 @@ def test_report_byte_identical():
 
 
 def test_report_identical_under_parallel_execution():
-    serial = run_scenario(h2_gamma_spec())
+    serial = run_scenario(h2_gamma_spec(), n_workers=1)
     parallel = run_scenario(h2_gamma_spec(), n_workers=4)
     assert serial.to_csv().encode() == parallel.to_csv().encode()
+
+
+def _default_vs_serial_spec(name):
+    if name == "chaos":
+        return h2_gamma_spec()
+    if name == "one_block":
+        return h2_gamma_spec(n_samples=rng.BLOCK_SIZE - 1)
+    law = build_law(CANONICAL_COEFFS[name])
+    zs = (0.05, 0.1, 0.2, 0.4) if name == "beta" else (0.5, 1.0, 2.0)
+    # the inverse-gamma type (alpha = 1/2) has no third moment, so no upper constant
+    hypothesis = Hypothesis.DOMINATES_LOWER if name == "inverse_gamma_type" else Hypothesis.SANDWICH
+    return ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=hypothesis, z_grid=zs,
+                        n_samples=3 * rng.BLOCK_SIZE + 5, seed=11)
+
+
+@pytest.mark.parametrize("name", ["chaos", *CANONICAL_COEFFS, "one_block"])
+def test_default_report_is_the_serial_report(name):
+    spec = _default_vs_serial_spec(name)
+    default, serial = run_scenario(spec), run_scenario(spec, n_workers=1)
+    assert default.to_csv().encode() == serial.to_csv().encode()
+    assert default.to_json().encode() == serial.to_json().encode()
+
+
+@pytest.mark.parametrize("n_workers", [0, -3, 2.5, True])
+def test_worker_count_is_none_or_a_positive_integer(n_workers):
+    with pytest.raises(DomainError, match="n_workers"):
+        run_scenario(h2_gamma_spec(n_samples=10**4), n_workers=n_workers)
+
+
+def test_worker_count_is_the_usable_cpus_capped_at_the_block_count(monkeypatch):
+    assert verify._worker_count(10**6, 3) == 3
+    assert verify._worker_count(2.0, 3) == 2
+    assert verify._worker_count(None, rng.n_blocks(rng.BLOCK_SIZE - 1)) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert verify._worker_count(None, 16) == 16
+    assert verify._worker_count(None, 100) == 64
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert verify._worker_count(None, 16) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._worker_count(None, 16) == 1
+
+
+def test_default_counts_beside_a_pool_of_the_other_usable_cpus_and_one_worker_without_one(monkeypatch):
+    # four usable CPUs and three blocks: the calling thread and a pool of two count the blocks
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    spec = h2_gamma_spec(n_samples=10**4)
+    counter, _ = verify._block_sampler(spec.x_model, spec.seed)
+    zs = np.asarray(spec.z_grid)
+    serial = verify._tail_counts(counter, 3 * rng.BLOCK_SIZE, zs, n_workers=1)
+    assert pools == []
+    assert verify._tail_counts(counter, 3 * rng.BLOCK_SIZE, zs).tolist() == serial.tolist()
+    assert pools == [2]
+
+
+def test_threads_count_every_block_once():
+    # four threads on a 1 us switch interval take 300 blocks off the queue: each is counted once
+    seen = []
+
+    def counter(zs):
+        def count(b, size):
+            seen.append((b, size))
+            return np.ones(zs.shape, dtype=np.int64)
+        return count
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        counts = verify._tail_counts(counter, 300 * rng.BLOCK_SIZE - 5, np.zeros(2), n_workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts.tolist() == [300, 300]
+    assert sorted(seen) == [(b, rng.BLOCK_SIZE) for b in range(299)] + [(299, rng.BLOCK_SIZE - 5)]
 
 
 def test_block_counts_match_empirical_tail():
