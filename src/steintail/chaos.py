@@ -105,11 +105,17 @@ def _gauss_integral(herm, intervals) -> float:
     return float(sum(herm[0] * _gauss_interval_prob(u, v) + (edge(u) - edge(v)) for u, v in intervals))
 
 
-def _log2_root_bound(c) -> float:
-    """log2 max_k |c_(d-k) / c_d|^(1/k), in logs so no ratio overflows; the roots of sum c_k N^k lie within twice it."""
+def _log2_root_bound(c, lower=None) -> float:
+    """log2 max_j |c_j / c_d|^(1/(d - j)) over the lower indices j (all of 0..d-1 by default), in logs so no ratio
+    overflows; the roots of sum c_k N^k lie within twice it over all of them."""
     d = len(c) - 1
-    return max(((math.log2(abs(c[d - k])) - math.log2(abs(c[d]))) / k for k in range(1, d + 1) if c[d - k]),
-               default=-math.inf)
+    js = range(d) if lower is None else lower
+    return max(((math.log2(abs(c[j])) - math.log2(abs(c[d]))) / (d - j) for j in js if c[j]), default=-math.inf)
+
+
+def _limits(c) -> tuple[float, float]:
+    """The polynomial's limits at -inf and +inf (``_poly_limit``)."""
+    return _poly_limit(c, -math.inf), _poly_limit(c, math.inf)
 
 
 def _horner(c, t):
@@ -117,11 +123,12 @@ def _horner(c, t):
     return functools.reduce(lambda acc, ck: acc * t + ck, c[-2::-1], c[-1]) if len(c) else 0.0
 
 
-def _sign_changes(c, dc, splits: np.ndarray) -> np.ndarray:
+def _sign_changes(c, dc, splits: np.ndarray, limits: tuple[float, float], log2_bound: float) -> np.ndarray:
     """Sorted sign changes of p = sum c_k t^k, monotone between the sorted splits; dc holds p'.
 
-    The signs at +-inf are those of p's limits, and the Fujiwara bound R
-    closes the outer pieces.  Every piece whose end signs differ is solved in one
+    The signs at +-inf are those of p's limits, and the Fujiwara bound R,
+    with log2(R / 2) = log2_bound (``_log2_root_bound``), closes the outer
+    pieces.  Every piece whose end signs differ is solved in one
     ``quadrature.solve_monotone`` call; a run of splits where p is exactly 0
     between opposite signs is one root, its middle split.  Roots of even
     multiplicity change no sign.  A solve stops after a Newton step below
@@ -133,7 +140,7 @@ def _sign_changes(c, dc, splits: np.ndarray) -> np.ndarray:
     p = 0, at such a root.
     """
     with np.errstate(over="ignore"):  # past the doubles p is +-inf, which keeps its sign
-        signs = np.sign([_poly_limit(c, -math.inf), *_horner(c, splits), _poly_limit(c, math.inf)])
+        signs = np.sign([limits[0], *_horner(c, splits), limits[1]])
     found = splits[:0]
     if not signs.all():  # some split has p = 0; the limits at +-inf never do
         nz = np.flatnonzero(signs)
@@ -141,7 +148,7 @@ def _sign_changes(c, dc, splits: np.ndarray) -> np.ndarray:
         found = splits[(nz[:-1][run] + nz[1:][run]) // 2 - 1]
     cross = signs[:-1] * signs[1:] < 0.0
     if cross.any():
-        log2_r = 1.0 + _log2_root_bound(c)
+        log2_r = 1.0 + log2_bound
         r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
         ends = np.concatenate([[-r], splits, [r]])
         solved = quadrature.solve_monotone(lambda t, i: (_horner(c, t), _horner(dc, t)),
@@ -165,7 +172,7 @@ def _real_roots(coeffs) -> np.ndarray:
     if k := int(np.flatnonzero(c)[0]):
         return np.sort(np.append(_real_roots(c[k:]), [0.0] * (k % 2)))
     dc = npoly.polyder(c)
-    return _sign_changes(c, dc, _real_roots(dc))
+    return _sign_changes(c, dc, _real_roots(dc), _limits(c), _log2_root_bound(c))
 
 
 @dataclass(frozen=True)
@@ -283,11 +290,19 @@ class PolynomialChaosLaw:
             raise DomainError("level must be a number, got nan")
         if math.isinf(x):
             return [], ([(-math.inf, math.inf)] if x < 0.0 else [])
+        limits, splits, log2_rest = self._level_terms
         c = (self.poly[0] - x, *self.poly[1:])
-        ns = _sign_changes(c, self.dpoly, np.asarray(self.crit_points)).tolist()
+        ns = _sign_changes(c, self.dpoly, splits, limits, max(log2_rest, _log2_root_bound(c, (0,)))).tolist()
         pts = [-math.inf, *ns, math.inf]
-        first = 0 if _poly_limit(c, -math.inf) > 0.0 else 1
+        first = 0 if limits[0] > 0.0 else 1
         return [(n, _horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
+
+    @functools.cached_property
+    def _level_terms(self) -> tuple[tuple[float, float], np.ndarray, float]:
+        """What every level shares: the limits of X(n) - x at -inf and +inf, which x does not move, the
+        critical points as an array, and the Fujiwara bound's max over every coefficient but c_0's."""
+        rest = _log2_root_bound(self.poly, range(1, len(self.poly) - 1))
+        return _limits(self.poly), np.asarray(self.crit_points), rest
 
     # -- evaluators ---------------------------------------------------------
 
@@ -423,9 +438,16 @@ def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tu
 def expect_polynomial(poly_coeffs) -> float:
     """E[p(N)] by probabilists' Gauss-Hermite with exactness-level node count."""
     c = np.atleast_1d(np.asarray(poly_coeffs, dtype=float))
-    nodes = max(len(c) // 2 + 1, 2)
-    x, w = herme.hermegauss(nodes)
+    x, w = _hermegauss(max(len(c) // 2 + 1, 2))
     return float(np.dot(w, npoly.polyval(x, c)) / _SQRT_2PI)
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE)
+def _hermegauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss-Hermite rule of the node count, built once (an eigen-solve) and read-only, since callers share it."""
+    x, w = herme.hermegauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
