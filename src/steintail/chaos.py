@@ -113,25 +113,20 @@ def _log2_root_bound(c, lower=None) -> float:
     return max(((math.log2(abs(c[j])) - math.log2(abs(c[d]))) / (d - j) for j in js if c[j]), default=-math.inf)
 
 
-def _limits(c) -> tuple[float, float]:
-    """The polynomial's limits at -inf and +inf (``_poly_limit``)."""
-    return _poly_limit(c, -math.inf), _poly_limit(c, math.inf)
-
-
 def _horner(c, t):
     """sum c_k t^k by Horner (c low to high, () is 0; t a number, array or Polynomial): polyval's steps at finite t."""
     return functools.reduce(lambda acc, ck: acc * t + ck, c[-2::-1], c[-1]) if len(c) else 0.0
 
 
-def _sign_changes(c, dc, splits: np.ndarray, limits: tuple[float, float], log2_bound: float) -> np.ndarray:
+def _sign_changes(c, dc, splits: np.ndarray, limits=None, log2_bound=None) -> np.ndarray:
     """Sorted sign changes of p = sum c_k t^k, monotone between the sorted splits; dc holds p'.
 
-    The signs at +-inf are those of p's limits, and the Fujiwara bound R,
-    with log2(R / 2) = log2_bound (``_log2_root_bound``), closes the outer
-    pieces.  Every piece whose end signs differ is solved in one
-    ``quadrature.solve_monotone`` call; a run of splits where p is exactly 0
-    between opposite signs is one root, its middle split.  Roots of even
-    multiplicity change no sign.  A solve stops after a Newton step below
+    The signs at +-inf are those of p's limits, and the Fujiwara bound R
+    closes the outer pieces; a caller that holds both passes the limits and
+    log2(R / 2) (``_log2_root_bound``).  Every piece whose end signs differ
+    is solved in one ``quadrature.solve_monotone`` call; a run of splits
+    where p is exactly 0 between opposite signs is one root, its middle
+    split.  Roots of even multiplicity change no sign.  A solve stops after a Newton step below
     1e-13 + 4 eps |t|; at an odd multiple root, or where p is close to a power
     c t^k across a wide piece, Newton gains only (m - 1)/m a step, and the
     solver's patience rule closes the distance.  Near an odd multiple root
@@ -139,6 +134,8 @@ def _sign_changes(c, dc, splits: np.ndarray, limits: tuple[float, float], log2_b
     bisection ends there; the noise can also put several splits, all with
     p = 0, at such a root.
     """
+    if limits is None:
+        limits = _poly_limit(c, -math.inf), _poly_limit(c, math.inf)
     with np.errstate(over="ignore"):  # past the doubles p is +-inf, which keeps its sign
         signs = np.sign([limits[0], *_horner(c, splits), limits[1]])
     found = splits[:0]
@@ -148,7 +145,7 @@ def _sign_changes(c, dc, splits: np.ndarray, limits: tuple[float, float], log2_b
         found = splits[(nz[:-1][run] + nz[1:][run]) // 2 - 1]
     cross = signs[:-1] * signs[1:] < 0.0
     if cross.any():
-        log2_r = 1.0 + log2_bound
+        log2_r = 1.0 + (_log2_root_bound(c) if log2_bound is None else log2_bound)
         r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
         ends = np.concatenate([[-r], splits, [r]])
         solved = quadrature.solve_monotone(lambda t, i: (_horner(c, t), _horner(dc, t)),
@@ -172,7 +169,7 @@ def _real_roots(coeffs) -> np.ndarray:
     if k := int(np.flatnonzero(c)[0]):
         return np.sort(np.append(_real_roots(c[k:]), [0.0] * (k % 2)))
     dc = npoly.polyder(c)
-    return _sign_changes(c, dc, _real_roots(dc), _limits(c), _log2_root_bound(c))
+    return _sign_changes(c, dc, _real_roots(dc))
 
 
 @dataclass(frozen=True)
@@ -302,7 +299,8 @@ class PolynomialChaosLaw:
         """What every level shares: the limits of X(n) - x at -inf and +inf, which x does not move, the
         critical points as an array, and the Fujiwara bound's max over every coefficient but c_0's."""
         rest = _log2_root_bound(self.poly, range(1, len(self.poly) - 1))
-        return _limits(self.poly), np.asarray(self.crit_points), rest
+        limits = _poly_limit(self.poly, -math.inf), _poly_limit(self.poly, math.inf)
+        return limits, np.asarray(self.crit_points), rest
 
     # -- evaluators ---------------------------------------------------------
 

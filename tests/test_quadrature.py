@@ -92,8 +92,11 @@ def _same_on_both_executors(f_of, lo, hi, increasing, x0=None, xtol=1e-13) -> in
 # slope: the true one, 0, +inf, NaN or a millionth of it (Newton leaves the bracket); or a NaN value right of the root
 _MODES = ("newton", "zero_slope", "inf_slope", "nan_slope", "shallow", "nan_value")
 # a problem: a (x - r)^m on [r - 10^left, r + 10^right], increasing where a > 0, started at its first bisection
-# point (NaN), at a point of the bracket or at its root, where the slope of a multiple root is 0
-_PROBLEM = st.tuples(st.floats(-1e3, 1e3), st.sampled_from([1, 3, 5]), st.sampled_from([-2.5, -1.0, 0.5, 3.0]),
+# point (NaN), at a point of the bracket or at its root, where the slope of a multiple root is 0;
+# 1e-3 <= |r| <= 1e3, since a root near 0 whose Newton steps are refused takes the arithmetic midpoints below
+# magnitude 1 and ends in the 400-step error (the explicit examples below hold two such solves)
+_ROOT = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+_PROBLEM = st.tuples(_ROOT, st.sampled_from([1, 3, 5]), st.sampled_from([-2.5, -1.0, 0.5, 3.0]),
                      st.floats(-3.0, 60.0), st.floats(-3.0, 60.0), st.sampled_from(_MODES),
                      st.one_of(st.just(math.nan), st.just("root"), st.floats(0.0, 1.0)))
 
@@ -125,6 +128,9 @@ _SIZES = st.sampled_from([1, 2, 3, 8, quadrature._FLOAT_MAX, quadrature._FLOAT_M
        xtol=st.sampled_from([1e-13, 0.0]))  # with 0, a Newton step stops a problem only when it is exactly 0
 @example(problems=[(1.0, 5, 1.0, 0.0, 60.0, "newton", 0.1)], xtol=1e-13)  # a multiplicity-5 root past the patience rule
 @example(problems=[(0.0, 3, 1.0, 1.0, 1.0, "newton", "root")], xtol=1e-13)  # slope 0 at the start
+@example(problems=[(0.0, 1, 0.5, 5.0, 47.0, "nan_slope", "root")], xtol=1e-13)  # root 0 by bisection: no convergence
+@example(problems=[(0.0, 1, 1.0, 1.0, 1.0, "zero_slope", math.nan)] + [(1.0, 1, 1.0, 0.0, 0.0, "newton", math.nan)]
+         * quadrature._FLOAT_MAX, xtol=1e-13)  # the same past the switch from arrays to floats
 def test_array_and_float_executors_agree_bit_for_bit(problems, xtol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -136,6 +142,14 @@ def test_the_executors_agree_past_the_patience_rule_at_equal_steps_and_on_a_thin
     assert _same_on_both_executors(f, lo, hi, inc, x0) > quadrature._PATIENCE
     # a Newton step of exactly half the first bracket is taken: to 1, where bisection would go to 1.5
     assert _same_on_both_executors(lambda x, i: (x - 1.0, np.ones_like(x)), [0.0], [4.0], True, [3.0]) == 2
+    # a Newton step that lands on the bracket's end is taken: from 3 to 1, the root
+    assert _same_on_both_executors(lambda x, i: (x - 1.0, np.ones_like(x)), [1.0], [10.0], True, [3.0]) == 2
+    # ends exactly 4x apart in magnitude are split at their midpoint, 2.5, not their geometric mean, 2
+    nan_slope = lambda x, i: (x - 3.0, np.full_like(x, math.nan))
+    _same_on_both_executors(nan_slope, [1.0], [4.0], True)
+    assert np.frombuffer(_solve(nan_slope, [1.0], [4.0], True, None, 1e-13, math.inf)[1][0][1])[0] == 2.5
+    # with xtol 0, the exact Newton step 0 at the root 0 stops the problem
+    assert _same_on_both_executors(lambda x, i: (x, np.ones_like(x)), [-1.0], [4.0], True, [0.0], xtol=0.0) == 1
     sizes = []
     quadrature.solve_monotone(_cube(sizes), LO, HI, True, xtol=1e-13)
     assert sizes[0].size > quadrature._FLOAT_MAX >= sizes[-1].size  # the default switches executors mid-solve
