@@ -294,6 +294,15 @@ class PolynomialChaosLaw:
         first = 0 if limits[0] > 0.0 else 1
         return [(n, _horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
 
+    def sign_ends(self, x: float, margin: float) -> tuple[list[tuple[float, bool]], bool]:
+        """The sorted n where X(n) - x changes sign (True) or has a critical value within margin of 0
+        (False), and whether X(n) > x as n -> +inf: where {X > x} begins or ends, and where X(n)
+        computed with an error below margin may seem to."""
+        pre, above = self.level(x)
+        values = npoly.polyval(self.crit_points, self.poly)
+        near = [(c, False) for c, v in zip(self.crit_points, values) if abs(v - x) <= margin]
+        return sorted([(n, True) for n, _ in pre] + near), bool(above) and above[-1][1] == math.inf
+
     @functools.cached_property
     def _level_terms(self) -> tuple[tuple[float, float], np.ndarray, float]:
         """What every level shares: the limits of X(n) - x at -inf and +inf, which x does not move, the
@@ -350,32 +359,52 @@ def _preimage_weights(pre) -> np.ndarray:
     return _phi([n for n, _ in pre]) / np.abs([d for _, d in pre])
 
 
+def _g_given(law: PolynomialChaosLaw, v: float, pre) -> float:
+    """E[G | X = v]: the mean of G(n) over the preimages n of v, weighted by phi(n) / |X'(n)|.
+
+    Where every weight underflows (|n| > 37), the weights are taken in logs relative to the largest,
+    so only their ratios are formed, and G(n) is X'(n) (v + B(n)) / n with
+    B = sum_m (m - 1) c_m H_{m-2}, from X = n A - B and G = X' A: the level v stands in for X(n),
+    whose terms cancel there, so the rounding of n does not reach A(n).
+    """
+    if not pre:
+        raise OutsideSupportError(f"no preimages of {v}")
+    w = _preimage_weights(pre)
+    if w.any():
+        return float(np.dot(w, npoly.polyval([n for n, _ in pre], law.gpoly)) / np.sum(w))
+    ns, ds = np.array(pre).T
+    with np.errstate(over="ignore", divide="ignore"):  # past 1e154 n^2 is inf: a weight of 0 even in logs
+        logs = -0.5 * ns * ns - np.log(np.abs(ds))
+    if not np.isfinite(logs.max()):
+        raise OutsideSupportError(f"every preimage weight of {v} underflows, even in logs")
+    w = np.exp(logs - logs.max())
+    c = law.series.coeffs
+    values = ds * (v + herme.hermeval(ns, [(m - 1) * c[m] for m in range(2, len(c))] or [0.0])) / ns
+    return float(np.dot(w, values) / np.sum(w))
+
+
 def g_function(x_series: HermiteSeries, x):
-    """g(x) = E[X 1_{X>x}] / rho_X(x), the Stein kernel of the exact law."""
+    """g(x) = E[X 1_{X>x}] / rho_X(x), the Stein kernel of the exact law.
+
+    Where rho_X(x) underflows, both are sums over the preimages of phi(n) times a polynomial
+    (``_gauss_integral``; X is centered), and their ratio is E[G | X = x] from the log-weights
+    (``_g_given``), as ``g_from_conditional`` forms it.
+    """
     law = law_of_polynomial(x_series)
 
     def at(v: float, pre, above) -> float:
         if not law.support_a < v < law.support_b:
             raise OutsideSupportError(f"{v} outside the support ({law.support_a}, {law.support_b})")
         rho = float(np.sum(_preimage_weights(pre)))
-        if rho == 0.0:
-            raise OutsideSupportError(f"density vanishes at {v}")
-        return _gauss_integral(x_series.coeffs, above) / rho
+        return _gauss_integral(x_series.coeffs, above) / rho if rho > 0.0 else _g_given(law, v, pre)
 
     return _per_level(law, x, at)
 
 
 def g_from_conditional(x_series: HermiteSeries, x):
-    """E[G | X = x] as a preimage-weighted average of the polynomial G."""
+    """E[G | X = x] as a preimage-weighted average of the polynomial G (``_g_given``)."""
     law = law_of_polynomial(x_series)
-
-    def at(v: float, pre, above) -> float:
-        if not pre:
-            raise OutsideSupportError(f"no preimages of {v}")
-        weights = _preimage_weights(pre)
-        return float(np.dot(weights, npoly.polyval([n for n, _ in pre], law.gpoly)) / np.sum(weights))
-
-    return _per_level(law, x, at)
+    return _per_level(law, x, lambda v, pre, above: _g_given(law, v, pre))
 
 
 def margin_extrema(x_poly, g_poly, coeffs: PearsonCoefficients, domain) -> dict:

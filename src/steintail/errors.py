@@ -50,6 +50,10 @@ class OutsideSupportError(DomainError):
     """Evaluation point outside the support of the law."""
 
 
+class DensityUnderflowError(DomainError):
+    """A bound divides by a density that underflows at its point, so it exceeds every double."""
+
+
 class InsufficientRangeError(DomainError):
     """Fit grid spans less than one decade."""
 

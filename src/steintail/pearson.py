@@ -73,6 +73,7 @@ __all__ = [
     "log_density",
     "density",
     "flux",
+    "kernel_and_flux",
     "tail",
     "partial_moments",
     "log_tail",
@@ -745,11 +746,11 @@ def _log_density(law: PearsonLaw, x: np.ndarray):
         return _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
 
 
-def _flux(law: PearsonLaw, x: np.ndarray) -> np.ndarray:
+def _kernel_flux(law: PearsonLaw, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g = _kernel(law, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.exp(np.log(g) + _log_density(law, x))
-    return np.where(g > 0.0, val, 0.0)
+    return g, np.where(g > 0.0, val, 0.0)
 
 
 def _log_tail(law: PearsonLaw, z: np.ndarray):
@@ -786,7 +787,12 @@ def density(law: PearsonLaw, x):
 
 def flux(law: PearsonLaw, x):
     """g(x) rho(x) in log space; 0 where the kernel vanishes, even against a density pole."""
-    return pointwise(_flux, law, x)
+    return pointwise(lambda law, x: _kernel_flux(law, x)[1], law, x)
+
+
+def kernel_and_flux(law: PearsonLaw, x):
+    """(``stein_kernel``, ``flux``) at x from one evaluation of the kernel."""
+    return pointwise(_kernel_flux, law, x)
 
 
 def tail(law: PearsonLaw, z):
@@ -815,7 +821,7 @@ def log_tail(law: PearsonLaw, z):
 
 
 def _partial_moments(law: PearsonLaw, y: np.ndarray):
-    c, t, f = law.coeffs, _side(law, y, True), _flux(law, y)
+    c, t, f = law.coeffs, _side(law, y, True), _kernel_flux(law, y)[1]
     with np.errstate(invalid="ignore"):  # no flux out of the support, where y may be infinite
         return t, f, (np.where(f > 0.0, (y + c.beta) * f, 0.0) + c.gamma * t) / (1.0 - c.alpha)
 

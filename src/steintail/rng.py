@@ -4,8 +4,8 @@ Draws come from Philox generators keyed by (seed, block_index), so block b of a
 stream is computable without generating blocks 0..b-1.  Assembling blocks by
 index makes the output independent of the order in which blocks are produced,
 which is what guarantees byte-identical results under parallel execution.
-Consumers transform a block CHUNK draws at a time: the block size fixes the
-stream, the chunk size only bounds the temporaries (docs/DECISIONS.md,
+``pearson.sample`` maps a stream CHUNK draws at a time: the block size fixes
+the stream, the chunk size only bounds the temporaries (docs/DECISIONS.md,
 decision 10).
 """
 

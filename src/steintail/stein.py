@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pearson
-from .errors import DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
+from .errors import DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
 from .pearson import PearsonLaw, q_function, stein_kernel
 
 __all__ = [
@@ -72,9 +72,9 @@ def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray, left: np.ndarray):
     side = np.empty_like(xs)
     side[left] = pearson.cdf(law, xs[left])
     side[~left] = pearson.tail(law, xs[~left])
-    flux, weight = pearson.flux(law, xs), np.where(left, sol.phi_star_z, sol.eh)
+    (g, flux), weight = pearson.kernel_and_flux(law, xs), np.where(left, sol.phi_star_z, sol.eh)
     num_p = weight * (xs * side + np.where(left, flux, -flux))  # x F + flux left, x Phi - flux right
-    return stein_kernel(law, xs), flux, weight * side, num_p
+    return g, flux, weight * side, num_p
 
 
 def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,7 +170,11 @@ def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertific
     sign_violations = int(np.sum((left & (fp < 0.0)) | (~left & (fp > 0.0))))
 
     g_z = stein_kernel(law, z)
-    ub_left = z / (g_z * g_z * pearson.density(law, z)) + 1.0 / q_function(law, 0.0)
+    flux_g = g_z * g_z * pearson.density(law, z)
+    ub_left = z / flux_g + 1.0 / q_function(law, 0.0) if flux_g > 0.0 else math.inf
+    if not math.isfinite(ub_left):  # decision 11: an infinite bound says nothing, so no certificate carries it
+        raise DensityUnderflowError(f"the uniform bound z/(g(z)^2 rho(z)) at z={z} is past the largest double: "
+                                    f"g(z)^2 rho(z) has underflowed to {flux_g!r}")
     lower = np.where(left, 0.0, np.where(xs < b, -1.0 / q_function(law, z), -sol.eh / (b * b)))
     upper = np.where(left, np.where(xs > a, ub_left, sol.phi_star_z / (a * a)), 0.0)
     margins = np.minimum(fp - lower, upper - fp)

@@ -6,10 +6,10 @@ or a quadratic-kernel law), a reference coefficient triple, a z grid, and a
 sample budget.  The runner certifies the dominance hypothesis exactly, over the
 whole support of X, through one polynomial margin routine for both models
 (``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible
-counter-based samples, and compares the empirical survival function, wrapped
-in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.  A
-Pearson X is counted on its uniforms, mapping only the draws in a narrow band
-around each threshold; the counts equal those of mapping every draw
+counter-based uniforms, and compares the empirical survival function, wrapped
+in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.  Both
+models count on the uniforms, mapping only the draws in narrow bands around
+the ends of each {X > z}; the counts equal those of mapping every draw
 (decision 10).
 
 Two policies keep the verdicts honest: the explicit large-z bounds are only
@@ -32,6 +32,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import bounds, chaos, pearson, rng
 from .chaos import HermiteSeries
@@ -122,7 +123,7 @@ def empirical_tail(samples, z_grid, confidence: float = 0.99) -> tuple[np.ndarra
         raise DomainError("empirical_tail needs at least one sample")
     if np.isnan(samples).any() or np.isnan(zs).any():
         raise DomainError("empirical_tail needs samples and thresholds that are not NaN")
-    counts = _exceedances(samples, zs)
+    counts = np.array([np.count_nonzero(samples > z) for z in zs], dtype=np.int64)
     return counts / samples.size, dkw_half_width(samples.size, confidence)
 
 
@@ -221,99 +222,103 @@ def _certify(spec: ScenarioSpec) -> dict:
 # ---------------------------------------------------------------------------
 # block sampling and counting
 
-_BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around a threshold
+_BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around an end
 _WIDEN = 16.0  # a band whose check fails widens by this factor
-_ROUNDING = 2.0**-32  # margin for the map's rounding, relative to |x| + the law's scale (decision 10)
+_ROUNDING = 2.0**-32  # margin for the map's rounding, relative to the model's size (decision 10)
 _U_MIN, _U_MAX = 2.0**-53, 1.0 - 2.0**-53  # the range of rng's uniforms
 _OFFSETS = np.array([-1.0, -0.5, 0.5, 1.0])  # a band's lower end, its check points and its upper end, in half-widths
 
 
-def _bands(law: PearsonLaw, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per threshold z, uniforms lo <= hi such that every draw below lo maps above z and every
-    draw above hi maps to z or below, by ``pearson.quantile_grid``, which is non-increasing in u.
+def _model(x_model: Union[HermiteSeries, PearsonLaw]) -> tuple:
+    """(base, x_of, size, ends): a draw u is X = x_of(t) at t = quantile_grid(base, u), non-increasing in u;
+    ``_ROUNDING`` * size(t) covers the map's rounding, and ends(z) are the t where X - z changes sign or comes
+    within that margin of 0.  A chaos X is X(n) by Horner at n = the Normal's inverse of u; its size, sum |c_k| n^k at the
+    farthest n a draw reaches, bounds Horner's rounding at every draw (docs/DECISIONS.md, decision 10)."""
+    if isinstance(x_model, PearsonLaw):
+        scale = math.sqrt(x_model.variance) + sum(abs(v) for v in (x_model.mu, x_model.support_a, x_model.support_b)
+                                                  if v is not None and math.isfinite(v))
+        return x_model, lambda t: t, lambda t: np.abs(t) + scale, lambda z: ([(z, True)], True)
+    law, normal = chaos.law_of_polynomial(x_model), build_law(PearsonCoefficients(0.0, 0.0, 1.0))
+    reach = np.abs(pearson.quantile_grid(normal, np.array([_U_MIN, _U_MAX]))).max()  # the farthest n a draw reaches
+    size = float(npoly.polyval(reach, np.abs(law.poly)))
+    return (normal, lambda t: npoly.polyval(t, law.poly), lambda t: np.full(np.shape(t), size),
+            lambda z: law.sign_ends(z, 2.0 * _ROUNDING * size))
 
-    The band starts at logit P[X > z] +- ``_BAND``.  Its ends are accepted once the map, at the
-    check points halfway between them and the centre, lies on the correct side of z by
-    ``_ROUNDING`` (|x| + scale); the halfway gap covers the rounding of the logit.  An end at the
-    edge of the uniforms' range has no draw beyond it and needs no check.  A failing band widens
-    by ``_WIDEN``; by a half-width of 2^8 both ends sit at the edges, so the loop ends, with the
-    band mapping every draw (docs/DECISIONS.md, decision 10).  Each round maps the check points of
-    every band still open in one call; a band that passes leaves the next round.
+
+def _bands(model: tuple, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The bands of uniforms [lo, hi] mapped around the ends of each {X > z}, by threshold and then by u:
+    lo, hi, the threshold of each, whether the draws between it and the band below and above count
+    (X > z there and a gap between the bands), and whether X > z on each threshold's highest piece.
+
+    A band starts at logit P[T > t_end] +- ``_BAND``, T the base variable.  Each of its ends is accepted
+    once the piece beyond it holds no draw, or the map at the check point halfway to the centre lies on
+    that piece's side of z by ``_ROUNDING`` * size.  A failing band widens by ``_WIDEN``; by a half-width
+    of 2^8 it holds every draw.  Each round maps the check points of every open band in one call.  Last,
+    each band takes in the parts of its threshold's bands that reach past it (docs/DECISIONS.md, decision 10).
     """
-    scale = math.sqrt(law.variance) + sum(abs(v) for v in (law.mu, law.support_a, law.support_b)
-                                          if v is not None and math.isfinite(v))
-    p = np.clip(pearson.tail(law, zs), _U_MIN, _U_MAX)
-    centres = np.log(p) - np.log1p(-p)
-    lo, hi, w = np.empty(zs.shape), np.empty(zs.shape), np.full(zs.shape, _BAND)
-    todo = np.arange(zs.size)
+    base, x_of, size_of, model_ends = model
+    t_ends, owner, up, high = [], [], [], []
+    for i, z in enumerate(zs.tolist()):
+        ends, top = model_ends(z)
+        signs = np.logical_xor.accumulate([top, *(flips for _, flips in reversed(ends))])  # u rises as t falls
+        t_ends, owner, high = t_ends + [t for t, _ in reversed(ends)], owner + [i] * len(ends), high + [signs[-1]]
+        up += zip(signs[:-1], signs[1:])
+    owner, up = np.array(owner, dtype=np.intp), np.array(up, dtype=bool).reshape(-1, 2)
+    p = np.clip(pearson.tail(base, np.array(t_ends, dtype=float)), _U_MIN, _U_MAX)
+    centres, z = np.log(p) - np.log1p(-p), zs[owner, None]
+    first, last = np.diff(owner, prepend=-1) != 0, np.diff(owner, append=-1) != 0  # among their threshold's ends
+    prev, nxt = np.arange(-1, owner.size - 1), np.arange(1 - owner.size, 1)  # neighbours, wrapping where first, last
+    u, x, size = np.empty((owner.size, 4)), np.empty((owner.size, 2)), np.empty((owner.size, 2))
+    lo, c_lo, c_hi, hi = u.T  # views: every round's writes to u show through
+    w, todo = np.full(owner.size, _BAND), np.arange(owner.size)
     while todo.size:
         with np.errstate(over="ignore"):  # expit of the ends and check points, in the uniforms' range
-            u = np.clip(1.0 / (1.0 + np.exp(-centres[todo, None] - w[todo, None] * _OFFSETS)), _U_MIN, _U_MAX)
-        u_lo, c_lo, c_hi, u_hi = u.T
-        x_lo, x_hi = pearson.quantile_grid(law, u[:, 1:3]).T
-        z = zs[todo]
-        done = (((u_lo == _U_MIN) | ((c_lo > u_lo) & (x_lo - z > _ROUNDING * (np.abs(x_lo) + scale))))
-                & ((u_hi == _U_MAX) | ((c_hi < u_hi) & (z - x_hi >= _ROUNDING * (np.abs(x_hi) + scale)))))
-        lo[todo[done]], hi[todo[done]] = u_lo[done], u_hi[done]
-        todo = todo[~done]
+            u[todo] = np.clip(1.0 / (1.0 + np.exp(-centres[todo, None] - w[todo, None] * _OFFSETS)), _U_MIN, _U_MAX)
+        t = pearson.quantile_grid(base, u[todo, 1:3])
+        x[todo], size[todo] = x_of(t), size_of(t)
+        side = np.where(up, x - z, z - x) > _ROUNDING * size  # each check point on its piece's side of z
+        done = (((lo <= np.where(first, _U_MIN, hi[prev])) | ((c_lo > lo) & side[:, 0]))
+                & ((hi >= np.where(last, _U_MAX, lo[nxt])) | ((c_hi < hi) & side[:, 1])))
+        todo = np.flatnonzero(~done)
         w[todo] *= _WIDEN
-    return lo, hi
+    for js in (owner == i for i in np.unique(owner[~first])):
+        lo[js], hi[js] = np.minimum.accumulate(lo[js][::-1])[::-1], np.maximum.accumulate(hi[js])
+    up[:, 0] &= first | (hi[prev] < lo)  # a piece that neighbouring bands cover holds no draw to count
+    up[:, 1] &= last | (hi < lo[nxt])
+    return lo, hi, owner, up, np.array(high, dtype=bool)
 
 
-def _chaos_counter(series: HermiteSeries, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """Block b's exceedance counts: its normals mapped to X in place, ``rng.CHUNK`` at a time, then
-    counted in one pass per threshold."""
-    ch = rng.CHUNK
-
-    def count(b: int, size: int) -> np.ndarray:
-        xs = rng.normal_block(seed, b, size)
-        for lo in range(0, xs.size, ch):
-            xs[lo:lo + ch] = series.evaluate(xs[lo:lo + ch])
-        return _exceedances(xs, zs)
-
-    return count
-
-
-def _pearson_counter(law: PearsonLaw, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """Block b's exceedance counts, read off its uniforms: the draws below a threshold's band
-    count, the draws above it do not, and only the draws inside it go through ``quantile_grid``.
-    A draw inside several bands is mapped once: the union of the bands is mapped, then each
-    threshold counts over its own band."""
-    lows, highs = _bands(law, zs)
-    ch = rng.CHUNK
+def _counter(x_model: Union[HermiteSeries, PearsonLaw], seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """Block b's exceedance counts from its uniforms, one compare-and-count pass per band end: a draw
+    between two bands counts where X > z there, and only the draws inside a band are mapped, each once."""
+    base, x_of, *_ = model = _model(x_model)
+    lo, hi, owner, up, high = _bands(model, zs)
+    m, points = lo.size, np.concatenate([lo, np.nextafter(hi, 2.0)])  # u >= lo and u <= hi as counts of u < them
+    weights = np.zeros((zs.size, 2 * m + 1), dtype=np.int64)  # counts between the bands = weights @ (counts below
+    weights[owner, np.arange(m)], weights[owner, np.arange(m, 2 * m)] = up[:, 0], -1 * up[:, 1]  # points, size)
+    weights[:, -1] = high
 
     def count(b: int, size: int) -> np.ndarray:
         u = rng.uniform_block(seed, b, size)
-        counts = np.array([np.count_nonzero(u < lo) for lo in lows], dtype=np.int64)
-        banded = [i for i, hi in enumerate(highs) if np.count_nonzero(u <= hi) > counts[i]]
-        if banded:  # draws inside a band: the map decides
-            inside = np.zeros(u.shape, dtype=bool)
-            for i in banded:
-                inside |= (u >= lows[i]) & (u <= highs[i])
-            v = u[inside]
-            xs = np.concatenate([pearson.quantile_grid(law, v[k:k + ch]) for k in range(0, v.size, ch)])
-            for i in banded:
-                counts[i] += np.count_nonzero(xs[(v >= lows[i]) & (v <= highs[i])] > zs[i])
+        below = np.array([*(np.count_nonzero(u < v) for v in points), size], dtype=np.int64)
+        counts, hit = weights @ below, np.flatnonzero(below[m:-1] > below[:m])
+        if hit.size:  # draws inside a band: the map decides
+            v = u[np.logical_or.reduce([(u >= lo[j]) & (u <= hi[j]) for j in hit])]
+            xs = x_of(pearson.quantile_grid(base, v))
+            for i in np.unique(owner[hit]):
+                mine = np.logical_or.reduce([(v >= lo[j]) & (v <= hi[j]) for j in hit[owner[hit] == i]])
+                counts[i] += np.count_nonzero(xs[mine] > zs[i])
         return counts
 
     return count
 
 
 def _block_sampler(x_model: Union[HermiteSeries, PearsonLaw], seed: int) -> tuple[Callable, Callable]:
-    """The X model's block counter, zs -> ((b, size) -> exceedance counts of block b over zs), and
-    its exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]), y a number or an array.
-
-    A chaos X maps every draw (``_chaos_counter``): its map is not monotone.  A Pearson X counts in
-    uniform space (``_pearson_counter``).
-    """
-    if isinstance(x_model, HermiteSeries):
-        return functools.partial(_chaos_counter, x_model, seed), chaos.law_of_polynomial(x_model).partial_moments
-    return functools.partial(_pearson_counter, x_model, seed), functools.partial(pearson.partial_moments, x_model)
-
-
-def _exceedances(xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Number of xs above each z: one pass over the draws per threshold, no block x z matrix."""
-    return np.array([np.count_nonzero(xs > z) for z in zs], dtype=np.int64)
+    """The X model's block counter on uniforms, zs -> ((b, size) -> exceedance counts of block b over zs)
+    (``_counter``), and its exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]), y a number or an array."""
+    moments = (chaos.law_of_polynomial(x_model).partial_moments if isinstance(x_model, HermiteSeries)
+               else functools.partial(pearson.partial_moments, x_model))
+    return functools.partial(_counter, x_model, seed), moments
 
 
 def _worker_count(n_workers: Optional[int], blocks: int) -> int:
@@ -329,7 +334,7 @@ def _worker_count(n_workers: Optional[int], blocks: int) -> int:
 def _tail_counts(counter: Callable, n: int, zs: np.ndarray, n_workers: Optional[int] = None) -> np.ndarray:
     """Exceedance counts of n draws per grid point, summed over the blocks.
 
-    ``counter(zs)`` sets up the block counter once (a Pearson X finds its bands here).  The blocks
+    ``counter(zs)`` sets up the block counter once (it finds its bands here).  The blocks
     then wait in a queue, and ``_worker_count(n_workers, blocks)`` threads take them one at a
     time: the calling thread and a pool of the others, so one worker runs with no pool.  Each
     block is a function of (seed, b) alone and the counts are integers, so the sum is exact in any
@@ -450,18 +455,12 @@ def slope_estimate(z_grid, log_tail, mode: str, p: float = 0.0) -> float:
     if zs.max() / zs.min() < 10.0 * (1.0 - 1e-12):
         raise InsufficientRangeError(
             f"grid spans {zs.max() / zs.min():.3g}x, need at least one decade")
-    mode = mode.lower()
-    if mode == "loglog":
-        xs = np.log(zs)
-    elif mode == "loglinear":
-        xs = zs
-    elif mode == "stretched":
-        if not 0.0 <= p < 2.0:
-            raise DomainError(f"stretched mode needs 0 <= p < 2, got {p}")
-        xs = zs ** (2.0 - p)
-    else:
+    scales = {"loglog": np.log, "loglinear": lambda z: z, "stretched": lambda z: z ** (2.0 - p)}
+    if (mode := mode.lower()) not in scales:
         raise DomainError(f"unknown slope mode {mode!r}")
-    slope, _ = np.polyfit(xs, ys, 1)
+    if mode == "stretched" and not 0.0 <= p < 2.0:
+        raise DomainError(f"stretched mode needs 0 <= p < 2, got {p}")
+    slope, _ = np.polyfit(scales[mode](zs), ys, 1)
     return float(slope)
 
 
@@ -470,12 +469,10 @@ def slope_estimate(z_grid, log_tail, mode: str, p: float = 0.0) -> float:
 
 
 def scenario_to_json(spec: ScenarioSpec) -> str:
-    if isinstance(spec.x_model, HermiteSeries):
-        x_obj = {"type": "hermite", "coeffs": list(spec.x_model.coeffs)}
-    else:
-        x_obj = {"type": "pearson", **asdict(spec.x_model.coeffs)}
+    x = spec.x_model
     obj = {
-        "x_model": x_obj,
+        "x_model": {"type": "hermite", "coeffs": list(x.coeffs)} if isinstance(x, HermiteSeries)
+        else {"type": "pearson", **asdict(x.coeffs)},
         "reference": asdict(spec.reference),
         "hypothesis": spec.hypothesis.value,
         "z_grid": list(spec.z_grid),

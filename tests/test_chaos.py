@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import normal_stream
@@ -319,6 +320,37 @@ def test_g_function_quadrature_oracle():
     num, _ = quad(lambda y: y * law.density(y), x, upper, points=sorted(pts),
                   limit=400, epsabs=1e-12, epsrel=1e-10)
     assert g_function(H3, x) == pytest.approx(num / law.density(x), rel=1e-7)
+
+
+def _g_mpmath(coeffs, x: float, n_start: float):
+    """g at level x for a one-preimage level, at 50 digits: G = X' sum c_m H_{m-1} at the root near n_start."""
+    with mp.workdps(50):
+        c = [mp.mpf(v) for v in coeffs]
+
+        def herm(k, n):
+            prev, cur = mp.mpf(1), n
+            if k == 0:
+                return prev
+            for j in range(1, k):
+                prev, cur = cur, n * cur - j * prev
+            return cur
+
+        xval = lambda n: sum(c[k] * herm(k, n) for k in range(len(c)))
+        n0 = mp.findroot(lambda n: xval(n) - mp.mpf(x), mp.mpf(n_start))
+        slope = sum(k * c[k] * herm(k - 1, n0) for k in range(1, len(c)))
+        return slope * sum(c[k] * herm(k - 1, n0) for k in range(1, len(c)))
+
+
+def test_g_routes_where_every_preimage_weight_underflows():
+    # X = 3.6e-7 H1 - 0.0428 H2 - 1.13e-6 H3 at 0.0605: the one preimage is n = -37876, where phi(n) = 0;
+    # the weights are taken in logs and X(n) = 0.0605 stands in for its cancelling terms
+    coeffs = (0.0, 3.6e-7, -0.0428, -1.13e-6)
+    series, law = HermiteSeries(coeffs), law_of_polynomial(HermiteSeries(coeffs))
+    (n0, _), = law.level(0.0605)[0]
+    assert n0 < -37000 and law.density(0.0605) == 0.0
+    exact = _g_mpmath(coeffs, 0.0605, n0)
+    for route in (g_function, g_from_conditional):
+        assert float(abs(route(series, 0.0605) - exact) / exact) < 1e-10, route.__name__
 
 
 def test_g_function_outside_support():

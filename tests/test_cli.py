@@ -119,6 +119,13 @@ def test_stein_rows_and_certificate_come_from_the_one_grid(capsys):
 NORMAL_ARGS = ("--alpha", "0", "--beta", "0", "--gamma", "1")
 
 
+def test_stein_past_the_doubles_exits_1_with_a_message(capsys):
+    # the Normal at z = 40: rho(z) underflows to 0, so the uniform bound has no double to hold it
+    code, out, err = run_cli(capsys, "stein", *NORMAL_ARGS, "--z", "40")
+    assert code == 1 and out == ""
+    assert err.startswith("steintail stein: ") and "underflowed" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("tail", *NORMAL_ARGS, "--grid", "-1:1:3"),
     ("stein", *NORMAL_ARGS, "--z", "0.5", "--grid", "-1:1:3"),

@@ -173,7 +173,7 @@ def test_run_scenario_reads_moments_once_on_the_grid_and_once_at_b(monkeypatch, 
 def test_bands_map_every_threshold_in_one_call_per_round(monkeypatch, coeffs, zs):
     calls, quantile_grid = [], pearson.quantile_grid
     monkeypatch.setattr(pearson, "quantile_grid", lambda law, p: calls.append(np.size(p)) or quantile_grid(law, p))
-    verify._bands(build_law(coeffs), np.array(zs))
+    verify._bands(verify._model(build_law(coeffs)), np.array(zs))
     assert calls == [2 * len(zs)]  # every band passes its first check: one round, two points per threshold
 
 
@@ -185,7 +185,7 @@ def test_widening_bands_leave_the_round_once_they_pass(monkeypatch):
     zs = np.sort(pearson.quantile_grid(law, np.array([0.6, 0.5, 0.3, 0.1, 1e-3])))
     calls, quantile_grid = [], pearson.quantile_grid
     monkeypatch.setattr(pearson, "quantile_grid", lambda law, p: calls.append(np.size(p)) or quantile_grid(law, p))
-    verify._bands(law, zs)
+    verify._bands(verify._model(law), zs)
     assert calls[0] == 2 * zs.size and 2 <= len(calls) <= 9  # a half-width of 2^8 ends every band
     assert all(n > 0 and n % 2 == 0 for n in calls) and calls == sorted(calls, reverse=True) and calls[1] < calls[0]
 

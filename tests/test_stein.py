@@ -7,7 +7,7 @@ from conftest import WIDER_COEFFS
 from scipy.integrate import quad
 
 from steintail import bounds, pearson, stein
-from steintail.errors import DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
+from steintail.errors import DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
 from steintail.pearson import build_law, density, quantile, stein_kernel
 from steintail.stein import (
     certification_grid,
@@ -294,6 +294,18 @@ def test_evaluate_reads_one_side_per_point(canonical_laws, monkeypatch):
         assert sum(sizes) == grid.size, name
 
 
+def test_evaluate_reads_the_kernel_once_per_grid(canonical_laws, monkeypatch):
+    # g and the flux g rho come from one kernel evaluation (before: one inside the flux and one more)
+    calls, kernel = [], pearson._kernel
+    monkeypatch.setattr(pearson, "_kernel", lambda law, x: calls.append(np.size(x)) or kernel(law, x))
+    for name, law in canonical_laws.items():
+        z = _z_values(law)[0]
+        sol, grid = solve_indicator(law, z), certification_grid(law, z, 1000)
+        calls.clear()
+        stein.evaluate(sol, grid)
+        assert calls == [grid.size], name
+
+
 # ---------------------------------------------------------------------------
 # residual and certificates
 
@@ -336,6 +348,17 @@ def test_certificate_beta_outside_branch(beta_law):
     assert cert.passed
     x = 0.7
     assert stein.evaluate(sol, x)[1][0] == pytest.approx(-sol.eh / x**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("variance, sds", [(1.0, 38.0), (1.0, 40.0), (1.0, 300.0), (1e4, 40.0), (1.7e-17, 40.0)])
+def test_a_uniform_bound_past_the_doubles_raises_a_typed_error(variance, sds):
+    # z / (g(z)^2 rho(z)) with rho(z) subnormal or 0: the bound would be +inf, a statement about nothing
+    law = build_law(pearson.PearsonCoefficients(0.0, 0.0, variance))
+    z = sds * math.sqrt(variance)
+    sol = solve_indicator(law, z)
+    with pytest.raises(DensityUnderflowError, match="underflowed"):
+        certify_fprime(sol, [0.5 * z, 2.0 * z])
+    assert np.isfinite(stein.evaluate(sol, [0.5 * z, 2.0 * z])[1]).all()  # the solution itself is fine
 
 
 def test_certificate_json_round_trip(normal_law):

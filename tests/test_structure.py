@@ -194,3 +194,15 @@ def test_no_module_reads_the_old_tail_grid_name():
             elif isinstance(node, ast.ImportFrom) and any(a.name == "tail_grid" for a in node.names):
                 readers.append(f"{name}:{node.lineno}")
     assert not readers, readers
+
+
+def test_no_module_draws_normals():
+    # both X models count on rng's uniforms; rng keeps ``normal_block`` for the tests and the benchmark's tracer
+    readers = []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "normal_block":
+                readers.append(f"{name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "normal_block" for a in node.names):
+                readers.append(f"{name}:{node.lineno}")
+    assert not readers, readers

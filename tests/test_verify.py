@@ -6,9 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import CANONICAL_COEFFS, WIDER_COEFFS, normal_stream
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from steintail import chaos, pearson, rng, verify
 from steintail.chaos import HermiteSeries
@@ -349,11 +350,16 @@ def test_threads_count_every_block_once():
     assert sorted(seen) == [(b, rng.BLOCK_SIZE) for b in range(299)] + [(299, rng.BLOCK_SIZE - 5)]
 
 
+def _chaos_stream(series, seed, n):
+    """X over rng's uniforms: X(n) by Horner on the law's monomial coefficients at the Normal's inverse of u."""
+    ns = pearson.quantile_grid(build_law(PearsonCoefficients(0.0, 0.0, 1.0)), rng.uniform_stream(seed, n))
+    return npoly.polyval(ns, chaos.law_of_polynomial(series).poly)
+
+
 def test_block_counts_match_empirical_tail():
     spec = h2_gamma_spec()
     rep = run_scenario(spec)
-    law = spec.x_model
-    draws = law.evaluate(normal_stream(spec.seed, spec.n_samples))
+    draws = _chaos_stream(spec.x_model, spec.seed, spec.n_samples)
     tails, _ = empirical_tail(draws, spec.z_grid)
     np.testing.assert_array_equal(np.asarray(rep.empirical), tails)
 
@@ -370,7 +376,7 @@ def test_chunked_counts_match_the_whole_stream(x_model, zs, n_workers):
     counter, _ = verify._block_sampler(x_model, seed)
     counts = verify._tail_counts(counter, n, np.asarray(zs), n_workers)
     if isinstance(x_model, HermiteSeries):
-        xs = x_model.evaluate(normal_stream(seed, n))
+        xs = _chaos_stream(x_model, seed, n)
     else:
         xs = pearson.quantile_grid(x_model, rng.uniform_stream(seed, n))
     assert counts.tolist() == [int((xs > z).sum()) for z in zs]
@@ -455,7 +461,7 @@ def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end(mapped_points):
     law = build_law(PearsonCoefficients(alpha, -alpha * (a + b), alpha * a * b))
     assert law.r == pytest.approx(r) and law.s == pytest.approx(s)
     zs = np.sort(pearson.quantile_grid(law, np.array([0.6, 0.5, 0.3, 0.1, 1e-3])))
-    lo, hi = verify._bands(law, zs)
+    lo, hi = verify._bands(verify._model(law), zs)[:2]
     widths = np.log(hi / (1.0 - hi)) - np.log(lo / (1.0 - lo))
     assert widths[0] > 70.0 and widths[-1] == pytest.approx(2 * verify._BAND, rel=1e-6)
     assert np.count_nonzero(widths > 70.0) == 2  # two thresholds at a, whose bands hold every draw
@@ -477,6 +483,63 @@ def test_pearson_sandwich_maps_few_draws(mapped_points):
     law = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
     spec = ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=Hypothesis.SANDWICH,
                         z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=10**6, seed=20240527)
+    assert run_scenario(spec).all_passed
+    assert sum(p.size for p in mapped_points) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# a chaos X counted in uniform space, against the full map of its stream
+
+
+@st.composite
+def _series(draw):
+    """Centered Hermite series of degrees 1-6, coefficients of either sign over 1e-3..1."""
+    degree = draw(st.integers(1, 6), label="degree")
+    mags = draw(st.lists(st.floats(1e-3, 1.0), min_size=degree, max_size=degree), label="mags")
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=degree, max_size=degree), label="signs")
+    zeros = draw(st.lists(st.booleans(), min_size=degree - 1, max_size=degree - 1), label="zeros")
+    coeffs = [m * s for m, s in zip(mags, signs)]
+    coeffs[:-1] = [0.0 if z else c for c, z in zip(coeffs[:-1], zeros)]  # gaps below the leading grade
+    return HermiteSeries((0.0, *coeffs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_chaos_counts_match_the_full_map(data):
+    # degrees 1-6; n mostly ends mid-block; thresholds on a drawn X and the double below it, on X at
+    # a drawn n (a preimage of that level), and on each critical value and the doubles beside it
+    series = data.draw(_series(), label="series")
+    n = data.draw(st.integers(1, 3 * rng.BLOCK_SIZE), label="n")
+    seed = data.draw(st.integers(0, 2**63), label="seed")
+    n_workers = data.draw(st.sampled_from([1, 2]), label="n_workers")
+    xs = _chaos_stream(series, seed, n)
+    x = float(xs[data.draw(st.integers(0, n - 1), label="j")])
+    law = chaos.law_of_polynomial(series)
+    at_n = float(npoly.polyval(data.draw(st.floats(-8.0, 8.0), label="n0"), law.poly))
+    crit = npoly.polyval(np.asarray(law.crit_points), law.poly).tolist()
+    zs = [x, math.nextafter(x, -math.inf), at_n] + [v for c in crit for v in (math.nextafter(c, -math.inf), c,
+                                                                           math.nextafter(c, math.inf))]
+    counts = verify._tail_counts(verify._block_sampler(series, seed)[0], n, np.asarray(zs), n_workers)
+    assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
+
+
+@pytest.mark.parametrize("coeffs, zs", [
+    ((0.0, 0.0, 0.0, 0.0, 1.0), (3.0, -6.0)),  # H4: a local maximum at 0 with value 3, minima at +-sqrt(3)
+    ((0.0, 0.0, 1.0), (-1.0, -1.0 + 1e-12)),  # H2 at its minimum, where {X > z} is the whole line but n = 0
+], ids=["H4", "H2"])
+def test_a_threshold_at_a_critical_value_is_decided_by_the_map(mapped_points, coeffs, zs):
+    # the critical point is an end with a band of its own: the draws near it are mapped, the rest counted
+    series, n, seed = HermiteSeries(coeffs), 2 * rng.BLOCK_SIZE + 3, 9
+    counts = verify._tail_counts(verify._block_sampler(series, seed)[0], n, np.asarray(zs), 1)
+    assert 0 < sum(p.size for p in mapped_points) < n / 10
+    xs = _chaos_stream(series, seed, n)
+    assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
+
+
+def test_chaos_sandwich_maps_few_draws(mapped_points):
+    # a cost guard by count: acceptance scenario 7 at 10^6 draws maps its band draws and band checks
+    # only (10^6 points before, when every normal was mapped)
+    spec = h2_gamma_spec(n_samples=10**6, seed=20240527)
     assert run_scenario(spec).all_passed
     assert sum(p.size for p in mapped_points) <= 1000
 
