@@ -27,6 +27,7 @@ the residual reads the same vector.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pearson
-from .errors import DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
+from .errors import DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError, as_int
 from .pearson import PearsonLaw, q_function, stein_kernel
 
 __all__ = [
@@ -200,13 +201,29 @@ def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertific
 
 
 def certification_grid(law: PearsonLaw, z: float, n: int = 2000) -> np.ndarray:
-    """Interior grid spanning the bulk of the law, kinks excluded.
+    """Interior grid spanning the bulk of the law, kinks excluded; a fresh array on every call.
 
-    Covers quantiles 1e-6 to 1-1e-6; for finite support ends a short segment
-    beyond the endpoint is appended so the outside-support branches are
-    exercised too.  Points within a relative 1e-9 neighborhood of {z, a, b}
-    are dropped.
+    Covers quantiles 1e-6 to 1-1e-6 with n points; for finite support ends a
+    short segment of n // 20 points beyond each endpoint is appended so the
+    outside-support branches are exercised too.  Points within a relative
+    1e-9 neighborhood of {z, a, b} are dropped.  z enters only as that kink,
+    so the rest of the grid is built once per (law, n) and reused for every
+    threshold.  n is an integer of at least 2; a NaN z raises DomainError.
     """
+    n = as_int(n, "the grid size n")
+    if n < 2:
+        raise DomainError(f"the grid needs n >= 2 points, got n={n}")
+    z = float(z)
+    if math.isnan(z):
+        raise DomainError("the threshold z is NaN")
+    xs = _bulk_grid(law, n)
+    return xs[np.abs(xs - z) > 1e-9 * max(1.0, abs(z))] if math.isfinite(z) else xs.copy()
+
+
+@functools.lru_cache(maxsize=32)
+def _bulk_grid(law: PearsonLaw, n: int) -> np.ndarray:
+    """The part of ``certification_grid`` that does not depend on z, sorted and clear of the kinks
+    {a, b}; read-only, as it is shared by every call with this (law, n)."""
     lo, hi = pearson.quantile(law, np.array([1.0 - 1e-6, 1e-6])).tolist()
     parts = [np.linspace(lo, hi, n)]
     w = hi - lo
@@ -216,7 +233,9 @@ def certification_grid(law: PearsonLaw, z: float, n: int = 2000) -> np.ndarray:
         parts.append(np.linspace(law.support_b + 1e-6 * w, law.support_b + 0.5 * w, n // 20))
     xs = np.sort(np.concatenate(parts))
     keep = np.ones(len(xs), dtype=bool)
-    for kink in (z, law.support_a, law.support_b):
+    for kink in (law.support_a, law.support_b):
         if math.isfinite(kink):
             keep &= np.abs(xs - kink) > 1e-9 * max(1.0, abs(kink))
-    return xs[keep]
+    xs = xs[keep]
+    xs.flags.writeable = False
+    return xs

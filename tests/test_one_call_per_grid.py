@@ -140,12 +140,61 @@ def test_bounds_take_an_array_of_points(coeffs):
 
 
 def test_certification_grid_makes_one_quantile_call(monkeypatch):
+    # one call for both ends per (law, n), at its first threshold; a law built again is the same key
+    stein._bulk_grid.cache_clear()
     calls, quantile = [], pearson.quantile
-    monkeypatch.setattr(pearson, "quantile", lambda law, p: calls.append(p) or quantile(law, p))
+    monkeypatch.setattr(pearson, "quantile", lambda law, p: calls.append(np.size(p)) or quantile(law, p))
     for coeffs in CANONICAL_COEFFS.values():
-        calls.clear()
-        stein.certification_grid(build_law(coeffs), 0.3, 200)
-        assert len(calls) == 1
+        sd = math.sqrt(build_law(coeffs).variance)
+        for n in (200, 500):
+            calls.clear()
+            for z in np.linspace(0.05, 0.4, 8) * sd:
+                stein.certification_grid(build_law(coeffs), z, n)
+                assert calls == [2], (coeffs, n, z)
+
+
+def _grid_built_whole(law, z, n):
+    """The certification grid built in full at every call, z kink with the support-end kinks: the
+    reference for the bits of ``certification_grid``, which builds the z-free part once per (law, n)."""
+    lo, hi = pearson.quantile(law, np.array([1.0 - 1e-6, 1e-6])).tolist()
+    parts = [np.linspace(lo, hi, n)]
+    w = hi - lo
+    if math.isfinite(law.support_a):
+        parts.append(np.linspace(law.support_a - 0.5 * w, law.support_a - 1e-6 * w, n // 20))
+    if math.isfinite(law.support_b):
+        parts.append(np.linspace(law.support_b + 1e-6 * w, law.support_b + 0.5 * w, n // 20))
+    xs = np.sort(np.concatenate(parts))
+    keep = np.ones(len(xs), dtype=bool)
+    for kink in (z, law.support_a, law.support_b):
+        if math.isfinite(kink):
+            keep &= np.abs(xs - kink) > 1e-9 * max(1.0, abs(kink))
+    return xs[keep]
+
+
+@pytest.mark.parametrize("coeffs", LAWS.values(), ids=LAWS.keys())
+def test_certification_grid_equals_the_grid_built_whole_bit_for_bit(coeffs):
+    law = build_law(coeffs)
+    sd = math.sqrt(law.variance)
+    stein._bulk_grid.cache_clear()
+    for n in (2, 21, 200, 2000):
+        whole = _grid_built_whole(law, math.inf, n)
+        on_grid = float(whole[len(whole) // 3])
+        zs = (on_grid, 0.3 * sd, np.float64(0.7 * sd), 1, 0.0, -0.6 * sd, law.support_a, law.support_b,
+              math.inf, -math.inf)
+        for z in zs:
+            got = stein.certification_grid(law, z, n)
+            assert got.dtype == np.float64 and got.tobytes() == _grid_built_whole(law, z, n).tobytes(), (n, z)
+        assert stein.certification_grid(law, on_grid, n).size == whole.size - 1  # the z kink drops its point
+
+
+def test_a_changed_grid_leaves_the_next_call_as_it_was():
+    law = build_law(CANONICAL_COEFFS["beta"])
+    for z in (0.1, math.inf):
+        first = stein.certification_grid(law, z, 200)
+        want = first.copy()
+        first[:] = 0.0  # every call returns its own writeable array
+        assert stein.certification_grid(law, z, 200).tobytes() == want.tobytes()
+    assert not stein._bulk_grid(law, 200).flags.writeable
 
 
 @pytest.mark.parametrize("x_model, reference, zs, b_calls", [

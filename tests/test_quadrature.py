@@ -189,3 +189,14 @@ def test_refusals_and_silence_on_either_executor(float_max):
         root = quadrature.solve_monotone(lambda x, i: ((x - 1.0)**5, 5.0 * (x - 1.0)**4), [-1e300], [1e300], True,
                                          xtol=1e-13)
         assert root[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="ROADMAP item 10: below magnitude 1 the split takes arithmetic midpoints, so bisection "
+                          "alone needs about 1,050-1,080 steps for these roots and stops at _MAX_STEPS = 400")
+@pytest.mark.parametrize("r", [0.0, 1e-300])
+def test_bisection_alone_closes_a_bracket_around_a_root_near_0(r):
+    def f(x, i):
+        return x - r, np.full(x.shape, math.nan)  # every Newton step refused
+
+    assert abs(quadrature.solve_monotone(f, r - 1.0, r + 10.0, True, xtol=0.0)[0] - r) <= math.ulp(r)  # one double

@@ -229,6 +229,19 @@ def test_empty_grids_raise_a_typed_error(normal_law):
         check_residual(sol, [])
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2.5, "200", True, None])
+def test_certification_grid_refuses_a_bad_size_with_a_typed_error(normal_law, n):
+    with pytest.raises(DomainError, match="grid"):
+        certification_grid(normal_law, 0.5, n)
+
+
+def test_certification_grid_takes_an_integer_valued_size_and_refuses_a_nan_threshold(canonical_laws):
+    for law in canonical_laws.values():
+        assert certification_grid(law, 0.1, 40.0).tobytes() == certification_grid(law, 0.1, 40).tobytes()
+        with pytest.raises(DomainError, match="NaN"):
+            certification_grid(law, math.nan, 40)
+
+
 def test_evaluating_and_certifying_never_classify(canonical_laws, monkeypatch):
     # the built law carries its case and support, so no evaluator re-derives them
     work = []
