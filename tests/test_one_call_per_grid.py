@@ -154,8 +154,8 @@ def test_certification_grid_makes_one_quantile_call(monkeypatch):
 
 
 def _grid_built_whole(law, z, n):
-    """The certification grid built in full at every call, z kink with the support-end kinks: the
-    reference for the bits of ``certification_grid``, which builds the z-free part once per (law, n)."""
+    """The certification grid built in full at every call, z's neighbourhood dropped with a's and b's:
+    the reference for the bits of ``certification_grid``, which builds the z-free part once per (law, n)."""
     lo, hi = pearson.quantile(law, np.array([1.0 - 1e-6, 1e-6])).tolist()
     parts = [np.linspace(lo, hi, n)]
     w = hi - lo
