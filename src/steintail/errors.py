@@ -77,6 +77,18 @@ def as_int(value, what: str) -> int:
     raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def as_float(value, what: str, *, arrays: bool = False):
+    """value as a float where it is a real number, an int or a float but not a bool; with arrays, also an
+    array of them, as doubles of its shape.  Anything else, a string or None included, raises DomainError."""
+    try:
+        x = np.asarray(value)
+    except ValueError:  # a ragged sequence, refused below as an object
+        x = np.asarray(None)
+    if x.dtype.kind in "iuf" and (arrays or not x.ndim):
+        return x.astype(float, copy=False) if arrays else float(x)
+    raise DomainError(f"{what} must be a real number{' or an array of them' if arrays else ''}, got {value!r}")
+
+
 @contextlib.contextmanager
 def reading(what: str):
     """Reads input inside the block: text that is not JSON, a missing key or a value of the wrong kind
@@ -93,7 +105,7 @@ def pointwise(rows, law, x, *args):
     """rows(law, x as 1-d doubles, *args) at x, a number or an array of any shape: the one entry of every
     pointwise evaluator.  A NaN point raises DomainError; a number gives a float, an array an array of x's
     shape, and a tuple of rows a tuple of either."""
-    x = np.asarray(x, dtype=float)
+    x = as_float(x, "the evaluation point", arrays=True)
     if math.isnan(x) if x.ndim == 0 else np.isnan(x).any():  # a scalar skips the ufunc's microsecond
         raise DomainError("evaluation point is NaN")
     val = rows(law, x.reshape(-1), *args)

@@ -876,7 +876,7 @@ def _quantile(law: PearsonLaw, p: np.ndarray) -> np.ndarray:
                 ln_side[sub] = deep(law, z[sub])
             return sign[i] * (ln_side - target[i]), -np.exp(_log_density(law, z) - ln_side)
 
-    x0 = np.where(np.isfinite(x0), np.minimum(np.maximum(x0, a), b), math.nan)
+    x0 = np.where(np.isfinite(x0), np.minimum(np.maximum(x0, a), b), 0.0)  # else the mean, 0, inside every bracket
     return quadrature.solve_monotone(log_side, a, b, False, x0, xtol=1e-14)
 
 

@@ -20,14 +20,12 @@ from .errors import DomainError
 # 16-node Gauss-Legendre rule on [-1, 1]; exact through degree 31 per panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _PANEL_CHUNK = 2048
-# Bisection alone closes a bracket around a root of magnitude >= 1 in about 10 + 55 steps (at most 67 measured,
-# brackets up to +-1.7e308).  Below magnitude 1 it halves arithmetically: about 55 + log2(1/|root|) steps for a
-# normal root, 124 at 1e-20, 390 at 1e-100 and 1,076 at 0, so a root below ~1e-100 that only bisection reaches
-# raises here (decision 8).
+# bisection alone closes any finite bracket in 64 halvings; with Newton steps mixed in, no bound is derived (decision 8)
 _MAX_STEPS = 400
 _RTOL = 4.0 * sys.float_info.epsilon
 _PATIENCE = 100  # steps after which a Newton step must halve the last step, not the one before it
 _FLOAT_MAX = 32  # running problems at or below which the steps run on floats; measured crossover ~40 (decision 8)
+_LOW63 = 2**63 - 1  # every bit of an int64 but its sign
 
 
 def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
@@ -48,21 +46,13 @@ def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.nda
     return out
 
 
-def _split(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection points: where the ends' magnitudes, counted as at least 1, differ by more than 4x,
-    their geometric mean (0 across a sign change): around a root of magnitude >= 1 any bracket closes in
-    ~65 steps, but below magnitude 1 the midpoints are arithmetic (see _MAX_STEPS)."""
-    a, b = np.maximum(np.abs(lo), 1.0), np.maximum(np.abs(hi), 1.0)
-    geo = np.where((lo >= 0.0) | (hi <= 0.0), np.sign(lo + hi) * np.sqrt(a) * np.sqrt(b), 0.0)
-    return np.where(np.maximum(a, b) > 4.0 * np.minimum(a, b), geo, 0.5 * lo + 0.5 * hi)
-
-
-def _split_float(lo: float, hi: float) -> float:
-    """``_split`` of one bracket.  Where the geometric mean is taken, |lo + hi| > 4, so its sign is +-1."""
-    a, b = max(abs(lo), 1.0), max(abs(hi), 1.0)
-    if not max(a, b) > 4.0 * min(a, b):
-        return 0.5 * lo + 0.5 * hi
-    return math.copysign(math.sqrt(a), lo + hi) * math.sqrt(b) if lo >= 0.0 or hi <= 0.0 else 0.0
+def _split(lo, hi):
+    """Bisection points of arrays or floats: the lower middle double of [lo, hi] in the order of the doubles, read
+    as int64 with the sign folded.  There are fewer than 2^64 doubles, so any finite bracket closes in 64 halvings."""
+    ends = (np.array([lo, hi], dtype=float) + 0.0).view(np.int64)  # + 0.0 reads -0.0 as 0.0
+    a, b = ends ^ ((ends >> 63) & _LOW63)
+    mid = (a >> 1) + (b >> 1) + (a & b & 1)  # floor((a + b) / 2), free of overflow
+    return (mid ^ ((mid >> 63) & _LOW63)).view(float)
 
 
 def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], lo, hi, increasing,
@@ -84,8 +74,8 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
     root is then within one double, however steep f is there.  It then leaves
     the working arrays, so f never sees it again, and no problem's steps depend
     on another's.  x0 are optional starting points inside the brackets; a NaN
-    start is the bracket's first bisection point.  A bracket end that is not
-    finite raises DomainError.
+    start is the bracket's arithmetic midpoint, rtsafe's own start.  A bracket
+    end that is not finite raises DomainError.
 
     While more than _FLOAT_MAX problems run, each step is a few dozen array
     operations; once at most _FLOAT_MAX are left, from the start or after a
@@ -97,15 +87,14 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("bracketed solve needs finite brackets")
     sign = np.full(lo.shape, np.where(increasing, 1.0, -1.0))
-    x = np.full(lo.shape, math.nan if x0 is None else x0, dtype=float)  # NaN: the executor that starts sets it
+    mid = 0.5 * lo + 0.5 * hi  # rtsafe's start where none is given
+    x = mid if x0 is None else np.where(np.isnan(x0), mid, x0)
     root = np.empty(lo.shape)
     if not lo.size:
         return root
     i = np.arange(lo.size)
-    step_old = step = hi - lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if i.size > _FLOAT_MAX:
-            x = np.where(np.isnan(x), _split(lo, hi), x)
+        step_old = step = hi - lo  # inf where the bracket is wider than the largest double
         for k in range(_MAX_STEPS):
             if i.size <= _FLOAT_MAX:
                 return _float_steps(f, k, root, i, x, lo, hi, sign, step_old, step, xtol=xtol)
@@ -132,8 +121,7 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
 def _float_steps(f, k0: int, root: np.ndarray, i: np.ndarray, *state: np.ndarray, xtol: float) -> np.ndarray:
     """Steps k0, k0 + 1, ... of ``solve_monotone`` for the problems i, on Python floats; writes their roots.
 
-    state is (x, lo, hi, sign, step_old, step) as the array steps hold them;
-    at k0 = 0, x holds the starts, NaN where none was given.
+    state is (x, lo, hi, sign, step_old, step) as the array steps hold them.
     Each problem takes the array steps' rule, operation for operation: a
     float and a float64 array element round alike, so each root keeps its
     bits (``tests/test_quadrature.py``).  A slope that is 0 or not finite
@@ -141,8 +129,6 @@ def _float_steps(f, k0: int, root: np.ndarray, i: np.ndarray, *state: np.ndarray
     the array form fails its tests.
     """
     x, lo, hi, sign, step_old, step = (a.tolist() for a in state)
-    if k0 == 0:  # a NaN start is the bracket's first bisection point
-        x = [_split_float(a, b) if math.isnan(v) else v for v, a, b in zip(x, lo, hi)]
     xs = np.array(x)
     for k in range(k0, _MAX_STEPS):
         val, slope = f(xs, i)
@@ -161,7 +147,7 @@ def _float_steps(f, k0: int, root: np.ndarray, i: np.ndarray, *state: np.ndarray
                 x_new = xj - dx
                 newton = lo[j] <= x_new <= hi[j] and abs(dx) <= 0.5 * limit[j]
             if not newton:
-                x_new = _split_float(lo[j], hi[j])
+                x_new = float(_split(lo[j], hi[j]))
             step_old[j], step[j], x[j] = step[j], abs(x_new - xj), x_new
             if (abs(dx) > xtol + _RTOL * abs(x_new)) if newton else (step[j] > 0.0):
                 keep.append(j)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pearson
-from .errors import DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError, as_int
+from .errors import (DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError, as_float,
+                     as_int)
 from .pearson import PearsonLaw, q_function, stein_kernel
 
 __all__ = [
@@ -59,7 +60,7 @@ class IndicatorSteinSolution:
 
 
 def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
-    z = float(z)
+    z = as_float(z, "the threshold z")
     if not 0.0 < z < law.support_b:
         raise ThresholdOutOfRangeError(f"threshold must satisfy 0 < z < b, got z={z}, b={law.support_b}")
     return IndicatorSteinSolution(law, z, pearson.cdf(law, z), pearson.tail(law, z))
@@ -213,7 +214,7 @@ def certification_grid(law: PearsonLaw, z: float, n: int = 2000) -> np.ndarray:
     n = as_int(n, "the grid size n")
     if n < 2:
         raise DomainError(f"the grid needs n >= 2 points, got n={n}")
-    z = float(z)
+    z = as_float(z, "the threshold z")
     if math.isnan(z):
         raise DomainError("the threshold z is NaN")
     xs = _bulk_grid(law, n)

@@ -37,7 +37,7 @@ from numpy.polynomial import polynomial as npoly
 from . import bounds, chaos, pearson, rng
 from .chaos import HermiteSeries
 from .errors import (DomainError, InsufficientRangeError, InvalidConstantError, UncertifiedHypothesisError,
-                     as_int, reading)
+                     as_float, as_int, reading)
 from .pearson import PearsonCoefficients, PearsonLaw, build_law
 
 __all__ = [
@@ -87,7 +87,7 @@ class ScenarioSpec:
             raise DomainError(f"scenario needs n_samples >= 10^4, got {self.n_samples}")
         if not 0.0 < self.confidence < 1.0:
             raise DomainError(f"confidence must be in (0,1), got {self.confidence}")
-        zs = tuple(float(z) for z in self.z_grid)
+        zs = tuple(as_float(z, "a z_grid point") for z in self.z_grid)
         object.__setattr__(self, "z_grid", zs)
         if any(b <= a for a, b in zip(zs, zs[1:])) or not zs:
             raise DomainError("z_grid must be nonempty and strictly increasing")
@@ -511,7 +511,7 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             x_model=x_model,
             reference=_coeffs_from_obj(obj["reference"]),
             hypothesis=Hypothesis(obj["hypothesis"]),
-            z_grid=tuple(float(z) for z in obj["z_grid"]),
+            z_grid=obj["z_grid"],
             n_samples=obj["n_samples"],
             seed=obj["seed"],
             confidence=float(obj.get("confidence", 0.99)),

@@ -82,8 +82,10 @@ def _solve(f_of, lo, hi, increasing, x0, xtol, float_max):
 
 
 def _same_on_both_executors(f_of, lo, hi, increasing, x0=None, xtol=1e-13) -> int:
-    """Solves on arrays only, on floats only and with the module's switch take the same steps; the step count."""
+    """Solves on arrays only, on floats only and with the module's switch take the same steps and converge;
+    the step count."""
     arrays = _solve(f_of, lo, hi, increasing, x0, xtol, 0)
+    assert isinstance(arrays[0], bytes), arrays[0]  # roots, not the DomainError's message
     for float_max in (quadrature._FLOAT_MAX, math.inf):
         assert _solve(f_of, lo, hi, increasing, x0, xtol, float_max) == arrays, float_max
     return len(arrays[1])
@@ -91,11 +93,10 @@ def _same_on_both_executors(f_of, lo, hi, increasing, x0=None, xtol=1e-13) -> in
 
 # slope: the true one, 0, +inf, NaN or a millionth of it (Newton leaves the bracket); or a NaN value right of the root
 _MODES = ("newton", "zero_slope", "inf_slope", "nan_slope", "shallow", "nan_value")
-# a problem: a (x - r)^m on [r - 10^left, r + 10^right], increasing where a > 0, started at its first bisection
-# point (NaN), at a point of the bracket or at its root, where the slope of a multiple root is 0;
-# 1e-3 <= |r| <= 1e3, since a root near 0 whose Newton steps are refused takes the arithmetic midpoints below
-# magnitude 1 and ends in the 400-step error (the explicit examples below hold two such solves)
-_ROOT = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+# a problem: a (x - r)^m on [r - 10^left, r + 10^right], increasing where a > 0, started at its midpoint
+# (NaN), at a point of the bracket or at its root, where the slope of a multiple root is 0; r anywhere in
+# [-1e3, 1e3], 0 and the subnormals included, where only bisection on the order of the doubles gets close
+_ROOT = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 5e-324, -1e-300, 1e-20]))
 _PROBLEM = st.tuples(_ROOT, st.sampled_from([1, 3, 5]), st.sampled_from([-2.5, -1.0, 0.5, 3.0]),
                      st.floats(-3.0, 60.0), st.floats(-3.0, 60.0), st.sampled_from(_MODES),
                      st.one_of(st.just(math.nan), st.just("root"), st.floats(0.0, 1.0)))
@@ -126,11 +127,11 @@ _SIZES = st.sampled_from([1, 2, 3, 8, quadrature._FLOAT_MAX, quadrature._FLOAT_M
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(problems=_SIZES.flatmap(lambda n: st.lists(_PROBLEM, min_size=n, max_size=n)),
        xtol=st.sampled_from([1e-13, 0.0]))  # with 0, a Newton step stops a problem only when it is exactly 0
-@example(problems=[(1.0, 5, 1.0, 0.0, 60.0, "newton", 0.1)], xtol=1e-13)  # a multiplicity-5 root past the patience rule
+@example(problems=[(1.0, 5, 1.0, 0.0, 300.0, "newton", 0.1)], xtol=1e-13)  # multiplicity 5 past the patience rule
 @example(problems=[(0.0, 3, 1.0, 1.0, 1.0, "newton", "root")], xtol=1e-13)  # slope 0 at the start
-@example(problems=[(0.0, 1, 0.5, 5.0, 47.0, "nan_slope", "root")], xtol=1e-13)  # root 0 by bisection: no convergence
+@example(problems=[(0.0, 1, 0.5, 5.0, 47.0, "nan_slope", "root")], xtol=1e-13)  # root 0 by bisection alone
 @example(problems=[(0.0, 1, 1.0, 1.0, 1.0, "zero_slope", math.nan)] + [(1.0, 1, 1.0, 0.0, 0.0, "newton", math.nan)]
-         * quadrature._FLOAT_MAX, xtol=1e-13)  # the same past the switch from arrays to floats
+         * quadrature._FLOAT_MAX, xtol=1e-13)  # root 0 by bisection alone, past the switch from arrays to floats
 def test_array_and_float_executors_agree_bit_for_bit(problems, xtol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -138,15 +139,17 @@ def test_array_and_float_executors_agree_bit_for_bit(problems, xtol):
 
 
 def test_the_executors_agree_past_the_patience_rule_at_equal_steps_and_on_a_thinning_batch():
-    f, lo, hi, inc, x0 = _problems([(1.0, 5, 1.0, 0.0, 60.0, "newton", 0.1)])
+    f, lo, hi, inc, x0 = _problems([(1.0, 5, 1.0, 0.0, 300.0, "newton", 0.1)])
     assert _same_on_both_executors(f, lo, hi, inc, x0) > quadrature._PATIENCE
     # a Newton step of exactly half the first bracket is taken: to 1, where bisection would go to 1.5
     assert _same_on_both_executors(lambda x, i: (x - 1.0, np.ones_like(x)), [0.0], [4.0], True, [3.0]) == 2
     # a Newton step that lands on the bracket's end is taken: from 3 to 1, the root
     assert _same_on_both_executors(lambda x, i: (x - 1.0, np.ones_like(x)), [1.0], [10.0], True, [3.0]) == 2
-    # ends exactly 4x apart in magnitude are split at their midpoint, 2.5, not their geometric mean, 2
+    # ends 1 and 4 are split in the order of the doubles, at 2, not at their arithmetic midpoint, 2.5
     nan_slope = lambda x, i: (x - 3.0, np.full_like(x, math.nan))
-    _same_on_both_executors(nan_slope, [1.0], [4.0], True)
+    _same_on_both_executors(nan_slope, [1.0], [4.0], True, [1.0])
+    assert np.frombuffer(_solve(nan_slope, [1.0], [4.0], True, [1.0], 1e-13, math.inf)[1][1][1])[0] == 2.0
+    # a NaN start is the arithmetic midpoint
     assert np.frombuffer(_solve(nan_slope, [1.0], [4.0], True, None, 1e-13, math.inf)[1][0][1])[0] == 2.5
     # with xtol 0, the exact Newton step 0 at the root 0 stops the problem
     assert _same_on_both_executors(lambda x, i: (x, np.ones_like(x)), [-1.0], [4.0], True, [0.0], xtol=0.0) == 1
@@ -189,14 +192,47 @@ def test_refusals_and_silence_on_either_executor(float_max):
         root = quadrature.solve_monotone(lambda x, i: ((x - 1.0)**5, 5.0 * (x - 1.0)**4), [-1e300], [1e300], True,
                                          xtol=1e-13)
         assert root[0] == pytest.approx(1.0, abs=1e-12)
+        # bisection alone on a bracket wider than the largest double, whose width overflows to inf
+        root = quadrature.solve_monotone(lambda x, i: (x - 1e-300, math.nan), [-1.7e308], [1.7e308], True, xtol=0.0)
+        assert abs(root[0] - 1e-300) <= math.ulp(1e-300)
 
 
-@pytest.mark.xfail(strict=True, raises=DomainError,
-                   reason="ROADMAP item 10: below magnitude 1 the split takes arithmetic midpoints, so bisection "
-                          "alone needs about 1,050-1,080 steps for these roots and stops at _MAX_STEPS = 400")
 @pytest.mark.parametrize("r", [0.0, 1e-300])
 def test_bisection_alone_closes_a_bracket_around_a_root_near_0(r):
+    calls = []
+
     def f(x, i):
+        calls.append(x)
         return x - r, np.full(x.shape, math.nan)  # every Newton step refused
 
     assert abs(quadrature.solve_monotone(f, r - 1.0, r + 10.0, True, xtol=0.0)[0] - r) <= math.ulp(r)  # one double
+    assert len(calls) <= 66  # the start, at most 64 halvings and one call at the last double
+
+
+# ---------------------------------------------------------------------------
+# the bisection point
+
+_DOUBLE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.7e308, 1.7e308]),
+                    st.floats(-2.3e-308, 2.3e-308))  # the subnormals and the smallest normals
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(ends=st.tuples(_DOUBLE, _DOUBLE), root=st.floats(0.0, 1.0))
+@example(ends=(-1.7976931348623157e308, 1.7976931348623157e308), root=0.5)
+@example(ends=(-5e-324, 5e-324), root=0.0)
+@example(ends=(-0.0, 0.0), root=0.0)
+def test_split_halves_any_finite_bracket_in_the_order_of_the_doubles(ends, root):
+    lo, hi = sorted(ends)
+    target = lo + root * (hi - lo) if math.isfinite(hi - lo) else root * hi + (1.0 - root) * lo
+    halvings = 0
+    while True:
+        mid = quadrature._split(lo, hi)
+        assert lo <= mid <= hi
+        assert np.array(mid).tobytes() == quadrature._split(np.array([lo]), np.array([hi])).tobytes()  # either form
+        if not np.nextafter(lo, hi) < hi:  # lo and hi are equal or adjacent doubles
+            break
+        assert lo < mid < hi
+        lo, hi = (mid, hi) if mid < target else (lo, mid)
+        halvings += 1
+        assert halvings <= 64, (lo, hi)

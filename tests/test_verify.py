@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from steintail import chaos, pearson, rng, verify
+from steintail import chaos, pearson, rng, stein, verify
 from steintail.chaos import HermiteSeries
 from steintail.errors import (
     DomainError,
@@ -628,6 +629,30 @@ def test_scenario_integers_take_integer_values_and_refuse_the_rest():
     for field, bad in [("n_samples", 20000.7), ("seed", 3.9)]:
         with pytest.raises(DomainError, match="must be an integer"):
             scenario_from_json(json.dumps({**obj, field: bad}))
+
+
+@pytest.mark.parametrize("bad", ["abc", "1.5", None, True, np.True_, [1.0], 1j])
+def test_a_threshold_that_is_not_a_real_number_raises_domain_error_naming_it(bad):
+    # before, float() raised a bare ValueError or TypeError, or read True as 1
+    law = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
+    named = re.escape(repr(bad))
+    for call in (lambda: stein.solve_indicator(law, bad), lambda: stein.certification_grid(law, bad, 100),
+                 lambda: h2_gamma_spec(z_grid=(bad, 2.0))):
+        with pytest.raises(DomainError, match=f"must be a real number, got {named}"):
+            call()
+    if isinstance(bad, (str, bool, list, type(None))):  # a scenario file can hold it
+        obj = json.loads(scenario_to_json(h2_gamma_spec()))
+        with pytest.raises(DomainError, match=f"must be a real number, got {named}"):
+            scenario_from_json(json.dumps({**obj, "z_grid": [bad, 2.0]}))
+
+
+@pytest.mark.parametrize("bad", ["abc", None, True, [1.0, "2"], [1.0, [2.0]], 1j])
+def test_an_evaluation_point_that_is_not_real_raises_domain_error_naming_it(bad):
+    # before, None read as NaN ("evaluation point is NaN") and a string raised a bare ValueError
+    law = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
+    with pytest.raises(DomainError, match=f"must be a real number or an array of them, got {re.escape(repr(bad))}"):
+        pearson.tail(law, bad)
+    assert pearson.tail(law, [1, 2]).tolist() == pearson.tail(law, np.array([1.0, 2.0])).tolist()
 
 
 def test_scenario_json_missing_field():
