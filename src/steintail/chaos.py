@@ -9,7 +9,8 @@ Ornstein-Uhlenbeck generator divides by it.  The carre-du-champ-style quantity
 
 is therefore an explicit polynomial in N, the law of X is an explicit
 pushforward of the Gaussian read off the level crossings of X(n), and the
-identity E[X m(X)] = E[m'(X) G] can be checked to quadrature exactness.
+identity E[X m(X)] = E[m'(X) G] can be checked with every Gaussian
+expectation in closed form.
 Every polynomial in n is a plain tuple of monomial coefficients, low to high:
 X(n) and G(n) are computed in exact rationals and each coefficient is rounded
 once, and X'(n) is the derivative of the rounded X(n).
@@ -32,7 +33,7 @@ from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
-from .errors import DomainError, OutsideSupportError, as_int, pointwise
+from .errors import DomainError, OutsideSupportError, as_float, as_int, pointwise
 from .pearson import PearsonCoefficients, support as pearson_support
 
 __all__ = [
@@ -56,20 +57,21 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def hermite_eval(n: int, x):
-    """Probabilists' Hermite H_n(x) by the three-term recurrence."""
+    """Probabilists' Hermite H_n(x) at a number or an array, as the series with one unit coefficient."""
     n = as_int(n, "Hermite degree")
-    if n < 0:
-        raise DomainError(f"Hermite degree must be a nonnegative integer, got {n}")
-    if n > MAX_DEGREE:
-        raise DomainError(f"Hermite degree {n} exceeds the overflow guard {MAX_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if n == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = x.copy()
-    for k in range(1, n):
-        prev, cur = cur, x * cur - k * prev
-    return float(cur) if cur.ndim == 0 else cur
+    if not 0 <= n <= MAX_DEGREE:
+        raise DomainError(f"Hermite degree must be in 0..{MAX_DEGREE} (the overflow guard), got {n}")
+    return pointwise(_hermeval, (0.0,) * n + (1.0,), x)
+
+
+def _hermeval(coeffs, x: np.ndarray) -> np.ndarray:
+    """sum_k coeffs_k H_k(x) by Clenshaw's recurrence, the rows of ``errors.pointwise``; a value past the doubles,
+    or at an infinite x, raises DomainError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        val = herme.hermeval(x, coeffs)
+    if not np.isfinite(val).all():
+        raise DomainError(f"sum c_k H_k(x) is not a finite double at every x, for c = {coeffs}")
+    return val
 
 
 def _phi(x):
@@ -78,9 +80,7 @@ def _phi(x):
 
 
 def _gauss_interval_prob(u: float, v: float) -> float:
-    """P[u < N <= v] in complement-free form on either side of 0."""
-    if v <= u:
-        return 0.0
+    """P[u < N <= v] for u <= v, in complement-free form on either side of 0."""
     sf = lambda x: 0.5 * math.erfc(x / math.sqrt(2.0))  # P[N > x], exactly 0 and 1 at +-inf
     if u >= 0.0:
         return sf(u) - sf(v)
@@ -205,8 +205,8 @@ class HermiteSeries:
         return _rounded(_exact_monomials(self.coeffs))
 
     def evaluate(self, x):
-        val = herme.hermeval(np.asarray(x, dtype=float), np.asarray(self.coeffs))
-        return float(val) if np.ndim(x) == 0 else val
+        """X(n) at a number or an array (``_hermeval``)."""
+        return pointwise(_hermeval, self.coeffs, x)
 
 
 def _exact_monomials(herm) -> list[Fraction]:
@@ -267,7 +267,10 @@ class PolynomialChaosLaw:
     poly: tuple[float, ...]  # X(n), monomial coefficients low to high
     dpoly: tuple[float, ...]  # X'(n)
     gpoly: tuple[float, ...]  # G(n) = <DX, -DL^{-1}X>, see ``malliavin_G``
-    crit_points: tuple[float, ...]
+    crit_points: tuple[float, ...]  # sorted, where X'(n) changes sign
+    crit_values: tuple[float, ...]  # X at each critical point
+    limits: tuple[float, float]  # X(n) as n -> -inf and +inf
+    log2_rest: float  # the Fujiwara bound's max over every coefficient of X(n) but c_0 (``_log2_root_bound``)
     support_a: float
     support_b: float
 
@@ -287,11 +290,11 @@ class PolynomialChaosLaw:
             raise DomainError("level must be a number, got nan")
         if math.isinf(x):
             return [], ([(-math.inf, math.inf)] if x < 0.0 else [])
-        limits, splits, log2_rest = self._level_terms
         c = (self.poly[0] - x, *self.poly[1:])
-        ns = _sign_changes(c, self.dpoly, splits, limits, max(log2_rest, _log2_root_bound(c, (0,)))).tolist()
+        ns = _sign_changes(c, self.dpoly, np.asarray(self.crit_points), self.limits,
+                           max(self.log2_rest, _log2_root_bound(c, (0,)))).tolist()
         pts = [-math.inf, *ns, math.inf]
-        first = 0 if limits[0] > 0.0 else 1
+        first = 0 if self.limits[0] > 0.0 else 1
         return [(n, _horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
 
     def sign_ends(self, x: float, margin: float) -> tuple[list[tuple[float, bool]], bool]:
@@ -299,17 +302,8 @@ class PolynomialChaosLaw:
         (False), and whether X(n) > x as n -> +inf: where {X > x} begins or ends, and where X(n)
         computed with an error below margin may seem to."""
         pre, above = self.level(x)
-        values = npoly.polyval(self.crit_points, self.poly)
-        near = [(c, False) for c, v in zip(self.crit_points, values) if abs(v - x) <= margin]
+        near = [(c, False) for c, v in zip(self.crit_points, self.crit_values) if abs(v - x) <= margin]
         return sorted([(n, True) for n, _ in pre] + near), bool(above) and above[-1][1] == math.inf
-
-    @functools.cached_property
-    def _level_terms(self) -> tuple[tuple[float, float], np.ndarray, float]:
-        """What every level shares: the limits of X(n) - x at -inf and +inf, which x does not move, the
-        critical points as an array, and the Fujiwara bound's max over every coefficient but c_0's."""
-        rest = _log2_root_bound(self.poly, range(1, len(self.poly) - 1))
-        limits = _poly_limit(self.poly, -math.inf), _poly_limit(self.poly, math.inf)
-        return limits, np.asarray(self.crit_points), rest
 
     # -- evaluators ---------------------------------------------------------
 
@@ -324,10 +318,6 @@ class PolynomialChaosLaw:
         herms = ((1.0,), self.series.coeffs, herme.hermemul(self.series.coeffs, self.series.coeffs))
         return _per_level(self, x, lambda v, pre, above: tuple(_gauss_integral(h, above) for h in herms), 3)
 
-    @property
-    def variance(self) -> float:
-        return self.series.variance
-
 
 @functools.lru_cache(maxsize=32)
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
@@ -335,8 +325,11 @@ def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
     poly = x_series.to_polynomial()  # degree >= 1: H_n has leading coefficient 1
     dpoly = _rounded(npoly.polyder(poly))
     crit = tuple(_real_roots(dpoly).tolist())
-    values = (_poly_limit(poly, -math.inf), *npoly.polyval(crit, poly).tolist(), _poly_limit(poly, math.inf))
-    return PolynomialChaosLaw(x_series, poly, dpoly, malliavin_G(x_series), crit, min(values), max(values))
+    values = tuple(npoly.polyval(crit, poly).tolist())
+    limits = _poly_limit(poly, -math.inf), _poly_limit(poly, math.inf)
+    rest = _log2_root_bound(poly, range(1, len(poly) - 1))
+    return PolynomialChaosLaw(x_series, poly, dpoly, malliavin_G(x_series), crit, values, limits, rest,
+                              min(*values, *limits), max(*values, *limits))
 
 
 # ---------------------------------------------------------------------------
@@ -463,22 +456,21 @@ def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tu
 
 
 def expect_polynomial(poly_coeffs) -> float:
-    """E[p(N)] by probabilists' Gauss-Hermite with exactness-level node count."""
-    c = np.atleast_1d(np.asarray(poly_coeffs, dtype=float))
-    x, w = _hermegauss(max(len(c) // 2 + 1, 2))
-    return float(np.dot(w, npoly.polyval(x, c)) / _SQRT_2PI)
-
-
-@functools.lru_cache(maxsize=MAX_DEGREE)
-def _hermegauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Gauss-Hermite rule of the node count, built once (an eigen-solve) and read-only, since callers share it."""
-    x, w = herme.hermegauss(nodes)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    """E[p(N)] for p = sum c_k N^k, monomial coefficients low to high: the sum of c_k E[N^k] = c_k (k - 1)!!
+    over even k, taken exactly and rounded once.  A coefficient that is not finite, or a sum past the
+    doubles, raises DomainError."""
+    c = as_float(poly_coeffs, "polynomial coefficients", arrays=True)
+    if c.ndim > 1 or not np.isfinite(c).all():
+        raise DomainError(f"polynomial coefficients must be a finite sequence, got {poly_coeffs!r}")
+    total = sum(Fraction(ck) * math.prod(range(1, 2 * k, 2)) for k, ck in enumerate(c.reshape(-1)[::2].tolist()))
+    try:
+        return float(total)
+    except OverflowError:
+        raise DomainError(f"E[p(N)] is past the doubles for coefficients {poly_coeffs!r}") from None
 
 
 def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
-    """|E[X m(X)] - E[m'(X) G]| by exact Gauss-Hermite quadrature.
+    """|E[X m(X)] - E[m'(X) G]|, each Gaussian expectation in closed form (``expect_polynomial``).
 
     m is a polynomial, monomial coefficients low to high; the bounded
     derivative hypothesis of the underlying identity is relaxed to polynomial

@@ -237,9 +237,7 @@ def _beta_params(c: PearsonCoefficients, a: float, b: float):
 def _invgamma_params(c: PearsonCoefficients, a: float, b: float):
     mu = c.beta / (2.0 * c.alpha)
     r = 2.0 + 1.0 / c.alpha
-    s = mu / c.alpha
-    if not s > 0.0:
-        raise InvalidCoefficientsError("degenerate inverse-gamma-type law (s = 0)")
+    s = mu / c.alpha  # > 0: classify gives this case only where beta^2 > 0, and the canonical beta is > 0
     return r, s, mu, None, (r - 1.0) * math.log(s) - _sp.gammaln(r - 1.0)
 
 

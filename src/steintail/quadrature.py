@@ -70,8 +70,9 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
     step, which the first rule lets pass for k <= 3, and across the doubles'
     range that takes hundreds.  No solve that ends sooner is touched by the
     second rule.  A problem stops after a Newton step of at most
-    xtol + 4 eps |x|, or when bisection can no longer split its bracket: the
-    root is then within one double, however steep f is there.  It then leaves
+    xtol + 4 eps |x|, at an iterate where f is exactly 0, or when bisection
+    can no longer split its bracket: the root is then within one double,
+    however steep f is there.  It then leaves
     the working arrays, so f never sees it again, and no problem's steps depend
     on another's.  x0 are optional starting points inside the brackets; a NaN
     start is the bracket's arithmetic midpoint, rtsafe's own start.  A bracket
@@ -106,8 +107,8 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
             x_new = x - dx
             limit = step_old if k < _PATIENCE else step
             newton = (x_new >= lo) & (x_new <= hi) & (np.abs(dx) <= 0.5 * limit) & np.isfinite(slope)
-            if not newton.all():
-                x_new = np.where(newton, x_new, _split(lo, hi))
+            if not newton.all():  # bisect, unless f is exactly 0 at x: x is then the root
+                x_new = np.where(newton, x_new, np.where(val == 0.0, x, _split(lo, hi)))
             step_old, step, x = step, np.abs(x_new - x), x_new
             going = np.where(newton, np.abs(dx) > xtol + _RTOL * np.abs(x), step > 0.0)
             if not going.all():
@@ -147,7 +148,7 @@ def _float_steps(f, k0: int, root: np.ndarray, i: np.ndarray, *state: np.ndarray
                 x_new = xj - dx
                 newton = lo[j] <= x_new <= hi[j] and abs(dx) <= 0.5 * limit[j]
             if not newton:
-                x_new = float(_split(lo[j], hi[j]))
+                x_new = xj if v == 0.0 else float(_split(lo[j], hi[j]))
             step_old[j], step[j], x[j] = step[j], abs(x_new - xj), x_new
             if (abs(dx) > xtol + _RTOL * abs(x_new)) if newton else (step[j] > 0.0):
                 keep.append(j)

@@ -87,7 +87,8 @@ class ScenarioSpec:
             raise DomainError(f"scenario needs n_samples >= 10^4, got {self.n_samples}")
         if not 0.0 < self.confidence < 1.0:
             raise DomainError(f"confidence must be in (0,1), got {self.confidence}")
-        zs = tuple(as_float(z, "a z_grid point") for z in self.z_grid)
+        with reading("z_grid"):  # a grid that is not a sequence; a point that is not a number names itself
+            zs = tuple(as_float(z, "a z_grid point") for z in self.z_grid)
         object.__setattr__(self, "z_grid", zs)
         if any(b <= a for a, b in zip(zs, zs[1:])) or not zs:
             raise DomainError("z_grid must be nonempty and strictly increasing")

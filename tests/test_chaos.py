@@ -437,6 +437,41 @@ def test_ibp_cross_checks_closed_moments():
     assert expect_polynomial(lhs) == pytest.approx(8.0, rel=1e-13)
 
 
+_MIXED_COEFF = st.builds(lambda sign, mag: sign * 10.0**mag, st.sampled_from((-1.0, 1.0)), st.floats(-12.0, 3.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(c=st.lists(_MIXED_COEFF, min_size=1, max_size=21), at=st.integers(0, 20),
+       bad=st.sampled_from((math.nan, math.inf, -math.inf)))
+def test_expect_polynomial_is_the_exact_gaussian_moment_sum_rounded_once(c, at, bad):
+    got = expect_polynomial(c)
+    with mp.workdps(50):
+        # p(x) phi(x) is below 1e-300 past |x| = 40 at degree 20; Gauss-Legendre on panels is exact to 50 digits
+        exact = mp.quad(lambda x: mp.polyval(c[::-1], x) * mp.npdf(x), [-40, -20, -10, -5, 0, 5, 10, 20, 40],
+                        method="gauss-legendre")
+        scale = sum(abs(ck) * mp.sqrt(math.prod(range(1, 2 * k, 2))) for k, ck in enumerate(c))  # >= E|p(N)|
+        assert abs(mp.mpf(got) - exact) <= mp.mpf(math.ulp(got)) / 2 + mp.mpf(10) ** -40 * scale
+    with pytest.raises(DomainError, match="finite"):
+        expect_polynomial(c[:at] + [bad] + c[at:])
+
+
+def test_expect_polynomial_refuses_a_sum_past_the_doubles():
+    with pytest.raises(DomainError, match="past the doubles"):
+        expect_polynomial([0.0, 0.0, 1e308, 0.0, 1e308])  # 1e308 (1 + 3)
+
+
+@pytest.mark.parametrize("evaluate", [lambda x: hermite_eval(3, x), HermiteSeries((0.0, 1.0, 0.5)).evaluate])
+def test_hermite_evaluators_refuse_nan_non_numbers_and_values_past_the_doubles(evaluate):
+    # before, NaN and None gave NaN, "a" a bare ValueError, and inf or 1e200 a RuntimeWarning
+    for bad in (math.nan, [0.5, math.nan], None, "a"):
+        with pytest.raises(DomainError, match="NaN|real number"):
+            evaluate(bad)
+    for far in (math.inf, -math.inf, 1e200, [0.5, 1e200]):
+        with pytest.raises(DomainError, match="not a finite double"):
+            evaluate(far)
+    assert evaluate(0.5) == evaluate(np.array([0.5]))[0] and isinstance(evaluate(0.5), float)
+
+
 def test_ibp_random_series():
     rng = np.random.default_rng(23)
     for _ in range(10):

@@ -197,7 +197,7 @@ def test_refusals_and_silence_on_either_executor(float_max):
         assert abs(root[0] - 1e-300) <= math.ulp(1e-300)
 
 
-@pytest.mark.parametrize("r", [0.0, 1e-300])
+@pytest.mark.parametrize("r", [0.0, 1e-300, 0.3])
 def test_bisection_alone_closes_a_bracket_around_a_root_near_0(r):
     calls = []
 
@@ -205,8 +205,12 @@ def test_bisection_alone_closes_a_bracket_around_a_root_near_0(r):
         calls.append(x)
         return x - r, np.full(x.shape, math.nan)  # every Newton step refused
 
-    assert abs(quadrature.solve_monotone(f, r - 1.0, r + 10.0, True, xtol=0.0)[0] - r) <= math.ulp(r)  # one double
+    # bisection reaches r itself, where f is exactly 0, and stops there on either executor
+    root = quadrature.solve_monotone(f, r - 1.0, r + 10.0, True, xtol=0.0)
+    assert root[0] == r
     assert len(calls) <= 66  # the start, at most 64 halvings and one call at the last double
+    batch = quadrature.solve_monotone(f, [r - 1.0] * 40, [r + 10.0] * 40, [True] * 40, xtol=0.0)  # on arrays
+    assert batch.tobytes() == np.repeat(root, 40).tobytes()
 
 
 # ---------------------------------------------------------------------------

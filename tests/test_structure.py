@@ -9,7 +9,7 @@ Sampling stays off ``scipy.stats``, whose import alone costs about half a
 second and 17 MB, and the library and the CLI load neither ``scipy.optimize``
 nor ``scipy.integrate``.  Every root goes through ``quadrature.solve_monotone``:
 no module names a library root finder (companion matrix, eigenvalues, Brent or
-Newton).
+Newton).  Every ``raise`` names a class of ``steintail.errors`` or re-raises.
 """
 
 import ast
@@ -141,6 +141,23 @@ def test_no_assert_statement_in_src():
     # python -O strips asserts, so a check that guards a result must raise
     found = [f"{name}:{node.lineno}" for name, tree in _modules().items() for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_every_raise_names_an_error_class_of_the_package():
+    # errors promises "never a bare ValueError": a raise is a typed error from errors, or a bare re-raise
+    modules = _modules()
+    classes = {n.name for n in modules["errors"].body if isinstance(n, ast.ClassDef)}
+    found = []
+    for name, tree in modules.items():
+        imported = classes if name == "errors" else {
+            a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and _sibling(n) == "errors"
+            for a in n.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not (isinstance(call, ast.Name) and call.id in classes & imported):
+                    found.append(f"{name}:{node.lineno} raises {ast.unparse(node.exc)}")
     assert not found, found
 
 

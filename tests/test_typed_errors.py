@@ -1,0 +1,116 @@
+"""Refusals in src that the module tests do not reach: each input below is one a caller can pass, and each
+raises the package's typed error (``steintail.errors``), never a bare ValueError or TypeError."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from steintail import bounds, chaos, cli, pearson, verify
+from steintail.chaos import HermiteSeries
+from steintail.errors import (
+    DomainError,
+    MomentDoesNotExistError,
+    OutsideSupportError,
+)
+from steintail.pearson import PearsonCoefficients, build_law
+from steintail.verify import Hypothesis, ScenarioSpec, TailReport, dkw_half_width, slope_estimate
+
+GAMMA = PearsonCoefficients(0.0, 2.0, 2.0)
+
+
+def test_bounds_refuse_a_nan_point_and_a_threshold_at_or_below_0():
+    with pytest.raises(DomainError, match="NaN"):
+        bounds.implicit_integral(math.nan, math.inf, (0.5, 0.1, 0.2))
+    law = build_law(GAMMA)
+    for z in (0.0, -1.0):
+        with pytest.raises(DomainError, match="requires z > 0"):
+            bounds.normalized_tail(law, z)
+
+
+def test_chaos_refuses_a_series_past_the_degree_guard_and_levels_without_a_weight():
+    with pytest.raises(DomainError, match="exceeds 64"):
+        HermiteSeries((0.0,) * 65 + (1.0,))
+    h2 = HermiteSeries((0.0, 0.0, 1.0))
+    with pytest.raises(OutsideSupportError, match="no preimages"):  # H2 >= -1
+        chaos.g_from_conditional(h2, -2.0)
+    # X = 1e-160 N crosses 1 at n = 1e160, where n^2 is past the doubles: no weight, even in logs
+    with pytest.raises(OutsideSupportError, match="underflows, even in logs"):
+        chaos.g_from_conditional(HermiteSeries((0.0, 1e-160)), 1.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tail", "--alpha", "0", "--beta", "0", "--gamma", "1", "--grid", "0:1"], "grid must be a:b:n"),
+    (["tail", "--alpha", "0", "--beta", "0", "--gamma", "1", "--grid", "1:0:5"], "grid needs b >= a"),
+    (["tail", "--alpha", "0", "--beta", "0", "--gamma", "1", "--grid", "0:1:0"], "grid needs b >= a"),
+    (["chaos-g", "--coeffs", "0,x"], "comma-separated numbers"),
+])
+def test_cli_parse_errors_exit_1_with_one_line(capsys, argv, message):
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.strip().count("\n") == 0
+
+
+def test_cli_prints_unit_terms_bare_and_asym_as_csv(capsys):
+    assert cli._format_polynomial((1.0, -1.0, 0.0, 2.0, 1.0)) == "1 - N + 2*N^3 + N^4"
+    assert cli.run(["asym", "--alpha", "0", "--beta", "2", "--gamma", "2", "--mode", "loglinear",
+                    "--z-grid", "5:60:12"]) == 0
+    header, row = capsys.readouterr().out.strip().split("\n")
+    assert header == "mode,p,slope"
+    mode, p, slope = row.split(",")
+    assert (mode, p) == ("loglinear", "0.0") and -0.6 < float(slope) < -0.4  # the limit is -1/beta
+
+
+def test_log_tail_refuses_where_a_tail_underflows_without_a_log_form():
+    # the inverse-gamma type has no log form of its tail below the doubles' range
+    with pytest.raises(DomainError, match="tail underflow"):
+        pearson.log_tail(build_law(PearsonCoefficients(0.25, 1.0, 1.0)), 1e100)
+
+
+def test_pearson_refuses_an_empty_sample_negative_moments_and_a_stored_case_that_does_not_rebuild():
+    law = build_law(GAMMA)
+    with pytest.raises(DomainError, match="sample size"):
+        pearson.sample(law, 0, seed=1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        pearson.moment(GAMMA, -1)
+    assert not pearson.moment_exists(GAMMA, -1)
+    obj = json.loads(pearson.law_to_json(law))
+    with pytest.raises(DomainError, match="case mismatch"):
+        pearson.law_from_json(json.dumps({**obj, "case": "Beta"}))
+
+
+def test_moment_refuses_a_vanishing_recursion_pivot():
+    # alpha one double below 1/2: the third moment passes m < 1 + 1/alpha in doubles, but 1 - 2 alpha is 2^-53
+    coeffs = PearsonCoefficients(math.nextafter(0.5, 0.0), 0.0, 1.0)
+    assert pearson.moment_exists(coeffs, 3)
+    with pytest.raises(MomentDoesNotExistError, match="pivot"):
+        pearson.moment(coeffs, 3)
+
+
+def test_verify_refuses_a_bad_confidence_short_reports_and_unknown_models():
+    base = dict(x_model=HermiteSeries((0.0, 0.0, 1.0)), reference=GAMMA, hypothesis=Hypothesis.SANDWICH,
+                z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+    for confidence in (0.0, 1.0, 1.5):
+        with pytest.raises(DomainError, match="confidence"):
+            ScenarioSpec(**base, confidence=confidence)
+    for n, confidence in ((0, 0.99), (10, 1.0)):
+        with pytest.raises(DomainError, match="n >= 1"):
+            dkw_half_width(n, confidence)
+    with pytest.raises(DomainError, match="lower_cert length mismatch"):
+        TailReport((1.0, 2.0), (0.1, 0.05), (0.0,), (1.0, 1.0), (0.1, 0.1), 0.01, ("pass", "pass"))
+    obj = json.loads(verify.scenario_to_json(ScenarioSpec(**base)))
+    with pytest.raises(DomainError, match="unknown x_model type 'gaussian'"):
+        verify.scenario_from_json(json.dumps({**obj, "x_model": {"type": "gaussian"}}))
+
+
+def test_slope_estimate_refuses_short_grids_nonpositive_points_and_unknown_modes():
+    zs = np.array([1.0, 5.0, 20.0])
+    ys = -zs
+    for args, message in (((zs[:2], ys[:2], "loglog"), "at least 3 points"),
+                          ((zs, ys[:2], "loglog"), "matching grids"),
+                          ((zs - 2.0, ys, "loglinear"), "must be positive"),
+                          ((zs, ys, "cubic"), "unknown slope mode"),
+                          ((zs, ys, "stretched", 2.0), "0 <= p < 2")):
+        with pytest.raises(DomainError, match=message):
+            slope_estimate(*args)

@@ -644,6 +644,9 @@ def test_a_threshold_that_is_not_a_real_number_raises_domain_error_naming_it(bad
         obj = json.loads(scenario_to_json(h2_gamma_spec()))
         with pytest.raises(DomainError, match=f"must be a real number, got {named}"):
             scenario_from_json(json.dumps({**obj, "z_grid": [bad, 2.0]}))
+    for grid in (None, 3.0):  # before, a bare TypeError: the grid is not iterable
+        with pytest.raises(DomainError, match="malformed z_grid"):
+            h2_gamma_spec(z_grid=grid)
 
 
 @pytest.mark.parametrize("bad", ["abc", None, True, [1.0, "2"], [1.0, [2.0]], 1j])
