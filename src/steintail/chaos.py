@@ -33,7 +33,7 @@ from numpy.polynomial import hermite_e as herme
 from numpy.polynomial import polynomial as npoly
 
 from . import quadrature
-from .errors import DomainError, OutsideSupportError, as_float, as_int, pointwise
+from .errors import DomainError, OutsideSupportError, as_float, as_int, pointwise, reading
 from .pearson import PearsonCoefficients, support as pearson_support
 
 __all__ = [
@@ -74,9 +74,16 @@ def _hermeval(coeffs, x: np.ndarray) -> np.ndarray:
     return val
 
 
-def _phi(x):
-    with np.errstate(over="ignore"):  # n^2 = inf beyond 1e154, where phi is 0 anyway
-        return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
+def _phi(n: float):
+    return np.exp(-0.5 * (n * n)) / _SQRT_2PI  # numpy's exp: math.exp's last bit differs; phi is 0 past n^2 = inf
+
+
+def _clenshaw(c, n: float):
+    """sum c_k H_k(n) at a float n: ``herme.hermeval``'s Clenshaw steps one for one, on floats."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    for j in range(len(c) - 3, -1, -1):
+        c0, c1 = c[j] - c1 * (j + 1), c0 + c1 * n
+    return c0 + c1 * n
 
 
 def _gauss_interval_prob(u: float, v: float) -> float:
@@ -90,17 +97,17 @@ def _gauss_interval_prob(u: float, v: float) -> float:
 
 
 def _gauss_integral(herm, intervals) -> float:
-    """Integral of P(n) phi(n) over the intervals, for P = sum_k herm_k H_k.
+    """Integral of P(n) phi(n) over the intervals, for P = sum_k herm_k H_k (a sequence of floats).
 
     (H_{k-1} phi)' = -H_k phi, so with A = sum_{k>=1} herm_k H_{k-1} each
     interval (u, v) gives herm_0 P[u < N <= v] + A(u) phi(u) - A(v) phi(v).
     """
-    shift = np.asarray(herm[1:], dtype=float)
+    shift = herm[1:]
 
     def edge(n: float) -> float:
-        if not shift.size or not math.isfinite(n):
+        if not shift or not math.isfinite(n):
             return 0.0
-        return float(herme.hermeval(n, shift) * _phi(n))
+        return float(_clenshaw(shift, n) * _phi(n))
 
     return float(sum(herm[0] * _gauss_interval_prob(u, v) + (edge(u) - edge(v)) for u, v in intervals))
 
@@ -113,12 +120,7 @@ def _log2_root_bound(c, lower=None) -> float:
     return max(((math.log2(abs(c[j])) - math.log2(abs(c[d]))) / (d - j) for j in js if c[j]), default=-math.inf)
 
 
-def _horner(c, t):
-    """sum c_k t^k by Horner (c low to high, () is 0; t a number, array or Polynomial): polyval's steps at finite t."""
-    return functools.reduce(lambda acc, ck: acc * t + ck, c[-2::-1], c[-1]) if len(c) else 0.0
-
-
-def _sign_changes(c, dc, splits: np.ndarray, limits=None, log2_bound=None) -> np.ndarray:
+def _sign_changes(c, dc, splits, limits=None, log2_bound=None) -> np.ndarray:
     """Sorted sign changes of p = sum c_k t^k, monotone between the sorted splits; dc holds p'.
 
     The signs at +-inf are those of p's limits, and the Fujiwara bound R
@@ -132,26 +134,25 @@ def _sign_changes(c, dc, splits: np.ndarray, limits=None, log2_bound=None) -> np
     solver's patience rule closes the distance.  Near an odd multiple root
     rounding noise, about eps^(1/m) |t| wide, leaves no sign to follow, and
     bisection ends there; the noise can also put several splits, all with
-    p = 0, at such a root.
+    p = 0, at such a root.  c, dc and the splits are sequences of floats, and
+    signs and brackets are taken on floats: a level has a few pieces at most.
     """
     if limits is None:
         limits = _poly_limit(c, -math.inf), _poly_limit(c, math.inf)
-    with np.errstate(over="ignore"):  # past the doubles p is +-inf, which keeps its sign
-        signs = np.sign([limits[0], *_horner(c, splits), limits[1]])
-    found = splits[:0]
-    if not signs.all():  # some split has p = 0; the limits at +-inf never do
-        nz = np.flatnonzero(signs)
-        run = (np.diff(nz) > 1) & (signs[nz[:-1]] * signs[nz[1:]] < 0.0)
-        found = splits[(nz[:-1][run] + nz[1:][run]) // 2 - 1]
-    cross = signs[:-1] * signs[1:] < 0.0
-    if cross.any():
+    # past the doubles p is +-inf, which keeps its sign; the limits at +-inf are never 0
+    signs = [1 if v > 0.0 else -1 if v < 0.0 else 0
+             for v in (limits[0], *(quadrature.horner(c, t) for t in splits), limits[1])]
+    nz = [k for k, v in enumerate(signs) if v]
+    found = [splits[(a + b) // 2 - 1] for a, b in zip(nz, nz[1:]) if b - a > 1 and signs[a] != signs[b]]
+    cross = [k for k in range(len(signs) - 1) if signs[k] * signs[k + 1] < 0]
+    if cross:
         log2_r = 1.0 + (_log2_root_bound(c) if log2_bound is None else log2_bound)
         r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf  # solve_monotone refuses the infinite bracket
-        ends = np.concatenate([[-r], splits, [r]])
-        solved = quadrature.solve_monotone(lambda t, i: (_horner(c, t), _horner(dc, t)),
-                                           ends[:-1][cross], ends[1:][cross], signs[1:][cross] > 0.0, xtol=1e-13)
-        found = np.sort(np.concatenate([found, solved]))
-    return found
+        ends = [-r, *splits, r]
+        solved = quadrature.solve_monotone((c, dc), [ends[k] for k in cross], [ends[k + 1] for k in cross],
+                                           [signs[k + 1] > 0 for k in cross], xtol=1e-13)
+        found = sorted(found + solved.tolist())
+    return np.array(found, dtype=float)
 
 
 def _real_roots(coeffs) -> np.ndarray:
@@ -169,7 +170,7 @@ def _real_roots(coeffs) -> np.ndarray:
     if k := int(np.flatnonzero(c)[0]):
         return np.sort(np.append(_real_roots(c[k:]), [0.0] * (k % 2)))
     dc = npoly.polyder(c)
-    return _sign_changes(c, dc, _real_roots(dc))
+    return _sign_changes(c.tolist(), dc.tolist(), _real_roots(dc).tolist())
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,8 @@ class HermiteSeries:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        c = tuple(float(v) for v in self.coeffs)
+        with reading("coeffs"):  # coeffs that are not a sequence; a coefficient that is not a number names itself
+            c = tuple(as_float(v, "a series coefficient") for v in self.coeffs)
         object.__setattr__(self, "coeffs", c)
         if len(c) < 2:
             raise DomainError("series must reach at least grade 1")
@@ -291,11 +293,11 @@ class PolynomialChaosLaw:
         if math.isinf(x):
             return [], ([(-math.inf, math.inf)] if x < 0.0 else [])
         c = (self.poly[0] - x, *self.poly[1:])
-        ns = _sign_changes(c, self.dpoly, np.asarray(self.crit_points), self.limits,
+        ns = _sign_changes(c, self.dpoly, self.crit_points, self.limits,
                            max(self.log2_rest, _log2_root_bound(c, (0,)))).tolist()
         pts = [-math.inf, *ns, math.inf]
         first = 0 if self.limits[0] > 0.0 else 1
-        return [(n, _horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
+        return [(n, quadrature.horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
 
     def sign_ends(self, x: float, margin: float) -> tuple[list[tuple[float, bool]], bool]:
         """The sorted n where X(n) - x changes sign (True) or has a critical value within margin of 0
@@ -315,7 +317,7 @@ class PolynomialChaosLaw:
 
     def partial_moments(self, x):
         """(P[X > x], E[X; X > x], E[X^2; X > x]), closed form over one set of superlevel intervals per level."""
-        herms = ((1.0,), self.series.coeffs, herme.hermemul(self.series.coeffs, self.series.coeffs))
+        herms = ((1.0,), self.series.coeffs, herme.hermemul(self.series.coeffs, self.series.coeffs).tolist())
         return _per_level(self, x, lambda v, pre, above: tuple(_gauss_integral(h, above) for h in herms), 3)
 
 
@@ -347,9 +349,9 @@ def _per_level(law: PolynomialChaosLaw, x, at, width: int = 1):
     return pointwise(rows, law, x)
 
 
-def _preimage_weights(pre) -> np.ndarray:
-    """phi(n) / |X'(n)| per preimage (n, X'(n)): the density of X at the level is their sum."""
-    return _phi([n for n, _ in pre]) / np.abs([d for _, d in pre])
+def _preimage_weights(pre) -> list:
+    """phi(n) / |X'(n)| per preimage (n, X'(n)), on floats: the density of X at the level is their sum."""
+    return [_phi(n) / abs(d) for n, d in pre]
 
 
 def _g_given(law: PolynomialChaosLaw, v: float, pre) -> float:
@@ -362,9 +364,9 @@ def _g_given(law: PolynomialChaosLaw, v: float, pre) -> float:
     """
     if not pre:
         raise OutsideSupportError(f"no preimages of {v}")
-    w = _preimage_weights(pre)
+    w = np.array(_preimage_weights(pre))
     if w.any():
-        return float(np.dot(w, npoly.polyval([n for n, _ in pre], law.gpoly)) / np.sum(w))
+        return float(np.dot(w, [quadrature.horner(law.gpoly, n) for n, _ in pre]) / np.sum(w))
     ns, ds = np.array(pre).T
     with np.errstate(over="ignore", divide="ignore"):  # past 1e154 n^2 is inf: a weight of 0 even in logs
         logs = -0.5 * ns * ns - np.log(np.abs(ds))
@@ -457,14 +459,15 @@ def dominance_margin(x_series: HermiteSeries, coeffs: PearsonCoefficients) -> tu
 
 def expect_polynomial(poly_coeffs) -> float:
     """E[p(N)] for p = sum c_k N^k, monomial coefficients low to high: the sum of c_k E[N^k] = c_k (k - 1)!!
-    over even k, taken exactly and rounded once.  A coefficient that is not finite, or a sum past the
-    doubles, raises DomainError."""
+    over even k, summed as integers over the largest power-of-two denominator and rounded once, by int / int
+    division.  A coefficient that is not finite, or a sum past the doubles, raises DomainError."""
     c = as_float(poly_coeffs, "polynomial coefficients", arrays=True)
     if c.ndim > 1 or not np.isfinite(c).all():
         raise DomainError(f"polynomial coefficients must be a finite sequence, got {poly_coeffs!r}")
-    total = sum(Fraction(ck) * math.prod(range(1, 2 * k, 2)) for k, ck in enumerate(c.reshape(-1)[::2].tolist()))
+    terms = [(ck.as_integer_ratio(), math.prod(range(1, 2 * k, 2))) for k, ck in enumerate(c.reshape(-1)[::2].tolist())]
+    den = max((d for (_, d), _ in terms), default=1)
     try:
-        return float(total)
+        return sum(n * (den // d) * m for (n, d), m in terms) / den
     except OverflowError:
         raise DomainError(f"E[p(N)] is past the doubles for coefficients {poly_coeffs!r}") from None
 
@@ -477,6 +480,12 @@ def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
     growth, which Gaussian integrability covers at this scale.
     """
     law = law_of_polynomial(x_series)
-    x = npoly.Polynomial(law.poly)  # m(X) by Horner in polynomial arithmetic
-    lhs, rhs = x * _horner(m_coeffs, x), _horner(npoly.polyder(m_coeffs), x) * npoly.Polynomial(law.gpoly)
-    return abs(expect_polynomial(lhs.coef) - expect_polynomial(rhs.coef))
+    lhs = npoly.polymul(law.poly, _compose(m_coeffs, law.poly))
+    rhs = npoly.polymul(_compose(npoly.polyder(m_coeffs), law.poly), law.gpoly)
+    return abs(expect_polynomial(lhs) - expect_polynomial(rhs))
+
+
+def _compose(m, x):
+    """The coefficients of m(X) for X's coefficients x, by Horner on coefficient arrays; () is 0."""
+    step = lambda acc, mk: npoly.polyadd(npoly.polymul(acc, x), mk)
+    return functools.reduce(step, m[-2::-1], m[-1:] if len(m) else (0.0,))

@@ -56,6 +56,7 @@ from .errors import (
     InverseTableError,
     MomentDoesNotExistError,
     UnsupportedCaseError,
+    as_float,
     as_int,
     pointwise,
     reading,
@@ -113,6 +114,8 @@ class PearsonCoefficients:
     gamma: float
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "gamma"):
+            as_float(getattr(self, name), name)  # a string or None raises DomainError, which names it
         if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
             raise InvalidCoefficientsError(f"coefficients must be finite, got {self}")
         if not self.gamma > 0.0:

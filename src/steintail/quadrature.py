@@ -9,6 +9,7 @@ on arrays while many problems run, on Python floats once few are left.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from typing import Callable
@@ -26,6 +27,7 @@ _RTOL = 4.0 * sys.float_info.epsilon
 _PATIENCE = 100  # steps after which a Newton step must halve the last step, not the one before it
 _FLOAT_MAX = 32  # running problems at or below which the steps run on floats; measured crossover ~40 (decision 8)
 _LOW63 = 2**63 - 1  # every bit of an int64 but its sign
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # f and the steps may overflow, divide by 0 or meet NaN
 
 
 def panel_integrals(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
@@ -55,12 +57,21 @@ def _split(lo, hi):
     return (mid ^ ((mid >> 63) & _LOW63)).view(float)
 
 
-def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], lo, hi, increasing,
-                   x0=None, *, xtol: float) -> np.ndarray:
+def horner(c, t):
+    """sum c_k t^k by Horner (c low to high, () is 0; t a number or an array): polyval's steps at finite t."""
+    acc = c[-1] if len(c) else 0.0
+    for ck in c[-2::-1]:
+        acc = acc * t + ck
+    return acc
+
+
+def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray:
     """Roots of strictly monotone functions, any number in one call, each inside its finite bracket.
 
     f(x, i) returns (value, slope) of the problems i, the indices of those
-    still running, at their iterates x.  Problem i has one root in
+    still running, at their iterates x.  A polynomial f is given instead as
+    (p, p'), two sequences of monomial coefficients low to high, and the
+    solver evaluates it by ``horner``.  Problem i has one root in
     [lo[i], hi[i]] and is increasing where increasing[i].  Each step is
     Newton's where it stays inside the current bracket and is at most half the
     step before last, and a bisection otherwise (rtsafe, Numerical Recipes
@@ -79,27 +90,39 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
     end that is not finite raises DomainError.
 
     While more than _FLOAT_MAX problems run, each step is a few dozen array
-    operations; once at most _FLOAT_MAX are left, from the start or after a
-    batch thins out, ``_float_steps`` takes the same steps on Python floats,
-    where numpy's per-call overhead would be all of a step's cost.  f is
-    called with arrays either way, and every root keeps its bits.
+    operations.  A solve of at most _FLOAT_MAX problems starts in
+    ``_float_steps``, with no array set-up, and a larger one goes there once
+    it thins out: the same steps on Python floats, where numpy's per-call
+    overhead would be all of a step's cost.  A callable f gets arrays on
+    either executor; a polynomial is evaluated on arrays or on the floats.
     """
     lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+    if lo.size <= _FLOAT_MAX:  # no array set-up: the float steps from the start
+        lo, hi = lo.tolist(), hi.tolist()
+        if not all(map(math.isfinite, lo + hi)):
+            raise DomainError("bracketed solve needs finite brackets")
+        mid = [0.5 * a + 0.5 * b for a, b in zip(lo, hi)]
+        x = mid if x0 is None else [m if math.isnan(s) else s for m, s in zip(mid, _each(x0, len(lo)))]
+        sign = [1.0 if v else -1.0 for v in _each(increasing, len(lo))]
+        step = [b - a for a, b in zip(lo, hi)]  # inf where the bracket is wider than the largest double
+        with np.errstate(**_QUIET) if callable(f) else contextlib.nullcontext():  # a polynomial needs no numpy
+            return _float_steps(f, 0, np.empty(len(lo)), list(range(len(lo))), x, lo, hi, sign, list(step), step,
+                                xtol=xtol)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("bracketed solve needs finite brackets")
     sign = np.full(lo.shape, np.where(increasing, 1.0, -1.0))
     mid = 0.5 * lo + 0.5 * hi  # rtsafe's start where none is given
     x = mid if x0 is None else np.where(np.isnan(x0), mid, x0)
     root = np.empty(lo.shape)
-    if not lo.size:
-        return root
     i = np.arange(lo.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    on_arrays = f if callable(f) else lambda x, i: (horner(f[0], x), horner(f[1], x))
+    with np.errstate(**_QUIET):
         step_old = step = hi - lo  # inf where the bracket is wider than the largest double
         for k in range(_MAX_STEPS):
             if i.size <= _FLOAT_MAX:
-                return _float_steps(f, k, root, i, x, lo, hi, sign, step_old, step, xtol=xtol)
-            val, slope = f(x, i)
+                state = (a.tolist() for a in (x, lo, hi, sign, step_old, step))
+                return _float_steps(f, k, root, i.tolist(), *state, xtol=xtol)
+            val, slope = on_arrays(x, i)
             below = sign * val < 0.0  # the root is right of x
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -119,21 +142,25 @@ def solve_monotone(f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.nd
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
 
 
-def _float_steps(f, k0: int, root: np.ndarray, i: np.ndarray, *state: np.ndarray, xtol: float) -> np.ndarray:
+def _float_steps(f, k0: int, root: np.ndarray, i: list[int], *state: list[float], xtol: float) -> np.ndarray:
     """Steps k0, k0 + 1, ... of ``solve_monotone`` for the problems i, on Python floats; writes their roots.
 
-    state is (x, lo, hi, sign, step_old, step) as the array steps hold them.
-    Each problem takes the array steps' rule, operation for operation: a
-    float and a float64 array element round alike, so each root keeps its
-    bits (``tests/test_quadrature.py``).  A slope that is 0 or not finite
-    refuses the Newton step before the division, as the inf or NaN step of
-    the array form fails its tests.
+    state is (x, lo, hi, sign, step_old, step), one float list each.  A
+    callable f gets arrays of the running iterates and indices once per step;
+    a polynomial is evaluated at each float.  Each problem takes the array
+    steps' rule, operation for operation: a float and a float64 array element
+    round alike, so each root keeps its bits (``tests/test_quadrature.py``).
+    A slope that is 0 or not finite refuses the Newton step before the
+    division, as the inf or NaN step of the array form fails its tests.
     """
-    x, lo, hi, sign, step_old, step = (a.tolist() for a in state)
-    xs = np.array(x)
+    x, lo, hi, sign, step_old, step = state
     for k in range(k0, _MAX_STEPS):
-        val, slope = f(xs, i)
-        val, slope = _floats(val, len(x)), _floats(slope, len(x))
+        if not x:
+            return root
+        if callable(f):
+            val, slope = (_each(a, len(x)) for a in f(np.array(x), np.array(i)))
+        else:
+            val, slope = ([horner(p, t) for t in x] for p in f)
         limit = step_old if k < _PATIENCE else step
         keep = []
         for j, (v, s) in enumerate(zip(val, slope)):
@@ -155,14 +182,11 @@ def _float_steps(f, k0: int, root: np.ndarray, i: np.ndarray, *state: np.ndarray
             else:
                 root[i[j]] = x_new
         if len(keep) < len(x):
-            if not keep:
-                return root
-            x, lo, hi, sign, step_old, step = ([a[j] for j in keep] for a in (x, lo, hi, sign, step_old, step))
-            i = i[keep]
-        xs = np.array(x)
+            x, lo, hi, sign, step_old, step, i = ([a[j] for j in keep] for a in (x, lo, hi, sign, step_old, step, i))
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
 
 
-def _floats(a, n: int) -> list[float]:
-    """f's values or slopes as n floats; f may return one number for all."""
-    return a.tolist() if np.ndim(a) else [float(a)] * n
+def _each(a, n: int) -> list[float]:
+    """n floats, one per problem: f's values or slopes, the starts or the directions; one number stands for all."""
+    out = np.asarray(a, dtype=float).ravel().tolist()
+    return out * n if len(out) == 1 else out

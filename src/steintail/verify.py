@@ -83,6 +83,8 @@ class ScenarioSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_samples", as_int(self.n_samples, "n_samples"))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        for name in ("confidence", "c_lower") + (("k_upper",) if self.k_upper is not None else ()):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.n_samples < 10_000:
             raise DomainError(f"scenario needs n_samples >= 10^4, got {self.n_samples}")
         if not 0.0 < self.confidence < 1.0:

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from conftest import normal_stream
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e as herme
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -282,8 +285,9 @@ def test_g_function_h3_branch_oracle():
 
 
 def test_preimage_weights_are_the_per_preimage_doubles():
-    # one _phi call on all preimages gives the doubles of one call per preimage, on the 40 levels
-    # that the benchmark's reference_certify workload draws for each of its series at seed 20240527
+    # the weights taken one preimage at a time on floats are the doubles of one array call on all preimages,
+    # numpy's exp either way, on the 40 levels that the benchmark's reference_certify workload draws for
+    # each of its series at seed 20240527
     rnd = random.Random(20240527)
     for _ in range(40):  # the workload's Stein thresholds come first
         rnd.uniform(0.1, 1.0)
@@ -292,9 +296,11 @@ def test_preimage_weights_are_the_per_preimage_doubles():
         ns = [rnd.choice((-1.0, 1.0)) * rnd.uniform(0.3, 2.0) for _ in range(40)]
         for x in (float(series.evaluate(n)) for n in ns):
             pre, _ = law.level(x)
-            want = [float(chaos._phi(n)) / abs(d) for n, d in pre]
-            assert chaos._preimage_weights(pre).tolist() == want
-    assert chaos._preimage_weights([]).tolist() == []
+            ns, ds = np.array(pre).T
+            want = np.exp(-0.5 * ns**2) / math.sqrt(2.0 * math.pi) / np.abs(ds)
+            assert np.array(chaos._preimage_weights(pre)).tobytes() == want.tobytes()
+            assert [float(chaos._phi(n)) / abs(d) for n, d in pre] == want.tolist()
+    assert chaos._preimage_weights([]) == []
 
 
 def test_g_two_routes_agree_on_grid():
@@ -511,9 +517,9 @@ def test_horner_equals_polyval_bit_for_bit(lower, lead, ts):
     c = (*lower, lead)
     with np.errstate(all="ignore"):
         expected = polyval(np.array(ts), c)
-        got = chaos._horner(c, np.array(ts))
+        got = quadrature.horner(c, np.array(ts))
     assert got.tobytes() == expected.tobytes()
-    assert np.array([chaos._horner(c, t) for t in ts]).tobytes() == expected.tobytes()  # on Python floats
+    assert np.array([quadrature.horner(c, t) for t in ts]).tobytes() == expected.tobytes()  # on Python floats
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, 0.1), (0.0, 0.0, 1.0), (0.0, 1.0, 0.2)],
@@ -524,5 +530,137 @@ def test_level_crossings_match_polyval_evaluation_exactly(coeffs, monkeypatch):
     law = law_of_polynomial(x)
     levels = [float(v) for v in x.evaluate(np.linspace(-2.5, 2.5, 41))] + [law.support_a, law.support_b]
     got = [law.level(v) for v in levels]
-    monkeypatch.setattr(chaos, "_horner", lambda c, t: polyval(t, c))
+    monkeypatch.setattr(quadrature, "horner", lambda c, t: polyval(t, c))
     assert got == [law.level(v) for v in levels]
+
+
+# ---------------------------------------------------------------------------
+# a level on Python floats, against the array form it replaced
+
+
+def _sign_changes_on_arrays(c, dc, splits, limits=None, log2_bound=None):
+    """``chaos._sign_changes`` as it was taken on arrays: numpy signs at the splits, numpy brackets, and a
+    callable f that evaluates p and p' by Horner on arrays.  The reference for the bits of the float form."""
+    splits = np.asarray(splits, dtype=float)
+    if limits is None:
+        limits = chaos._poly_limit(c, -math.inf), chaos._poly_limit(c, math.inf)
+    with np.errstate(over="ignore"):
+        signs = np.sign([limits[0], *quadrature.horner(c, splits), limits[1]])
+    found = splits[:0]
+    if not signs.all():
+        nz = np.flatnonzero(signs)
+        run = (np.diff(nz) > 1) & (signs[nz[:-1]] * signs[nz[1:]] < 0.0)
+        found = splits[(nz[:-1][run] + nz[1:][run]) // 2 - 1]
+    cross = signs[:-1] * signs[1:] < 0.0
+    if cross.any():
+        log2_r = 1.0 + (chaos._log2_root_bound(c) if log2_bound is None else log2_bound)
+        r = 2.0 ** log2_r if log2_r < 1024.0 else math.inf
+        ends = np.concatenate([[-r], splits, [r]])
+        solved = quadrature.solve_monotone(lambda t, i: (quadrature.horner(c, t), quadrature.horner(dc, t)),
+                                           ends[:-1][cross], ends[1:][cross], signs[1:][cross] > 0.0, xtol=1e-13)
+        found = np.sort(np.concatenate([found, solved]))
+    return found
+
+
+def _phi_on_arrays(n):
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * np.asarray(n, dtype=float) ** 2) / math.sqrt(2.0 * math.pi)
+
+
+def _gauss_integral_on_arrays(herm, intervals):
+    """``chaos._gauss_integral`` as it was: each edge by ``herme.hermeval`` and phi on a 0-d array."""
+    shift = np.asarray(herm[1:], dtype=float)
+
+    def edge(n):
+        if not shift.size or not math.isfinite(n):
+            return 0.0
+        return float(herme.hermeval(n, shift) * _phi_on_arrays(n))
+
+    return float(sum(herm[0] * chaos._gauss_interval_prob(u, v) + (edge(u) - edge(v)) for u, v in intervals))
+
+
+def _outcomes(series, levels, law=None):
+    """Every level evaluator and both g routes at each level: the bytes of the value, or the error raised."""
+    law = law or law_of_polynomial(series)
+    out = []
+    for fn in (law.level, law.density, law.tail, law.partial_moments,
+               lambda v: g_function(series, v), lambda v: g_from_conditional(series, v)):
+        for v in levels:
+            try:
+                value = fn(v)
+                out.append(repr(value) if fn == law.level else np.array(value, dtype=float).tobytes())
+            except DomainError as exc:
+                out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lower=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), max_size=11),
+       lead=st.floats(0.01, 2.0).flatmap(lambda v: st.sampled_from((v, -v))),
+       ns=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4), far=st.floats(-1e3, 1e3))
+def test_level_evaluators_on_floats_equal_the_array_form_bit_for_bit(lower, lead, ns, far):
+    # degrees 1 to 12; levels X(n) inside, every critical value (a tangent level), the support ends and one
+    # level anywhere; the law itself is rebuilt on the array form, so its critical points are compared too
+    series = HermiteSeries((0.0, *lower, lead))
+    law = law_of_polynomial(series)
+    levels = [float(v) for v in series.evaluate(np.array(ns))] + list(law.crit_values)
+    levels += [law.support_a, law.support_b, far]
+    got = _outcomes(series, levels)
+    with mock.patch.object(chaos, "_sign_changes", _sign_changes_on_arrays), \
+            mock.patch.object(chaos, "_gauss_integral", _gauss_integral_on_arrays), \
+            mock.patch.object(chaos, "_preimage_weights", lambda pre: _phi_on_arrays([n for n, _ in pre])
+                              / np.abs([d for _, d in pre])):
+        on_arrays = law_of_polynomial.__wrapped__(series)
+        assert on_arrays == law
+        assert _outcomes(series, levels, on_arrays) == got
+
+
+def test_sign_changes_on_floats_merge_a_zero_run_with_solved_roots_in_order():
+    # p = t^3 - t is exactly 0 at the repeated split 0, between opposite signs, and a root is solved on each side
+    args = ((0.0, -1.0, 0.0, 1.0), (-1.0, 0.0, 3.0), [-(3.0 ** -0.5), 0.0, 0.0, 3.0 ** -0.5])
+    got = chaos._sign_changes(*args)
+    assert got.tobytes() == _sign_changes_on_arrays(*args).tobytes()
+    np.testing.assert_allclose(got, [-1.0, 0.0, 1.0], rtol=0, atol=1e-13)
+    assert got[1] == 0.0
+
+
+def test_a_scalar_g_is_one_solve_on_floats_from_its_first_step(monkeypatch):
+    series = HermiteSeries((0.0, 1.0, 0.0, 0.1))
+    want = g_function(series, 0.9)  # the law is built before anything is counted
+    solves, starts, points = [], [], []
+    solve, steps, horner = quadrature.solve_monotone, quadrature._float_steps, quadrature.horner
+    monkeypatch.setattr(quadrature, "solve_monotone", lambda f, *a, **kw: solves.append(f) or solve(f, *a, **kw))
+    monkeypatch.setattr(quadrature, "_float_steps", lambda f, k0, *a, **kw: starts.append(k0) or steps(f, k0, *a, **kw))
+    monkeypatch.setattr(quadrature, "horner", lambda c, t: points.append(type(t)) or horner(c, t))
+    assert g_function(series, 0.9) == want
+    assert len(solves) == 1 and not callable(solves[0])  # one solve, of the polynomial X(n) - 0.9 itself
+    assert starts == [0]  # straight into the float steps: no array step before them
+    assert points and set(points) == {float}  # every evaluation of a polynomial on a Python float
+
+
+# preimages of level 0.5 under H_40 and critical points of H_64: more brackets than quadrature._FLOAT_MAX, so
+# these solves start on the array executor.  The digests pin their bits, which the float route left as they were.
+def test_a_level_of_h40_has_40_preimages_from_array_steps(monkeypatch):
+    law = law_of_polynomial(HermiteSeries((0.0,) * 40 + (1.0,)))
+    starts, steps = [], quadrature._float_steps
+    monkeypatch.setattr(quadrature, "_float_steps", lambda f, k0, *a, **kw: starts.append(k0) or steps(f, k0, *a, **kw))
+    pre, above = law.level(0.5)
+    assert len(law.crit_points) == 39 and len(pre) == 40 > quadrature._FLOAT_MAX
+    assert starts and starts[0] > 0  # array steps first, then floats once the batch thins out
+    ns = np.array([n for n, _ in pre])
+    # hermeroots solves the Hermite form (within 6e-14 of 50-digit roots here); the preimages of the monomial
+    # form, whose coefficients reach 1e24, are within 6e-9 of them
+    np.testing.assert_allclose(ns, np.sort(herme.hermeroots([-0.5] + [0.0] * 39 + [1.0]).real), rtol=0, atol=1e-8)
+    assert [lo for lo, _ in above] == [-math.inf, *ns[1::2]] and [hi for _, hi in above] == [*ns[::2], math.inf]
+    assert hashlib.sha256(np.array(pre).tobytes()).hexdigest() == (
+        "53a9624f14fd0c9ccc1096a3a2fb1b4d4b2dd124bfefc33a8dd176946c4654d4")
+
+
+def test_the_law_of_h64_has_63_critical_points_from_array_steps():
+    law = law_of_polynomial(HermiteSeries((0.0,) * 64 + (1.0,)))
+    crit = np.array(law.crit_points)
+    assert crit.size == 63 and np.all(np.diff(crit) > 0.0)
+    # X' = 64 H_63; in monomial form (coefficients up to 1e44) its roots are within 3.5e-3 of those of H_63
+    np.testing.assert_allclose(crit, np.sort(herme.hermeroots([0.0] * 63 + [1.0]).real), rtol=0, atol=5e-3)
+    assert hashlib.sha256(np.array([law.crit_points, law.crit_values]).tobytes()).hexdigest() == (
+        "13e0fcf80ef987b4f403dccebeb4386a4d0ff1eaf5128fbd95472b1ce15c5086")

@@ -151,6 +151,10 @@ def test_the_executors_agree_past_the_patience_rule_at_equal_steps_and_on_a_thin
     assert np.frombuffer(_solve(nan_slope, [1.0], [4.0], True, [1.0], 1e-13, math.inf)[1][1][1])[0] == 2.0
     # a NaN start is the arithmetic midpoint
     assert np.frombuffer(_solve(nan_slope, [1.0], [4.0], True, None, 1e-13, math.inf)[1][0][1])[0] == 2.5
+    # taken as 0.5 lo + 0.5 hi, which stays finite where lo + hi overflows
+    big = lambda x, i: (x - 1.5e308, np.ones_like(x))
+    assert _same_on_both_executors(big, [1e308], [1.7e308], True) <= 3
+    assert np.frombuffer(_solve(big, [1e308], [1.7e308], True, None, 1e-13, math.inf)[1][0][1])[0] == 1.35e308
     # with xtol 0, the exact Newton step 0 at the root 0 stops the problem
     assert _same_on_both_executors(lambda x, i: (x, np.ones_like(x)), [-1.0], [4.0], True, [0.0], xtol=0.0) == 1
     sizes = []

@@ -114,3 +114,23 @@ def test_slope_estimate_refuses_short_grids_nonpositive_points_and_unknown_modes
                           ((zs, ys, "stretched", 2.0), "0 <= p < 2")):
         with pytest.raises(DomainError, match=message):
             slope_estimate(*args)
+
+
+@pytest.mark.parametrize("field, value", [("confidence", "x"), ("confidence", None), ("c_lower", "x"),
+                                          ("c_lower", None), ("k_upper", "x")])
+def test_scenario_spec_refuses_a_constant_that_is_not_a_number_and_names_it(field, value):
+    base = dict(x_model=HermiteSeries((0.0, 0.0, 1.0)), reference=GAMMA, hypothesis=Hypothesis.SANDWICH,
+                z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+    with pytest.raises(DomainError, match=f"{field} must be a real number"):
+        ScenarioSpec(**base, **{field: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HermiteSeries((0, "x")), "series coefficient must be a real number, got 'x'"),
+    (lambda: HermiteSeries(None), "malformed coeffs"),
+    (lambda: build_law(PearsonCoefficients("a", 0, 1)), "alpha must be a real number, got 'a'"),
+    (lambda: build_law(PearsonCoefficients(None, 0, 1)), "alpha must be a real number, got None"),
+], ids=["series-str", "series-none", "pearson-str", "pearson-none"])
+def test_series_and_coefficients_that_are_not_numbers_raise_domain_error_naming_the_field(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
