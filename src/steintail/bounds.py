@@ -6,8 +6,9 @@ Three layers of machinery:
   max(z - g'(z), 0)/q(z) * g(z) rho(z) and g(z) rho(z) / z, with a mirrored
   pair for z < 0;
 * comparison bounds for a dominating/dominated variable X: the implicit
-  integral lower bound P[X>z] >= Phi(z) - (1/q(z)) int_z^b (2x-z) P[X>x] dx,
-  with the integral exact from X's partial moments (Fubini, no quadrature),
+  integral lower bound P[X>z] >= Phi(z) - (1/q(z)) int_z^inf (2x-z) P[X>x] dx,
+  with the integral exact from X's partial moments (Fubini, no quadrature)
+  and q(z) lowered to b^2/F(z) where X has mass past a finite right end b,
   its explicit closure ((c-2) q(z)) / ((c-2) q(z) + 2 z^2) * Phi(z), and the
   admissible multiplier infimum (1-alpha)/(1-2*alpha) for upper bounds;
 * asymptotic constants: the limit K of the normalized flux
@@ -78,36 +79,34 @@ def phi_envelope(law: PearsonLaw, x):
         return _out(np.maximum(gap, 0.0) / q * flux), _out(np.fmin(flux / np.abs(x), 1.0))
 
 
-def implicit_integral(z, b: float, at_z, at_b=None):
-    """int_z^b (2x - z) P[X > x] dx in closed form from the partial moments of X at z and at b.
+def implicit_integral(z, at_z):
+    """int_z^inf (2x - z) P[X > x] dx = E[X (X - z); X > z] in closed form from X's partial moments at z.
 
-    By Fubini the integral is E[m (m - z); X > z] with m = min(X, b).  With
-    J(y) = E[X (X - z); X > y] that is J(z), less J(b) - b (b - z) P[X > b]
-    for a finite b.  at_z holds (P[X > z], E[X; X > z], E[X^2; X > z]), each
-    a number or of z's shape, and at_b the same three numbers at a finite b.
+    By Fubini the integral is E[X^2 - z X; X > z] = m2 - z m1, where at_z holds
+    (P[X > z], m1, m2) = (P[X > z], E[X; X > z], E[X^2; X > z]), each a number or of z's shape.
     """
     z = _points(z)
     if np.isnan(z).any():
         raise DomainError("evaluation point is NaN")
     _, m1, m2 = at_z
-    integral = m2 - z * m1
-    if math.isfinite(b):
-        if at_b is None:
-            raise DomainError(f"the integral to a finite b = {b} needs X's partial moments at b")
-        t_b, m1_b, m2_b = at_b
-        integral = integral - (m2_b - z * m1_b - b * (b - z) * t_b)
-    return _out(integral)
+    return _out(m2 - z * m1)
 
 
-def implicit_lower_bound(law: PearsonLaw, z, at_z, at_b=None):
-    """Phi(z) - (1/q(z)) int_z^b (2x - z) P[X > x] dx, the integral by ``implicit_integral`` from
-    X's partial moments at z and, for a finite right end b, at b."""
+def implicit_lower_bound(law: PearsonLaw, z, at_z, x_end: float = math.inf):
+    """Phi(z) - E[X (X - z); X > z] / q for 0 < z < b, the integral by ``implicit_integral`` from X's
+    partial moments at z (docs/DECISIONS.md, decision 6).
+
+    q is q(z).  Where the reference's right end b is finite and below X's right end ``x_end``, X has
+    mass where the Stein solution has |f'(x)| = F(z) / x^2 <= F(z) / b^2, so q is min(q(z), b^2 / F(z)).
+    """
     z = _points(z)
     inside = (0.0 < z) & (z < law.support_b)
     if not inside.all():  # NaN fails too
         raise DomainError(f"requires 0 < z < b, got z={np.extract(~inside, z)[0]}")
-    integral = implicit_integral(z, law.support_b, at_z, at_b)
-    return _out(pearson.tail(law, z) - integral / q_function(law, z))
+    q, b = q_function(law, z), law.support_b
+    if b < x_end:
+        q = np.minimum(q, b * b / pearson.cdf(law, z))
+    return _out(pearson.tail(law, z) - implicit_integral(z, at_z) / q)
 
 
 def pearson_lower(law: PearsonLaw, z, c: float):

@@ -299,14 +299,6 @@ class PolynomialChaosLaw:
         first = 0 if self.limits[0] > 0.0 else 1
         return [(n, quadrature.horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
 
-    def sign_ends(self, x: float, margin: float) -> tuple[list[tuple[float, bool]], bool]:
-        """The sorted n where X(n) - x changes sign (True) or has a critical value within margin of 0
-        (False), and whether X(n) > x as n -> +inf: where {X > x} begins or ends, and where X(n)
-        computed with an error below margin may seem to."""
-        pre, above = self.level(x)
-        near = [(c, False) for c, v in zip(self.crit_points, self.crit_values) if abs(v - x) <= margin]
-        return sorted([(n, True) for n, _ in pre] + near), bool(above) and above[-1][1] == math.inf
-
     # -- evaluators ---------------------------------------------------------
 
     def density(self, x):

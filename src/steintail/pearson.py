@@ -446,7 +446,7 @@ def _case5_side(law: PearsonLaw, zs, upper: bool):
 # dy/dt = -u(1-u)/rho_y(y), with rho_y the density of y.
 
 _TABLE_NODES = 8193
-_T_MAX = math.log(2.0**53 - 1.0)  # logit(1 - 2^-53); the nodes span [-_T_MAX, _T_MAX]
+_T_MAX = math.log(rng.U_MAX / rng.U_MIN)  # logit(U_MAX), exactly ln(2^53 - 1); the nodes span [-_T_MAX, _T_MAX]
 _H = 2.0 * _T_MAX / (_TABLE_NODES - 1)
 _TABLE_TOL = 1e-10  # bound on |logit p' - logit p|, node error plus interpolation error
 _NEWTON_TOL = 0.5 * _TABLE_TOL  # case 5's node error; closed-form nodes are exact to rounding
@@ -898,9 +898,9 @@ def quantile(law: PearsonLaw, p):
 def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     """Vectorized inverse of the tail, the sampler's inverse CDF, on p mapped whole (decision 10).
 
-    Every case serves p in [2^-53, 1 - 2^-53], the range of the ``rng``
-    uniforms; p outside it raises ``InvalidProbabilityError``.  Normal uses
-    the closed form.  Every other case reads one cached cubic-Hermite table
+    Every case serves p in [``rng.U_MIN``, ``rng.U_MAX``] = [2^-53, 1 - 2^-53],
+    the range of the ``rng`` uniforms; p outside it raises
+    ``InvalidProbabilityError``.  Normal uses the closed form.  Every other case reads one cached cubic-Hermite table
     (``_inverse_table``), whose pieces are built the first time a point
     falls in them, each checked as it is built: a call whose points reach a
     piece that misses the bound raises ``InverseTableError``.  Contract: the
@@ -909,7 +909,7 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     up to the rounding of the returned double; it is non-increasing in p.
     """
     p = np.asarray(p, dtype=float)
-    if p.size and not (2.0**-53 <= p.min() and p.max() <= 1.0 - 2.0**-53):  # NaN fails too
+    if p.size and not (rng.U_MIN <= p.min() and p.max() <= rng.U_MAX):  # NaN fails too
         raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
                                       f"values in [{p.min()}, {p.max()}]")
     row = _CASES[law.case]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 BLOCK_SIZE = 1 << 16  # draws per Philox key: fixes the stream
+U_MIN, U_MAX = 2.0**-53, 1.0 - 2.0**-53  # the range of the uniforms, which inverse CDFs serve
 CHUNK = 1 << 14  # draws per transform: 128 KB temporaries, small enough for the allocator to reuse
 
 
@@ -27,17 +28,13 @@ def n_blocks(n: int) -> int:
 
 
 def uniform_block(seed: int, block_index: int, size: int) -> np.ndarray:
-    """Uniforms in [2^-53, 1 - 2^-53]; keeping 0 out keeps inverse CDFs finite.
+    """Uniforms in [U_MIN, U_MAX]; keeping 0 out keeps inverse CDFs finite.
 
-    ``random`` returns multiples of 2^-53, so raising 0 to 2^-53 changes no
+    ``random`` returns multiples of 2^-53, so raising 0 to U_MIN changes no
     other value.
     """
     u = _block_generator(seed, block_index).random(size)
-    return np.maximum(u, 2.0 ** -53, out=u)
-
-
-def normal_block(seed: int, block_index: int, size: int) -> np.ndarray:
-    return _block_generator(seed, block_index).standard_normal(size)
+    return np.maximum(u, U_MIN, out=u)
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:

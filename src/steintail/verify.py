@@ -10,7 +10,8 @@ counter-based uniforms, and compares the empirical survival function, wrapped
 in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.  Both
 models count on the uniforms, mapping only the draws in narrow bands around
 the ends of each {X > z}; the counts equal those of mapping every draw
-(decision 10).
+(decision 10).  Certification, counting and the bounds read X through one
+model, ``_model``.
 
 Two policies keep the verdicts honest: the explicit large-z bounds are only
 asserted past the regime threshold 10 sqrt(variance) (below it they are
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import queue
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -39,6 +41,7 @@ from .chaos import HermiteSeries
 from .errors import (DomainError, InsufficientRangeError, InvalidConstantError, UncertifiedHypothesisError,
                      as_float, as_int, reading)
 from .pearson import PearsonCoefficients, PearsonLaw, build_law
+from .rng import U_MAX, U_MIN
 
 __all__ = [
     "Hypothesis",
@@ -188,24 +191,63 @@ class TailReport:
 
 
 # ---------------------------------------------------------------------------
+# the X model
+
+_BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around an end
+_WIDEN = 16.0  # a band whose check fails widens by this factor
+_ROUNDING = 2.0**-32  # margin for the map's rounding, relative to the model's size (decision 10)
+_OFFSETS = np.array([-1.0, -0.5, 0.5, 1.0])  # a band's lower end, its check points and its upper end, in half-widths
+
+
+_Model = namedtuple("_Model", "base x_of size ends poly gpoly domain moments x_end")
+
+
+def _model(x_model: Union[HermiteSeries, PearsonLaw]) -> _Model:
+    """What the runner reads of an X model, its one dispatch on the model (docs/DECISIONS.md, decisions 7, 10).
+
+    A draw u is X = x_of(t) at t = quantile_grid(base, u), non-increasing in u; ``_ROUNDING`` * size(t)
+    covers the map's rounding, and ends(z) are the sorted t where X - z changes sign (True) or comes within
+    twice that margin of 0 (False), with whether X > z as t -> +inf.  X is the polynomial ``poly`` of a
+    variable on ``domain``, where G is ``gpoly``; moments(y) is (P[X > y], E[X; X > y], E[X^2; X > y]),
+    y a number or an array, and ``x_end`` is X's right end.
+
+    A Pearson X is the variable x on its support, its own kernel standing for G, with one end, at P[X > z].
+    A chaos X is X(n) by Horner at n = the Normal's inverse of u; its size, sum |c_k| n^k at the farthest
+    n a draw reaches, bounds Horner's rounding at every draw.  Its ends are the crossings of z and the
+    critical points whose value lies within twice the margin of z.
+    """
+    if isinstance(x_model, PearsonLaw):
+        c = x_model.coeffs
+        scale = math.sqrt(x_model.variance) + sum(abs(v) for v in (x_model.mu, x_model.support_a, x_model.support_b)
+                                                  if v is not None and math.isfinite(v))
+        return _Model(x_model, lambda t: t, lambda t: np.abs(t) + scale, lambda z: ([(z, True)], True),
+                      (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x_model.support_a, x_model.support_b),
+                      functools.partial(pearson.partial_moments, x_model), x_model.support_b)
+    law, normal = chaos.law_of_polynomial(x_model), build_law(PearsonCoefficients(0.0, 0.0, 1.0))
+    reach = np.abs(pearson.quantile_grid(normal, np.array([U_MIN, U_MAX]))).max()  # the farthest n a draw reaches
+    size = float(npoly.polyval(reach, np.abs(law.poly)))
+    margin = 2.0 * _ROUNDING * size
+
+    def ends(z: float) -> tuple[list[tuple[float, bool]], bool]:
+        pre, above = law.level(z)
+        near = [(n, False) for n, v in zip(law.crit_points, law.crit_values) if abs(v - z) <= margin]
+        return sorted([(n, True) for n, _ in pre] + near), bool(above) and above[-1][1] == math.inf
+
+    return _Model(normal, lambda t: npoly.polyval(t, law.poly), lambda t: np.full(np.shape(t), size), ends,
+                  law.poly, law.gpoly, (-math.inf, math.inf), law.partial_moments, law.support_b)
+
+
+# ---------------------------------------------------------------------------
 # hypothesis certification
 
 
-def _certify(spec: ScenarioSpec) -> dict:
+def _certify(spec: ScenarioSpec, model: _Model) -> dict:
     """Exact margins of the dominance hypothesis over the whole support of X; raises if one fails.
 
-    A chaos X gives the polynomials X(n) and G(n) on the line, a Pearson X
-    gives x and its own kernel g_X(x) on its support; both go through
-    ``chaos.margin_extrema``.
+    The model's polynomials X and G (a Pearson X's own kernel for G) on its domain go through
+    ``chaos.margin_extrema`` for both X models.
     """
-    x = spec.x_model
-    if isinstance(x, HermiteSeries):
-        law = chaos.law_of_polynomial(x)
-        x_poly, g_poly, domain = law.poly, law.gpoly, (-math.inf, math.inf)
-    else:
-        c = x.coeffs
-        x_poly, g_poly, domain = (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x.support_a, x.support_b)
-    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(x_poly, g_poly, coeffs, domain))
+    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(model.poly, model.gpoly, coeffs, model.domain))
     info = {}
     if spec.hypothesis in _LOWER:
         res = extrema(spec.reference)
@@ -225,30 +267,8 @@ def _certify(spec: ScenarioSpec) -> dict:
 # ---------------------------------------------------------------------------
 # block sampling and counting
 
-_BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around an end
-_WIDEN = 16.0  # a band whose check fails widens by this factor
-_ROUNDING = 2.0**-32  # margin for the map's rounding, relative to the model's size (decision 10)
-_U_MIN, _U_MAX = 2.0**-53, 1.0 - 2.0**-53  # the range of rng's uniforms
-_OFFSETS = np.array([-1.0, -0.5, 0.5, 1.0])  # a band's lower end, its check points and its upper end, in half-widths
 
-
-def _model(x_model: Union[HermiteSeries, PearsonLaw]) -> tuple:
-    """(base, x_of, size, ends): a draw u is X = x_of(t) at t = quantile_grid(base, u), non-increasing in u;
-    ``_ROUNDING`` * size(t) covers the map's rounding, and ends(z) are the t where X - z changes sign or comes
-    within that margin of 0.  A chaos X is X(n) by Horner at n = the Normal's inverse of u; its size, sum |c_k| n^k at the
-    farthest n a draw reaches, bounds Horner's rounding at every draw (docs/DECISIONS.md, decision 10)."""
-    if isinstance(x_model, PearsonLaw):
-        scale = math.sqrt(x_model.variance) + sum(abs(v) for v in (x_model.mu, x_model.support_a, x_model.support_b)
-                                                  if v is not None and math.isfinite(v))
-        return x_model, lambda t: t, lambda t: np.abs(t) + scale, lambda z: ([(z, True)], True)
-    law, normal = chaos.law_of_polynomial(x_model), build_law(PearsonCoefficients(0.0, 0.0, 1.0))
-    reach = np.abs(pearson.quantile_grid(normal, np.array([_U_MIN, _U_MAX]))).max()  # the farthest n a draw reaches
-    size = float(npoly.polyval(reach, np.abs(law.poly)))
-    return (normal, lambda t: npoly.polyval(t, law.poly), lambda t: np.full(np.shape(t), size),
-            lambda z: law.sign_ends(z, 2.0 * _ROUNDING * size))
-
-
-def _bands(model: tuple, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+def _bands(model: _Model, zs: np.ndarray) -> tuple[np.ndarray, ...]:
     """The bands of uniforms [lo, hi] mapped around the ends of each {X > z}, by threshold and then by u:
     lo, hi, the threshold of each, whether the draws between it and the band below and above count
     (X > z there and a gap between the bands), and whether X > z on each threshold's highest piece.
@@ -259,7 +279,7 @@ def _bands(model: tuple, zs: np.ndarray) -> tuple[np.ndarray, ...]:
     of 2^8 it holds every draw.  Each round maps the check points of every open band in one call.  Last,
     each band takes in the parts of its threshold's bands that reach past it (docs/DECISIONS.md, decision 10).
     """
-    base, x_of, size_of, model_ends = model
+    base, x_of, size_of, model_ends = model[:4]
     t_ends, owner, up, high = [], [], [], []
     for i, z in enumerate(zs.tolist()):
         ends, top = model_ends(z)
@@ -267,7 +287,7 @@ def _bands(model: tuple, zs: np.ndarray) -> tuple[np.ndarray, ...]:
         t_ends, owner, high = t_ends + [t for t, _ in reversed(ends)], owner + [i] * len(ends), high + [signs[-1]]
         up += zip(signs[:-1], signs[1:])
     owner, up = np.array(owner, dtype=np.intp), np.array(up, dtype=bool).reshape(-1, 2)
-    p = np.clip(pearson.tail(base, np.array(t_ends, dtype=float)), _U_MIN, _U_MAX)
+    p = np.clip(pearson.tail(base, np.array(t_ends, dtype=float)), U_MIN, U_MAX)
     centres, z = np.log(p) - np.log1p(-p), zs[owner, None]
     first, last = np.diff(owner, prepend=-1) != 0, np.diff(owner, append=-1) != 0  # among their threshold's ends
     prev, nxt = np.arange(-1, owner.size - 1), np.arange(1 - owner.size, 1)  # neighbours, wrapping where first, last
@@ -276,12 +296,12 @@ def _bands(model: tuple, zs: np.ndarray) -> tuple[np.ndarray, ...]:
     w, todo = np.full(owner.size, _BAND), np.arange(owner.size)
     while todo.size:
         with np.errstate(over="ignore"):  # expit of the ends and check points, in the uniforms' range
-            u[todo] = np.clip(1.0 / (1.0 + np.exp(-centres[todo, None] - w[todo, None] * _OFFSETS)), _U_MIN, _U_MAX)
+            u[todo] = np.clip(1.0 / (1.0 + np.exp(-centres[todo, None] - w[todo, None] * _OFFSETS)), U_MIN, U_MAX)
         t = pearson.quantile_grid(base, u[todo, 1:3])
         x[todo], size[todo] = x_of(t), size_of(t)
         side = np.where(up, x - z, z - x) > _ROUNDING * size  # each check point on its piece's side of z
-        done = (((lo <= np.where(first, _U_MIN, hi[prev])) | ((c_lo > lo) & side[:, 0]))
-                & ((hi >= np.where(last, _U_MAX, lo[nxt])) | ((c_hi < hi) & side[:, 1])))
+        done = (((lo <= np.where(first, U_MIN, hi[prev])) | ((c_lo > lo) & side[:, 0]))
+                & ((hi >= np.where(last, U_MAX, lo[nxt])) | ((c_hi < hi) & side[:, 1])))
         todo = np.flatnonzero(~done)
         w[todo] *= _WIDEN
     for js in (owner == i for i in np.unique(owner[~first])):
@@ -291,10 +311,10 @@ def _bands(model: tuple, zs: np.ndarray) -> tuple[np.ndarray, ...]:
     return lo, hi, owner, up, np.array(high, dtype=bool)
 
 
-def _counter(x_model: Union[HermiteSeries, PearsonLaw], seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
+def _counter(model: _Model, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """Block b's exceedance counts from its uniforms, one compare-and-count pass per band end: a draw
     between two bands counts where X > z there, and only the draws inside a band are mapped, each once."""
-    base, x_of, *_ = model = _model(x_model)
+    base, x_of = model[:2]
     lo, hi, owner, up, high = _bands(model, zs)
     m, points = lo.size, np.concatenate([lo, np.nextafter(hi, 2.0)])  # u >= lo and u <= hi as counts of u < them
     weights = np.zeros((zs.size, 2 * m + 1), dtype=np.int64)  # counts between the bands = weights @ (counts below
@@ -316,14 +336,6 @@ def _counter(x_model: Union[HermiteSeries, PearsonLaw], seed: int, zs: np.ndarra
     return count
 
 
-def _block_sampler(x_model: Union[HermiteSeries, PearsonLaw], seed: int) -> tuple[Callable, Callable]:
-    """The X model's block counter on uniforms, zs -> ((b, size) -> exceedance counts of block b over zs)
-    (``_counter``), and its exact y -> (P[X > y], E[X; X > y], E[X^2; X > y]), y a number or an array."""
-    moments = (chaos.law_of_polynomial(x_model).partial_moments if isinstance(x_model, HermiteSeries)
-               else functools.partial(pearson.partial_moments, x_model))
-    return functools.partial(_counter, x_model, seed), moments
-
-
 def _worker_count(n_workers: Optional[int], blocks: int) -> int:
     """The threads that count ``blocks`` blocks: ``n_workers`` (an integer >= 1) or, for None, the
     CPUs this process may run on, capped at the block count (docs/DECISIONS.md, decision 10)."""
@@ -334,10 +346,10 @@ def _worker_count(n_workers: Optional[int], blocks: int) -> int:
     return min(n_workers, blocks)
 
 
-def _tail_counts(counter: Callable, n: int, zs: np.ndarray, n_workers: Optional[int] = None) -> np.ndarray:
-    """Exceedance counts of n draws per grid point, summed over the blocks.
+def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray, n_workers: Optional[int] = None) -> np.ndarray:
+    """Exceedance counts of the model's n draws from ``seed`` per grid point, summed over the blocks.
 
-    ``counter(zs)`` sets up the block counter once (it finds its bands here).  The blocks
+    ``_counter`` sets up the block counter once (it finds its bands here).  The blocks
     then wait in a queue, and ``_worker_count(n_workers, blocks)`` threads take them one at a
     time: the calling thread and a pool of the others, so one worker runs with no pool.  Each
     block is a function of (seed, b) alone and the counts are integers, so the sum is exact in any
@@ -346,7 +358,7 @@ def _tail_counts(counter: Callable, n: int, zs: np.ndarray, n_workers: Optional[
     bs = rng.BLOCK_SIZE
     blocks = range(rng.n_blocks(n))
     workers = _worker_count(n_workers, len(blocks))
-    count = counter(zs)
+    count = _counter(model, seed, zs)
     todo = queue.SimpleQueue()
     for b in blocks:
         todo.put(b)
@@ -379,11 +391,11 @@ def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailRep
     """
     ref_law = build_law(spec.reference)
     upper_law = build_law(spec.upper_coeffs)
-    cert_info = _certify(spec)
+    model = _model(spec.x_model)
+    cert_info = _certify(spec, model)
 
-    counter, x_moments = _block_sampler(spec.x_model, spec.seed)
     zs = np.asarray(spec.z_grid)
-    counts = _tail_counts(counter, spec.n_samples, zs, n_workers)
+    counts = _tail_counts(model, spec.seed, spec.n_samples, zs, n_workers)
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 
@@ -394,7 +406,7 @@ def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailRep
     if k_upper is None and check_upper:
         k_upper = 2.0 * bounds.pearson_upper_constant(spec.upper_coeffs.alpha)
 
-    at_z = x_moments(zs)
+    at_z = model.moments(zs)
     exact = at_z[0]
     deep = exact * spec.n_samples < DEEP_TAIL_MIN_COUNT
     s_hi = np.where(deep, exact, emp + eps)
@@ -402,8 +414,7 @@ def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailRep
     missed = asserted = np.zeros(zs.shape, dtype=bool)  # an asserted miss fails, any other is inconclusive
     lower_cert, upper_cert = np.full(zs.shape, -math.inf), np.full(zs.shape, math.nan)
     if check_lower:
-        b = ref_law.support_b
-        ilb = bounds.implicit_lower_bound(ref_law, zs, at_z, x_moments(b) if math.isfinite(b) else None)
+        ilb = bounds.implicit_lower_bound(ref_law, zs, at_z, model.x_end)
         plb, _ = bounds.pearson_lower(ref_law, zs, spec.c_lower)
         explicit = zs >= z_min_lower
         lower_cert = np.where(explicit & (plb > ilb), plb, ilb)

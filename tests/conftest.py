@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from steintail import rng
+from steintail import pearson, rng
 from steintail.pearson import PearsonCoefficients, build_law
 
 
 def normal_stream(seed: int, n: int) -> np.ndarray:
-    """n standard normals, rng's blocks 0, 1, ... in order: the reference for block-wise sampling."""
-    sizes = [min(rng.BLOCK_SIZE, n - b * rng.BLOCK_SIZE) for b in range(rng.n_blocks(n))]
-    return np.concatenate([rng.normal_block(seed, b, size) for b, size in enumerate(sizes)])
+    """n standard normals, the Normal's inverse of rng's uniforms: the draws a chaos X is counted on."""
+    return pearson.quantile_grid(build_law(PearsonCoefficients(0.0, 0.0, 1.0)), rng.uniform_stream(seed, n))
 
 
 # one coefficient triple per canonical case, reused across the suite

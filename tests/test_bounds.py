@@ -124,7 +124,7 @@ def test_implicit_lower_bound_chaos_vs_reference(gamma_law):
     assert val <= tail(gamma_law, 2.0)
 
 
-# X with mass past the reference's right end b: G >= g(X) is certified, yet the integral stops at b
+# X with mass past the reference's right end b: G >= g(X) is certified, and |f'| past b is F(z)/x^2, not 1/q(z)
 MASS_PAST_B = (chaos.HermiteSeries((0.0, 1.0, 0.3, 0.125)), PearsonCoefficients(0.0, -0.3, 0.05))
 
 
@@ -135,15 +135,12 @@ def test_a_certified_x_can_have_mass_past_the_right_end():
     assert law.support_b == pytest.approx(1.0 / 6.0) and x_law.tail(law.support_b) == pytest.approx(0.2875, abs=1e-4)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the implicit integral stops at b, so P[X > b] > 0 lifts the bound "
-                          "above the exact tail (0.471 > 0.328 at z = 0.05, 0.396 > 0.310 at z = 0.1)")
 def test_implicit_lower_bound_stays_below_the_tail_with_mass_past_b():
     series, coeffs = MASS_PAST_B
     law, x_law = build_law(coeffs), chaos.law_of_polynomial(series)
     zs = np.array([0.05, 0.1])
     at_z = x_law.partial_moments(zs)
-    bound = implicit_lower_bound(law, zs, at_z, x_law.partial_moments(law.support_b))
+    bound = implicit_lower_bound(law, zs, at_z, x_law.support_b)
     assert np.all(bound <= at_z[0]), (bound, at_z[0])
 
 

@@ -112,13 +112,14 @@ def test_bounds_take_an_array_of_points(coeffs):
     b = law.support_b
     inside = np.clip(np.array([[-0.9, -0.2, 0.0], [0.1, 0.7, 1.4]]) * sd, law.support_a * 0.9, b * 0.9)
     zs = np.clip(np.array([[0.05, 0.2, 0.4], [0.8, 1.3, 2.0]]) * sd, 0.0, b * 0.95)
-    at_b = pearson.partial_moments(law, b) if math.isfinite(b) else None
     evaluators = {
         "phi_envelope": (lambda x: bounds.phi_envelope(law, x), inside),
         "pearson_lower": (lambda z: bounds.pearson_lower(law, z, 4.0)[0], zs),
-        "implicit_lower_bound": (lambda z: bounds.implicit_lower_bound(law, z, pearson.partial_moments(law, z),
-                                                                       at_b), zs),
-        "implicit_integral": (lambda z: bounds.implicit_integral(z, b, pearson.partial_moments(law, z), at_b), zs),
+        "implicit_lower_bound": (lambda z: bounds.implicit_lower_bound(law, z, pearson.partial_moments(law, z), b),
+                                 zs),
+        "implicit_lower_bound, mass past b": (lambda z: bounds.implicit_lower_bound(
+            law, z, pearson.partial_moments(law, z), math.inf), zs),
+        "implicit_integral": (lambda z: bounds.implicit_integral(z, pearson.partial_moments(law, z)), zs),
     }
     for name, (fn, xs) in evaluators.items():
         _check_array_equals_numbers(fn, xs)
@@ -129,10 +130,7 @@ def test_bounds_take_an_array_of_points(coeffs):
     with pytest.raises(DomainError, match="z > 0"):
         bounds.pearson_lower(law, np.array([[1e-3], [-1e-3]]), 4.0)
     with pytest.raises(DomainError, match="0 < z < b"):
-        bounds.implicit_lower_bound(law, np.array([0.1, 0.0]), (0.0, 0.0, 0.0), at_b)
-    if math.isfinite(b):
-        with pytest.raises(DomainError, match="partial moments at b"):
-            bounds.implicit_integral(0.1, b, (0.0, 0.0, 0.0))
+        bounds.implicit_lower_bound(law, np.array([0.1, 0.0]), (0.0, 0.0, 0.0), b)
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +195,23 @@ def test_a_changed_grid_leaves_the_next_call_as_it_was():
     assert not stein._bulk_grid(law, 200).flags.writeable
 
 
-@pytest.mark.parametrize("x_model, reference, zs, b_calls", [
-    (HermiteSeries((0.0, 0.0, 1.0)), PearsonCoefficients(0.0, 2.0, 2.0), (1.0, 2.0, 3.0), 0),
-    (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), PearsonCoefficients(-0.25, 0.0, 0.0625), (0.05, 0.2, 0.4), 1),
+@pytest.mark.parametrize("x_model, reference, zs", [
+    (HermiteSeries((0.0, 0.0, 1.0)), PearsonCoefficients(0.0, 2.0, 2.0), (1.0, 2.0, 3.0)),
+    (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), PearsonCoefficients(-0.25, 0.0, 0.0625), (0.05, 0.2, 0.4)),
 ], ids=["chaos", "pearson-beta"])
-def test_run_scenario_reads_moments_once_on_the_grid_and_once_at_b(monkeypatch, x_model, reference, zs, b_calls):
-    calls, block_sampler = [], verify._block_sampler
+def test_run_scenario_reads_moments_once_on_the_grid_and_once_at_b(monkeypatch, x_model, reference, zs):
+    # the implicit bound takes X's right end, not X's moments at b: no read at b for either model
+    calls, model = [], verify._model
 
-    def counted(model, seed):
-        counter, moments = block_sampler(model, seed)
-        return counter, lambda y: calls.append(np.shape(y)) or moments(y)
+    def counted(x_model):
+        m = model(x_model)
+        return m._replace(moments=lambda y: calls.append(np.shape(y)) or m.moments(y))
 
-    monkeypatch.setattr(verify, "_block_sampler", counted)
+    monkeypatch.setattr(verify, "_model", counted)
     spec = ScenarioSpec(x_model=x_model, reference=reference, hypothesis=Hypothesis.SANDWICH, z_grid=zs,
                         n_samples=20_000, seed=3)
     assert run_scenario(spec).all_passed
-    assert calls == [(len(zs),)] + [()] * b_calls
+    assert calls == [(len(zs),)]
 
 
 @pytest.mark.parametrize("coeffs, zs", [

@@ -222,38 +222,36 @@ def _h1_h3_integral(z: float):
 
 
 IMPLICIT_CASES = (
-    [("case5", PearsonCoefficients(0.25, 0.0, 0.25), z, math.inf,
-      lambda z: _case5_symmetric_integral(0.25, 0.25, z)) for z in (1.0, 8.0, 50.0, 200.0, 400.0)]
-    + [("heavy case5", PearsonCoefficients(0.9, 0.0, 1.0), z, math.inf,
-        lambda z: _case5_symmetric_integral(0.9, 1.0, z)) for z in (2.0, 10.0)]
-    + [("H2", H2, z, math.inf, lambda z: _tail_integral(lambda x: mp.erfc(mp.sqrt((x + 1) / 2)), z))
+    [("case5", PearsonCoefficients(0.25, 0.0, 0.25), z, lambda z: _case5_symmetric_integral(0.25, 0.25, z))
+     for z in (1.0, 8.0, 50.0, 200.0, 400.0)]
+    + [("heavy case5", PearsonCoefficients(0.9, 0.0, 1.0), z, lambda z: _case5_symmetric_integral(0.9, 1.0, z))
+       for z in (2.0, 10.0)]
+    + [("H2", H2, z, lambda z: _tail_integral(lambda x: mp.erfc(mp.sqrt((x + 1) / 2)), z))
        for z in (1.0, 2.0, 3.0, 5.0, 8.0, 50.0, 200.0)]
-    + [("H1+0.1H3", H1_H3, z, math.inf, _h1_h3_integral) for z in (0.5, 1.0, 3.0, 8.0, 20.0)]
-    + [("0.1H1 vs Beta", TENTH_H1, z, build_law(BETA).support_b,
-        lambda z: _tail_integral(lambda x: mp.ncdf(-10 * x), z, mp.mpf(build_law(BETA).support_b)))
+    + [("H1+0.1H3", H1_H3, z, _h1_h3_integral) for z in (0.5, 1.0, 3.0, 8.0, 20.0)]
+    # thresholds inside the Beta's support (-0.5, 0.5); the integral runs past its end, where P[X > 0.5] = 2.9e-7
+    + [("0.1H1 vs Beta", TENTH_H1, z, lambda z: _tail_integral(lambda x: mp.ncdf(-10 * x), z))
        for z in (0.05, 0.1, 0.25, 0.4, 0.49)]
 )
 
 
-@pytest.mark.parametrize("name, model, z, b, oracle", IMPLICIT_CASES,
-                         ids=[f"{c[0]}-z{c[2]:g}" for c in IMPLICIT_CASES])
-def test_implicit_integral_against_mpmath(name, model, z, b, oracle):
-    moments = _x_moments(model)
-    got = bounds.implicit_integral(z, b, moments(z), moments(b) if math.isfinite(b) else None)
+@pytest.mark.parametrize("name, model, z, oracle", IMPLICIT_CASES, ids=[f"{c[0]}-z{c[2]:g}" for c in IMPLICIT_CASES])
+def test_implicit_integral_against_mpmath(name, model, z, oracle):
+    got = bounds.implicit_integral(z, _x_moments(model)(z))
     assert _rel(got, oracle(z)) <= REL, (name, z, got)
 
 
 def test_implicit_bound_with_finite_b_counts_the_mass_beyond_b():
-    # P[0.1 N > 0.5] = P[N > 5]: the b (b - z) P[X > b] term is not negligible
+    # P[0.1 N > 0.5] = P[N > 5]: past b = 0.5, |f'| = F(z)/x^2 reaches F(z)/b^2, above 1/q(z) at z = 0.49
     ref = build_law(BETA)
     t_b = chaos.law_of_polynomial(TENTH_H1).tail(ref.support_b)
     assert t_b == pytest.approx(2.8665157187919e-07, rel=1e-12)
     z = 0.49
-    moments = _x_moments(TENTH_H1)
-    lower = bounds.implicit_lower_bound(ref, z, moments(z), moments(ref.support_b))
-    integral = _tail_integral(lambda x: mp.ncdf(-10 * x), z, mp.mpf(0.5))
-    want = pearson.tail(ref, z) - integral / (1.25 * z * z + 0.0625)  # q(z) = (1 - alpha) z^2 + gamma
-    assert _rel(lower, want) <= REL
+    lower = bounds.implicit_lower_bound(ref, z, _x_moments(TENTH_H1)(z), math.inf)
+    integral = _tail_integral(lambda x: mp.ncdf(-10 * x), z)
+    q = min(1.25 * z * z + 0.0625, ref.support_b**2 / pearson.cdf(ref, z))  # q(z) = (1 - alpha) z^2 + gamma
+    assert q < 1.25 * z * z + 0.0625
+    assert _rel(lower, pearson.tail(ref, z) - integral / q) <= REL
 
 
 def test_heavy_case5_bound_is_finite_and_below_the_tail():
@@ -301,8 +299,7 @@ def _check_partial_moments(coeffs):
     for y in zs:
         upper, lower = pearson.partial_moments(law, y), pearson.partial_moments(refl, -y)
         assert upper[2] + lower[2] == pytest.approx(pearson.moment(coeffs, 2), rel=1e-12)
-        at_b = pearson.partial_moments(law, b) if math.isfinite(b) else None
-        bound = bounds.implicit_lower_bound(law, y, upper, at_b)
+        bound = bounds.implicit_lower_bound(law, y, upper, b)  # X = Z: no mass past b
         assert math.isfinite(bound) and bound <= upper[0], (coeffs, y)
 
 

@@ -213,13 +213,32 @@ def test_no_module_reads_the_old_tail_grid_name():
     assert not readers, readers
 
 
-def test_no_module_draws_normals():
-    # both X models count on rng's uniforms; rng keeps ``normal_block`` for the tests and the benchmark's tracer
-    readers = []
-    for name, tree in _modules().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "normal_block":
-                readers.append(f"{name}:{node.lineno}")
-            elif isinstance(node, ast.ImportFrom) and any(a.name == "normal_block" for a in node.names):
-                readers.append(f"{name}:{node.lineno}")
-    assert not readers, readers
+def _spells_the_range(node: ast.AST) -> bool:
+    """2^-53, 1 - 2^-53 or 2^53 written out: a power of two to the +-53rd, or either end as a number."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        exp = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
+        return isinstance(exp, ast.Constant) and exp.value == 53
+    return isinstance(node, ast.Constant) and type(node.value) is float and node.value in (2.0**-53, 1.0 - 2.0**-53)
+
+
+def test_only_rng_spells_the_range_of_the_uniforms():
+    # rng.U_MIN and rng.U_MAX are the range [2^-53, 1 - 2^-53]; every other module reads them
+    spelled = [f"{name}:{node.lineno} {ast.unparse(node)}" for name, tree in _modules().items() if name != "rng"
+               for node in ast.walk(tree) if _spells_the_range(node)]
+    assert not spelled, spelled
+
+
+X_MODELS = {"HermiteSeries", "PearsonLaw"}
+
+
+def test_verify_tests_the_type_of_an_x_model_only_in_model_and_serialization():
+    # the runner reads one model of X, ``verify._model``; the scenario's JSON names its type
+    tests = []
+    for top in _modules()["verify"].body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if node.func.id == "type" or node.func.id in {"isinstance", "issubclass"} and names & X_MODELS:
+                tests.append((getattr(top, "name", "<module>"), node.lineno))
+    assert tests and {name for name, _ in tests} <= {"_model", "scenario_to_json", "scenario_from_json"}, tests

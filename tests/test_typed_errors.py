@@ -22,7 +22,7 @@ GAMMA = PearsonCoefficients(0.0, 2.0, 2.0)
 
 def test_bounds_refuse_a_nan_point_and_a_threshold_at_or_below_0():
     with pytest.raises(DomainError, match="NaN"):
-        bounds.implicit_integral(math.nan, math.inf, (0.5, 0.1, 0.2))
+        bounds.implicit_integral(math.nan, (0.5, 0.1, 0.2))
     law = build_law(GAMMA)
     for z in (0.0, -1.0):
         with pytest.raises(DomainError, match="requires z > 0"):

@@ -323,28 +323,28 @@ def test_default_counts_beside_a_pool_of_the_other_usable_cpus_and_one_worker_wi
     monkeypatch.setattr(verify, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     spec = h2_gamma_spec(n_samples=10**4)
-    counter, _ = verify._block_sampler(spec.x_model, spec.seed)
-    zs = np.asarray(spec.z_grid)
-    serial = verify._tail_counts(counter, 3 * rng.BLOCK_SIZE, zs, n_workers=1)
+    model, zs = verify._model(spec.x_model), np.asarray(spec.z_grid)
+    serial = verify._tail_counts(model, spec.seed, 3 * rng.BLOCK_SIZE, zs, n_workers=1)
     assert pools == []
-    assert verify._tail_counts(counter, 3 * rng.BLOCK_SIZE, zs).tolist() == serial.tolist()
+    assert verify._tail_counts(model, spec.seed, 3 * rng.BLOCK_SIZE, zs).tolist() == serial.tolist()
     assert pools == [2]
 
 
-def test_threads_count_every_block_once():
+def test_threads_count_every_block_once(monkeypatch):
     # four threads on a 1 us switch interval take 300 blocks off the queue: each is counted once
     seen = []
 
-    def counter(zs):
+    def counter(model, seed, zs):
         def count(b, size):
             seen.append((b, size))
             return np.ones(zs.shape, dtype=np.int64)
         return count
 
+    monkeypatch.setattr(verify, "_counter", counter)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        counts = verify._tail_counts(counter, 300 * rng.BLOCK_SIZE - 5, np.zeros(2), n_workers=4)
+        counts = verify._tail_counts(None, 0, 300 * rng.BLOCK_SIZE - 5, np.zeros(2), n_workers=4)
     finally:
         sys.setswitchinterval(interval)
     assert counts.tolist() == [300, 300]
@@ -374,8 +374,7 @@ def test_chunked_counts_match_the_whole_stream(x_model, zs, n_workers):
     # n ends mid-block and mid-chunk: blocks counted one by one give the counts of the whole stream
     n = 2 * rng.BLOCK_SIZE + rng.CHUNK + 17
     seed = 77
-    counter, _ = verify._block_sampler(x_model, seed)
-    counts = verify._tail_counts(counter, n, np.asarray(zs), n_workers)
+    counts = verify._tail_counts(verify._model(x_model), seed, n, np.asarray(zs), n_workers)
     if isinstance(x_model, HermiteSeries):
         xs = _chaos_stream(x_model, seed, n)
     else:
@@ -388,8 +387,7 @@ def test_chunked_counts_match_the_whole_stream(x_model, zs, n_workers):
 
 
 def _counts_and_oracle(law, seed, n, zs, n_workers=1):
-    counter, _ = verify._block_sampler(law, seed)
-    counts = verify._tail_counts(counter, n, np.asarray(zs, dtype=float), n_workers)
+    counts = verify._tail_counts(verify._model(law), seed, n, np.asarray(zs, dtype=float), n_workers)
     xs = pearson.quantile_grid(law, rng.uniform_stream(seed, n))
     return counts.tolist(), [int(np.count_nonzero(xs > z)) for z in zs]
 
@@ -437,8 +435,7 @@ def test_a_threshold_at_a_drawn_value_is_decided_by_the_map(mapped_points):
     k = int(np.argmin(np.abs(u - 0.3)))
     z = float(pearson.quantile_grid(law, u[k]))
     mapped_points.clear()
-    counter, _ = verify._block_sampler(law, seed)
-    counts = verify._tail_counts(counter, n, np.array([z]), 1)
+    counts = verify._tail_counts(verify._model(law), seed, n, np.array([z]), 1)
     assert u[k] in np.concatenate(mapped_points)
     assert counts.tolist() == [int(np.count_nonzero(pearson.quantile_grid(law, u) > z))]
 
@@ -470,7 +467,7 @@ def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end(mapped_points):
     counts, oracle = _counts_and_oracle(law, 3, n, zs, n_workers=2)
     assert counts == oracle
     # a draw in several bands is mapped once: at most one block's worth of points per block
-    count = verify._block_sampler(law, 3)[0](zs)
+    count = verify._counter(verify._model(law), 3, zs)
     for block in range(rng.n_blocks(n)):
         mapped_points.clear()
         size = min(rng.BLOCK_SIZE, n - block * rng.BLOCK_SIZE)
@@ -520,7 +517,7 @@ def test_chaos_counts_match_the_full_map(data):
     crit = npoly.polyval(np.asarray(law.crit_points), law.poly).tolist()
     zs = [x, math.nextafter(x, -math.inf), at_n] + [v for c in crit for v in (math.nextafter(c, -math.inf), c,
                                                                            math.nextafter(c, math.inf))]
-    counts = verify._tail_counts(verify._block_sampler(series, seed)[0], n, np.asarray(zs), n_workers)
+    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs), n_workers)
     assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
 
 
@@ -531,7 +528,7 @@ def test_chaos_counts_match_the_full_map(data):
 def test_a_threshold_at_a_critical_value_is_decided_by_the_map(mapped_points, coeffs, zs):
     # the critical point is an end with a band of its own: the draws near it are mapped, the rest counted
     series, n, seed = HermiteSeries(coeffs), 2 * rng.BLOCK_SIZE + 3, 9
-    counts = verify._tail_counts(verify._block_sampler(series, seed)[0], n, np.asarray(zs), 1)
+    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs), 1)
     assert 0 < sum(p.size for p in mapped_points) < n / 10
     xs = _chaos_stream(series, seed, n)
     assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
