@@ -900,10 +900,11 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
 
     Every case serves p in [``rng.U_MIN``, ``rng.U_MAX``] = [2^-53, 1 - 2^-53],
     the range of the ``rng`` uniforms; p outside it raises
-    ``InvalidProbabilityError``.  Normal uses the closed form.  Every other case reads one cached cubic-Hermite table
-    (``_inverse_table``), whose pieces are built the first time a point
-    falls in them, each checked as it is built: a call whose points reach a
-    piece that misses the bound raises ``InverseTableError``.  Contract: the
+    ``InvalidProbabilityError``.  Normal uses the closed form.  Every other
+    case reads one cached cubic-Hermite table (``_inverse_table``), whose
+    pieces are built the first time a point falls in them, each checked as it
+    is built: a call whose points reach a piece that misses the bound raises
+    ``InverseTableError``.  Contract: the
     result is the exact inverse at some p' with |logit p' - logit p| <= 1e-10,
     that is a relative error of at most 1e-10 in the smaller of p and 1 - p,
     up to the rounding of the returned double; it is non-increasing in p.

@@ -191,13 +191,39 @@ class TailReport:
 
 
 # ---------------------------------------------------------------------------
-# the X model
+# hypothesis certification
+
+
+def _certify(spec: ScenarioSpec, model: _Model) -> dict:
+    """Exact margins of the dominance hypothesis over the whole support of X; raises if one fails.
+
+    The model's polynomials X and G (a Pearson X's own kernel for G) on its domain go through
+    ``chaos.margin_extrema`` for both X models.
+    """
+    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(model.poly, model.gpoly, coeffs, model.domain))
+    info = {}
+    if spec.hypothesis in _LOWER:
+        res = extrema(spec.reference)
+        info["lower_margin"] = res["min"]
+        if res["min"] < -MARGIN_TOL:
+            raise UncertifiedHypothesisError(
+                f"G >= g(X) fails: margin {res['min']} at {res['argmin']}")
+    if spec.hypothesis in _UPPER:
+        res = extrema(spec.upper_coeffs)  # a Sandwich with one reference reads the extrema above
+        info["upper_margin"] = res["max"]
+        if res["max"] > MARGIN_TOL:
+            raise UncertifiedHypothesisError(
+                f"G <= g_upper(X) fails: margin {res['max']} at {res['argmax']}")
+    return info
+
+
+# ---------------------------------------------------------------------------
+# the X model, block sampling and counting
 
 _BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around an end
 _WIDEN = 16.0  # a band whose check fails widens by this factor
 _ROUNDING = 2.0**-32  # margin for the map's rounding, relative to the model's size (decision 10)
 _OFFSETS = np.array([-1.0, -0.5, 0.5, 1.0])  # a band's lower end, its check points and its upper end, in half-widths
-
 
 _Model = namedtuple("_Model", "base x_of size ends poly gpoly domain moments x_end")
 
@@ -235,37 +261,6 @@ def _model(x_model: Union[HermiteSeries, PearsonLaw]) -> _Model:
 
     return _Model(normal, lambda t: npoly.polyval(t, law.poly), lambda t: np.full(np.shape(t), size), ends,
                   law.poly, law.gpoly, (-math.inf, math.inf), law.partial_moments, law.support_b)
-
-
-# ---------------------------------------------------------------------------
-# hypothesis certification
-
-
-def _certify(spec: ScenarioSpec, model: _Model) -> dict:
-    """Exact margins of the dominance hypothesis over the whole support of X; raises if one fails.
-
-    The model's polynomials X and G (a Pearson X's own kernel for G) on its domain go through
-    ``chaos.margin_extrema`` for both X models.
-    """
-    extrema = functools.cache(lambda coeffs: chaos.margin_extrema(model.poly, model.gpoly, coeffs, model.domain))
-    info = {}
-    if spec.hypothesis in _LOWER:
-        res = extrema(spec.reference)
-        info["lower_margin"] = res["min"]
-        if res["min"] < -MARGIN_TOL:
-            raise UncertifiedHypothesisError(
-                f"G >= g(X) fails: margin {res['min']} at {res['argmin']}")
-    if spec.hypothesis in _UPPER:
-        res = extrema(spec.upper_coeffs)  # a Sandwich with one reference reads the extrema above
-        info["upper_margin"] = res["max"]
-        if res["max"] > MARGIN_TOL:
-            raise UncertifiedHypothesisError(
-                f"G <= g_upper(X) fails: margin {res['max']} at {res['argmax']}")
-    return info
-
-
-# ---------------------------------------------------------------------------
-# block sampling and counting
 
 
 def _bands(model: _Model, zs: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -10,6 +10,8 @@ second and 17 MB, and the library and the CLI load neither ``scipy.optimize``
 nor ``scipy.integrate``.  Every root goes through ``quadrature.solve_monotone``:
 no module names a library root finder (companion matrix, eigenvalues, Brent or
 Newton).  Every ``raise`` names a class of ``steintail.errors`` or re-raises.
+Only ``rng`` spells the range of the uniforms, and ``verify`` tests the type of
+an X model only in ``_model`` and in scenario (de)serialization.
 """
 
 import ast
@@ -239,6 +241,6 @@ def test_verify_tests_the_type_of_an_x_model_only_in_model_and_serialization():
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
                 continue
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            if node.func.id == "type" or node.func.id in {"isinstance", "issubclass"} and names & X_MODELS:
+            if node.func.id == "type" or (node.func.id in {"isinstance", "issubclass"} and names & X_MODELS):
                 tests.append((getattr(top, "name", "<module>"), node.lineno))
     assert tests and {name for name, _ in tests} <= {"_model", "scenario_to_json", "scenario_from_json"}, tests

@@ -164,6 +164,30 @@ def test_chaos_margin_with_a_tiny_leading_coefficient_is_not_certified():
         run_scenario(spec)
 
 
+@pytest.mark.parametrize("series, coeffs", [
+    (HermiteSeries((0.0, 0.1)), PearsonCoefficients(-0.25, 0.0, 0.0625)),  # P[X > 1/2] = P[N > 5]
+    (H2, PearsonCoefficients(-0.25, 0.5, 2.0)),  # support (-2, 4): P[H2 > 4] = P[N^2 > 5]
+    (HermiteSeries((0.0, 1.0, 0.3, 0.125)), PearsonCoefficients(0.0, -0.3, 0.05)),  # mirrored Gamma, b = 1/6
+], ids=["0.1H1-beta", "H2-beta", "H1+0.3H2+0.125H3-mirrored-gamma"])
+def test_dominated_upper_is_refused_with_mass_past_the_upper_end(series, coeffs):
+    # past b_upper the upper kernel is 0 while E[G | X = x] = g_X(x) > 0, so G <= g_upper(X) fails there
+    b = build_law(coeffs).support_b
+    assert chaos.law_of_polynomial(series).tail(b) > 0.0
+    spec = ScenarioSpec(x_model=series, reference=coeffs, hypothesis=Hypothesis.DOMINATED_UPPER,
+                        z_grid=(b / 4.0, b / 2.0), n_samples=10**4, seed=1)
+    with pytest.raises(UncertifiedHypothesisError, match="G <= g_upper"):
+        run_scenario(spec)
+
+
+def test_a_certified_x_with_mass_past_b_gets_no_fail_verdict():
+    # P[X > b] = 0.288 past b = 1/6: the implicit bound divides by b^2/F(z) and reads about -17, valid and empty
+    spec = ScenarioSpec(x_model=HermiteSeries((0.0, 1.0, 0.3, 0.125)), reference=PearsonCoefficients(0.0, -0.3, 0.05),
+                        hypothesis=Hypothesis.DOMINATES_LOWER, z_grid=(0.05, 0.1), n_samples=10**4, seed=1)
+    rep = run_scenario(spec)
+    assert "fail" not in rep.verdicts
+    assert all(lo <= t for lo, t in zip(rep.lower_cert, rep.meta["exact_tail_x"]))
+
+
 def test_h2_equality_scenario_passes():
     rep = run_scenario(h2_gamma_spec())
     assert rep.all_passed
