@@ -66,21 +66,31 @@ def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
     return IndicatorSteinSolution(law, z, pearson.cdf(law, z), pearson.tail(law, z))
 
 
-def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray, left: np.ndarray):
+@functools.lru_cache(maxsize=1)
+def _z_free(law: PearsonLaw, shape: tuple, key: bytes) -> tuple[np.ndarray, ...]:
+    """(F, Phi, g, flux g rho) on the grid whose doubles are ``key``, in ``shape``: none depends on z, so every
+    threshold of a law reads them here; read-only, one entry, which a law's thresholds share (decision 11)."""
+    xs = np.frombuffer(key).reshape(shape)
+    values = (pearson.cdf(law, xs), pearson.tail(law, xs), *pearson.kernel_and_flux(law, xs))
+    for v in values:
+        v.flags.writeable = False
+    return values
+
+
+def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray, left: np.ndarray, read=_z_free):
     """g, the flux g rho (0 outside the open support) and the numerators of f and of g f' at every
-    point, f = N / flux and g f' = N' / flux, each from its own side alone: F(x) where ``left``, else Phi(x).
+    point, f = N / flux and g f' = N' / flux: F(x) where ``left``, else Phi(x), selected from both sides,
+    which ``read`` gives once per (law, grid).
     """
-    law = sol.law
-    side = np.empty_like(xs)
-    side[left] = pearson.cdf(law, xs[left])
-    side[~left] = pearson.tail(law, xs[~left])
-    (g, flux), weight = pearson.kernel_and_flux(law, xs), np.where(left, sol.phi_star_z, sol.eh)
+    cdf, tail, g, flux = read(sol.law, xs.shape, xs.tobytes())
+    side, weight = np.where(left, cdf, tail), np.where(left, sol.phi_star_z, sol.eh)
     num_p = weight * (xs * side + np.where(left, flux, -flux))  # x F + flux left, x Phi - flux right
     return g, flux, weight * side, num_p
 
 
 def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, f', residual g f' - x f - (h - E[h])) on a grid in one pass, each point reading one side.
+    """(f, f', residual g f' - x f - (h - E[h])) on a grid in one pass; F, Phi, g and the flux are read
+    once per (law, grid) and each threshold selects its side per point.
 
     Where the flux is 0 or a quotient is not finite (outside the support, at
     its ends, past underflow) f and f' take their one-sided limits, and at
@@ -112,8 +122,8 @@ def _checked_grid(sol: IndicatorSteinSolution, grid) -> np.ndarray:
 
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:
-    """One-sided limits of f' at the indicator threshold."""
-    g, flux, _, num_p = _numerators(sol, np.array([sol.z, sol.z]), np.array([True, False]))
+    """One-sided limits of f' at the indicator threshold, read past the grid cache, which is keyed on no z."""
+    g, flux, _, num_p = _numerators(sol, np.array([sol.z, sol.z]), np.array([True, False]), _z_free.__wrapped__)
     return tuple(float(n / (g[0] * flux[0])) for n in num_p)
 
 

@@ -140,6 +140,7 @@ def test_bounds_take_an_array_of_points(coeffs):
 def test_certification_grid_makes_one_quantile_call(monkeypatch):
     # one call for both ends per (law, n), at its first threshold; a law built again is the same key
     stein._bulk_grid.cache_clear()
+    stein._z_free.cache_clear()
     calls, quantile = [], pearson.quantile
     monkeypatch.setattr(pearson, "quantile", lambda law, p: calls.append(np.size(p)) or quantile(law, p))
     for coeffs in CANONICAL_COEFFS.values():
@@ -174,6 +175,7 @@ def test_certification_grid_equals_the_grid_built_whole_bit_for_bit(coeffs):
     law = build_law(coeffs)
     sd = math.sqrt(law.variance)
     stein._bulk_grid.cache_clear()
+    stein._z_free.cache_clear()
     for n in (2, 21, 200, 2000):
         whole = _grid_built_whole(law, math.inf, n)
         on_grid = float(whole[len(whole) // 3])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steintail import quadrature
+from steintail import pearson, quadrature
 from steintail.errors import DomainError
 
 # x^3 = c on brackets of different widths: Newton from the bracket's split point
@@ -215,6 +215,25 @@ def test_bisection_alone_closes_a_bracket_around_a_root_near_0(r):
     assert len(calls) <= 66  # the start, at most 64 halvings and one call at the last double
     batch = quadrature.solve_monotone(f, [r - 1.0] * 40, [r + 10.0] * 40, [True] * 40, xtol=0.0)  # on arrays
     assert batch.tobytes() == np.repeat(root, 40).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# panels
+
+
+def test_panel_integrals_keep_their_bits_whatever_the_chunk(monkeypatch):
+    # each interval is computed on its own, so the chunk only bounds the temporaries
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-30.0, 30.0, 5000)
+    hi = lo + rng.choice([1e-12, 1e-3, 0.5, 7.0], 5000) * rng.uniform(0.0, 1.0, 5000)
+    f = lambda x: np.exp(-0.5 * x * x) * np.cos(3.0 * x) + 1e-3 * x ** 3
+    law = pearson.build_law(pearson.PearsonCoefficients(0.25, 0.0, 0.25))  # case 5 reads its tails by panels
+    xs = np.linspace(-40.0, 40.0, 5000)
+    got = {}
+    for chunk in (7, 512, 2048):
+        monkeypatch.setattr(quadrature, "_PANEL_CHUNK", chunk)
+        got[chunk] = quadrature.panel_integrals(f, lo, hi).tobytes(), pearson.tail(law, xs).tobytes()
+    assert got[7] == got[512] == got[2048]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ def residual_for_test_function(law, f, fprime, h, eh: float, grid) -> float:
 
 
 def evaluate_both_sides(sol, xs):
-    """(f, f', residual) from the cdf and the tail at every point, one of them selected per point:
-    the both-sides reference for ``evaluate``, which evaluates one side per point."""
+    """(f, f', residual) from the cdf and the tail at every point, one of them selected per point, all
+    formed afresh: the reference for ``evaluate``, which reads the grid's z-free values once per (law, grid)."""
     law = sol.law
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     left = xs <= sol.z
@@ -294,29 +294,83 @@ def test_one_side_per_point_equals_both_sides_bit_for_bit(coeffs):
             assert got.tobytes() == want.tobytes(), z
 
 
-def test_evaluate_reads_one_side_per_point(canonical_laws, monkeypatch):
-    sizes = []
-    for name in ("cdf", "tail"):
+def _count_grid_reads(monkeypatch):
+    """Sizes of the points passed to ``pearson.cdf``, ``pearson.tail`` and ``pearson._kernel``, per name."""
+    reads = {"cdf": [], "tail": [], "_kernel": []}
+    for name, sizes in reads.items():
         fn = getattr(pearson, name)
-        monkeypatch.setattr(pearson, name, lambda law, zs, _fn=fn: sizes.append(np.size(zs)) or _fn(law, zs))
-    for name, law in canonical_laws.items():
-        z = _z_values(law)[0]
-        sol, grid = solve_indicator(law, z), certification_grid(law, z, 1000)
-        sizes.clear()
-        stein.evaluate(sol, grid)
-        assert sum(sizes) == grid.size, name
+        monkeypatch.setattr(pearson, name, lambda law, x, _fn=fn, _sizes=sizes: _sizes.append(np.size(x)) or _fn(law, x))
+    return reads
 
 
-def test_evaluate_reads_the_kernel_once_per_grid(canonical_laws, monkeypatch):
-    # g and the flux g rho come from one kernel evaluation (before: one inside the flux and one more)
-    calls, kernel = [], pearson._kernel
-    monkeypatch.setattr(pearson, "_kernel", lambda law, x: calls.append(np.size(x)) or kernel(law, x))
+def test_evaluate_reads_the_grid_once_per_law_and_grid(canonical_laws, monkeypatch):
+    # F, Phi, g and the flux do not depend on z: the first threshold of a (law, grid) reads each on the whole
+    # grid, once; a further threshold on that grid reads none; another grid, or another law, reads again
+    grids = {name: certification_grid(law, math.inf, 1000)[:1000] for name, law in canonical_laws.items()}
+    reads = _count_grid_reads(monkeypatch)
+    stein._z_free.cache_clear()
     for name, law in canonical_laws.items():
-        z = _z_values(law)[0]
-        sol, grid = solve_indicator(law, z), certification_grid(law, z, 1000)
-        calls.clear()
-        stein.evaluate(sol, grid)
-        assert calls == [grid.size], name
+        zs = np.linspace(0.1, 0.9, 4) * min(2.0, law.support_b)
+        for grid in (grids[name], grids[name][::3], grids[name].reshape(-1, 2)):  # same doubles, a new shape
+            for k, z in enumerate(zs):
+                sol = solve_indicator(law, z)
+                fprime_limits_at_threshold(sol)  # its two points at z go past the grid's cache
+                for sizes in reads.values():
+                    sizes.clear()
+                stein.evaluate(sol, grid)
+                assert reads == {key: [grid.size] if k == 0 else [] for key in reads}, (name, grid.shape, z)
+    # the normal's grid again, under the gamma and then the normal: the one entry holds the last (law, grid) only
+    for law in (canonical_laws["gamma"], canonical_laws["normal"]):
+        sol = solve_indicator(law, 1.0)
+        for sizes in reads.values():
+            sizes.clear()
+        stein.evaluate(sol, grids["normal"])
+        assert reads == {key: [grids["normal"].size] for key in reads}, law
+
+
+def _stein_outputs(sol, grid):
+    """evaluate's three arrays, the residual and the certificate, as bytes and text to compare to the bit."""
+    f, fp, residual = stein.evaluate(sol, grid)
+    return f.tobytes(), fp.tobytes(), residual.tobytes(), repr(check_residual(sol, grid)), \
+        certify_fprime(sol, grid).to_json()
+
+
+def _cold_outputs(sol, grid):
+    """``_stein_outputs`` with the grid's values read afresh by every call."""
+    out = []
+    for fn in (lambda: stein.evaluate(sol, grid), lambda: check_residual(sol, grid),
+               lambda: certify_fprime(sol, grid)):
+        stein._z_free.cache_clear()
+        out.append(fn())
+    (f, fp, residual), res_max, cert = out
+    return f.tobytes(), fp.tobytes(), residual.tobytes(), repr(res_max), cert.to_json()
+
+
+def test_a_warm_cache_equals_a_cold_one_bit_for_bit():
+    laws = {name: build_law(c) for name, c in WIDER_COEFFS.items()}
+    cases = []  # (law name, threshold, grid): thresholds of a law in a row on one grid, then grids of their own
+    for name, law in laws.items():
+        zs = [frac * min(2.0, law.support_b) for frac in (0.2, 0.5, 0.9)]
+        bulk = certification_grid(law, math.inf)
+        cases += [(name, z, bulk) for z in zs]
+        on_grid = float(bulk[len(bulk) // 3])  # z on the grid: certification_grid drops its point
+        if 0.0 < on_grid < law.support_b:
+            assert certification_grid(law, on_grid).size == bulk.size - 1
+            cases += [(name, on_grid, certification_grid(law, on_grid))] * 2
+        cases += [(name, z, bulk[: bulk.size // 2 * 2].reshape(-1, 2)) for z in zs[:2]]  # a 2-D user grid
+        ends = np.concatenate([[-math.inf, -0.0, 0.0, math.inf], bulk[::50]])
+        cases += [(name, z, ends) for z in zs[:2]]
+    cold = [_cold_outputs(solve_indicator(laws[name], z), grid) for name, z, grid in cases]
+    stein._z_free.cache_clear()
+    for (name, z, grid), want in zip(cases, cold):
+        sol = solve_indicator(laws[name], z)
+        assert _stein_outputs(sol, grid) == want, (name, z, grid.shape)
+        both = evaluate_both_sides(sol, grid)
+        assert tuple(v.tobytes() for v in both) == want[:3], (name, z, grid.shape)
+    by_z = sorted(range(len(cases)), key=lambda i: (cases[i][1], i))  # laws interleaved: the one entry is rebuilt
+    for i in by_z:
+        name, z, grid = cases[i]
+        assert _stein_outputs(solve_indicator(laws[name], z), grid) == cold[i], (name, z, grid.shape)
 
 
 # ---------------------------------------------------------------------------
