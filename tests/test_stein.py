@@ -299,7 +299,7 @@ def _count_grid_reads(monkeypatch):
     reads = {"cdf": [], "tail": [], "_kernel": []}
     for name, sizes in reads.items():
         fn = getattr(pearson, name)
-        monkeypatch.setattr(pearson, name, lambda law, x, _fn=fn, _sizes=sizes: _sizes.append(np.size(x)) or _fn(law, x))
+        monkeypatch.setattr(pearson, name, lambda law, x, _fn=fn, _got=sizes: _got.append(np.size(x)) or _fn(law, x))
     return reads
 
 
@@ -328,20 +328,14 @@ def test_evaluate_reads_the_grid_once_per_law_and_grid(canonical_laws, monkeypat
         assert reads == {key: [grids["normal"].size] for key in reads}, law
 
 
-def _stein_outputs(sol, grid):
-    """evaluate's three arrays, the residual and the certificate, as bytes and text to compare to the bit."""
-    f, fp, residual = stein.evaluate(sol, grid)
-    return f.tobytes(), fp.tobytes(), residual.tobytes(), repr(check_residual(sol, grid)), \
-        certify_fprime(sol, grid).to_json()
-
-
-def _cold_outputs(sol, grid):
-    """``_stein_outputs`` with the grid's values read afresh by every call."""
+def _stein_outputs(sol, grid, cold=False):
+    """evaluate's three arrays, the residual and the certificate, as bytes and text to compare to the bit;
+    cold empties the grid cache before each of the three calls."""
     out = []
-    for fn in (lambda: stein.evaluate(sol, grid), lambda: check_residual(sol, grid),
-               lambda: certify_fprime(sol, grid)):
-        stein._z_free.cache_clear()
-        out.append(fn())
+    for fn in (stein.evaluate, check_residual, certify_fprime):
+        if cold:
+            stein._z_free.cache_clear()
+        out.append(fn(sol, grid))
     (f, fp, residual), res_max, cert = out
     return f.tobytes(), fp.tobytes(), residual.tobytes(), repr(res_max), cert.to_json()
 
@@ -353,14 +347,13 @@ def test_a_warm_cache_equals_a_cold_one_bit_for_bit():
         zs = [frac * min(2.0, law.support_b) for frac in (0.2, 0.5, 0.9)]
         bulk = certification_grid(law, math.inf)
         cases += [(name, z, bulk) for z in zs]
-        on_grid = float(bulk[len(bulk) // 3])  # z on the grid: certification_grid drops its point
-        if 0.0 < on_grid < law.support_b:
-            assert certification_grid(law, on_grid).size == bulk.size - 1
-            cases += [(name, on_grid, certification_grid(law, on_grid))] * 2
+        on_grid = float(bulk[np.searchsorted(bulk, zs[1])])  # z on the grid: certification_grid drops its point
+        assert 0.0 < on_grid < law.support_b and certification_grid(law, on_grid).size == bulk.size - 1
+        cases += [(name, on_grid, certification_grid(law, on_grid))] * 2
         cases += [(name, z, bulk[: bulk.size // 2 * 2].reshape(-1, 2)) for z in zs[:2]]  # a 2-D user grid
         ends = np.concatenate([[-math.inf, -0.0, 0.0, math.inf], bulk[::50]])
         cases += [(name, z, ends) for z in zs[:2]]
-    cold = [_cold_outputs(solve_indicator(laws[name], z), grid) for name, z, grid in cases]
+    cold = [_stein_outputs(solve_indicator(laws[name], z), grid, cold=True) for name, z, grid in cases]
     stein._z_free.cache_clear()
     for (name, z, grid), want in zip(cases, cold):
         sol = solve_indicator(laws[name], z)
