@@ -5,8 +5,10 @@
 Recomputes the 80 sandwich reports and the 192 ``reference_certify`` op
 results (``tests/record.py``) and prints, for each value that differs from the
 committed record, its place, its old value, its new value and the relative
-change.  ``--check`` prints the list and leaves the record as it is.  A change
-that moves a value lists it in CHANGES.md and says why it moved.
+change.  ``--check`` prints the list, leaves the record as it is and exits
+with status 1 when any value moved (0 when none did), so it can gate a
+commit or a CI step.  A change that moves a value lists it in CHANGES.md and
+says why it moved.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import record  # noqa: E402
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--check", action="store_true", help="list the moved values without rewriting the record")
+    p.add_argument("--check", action="store_true",
+                   help="list the moved values without rewriting the record; exit 1 if any moved")
     args = p.parse_args(argv)
     new = record.compute()
     old = record.load() if record.PATH.exists() else {}
@@ -31,8 +34,9 @@ def main(argv=None) -> int:
     for place, a, b, rel in moves:
         print(f"{place}\told {a}\tnew {b}\trelative {rel}")
     print(f"{len(moves)} values moved; {len(new)} outputs", file=sys.stderr)
-    if not args.check:
-        record.save(new)
+    if args.check:
+        return 1 if moves else 0
+    record.save(new)
     return 0
 
 

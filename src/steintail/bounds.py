@@ -66,16 +66,28 @@ def phi_envelope(law: PearsonLaw, x):
 
     For x > 0 it brackets the tail P[Z > x]; for x < 0 it brackets
     1 - P[Z > x].  At x = 0 the upper bound degenerates to the trivial 1.
+    A float is bracketed in Python arithmetic around its one flux call, to
+    the bits of the array form.
     """
+    c = law.coeffs
+    if isinstance(x, float):
+        x = float(x)  # a numpy float64 too
+        if not law.support_a < x < law.support_b:  # NaN fails too
+            raise DomainError(f"envelope point {x} outside the open support")
+        flux, g_prime = pearson.flux(law, x), 2.0 * c.alpha * x + c.beta
+        gap = x - g_prime if x >= 0.0 else g_prime - x
+        q = (1.0 - c.alpha) * x * x + c.gamma
+        lower = (gap if gap > 0.0 else 0.0) / q * flux  # np.maximum(gap, 0.0) is +0.0 at -0.0 too
+        return lower, min(flux / abs(x), 1.0) if x else 1.0
     x = _points(x)
     inside = (law.support_a < x) & (x < law.support_b)
     if not inside.all():  # NaN fails too
         raise DomainError(f"envelope point {np.extract(~inside, x)[0]} outside the open support")
-    c, flux = law.coeffs, pearson.flux(law, x)
+    flux = pearson.flux(law, x)
     g_prime = 2.0 * c.alpha * x + c.beta
     gap = np.where(x >= 0.0, x - g_prime, g_prime - x)  # the mirrored pair for x < 0
-    q = (1.0 - c.alpha) * x * x + c.gamma  # q(x) inside the support, as ``pearson.q_function`` forms it
-    with np.errstate(divide="ignore", invalid="ignore"):  # fmin reads 1 at x = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # fmin reads 1 at x = 0; q may be inf
+        q = (1.0 - c.alpha) * x * x + c.gamma  # q(x) inside the support, as ``pearson.q_function`` forms it
         return _out(np.maximum(gap, 0.0) / q * flux), _out(np.fmin(flux / np.abs(x), 1.0))
 
 

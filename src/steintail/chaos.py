@@ -74,8 +74,8 @@ def _hermeval(coeffs, x: np.ndarray) -> np.ndarray:
     return val
 
 
-def _phi(n: float):
-    return np.exp(-0.5 * (n * n)) / _SQRT_2PI  # numpy's exp: math.exp's last bit differs; phi is 0 past n^2 = inf
+def _phi(n: float) -> float:
+    return float(np.exp(-0.5 * (n * n))) / _SQRT_2PI  # numpy's exp: math.exp's last bit differs; 0 past n^2 = inf
 
 
 def _clenshaw(c, n: float):
@@ -107,7 +107,7 @@ def _gauss_integral(herm, intervals) -> float:
     def edge(n: float) -> float:
         if not shift or not math.isfinite(n):
             return 0.0
-        return float(_clenshaw(shift, n) * _phi(n))
+        return _clenshaw(shift, n) * _phi(n)
 
     return float(sum(herm[0] * _gauss_interval_prob(u, v) + (edge(u) - edge(v)) for u, v in intervals))
 
@@ -302,7 +302,7 @@ class PolynomialChaosLaw:
     # -- evaluators ---------------------------------------------------------
 
     def density(self, x):
-        return _per_level(self, x, lambda v, pre, above: float(np.sum(_preimage_weights(pre))))
+        return _per_level(self, x, lambda v, pre, above: _total(_preimage_weights(pre)))
 
     def tail(self, x):
         return _per_level(self, x, lambda v, pre, above: _gauss_integral((1.0,), above))
@@ -342,8 +342,15 @@ def _per_level(law: PolynomialChaosLaw, x, at, width: int = 1):
 
 
 def _preimage_weights(pre) -> list:
-    """phi(n) / |X'(n)| per preimage (n, X'(n)), on floats: the density of X at the level is their sum."""
-    return [_phi(n) / abs(d) for n, d in pre]
+    """phi(n) / |X'(n)| per preimage (n, X'(n)), on floats: the density of X at the level is their sum.  Where
+    X'(n) is 0 the weight is what a double division by 0 gives, inf (nan where phi(n) is 0 too)."""
+    return [_phi(n) / abs(d) if d else _phi(n) * math.inf for n, d in pre]
+
+
+def _total(w: list) -> float:
+    """sum(w) to numpy's bits: its pairwise sum adds fewer than 8 terms one by one from 0, as Python's sum does,
+    and splits 8 or more (a level of degree 8 or more) among 8 running sums, which only numpy is left to do."""
+    return sum(w) if len(w) < 8 else float(np.sum(w))
 
 
 def _g_given(law: PolynomialChaosLaw, v: float, pre) -> float:
@@ -356,9 +363,9 @@ def _g_given(law: PolynomialChaosLaw, v: float, pre) -> float:
     """
     if not pre:
         raise OutsideSupportError(f"no preimages of {v}")
-    w = np.array(_preimage_weights(pre))
-    if w.any():
-        return float(np.dot(w, [quadrature.horner(law.gpoly, n) for n, _ in pre]) / np.sum(w))
+    w = _preimage_weights(pre)
+    if any(w):
+        return float(np.dot(w, [quadrature.horner(law.gpoly, n) for n, _ in pre]) / _total(w))
     ns, ds = np.array(pre).T
     with np.errstate(over="ignore", divide="ignore"):  # past 1e154 n^2 is inf: a weight of 0 even in logs
         logs = -0.5 * ns * ns - np.log(np.abs(ds))
@@ -382,7 +389,7 @@ def g_function(x_series: HermiteSeries, x):
     def at(v: float, pre, above) -> float:
         if not law.support_a < v < law.support_b:
             raise OutsideSupportError(f"{v} outside the support ({law.support_a}, {law.support_b})")
-        rho = float(np.sum(_preimage_weights(pre)))
+        rho = _total(_preimage_weights(pre))
         return _gauss_integral(x_series.coeffs, above) / rho if rho > 0.0 else _g_given(law, v, pre)
 
     return _per_level(law, x, at)

@@ -105,6 +105,11 @@ def pointwise(rows, law, x, *args):
     """rows(law, x as 1-d doubles, *args) at x, a number or an array of any shape: the one entry of every
     pointwise evaluator.  A NaN point raises DomainError; a number gives a float, an array an array of x's
     shape, and a tuple of rows a tuple of either."""
+    if isinstance(x, float):  # a Python float or a numpy float64: one point, past as_float's conversions
+        if math.isnan(x):
+            raise DomainError("evaluation point is NaN")
+        val = rows(law, np.array([x]), *args)
+        return tuple(float(v[0]) for v in val) if isinstance(val, tuple) else float(val[0])
     x = as_float(x, "the evaluation point", arrays=True)
     if math.isnan(x) if x.ndim == 0 else np.isnan(x).any():  # a scalar skips the ufunc's microsecond
         raise DomainError("evaluation point is NaN")

@@ -93,14 +93,19 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
 
     While more than _FLOAT_MAX problems run, each step is a few dozen array
     operations.  A solve of at most _FLOAT_MAX problems starts in
-    ``_float_steps``, with no array set-up, and a larger one goes there once
-    it thins out: the same steps on Python floats, where numpy's per-call
-    overhead would be all of a step's cost.  A callable f gets arrays on
+    ``_float_steps``, with no array set-up (brackets given as lists do not
+    become arrays at all), and a larger one goes there once it thins out:
+    the same steps on Python floats, where numpy's per-call overhead would
+    be all of a step's cost.  A callable f gets arrays on
     either executor; a polynomial is evaluated on arrays or on the floats.
     """
-    lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
-    if lo.size <= _FLOAT_MAX:  # no array set-up: the float steps from the start
-        lo, hi = lo.tolist(), hi.tolist()
+    if isinstance(lo, list) and len(lo) <= _FLOAT_MAX:
+        lo, hi = list(map(float, lo)), list(map(float, hi))
+    else:
+        lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
+        if lo.size <= _FLOAT_MAX:
+            lo, hi = lo.tolist(), hi.tolist()
+    if isinstance(lo, list):  # no array set-up: the float steps from the start
         if not all(map(math.isfinite, lo + hi)):
             raise DomainError("bracketed solve needs finite brackets")
         mid = [0.5 * a + 0.5 * b for a, b in zip(lo, hi)]

@@ -68,29 +68,40 @@ def solve_indicator(law: PearsonLaw, z: float) -> IndicatorSteinSolution:
 
 @functools.lru_cache(maxsize=1)
 def _z_free(law: PearsonLaw, shape: tuple, key: bytes) -> tuple[np.ndarray, ...]:
-    """(F, Phi, g, flux g rho) on the grid whose doubles are ``key``, in ``shape``: none depends on z, so every
-    threshold of a law reads them here; read-only, one entry, which a law's thresholds share (decision 11)."""
+    """Everything on the grid whose doubles are ``key``, in ``shape``, that does not depend on z: F, Phi,
+    g, the flux g rho, the numerators x F + flux and x Phi - flux of g f' on either side, g flux, and the
+    masks flux > 0, x finite and x inside (a, b).  Every threshold of a law reads them here and selects;
+    read-only, one entry, which a law's thresholds share (decision 11)."""
     xs = np.frombuffer(key).reshape(shape)
-    values = (pearson.cdf(law, xs), pearson.tail(law, xs), *pearson.kernel_and_flux(law, xs))
+    cdf, tail, (g, flux) = pearson.cdf(law, xs), pearson.tail(law, xs), pearson.kernel_and_flux(law, xs)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 at x = +-inf, where the flux is 0
+        values = (cdf, tail, g, flux, xs * cdf + flux, xs * tail - flux, g * flux, flux > 0.0, np.isfinite(xs),
+                  (xs > law.support_a) & (xs < law.support_b))
     for v in values:
         v.flags.writeable = False
     return values
 
 
-def _numerators(sol: IndicatorSteinSolution, xs: np.ndarray, left: np.ndarray, read=_z_free):
-    """g, the flux g rho (0 outside the open support) and the numerators of f and of g f' at every
-    point, f = N / flux and g f' = N' / flux: F(x) where ``left``, else Phi(x), selected from both sides,
-    which ``read`` gives once per (law, grid).
-    """
-    cdf, tail, g, flux = read(sol.law, xs.shape, xs.tobytes())
-    side, weight = np.where(left, cdf, tail), np.where(left, sol.phi_star_z, sol.eh)
-    num_p = weight * (xs * side + np.where(left, flux, -flux))  # x F + flux left, x Phi - flux right
-    return g, flux, weight * side, num_p
+def _evaluate(sol: IndicatorSteinSolution, xs: np.ndarray):
+    """(xs <= z, xs inside (a, b), f, f', residual) on an array of doubles: each value selected per point
+    from the grid's z-free entry, the side F(x) left of z and Phi(x) right of it."""
+    entry = _z_free(sol.law, xs.shape, xs.tobytes())
+    cdf, tail, g, flux, num_left, num_right, g_flux, positive, finite, inside = entry
+    left = xs <= sol.z
+    hc = np.where(left, sol.phi_star_z, -sol.eh)  # h - E[h], complement-free
+    weight = np.where(left, sol.phi_star_z, sol.eh)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = weight * np.where(left, cdf, tail) / flux  # f = N / flux and g f' = N' / flux
+        fp = weight * np.where(left, num_left, num_right) / g_flux
+        f = np.where(positive & np.isfinite(f), f, -hc / xs)
+        fp = np.where(positive & np.isfinite(fp), fp, hc / (xs * xs))
+        residual = np.where(finite, g * fp - xs * f - hc, 0.0)  # its limit at +-inf, where x f = inf * 0
+    return left, inside, f, fp, residual
 
 
 def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f, f', residual g f' - x f - (h - E[h])) on a grid in one pass; F, Phi, g and the flux are read
-    once per (law, grid) and each threshold selects its side per point.
+    """(f, f', residual g f' - x f - (h - E[h])) on a grid in one pass; the z-free values on the grid are
+    formed once per (law, grid) and each threshold selects its side per point.
 
     Where the flux is 0 or a quotient is not finite (outside the support, at
     its ends, past underflow) f and f' take their one-sided limits, and at
@@ -98,21 +109,13 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
     the residual are one-sided values, so callers that need them exclude those
     points.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    left = xs <= sol.z
-    hc = np.where(left, sol.phi_star_z, -sol.eh)  # h - E[h], complement-free
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g, flux, num, num_p = _numerators(sol, xs, left)
-        f, fp = num / flux, num_p / (g * flux)
-        f = np.where((flux > 0.0) & np.isfinite(f), f, -hc / xs)
-        fp = np.where((flux > 0.0) & np.isfinite(fp), fp, hc / (xs * xs))
-        residual = np.where(np.isfinite(xs), g * fp - xs * f - hc, 0.0)  # its limit at +-inf, where x f = inf * 0
-    return f, fp, residual
+    return _evaluate(sol, np.atleast_1d(np.asarray(xs, dtype=float)))[2:]
 
 
 def _checked_grid(sol: IndicatorSteinSolution, grid) -> np.ndarray:
-    """grid as an array of doubles, nonempty and clear of the kinks {z, a, b}, where f' is not defined."""
-    xs = np.asarray(grid, dtype=float)
+    """grid, a number or an array of any shape, as an array of doubles of at least one dimension, nonempty and
+    clear of the kinks {z, a, b}, where f' is not defined."""
+    xs = np.atleast_1d(np.asarray(grid, dtype=float))
     if xs.size == 0:
         raise DomainError("the grid is empty")
     for kink in (sol.z, sol.law.support_a, sol.law.support_b):
@@ -122,9 +125,12 @@ def _checked_grid(sol: IndicatorSteinSolution, grid) -> np.ndarray:
 
 
 def fprime_limits_at_threshold(sol: IndicatorSteinSolution) -> tuple[float, float]:
-    """One-sided limits of f' at the indicator threshold, read past the grid cache, which is keyed on no z."""
-    g, flux, _, num_p = _numerators(sol, np.array([sol.z, sol.z]), np.array([True, False]), _z_free.__wrapped__)
-    return tuple(float(n / (g[0] * flux[0])) for n in num_p)
+    """One-sided limits of f' at the indicator threshold: ``evaluate``'s numerators at x = z, in closed form,
+    Phi(z) (z F(z) + flux) / (g flux) from the left and F(z) (z Phi(z) - flux) / (g flux) from the right."""
+    z, eh, phi = sol.z, sol.eh, sol.phi_star_z
+    g, flux = pearson.kernel_and_flux(sol.law, z)
+    g_flux = np.float64(g) * flux  # a numpy double, so an underflowed flux divides to inf or nan as on a grid
+    return float(phi * (z * eh + flux) / g_flux), float(eh * (z * phi - flux) / g_flux)
 
 
 def check_residual(sol: IndicatorSteinSolution, grid) -> float:
@@ -172,14 +178,13 @@ def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertific
     left of z and -1/q(z) <= f' <= 0 right of z.  Outside a finite-support
     law's interval the derivative is (h - E[h])/x^2, bounded by Phi(z)/a^2
     below a and by F(z)/b^2 in magnitude above b.  The grid must be
-    nonempty and avoid {z, a, b}.
+    nonempty and avoid {z, a, b}; it is a number or an array of any shape.
     """
     xs = _checked_grid(sol, grid)
     law, z = sol.law, sol.z
     a, b = law.support_a, law.support_b
-    _, fp, residual = evaluate(sol, xs)
-    left = xs <= z
-    sign_violations = int(np.sum((left & (fp < 0.0)) | (~left & (fp > 0.0))))
+    left, inside, _, fp, residual = _evaluate(sol, xs)
+    sign_violations = int(np.count_nonzero(np.where(left, fp < 0.0, fp > 0.0)))
 
     g_z = stein_kernel(law, z)
     flux_g = g_z * g_z * pearson.density(law, z)
@@ -187,19 +192,18 @@ def certify_fprime(sol: IndicatorSteinSolution, grid) -> SteinDerivativeCertific
     if not math.isfinite(ub_left):  # decision 11: an infinite bound says nothing, so no certificate carries it
         raise DensityUnderflowError(f"the uniform bound z/(g(z)^2 rho(z)) at z={z} is past the largest double: "
                                     f"g(z)^2 rho(z) has underflowed to {flux_g!r}")
-    lower = np.where(left, 0.0, np.where(xs < b, -1.0 / q_function(law, z), -sol.eh / (b * b)))
-    upper = np.where(left, np.where(xs > a, ub_left, sol.phi_star_z / (a * a)), 0.0)
+    # a < 0 < z < b, so a point left of z is outside (a, b) only below a, and one right of z only above b
+    lower = np.where(left, 0.0, np.where(inside, -1.0 / q_function(law, z), -sol.eh / (b * b)))
+    upper = np.where(left, np.where(inside, ub_left, sol.phi_star_z / (a * a)), 0.0)
     margins = np.minimum(fp - lower, upper - fp)
-    min_left = float(np.min(margins[left], initial=np.inf))
-    min_right = float(np.min(margins[~left], initial=np.inf))
-
-    in_support = (xs > a) & (xs < b)
-    uni_margin = float(ub_left - np.max(np.abs(fp[in_support]), initial=-np.inf))
+    min_left = float(np.min(margins, where=left, initial=np.inf))
+    min_right = float(np.min(margins, where=~left, initial=np.inf))
+    uni_margin = float(ub_left - np.max(np.abs(fp), where=inside, initial=-np.inf))
     passed = sign_violations == 0 and min_left >= 0.0 and min_right >= 0.0 and uni_margin >= 0.0
     return SteinDerivativeCertificate(
         z=z,
-        grid_spec=f"{xs.min()}:{xs.max()}:{len(xs)}",
-        n_points=len(xs),
+        grid_spec=f"{xs.min()}:{xs.max()}:{xs.size}",
+        n_points=xs.size,
         residual_max=float(np.max(np.abs(residual))),
         sign_violations=sign_violations,
         min_margin_left=min_left,

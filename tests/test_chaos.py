@@ -253,6 +253,29 @@ def test_law_density_integrates_to_one_and_centered():
         assert abs(mean) < 1e-9
 
 
+def test_a_crossing_where_x_prime_vanishes_has_an_infinite_density():
+    # X = N^3 crosses the level 0 at n = 0, where X' = 0: the weight phi(0) / 0 is inf, as a double divides
+    series = HermiteSeries((0.0, 3.0, 0.0, 1.0))
+    law = law_of_polynomial(series)
+    assert law.level(0.0)[0] == [(0.0, 0.0)]
+    assert law.density(0.0) == math.inf and law.density(np.array([0.0, 1.0]))[0] == math.inf
+    assert g_function(series, 0.0) == 0.0  # E[X; X > 0] / inf
+
+
+@pytest.mark.parametrize("degree, level", [(2, 0.5), (3, 0.5), (7, 0.3), (8, 0.3), (12, 0.1), (20, 2.0), (40, 0.5)])
+def test_preimage_weights_add_in_numpy_order(degree, level):
+    # below 8 weights Python's sum adds as numpy's pairwise sum does; from 8 on numpy's order is kept
+    series = HermiteSeries((0.0,) * degree + (1.0,))
+    law = law_of_polynomial(series)
+    pre, above = law.level(level)
+    assert len(pre) == degree
+    w = np.array([chaos._phi(n) / abs(d) for n, d in pre])
+    g = [quadrature.horner(law.gpoly, n) for n, _ in pre]
+    assert law.density(level) == float(np.sum(w))
+    assert g_from_conditional(series, level) == float(np.dot(w, g) / np.sum(w))
+    assert g_function(series, level) == chaos._gauss_integral(series.coeffs, above) / float(np.sum(w))
+
+
 def test_law_sampling_matches_tail():
     law = law_of_polynomial(H2)
     xs = H2.evaluate(normal_stream(19, 200_000))

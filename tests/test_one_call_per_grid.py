@@ -4,6 +4,7 @@ array of any shape, and an array call equals the calls at its numbers to the bit
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ from steintail.verify import Hypothesis, ScenarioSpec, run_scenario, slope_estim
 
 LAWS = {**CANONICAL_COEFFS, "mirrored_gamma": WIDER_COEFFS["mirrored_gamma"],
         "mirrored_inverse_gamma": WIDER_COEFFS["mirrored_inverse_gamma"]}
+# every canonical case in both orientations: the Normal is symmetric, and the symmetric Beta and case 5 get
+# a skewed pair
+ORIENTED = {**LAWS, "beta_skewed": PearsonCoefficients(-0.25, 0.1, 0.0625),
+            "beta_skewed_mirrored": PearsonCoefficients(-0.25, -0.1, 0.0625),
+            "no_real_roots_skewed": PearsonCoefficients(0.25, 0.3, 0.25),
+            "no_real_roots_skewed_mirrored": PearsonCoefficients(0.25, -0.3, 0.25)}
+PEARSON_POINTWISE = ("tail", "cdf", "log_tail", "density", "log_density", "flux", "kernel_and_flux",
+                     "stein_kernel", "q_function", "partial_moments")
 SERIES = {"H1+0.1H3": HermiteSeries((0.0, 1.0, 0.0, 0.1)), "H2": HermiteSeries((0.0, 0.0, 1.0)),
           "H1+0.2H2": HermiteSeries((0.0, 1.0, 0.2))}
 
@@ -33,17 +42,58 @@ def _members(v):
 
 
 def _check_array_equals_numbers(fn, xs):
-    """fn on the 2-d xs, on xs flattened and on no points, against fn at each number of xs."""
+    """fn on the 2-d xs, on xs flattened and on no points, against fn at each number of xs, given as a float,
+    a numpy float64 and a 0-d array."""
     whole, flat = _members(fn(xs)), _members(fn(xs.ravel()))
     assert all(isinstance(v, np.ndarray) and v.shape == xs.shape for v in whole)
     assert all(v.shape == (xs.size,) for v in flat)
     for k, x in enumerate(xs.flat):
-        got = _members(fn(float(x)))
-        assert all(type(g) is float for g in got), x
-        for g, w, f in zip(got, whole, flat):
-            assert np.float64(g).tobytes() == w.flat[k].tobytes() == f[k].tobytes(), x
+        for number in (float(x), np.float64(x), np.array(x)):
+            got = _members(fn(number))
+            assert all(type(g) is float for g in got), (x, type(number))
+            for g, w, f in zip(got, whole, flat):
+                assert np.float64(g).tobytes() == w.flat[k].tobytes() == f[k].tobytes(), (x, type(number))
     for empty in (np.empty(0), np.empty((0, 2))):
         assert all(v.shape == empty.shape for v in _members(fn(empty)))
+
+
+def _check_every_form(fn, points):
+    """fn at each point as a float, a numpy float64 and a 0-d array, against its value inside one array of
+    every point where fn is defined: the same bits, and a float for a number.  Where fn raises a DomainError,
+    or a RuntimeWarning (the suite raises warnings as errors), it raises the same in each form and inside
+    that array.  A NaN raises DomainError in each form and inside the array."""
+    def run(x):
+        try:
+            return _members(fn(x))
+        except (DomainError, RuntimeWarning) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    alone = [run(np.array([x])) for x in points]
+    defined = np.array([x for x, v in zip(points, alone) if not isinstance(v, str)])
+    whole, k = run(defined), 0
+    for x, one in zip(points, alone):
+        forms = [run(number) for number in (float(x), np.float64(x), np.array(x))]
+        if isinstance(one, str):
+            assert forms == [one] * 3 and run(np.append(defined, x)) == one, x
+            continue
+        for got in forms:
+            assert all(type(g) is float for g in got), x
+            assert [np.float64(g).tobytes() for g in got] == [w[k].tobytes() for w in whole], x
+        k += 1
+    for nan in (math.nan, np.float64(math.nan), np.array(math.nan), np.append(defined, math.nan)):
+        with pytest.raises(DomainError):
+            fn(nan)
+
+
+def _near_the_ends(a, b, inside):
+    """+-0.0, the inside points and, at each end of (a, b), the end and the doubles on either side of it, or
+    the largest finite double where the end is infinite."""
+    points = [-0.0, 0.0, *inside]
+    for end in (a, b):
+        near = (np.nextafter(end, -math.inf), np.nextafter(end, math.inf)) if math.isfinite(end) else \
+            (math.copysign(sys.float_info.max, end),)
+        points += [end, *near]
+    return np.array(points)
 
 
 def _with_nan(xs):
@@ -79,6 +129,15 @@ def test_partial_moments_take_an_array(coeffs):
         pearson.partial_moments(law, _with_nan(ys))
 
 
+@pytest.mark.parametrize("coeffs", ORIENTED.values(), ids=ORIENTED.keys())
+def test_pearson_evaluators_give_the_same_bits_in_every_form(coeffs):
+    law = build_law(coeffs)
+    a, b = law.support_a, law.support_b
+    inside = np.clip(np.array([-1.5, -0.3, 0.4, 2.0]) * math.sqrt(law.variance), 0.9 * a, 0.9 * b)
+    for name in PEARSON_POINTWISE:
+        _check_every_form(lambda x, fn=getattr(pearson, name): fn(law, x), _near_the_ends(a, b, inside))
+
+
 # ---------------------------------------------------------------------------
 # chaos
 
@@ -99,6 +158,17 @@ def test_chaos_evaluators_take_an_array_of_levels(series):
             fn(series, _with_nan(inside))
         with pytest.raises(OutsideSupportError):
             fn(series, np.append(inside, math.inf))
+
+
+@pytest.mark.parametrize("series", SERIES.values(), ids=SERIES.keys())
+def test_chaos_evaluators_give_the_same_bits_in_every_form(series):
+    law = law_of_polynomial(series)
+    points = _near_the_ends(law.support_a, law.support_b,
+                            series.evaluate(np.array([-1.7, -0.4, 0.3, 0.9, 2.2])))
+    for fn in (law.tail, law.density, law.partial_moments):
+        _check_every_form(fn, points)
+    for fn in (chaos.g_function, chaos.g_from_conditional):
+        _check_every_form(lambda x, fn=fn: fn(series, x), points)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +201,14 @@ def test_bounds_take_an_array_of_points(coeffs):
         bounds.pearson_lower(law, np.array([[1e-3], [-1e-3]]), 4.0)
     with pytest.raises(DomainError, match="0 < z < b"):
         bounds.implicit_lower_bound(law, np.array([0.1, 0.0]), (0.0, 0.0, 0.0), b)
+
+
+@pytest.mark.parametrize("coeffs", ORIENTED.values(), ids=ORIENTED.keys())
+def test_phi_envelope_gives_the_same_bits_in_every_form(coeffs):
+    law = build_law(coeffs)
+    a, b = law.support_a, law.support_b
+    inside = np.clip(np.array([-1.5, -0.3, 0.4, 2.0]) * math.sqrt(law.variance), 0.9 * a, 0.9 * b)
+    _check_every_form(lambda x: bounds.phi_envelope(law, x), _near_the_ends(a, b, inside))
 
 
 # ---------------------------------------------------------------------------

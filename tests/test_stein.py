@@ -269,15 +269,12 @@ def test_fprime_one_sided_limits(normal_law):
     assert left >= 0.0 >= right
 
 
-def test_fprime_limits_read_the_shared_numerators(canonical_laws):
+def test_fprime_limits_take_their_closed_form(canonical_laws):
     for name, law in canonical_laws.items():
         for z in _z_values(law):
             sol = solve_indicator(law, z)
-            g, flux, _, num_p = stein._numerators(sol, np.array([z, z]), np.array([True, False]))
-            num_left, num_right = num_p[:1], num_p[1:]
             left, right = fprime_limits_at_threshold(sol)
-            assert left == num_left[0] / (g[0] * flux[0]), name
-            assert right == num_right[0] / (g[0] * flux[0]), name
+            assert left == stein.evaluate(sol, z)[1][0], name  # a grid point at z reads the left side
             # the scalar closed forms at z, operation for operation
             g_z, flux_z = stein_kernel(law, z), pearson.flux(law, z)
             assert left == sol.phi_star_z * (z * sol.eh + flux_z) / (g_z * flux_z), name
@@ -314,7 +311,7 @@ def test_evaluate_reads_the_grid_once_per_law_and_grid(canonical_laws, monkeypat
         for grid in (grids[name], grids[name][::3], grids[name].reshape(-1, 2)):  # same doubles, a new shape
             for k, z in enumerate(zs):
                 sol = solve_indicator(law, z)
-                fprime_limits_at_threshold(sol)  # its two points at z go past the grid's cache
+                fprime_limits_at_threshold(sol)  # its one point at z reads no grid
                 for sizes in reads.values():
                     sizes.clear()
                 stein.evaluate(sol, grid)
@@ -419,6 +416,31 @@ def test_a_uniform_bound_past_the_doubles_raises_a_typed_error(variance, sds):
     with pytest.raises(DensityUnderflowError, match="underflowed"):
         certify_fprime(sol, [0.5 * z, 2.0 * z])
     assert np.isfinite(stein.evaluate(sol, [0.5 * z, 2.0 * z])[1]).all()  # the solution itself is fine
+
+
+@pytest.mark.parametrize("coeffs", WIDER_COEFFS.values(), ids=WIDER_COEFFS.keys())
+def test_a_certificate_counts_every_point_of_a_grid_of_any_shape(coeffs):
+    # an n-d grid is certified as its points, and a number as a one-point grid, as check_residual takes them
+    law = build_law(coeffs)
+    z = 0.5 * min(2.0, law.support_b)
+    sol = solve_indicator(law, z)
+    flat = certification_grid(law, z, 240)[:200]
+    want = certify_fprime(sol, flat)
+    assert want.n_points == 200 and want.grid_spec == f"{flat.min()}:{flat.max()}:200"
+    for grid in (flat.reshape(100, 2), flat.reshape(2, 10, 10), flat.reshape(2, 10, 10).transpose(2, 0, 1)):
+        cert = certify_fprime(sol, grid)
+        assert cert.n_points == 200 and cert.grid_spec.endswith(":200"), grid.shape
+        assert cert.to_json() == want.to_json(), grid.shape
+    x = float(flat[37])
+    one = certify_fprime(sol, [x])
+    for number in (x, np.float64(x), np.array(x), np.array([[x]])):
+        cert = certify_fprime(sol, number)
+        assert cert.n_points == 1 and cert.to_json() == one.to_json(), type(number)
+        assert check_residual(sol, number) == cert.residual_max
+    with pytest.raises(EvaluationAtKinkError):
+        certify_fprime(sol, z)
+    with pytest.raises(DomainError, match="empty"):
+        certify_fprime(sol, np.empty((0, 2)))
 
 
 def test_certificate_json_round_trip(normal_law):
