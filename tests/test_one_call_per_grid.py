@@ -130,12 +130,12 @@ def test_partial_moments_take_an_array(coeffs):
 
 
 @pytest.mark.parametrize("coeffs", ORIENTED.values(), ids=ORIENTED.keys())
-def test_pearson_evaluators_give_the_same_bits_in_every_form(coeffs):
+def test_pearson_evaluators_and_the_envelope_give_the_same_bits_in_every_form(coeffs):
     law = build_law(coeffs)
     a, b = law.support_a, law.support_b
     inside = np.clip(np.array([-1.5, -0.3, 0.4, 2.0]) * math.sqrt(law.variance), 0.9 * a, 0.9 * b)
-    for name in PEARSON_POINTWISE:
-        _check_every_form(lambda x, fn=getattr(pearson, name): fn(law, x), _near_the_ends(a, b, inside))
+    for fn in [getattr(pearson, name) for name in PEARSON_POINTWISE] + [bounds.phi_envelope]:
+        _check_every_form(lambda x, fn=fn: fn(law, x), _near_the_ends(a, b, inside))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +201,6 @@ def test_bounds_take_an_array_of_points(coeffs):
         bounds.pearson_lower(law, np.array([[1e-3], [-1e-3]]), 4.0)
     with pytest.raises(DomainError, match="0 < z < b"):
         bounds.implicit_lower_bound(law, np.array([0.1, 0.0]), (0.0, 0.0, 0.0), b)
-
-
-@pytest.mark.parametrize("coeffs", ORIENTED.values(), ids=ORIENTED.keys())
-def test_phi_envelope_gives_the_same_bits_in_every_form(coeffs):
-    law = build_law(coeffs)
-    a, b = law.support_a, law.support_b
-    inside = np.clip(np.array([-1.5, -0.3, 0.4, 2.0]) * math.sqrt(law.variance), 0.9 * a, 0.9 * b)
-    _check_every_form(lambda x: bounds.phi_envelope(law, x), _near_the_ends(a, b, inside))
 
 
 # ---------------------------------------------------------------------------
