@@ -738,8 +738,13 @@ def _side(law: PearsonLaw, x: np.ndarray, upper: bool):
 def _kernel(law: PearsonLaw, x: np.ndarray) -> np.ndarray:
     inside = (x > law.support_a) & (x < law.support_b)
     val = np.zeros(x.shape)
-    val[inside] = law.coeffs.kernel(x[inside])  # only inside points: the kernel at +-inf is nan
+    val[inside] = law.coeffs.kernel(x[inside])  # only inside points: at +-inf nan; past |x| of 1e154 inf, its limit
     return val
+
+
+_quiet_kernel = np.errstate(over="ignore")(_kernel)  # the kernel and q are inf past |x| of 1e154: no warning
+_q = np.errstate(over="ignore")(lambda law, x: np.where((x > law.support_a) & (x < law.support_b),
+                                                        (1.0 - law.coeffs.alpha) * x * x + law.coeffs.gamma, x * x))
 
 
 def _log_density(law: PearsonLaw, x: np.ndarray):
@@ -748,10 +753,11 @@ def _log_density(law: PearsonLaw, x: np.ndarray):
 
 
 def _kernel_flux(law: PearsonLaw, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = _kernel(law, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.exp(np.log(g) + _log_density(law, x))
-    return g, np.where(g > 0.0, val, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # g is inf past |x| of 1e154
+        g = _kernel(law, x)
+        log_g = np.log(g)  # at most 710 where g is finite: the cap keeps an inf from meeting a -inf log density
+        val = np.exp(np.fmin(log_g, 1e300) + _log_density(law, x))
+    return g, np.where(np.isfinite(log_g), val, 0.0)  # 0 where g is 0, even against a pole, or inf: its limit
 
 
 def _log_tail(law: PearsonLaw, z: np.ndarray):
@@ -767,14 +773,13 @@ def _log_tail(law: PearsonLaw, z: np.ndarray):
 
 
 def stein_kernel(law: PearsonLaw, x):
-    """g(x) = (alpha x^2 + beta x + gamma) on the open support, 0 outside."""
-    return pointwise(_kernel, law, x)
+    """g(x) = (alpha x^2 + beta x + gamma) on the open support, 0 outside; inf, its limit, past |x| of 1e154."""
+    return pointwise(_quiet_kernel, law, x)
 
 
 def q_function(law: PearsonLaw, x):
-    """q(x) = x^2 - x g'(x) + g(x): (1-alpha)x^2 + gamma inside, x^2 outside."""
-    return pointwise(lambda law, x: np.where((x > law.support_a) & (x < law.support_b),
-                                       (1.0 - law.coeffs.alpha) * x * x + law.coeffs.gamma, x * x), law, x)
+    """q(x) = x^2 - x g'(x) + g(x): (1-alpha)x^2 + gamma inside, x^2 outside; inf, its limit, past |x| of 1e154."""
+    return pointwise(_q, law, x)
 
 
 def log_density(law: PearsonLaw, x):

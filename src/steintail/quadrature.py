@@ -9,7 +9,6 @@ on arrays while many problems run, on Python floats once few are left.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from typing import Callable
@@ -92,12 +91,13 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
     end that is not finite raises DomainError.
 
     While more than _FLOAT_MAX problems run, each step is a few dozen array
-    operations.  A solve of at most _FLOAT_MAX problems starts in
-    ``_float_steps``, with no array set-up (brackets given as lists do not
-    become arrays at all), and a larger one goes there once it thins out:
-    the same steps on Python floats, where numpy's per-call overhead would
-    be all of a step's cost.  A callable f gets arrays on
-    either executor; a polynomial is evaluated on arrays or on the floats.
+    operations.  A solve of at most _FLOAT_MAX problems has no array set-up
+    (brackets given as lists do not become arrays at all), and a larger one
+    leaves the arrays once it thins out: the same steps on Python floats
+    (``_float_step``), where numpy's per-call overhead would be all of a
+    step's cost.  There a polynomial runs each problem to its root in one
+    loop of its own, and a callable f gets arrays of the running iterates
+    once per step, as on the array executor.
     """
     if isinstance(lo, list) and len(lo) <= _FLOAT_MAX:
         lo, hi = list(map(float, lo)), list(map(float, hi))
@@ -108,13 +108,15 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
     if isinstance(lo, list):  # no array set-up: the float steps from the start
         if not all(map(math.isfinite, lo + hi)):
             raise DomainError("bracketed solve needs finite brackets")
-        mid = [0.5 * a + 0.5 * b for a, b in zip(lo, hi)]
-        x = mid if x0 is None else [m if math.isnan(s) else s for m, s in zip(mid, _each(x0, len(lo)))]
-        sign = [1.0 if v else -1.0 for v in _each(increasing, len(lo))]
-        step = [b - a for a, b in zip(lo, hi)]  # inf where the bracket is wider than the largest double
-        with np.errstate(**_QUIET) if callable(f) else contextlib.nullcontext():  # a polynomial needs no numpy
-            return _float_steps(f, 0, np.empty(len(lo)), list(range(len(lo))), x, lo, hi, sign, list(step), step,
-                                xtol=xtol)
+        n = len(lo)
+        starts = [math.nan] * n if x0 is None else _each(x0, n)
+        inc = increasing if isinstance(increasing, list) and len(increasing) == n else _each(increasing, n)
+        rows = [(0.5 * a + 0.5 * b if math.isnan(s) else s, a, b, 1.0 if v else -1.0, b - a, b - a)
+                for a, b, s, v in zip(lo, hi, starts, inc)]  # b - a is inf where wider than the largest double
+        if not callable(f):  # each problem to its root in one loop; a polynomial needs no numpy
+            return np.array([_poly_root(*f, 0, row, xtol) for row in rows])
+        with np.errstate(**_QUIET):
+            return _float_steps(f, 0, np.empty(n), list(range(n)), rows, xtol=xtol)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("bracketed solve needs finite brackets")
     sign = np.full(lo.shape, np.where(increasing, 1.0, -1.0))
@@ -127,8 +129,8 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
         step_old = step = hi - lo  # inf where the bracket is wider than the largest double
         for k in range(_MAX_STEPS):
             if i.size <= _FLOAT_MAX:
-                state = (a.tolist() for a in (x, lo, hi, sign, step_old, step))
-                return _float_steps(f, k, root, i.tolist(), *state, xtol=xtol)
+                rows = list(zip(*(a.tolist() for a in (x, lo, hi, sign, step_old, step))))
+                return _float_steps(f, k, root, i.tolist(), rows, xtol=xtol)
             val, slope = on_arrays(x, i)
             below = sign * val < 0.0  # the root is right of x
             lo = np.where(below, x, lo)
@@ -149,48 +151,60 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
 
 
-def _float_steps(f, k0: int, root: np.ndarray, i: list[int], *state: list[float], xtol: float) -> np.ndarray:
+def _float_steps(f, k0: int, root: np.ndarray, i: list[int], rows: list[tuple], *, xtol: float) -> np.ndarray:
     """Steps k0, k0 + 1, ... of ``solve_monotone`` for the problems i, on Python floats; writes their roots.
 
-    state is (x, lo, hi, sign, step_old, step), one float list each.  A
-    callable f gets arrays of the running iterates and indices once per step;
-    a polynomial is evaluated at each float.  Each problem takes the array
-    steps' rule, operation for operation: a float and a float64 array element
-    round alike, so each root keeps its bits (``tests/test_quadrature.py``).
-    A slope that is 0 or not finite refuses the Newton step before the
-    division, as the inf or NaN step of the array form fails its tests.
+    rows holds one (x, lo, hi, sign, step_old, step) per problem.  A polynomial runs each problem to its root on
+    its own (``_poly_root``), a callable f gets arrays of the running iterates and indices once per step, and each
+    problem takes ``_float_step``, the array steps' rule operation for operation: a float and a float64 array
+    element round alike, so each root keeps its bits (``tests/test_quadrature.py``).
     """
-    x, lo, hi, sign, step_old, step = state
+    if not callable(f):
+        root[i] = [_poly_root(*f, k0, row, xtol) for row in rows]
+        return root
     for k in range(k0, _MAX_STEPS):
-        if not x:
+        if not rows:
             return root
-        if callable(f):
-            val, slope = (_each(a, len(x)) for a in f(np.array(x), np.array(i)))
-        else:
-            val, slope = ([horner(p, t) for t in x] for p in f)
-        limit = step_old if k < _PATIENCE else step
-        keep = []
-        for j, (v, s) in enumerate(zip(val, slope)):
-            xj = x[j]
-            if sign[j] * v < 0.0:  # the root is right of x
-                lo[j] = xj
+        val, slope = (_each(a, len(rows)) for a in f(np.array([row[0] for row in rows]), np.array(i)))
+        running = zip(i, val, slope, rows)
+        i, rows = [], []  # the problems that go on
+        for j, v, s, row in running:
+            row, going = _float_step(k, v, s, row, xtol)
+            if going:
+                i.append(j)
+                rows.append(row)
             else:
-                hi[j] = xj
-            newton = s != 0.0 and math.isfinite(s)
-            if newton:
-                dx = v / s
-                x_new = xj - dx
-                newton = lo[j] <= x_new <= hi[j] and abs(dx) <= 0.5 * limit[j]
-            if not newton:
-                x_new = xj if v == 0.0 else float(_split(lo[j], hi[j]))
-            step_old[j], step[j], x[j] = step[j], abs(x_new - xj), x_new
-            if (abs(dx) > xtol + _RTOL * abs(x_new)) if newton else (step[j] > 0.0):
-                keep.append(j)
-            else:
-                root[i[j]] = x_new
-        if len(keep) < len(x):
-            x, lo, hi, sign, step_old, step, i = ([a[j] for j in keep] for a in (x, lo, hi, sign, step_old, step, i))
+                root[j] = row[0]
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
+
+
+def _poly_root(p, dp, k: int, row: tuple, xtol: float) -> float:
+    """The root of one polynomial problem from step k on: ``_float_step`` at Horner's value and slope."""
+    for k in range(k, _MAX_STEPS):
+        row, going = _float_step(k, horner(p, row[0]), horner(dp, row[0]), row, xtol)
+        if not going:
+            return row[0]
+    raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
+
+
+def _float_step(k: int, v: float, s: float, row: tuple, xtol: float):
+    """Step k of one problem, row = (x, lo, hi, sign, step_old, step), from f's value v and slope s at x: the
+    row after it, and whether the problem goes on.  A slope that is 0 or not finite refuses the Newton step
+    before the division, as the inf or NaN step of the array form fails its tests."""
+    x, lo, hi, sign, step_old, step = row
+    if sign * v < 0.0:  # the root is right of x
+        lo = x
+    else:
+        hi = x
+    newton = s != 0.0 and math.isfinite(s)
+    if newton:
+        dx = v / s
+        x_new = x - dx
+        newton = lo <= x_new <= hi and abs(dx) <= 0.5 * (step_old if k < _PATIENCE else step)
+    if not newton:
+        x_new = x if v == 0.0 else float(_split(lo, hi))
+    step_old, step = step, abs(x_new - x)
+    return (x_new, lo, hi, sign, step_old, step), (abs(dx) > xtol + _RTOL * abs(x_new)) if newton else step > 0.0
 
 
 def _each(a, n: int) -> list[float]:

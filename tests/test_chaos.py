@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -260,6 +261,17 @@ def test_a_crossing_where_x_prime_vanishes_has_an_infinite_density():
     assert law.level(0.0)[0] == [(0.0, 0.0)]
     assert law.density(0.0) == math.inf and law.density(np.array([0.0, 1.0]))[0] == math.inf
     assert g_function(series, 0.0) == 0.0  # E[X; X > 0] / inf
+
+
+def test_both_g_routes_read_the_limit_0_where_x_prime_vanishes_at_a_crossing():
+    # the one weight at n = 0 is inf: E[G | X = 0] is the mean of G over the infinite-weight preimages,
+    # G(0) = X'(0) A(0) = 0, as g_function's E[X; X > 0] / inf is
+    series = HermiteSeries((0.0, 3.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (g_function, g_from_conditional):
+            assert fn(series, 0.0) == 0.0 and type(fn(series, 0.0)) is float
+            assert fn(series, np.array([0.0, 1.0])).tolist() == [0.0, fn(series, 1.0)]
 
 
 @pytest.mark.parametrize("degree, level", [(2, 0.5), (3, 0.5), (7, 0.3), (8, 0.3), (12, 0.1), (20, 2.0), (40, 0.5)])
@@ -650,15 +662,17 @@ def test_sign_changes_on_floats_merge_a_zero_run_with_solved_roots_in_order():
 def test_a_scalar_g_is_one_solve_on_floats_from_its_first_step(monkeypatch):
     series = HermiteSeries((0.0, 1.0, 0.0, 0.1))
     want = g_function(series, 0.9)  # the law is built before anything is counted
-    solves, starts, points = [], [], []
-    solve, steps, horner = quadrature.solve_monotone, quadrature._float_steps, quadrature.horner
+    solves, points = [], []
+    solve, horner = quadrature.solve_monotone, quadrature.horner
     monkeypatch.setattr(quadrature, "solve_monotone", lambda f, *a, **kw: solves.append(f) or solve(f, *a, **kw))
-    monkeypatch.setattr(quadrature, "_float_steps", lambda f, k0, *a, **kw: starts.append(k0) or steps(f, k0, *a, **kw))
     monkeypatch.setattr(quadrature, "horner", lambda c, t: points.append(type(t)) or horner(c, t))
     assert g_function(series, 0.9) == want
     assert len(solves) == 1 and not callable(solves[0])  # one solve, of the polynomial X(n) - 0.9 itself
-    assert starts == [0]  # straight into the float steps: no array step before them
-    assert points and set(points) == {float}  # every evaluation of a polynomial on a Python float
+    assert points and set(points) == {float}  # every evaluation on a Python float: no array step ran
+    # the pin sees an array step: the same solve forced onto the array executor evaluates on arrays
+    monkeypatch.setattr(quadrature, "_FLOAT_MAX", 0)
+    points.clear()
+    assert g_function(series, 0.9) == want and np.ndarray in points
 
 
 # preimages of level 0.5 under H_40 and critical points of H_64: more brackets than quadrature._FLOAT_MAX, so

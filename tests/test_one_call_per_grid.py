@@ -5,6 +5,7 @@ array of any shape, and an array call equals the calls at its numbers to the bit
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +137,21 @@ def test_pearson_evaluators_and_the_envelope_give_the_same_bits_in_every_form(co
     inside = np.clip(np.array([-1.5, -0.3, 0.4, 2.0]) * math.sqrt(law.variance), 0.9 * a, 0.9 * b)
     for fn in [getattr(pearson, name) for name in PEARSON_POINTWISE] + [bounds.phi_envelope]:
         _check_every_form(lambda x, fn=fn: fn(law, x), _near_the_ends(a, b, inside))
+    # past |x| of about 1e154 the kernel and q overflow: at the largest double beside an infinite end each form
+    # reads their limit inf, and a flux of 0, the limit of E[Z - mu; Z > x], with no warning
+    kernel_limit = law.coeffs.gamma if law.case == pearson.CaseTag.NORMAL else math.inf
+    for end in (a, b):
+        if math.isinf(end):
+            big = math.copysign(sys.float_info.max, end)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for x in (big, np.full((2, 1), big)):
+                    kernel, flux = pearson.kernel_and_flux(law, x)
+                    assert np.all(kernel == kernel_limit) and np.all(flux == 0.0)
+                    assert np.all(pearson.stein_kernel(law, x) == kernel_limit) and np.all(pearson.flux(law, x) == 0.0)
+                    assert np.all(pearson.q_function(law, x) == math.inf)
+                    assert np.all(pearson.partial_moments(law, x)[1] == 0.0)
+                    assert np.all(np.array(bounds.phi_envelope(law, x)) == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,49 @@ def test_f_may_return_one_number_for_all_problems():
     _same_on_both_executors(lambda x, i: (2.0 * x - c[i], 2.0), np.full(5, -4.0), np.full(5, 4.0), True)
 
 
+def _fujiwara(c) -> float:
+    """2 max_j |c_j / c_d|^(1/(d - j)): every root of sum c_k t^k lies within it."""
+    d = len(c) - 1
+    return 2.0 * max([abs(c[j] / c[d]) ** (1.0 / (d - j)) for j in range(d) if c[j]], default=1.0)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(lower=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=1, max_size=12),
+       lead=st.floats(0.01, 2.0).flatmap(lambda v: st.sampled_from((v, -v))),
+       starts=st.sampled_from([1, 2, 5, 32, 33, 40]).flatmap(
+           lambda n: st.lists(st.one_of(st.just(math.nan), st.floats(0.0, 1.0)), min_size=n, max_size=n)),
+       on_arrays=st.booleans())
+def test_a_polynomial_keeps_the_bits_of_its_callable_on_either_executor(lower, lead, starts, on_arrays):
+    # degrees 1 to 12, up to 40 problems: the pieces of p between the Fujiwara bound and its critical points,
+    # again and again from other starts (NaN: the midpoint), so a batch past quadrature._FLOAT_MAX starts on
+    # arrays and thins out to floats.  (p, p') runs each problem on its own, the callable in lockstep.
+    p = (*lower, lead)
+    dp = tuple(k * ck for k, ck in enumerate(p))[1:]
+    r = _fujiwara(p)
+    crit = sorted(t.real for t in np.roots(dp[::-1]) if abs(t.imag) < 1e-9 and abs(t.real) < r) if len(dp) > 1 else []
+    ends = [-r, *crit, r]
+    pieces = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
+    crossed = [(a, b) for a, b in pieces if quadrature.horner(p, a) * quadrature.horner(p, b) < 0.0]
+    pieces = crossed or pieces
+    lo, hi = [pieces[k % len(pieces)][0] for k in range(len(starts))], [pieces[k % len(pieces)][1] for k in range(len(starts))]
+    inc = [quadrature.horner(p, b) > quadrature.horner(p, a) for a, b in zip(lo, hi)]
+    x0 = [u if math.isnan(u) else a + u * (b - a) for u, a, b in zip(starts, lo, hi)]
+    if on_arrays:
+        lo, hi, inc, x0 = np.array(lo), np.array(hi), np.array(inc), np.array(x0)
+
+    def outcome(f):
+        try:
+            return quadrature.solve_monotone(f, lo, hi, inc, x0, xtol=1e-13).tobytes()
+        except DomainError as exc:
+            return str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = outcome(lambda x, i: (quadrature.horner(p, x), quadrature.horner(dp, x)))
+        assert isinstance(want, bytes)
+        assert outcome((p, dp)) == want
+
+
 # ---------------------------------------------------------------------------
 # refusals, and silence, on either executor
 
