@@ -364,7 +364,7 @@ def _g_given(law: PolynomialChaosLaw, v: float, pre) -> float:
     if not pre:
         raise OutsideSupportError(f"no preimages of {v}")
     w = _preimage_weights(pre)
-    w = [float(v == math.inf) for v in w] if math.inf in w else w  # where X'(n) = 0 the limit: G's mean there, 0
+    w = [float(u == math.inf) for u in w] if math.inf in w else w  # X'(n) = 0 at a crossing: the limit, G's mean there
     if any(w):
         return float(np.dot(w, [quadrature.horner(law.gpoly, n) for n, _ in pre]) / _total(w))
     ns, ds = np.array(pre).T

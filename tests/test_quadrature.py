@@ -192,7 +192,7 @@ def test_a_polynomial_keeps_the_bits_of_its_callable_on_either_executor(lower, l
     pieces = [(a, b) for a, b in zip(ends, ends[1:]) if a < b]
     crossed = [(a, b) for a, b in pieces if quadrature.horner(p, a) * quadrature.horner(p, b) < 0.0]
     pieces = crossed or pieces
-    lo, hi = [pieces[k % len(pieces)][0] for k in range(len(starts))], [pieces[k % len(pieces)][1] for k in range(len(starts))]
+    lo, hi = (list(side) for side in zip(*(pieces[k % len(pieces)] for k in range(len(starts)))))
     inc = [quadrature.horner(p, b) > quadrature.horner(p, a) for a, b in zip(lo, hi)]
     x0 = [u if math.isnan(u) else a + u * (b - a) for u, a, b in zip(starts, lo, hi)]
     if on_arrays:
