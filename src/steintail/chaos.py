@@ -120,7 +120,7 @@ def _log2_root_bound(c, lower=None) -> float:
     return max(((math.log2(abs(c[j])) - math.log2(abs(c[d]))) / (d - j) for j in js if c[j]), default=-math.inf)
 
 
-def _sign_changes(c, dc, splits, limits=None, log2_bound=None) -> np.ndarray:
+def _sign_changes(c, dc, splits, limits=None, log2_bound=None) -> list[float]:
     """Sorted sign changes of p = sum c_k t^k, monotone between the sorted splits; dc holds p'.
 
     The signs at +-inf are those of p's limits, and the Fujiwara bound R
@@ -152,10 +152,10 @@ def _sign_changes(c, dc, splits, limits=None, log2_bound=None) -> np.ndarray:
         solved = quadrature.solve_monotone((c, dc), [ends[k] for k in cross], [ends[k + 1] for k in cross],
                                            [signs[k + 1] > 0 for k in cross], xtol=1e-13)
         found = sorted(found + solved.tolist())
-    return np.array(found, dtype=float)
+    return found
 
 
-def _real_roots(coeffs) -> np.ndarray:
+def _real_roots(coeffs) -> list[float]:
     """Sorted real roots of odd multiplicity of a monomial-coefficient polynomial.
 
     It is monotone between the roots of its derivative, so this recurses down
@@ -166,11 +166,11 @@ def _real_roots(coeffs) -> np.ndarray:
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     if len(c) <= 1:
-        return np.array([])
+        return []
     if k := int(np.flatnonzero(c)[0]):
-        return np.sort(np.append(_real_roots(c[k:]), [0.0] * (k % 2)))
+        return sorted(_real_roots(c[k:]) + [0.0] * (k % 2))
     dc = npoly.polyder(c)
-    return _sign_changes(c.tolist(), dc.tolist(), _real_roots(dc).tolist())
+    return _sign_changes(c.tolist(), dc.tolist(), _real_roots(dc))
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class PolynomialChaosLaw:
             return [], ([(-math.inf, math.inf)] if x < 0.0 else [])
         c = (self.poly[0] - x, *self.poly[1:])
         ns = _sign_changes(c, self.dpoly, self.crit_points, self.limits,
-                           max(self.log2_rest, _log2_root_bound(c, (0,)))).tolist()
+                           max(self.log2_rest, _log2_root_bound(c, (0,))))
         pts = [-math.inf, *ns, math.inf]
         first = 0 if self.limits[0] > 0.0 else 1
         return [(n, quadrature.horner(self.dpoly, n)) for n in ns], list(zip(pts[first:-1:2], pts[first + 1::2]))
@@ -318,7 +318,7 @@ def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
     """The exact law of X with X(n), X'(n) and G(n), cached per series: every kernel and margin asks for it."""
     poly = x_series.to_polynomial()  # degree >= 1: H_n has leading coefficient 1
     dpoly = _rounded(npoly.polyder(poly))
-    crit = tuple(_real_roots(dpoly).tolist())
+    crit = tuple(_real_roots(dpoly))
     values = tuple(npoly.polyval(crit, poly).tolist())
     limits = _poly_limit(poly, -math.inf), _poly_limit(poly, math.inf)
     rest = _log2_root_bound(poly, range(1, len(poly) - 1))

@@ -755,9 +755,12 @@ def _log_density(law: PearsonLaw, x: np.ndarray):
 def _kernel_flux(law: PearsonLaw, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # g is inf past |x| of 1e154
         g = _kernel(law, x)
-        log_g = np.log(g)  # at most 710 where g is finite: the cap keeps an inf from meeting a -inf log density
-        val = np.exp(np.fmin(log_g, 1e300) + _log_density(law, x))
-    return g, np.where(np.isfinite(log_g), val, 0.0)  # 0 where g is 0, even against a pole, or inf: its limit
+        log_g = np.log(g)
+        if log_g.max(initial=-np.inf) == np.inf:  # ln g = ln|x| + ln|alpha x + beta + gamma/x|, finite at every double
+            c, big = law.coeffs, log_g == np.inf
+            log_g[big] = np.log(np.abs(x[big])) + np.log(np.abs(c.alpha * x[big] + c.beta + c.gamma / x[big]))
+        val = np.exp(log_g + _log_density(law, x))
+    return g, np.where(np.isfinite(log_g), val, 0.0)  # 0 where g is 0, even against a pole: its limit
 
 
 def _log_tail(law: PearsonLaw, z: np.ndarray):

@@ -4,7 +4,7 @@
 Gauss-Legendre panels; summed from the small end, panels keep relative
 accuracy in deep tails.  ``solve_monotone`` finds the roots of any number of
 monotone functions in one call, by Newton steps safeguarded with bisection:
-on arrays while many problems run, on Python floats once few are left.
+on arrays, and a polynomial's last few problems each on Python floats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _PANEL_CHUNK = 512
 _MAX_STEPS = 400
 _RTOL = 4.0 * sys.float_info.epsilon
 _PATIENCE = 100  # steps after which a Newton step must halve the last step, not the one before it
-_FLOAT_MAX = 32  # running problems at or below which the steps run on floats; measured crossover ~40 (decision 8)
+_FLOAT_MAX = 32  # polynomial problems at or below which each runs on floats; measured crossover ~40 (decision 8)
 _LOW63 = 2**63 - 1  # every bit of an int64 but its sign
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")  # f and the steps may overflow, divide by 0 or meet NaN
 
@@ -84,53 +84,52 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
     second rule.  A problem stops after a Newton step of at most
     xtol + 4 eps |x|, at an iterate where f is exactly 0, or when bisection
     can no longer split its bracket: the root is then within one double,
-    however steep f is there.  It then leaves
-    the working arrays, so f never sees it again, and no problem's steps depend
-    on another's.  x0 are optional starting points inside the brackets; a NaN
-    start is the bracket's arithmetic midpoint, rtsafe's own start.  A bracket
-    end that is not finite raises DomainError.
+    however steep f is there.  It then leaves the working arrays, so f never
+    sees it again, and no problem's steps depend on another's.  x0 are
+    optional starting points inside the brackets; a NaN start is the bracket's
+    arithmetic midpoint, rtsafe's own start.  A bracket end that is not finite
+    raises DomainError.
 
-    While more than _FLOAT_MAX problems run, each step is a few dozen array
-    operations.  A solve of at most _FLOAT_MAX problems has no array set-up
-    (brackets given as lists do not become arrays at all), and a larger one
-    leaves the arrays once it thins out: the same steps on Python floats
-    (``_float_step``), where numpy's per-call overhead would be all of a
-    step's cost.  There a polynomial runs each problem to its root in one
-    loop of its own, and a callable f gets arrays of the running iterates
-    once per step, as on the array executor.
+    A callable f steps on arrays: a few dozen array operations a step for all
+    running problems.  A polynomial of at most _FLOAT_MAX problems has no
+    array set-up (brackets given as lists do not become arrays at all): each
+    problem runs to its root in a loop of its own on Python floats
+    (``_poly_root``), where numpy's per-call overhead would be all of a step's
+    cost; a larger batch steps on arrays until at most _FLOAT_MAX run.
     """
-    if isinstance(lo, list) and len(lo) <= _FLOAT_MAX:
+    poly = not callable(f)
+    if poly and isinstance(lo, list) and len(lo) <= _FLOAT_MAX:
         lo, hi = list(map(float, lo)), list(map(float, hi))
     else:
         lo, hi = np.array(lo, dtype=float, ndmin=1), np.array(hi, dtype=float, ndmin=1)
-        if lo.size <= _FLOAT_MAX:
+        if poly and lo.size <= _FLOAT_MAX:
             lo, hi = lo.tolist(), hi.tolist()
-    if isinstance(lo, list):  # no array set-up: the float steps from the start
+    if isinstance(lo, list):  # a polynomial on floats from the start: no numpy until its roots
         if not all(map(math.isfinite, lo + hi)):
             raise DomainError("bracketed solve needs finite brackets")
         n = len(lo)
         starts = [math.nan] * n if x0 is None else _each(x0, n)
         inc = increasing if isinstance(increasing, list) and len(increasing) == n else _each(increasing, n)
-        rows = [(0.5 * a + 0.5 * b if math.isnan(s) else s, a, b, 1.0 if v else -1.0, b - a, b - a)
-                for a, b, s, v in zip(lo, hi, starts, inc)]  # b - a is inf where wider than the largest double
-        if not callable(f):  # each problem to its root in one loop; a polynomial needs no numpy
-            return np.array([_poly_root(*f, 0, row, xtol) for row in rows])
-        with np.errstate(**_QUIET):
-            return _float_steps(f, 0, np.empty(n), list(range(n)), rows, xtol=xtol)
+        return np.array([_poly_root(*f, 0, (0.5 * a + 0.5 * b if math.isnan(s) else s, a, b, 1.0 if v else -1.0,
+                                            b - a, b - a), xtol)  # b - a is inf where wider than the largest double
+                         for a, b, s, v in zip(lo, hi, starts, inc)])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise DomainError("bracketed solve needs finite brackets")
+    if not lo.size:  # no problem, no call of f
+        return np.empty(lo.shape)
     sign = np.full(lo.shape, np.where(increasing, 1.0, -1.0))
     mid = 0.5 * lo + 0.5 * hi  # rtsafe's start where none is given
     x = mid if x0 is None else np.where(np.isnan(x0), mid, x0)
     root = np.empty(lo.shape)
     i = np.arange(lo.size)
-    on_arrays = f if callable(f) else lambda x, i: (horner(f[0], x), horner(f[1], x))
+    on_arrays = (lambda x, i: (horner(f[0], x), horner(f[1], x))) if poly else f
     with np.errstate(**_QUIET):
         step_old = step = hi - lo  # inf where the bracket is wider than the largest double
         for k in range(_MAX_STEPS):
-            if i.size <= _FLOAT_MAX:
-                rows = list(zip(*(a.tolist() for a in (x, lo, hi, sign, step_old, step))))
-                return _float_steps(f, k, root, i.tolist(), rows, xtol=xtol)
+            if poly and i.size <= _FLOAT_MAX:  # the rest on floats, each problem from its own row
+                rows = zip(*(a.tolist() for a in (x, lo, hi, sign, step_old, step)))
+                root[i] = [_poly_root(*f, k, row, xtol) for row in rows]
+                return root
             val, slope = on_arrays(x, i)
             below = sign * val < 0.0  # the root is right of x
             lo = np.where(below, x, lo)
@@ -148,33 +147,6 @@ def solve_monotone(f, lo, hi, increasing, x0=None, *, xtol: float) -> np.ndarray
                 if not going.any():
                     return root
                 x, lo, hi, sign, step_old, step, i = (a[going] for a in (x, lo, hi, sign, step_old, step, i))
-    raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
-
-
-def _float_steps(f, k0: int, root: np.ndarray, i: list[int], rows: list[tuple], *, xtol: float) -> np.ndarray:
-    """Steps k0, k0 + 1, ... of ``solve_monotone`` for the problems i, on Python floats; writes their roots.
-
-    rows holds one (x, lo, hi, sign, step_old, step) per problem.  A polynomial runs each problem to its root on
-    its own (``_poly_root``), a callable f gets arrays of the running iterates and indices once per step, and each
-    problem takes ``_float_step``, the array steps' rule operation for operation: a float and a float64 array
-    element round alike, so each root keeps its bits (``tests/test_quadrature.py``).
-    """
-    if not callable(f):
-        root[i] = [_poly_root(*f, k0, row, xtol) for row in rows]
-        return root
-    for k in range(k0, _MAX_STEPS):
-        if not rows:
-            return root
-        val, slope = (_each(a, len(rows)) for a in f(np.array([row[0] for row in rows]), np.array(i)))
-        running = zip(i, val, slope, rows)
-        i, rows = [], []  # the problems that go on
-        for j, v, s, row in running:
-            row, going = _float_step(k, v, s, row, xtol)
-            if going:
-                i.append(j)
-                rows.append(row)
-            else:
-                root[j] = row[0]
     raise DomainError(f"bracketed solve did not converge in {_MAX_STEPS} steps")
 
 
@@ -208,6 +180,6 @@ def _float_step(k: int, v: float, s: float, row: tuple, xtol: float):
 
 
 def _each(a, n: int) -> list[float]:
-    """n floats, one per problem: f's values or slopes, the starts or the directions; one number stands for all."""
+    """n floats, one per problem: the starts or the directions of a polynomial's; one number stands for all."""
     out = np.asarray(a, dtype=float).ravel().tolist()
     return out * n if len(out) == 1 else out

@@ -594,7 +594,7 @@ def _sign_changes_on_arrays(c, dc, splits, limits=None, log2_bound=None):
         solved = quadrature.solve_monotone(lambda t, i: (quadrature.horner(c, t), quadrature.horner(dc, t)),
                                            ends[:-1][cross], ends[1:][cross], signs[1:][cross] > 0.0, xtol=1e-13)
         found = np.sort(np.concatenate([found, solved]))
-    return found
+    return found.tolist()
 
 
 def _phi_on_arrays(n):
@@ -654,7 +654,7 @@ def test_sign_changes_on_floats_merge_a_zero_run_with_solved_roots_in_order():
     # p = t^3 - t is exactly 0 at the repeated split 0, between opposite signs, and a root is solved on each side
     args = ((0.0, -1.0, 0.0, 1.0), (-1.0, 0.0, 3.0), [-(3.0 ** -0.5), 0.0, 0.0, 3.0 ** -0.5])
     got = chaos._sign_changes(*args)
-    assert got.tobytes() == _sign_changes_on_arrays(*args).tobytes()
+    assert isinstance(got, list) and repr(got) == repr(_sign_changes_on_arrays(*args))  # the same doubles
     np.testing.assert_allclose(got, [-1.0, 0.0, 1.0], rtol=0, atol=1e-13)
     assert got[1] == 0.0
 
@@ -679,8 +679,8 @@ def test_a_scalar_g_is_one_solve_on_floats_from_its_first_step(monkeypatch):
 # these solves start on the array executor.  The digests pin their bits, which the float route left as they were.
 def test_a_level_of_h40_has_40_preimages_from_array_steps(monkeypatch):
     law = law_of_polynomial(HermiteSeries((0.0,) * 40 + (1.0,)))
-    starts, steps = [], quadrature._float_steps
-    monkeypatch.setattr(quadrature, "_float_steps", lambda f, k0, *a, **kw: starts.append(k0) or steps(f, k0, *a, **kw))
+    starts, poly_root = [], quadrature._poly_root
+    monkeypatch.setattr(quadrature, "_poly_root", lambda p, dp, k, *a: starts.append(k) or poly_root(p, dp, k, *a))
     pre, above = law.level(0.5)
     assert len(law.crit_points) == 39 and len(pre) == 40 > quadrature._FLOAT_MAX
     assert starts and starts[0] > 0  # array steps first, then floats once the batch thins out
