@@ -10,7 +10,9 @@ Three layers of machinery:
   with the integral exact from X's partial moments (Fubini, no quadrature)
   and q(z) lowered to b^2/F(z) where X has mass past a finite right end b,
   its explicit closure ((c-2) q(z)) / ((c-2) q(z) + 2 z^2) * Phi(z), and the
-  admissible multiplier infimum (1-alpha)/(1-2*alpha) for upper bounds;
+  admissible multiplier infimum (1-alpha)/(1-2*alpha) for upper bounds.
+  ``statement_table`` owns their policy: which statements a scenario makes,
+  where each is asserted and with which constants (decision 6);
 * asymptotic constants: the limit K of the normalized flux
   z^(-p) e^(z/scale) g(z) rho(z), read from the law's right-tail form
   g rho ~ K z^p e^(-z/scale) (``pearson.tail_asymptotics``), which sandwiches
@@ -26,6 +28,7 @@ broadcasting arithmetic, and a number gives a float.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -44,7 +47,7 @@ __all__ = [
     "asymptotic_tail_constant",
     "normalized_tail",
     "variance_bound_check",
-    "regime_threshold",
+    "statement_table",
 ]
 
 
@@ -83,11 +86,10 @@ def phi_envelope(law: PearsonLaw, x):
     inside = (law.support_a < x) & (x < law.support_b)
     if not inside.all():  # NaN fails too
         raise DomainError(f"envelope point {np.extract(~inside, x)[0]} outside the open support")
-    flux = pearson.flux(law, x)
+    flux, q = pearson.flux(law, x), q_function(law, x)
     g_prime = 2.0 * c.alpha * x + c.beta
     gap = np.where(x >= 0.0, x - g_prime, g_prime - x)  # the mirrored pair for x < 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # fmin reads 1 at x = 0; q may be inf
-        q = (1.0 - c.alpha) * x * x + c.gamma  # q(x) inside the support, as ``pearson.q_function`` forms it
         return _out(np.maximum(gap, 0.0) / q * flux), _out(np.fmin(flux / np.abs(x), 1.0))
 
 
@@ -195,6 +197,25 @@ def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float, direction
     return var_of_x <= target + slack
 
 
-def regime_threshold(coeffs: PearsonCoefficients) -> float:
-    """z_min = 10 sqrt(gamma/(1-alpha)): below it large-z verdicts are informational."""
-    return 10.0 * math.sqrt(pearson.variance(coeffs))
+Statement = namedtuple("Statement", "name side value asserted")  # side "lower" or "upper"; value, asserted of z's shape
+
+
+def statement_table(lower: PearsonLaw | None, upper: PearsonLaw | None, z, at_z, x_end: float = math.inf,
+                    c: float = 4.0, k: float | None = None) -> tuple[list[Statement], dict]:
+    """The comparison statements on a z grid, one row each, and the constants they use (decision 6 tabulates both).
+
+    A side under a dominance hypothesis names its reference law, the other None; at_z and ``x_end`` are X's.  The
+    explicit lower bound, with constant c, and K Phi_u, K = k or twice ``pearson_upper_constant``, are asserted
+    past 10 sd of their reference, while the implicit one is asserted at every z.
+    """
+    z = np.asarray(z, dtype=float)
+    rows, z_lower, z_upper = [], None, None
+    if lower is not None:
+        z_lower = 10.0 * math.sqrt(lower.variance)
+        rows += [Statement("implicit", "lower", implicit_lower_bound(lower, z, at_z, x_end), np.full(z.shape, True)),
+                 Statement("explicit", "lower", pearson_lower(lower, z, c)[0], z >= z_lower)]
+    if upper is not None:
+        z_upper = 10.0 * math.sqrt(upper.variance)
+        k = 2.0 * pearson_upper_constant(upper.coeffs.alpha) if k is None else k
+        rows.append(Statement("K Phi", "upper", k * pearson.tail(upper, z), z >= z_upper))
+    return rows, {"k_upper": k, "c_lower": c, "z_min_lower": z_lower, "z_min_upper": z_upper}

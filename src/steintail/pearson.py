@@ -752,15 +752,17 @@ def _log_density(law: PearsonLaw, x: np.ndarray):
         return _CASES[law.case].log_pdf(law, -x if law.mirrored else x)
 
 
-def _kernel_flux(law: PearsonLaw, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_flux(law: PearsonLaw, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g, the flux g rho and ln g + ln rho, which keeps its bits where the flux underflows."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # g is inf past |x| of 1e154
         g = _kernel(law, x)
         log_g = np.log(g)
         if log_g.max(initial=-np.inf) == np.inf:  # ln g = ln|x| + ln|alpha x + beta + gamma/x|, finite at every double
             c, big = law.coeffs, log_g == np.inf
             log_g[big] = np.log(np.abs(x[big])) + np.log(np.abs(c.alpha * x[big] + c.beta + c.gamma / x[big]))
-        val = np.exp(log_g + _log_density(law, x))
-    return g, np.where(np.isfinite(log_g), val, 0.0)  # 0 where g is 0, even against a pole: its limit
+        log_flux = log_g + _log_density(law, x)
+        val = np.exp(log_flux)
+    return g, np.where(np.isfinite(log_g), val, 0.0), log_flux  # 0 where g is 0, even against a pole: its limit
 
 
 def _log_tail(law: PearsonLaw, z: np.ndarray):
@@ -801,7 +803,7 @@ def flux(law: PearsonLaw, x):
 
 def kernel_and_flux(law: PearsonLaw, x):
     """(``stein_kernel``, ``flux``) at x from one evaluation of the kernel."""
-    return pointwise(_kernel_flux, law, x)
+    return pointwise(lambda law, x: _kernel_flux(law, x)[:2], law, x)
 
 
 def tail(law: PearsonLaw, z):
@@ -830,9 +832,11 @@ def log_tail(law: PearsonLaw, z):
 
 
 def _partial_moments(law: PearsonLaw, y: np.ndarray):
-    c, t, f = law.coeffs, _side(law, y, True), _kernel_flux(law, y)[1]
-    with np.errstate(invalid="ignore"):  # no flux out of the support, where y may be infinite
-        return t, f, (np.where(f > 0.0, (y + c.beta) * f, 0.0) + c.gamma * t) / (1.0 - c.alpha)
+    c, t, (_, f, log_flux) = law.coeffs, _side(law, y, True), _kernel_flux(law, y)
+    v, inside = y + c.beta, (law.support_a < y) & (y < law.support_b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # no flux out of the support, y may be inf
+        logs = np.sign(v) * np.exp(np.log(np.abs(v)) + log_flux)  # (y + beta) g rho where the flux lost its bits
+        return t, f, (np.where(f >= _TINY, v * f, np.where(inside, logs, 0.0)) + c.gamma * t) / (1.0 - c.alpha)
 
 
 def partial_moments(law: PearsonLaw, y):

@@ -7,17 +7,14 @@ sample budget.  The runner certifies the dominance hypothesis exactly, over the
 whole support of X, through one polynomial margin routine for both models
 (``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible
 counter-based uniforms, and compares the empirical survival function, wrapped
-in its Dvoretzky-Kiefer-Wolfowitz band, against the certified bounds.  Both
-models count on the uniforms, mapping only the draws in narrow bands around
-the ends of each {X > z}; the counts equal those of mapping every draw
-(decision 10).  Certification, counting and the bounds read X through one
-model, ``_model``.
-
-Two policies keep the verdicts honest: the explicit large-z bounds are only
-asserted past the regime threshold 10 sqrt(variance) (below it they are
-informational and can at worst yield "inconclusive"), and once the expected
-tail count n * S(z) drops under 100 the empirical estimate is replaced by the
-exact tail (relative Monte-Carlo error explodes out there).
+in its Dvoretzky-Kiefer-Wolfowitz band, against the rows of
+``bounds.statement_table``, which owns where each bound is asserted: a miss
+there fails, any other miss is inconclusive.  Both models count on the
+uniforms, mapping only the draws in narrow bands around the ends of each
+{X > z}; the counts equal those of mapping every draw (decision 10).
+Certification, counting and the bounds read X through one model, ``_model``.
+Once the expected tail count n * S(z) drops under 100 the exact tail replaces
+the empirical estimate (relative Monte-Carlo error explodes out there).
 """
 
 from __future__ import annotations
@@ -385,7 +382,6 @@ def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailRep
     more than one per block; None or an integer >= 1, and the report does not depend on it.
     """
     ref_law = build_law(spec.reference)
-    upper_law = build_law(spec.upper_coeffs)
     model = _model(spec.x_model)
     cert_info = _certify(spec, model)
 
@@ -394,47 +390,39 @@ def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailRep
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 
-    z_min_lower = bounds.regime_threshold(spec.reference)
-    z_min_upper = bounds.regime_threshold(spec.upper_coeffs)
-    check_lower, check_upper = spec.hypothesis in _LOWER, spec.hypothesis in _UPPER
-    k_upper = spec.k_upper
-    if k_upper is None and check_upper:
-        k_upper = 2.0 * bounds.pearson_upper_constant(spec.upper_coeffs.alpha)
-
     at_z = model.moments(zs)
     exact = at_z[0]
     deep = exact * spec.n_samples < DEEP_TAIL_MIN_COUNT
     s_hi = np.where(deep, exact, emp + eps)
     s_lo = np.where(deep, exact, np.maximum(emp - eps, 0.0))
+    rows, constants = bounds.statement_table(ref_law if spec.hypothesis in _LOWER else None,
+                                             build_law(spec.upper_coeffs) if spec.hypothesis in _UPPER else None,
+                                             zs, at_z, model.x_end, spec.c_lower, spec.k_upper)
     missed = asserted = np.zeros(zs.shape, dtype=bool)  # an asserted miss fails, any other is inconclusive
-    lower_cert, upper_cert = np.full(zs.shape, -math.inf), np.full(zs.shape, math.nan)
-    if check_lower:
-        ilb = bounds.implicit_lower_bound(ref_law, zs, at_z, model.x_end)
-        plb, _ = bounds.pearson_lower(ref_law, zs, spec.c_lower)
-        explicit = zs >= z_min_lower
-        lower_cert = np.where(explicit & (plb > ilb), plb, ilb)
-        missed, asserted = (s_hi < ilb) | (s_hi < plb), (s_hi < ilb) | ((s_hi < plb) & explicit)
-    if check_upper:
-        upper_cert = k_upper * pearson.tail(upper_law, zs)
-        missed, asserted = missed | (s_lo > upper_cert), asserted | ((s_lo > upper_cert) & (zs >= z_min_upper))
+    certs = {}
+    for side, empty, s, tighter in (("lower", -math.inf, s_hi, np.greater), ("upper", math.nan, s_lo, np.less)):
+        mine = [r for r in rows if r.side == side]
+        cert, held = (mine[0].value, mine[0].asserted) if mine else (np.full(zs.shape, empty), None)
+        for r in mine:  # each side reports its tightest asserted row, or its tightest row where none is asserted
+            take = (r.asserted > held) | ((r.asserted == held) & tighter(r.value, cert))
+            cert, held, miss = np.where(take, r.value, cert), held | r.asserted, tighter(r.value, s)
+            missed, asserted = missed | miss, asserted | (miss & r.asserted)
+        certs[side] = cert
     verdicts = np.where(asserted, Verdict.FAIL.value,
                         np.where(missed, Verdict.INCONCLUSIVE.value, Verdict.PASS.value))
 
     meta = {
         "scenario": json.loads(scenario_to_json(spec)),
         "certification": cert_info,
-        "k_upper": k_upper,
-        "c_lower": spec.c_lower,
-        "z_min_lower": z_min_lower if check_lower else None,
-        "z_min_upper": z_min_upper if check_upper else None,
+        **constants,
         "deep_tail": deep.tolist(),
         "exact_tail_x": exact.tolist(),
     }
     return TailReport(
         z_grid=spec.z_grid,
         phi_star=tuple(pearson.tail(ref_law, zs).tolist()),
-        lower_cert=tuple(lower_cert.tolist()),
-        upper_cert=tuple(upper_cert.tolist()),
+        lower_cert=tuple(certs["lower"].tolist()),
+        upper_cert=tuple(certs["upper"].tolist()),
         empirical=tuple(emp.tolist()),
         ci_half_width=eps,
         verdicts=tuple(verdicts.tolist()),

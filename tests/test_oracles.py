@@ -366,11 +366,9 @@ def test_flux_and_partial_moments_past_the_kernel_overflow_against_mpmath(coeffs
             # (case 5) or none (the inverse-gamma type: scipy's gammainc flushes it to 0)
             assert _close(t, upper) if upper >= TINY else 0.0 <= t <= 2 * upper, (y, t)
             assert pearson.kernel_and_flux(law, y)[1] == f
-            if flux >= TINY:  # below, (y + beta) g rho is formed from an underflowed flux: see the next test
-                assert _close(m2, ((y + be) * flux + ga * upper) / (1 - al)), (y, m2)
+            assert _close(m2, ((y + be) * flux + ga * upper) / (1 - al)), (y, m2)
 
 
-@pytest.mark.xfail(strict=True, reason="E[Z^2; Z > y] reads (y + beta) g rho from a flux that underflowed")
 def test_second_partial_moment_where_the_flux_underflows_against_mpmath():
     # (0.9, 0, 1) at 1e300: g rho is about 1e-334 and reads 0, while (y + beta) g rho is about 2.4e-33
     law = build_law(PearsonCoefficients(0.9, 0.0, 1.0))

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import WIDER_COEFFS
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 from steintail import bounds, pearson, stein
 from steintail.errors import DensityUnderflowError, DomainError, EvaluationAtKinkError, ThresholdOutOfRangeError
-from steintail.pearson import build_law, density, quantile, stein_kernel
+from steintail.pearson import PearsonCoefficients, build_law, density, quantile, stein_kernel
 from steintail.stein import (
     certification_grid,
     certify_fprime,
@@ -525,3 +526,25 @@ def test_kernel_divergence_condition(canonical_laws):
             prev = val
             vals.append(val)
         assert vals[-1] > vals[0] + 2.0, name  # keeps growing, no plateau
+
+
+@pytest.mark.xfail(strict=True, reason="next to a finite end where rho has a pole, f' is a difference that cancels")
+def test_fprime_next_to_a_finite_end_with_a_density_pole_against_mpmath():
+    # the mirrored Gamma (0, -1.808, 1.092) is Z = -1.808 (G - k), G ~ Gamma(k) with k = 1.092 / 1.808^2 < 1, so rho
+    # has a pole at b = 1.092 / 1.808.  Right of z, f' = F(z) (x P[Z > x] - g rho(x)) / (g(x) g rho(x)), and
+    # P[Z > x] = P[G < u] at u = (b - x) / 1.808, where the two terms of the numerator agree to about log10(b / (b - x))
+    # digits.  Points at 1 - x/b from 1e-6 to 1e-12.
+    law = build_law(PearsonCoefficients(0.0, -1.808, 1.092))
+    sol = solve_indicator(law, law.support_b / 2)
+    xs = law.support_b * (1.0 - np.array([1e-6, 1e-8, 1e-10, 1e-12]))
+    fprime = stein.evaluate(sol, xs)[1]
+    with mp.workdps(50):
+        theta = mp.mpf(1.808)
+        k, b = mp.mpf(1.092) / theta**2, mp.mpf(1.092) / theta
+        big_f = mp.gammainc(k, (b - mp.mpf(sol.z)) / theta, mp.inf, regularized=True)
+        for x, got in zip(map(mp.mpf, xs), fprime):
+            u, g = (b - x) / theta, mp.mpf(1.092) - theta * x
+            flux = g * u ** (k - 1) * mp.exp(-u) / (mp.gamma(k) * theta)
+            want = big_f * (x * mp.gammainc(k, 0, u, regularized=True) - flux) / (g * flux)
+            assert abs(got - want) <= 1e-10 * abs(want), (float(x), got, float(want))
+    assert certify_fprime(sol, xs).passed

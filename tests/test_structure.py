@@ -11,7 +11,8 @@ nor ``scipy.integrate``.  Every root goes through ``quadrature.solve_monotone``:
 no module names a library root finder (companion matrix, eigenvalues, Brent or
 Newton).  Every ``raise`` names a class of ``steintail.errors`` or re-raises.
 Only ``rng`` spells the range of the uniforms, and ``verify`` tests the type of
-an X model only in ``_model`` and in scenario (de)serialization.
+an X model only in ``_model`` and in scenario (de)serialization.  ``run_scenario``
+reaches ``bounds`` only through its statement table.
 """
 
 import ast
@@ -244,3 +245,14 @@ def test_verify_tests_the_type_of_an_x_model_only_in_model_and_serialization():
             if node.func.id == "type" or (node.func.id in {"isinstance", "issubclass"} and names & X_MODELS):
                 tests.append((getattr(top, "name", "<module>"), node.lineno))
     assert tests and {name for name, _ in tests} <= {"_model", "scenario_to_json", "scenario_from_json"}, tests
+
+
+def test_run_scenario_reaches_the_bounds_only_through_the_statement_table():
+    # ``bounds.statement_table`` owns which statements exist, where each is asserted and K; the runner reads its rows
+    run = next(node for node in _modules()["verify"].body if getattr(node, "name", None) == "run_scenario")
+    named = {node.attr for node in ast.walk(run)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bounds"}
+    assert named == {"statement_table"}, named
+    imported = [a.name for node in ast.walk(_modules()["verify"]) if isinstance(node, ast.ImportFrom)
+                and _sibling(node) == "bounds" for a in node.names]
+    assert not imported, imported

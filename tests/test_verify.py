@@ -230,6 +230,36 @@ def test_h2_upper_reference_scenario():
     assert rep.meta["deep_tail"][1] and rep.meta["deep_tail"][2]
 
 
+_GATED = {  # spec overrides past a regime threshold -> repr of (lower_cert, upper_cert, verdicts), (k, z_min lower, upper)
+    "sandwich-distinct-upper": (
+        dict(reference_upper=PearsonCoefficients(0.0, 2.0, 3.0), z_grid=(2.0, 18.0, 20.0), seed=99, k_upper=1.5),
+        "((-0.047277208760145906, 1.1394551578475868e-05, 4.06907161338831e-06), "
+        "(0.16782973933480755, 3.945568627213108e-05, 1.4193043348590703e-05), ('pass', 'pass', 'pass'))",
+        (1.5, 14.142135623730951, 17.32050807568877)),
+    "dominates-lower": (  # c = 20: past 10 sqrt(2) the explicit bound is the larger, below it the implicit is reported
+        dict(hypothesis=Hypothesis.DOMINATES_LOWER, z_grid=(1.0, 5.0, 15.0, 20.0), seed=7, c_lower=20.0),
+        "((-0.22430526259697225, 0.006038454354339825, 5.7058507112049416e-05, 4.1356078569253026e-06), "
+        "(nan, nan, nan, nan), ('pass', 'pass', 'pass', 'pass'))",
+        (None, 14.142135623730951, None)),
+    "dominated-upper-small-k": (  # K = 1e-3 misses everywhere: inconclusive below 10 sqrt(2), fail past it
+        dict(hypothesis=Hypothesis.DOMINATED_UPPER, z_grid=(2.0, 5.0, 16.0), seed=7, k_upper=1e-3),
+        "((-inf, -inf, -inf), (8.326451666355042e-05, 1.4305878435429641e-05, 3.737981840170153e-08), "
+        "('inconclusive', 'inconclusive', 'fail'))",
+        (0.001, None, 14.142135623730951)),
+}
+
+
+@pytest.mark.parametrize("name", list(_GATED))
+def test_gated_certificates_and_verdicts_are_pinned(name):
+    # the record reaches a regime threshold once; these pin a distinct upper reference, each
+    # one-sided hypothesis, and a row that misses both below and past its threshold
+    overrides, pinned, (k, z_lower, z_upper) = _GATED[name]
+    rep = run_scenario(h2_gamma_spec(**overrides))
+    assert repr((rep.lower_cert, rep.upper_cert, rep.verdicts)) == pinned
+    assert list(rep.meta)[2:6] == ["k_upper", "c_lower", "z_min_lower", "z_min_upper"]
+    assert (rep.meta["k_upper"], rep.meta["z_min_lower"], rep.meta["z_min_upper"]) == (k, z_lower, z_upper)
+
+
 @pytest.mark.parametrize("upper, calls", [(None, 1), (PearsonCoefficients(0.0, 2.0, 3.0), 2)],
                          ids=["one-reference", "distinct-upper"])
 def test_sandwich_computes_each_reference_margin_once(monkeypatch, upper, calls):
