@@ -13,6 +13,7 @@ from steintail.bounds import (
     pearson_lower,
     pearson_upper_constant,
     phi_envelope,
+    statement_table,
     variance_bound_check,
 )
 from steintail.errors import (
@@ -193,6 +194,30 @@ def test_upper_constant_increasing():
     alphas = np.linspace(0.0, 0.49, 50)
     vals = [pearson_upper_constant(a) for a in alphas]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the statement table
+
+
+def test_statement_table_rows_masks_and_constants(gamma_law, case5_law):
+    # a lower reference states the implicit bound everywhere and the explicit one past 10 sd, an upper one K Phi_u past
+    # its own 10 sd, K twice the infimum unless given; each value is the bound's own function on the grid
+    zs, at_z = np.array([1.0, 5.0, 15.0]), chaos.law_of_polynomial(chaos.HermiteSeries((0.0, 0.0, 1.0))).partial_moments
+    rows, constants = statement_table(gamma_law, case5_law, zs, at_z(zs), math.inf, 20.0)
+    assert [(r.name, r.side, r.asserted.tolist()) for r in rows] == [
+        ("implicit", "lower", [True, True, True]), ("explicit", "lower", [False, False, True]),
+        ("K Phi", "upper", [False, False, True])]
+    assert rows[0].value.tolist() == implicit_lower_bound(gamma_law, zs, at_z(zs)).tolist()
+    assert rows[1].value.tolist() == pearson_lower(gamma_law, zs, 20.0)[0].tolist()
+    assert rows[2].value.tolist() == (3.0 * tail(case5_law, zs)).tolist()
+    assert constants == {"k_upper": 3.0, "c_lower": 20.0, "z_min_lower": 10.0 * math.sqrt(2.0),
+                         "z_min_upper": 10.0 * math.sqrt(0.25 / 0.75)}
+    rows, constants = statement_table(None, case5_law, zs, at_z(zs), k=1.5)
+    assert [r.side for r in rows] == ["upper"] and rows[0].value.tolist() == (1.5 * tail(case5_law, zs)).tolist()
+    assert constants["k_upper"] == 1.5 and constants["z_min_lower"] is None
+    assert statement_table(None, None, zs, at_z(zs)) == ([], {"k_upper": None, "c_lower": 4.0, "z_min_lower": None,
+                                                             "z_min_upper": None})
 
 
 # ---------------------------------------------------------------------------
