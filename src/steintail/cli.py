@@ -212,14 +212,15 @@ def _cmd_envelope(args) -> int:
 def _cmd_bounds(args) -> int:
     c = _coeffs(args)
     law = build_law(c)
-    k = args.K
-    if k is None:
-        k = 2.0 * bounds.pearson_upper_constant(c.alpha) if c.alpha < 0.5 else None
     zs = _parse_grid(args.z_grid)
     lo, hi = bounds.phi_envelope(law, zs)
     plb, _ = bounds.pearson_lower(law, zs, args.c)
     t = pearson.tail(law, zs)
-    k_t = [None] * zs.size if k is None else (k * t).tolist()
+    if args.K is None and c.alpha >= 0.5:  # no admissible default K
+        k_t = [None] * zs.size
+    else:  # K Phi with K given or the statement table's default
+        (k_phi,), _ = bounds.statement_table(None, law, zs, None, k=args.K)
+        k_t = k_phi.value.tolist()
     rows = list(zip(*(v.tolist() for v in (zs, t, lo, hi, plb)), k_t))
     _table(args, ["z", "phi_star", "envelope_lo", "envelope_hi", "pearson_lower", "k_phi_star"], rows)
     return 0

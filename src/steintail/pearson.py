@@ -329,8 +329,14 @@ def _invgamma_side(law: PearsonLaw, z, upper: bool):
     u = z + law.mu
     inside = u > 0.0
     arg = np.where(inside, law.s / np.maximum(u, 1e-300), np.inf)
-    fn = _sp.gammainc if upper else _sp.gammaincc
-    return np.where(inside, fn(law.r - 1.0, arg), 1.0 if upper else 0.0)
+    if not upper:
+        return np.where(inside, _sp.gammaincc(law.r - 1.0, arg), 0.0)
+    out = np.where(inside, _sp.gammainc(law.r - 1.0, arg), 1.0)
+    sub = (out < _TINY) & (arg > 0.0)  # gammainc loses a subnormal's bits, then flushes it to 0
+    if sub.any():  # P(a, x) = x^a e^-x / Gamma(a + 1) 1F1(1; a + 1; x), the power taken last to keep the bits
+        x, a = arg[sub], law.r - 1.0
+        out[sub] = np.power(x * np.exp(-(x + _sp.gammaln(law.r)) / a), a) * _sp.hyp1f1(1.0, law.r, x)
+    return out
 
 
 def _case5_log_pdf(law: PearsonLaw, z):
@@ -810,7 +816,8 @@ def tail(law: PearsonLaw, z):
     """Survival probability P[Z > z].
 
     Cases 1-4 read scipy.special (Beta from the nearer end, Normal through
-    log_ndtr where erfc flushes to 0); case 5 its xi-panel table, within
+    log_ndtr where erfc flushes to 0, the inverse-gamma type through its
+    series below the normal doubles); case 5 its xi-panel table, within
     1e-12 relative of mpmath for z + mu up to 1e6 delta (tests/test_oracles.py).
     A tail below the smallest double is 0.
     """

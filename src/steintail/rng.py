@@ -1,26 +1,26 @@
-"""Counter-based random streams with reproducible block decomposition.
+"""Keyed random streams with reproducible block decomposition.
 
-Draws come from Philox generators keyed by (seed, block_index), so block b of a
-stream is computable without generating blocks 0..b-1.  Assembling blocks by
-index makes the output independent of the order in which blocks are produced,
-which is what guarantees byte-identical results under parallel execution.
-``pearson.sample`` maps a stream CHUNK draws at a time: the block size fixes
-the stream, the chunk size only bounds the temporaries (docs/DECISIONS.md,
-decision 10).
+Block b of a stream comes from its own SFC64 generator, seeded through
+``SeedSequence([seed, b])``, so it is computable without generating blocks
+0..b-1; the seed sequence's hashing spreads neighbouring keys apart.
+Assembling blocks by index makes the output independent of the order in
+which blocks are produced, which is what guarantees byte-identical results
+under parallel execution.  ``pearson.sample`` maps a stream CHUNK draws at a
+time: the block size fixes the stream, the chunk size only bounds the
+temporaries (docs/DECISIONS.md, decision 10).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BLOCK_SIZE = 1 << 16  # draws per Philox key: fixes the stream
+BLOCK_SIZE = 1 << 16  # draws per generator key: fixes the stream
 U_MIN, U_MAX = 2.0**-53, 1.0 - 2.0**-53  # the range of the uniforms, which inverse CDFs serve
 CHUNK = 1 << 14  # draws per transform: 128 KB temporaries, small enough for the allocator to reuse
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, block_index])))
 
 
 def n_blocks(n: int) -> int:

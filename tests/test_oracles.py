@@ -362,11 +362,25 @@ def test_flux_and_partial_moments_past_the_kernel_overflow_against_mpmath(coeffs
             flux, upper, _ = oracle(mp.mpf(y))
             (t, m1, m2), f = pearson.partial_moments(law, y), pearson.flux(law, y)
             assert _close(f, flux) and m1 == f, (y, f)
-            # the tail, about y^(-1 - 1/alpha), is subnormal past 1e150 on these rows; there it keeps a few bits
-            # (case 5) or none (the inverse-gamma type: scipy's gammainc flushes it to 0)
+            # the tail, about y^(-1 - 1/alpha), is subnormal past 1e150 on these rows; there case 5 keeps a few
+            # bits (the inverse-gamma type keeps them all: the next test)
             assert _close(t, upper) if upper >= TINY else 0.0 <= t <= 2 * upper, (y, t)
             assert pearson.kernel_and_flux(law, y)[1] == f
             assert _close(m2, ((y + be) * flux + ga * upper) / (1 - al)), (y, m2)
+
+
+@pytest.mark.parametrize("coeffs", [(0.9, 1.8, 0.9), (0.9, -1.8, 0.9)], ids=str)
+def test_inverse_gamma_tail_below_the_normal_doubles_against_mpmath(coeffs):
+    # scipy's gammainc keeps a few bits of the tail's first subnormals (1e146) and flushes it to 0 past about
+    # 1e146.5; the tail's last subnormal is near 1e153.  The oracle takes the law's own r, s and mu: at
+    # x = s/(y + mu) of 1e-146, the last bit of r moves the tail by 2.6e-14, some 20 subnormal steps at 1e146
+    law = build_law(PearsonCoefficients(*coeffs))
+    r, s, mu = (mp.mpf(v) for v in (law.r, law.s, law.mu))
+    with mp.workdps(50):
+        for y in np.logspace(140.0, 160.0, 41):
+            want = mp.gammainc(r - 1, 0, s / (mp.mpf(y) + mu), regularized=True)
+            got = pearson.cdf(law, -y) if law.mirrored else pearson.tail(law, y)  # the heavy end: left if mirrored
+            assert _close(got, want), (y, got, want)
 
 
 def test_second_partial_moment_where_the_flux_underflows_against_mpmath():
