@@ -43,6 +43,7 @@ __all__ = [
     "implicit_integral",
     "implicit_lower_bound",
     "pearson_lower",
+    "pearson_lower_constant",
     "pearson_upper_constant",
     "asymptotic_tail_constant",
     "normalized_tail",
@@ -128,17 +129,22 @@ def pearson_lower(law: PearsonLaw, z, c: float):
 
     Returns (bound, asymptotic_constant) where
     bound = (c-2) q(z) / ((c-2) q(z) + 2 z^2) * Phi(z), of z's shape, and the
-    constant is (c-2)(1-alpha) / (c - alpha (c-2)); both require c > 2.
+    constant is ``pearson_lower_constant``; both require c > 2.
     """
-    if not c > 2.0:
-        raise InvalidConstantError(f"explicit lower bound requires c > 2, got {c}")
+    constant = pearson_lower_constant(law.coeffs.alpha, c)
     z = _points(z)
     if not (z > 0.0).all():
         raise DomainError(f"requires z > 0, got {np.extract(~(z > 0.0), z)[0]}")
-    al = law.coeffs.alpha
     q = q_function(law, z)
     bound = (c - 2.0) * q / ((c - 2.0) * q + 2.0 * z * z) * pearson.tail(law, z)
-    return _out(bound), (c - 2.0) * (1.0 - al) / (c - al * (c - 2.0))
+    return _out(bound), constant
+
+
+def pearson_lower_constant(alpha: float, c: float) -> float:
+    """Large-z limit (c-2)(1-alpha) / (c - alpha (c-2)) of the explicit lower-bound factor; the bound needs c > 2."""
+    if not c > 2.0:
+        raise InvalidConstantError(f"explicit lower bound requires c > 2, got {c}")
+    return (c - 2.0) * (1.0 - alpha) / (c - alpha * (c - 2.0))
 
 
 def pearson_upper_constant(alpha: float) -> float:

@@ -136,9 +136,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a scenario file and report verdicts")
     p.add_argument("--scenario", type=str, required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="threads that count the sample blocks (default: one per usable CPU, at most one per "
-                        "block); the report does not depend on it")
     _add_output_args(p)
 
     p = sub.add_parser("asym", help="tail-slope fit against the law's asymptotic exponent")
@@ -266,7 +263,7 @@ def _cmd_chaos_g(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.scenario, "r", encoding="utf-8") as fh:
         spec = verify.scenario_from_json(fh.read())
-    report = verify.run_scenario(spec, n_workers=args.workers)
+    report = verify.run_scenario(spec)
     _emit(args, report.to_json() + "\n" if args.format == "json" else report.to_csv())
     return 0 if report.all_passed else 2
 

@@ -4,9 +4,9 @@ Block b of a stream comes from its own SFC64 generator, seeded through
 ``SeedSequence([seed, b])``, so it is computable without generating blocks
 0..b-1; the seed sequence's hashing spreads neighbouring keys apart.
 Assembling blocks by index makes the output independent of the order in
-which blocks are produced, which is what guarantees byte-identical results
-under parallel execution.  ``pearson.sample`` maps a stream CHUNK draws at a
-time: the block size fixes the stream, the chunk size only bounds the
+which blocks are produced, so each block can be drawn and counted on its own
+with byte-identical results.  ``pearson.sample`` maps a stream CHUNK draws
+at a time: the block size fixes the stream, the chunk size only bounds the
 temporaries (docs/DECISIONS.md, decision 10).
 """
 

@@ -22,10 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import queue
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -35,8 +32,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import bounds, chaos, pearson, rng
 from .chaos import HermiteSeries
-from .errors import (DomainError, InsufficientRangeError, InvalidConstantError, UncertifiedHypothesisError,
-                     as_float, as_int, reading)
+from .errors import DomainError, InsufficientRangeError, UncertifiedHypothesisError, as_float, as_int, reading
 from .pearson import PearsonCoefficients, PearsonLaw, build_law
 from .rng import U_MAX, U_MIN
 
@@ -101,8 +97,8 @@ class ScenarioSpec:
             raise DomainError(f"z_grid must lie in (0, b) = (0, {b})")
         if self.k_upper is not None and not 0.0 < self.k_upper < math.inf:
             raise DomainError(f"k_upper must be finite and positive, got {self.k_upper}")
-        if self.hypothesis in _LOWER and not self.c_lower > 2.0:
-            raise InvalidConstantError(f"the explicit lower bound needs c > 2, got {self.c_lower}")
+        if self.hypothesis in _LOWER:
+            bounds.pearson_lower_constant(self.reference.alpha, self.c_lower)  # raises InvalidConstantError for c <= 2
         if self.hypothesis in _UPPER and self.k_upper is None:
             bounds.pearson_upper_constant(self.upper_coeffs.alpha)  # raises ThirdMomentError for alpha >= 1/2
 
@@ -328,47 +324,18 @@ def _counter(model: _Model, seed: int, zs: np.ndarray) -> Callable[[int, int], n
     return count
 
 
-def _worker_count(n_workers: Optional[int], blocks: int) -> int:
-    """The threads that count ``blocks`` blocks: ``n_workers`` (an integer >= 1) or, for None, the
-    CPUs this process may run on, capped at the block count (docs/DECISIONS.md, decision 10)."""
-    if n_workers is None:
-        n_workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    elif (n_workers := as_int(n_workers, "n_workers")) < 1:
-        raise DomainError(f"n_workers must be at least 1, got {n_workers}")
-    return min(n_workers, blocks)
-
-
-def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray, n_workers: Optional[int] = None) -> np.ndarray:
+def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray) -> np.ndarray:
     """Exceedance counts of the model's n draws from ``seed`` per grid point, summed over the blocks.
 
-    ``_counter`` sets up the block counter once (it finds its bands here).  The blocks
-    then wait in a queue, and ``_worker_count(n_workers, blocks)`` threads take them one at a
-    time: the calling thread and a pool of the others, so one worker runs with no pool.  Each
-    block is a function of (seed, b) alone and the counts are integers, so the sum is exact in any
-    order (docs/DECISIONS.md, decision 10).
+    ``_counter`` finds the bands once; each block is then drawn and counted in turn, on the calling
+    thread.  Block b is a function of (seed, b) alone and the counts are integers, so the sum does
+    not depend on the order of the blocks (docs/DECISIONS.md, decision 10).
     """
-    bs = rng.BLOCK_SIZE
-    blocks = range(rng.n_blocks(n))
-    workers = _worker_count(n_workers, len(blocks))
-    count = _counter(model, seed, zs)
-    todo = queue.SimpleQueue()
-    for b in blocks:
-        todo.put(b)
-
-    def drain() -> np.ndarray:
-        total = np.zeros(zs.shape, dtype=np.int64)
-        while True:
-            try:
-                b = todo.get_nowait()
-            except queue.Empty:
-                return total
-            total += count(b, min(bs, n - b * bs))
-
-    if workers == 1:
-        return drain()
-    with ThreadPoolExecutor(max_workers=workers - 1) as ex:
-        helpers = [ex.submit(drain) for _ in range(workers - 1)]
-        return drain() + sum(f.result() for f in helpers)  # integer sums: exact in any order
+    count, bs = _counter(model, seed, zs), rng.BLOCK_SIZE
+    total = np.zeros(zs.shape, dtype=np.int64)
+    for b in range(rng.n_blocks(n)):
+        total += count(b, min(bs, n - b * bs))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +345,16 @@ def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray, n_workers: Op
 def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailReport:
     """Execute the scenario and return the per-threshold report.
 
-    The sample blocks are counted on ``n_workers`` threads, by default one per usable CPU, never
-    more than one per block; None or an integer >= 1, and the report does not depend on it.
+    The sample blocks are counted on the calling thread, and the report depends on the spec alone.
+    ``n_workers`` is accepted and has no effect: the benchmark's replay still passes it, and it can
+    go with the next change to the benchmark.
     """
     ref_law = build_law(spec.reference)
     model = _model(spec.x_model)
     cert_info = _certify(spec, model)
 
     zs = np.asarray(spec.z_grid)
-    counts = _tail_counts(model, spec.seed, spec.n_samples, zs, n_workers)
+    counts = _tail_counts(model, spec.seed, spec.n_samples, zs)
     emp = counts / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 

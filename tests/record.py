@@ -32,13 +32,13 @@ def _text(result) -> str:
     return result.to_json() if hasattr(result, "to_json") else json.dumps(result)
 
 
-def reports(n_workers=None) -> dict[str, str]:
-    """key -> text of every sandwich report, counted on ``n_workers`` threads (None: the default)."""
+def reports() -> dict[str, str]:
+    """key -> text of every sandwich report."""
     out = {}
     for workload in ("chaos_sandwich", "pearson_sandwich"):
         for seed in SANDWICH_SEEDS:
             for op in workloads.WORKLOADS[workload](seed):
-                rep = verify.run_scenario(op.spec, n_workers=n_workers)
+                rep = verify.run_scenario(op.spec)
                 out[f"{workload}/{seed}/{op.name}.csv"] = rep.to_csv()
                 out[f"{workload}/{seed}/{op.name}.json"] = rep.to_json()
     return out
@@ -50,8 +50,8 @@ def op_results() -> dict[str, str]:
             for seed in CERTIFY_SEEDS for op in workloads.reference_certify(seed)}
 
 
-def compute(n_workers=None) -> dict[str, str]:
-    return {**reports(n_workers), **op_results()}
+def compute() -> dict[str, str]:
+    return {**reports(), **op_results()}
 
 
 def load() -> dict[str, str]:

@@ -11,6 +11,7 @@ from steintail.bounds import (
     implicit_lower_bound,
     normalized_tail,
     pearson_lower,
+    pearson_lower_constant,
     pearson_upper_constant,
     phi_envelope,
     statement_table,
@@ -151,7 +152,7 @@ def test_pearson_lower_constants():
     assert const == pytest.approx(0.5, rel=1e-14)
     case5 = build_law(PearsonCoefficients(0.25, 0.0, 0.25))
     _, const = pearson_lower(case5, 1.0, 3.0)
-    assert const == pytest.approx(3.0 / 11.0, rel=1e-14)
+    assert const == pytest.approx(3.0 / 11.0, rel=1e-14) and const == pearson_lower_constant(0.25, 3.0)
     # proof-form denominator is the same constant
     alpha, c = 0.25, 3.0
     assert const == pytest.approx((c - 2) * (1 - alpha) / ((c - 2) * (1 - alpha) + 2), rel=1e-14)
@@ -170,8 +171,12 @@ def test_pearson_lower_monotone_in_c(gamma_law):
 
 
 def test_pearson_lower_requires_c_above_2(gamma_law):
-    with pytest.raises(InvalidConstantError):
-        pearson_lower(gamma_law, 1.0, 2.0)
+    # pearson_lower_constant owns the rule; pearson_lower and ScenarioSpec refuse c through it
+    for c in (2.0, 1.0, math.nan):
+        with pytest.raises(InvalidConstantError):
+            pearson_lower(gamma_law, 1.0, c)
+        with pytest.raises(InvalidConstantError):
+            pearson_lower_constant(gamma_law.coeffs.alpha, c)
 
 
 def test_pearson_lower_converges_to_asymptote(gamma_law):

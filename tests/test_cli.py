@@ -271,19 +271,6 @@ def test_verify_determinism_bytes(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "2.5"])
-def test_verify_refuses_a_worker_count_below_one_or_not_an_integer(capsys, tmp_path, workers):
-    path = tmp_path / "s.json"
-    path.write_text(json.dumps({
-        "x_model": {"type": "hermite", "coeffs": [0, 0, 1]},
-        "reference": {"alpha": 0, "beta": 2, "gamma": 2},
-        "hypothesis": "Sandwich", "z_grid": [1, 2], "n_samples": 20000, "seed": 7,
-    }))
-    code, out, err = run_cli(capsys, "verify", "--scenario", str(path), "--workers", workers)
-    assert code == 1
-    assert out == "" and "workers" in err
-
-
 def test_asym_loglinear(capsys):
     code, out, _ = run_cli(capsys, "asym", "--alpha", "0", "--beta", "2", "--gamma", "2",
                            "--mode", "loglinear", "--z-grid", "20:200:25", "--format", "json")

@@ -213,15 +213,22 @@ def test_a_table_that_misses_its_bound_in_the_middle_serves_its_tails():
 
 
 def test_concurrent_scenarios_read_one_table():
-    # the table starts empty; four threads counting blocks give the report of one
+    # the table starts empty; four callers' threads running one scenario at once each get the report of one
     law = build_law(PearsonCoefficients(0.25, 0.0, 0.25))
     spec = ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=Hypothesis.SANDWICH,
                         z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=4 * rng.BLOCK_SIZE + 11, seed=9)
-    reports = []
-    for n_workers in (4, 1):
-        pearson._inverse_table.cache_clear()
-        reports.append(run_scenario(spec, n_workers=n_workers))
-    assert reports[0].to_csv() == reports[1].to_csv() and reports[0].to_json() == reports[1].to_json()
+    pearson._inverse_table.cache_clear()
+    serial = run_scenario(spec)
+    pearson._inverse_table.cache_clear()
+    start = threading.Barrier(4)
+
+    def run(_):
+        start.wait(timeout=30)
+        return run_scenario(spec)
+
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        reports = list(ex.map(run, range(4), timeout=120))
+    assert all(r.to_csv() == serial.to_csv() and r.to_json() == serial.to_json() for r in reports)
 
 
 def test_concurrent_fills_give_the_serial_values(monkeypatch):

@@ -1,13 +1,11 @@
 import json
 import math
-import os
 import re
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
-from conftest import CANONICAL_COEFFS, WIDER_COEFFS
+from conftest import WIDER_COEFFS
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -319,90 +317,21 @@ def test_report_byte_identical():
     assert a.to_json().encode() == b.to_json().encode()
 
 
-def test_report_identical_under_parallel_execution():
-    serial = run_scenario(h2_gamma_spec(), n_workers=1)
-    parallel = run_scenario(h2_gamma_spec(), n_workers=4)
-    assert serial.to_csv().encode() == parallel.to_csv().encode()
+def test_n_workers_is_accepted_and_changes_no_byte():
+    # the benchmark's replay passes n_workers=2; the keyword has no effect
+    spec = h2_gamma_spec()
+    default, replay = run_scenario(spec), run_scenario(spec, n_workers=2)
+    assert default.to_csv().encode() == replay.to_csv().encode()
+    assert default.to_json().encode() == replay.to_json().encode()
 
 
-def _default_vs_serial_spec(name):
-    if name == "chaos":
-        return h2_gamma_spec()
-    if name == "one_block":
-        return h2_gamma_spec(n_samples=rng.BLOCK_SIZE - 1)
-    law = build_law(CANONICAL_COEFFS[name])
-    zs = (0.05, 0.1, 0.2, 0.4) if name == "beta" else (0.5, 1.0, 2.0)
-    # the inverse-gamma type (alpha = 1/2) has no third moment, so no upper constant
-    hypothesis = Hypothesis.DOMINATES_LOWER if name == "inverse_gamma_type" else Hypothesis.SANDWICH
-    return ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=hypothesis, z_grid=zs,
-                        n_samples=3 * rng.BLOCK_SIZE + 5, seed=11)
+def test_run_scenario_starts_no_thread(monkeypatch):
+    # scenario 7 at n = 10^5 (two blocks) is counted on the calling thread
+    def refuse(thread):
+        raise AssertionError(f"run_scenario started a thread: {thread.name}")
 
-
-@pytest.mark.parametrize("name", ["chaos", *CANONICAL_COEFFS, "one_block"])
-def test_default_report_is_the_serial_report(name):
-    spec = _default_vs_serial_spec(name)
-    default, serial = run_scenario(spec), run_scenario(spec, n_workers=1)
-    assert default.to_csv().encode() == serial.to_csv().encode()
-    assert default.to_json().encode() == serial.to_json().encode()
-
-
-@pytest.mark.parametrize("n_workers", [0, -3, 2.5, True])
-def test_worker_count_is_none_or_a_positive_integer(n_workers):
-    with pytest.raises(DomainError, match="n_workers"):
-        run_scenario(h2_gamma_spec(n_samples=10**4), n_workers=n_workers)
-
-
-def test_worker_count_is_the_usable_cpus_capped_at_the_block_count(monkeypatch):
-    assert verify._worker_count(10**6, 3) == 3
-    assert verify._worker_count(2.0, 3) == 2
-    assert verify._worker_count(None, rng.n_blocks(rng.BLOCK_SIZE - 1)) == 1
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert verify._worker_count(None, 16) == 16
-    assert verify._worker_count(None, 100) == 64
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 6)
-    assert verify._worker_count(None, 16) == 6
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert verify._worker_count(None, 16) == 1
-
-
-def test_default_counts_beside_a_pool_of_the_other_usable_cpus_and_one_worker_without_one(monkeypatch):
-    # four usable CPUs and three blocks: the calling thread and a pool of two count the blocks
-    pools = []
-
-    def pool(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", pool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    spec = h2_gamma_spec(n_samples=10**4)
-    model, zs = verify._model(spec.x_model), np.asarray(spec.z_grid)
-    serial = verify._tail_counts(model, spec.seed, 3 * rng.BLOCK_SIZE, zs, n_workers=1)
-    assert pools == []
-    assert verify._tail_counts(model, spec.seed, 3 * rng.BLOCK_SIZE, zs).tolist() == serial.tolist()
-    assert pools == [2]
-
-
-def test_threads_count_every_block_once(monkeypatch):
-    # four threads on a 1 us switch interval take 300 blocks off the queue: each is counted once
-    seen = []
-
-    def counter(model, seed, zs):
-        def count(b, size):
-            seen.append((b, size))
-            return np.ones(zs.shape, dtype=np.int64)
-        return count
-
-    monkeypatch.setattr(verify, "_counter", counter)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        counts = verify._tail_counts(None, 0, 300 * rng.BLOCK_SIZE - 5, np.zeros(2), n_workers=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert counts.tolist() == [300, 300]
-    assert sorted(seen) == [(b, rng.BLOCK_SIZE) for b in range(299)] + [(299, rng.BLOCK_SIZE - 5)]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_scenario(h2_gamma_spec(n_samples=10**5)).all_passed
 
 
 def _chaos_stream(series, seed, n):
@@ -419,16 +348,15 @@ def test_block_counts_match_empirical_tail():
     np.testing.assert_array_equal(np.asarray(rep.empirical), tails)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("x_model, zs", [
     (HermiteSeries((0.0, 1.0, 0.0, 0.1)), (-1.0, 0.0, 0.5, 2.0, 4.0)),
     (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), (0.05, 0.1, 0.2, 0.4)),
 ], ids=["chaos", "pearson"])
-def test_chunked_counts_match_the_whole_stream(x_model, zs, n_workers):
+def test_chunked_counts_match_the_whole_stream(x_model, zs):
     # n ends mid-block and mid-chunk: blocks counted one by one give the counts of the whole stream
     n = 2 * rng.BLOCK_SIZE + rng.CHUNK + 17
     seed = 77
-    counts = verify._tail_counts(verify._model(x_model), seed, n, np.asarray(zs), n_workers)
+    counts = verify._tail_counts(verify._model(x_model), seed, n, np.asarray(zs))
     if isinstance(x_model, HermiteSeries):
         xs = _chaos_stream(x_model, seed, n)
     else:
@@ -440,8 +368,8 @@ def test_chunked_counts_match_the_whole_stream(x_model, zs, n_workers):
 # a Pearson X counted in uniform space, against the full map of its stream
 
 
-def _counts_and_oracle(law, seed, n, zs, n_workers=1):
-    counts = verify._tail_counts(verify._model(law), seed, n, np.asarray(zs, dtype=float), n_workers)
+def _counts_and_oracle(law, seed, n, zs):
+    counts = verify._tail_counts(verify._model(law), seed, n, np.asarray(zs, dtype=float))
     xs = pearson.quantile_grid(law, rng.uniform_stream(seed, n))
     return counts.tolist(), [int(np.count_nonzero(xs > z)) for z in zs]
 
@@ -475,10 +403,9 @@ def test_uniform_space_counts_match_the_full_map(data):
     law = build_law(WIDER_COEFFS[data.draw(st.sampled_from(sorted(WIDER_COEFFS)), label="law")])
     n = data.draw(st.integers(1, 3 * rng.BLOCK_SIZE), label="n")
     seed = data.draw(st.integers(0, 2**63), label="seed")
-    n_workers = data.draw(st.sampled_from([1, 2]), label="n_workers")
     x = float(pearson.quantile_grid(law, rng.uniform_stream(seed, n)[data.draw(st.integers(0, n - 1), label="j")]))
     zs = data.draw(_thresholds(law), label="zs") + [x, math.nextafter(x, -math.inf)]
-    counts, oracle = _counts_and_oracle(law, seed, n, zs, n_workers)
+    counts, oracle = _counts_and_oracle(law, seed, n, zs)
     assert counts == oracle
 
 
@@ -489,7 +416,7 @@ def test_a_threshold_at_a_drawn_value_is_decided_by_the_map(mapped_points):
     k = int(np.argmin(np.abs(u - 0.3)))
     z = float(pearson.quantile_grid(law, u[k]))
     mapped_points.clear()
-    counts = verify._tail_counts(verify._model(law), seed, n, np.array([z]), 1)
+    counts = verify._tail_counts(verify._model(law), seed, n, np.array([z]))
     assert u[k] in np.concatenate(mapped_points)
     assert counts.tolist() == [int(np.count_nonzero(pearson.quantile_grid(law, u) > z))]
 
@@ -518,7 +445,7 @@ def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end(mapped_points):
     assert widths[0] > 70.0 and widths[-1] == pytest.approx(2 * verify._BAND, rel=1e-6)
     assert np.count_nonzero(widths > 70.0) == 2  # two thresholds at a, whose bands hold every draw
     n = 3 * rng.BLOCK_SIZE + 5
-    counts, oracle = _counts_and_oracle(law, 3, n, zs, n_workers=2)
+    counts, oracle = _counts_and_oracle(law, 3, n, zs)
     assert counts == oracle
     # a draw in several bands is mapped once: at most one block's worth of points per block
     count = verify._counter(verify._model(law), 3, zs)
@@ -563,7 +490,6 @@ def test_chaos_counts_match_the_full_map(data):
     series = data.draw(_series(), label="series")
     n = data.draw(st.integers(1, 3 * rng.BLOCK_SIZE), label="n")
     seed = data.draw(st.integers(0, 2**63), label="seed")
-    n_workers = data.draw(st.sampled_from([1, 2]), label="n_workers")
     xs = _chaos_stream(series, seed, n)
     x = float(xs[data.draw(st.integers(0, n - 1), label="j")])
     law = chaos.law_of_polynomial(series)
@@ -571,7 +497,7 @@ def test_chaos_counts_match_the_full_map(data):
     crit = npoly.polyval(np.asarray(law.crit_points), law.poly).tolist()
     zs = [x, math.nextafter(x, -math.inf), at_n] + [v for c in crit for v in (math.nextafter(c, -math.inf), c,
                                                                            math.nextafter(c, math.inf))]
-    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs), n_workers)
+    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs))
     assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
 
 
@@ -582,7 +508,7 @@ def test_chaos_counts_match_the_full_map(data):
 def test_a_threshold_at_a_critical_value_is_decided_by_the_map(mapped_points, coeffs, zs):
     # the critical point is an end with a band of its own: the draws near it are mapped, the rest counted
     series, n, seed = HermiteSeries(coeffs), 2 * rng.BLOCK_SIZE + 3, 9
-    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs), 1)
+    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs))
     assert 0 < sum(p.size for p in mapped_points) < n / 10
     xs = _chaos_stream(series, seed, n)
     assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
