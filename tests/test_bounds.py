@@ -171,12 +171,18 @@ def test_pearson_lower_monotone_in_c(gamma_law):
 
 
 def test_pearson_lower_requires_c_above_2(gamma_law):
-    # pearson_lower_constant owns the rule; pearson_lower and ScenarioSpec refuse c through it
-    for c in (2.0, 1.0, math.nan):
-        with pytest.raises(InvalidConstantError):
-            pearson_lower(gamma_law, 1.0, c)
-        with pytest.raises(InvalidConstantError):
-            pearson_lower_constant(gamma_law.coeffs.alpha, c)
+    with pytest.raises(InvalidConstantError):
+        pearson_lower(gamma_law, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("c", [2.0, 1.0, math.nan])
+def test_the_lower_constant_owns_the_c_above_2_rule(gamma_law, c):
+    # pearson_lower refuses c through pearson_lower_constant: the same error, word for word
+    with pytest.raises(InvalidConstantError) as owner:
+        pearson_lower_constant(gamma_law.coeffs.alpha, c)
+    with pytest.raises(InvalidConstantError) as caller:
+        pearson_lower(gamma_law, 1.0, c)
+    assert str(caller.value) == str(owner.value) == f"explicit lower bound requires c > 2, got {c}"
 
 
 def test_pearson_lower_converges_to_asymptote(gamma_law):

@@ -271,6 +271,19 @@ def test_verify_determinism_bytes(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_verify_has_no_workers_option(capsys, tmp_path):
+    # blocks are counted on the calling thread; the retired flag is refused as an unknown argument
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "x_model": {"type": "hermite", "coeffs": [0, 0, 1]},
+        "reference": {"alpha": 0, "beta": 2, "gamma": 2},
+        "hypothesis": "Sandwich", "z_grid": [1, 2], "n_samples": 20000, "seed": 7,
+    }))
+    code, out, err = run_cli(capsys, "verify", "--scenario", str(path), "--workers", "2")
+    assert code == 1
+    assert out == "" and "unrecognized arguments: --workers 2" in err
+
+
 def test_asym_loglinear(capsys):
     code, out, _ = run_cli(capsys, "asym", "--alpha", "0", "--beta", "2", "--gamma", "2",
                            "--mode", "loglinear", "--z-grid", "20:200:25", "--format", "json")

@@ -2,10 +2,11 @@ import json
 import math
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import WIDER_COEFFS
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -317,21 +318,56 @@ def test_report_byte_identical():
     assert a.to_json().encode() == b.to_json().encode()
 
 
-def test_n_workers_is_accepted_and_changes_no_byte():
-    # the benchmark's replay passes n_workers=2; the keyword has no effect
+def test_report_identical_under_parallel_execution():
+    # four callers' threads running scenario 7 at once each get the report of one run on its own
     spec = h2_gamma_spec()
+    serial = run_scenario(spec)
+    start = threading.Barrier(4)
+
+    def run(_):
+        start.wait(timeout=30)
+        return run_scenario(spec)
+
+    with ThreadPoolExecutor(max_workers=4) as ex:
+        reports = list(ex.map(run, range(4), timeout=120))
+    assert all(r.to_csv().encode() == serial.to_csv().encode()
+               and r.to_json().encode() == serial.to_json().encode() for r in reports)
+
+
+def _default_vs_serial_spec(name):
+    if name == "chaos":
+        return h2_gamma_spec()
+    if name == "one_block":
+        return h2_gamma_spec(n_samples=rng.BLOCK_SIZE - 1)
+    law = build_law(CANONICAL_COEFFS[name])
+    zs = (0.05, 0.1, 0.2, 0.4) if name == "beta" else (0.5, 1.0, 2.0)
+    # the inverse-gamma type (alpha = 1/2) has no third moment, so no upper constant
+    hypothesis = Hypothesis.DOMINATES_LOWER if name == "inverse_gamma_type" else Hypothesis.SANDWICH
+    return ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=hypothesis, z_grid=zs,
+                        n_samples=3 * rng.BLOCK_SIZE + 5, seed=11)
+
+
+@pytest.mark.parametrize("name", ["chaos", *CANONICAL_COEFFS, "one_block"])
+def test_default_report_is_the_serial_report(name):
+    # counting is serial; the benchmark's replay passes n_workers=2, which is accepted and changes no byte
+    spec = _default_vs_serial_spec(name)
     default, replay = run_scenario(spec), run_scenario(spec, n_workers=2)
     assert default.to_csv().encode() == replay.to_csv().encode()
     assert default.to_json().encode() == replay.to_json().encode()
 
 
-def test_run_scenario_starts_no_thread(monkeypatch):
-    # scenario 7 at n = 10^5 (two blocks) is counted on the calling thread
+@pytest.mark.parametrize("name", ["chaos", *CANONICAL_COEFFS, "one_block"])
+def test_run_scenario_starts_no_thread(monkeypatch, name):
+    # every block is counted on the calling thread, for a chaos X (scenario 7 at n = 10^5) and each Pearson X
+    spec = _default_vs_serial_spec(name)
+    expected = run_scenario(spec).to_json()
+
     def refuse(thread):
         raise AssertionError(f"run_scenario started a thread: {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    assert run_scenario(h2_gamma_spec(n_samples=10**5)).all_passed
+    pearson._inverse_table.cache_clear()  # the Pearson tables are built again, on this thread
+    assert run_scenario(spec).to_json() == expected
 
 
 def _chaos_stream(series, seed, n):
@@ -352,9 +388,11 @@ def test_block_counts_match_empirical_tail():
     (HermiteSeries((0.0, 1.0, 0.0, 0.1)), (-1.0, 0.0, 0.5, 2.0, 4.0)),
     (build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), (0.05, 0.1, 0.2, 0.4)),
 ], ids=["chaos", "pearson"])
-def test_chunked_counts_match_the_whole_stream(x_model, zs):
-    # n ends mid-block and mid-chunk: blocks counted one by one give the counts of the whole stream
-    n = 2 * rng.BLOCK_SIZE + rng.CHUNK + 17
+@pytest.mark.parametrize("n", [2 * rng.BLOCK_SIZE + rng.CHUNK + 17, 2 * rng.BLOCK_SIZE, rng.CHUNK + 17],
+                         ids=["mid_block", "block_end", "one_short_block"])
+def test_chunked_counts_match_the_whole_stream(x_model, zs, n):
+    # n ends mid-block and mid-chunk, on a block's end, or inside the first block:
+    # blocks counted one by one give the counts of the whole stream
     seed = 77
     counts = verify._tail_counts(verify._model(x_model), seed, n, np.asarray(zs))
     if isinstance(x_model, HermiteSeries):
