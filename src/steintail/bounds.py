@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from . import pearson
-from .errors import DomainError, InvalidConstantError, ThirdMomentError
+from .errors import DomainError, InvalidConstantError, ThirdMomentError, as_float, reading
 from .pearson import PearsonCoefficients, PearsonLaw, q_function
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "pearson_lower",
     "pearson_lower_constant",
     "pearson_upper_constant",
+    "pearson_upper_multiplier",
     "asymptotic_tail_constant",
     "normalized_tail",
     "variance_bound_check",
@@ -58,7 +59,7 @@ class Direction(str, Enum):
 
 
 def _points(x):  # a number as a numpy scalar: the arithmetic broadcasts, and a number stays cheap
-    return np.asarray(x, dtype=float)[()]
+    return as_float(x, "the evaluation point", arrays=True)[()]
 
 
 def _out(v):
@@ -142,6 +143,7 @@ def pearson_lower(law: PearsonLaw, z, c: float):
 
 def pearson_lower_constant(alpha: float, c: float) -> float:
     """Large-z limit (c-2)(1-alpha) / (c - alpha (c-2)) of the explicit lower-bound factor; the bound needs c > 2."""
+    alpha, c = as_float(alpha, "alpha"), as_float(c, "c")
     if not c > 2.0:
         raise InvalidConstantError(f"explicit lower bound requires c > 2, got {c}")
     return (c - 2.0) * (1.0 - alpha) / (c - alpha * (c - 2.0))
@@ -149,9 +151,18 @@ def pearson_lower_constant(alpha: float, c: float) -> float:
 
 def pearson_upper_constant(alpha: float) -> float:
     """Infimum of admissible upper-bound multipliers; callers pick any K above it."""
-    if not alpha < 0.5:
+    if not as_float(alpha, "alpha") < 0.5:
         raise ThirdMomentError(f"upper-bound constant needs alpha < 1/2 (finite third moment), got {alpha}")
     return (1.0 - alpha) / (1.0 - 2.0 * alpha)
+
+
+def pearson_upper_multiplier(alpha: float, k: float | None = None) -> float:
+    """K of K Phi_u: k, which must be finite and positive, or without one twice ``pearson_upper_constant``."""
+    if k is None:
+        return 2.0 * pearson_upper_constant(alpha)
+    if not 0.0 < as_float(k, "K") < math.inf:
+        raise InvalidConstantError(f"K must be finite and positive, got {k}")
+    return float(k)
 
 
 def asymptotic_tail_constant(law: PearsonLaw) -> tuple[float, float]:
@@ -180,7 +191,7 @@ def normalized_tail(law: PearsonLaw, z: float) -> float:
     1 - r = 1 - mu/s; the growth normalizer must cancel the z^(r-1) factor of
     the flux).  Quadratic kernels: z^(1+1/alpha) P[Z > z].
     """
-    if not z > 0.0:
+    if not (z := as_float(z, "z")) > 0.0:
         raise DomainError(f"normalized_tail requires z > 0, got {z}")
     lt = pearson.log_tail(law, z)
     _, p, scale = pearson.tail_asymptotics(law)
@@ -193,9 +204,10 @@ def normalized_tail(law: PearsonLaw, z: float) -> float:
 
 def variance_bound_check(coeffs: PearsonCoefficients, var_of_x: float, direction: Direction | str) -> bool:
     """Compare Var[X] against the reference variance gamma/(1-alpha), to a relative 1e-9."""
-    if var_of_x < 0.0:
+    if not as_float(var_of_x, "var_of_x") >= 0.0:  # NaN fails too
         raise DomainError(f"variance must be nonnegative, got {var_of_x}")
-    direction = Direction(direction)
+    with reading("direction"):  # a direction that is neither GE nor LE
+        direction = Direction(direction)
     target = pearson.variance(coeffs)
     slack = 1e-9 * target
     if direction is Direction.GE:
@@ -211,10 +223,10 @@ def statement_table(lower: PearsonLaw | None, upper: PearsonLaw | None, z, at_z,
     """The comparison statements on a z grid, one row each, and the constants they use (decision 6 tabulates both).
 
     A side under a dominance hypothesis names its reference law, the other None; at_z and ``x_end`` are X's.  The
-    explicit lower bound, with constant c, and K Phi_u, K = k or twice ``pearson_upper_constant``, are asserted
+    explicit lower bound, with constant c, and K Phi_u, K from ``pearson_upper_multiplier``, are asserted
     past 10 sd of their reference, while the implicit one is asserted at every z.
     """
-    z = np.asarray(z, dtype=float)
+    z = as_float(z, "the evaluation point", arrays=True)
     rows, z_lower, z_upper = [], None, None
     if lower is not None:
         z_lower = 10.0 * math.sqrt(lower.variance)
@@ -222,6 +234,6 @@ def statement_table(lower: PearsonLaw | None, upper: PearsonLaw | None, z, at_z,
                  Statement("explicit", "lower", pearson_lower(lower, z, c)[0], z >= z_lower)]
     if upper is not None:
         z_upper = 10.0 * math.sqrt(upper.variance)
-        k = 2.0 * pearson_upper_constant(upper.coeffs.alpha) if k is None else k
+        k = pearson_upper_multiplier(upper.coeffs.alpha, k)
         rows.append(Statement("K Phi", "upper", k * pearson.tail(upper, z), z >= z_upper))
     return rows, {"k_upper": k, "c_lower": c, "z_min_lower": z_lower, "z_min_upper": z_upper}

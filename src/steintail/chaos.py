@@ -416,7 +416,9 @@ def margin_extrema(x_poly, g_poly, coeffs: PearsonCoefficients, domain) -> dict:
     piece, the constant itself otherwise.  Each piece is evaluated from its
     subtracted coefficients, so identical kernels give 0.0 exactly.
     """
-    x_poly, g_poly = np.asarray(x_poly, dtype=float), np.asarray(g_poly, dtype=float)
+    x_poly, g_poly = (as_float(p, "a polynomial's coefficients", arrays=True) for p in (x_poly, g_poly))
+    with reading("domain"):  # a domain that is not a sequence; an end that is not a number names itself
+        domain = tuple(as_float(end, "a domain end") for end in domain)
     a, b = pearson_support(coeffs)
     quad_comp = npoly.polyadd(
         npoly.polyadd(coeffs.alpha * npoly.polymul(x_poly, x_poly), coeffs.beta * x_poly), [coeffs.gamma])
@@ -479,9 +481,11 @@ def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
     derivative hypothesis of the underlying identity is relaxed to polynomial
     growth, which Gaussian integrability covers at this scale.
     """
+    if (m := as_float(m_coeffs, "m's coefficients", arrays=True)).ndim != 1:
+        raise DomainError(f"m's coefficients must be a sequence of numbers, got {m_coeffs!r}")
     law = law_of_polynomial(x_series)
-    lhs = npoly.polymul(law.poly, _compose(m_coeffs, law.poly))
-    rhs = npoly.polymul(_compose(npoly.polyder(m_coeffs), law.poly), law.gpoly)
+    lhs = npoly.polymul(law.poly, _compose(m, law.poly))
+    rhs = npoly.polymul(_compose(npoly.polyder(m), law.poly), law.gpoly)
     return abs(expect_polynomial(lhs) - expect_polynomial(rhs))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import bounds, chaos, pearson, stein, verify
-from .errors import SteintailError
+from .errors import SteintailError, ThirdMomentError
 from .pearson import PearsonCoefficients, build_law
 
 
@@ -207,17 +207,16 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    c = _coeffs(args)
-    law = build_law(c)
+    law = build_law(_coeffs(args))
     zs = _parse_grid(args.z_grid)
     lo, hi = bounds.phi_envelope(law, zs)
     plb, _ = bounds.pearson_lower(law, zs, args.c)
     t = pearson.tail(law, zs)
-    if args.K is None and c.alpha >= 0.5:  # no admissible default K
-        k_t = [None] * zs.size
-    else:  # K Phi with K given or the statement table's default
+    try:  # K Phi with K given or the statement table's default
         (k_phi,), _ = bounds.statement_table(None, law, zs, None, k=args.K)
         k_t = k_phi.value.tolist()
+    except ThirdMomentError:  # no admissible default K
+        k_t = [None] * zs.size
     rows = list(zip(*(v.tolist() for v in (zs, t, lo, hi, plb)), k_t))
     _table(args, ["z", "phi_star", "envelope_lo", "envelope_hi", "pearson_lower", "k_phi_star"], rows)
     return 0

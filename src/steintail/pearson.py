@@ -107,15 +107,15 @@ class CaseTag(str, Enum):
 
 @dataclass(frozen=True)
 class PearsonCoefficients:
-    """Kernel coefficients g(z) = alpha*z**2 + beta*z + gamma."""
+    """Kernel coefficients g(z) = alpha*z**2 + beta*z + gamma, each stored as a float and checked when made."""
 
     alpha: float
     beta: float
     gamma: float
 
-    def validate(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            as_float(getattr(self, name), name)  # a string or None raises DomainError, which names it
+    def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):  # a string, a bool or None raises DomainError, which names it
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if not all(map(math.isfinite, (self.alpha, self.beta, self.gamma))):
             raise InvalidCoefficientsError(f"coefficients must be finite, got {self}")
         if not self.gamma > 0.0:
@@ -135,7 +135,6 @@ def classify(coeffs: PearsonCoefficients) -> CaseTag:
     (beta-prime or F laws), which is not one of the five supported cases
     (docs/DECISIONS.md, decision 5).
     """
-    coeffs.validate()
     a, b, g = coeffs.alpha, coeffs.beta, coeffs.gamma
     scale = max(1.0, abs(b), abs(g))
     if abs(a) < TAU_CLS * scale:
@@ -928,7 +927,7 @@ def quantile_grid(law: PearsonLaw, p) -> np.ndarray:
     that is a relative error of at most 1e-10 in the smaller of p and 1 - p,
     up to the rounding of the returned double; it is non-increasing in p.
     """
-    p = np.asarray(p, dtype=float)
+    p = as_float(p, "p", arrays=True)
     if p.size and not (rng.U_MIN <= p.min() and p.max() <= rng.U_MAX):  # NaN fails too
         raise InvalidProbabilityError(f"the sampler's inverse serves p in [2^-53, 1 - 2^-53], got "
                                       f"values in [{p.min()}, {p.max()}]")
@@ -971,7 +970,7 @@ def sample(law: PearsonLaw, n: int, seed: int) -> np.ndarray:
 
 
 def moment_exists(coeffs: PearsonCoefficients, m: int) -> bool:
-    if m < 0:
+    if (m := as_int(m, "moment order")) < 0:
         return False
     if coeffs.alpha <= 0.0:
         return True
@@ -980,7 +979,6 @@ def moment_exists(coeffs: PearsonCoefficients, m: int) -> bool:
 
 def moment(coeffs: PearsonCoefficients, m: int) -> float:
     """E[Z^m] by the exact recursion (1 - alpha k) E[Z^{k+1}] = beta k E[Z^k] + gamma k E[Z^{k-1}]."""
-    coeffs.validate()
     m = as_int(m, "moment order")
     if m < 0:
         raise DomainError(f"moment order must be a nonnegative integer, got {m}")
@@ -1000,7 +998,6 @@ def moment(coeffs: PearsonCoefficients, m: int) -> float:
 
 
 def variance(coeffs: PearsonCoefficients) -> float:
-    coeffs.validate()
     return coeffs.gamma / (1.0 - coeffs.alpha)
 
 

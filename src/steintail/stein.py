@@ -109,13 +109,13 @@ def evaluate(sol: IndicatorSteinSolution, xs) -> tuple[np.ndarray, np.ndarray, n
     the residual are one-sided values, so callers that need them exclude those
     points.
     """
-    return _evaluate(sol, np.atleast_1d(np.asarray(xs, dtype=float)))[2:]
+    return _evaluate(sol, np.atleast_1d(as_float(xs, "the grid", arrays=True)))[2:]
 
 
 def _checked_grid(sol: IndicatorSteinSolution, grid) -> np.ndarray:
     """grid, a number or an array of any shape, as an array of doubles of at least one dimension, nonempty and
     clear of the kinks {z, a, b}, where f' is not defined."""
-    xs = np.atleast_1d(np.asarray(grid, dtype=float))
+    xs = np.atleast_1d(as_float(grid, "the grid", arrays=True))
     if xs.size == 0:
         raise DomainError("the grid is empty")
     for kink in (sol.z, sol.law.support_a, sol.law.support_b):

@@ -95,12 +95,10 @@ class ScenarioSpec:
         _, b = pearson.support(self.reference)
         if zs[0] <= 0.0 or zs[-1] >= b:
             raise DomainError(f"z_grid must lie in (0, b) = (0, {b})")
-        if self.k_upper is not None and not 0.0 < self.k_upper < math.inf:
-            raise DomainError(f"k_upper must be finite and positive, got {self.k_upper}")
         if self.hypothesis in _LOWER:
             bounds.pearson_lower_constant(self.reference.alpha, self.c_lower)  # raises InvalidConstantError for c <= 2
-        if self.hypothesis in _UPPER and self.k_upper is None:
-            bounds.pearson_upper_constant(self.upper_coeffs.alpha)  # raises ThirdMomentError for alpha >= 1/2
+        if self.hypothesis in _UPPER or self.k_upper is not None:  # a given K is checked whatever the hypothesis
+            bounds.pearson_upper_multiplier(self.upper_coeffs.alpha, self.k_upper)  # raises as the table would
 
     @property
     def upper_coeffs(self) -> PearsonCoefficients:
@@ -109,7 +107,7 @@ class ScenarioSpec:
 
 def dkw_half_width(n: int, confidence: float) -> float:
     """Uniform band half-width sqrt(ln(2/(1-confidence)) / (2n))."""
-    n = as_int(n, "sample count")
+    n, confidence = as_int(n, "sample count"), as_float(confidence, "confidence")
     if n < 1 or not 0.0 < confidence < 1.0:
         raise DomainError("need n >= 1 and confidence in (0,1)")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
@@ -117,7 +115,7 @@ def dkw_half_width(n: int, confidence: float) -> float:
 
 def empirical_tail(samples, z_grid, confidence: float = 0.99) -> tuple[np.ndarray, float]:
     """Empirical survival function on the grid and its DKW half-width; a NaN sample or threshold raises."""
-    samples, zs = np.asarray(samples, dtype=float), np.asarray(z_grid, dtype=float)
+    samples, zs = as_float(samples, "samples", arrays=True), as_float(z_grid, "z_grid", arrays=True)
     if samples.size == 0:
         raise DomainError("empirical_tail needs at least one sample")
     if np.isnan(samples).any() or np.isnan(zs).any():
@@ -409,8 +407,7 @@ def slope_estimate(z_grid, log_tail, mode: str, p: float = 0.0) -> float:
     -1/beta); stretched: ln S vs z^(2-p) (limit -1/(beta (2-p))).  The grid
     must span at least one decade.
     """
-    zs = np.asarray(z_grid, dtype=float)
-    ys = np.asarray(log_tail, dtype=float)
+    zs, ys = as_float(z_grid, "z_grid", arrays=True), as_float(log_tail, "log_tail", arrays=True)
     if zs.size != ys.size or zs.size < 3:
         raise DomainError("need matching grids with at least 3 points")
     if not (np.isfinite(zs).all() and np.isfinite(ys).all()):
@@ -421,9 +418,9 @@ def slope_estimate(z_grid, log_tail, mode: str, p: float = 0.0) -> float:
         raise InsufficientRangeError(
             f"grid spans {zs.max() / zs.min():.3g}x, need at least one decade")
     scales = {"loglog": np.log, "loglinear": lambda z: z, "stretched": lambda z: z ** (2.0 - p)}
-    if (mode := mode.lower()) not in scales:
+    if not isinstance(mode, str) or (mode := mode.lower()) not in scales:
         raise DomainError(f"unknown slope mode {mode!r}")
-    if mode == "stretched" and not 0.0 <= p < 2.0:
+    if mode == "stretched" and not 0.0 <= (p := as_float(p, "p")) < 2.0:
         raise DomainError(f"stretched mode needs 0 <= p < 2, got {p}")
     slope, _ = np.polyfit(scales[mode](zs), ys, 1)
     return float(slope)
@@ -454,11 +451,11 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
 
 
 def _coeffs_from_obj(obj: dict) -> PearsonCoefficients:
-    return PearsonCoefficients(float(obj["alpha"]), float(obj["beta"]), float(obj["gamma"]))
+    return PearsonCoefficients(obj["alpha"], obj["beta"], obj["gamma"])
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
-    """The scenario in text; malformed text raises DomainError."""
+    """The scenario in text, each value passed as it is to the type that checks it; malformed text raises DomainError."""
     with reading("scenario JSON"):
         obj = json.loads(text)
         required = ["x_model", "reference", "hypothesis", "z_grid", "n_samples", "seed"]
@@ -467,7 +464,7 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             raise DomainError(f"scenario JSON missing fields: {missing}")
         xm = obj["x_model"]
         if xm.get("type") == "hermite":
-            x_model: Union[HermiteSeries, PearsonLaw] = HermiteSeries(tuple(float(v) for v in xm["coeffs"]))
+            x_model: Union[HermiteSeries, PearsonLaw] = HermiteSeries(xm["coeffs"])
         elif xm.get("type") == "pearson":
             x_model = build_law(_coeffs_from_obj(xm))
         else:
@@ -479,8 +476,7 @@ def scenario_from_json(text: str) -> ScenarioSpec:
             z_grid=obj["z_grid"],
             n_samples=obj["n_samples"],
             seed=obj["seed"],
-            confidence=float(obj.get("confidence", 0.99)),
             reference_upper=_coeffs_from_obj(obj["reference_upper"]) if "reference_upper" in obj else None,
-            c_lower=float(obj.get("c", 4.0)),
-            k_upper=float(obj["K"]) if "K" in obj else None,
+            **{field: obj[key] for key, field in (("confidence", "confidence"), ("c", "c_lower"), ("K", "k_upper"))
+               if key in obj},
         )

@@ -13,6 +13,7 @@ from steintail.bounds import (
     pearson_lower,
     pearson_lower_constant,
     pearson_upper_constant,
+    pearson_upper_multiplier,
     phi_envelope,
     statement_table,
     variance_bound_check,
@@ -205,6 +206,23 @@ def test_upper_constant_increasing():
     alphas = np.linspace(0.0, 0.49, 50)
     vals = [pearson_upper_constant(a) for a in alphas]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_the_upper_multiplier_is_a_given_k_or_twice_the_infimum():
+    assert pearson_upper_multiplier(0.25) == 2.0 * pearson_upper_constant(0.25) == 3.0
+    assert pearson_upper_multiplier(0.75, 1.5) == pearson_upper_multiplier(0.75, np.float64(1.5)) == 1.5  # no 3rd moment
+    with pytest.raises(ThirdMomentError):
+        pearson_upper_multiplier(0.5)
+
+
+@pytest.mark.parametrize("k", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_the_upper_multiplier_owns_the_k_rule(case5_law, k):
+    # the statement table refuses K through pearson_upper_multiplier: the same error, word for word
+    with pytest.raises(InvalidConstantError) as owner:
+        pearson_upper_multiplier(0.25, k)
+    with pytest.raises(InvalidConstantError) as caller:
+        statement_table(None, case5_law, np.array([1.0, 2.0]), None, k=k)
+    assert str(caller.value) == str(owner.value) == f"K must be finite and positive, got {k}"
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,23 @@ def test_bounds_table(capsys):
     assert float(row["pearson_lower"]) <= float(row["phi_star"]) <= float(row["k_phi_star"])
 
 
+@pytest.mark.parametrize("k", ["-1", "0", "nan", "inf"])
+def test_bounds_refuses_a_k_that_is_not_finite_and_positive(capsys, k):
+    # before, the column printed K times the tail for any K, NaN and negative included, with exit code 0
+    code, out, err = run_cli(capsys, "bounds", "--alpha", "0", "--beta", "0", "--gamma", "1", "--z-grid", "1:5:5",
+                             f"--K={k}")
+    assert (code, out) == (1, "") and "K must be finite and positive" in err and err.strip().count("\n") == 0
+
+
+def test_bounds_leaves_the_k_column_empty_without_a_third_moment(capsys):
+    # alpha >= 1/2 has no default K: the column is empty unless K is given
+    argv = ("bounds", "--alpha", "0.6", "--beta", "0", "--gamma", "1", "--z-grid", "1:5:5")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and all(line.endswith(",") for line in out.strip().splitlines()[1:])
+    code, out, _ = run_cli(capsys, *argv, "--K", "2")
+    assert code == 0 and all(float(line.split(",")[-1]) > 0.0 for line in out.strip().splitlines()[1:])
+
+
 def test_chaos_g_constant(capsys):
     code, out, _ = run_cli(capsys, "chaos-g", "--coeffs", "0,1")
     assert code == 0

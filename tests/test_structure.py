@@ -12,7 +12,9 @@ no module names a library root finder (companion matrix, eigenvalues, Brent or
 Newton).  Every ``raise`` names a class of ``steintail.errors`` or re-raises.
 Only ``rng`` spells the range of the uniforms, and ``verify`` tests the type of
 an X model only in ``_model`` and in scenario (de)serialization.  ``run_scenario``
-reaches ``bounds`` only through its statement table.
+reaches ``bounds`` only through its statement table.  Each rule about a comparison's
+inputs has one owner: a coefficient triple checks itself when it is made, the
+scenario reader casts nothing, and only ``bounds`` tests the upper multiplier K.
 """
 
 import ast
@@ -256,3 +258,49 @@ def test_run_scenario_reaches_the_bounds_only_through_the_statement_table():
     imported = [a.name for node in ast.walk(_modules()["verify"]) if isinstance(node, ast.ImportFrom)
                 and _sibling(node) == "bounds" for a in node.names]
     assert not imported, imported
+
+
+K_NAMES = {"K", "k_upper"}  # the upper multiplier, as the CLI and the scenario spec name it; bounds calls it k
+
+
+def _function(module: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in module.body if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    return {_callee(n) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def _tests_k(node: ast.AST, names=K_NAMES) -> bool:
+    """A comparison other than `is None`, or a finiteness test, of a name or attribute that K goes by."""
+    named = lambda n: (getattr(n, "id", None) or getattr(n, "attr", None)) in names
+    if isinstance(node, ast.Compare) and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+        return any(named(n) for side in (node.left, *node.comparators) for n in ast.walk(side))
+    return (isinstance(node, ast.Call) and _callee(node) in {"isfinite", "isinf", "isnan"}
+            and any(named(n) for arg in node.args for n in ast.walk(arg)))
+
+
+def test_each_input_rule_has_one_owner():
+    # a triple checks itself when it is made, the scenario reader casts nothing, and bounds owns K
+    modules = _modules()
+    validate = [f"{name}:{node.lineno}" for name, tree in modules.items() for node in ast.walk(tree)
+                if (isinstance(node, ast.FunctionDef) and node.name == "validate")
+                or (isinstance(node, ast.Call) and _callee(node) == "validate")]
+    assert not validate, f"defines or calls validate: {validate}"
+    verify = modules["verify"]
+    reader = _function(verify, "scenario_from_json")
+    helpers = {n.name for n in verify.body if isinstance(n, ast.FunctionDef)} & _called_names(reader)
+    casts = [f"verify.{f.name}:{n.lineno}" for f in [reader, *(_function(verify, h) for h in helpers)]
+             for n in ast.walk(f) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "float"]
+    assert not casts, f"the scenario reader casts: {casts}"
+    alpha = [n.lineno for n in ast.walk(_function(modules["cli"], "_cmd_bounds"))
+             if isinstance(n, ast.Attribute) and n.attr == "alpha"]
+    assert not alpha, f"cli._cmd_bounds reads alpha at lines {alpha}"
+    others = sorted(name for name, tree in modules.items() if name != "bounds" and any(map(_tests_k, ast.walk(tree))))
+    assert not others, f"modules other than bounds that test K: {others}"
+    owner = _function(modules["bounds"], "pearson_upper_multiplier")
+    assert any(_tests_k(n, {"k"}) for n in ast.walk(owner)), "bounds.pearson_upper_multiplier no longer tests k"

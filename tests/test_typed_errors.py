@@ -3,11 +3,13 @@ raises the package's typed error (``steintail.errors``), never a bare ValueError
 
 import json
 import math
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from steintail import bounds, chaos, cli, pearson, verify
+from steintail import bounds, chaos, cli, pearson, stein, verify
 from steintail.chaos import HermiteSeries
 from steintail.errors import (
     DomainError,
@@ -134,3 +136,77 @@ def test_scenario_spec_refuses_a_constant_that_is_not_a_number_and_names_it(fiel
 def test_series_and_coefficients_that_are_not_numbers_raise_domain_error_naming_the_field(build, message):
     with pytest.raises(DomainError, match=message):
         build()
+
+
+LAW, SERIES, ZS, YS = build_law(GAMMA), HermiteSeries((0.0, 1.0, 0.0, 0.1)), [1.0, 5.0, 20.0], [-1.0, -5.0, -20.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pearson.quantile_grid(LAW, ["a"]), "p must be a real number or an array of them, got ['a']"),
+    (lambda: chaos.ibp_check(SERIES, ["a"]), "m's coefficients must be a real number or an array of them, got ['a']"),
+    (lambda: chaos.ibp_check(SERIES, 2.0), "m's coefficients must be a sequence of numbers, got 2.0"),
+    (lambda: verify.empirical_tail(["a"], [1.0]), "samples must be a real number or an array of them, got ['a']"),
+    (lambda: verify.empirical_tail([1.0, 2.0], [1.0], "x"), "confidence must be a real number, got 'x'"),
+    (lambda: slope_estimate(ZS, YS, 3), "unknown slope mode 3"),
+    (lambda: slope_estimate(ZS, YS, "stretched", "a"), "p must be a real number, got 'a'"),
+    (lambda: bounds.pearson_upper_constant("0.1"), "alpha must be a real number, got '0.1'"),
+    (lambda: bounds.pearson_lower(LAW, 1.0, "5"), "c must be a real number, got '5'"),
+    (lambda: bounds.normalized_tail(LAW, "1"), "z must be a real number, got '1'"),
+    (lambda: pearson.moment_exists(GAMMA, "2"), "moment order must be an integer, got '2'"),
+    (lambda: chaos.margin_extrema((0.0, 1.0), (1.0,), GAMMA, ("a", "b")), "a domain end must be a real number, got 'a'"),
+    (lambda: bounds.variance_bound_check(GAMMA, math.nan, "GE"), "variance must be nonnegative, got nan"),
+    (lambda: bounds.variance_bound_check(GAMMA, 1.0, "XX"), "malformed direction"),
+    (lambda: bounds.implicit_integral("a", (0.5, 0.1, 0.2)), "the evaluation point must be a real number or an array"),
+    (lambda: bounds.phi_envelope(LAW, ["a"]), "the evaluation point must be a real number or an array"),
+    (lambda: bounds.statement_table(None, LAW, "a", None), "the evaluation point must be a real number or an array"),
+    (lambda: chaos.margin_extrema(["a"], (1.0,), GAMMA, (0.0, 1.0)), "a polynomial's coefficients must be a real number"),
+    (lambda: stein.evaluate(stein.solve_indicator(LAW, 1.0), "a"), "the grid must be a real number or an array"),
+    (lambda: stein.certify_fprime(stein.solve_indicator(LAW, 1.0), ["a"]), "the grid must be a real number or an array"),
+], ids=["quantile_grid-p", "ibp_check-m", "ibp_check-scalar-m", "empirical_tail-samples", "empirical_tail-confidence",
+        "slope_estimate-mode", "slope_estimate-p", "pearson_upper_constant-alpha", "pearson_lower-c",
+        "normalized_tail-z", "moment_exists-m", "margin_extrema-domain", "variance_bound_check-nan",
+        "variance_bound_check-direction", "implicit_integral-z", "phi_envelope-x", "statement_table-z",
+        "margin_extrema-x_poly", "evaluate-grid", "certify_fprime-grid"])
+def test_a_public_argument_of_the_wrong_kind_raises_domain_error_naming_it(call, message):
+    # before, each raised a bare ValueError, TypeError or AttributeError, or (a NaN variance) returned False
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()
+
+
+SPEC = dict(x_model=HermiteSeries((0.0, 0.0, 1.0)), reference=GAMMA, hypothesis=Hypothesis.SANDWICH,
+            z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["reference"].update(gamma=True), "gamma must be a real number, got True"),
+    (lambda o: o["reference"].update(alpha="0"), "alpha must be a real number, got '0'"),
+    (lambda o: o.update(confidence="0.9"), "confidence must be a real number, got '0.9'"),
+    (lambda o: o.update(K="3"), "k_upper must be a real number, got '3'"),
+    (lambda o: o["x_model"]["coeffs"].__setitem__(2, "1"), "a series coefficient must be a real number, got '1'"),
+], ids=["gamma-true", "alpha-str", "confidence-str", "K-str", "series-str"])
+def test_a_scenario_file_value_of_the_wrong_kind_exits_1_naming_the_field(capsys, tmp_path, edit, message):
+    # before, the reader cast each with float(): the reference (0, 2, 1) ran for "gamma": true and reported pass
+    obj = json.loads(verify.scenario_to_json(ScenarioSpec(**SPEC)))
+    edit(obj)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert cli.run(["verify", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and err.strip().count("\n") == 0
+
+
+def test_a_spec_whose_upper_reference_has_a_string_alpha_raises_domain_error():
+    # before, the triple took the string and the spec's third-moment check raised a bare TypeError
+    with pytest.raises(DomainError, match="alpha must be a real number, got '0.1'"):
+        ScenarioSpec(**SPEC, reference_upper=PearsonCoefficients("0.1", 2.0, 3.0))
+
+
+def test_a_coefficient_given_as_a_0d_array_samples_and_serializes_like_its_float():
+    # before, the array stayed in the triple, and the sampler's table cache and law_to_json raised a bare TypeError
+    arr, flt = PearsonCoefficients(np.array(0.0), 2, np.float64(2.0)), PearsonCoefficients(0.0, 2.0, 2.0)
+    assert arr == flt and [type(v) for v in astuple(arr)] == [float] * 3
+    law, ref = build_law(arr), build_law(flt)
+    assert pearson.law_to_json(law) == pearson.law_to_json(ref)
+    assert pearson.sample(law, 1000, seed=3).tolist() == pearson.sample(ref, 1000, seed=3).tolist()
+    spec = ScenarioSpec(**{**SPEC, "x_model": law, "reference": arr})
+    assert verify.scenario_to_json(spec) == verify.scenario_to_json(ScenarioSpec(**{**SPEC, "x_model": ref}))

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from conftest import CANONICAL_COEFFS, WIDER_COEFFS
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -629,6 +629,43 @@ def test_scenario_json_round_trip():
     rep1 = run_scenario(spec)
     rep2 = run_scenario(spec2)
     assert rep1.to_csv() == rep2.to_csv()
+
+
+ROUND_TRIP_REFERENCES = [CANONICAL_COEFFS[k] for k in ("normal", "gamma", "inverse_gamma_type", "no_real_roots")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scenario_json_round_trip_over_models_and_optional_fields(data):
+    # either X model, every hypothesis, and each optional field present or absent: the reader gives back the spec,
+    # and writing it again gives back the text
+    if data.draw(st.booleans(), label="chaos X"):
+        tail = data.draw(st.lists(st.floats(-3.0, 3.0).filter(bool), min_size=1, max_size=5), label="coeffs")
+        x_model = HermiteSeries((0.0, *tail))
+    else:
+        x_model = build_law(data.draw(st.sampled_from(list(WIDER_COEFFS.values())), label="x triple"))
+    optional = {
+        "confidence": data.draw(st.none() | st.floats(1e-6, 1.0 - 1e-6), label="confidence"),
+        "reference_upper": data.draw(st.none() | st.sampled_from(ROUND_TRIP_REFERENCES), label="reference_upper"),
+        "c_lower": data.draw(st.none() | st.floats(2.0, 1e3, exclude_min=True), label="c"),
+        "k_upper": data.draw(st.none() | st.floats(1e-3, 1e3), label="K"),
+    }
+    spec_kwargs = dict(
+        x_model=x_model,
+        reference=data.draw(st.sampled_from(ROUND_TRIP_REFERENCES), label="reference"),
+        hypothesis=data.draw(st.sampled_from(list(Hypothesis)), label="hypothesis"),
+        z_grid=tuple(sorted(data.draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=5, unique=True)))),
+        n_samples=data.draw(st.integers(10**4, 10**9), label="n_samples"),
+        seed=data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        **{k: v for k, v in optional.items() if v is not None},
+    )
+    upper = optional["reference_upper"] or spec_kwargs["reference"]
+    if spec_kwargs["hypothesis"] is not Hypothesis.DOMINATES_LOWER and optional["k_upper"] is None:
+        assume(upper.alpha < 0.5)  # no default K without a third moment
+    spec = ScenarioSpec(**spec_kwargs)
+    text = scenario_to_json(spec)
+    back = scenario_from_json(text)
+    assert back == spec and scenario_to_json(back) == text
 
 
 def test_scenario_integers_take_integer_values_and_refuse_the_rest():
