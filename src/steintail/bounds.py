@@ -39,6 +39,7 @@ from .pearson import PearsonCoefficients, PearsonLaw, q_function
 
 __all__ = [
     "Direction",
+    "EXPLICIT_C",
     "phi_envelope",
     "implicit_integral",
     "implicit_lower_bound",
@@ -51,6 +52,9 @@ __all__ = [
     "variance_bound_check",
     "statement_table",
 ]
+
+
+EXPLICIT_C = 4.0  # the explicit lower bound's constant c where a caller gives none
 
 
 class Direction(str, Enum):
@@ -219,7 +223,7 @@ Statement = namedtuple("Statement", "name side value asserted")  # side "lower" 
 
 
 def statement_table(lower: PearsonLaw | None, upper: PearsonLaw | None, z, at_z, x_end: float = math.inf,
-                    c: float = 4.0, k: float | None = None) -> tuple[list[Statement], dict]:
+                    c: float = EXPLICIT_C, k: float | None = None) -> tuple[list[Statement], dict]:
     """The comparison statements on a z grid, one row each, and the constants they use (decision 6 tabulates both).
 
     A side under a dominance hypothesis names its reference law, the other None; at_z and ``x_end`` are X's.  The

@@ -238,9 +238,15 @@ def _rounded(coeffs) -> tuple[float, ...]:
     return tuple(c)
 
 
+def _series(x_series) -> HermiteSeries:
+    if not isinstance(x_series, HermiteSeries):
+        raise DomainError(f"x_series must be a HermiteSeries, got {x_series!r}")
+    return x_series
+
+
 def malliavin_G(x_series: HermiteSeries) -> tuple[float, ...]:
     """G(N) = X'(N) * sum_m c_m H_{m-1}(N) in monomial form, each coefficient rounded once from its exact value."""
-    c = x_series.coeffs
+    c = _series(x_series).coeffs
     deriv = _exact_monomials([k * Fraction(c[k]) for k in range(1, len(c))])  # sum n c_n H_{n-1}
     shift = _exact_monomials(c[1:])  # sum c_m H_{m-1}: the -DL^{-1} factor
     prod = [Fraction(0)] * (len(deriv) + len(shift) - 1)
@@ -313,9 +319,14 @@ class PolynomialChaosLaw:
         return _per_level(self, x, lambda v, pre, above: tuple(_gauss_integral(h, above) for h in herms), 3)
 
 
-@functools.lru_cache(maxsize=32)
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
-    """The exact law of X with X(n), X'(n) and G(n), cached per series: every kernel and margin asks for it."""
+    """The exact law of X with X(n), X'(n) and G(n), cached per series: every kernel and margin asks for it.
+    A value that is not a series raises DomainError before the cache is read."""
+    return _law_of_polynomial(_series(x_series))
+
+
+@functools.lru_cache(maxsize=32)
+def _law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
     poly = x_series.to_polynomial()  # degree >= 1: H_n has leading coefficient 1
     dpoly = _rounded(npoly.polyder(poly))
     crit = tuple(_real_roots(dpoly))

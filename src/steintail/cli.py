@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="certified lower/upper tail bounds on a z grid")
     _add_coeff_args(p)
     p.add_argument("--z-grid", type=str, required=True)
-    p.add_argument("--c", type=float, default=4.0)
+    p.add_argument("--c", type=float, default=bounds.EXPLICIT_C)
     p.add_argument("--K", type=float, default=None)
     _add_output_args(p)
 

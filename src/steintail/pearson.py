@@ -861,6 +861,8 @@ def tail_asymptotics(law: PearsonLaw) -> tuple[float, float, float]:
     Gamma: K = C s e^(-mu/s), p = r, scale = s.  Quadratic kernels: p = -1/alpha,
     scale = inf.  A finite right end or a Gaussian tail raises ``UnsupportedCaseError``.
     """
+    if not isinstance(law, PearsonLaw):
+        raise DomainError(f"law must be a PearsonLaw, got {law!r}")
     form = _CASES[law.case].right_tail
     if form is None or law.support_b != math.inf:
         raise UnsupportedCaseError(f"no right tail g rho ~ K z^p e^(-z/scale) for case {law.case.value}"

@@ -1,20 +1,16 @@
-"""Scenario harness: assemble a variable, a reference law, and a dominance
-hypothesis into per-threshold tail verdicts.
+"""Scenario harness: assemble a variable, a reference law, and a dominance hypothesis into per-threshold
+tail verdicts.
 
-A scenario fixes a model for X (a polynomial chaos variable with an exact law,
-or a quadratic-kernel law), a reference coefficient triple, a z grid, and a
-sample budget.  The runner certifies the dominance hypothesis exactly, over the
-whole support of X, through one polynomial margin routine for both models
-(``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible
-counter-based uniforms, and compares the empirical survival function, wrapped
-in its Dvoretzky-Kiefer-Wolfowitz band, against the rows of
-``bounds.statement_table``, which owns where each bound is asserted: a miss
-there fails, any other miss is inconclusive.  Both models count on the
-uniforms, mapping only the draws in narrow bands around the ends of each
-{X > z}; the counts equal those of mapping every draw (decision 10).
-Certification, counting and the bounds read X through one model, ``_model``.
-Once the expected tail count n * S(z) drops under 100 the exact tail replaces
-the empirical estimate (relative Monte-Carlo error explodes out there).
+A scenario fixes a model for X (a polynomial chaos variable with an exact law, or a quadratic-kernel law),
+a reference coefficient triple, a z grid, and a sample budget.  The runner certifies the dominance
+hypothesis exactly, over the whole support of X, through one polynomial margin routine for both models
+(``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible counter-based uniforms, and
+compares the empirical survival function, wrapped in its Dvoretzky-Kiefer-Wolfowitz band, against the rows
+of ``bounds.statement_table``, which owns where each bound is asserted: a miss there fails, any other miss
+is inconclusive.  Both models count the uniforms on the ends of the intervals of u where X > z, which X's
+law gives (decision 10).  Certification, counting and the bounds read X through one model, ``_model``.
+Once the expected tail count n * S(z) drops under 100 the exact tail replaces the empirical estimate
+(relative Monte-Carlo error explodes out there).
 """
 
 from __future__ import annotations
@@ -25,10 +21,9 @@ import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import bounds, chaos, pearson, rng
 from .chaos import HermiteSeries
@@ -73,10 +68,15 @@ class ScenarioSpec:
     seed: int
     confidence: float = 0.99
     reference_upper: Optional[PearsonCoefficients] = None
-    c_lower: float = 4.0
+    c_lower: float = bounds.EXPLICIT_C
     k_upper: Optional[float] = None
 
     def __post_init__(self):
+        with reading("hypothesis"):  # a valid string becomes the member
+            object.__setattr__(self, "hypothesis", Hypothesis(self.hypothesis))
+        for name, value in (("reference", self.reference), ("reference_upper", self.upper_coeffs)):
+            if not isinstance(value, PearsonCoefficients):
+                raise DomainError(f"{name} must be a PearsonCoefficients triple, got {value!r}")
         object.__setattr__(self, "n_samples", as_int(self.n_samples, "n_samples"))
         object.__setattr__(self, "seed", as_int(self.seed, "seed"))
         for name in ("confidence", "c_lower") + (("k_upper",) if self.k_upper is not None else ()):
@@ -152,8 +152,8 @@ class TailReport:
         for name in ("phi_star", "lower_cert", "upper_cert", "empirical", "verdicts"):
             if len(getattr(self, name)) != n:
                 raise DomainError(f"TailReport field {name} length mismatch")
-        if any(b >= a for a, b in zip(self.phi_star, self.phi_star[1:])):
-            raise DomainError("phi_star must be strictly decreasing along the grid")
+        if any(b > a for a, b in zip(self.phi_star, self.phi_star[1:])):  # rounded tails may tie
+            raise DomainError("phi_star must be non-increasing along the grid")
 
     @property
     def all_passed(self) -> bool:
@@ -211,128 +211,57 @@ def _certify(spec: ScenarioSpec, model: _Model) -> dict:
 # ---------------------------------------------------------------------------
 # the X model, block sampling and counting
 
-_BAND = 1e-6  # first half-width, in logit, of the band of uniforms mapped around an end
-_WIDEN = 16.0  # a band whose check fails widens by this factor
-_ROUNDING = 2.0**-32  # margin for the map's rounding, relative to the model's size (decision 10)
-_OFFSETS = np.array([-1.0, -0.5, 0.5, 1.0])  # a band's lower end, its check points and its upper end, in half-widths
-
-_Model = namedtuple("_Model", "base x_of size ends poly gpoly domain moments x_end")
+_Model = namedtuple("_Model", "intervals poly gpoly domain moments x_end")
 
 
 def _model(x_model: Union[HermiteSeries, PearsonLaw]) -> _Model:
     """What the runner reads of an X model, its one dispatch on the model (docs/DECISIONS.md, decisions 7, 10).
 
-    A draw u is X = x_of(t) at t = quantile_grid(base, u), non-increasing in u; ``_ROUNDING`` * size(t)
-    covers the map's rounding, and ends(z) are the sorted t where X - z changes sign (True) or comes within
-    twice that margin of 0 (False), with whether X > z as t -> +inf.  X is the polynomial ``poly`` of a
-    variable on ``domain``, where G is ``gpoly``; moments(y) is (P[X > y], E[X; X > y], E[X^2; X > y]),
-    y a number or an array, and ``x_end`` is X's right end.
-
-    A Pearson X is the variable x on its support, its own kernel standing for G, with one end, at P[X > z].
-    A chaos X is X(n) by Horner at n = the Normal's inverse of u; its size, sum |c_k| n^k at the farthest
-    n a draw reaches, bounds Horner's rounding at every draw.  Its ends are the crossings of z and the
-    critical points whose value lies within twice the margin of z.
+    intervals(zs) is (lo, hi, owner): the open intervals of u on which X > z, a draw u standing for X's exact
+    inverse at u, and the threshold each belongs to, from one tail call for the grid.  A Pearson X exceeds z
+    on (0, P[X > z]); a chaos X(n), n the Normal's inverse of u, on (P[N > n_hi], P[N > n_lo]) for each
+    interval (n_lo, n_hi) of ``level(z)``.  X is the polynomial ``poly`` (x itself for a Pearson X, whose kernel
+    stands for G) of a variable on ``domain``, where G is ``gpoly``; moments(y) is (P[X > y], E[X; X > y],
+    E[X^2; X > y]), y a number or an array, and ``x_end`` is X's right end.  Any other model raises DomainError.
     """
     if isinstance(x_model, PearsonLaw):
         c = x_model.coeffs
-        scale = math.sqrt(x_model.variance) + sum(abs(v) for v in (x_model.mu, x_model.support_a, x_model.support_b)
-                                                  if v is not None and math.isfinite(v))
-        return _Model(x_model, lambda t: t, lambda t: np.abs(t) + scale, lambda z: ([(z, True)], True),
+        return _Model(lambda zs: (np.zeros(zs.size), pearson.tail(x_model, zs), np.arange(zs.size)),
                       (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x_model.support_a, x_model.support_b),
                       functools.partial(pearson.partial_moments, x_model), x_model.support_b)
+    if not isinstance(x_model, HermiteSeries):
+        raise DomainError(f"x_model must be a HermiteSeries or a PearsonLaw, got {x_model!r}")
     law, normal = chaos.law_of_polynomial(x_model), build_law(PearsonCoefficients(0.0, 0.0, 1.0))
-    reach = np.abs(pearson.quantile_grid(normal, np.array([U_MIN, U_MAX]))).max()  # the farthest n a draw reaches
-    size = float(npoly.polyval(reach, np.abs(law.poly)))
-    margin = 2.0 * _ROUNDING * size
 
-    def ends(z: float) -> tuple[list[tuple[float, bool]], bool]:
-        pre, above = law.level(z)
-        near = [(n, False) for n, v in zip(law.crit_points, law.crit_values) if abs(v - z) <= margin]
-        return sorted([(n, True) for n, _ in pre] + near), bool(above) and above[-1][1] == math.inf
+    def intervals(zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        above = [law.level(z)[1] for z in zs.tolist()]
+        owner = np.repeat(np.arange(zs.size), [len(a) for a in above])
+        n_lo, n_hi = np.array([ends for a in above for ends in a], dtype=float).reshape(-1, 2).T
+        p = pearson.tail(normal, np.concatenate([n_hi, n_lo]))  # u falls as n rises
+        return p[:owner.size], p[owner.size:], owner
 
-    return _Model(normal, lambda t: npoly.polyval(t, law.poly), lambda t: np.full(np.shape(t), size), ends,
-                  law.poly, law.gpoly, (-math.inf, math.inf), law.partial_moments, law.support_b)
-
-
-def _bands(model: _Model, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The bands of uniforms [lo, hi] mapped around the ends of each {X > z}, by threshold and then by u:
-    lo, hi, the threshold of each, whether the draws between it and the band below and above count
-    (X > z there and a gap between the bands), and whether X > z on each threshold's highest piece.
-
-    A band starts at logit P[T > t_end] +- ``_BAND``, T the base variable.  Each of its ends is accepted
-    once the piece beyond it holds no draw, or the map at the check point halfway to the centre lies on
-    that piece's side of z by ``_ROUNDING`` * size.  A failing band widens by ``_WIDEN``; by a half-width
-    of 2^8 it holds every draw.  Each round maps the check points of every open band in one call.  Last,
-    each band takes in the parts of its threshold's bands that reach past it (docs/DECISIONS.md, decision 10).
-    """
-    base, x_of, size_of, model_ends = model[:4]
-    t_ends, owner, up, high = [], [], [], []
-    for i, z in enumerate(zs.tolist()):
-        ends, top = model_ends(z)
-        signs = np.logical_xor.accumulate([top, *(flips for _, flips in reversed(ends))])  # u rises as t falls
-        t_ends, owner, high = t_ends + [t for t, _ in reversed(ends)], owner + [i] * len(ends), high + [signs[-1]]
-        up += zip(signs[:-1], signs[1:])
-    owner, up = np.array(owner, dtype=np.intp), np.array(up, dtype=bool).reshape(-1, 2)
-    p = np.clip(pearson.tail(base, np.array(t_ends, dtype=float)), U_MIN, U_MAX)
-    centres, z = np.log(p) - np.log1p(-p), zs[owner, None]
-    first, last = np.diff(owner, prepend=-1) != 0, np.diff(owner, append=-1) != 0  # among their threshold's ends
-    prev, nxt = np.arange(-1, owner.size - 1), np.arange(1 - owner.size, 1)  # neighbours, wrapping where first, last
-    u, x, size = np.empty((owner.size, 4)), np.empty((owner.size, 2)), np.empty((owner.size, 2))
-    lo, c_lo, c_hi, hi = u.T  # views: every round's writes to u show through
-    w, todo = np.full(owner.size, _BAND), np.arange(owner.size)
-    while todo.size:
-        with np.errstate(over="ignore"):  # expit of the ends and check points, in the uniforms' range
-            u[todo] = np.clip(1.0 / (1.0 + np.exp(-centres[todo, None] - w[todo, None] * _OFFSETS)), U_MIN, U_MAX)
-        t = pearson.quantile_grid(base, u[todo, 1:3])
-        x[todo], size[todo] = x_of(t), size_of(t)
-        side = np.where(up, x - z, z - x) > _ROUNDING * size  # each check point on its piece's side of z
-        done = (((lo <= np.where(first, U_MIN, hi[prev])) | ((c_lo > lo) & side[:, 0]))
-                & ((hi >= np.where(last, U_MAX, lo[nxt])) | ((c_hi < hi) & side[:, 1])))
-        todo = np.flatnonzero(~done)
-        w[todo] *= _WIDEN
-    for js in (owner == i for i in np.unique(owner[~first])):
-        lo[js], hi[js] = np.minimum.accumulate(lo[js][::-1])[::-1], np.maximum.accumulate(hi[js])
-    up[:, 0] &= first | (hi[prev] < lo)  # a piece that neighbouring bands cover holds no draw to count
-    up[:, 1] &= last | (hi < lo[nxt])
-    return lo, hi, owner, up, np.array(high, dtype=bool)
-
-
-def _counter(model: _Model, seed: int, zs: np.ndarray) -> Callable[[int, int], np.ndarray]:
-    """Block b's exceedance counts from its uniforms, one compare-and-count pass per band end: a draw
-    between two bands counts where X > z there, and only the draws inside a band are mapped, each once."""
-    base, x_of = model[:2]
-    lo, hi, owner, up, high = _bands(model, zs)
-    m, points = lo.size, np.concatenate([lo, np.nextafter(hi, 2.0)])  # u >= lo and u <= hi as counts of u < them
-    weights = np.zeros((zs.size, 2 * m + 1), dtype=np.int64)  # counts between the bands = weights @ (counts below
-    weights[owner, np.arange(m)], weights[owner, np.arange(m, 2 * m)] = up[:, 0], -1 * up[:, 1]  # points, size)
-    weights[:, -1] = high
-
-    def count(b: int, size: int) -> np.ndarray:
-        u = rng.uniform_block(seed, b, size)
-        below = np.array([*(np.count_nonzero(u < v) for v in points), size], dtype=np.int64)
-        counts, hit = weights @ below, np.flatnonzero(below[m:-1] > below[:m])
-        if hit.size:  # draws inside a band: the map decides
-            v = u[np.logical_or.reduce([(u >= lo[j]) & (u <= hi[j]) for j in hit])]
-            xs = x_of(pearson.quantile_grid(base, v))
-            for i in np.unique(owner[hit]):
-                mine = np.logical_or.reduce([(v >= lo[j]) & (v <= hi[j]) for j in hit[owner[hit] == i]])
-                counts[i] += np.count_nonzero(xs[mine] > zs[i])
-        return counts
-
-    return count
+    return _Model(intervals, law.poly, law.gpoly, (-math.inf, math.inf), law.partial_moments, law.support_b)
 
 
 def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray) -> np.ndarray:
-    """Exceedance counts of the model's n draws from ``seed`` per grid point, summed over the blocks.
+    """Exceedance counts of the model's n draws from ``seed`` per grid point: the draws strictly inside one of its
+    intervals, #(u < hi) - #(u <= lo), summed over the blocks (docs/DECISIONS.md, decision 10).
 
-    ``_counter`` finds the bands once; each block is then drawn and counted in turn, on the calling
-    thread.  Block b is a function of (seed, b) alone and the counts are integers, so the sum does
-    not depend on the order of the blocks (docs/DECISIONS.md, decision 10).
+    Each block makes one compare-and-count pass per distinct end inside the range of the uniforms, and an
+    integer weight matrix sums them by threshold.  The blocks are counted in turn on the calling thread; block b
+    depends on (seed, b) alone, so the sum does not depend on their order.
     """
-    count, bs = _counter(model, seed, zs), rng.BLOCK_SIZE
+    lo, hi, owner = model.intervals(zs)
+    keep = hi > lo  # an interval that rounds empty holds no draw
+    points, column = np.unique(np.concatenate([hi[keep], np.nextafter(lo[keep], 2.0)]), return_inverse=True)
+    weights = np.zeros((zs.size, points.size), dtype=np.int64)
+    np.add.at(weights, (np.tile(owner[keep], 2), column), np.repeat([1, -1], np.count_nonzero(keep)))
+    read = (points > U_MIN) & (points <= U_MAX)  # u < v holds for no draw at v <= U_MIN and for every one past U_MAX
+    every, weights, points = weights[:, points > U_MAX].sum(axis=1), weights[:, read], points[read]
     total = np.zeros(zs.shape, dtype=np.int64)
     for b in range(rng.n_blocks(n)):
-        total += count(b, min(bs, n - b * bs))
+        u = rng.uniform_block(seed, b, min(rng.BLOCK_SIZE, n - b * rng.BLOCK_SIZE))
+        total += weights @ np.array([np.count_nonzero(u < v) for v in points], dtype=np.int64) + every * u.size
     return total
 
 
@@ -352,8 +281,7 @@ def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailRep
     cert_info = _certify(spec, model)
 
     zs = np.asarray(spec.z_grid)
-    counts = _tail_counts(model, spec.seed, spec.n_samples, zs)
-    emp = counts / spec.n_samples
+    emp = _tail_counts(model, spec.seed, spec.n_samples, zs) / spec.n_samples
     eps = dkw_half_width(spec.n_samples, spec.confidence)
 
     at_z = model.moments(zs)

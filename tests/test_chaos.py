@@ -645,7 +645,7 @@ def test_level_evaluators_on_floats_equal_the_array_form_bit_for_bit(lower, lead
             mock.patch.object(chaos, "_gauss_integral", _gauss_integral_on_arrays), \
             mock.patch.object(chaos, "_preimage_weights", lambda pre: _phi_on_arrays([n for n, _ in pre])
                               / np.abs([d for _, d in pre])):
-        on_arrays = law_of_polynomial.__wrapped__(series)
+        on_arrays = chaos._law_of_polynomial.__wrapped__(series)
         assert on_arrays == law
         assert _outcomes(series, levels, on_arrays) == got
 

@@ -1,6 +1,6 @@
 """One call per grid: every pointwise evaluator of pearson, chaos and bounds takes a number or an
 array of any shape, and an array call equals the calls at its numbers to the bit.  The callers
-(stein's certification grid, the scenario runner and its bands) make one call per grid."""
+(stein's certification grid, the scenario runner and its interval ends) make one call per grid."""
 
 import json
 import math
@@ -302,28 +302,18 @@ def test_run_scenario_reads_moments_once_on_the_grid_and_once_at_b(monkeypatch, 
     assert calls == [(len(zs),)]
 
 
-@pytest.mark.parametrize("coeffs, zs", [
-    (PearsonCoefficients(0.25, 0.0, 0.25), (1.0, 2.0, 3.0, 5.0, 8.0)),
-    (PearsonCoefficients(0.0, 2.0, 2.0), (1.0, 2.0, 3.0, 5.0, 8.0)),
-], ids=["case5", "gamma"])
-def test_bands_map_every_threshold_in_one_call_per_round(monkeypatch, coeffs, zs):
-    calls, quantile_grid = [], pearson.quantile_grid
-    monkeypatch.setattr(pearson, "quantile_grid", lambda law, p: calls.append(np.size(p)) or quantile_grid(law, p))
-    verify._bands(verify._model(build_law(coeffs)), np.array(zs))
-    assert calls == [2 * len(zs)]  # every band passes its first check: one round, two points per threshold
-
-
-def test_widening_bands_leave_the_round_once_they_pass(monkeypatch):
-    # the Beta whose bulk sits within ulps of its left end: the bands next to it widen, the others pass at once
-    r, s = 0.02, 1.0
-    alpha, a, b = -1.0 / (r + s), -r / (r + s), s / (r + s)
-    law = build_law(PearsonCoefficients(alpha, -alpha * (a + b), alpha * a * b))
-    zs = np.sort(pearson.quantile_grid(law, np.array([0.6, 0.5, 0.3, 0.1, 1e-3])))
-    calls, quantile_grid = [], pearson.quantile_grid
-    monkeypatch.setattr(pearson, "quantile_grid", lambda law, p: calls.append(np.size(p)) or quantile_grid(law, p))
-    verify._bands(verify._model(law), zs)
-    assert calls[0] == 2 * zs.size and 2 <= len(calls) <= 9  # a half-width of 2^8 ends every band
-    assert all(n > 0 and n % 2 == 0 for n in calls) and calls == sorted(calls, reverse=True) and calls[1] < calls[0]
+@pytest.mark.parametrize("x_model, points, intervals", [
+    (build_law(PearsonCoefficients(0.25, 0.0, 0.25)), 5, 5),
+    (build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5, 5),
+    (HermiteSeries((0.0, 0.0, 1.0)), 20, 10),
+], ids=["case5", "gamma", "chaos"])
+def test_the_model_reads_every_threshold_s_ends_in_one_tail_call(monkeypatch, x_model, points, intervals):
+    # a Pearson X's tail on the grid, or the Normal's tail at both ends of H2's two superlevel intervals per z
+    calls, tail = [], pearson.tail
+    monkeypatch.setattr(pearson, "tail", lambda law, z: calls.append(np.size(z)) or tail(law, z))
+    lo, hi, owner = verify._model(x_model).intervals(np.array([1.0, 2.0, 3.0, 5.0, 8.0]))
+    assert calls == [points]
+    assert lo.size == hi.size == intervals and owner.tolist() == np.repeat(np.arange(5), intervals // 5).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Only ``rng`` spells the range of the uniforms, and ``verify`` tests the type of
 an X model only in ``_model`` and in scenario (de)serialization.  ``run_scenario``
 reaches ``bounds`` only through its statement table.  Each rule about a comparison's
 inputs has one owner: a coefficient triple checks itself when it is made, the
-scenario reader casts nothing, and only ``bounds`` tests the upper multiplier K.
+scenario reader casts nothing, only ``bounds`` tests the upper multiplier K, and
+only ``bounds`` spells the default of the explicit bound's constant c.  ``verify``
+maps no draw through the sampler's inverse.
 """
 
 import ast
@@ -304,3 +306,37 @@ def test_each_input_rule_has_one_owner():
     assert not others, f"modules other than bounds that test K: {others}"
     owner = _function(modules["bounds"], "pearson_upper_multiplier")
     assert any(_tests_k(n, {"k"}) for n in ast.walk(owner)), "bounds.pearson_upper_multiplier no longer tests k"
+    spelled = [f"{name}:{line}" for name, tree in modules.items() for line in _c_defaults(tree)]
+    assert len(spelled) == 1 and spelled[0].startswith("bounds:"), f"c's default, spelled once in bounds: {spelled}"
+
+
+C_NAMES = {"c", "c_lower", "--c"}  # the explicit lower bound's constant, as bounds, the scenario spec and the CLI name it
+
+
+def _c_defaults(tree: ast.Module) -> list[int]:
+    """Lines where a number is given to c as its default: a parameter, a field, a ``--c`` option or a module constant
+    that a default of c reads."""
+    lines, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments):
+            args = node.posonlyargs + node.args
+            pairs = [*zip(args[len(args) - len(node.defaults):], node.defaults), *zip(node.kwonlyargs, node.kw_defaults)]
+            defaults = [d for a, d in pairs if a.arg in C_NAMES]
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) in C_NAMES:
+            defaults = [node.value]
+        elif isinstance(node, ast.Call) and any(isinstance(a, ast.Constant) and a.value in C_NAMES for a in node.args):
+            defaults = [k.value for k in node.keywords if k.arg == "default"]
+        else:
+            continue
+        lines += [d.lineno for d in defaults if isinstance(d, ast.Constant)]
+        read |= {getattr(d, "id", None) for d in defaults}
+    lines += [node.lineno for node in tree.body if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+              and any(t.id in read for t in node.targets if isinstance(t, ast.Name))]
+    return sorted(lines)
+
+
+def test_verify_maps_no_draw():
+    # verify counts {X > z} on the ends of its intervals of u, which X's law gives; the sampler's inverse is not read
+    calls = [node.lineno for node in ast.walk(_modules()["verify"])
+             if isinstance(node, ast.Attribute) and node.attr == "quantile_grid"]
+    assert not calls, f"verify names pearson.quantile_grid at lines {calls}"

@@ -9,7 +9,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from steintail import bounds, chaos, cli, pearson, stein, verify
+from steintail import bounds, chaos, cli, pearson, rng, stein, verify
 from steintail.chaos import HermiteSeries
 from steintail.errors import (
     DomainError,
@@ -162,11 +162,15 @@ LAW, SERIES, ZS, YS = build_law(GAMMA), HermiteSeries((0.0, 1.0, 0.0, 0.1)), [1.
     (lambda: chaos.margin_extrema(["a"], (1.0,), GAMMA, (0.0, 1.0)), "a polynomial's coefficients must be a real number"),
     (lambda: stein.evaluate(stein.solve_indicator(LAW, 1.0), "a"), "the grid must be a real number or an array"),
     (lambda: stein.certify_fprime(stein.solve_indicator(LAW, 1.0), ["a"]), "the grid must be a real number or an array"),
+    (lambda: chaos.malliavin_G("a"), "x_series must be a HermiteSeries, got 'a'"),
+    (lambda: chaos.law_of_polynomial("x"), "x_series must be a HermiteSeries, got 'x'"),
+    (lambda: bounds.asymptotic_tail_constant("x"), "law must be a PearsonLaw, got 'x'"),
 ], ids=["quantile_grid-p", "ibp_check-m", "ibp_check-scalar-m", "empirical_tail-samples", "empirical_tail-confidence",
         "slope_estimate-mode", "slope_estimate-p", "pearson_upper_constant-alpha", "pearson_lower-c",
         "normalized_tail-z", "moment_exists-m", "margin_extrema-domain", "variance_bound_check-nan",
         "variance_bound_check-direction", "implicit_integral-z", "phi_envelope-x", "statement_table-z",
-        "margin_extrema-x_poly", "evaluate-grid", "certify_fprime-grid"])
+        "margin_extrema-x_poly", "evaluate-grid", "certify_fprime-grid", "malliavin_G-series", "law_of_polynomial-series",
+        "asymptotic_tail_constant-law"])
 def test_a_public_argument_of_the_wrong_kind_raises_domain_error_naming_it(call, message):
     # before, each raised a bare ValueError, TypeError or AttributeError, or (a NaN variance) returned False
     with pytest.raises(DomainError, match=re.escape(message)):
@@ -175,6 +179,28 @@ def test_a_public_argument_of_the_wrong_kind_raises_domain_error_naming_it(call,
 
 SPEC = dict(x_model=HermiteSeries((0.0, 0.0, 1.0)), reference=GAMMA, hypothesis=Hypothesis.SANDWICH,
             z_grid=(1.0, 2.0), n_samples=10**4, seed=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hypothesis", "x", "malformed hypothesis (ValueError: 'x' is not a valid Hypothesis)"),
+    ("x_model", "x", "x_model must be a HermiteSeries or a PearsonLaw, got 'x'"),
+    ("reference", "x", "reference must be a PearsonCoefficients triple, got 'x'"),
+], ids=["hypothesis", "x_model", "reference"])
+def test_a_scenario_of_the_wrong_kind_is_refused_before_any_draw(monkeypatch, field, value, message):
+    # before, each was accepted or raised a bare AttributeError: a wrong hypothesis after counting every draw
+    def refuse(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(rng, "uniform_block", refuse)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        verify.run_scenario(ScenarioSpec(**{**SPEC, field: value}))
+
+
+def test_a_hypothesis_given_by_its_value_runs_as_the_member():
+    # before, "Sandwich" counted every draw and then raised a bare AttributeError writing the report
+    spec = ScenarioSpec(**{**SPEC, "hypothesis": "Sandwich"})
+    assert spec.hypothesis is Hypothesis.SANDWICH
+    assert verify.run_scenario(spec).to_json() == verify.run_scenario(ScenarioSpec(**SPEC)).to_json()
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -4,6 +4,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from conftest import CANONICAL_COEFFS, WIDER_COEFFS
@@ -403,13 +404,30 @@ def test_chunked_counts_match_the_whole_stream(x_model, zs, n):
 
 
 # ---------------------------------------------------------------------------
-# a Pearson X counted in uniform space, against the full map of its stream
+# both X models counted in uniform space, on the intervals of u that X's law gives
+
+
+def _inside(model, u, zs):
+    """Per threshold, whether each draw lies strictly inside one of its intervals, tested one by one."""
+    lo, hi, owner = model.intervals(np.asarray(zs, dtype=float))
+    return np.array([np.logical_or.reduce([(lo[j] < u) & (u < hi[j]) for j in np.flatnonzero(owner == i)]
+                                          + [np.zeros(u.shape, dtype=bool)]) for i in range(len(zs))])
+
+
+def _brute_force(model, seed, n, zs):
+    """Per threshold, the draws of the whole stream strictly inside one of its intervals."""
+    return np.count_nonzero(_inside(model, rng.uniform_stream(seed, n), zs), axis=1).tolist()
 
 
 def _counts_and_oracle(law, seed, n, zs):
     counts = verify._tail_counts(verify._model(law), seed, n, np.asarray(zs, dtype=float))
     xs = pearson.quantile_grid(law, rng.uniform_stream(seed, n))
     return counts.tolist(), [int(np.count_nonzero(xs > z)) for z in zs]
+
+
+def _logit(p):
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
 
 
 @pytest.fixture
@@ -435,77 +453,23 @@ def _thresholds(draw, law):
 
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_uniform_space_counts_match_the_full_map(data):
-    # all five cases and the mirrored Gamma and inverse-gamma type; n mostly ends mid-block
-    # and, from the stream, one drawn X and the double just below it, whose band holds that draw
+def test_pearson_counts_match_a_brute_force_count_of_the_intervals(data):
+    # all five cases and the mirrored Gamma and inverse-gamma type; n mostly ends mid-block; thresholds
+    # on a drawn X and the doubles beside it.  The table's map of a draw decides as the interval does
+    # except within its 1e-10 logit contract of the end, P[X > z]
     law = build_law(WIDER_COEFFS[data.draw(st.sampled_from(sorted(WIDER_COEFFS)), label="law")])
     n = data.draw(st.integers(1, 3 * rng.BLOCK_SIZE), label="n")
     seed = data.draw(st.integers(0, 2**63), label="seed")
-    x = float(pearson.quantile_grid(law, rng.uniform_stream(seed, n)[data.draw(st.integers(0, n - 1), label="j")]))
-    zs = data.draw(_thresholds(law), label="zs") + [x, math.nextafter(x, -math.inf)]
-    counts, oracle = _counts_and_oracle(law, seed, n, zs)
-    assert counts == oracle
-
-
-def test_a_threshold_at_a_drawn_value_is_decided_by_the_map(mapped_points):
-    # z equal to one drawn X: that draw lies in z's band, so the map decides the tie (it does not count)
-    law, seed, n = build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5, rng.BLOCK_SIZE + 3
     u = rng.uniform_stream(seed, n)
-    k = int(np.argmin(np.abs(u - 0.3)))
-    z = float(pearson.quantile_grid(law, u[k]))
-    mapped_points.clear()
-    counts = verify._tail_counts(verify._model(law), seed, n, np.array([z]))
-    assert u[k] in np.concatenate(mapped_points)
-    assert counts.tolist() == [int(np.count_nonzero(pearson.quantile_grid(law, u) > z))]
-
-
-def test_thresholds_outside_the_support_and_past_the_smallest_uniform():
-    # Beta on (-0.5, 0.5): P[X > z] = 0 right of it and 1 left of it; Gamma at z = 100: P[X > z] < 2^-53
-    beta, gamma = build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), build_law(PearsonCoefficients(0.0, 2.0, 2.0))
-    assert pearson.tail(beta, [0.6, -0.7]).tolist() == [0.0, 1.0] and 0.0 < pearson.tail(gamma, 100.0) < 2.0**-53
-    n = 2 * rng.BLOCK_SIZE + 9
-    counts, oracle = _counts_and_oracle(beta, 11, n, [-0.7, 0.6])
-    assert counts == oracle == [n, 0]
-    counts, oracle = _counts_and_oracle(gamma, 11, n, [100.0])
-    assert counts == oracle == [0]
-
-
-def test_bands_widen_where_the_bulk_sits_within_ulps_of_an_end(mapped_points):
-    # Beta with r = 0.02, s = 1 on (-0.0196, 0.980): the median is about 1e-15 above a, so the map
-    # cannot tell the band's ends from z; the bands widen, up to the whole range, and counts still match
-    r, s = 0.02, 1.0
-    alpha, a, b = -1.0 / (r + s), -r / (r + s), s / (r + s)
-    law = build_law(PearsonCoefficients(alpha, -alpha * (a + b), alpha * a * b))
-    assert law.r == pytest.approx(r) and law.s == pytest.approx(s)
-    zs = np.sort(pearson.quantile_grid(law, np.array([0.6, 0.5, 0.3, 0.1, 1e-3])))
-    lo, hi = verify._bands(verify._model(law), zs)[:2]
-    widths = np.log(hi / (1.0 - hi)) - np.log(lo / (1.0 - lo))
-    assert widths[0] > 70.0 and widths[-1] == pytest.approx(2 * verify._BAND, rel=1e-6)
-    assert np.count_nonzero(widths > 70.0) == 2  # two thresholds at a, whose bands hold every draw
-    n = 3 * rng.BLOCK_SIZE + 5
-    counts, oracle = _counts_and_oracle(law, 3, n, zs)
-    assert counts == oracle
-    # a draw in several bands is mapped once: at most one block's worth of points per block
-    count = verify._counter(verify._model(law), 3, zs)
-    for block in range(rng.n_blocks(n)):
-        mapped_points.clear()
-        size = min(rng.BLOCK_SIZE, n - block * rng.BLOCK_SIZE)
-        count(block, size)
-        assert sum(p.size for p in mapped_points) <= size
-
-
-def test_pearson_sandwich_maps_few_draws(mapped_points):
-    # a cost guard by count: a 10^6-draw Gamma sandwich maps its band draws and band checks only
-    # (10^6 points before, when every draw was mapped)
-    law = build_law(PearsonCoefficients(0.0, 2.0, 2.0))
-    spec = ScenarioSpec(x_model=law, reference=law.coeffs, hypothesis=Hypothesis.SANDWICH,
-                        z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=10**6, seed=20240527)
-    assert run_scenario(spec).all_passed
-    assert sum(p.size for p in mapped_points) <= 1000
-
-
-# ---------------------------------------------------------------------------
-# a chaos X counted in uniform space, against the full map of its stream
+    x = float(pearson.quantile_grid(law, u[data.draw(st.integers(0, n - 1), label="j")]))
+    zs = data.draw(_thresholds(law), label="zs") + [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    model = verify._model(law)
+    counts = verify._tail_counts(model, seed, n, np.asarray(zs))
+    assert counts.tolist() == _brute_force(model, seed, n, zs)
+    xs = pearson.quantile_grid(law, u)
+    for z, p, inside in zip(zs, pearson.tail(law, np.asarray(zs)), _inside(model, u, zs)):
+        differ = (xs > z) != inside
+        assert np.all(np.abs(_logit(u[differ]) - _logit(p)) <= 2e-10), (z, u[differ])
 
 
 @st.composite
@@ -522,9 +486,10 @@ def _series(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_chaos_counts_match_the_full_map(data):
-    # degrees 1-6; n mostly ends mid-block; thresholds on a drawn X and the double below it, on X at
-    # a drawn n (a preimage of that level), and on each critical value and the doubles beside it
+def test_chaos_counts_match_a_brute_force_count_of_the_intervals(data):
+    # degrees 1-6; n mostly ends mid-block; thresholds on a drawn X and the doubles beside it, on X at
+    # a drawn n (a preimage of that level), and on each critical value and the doubles beside it.  The
+    # map X(n) of a draw decides as the intervals do wherever it reads z off by more than Horner's rounding
     series = data.draw(_series(), label="series")
     n = data.draw(st.integers(1, 3 * rng.BLOCK_SIZE), label="n")
     seed = data.draw(st.integers(0, 2**63), label="seed")
@@ -532,32 +497,150 @@ def test_chaos_counts_match_the_full_map(data):
     x = float(xs[data.draw(st.integers(0, n - 1), label="j")])
     law = chaos.law_of_polynomial(series)
     at_n = float(npoly.polyval(data.draw(st.floats(-8.0, 8.0), label="n0"), law.poly))
-    crit = npoly.polyval(np.asarray(law.crit_points), law.poly).tolist()
-    zs = [x, math.nextafter(x, -math.inf), at_n] + [v for c in crit for v in (math.nextafter(c, -math.inf), c,
-                                                                           math.nextafter(c, math.inf))]
-    counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs))
-    assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
+    zs = [at_n] + [v for c in [x, *law.crit_values] for v in (math.nextafter(c, -math.inf), c,
+                                                              math.nextafter(c, math.inf))]
+    model = verify._model(series)
+    counts = verify._tail_counts(model, seed, n, np.asarray(zs))
+    assert counts.tolist() == _brute_force(model, seed, n, zs)
+    u = rng.uniform_stream(seed, n)
+    ns = pearson.quantile_grid(build_law(PearsonCoefficients(0.0, 0.0, 1.0)), u)
+    rounding = 2.0**-40 * npoly.polyval(np.abs(ns), np.abs(law.poly))
+    for z, inside in zip(zs, _inside(model, u, zs)):
+        differ = (xs > z) != inside
+        assert np.all(np.abs(xs[differ] - z) <= rounding[differ]), (z, xs[differ])
+
+
+def _mp_crossing_tails(poly, z):
+    """P[N > n] at each real simple root n of X(n) = z, X's monomial coefficients read exactly, in 50 digits."""
+    with mp.workdps(50):
+        coeffs = [mp.mpf(c) for c in poly]
+        coeffs[0] -= mp.mpf(z)
+        roots = mp.polyroots(coeffs[::-1], maxsteps=200, extraprec=200)
+        real = sorted(mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30)
+        return [float(mp.ncdf(-r)) for r in real]
 
 
 @pytest.mark.parametrize("coeffs, zs", [
-    ((0.0, 0.0, 0.0, 0.0, 1.0), (3.0, -6.0)),  # H4: a local maximum at 0 with value 3, minima at +-sqrt(3)
-    ((0.0, 0.0, 1.0), (-1.0, -1.0 + 1e-12)),  # H2 at its minimum, where {X > z} is the whole line but n = 0
+    ((0.0, 1.0), (-3.0, 0.5, 7.0)),
+    ((0.0, 0.0, 1.0), (-0.5, 1.0, 2.0, 3.0, 5.0, 8.0)),
+    ((0.0, 0.0, 0.0, 0.0, 1.0), (-5.0, 0.0, 3.5, 40.0)),
+    ((0.0, 1.0, 0.3, 0.125), (-2.0, 0.2, 1.0, 6.0)),
+    ((0.0, -0.4, 0.0, 0.2, 0.05, -0.01), (-3.0, -0.1, 0.7, 2.0)),
+    ((0.0, 0.2, -0.5, 0.0, 0.1, 0.0, 0.02), (-1.0, 0.3, 1.5, 30.0)),
+], ids=["H1", "H2", "H4", "degree3", "degree5", "degree6"])
+def test_chaos_ends_are_the_normal_tails_at_the_crossings(coeffs, zs):
+    # every end inside (0, 1) is P[N > n] at a root of X(n) = z, to 1e-12 relative of 50-digit mpmath roots
+    series = HermiteSeries(coeffs)
+    law = chaos.law_of_polynomial(series)
+    lo, hi, owner = verify._model(series).intervals(np.asarray(zs))
+    for i, z in enumerate(zs):
+        mine = owner == i
+        got = sorted(v for v in np.concatenate([lo[mine], hi[mine]]).tolist() if 0.0 < v < 1.0)
+        want = sorted(_mp_crossing_tails(law.poly, z))
+        assert len(got) == len(want), (z, got, want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_a_threshold_at_a_drawn_value_counts_the_draws_below_its_tail():
+    # z equal to one drawn X: a Pearson X exceeds z on (0, P[X > z]), and that draw sits at its end
+    law, seed, n = build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5, rng.BLOCK_SIZE + 3
+    u = rng.uniform_stream(seed, n)
+    k = int(np.argmin(np.abs(u - 0.3)))
+    z = float(pearson.quantile_grid(law, u[k]))
+    p = pearson.tail(law, z)
+    assert abs(_logit(u[k]) - _logit(p)) <= 1e-10  # the table's contract
+    counts = verify._tail_counts(verify._model(law), seed, n, np.array([z]))
+    assert counts.tolist() == [int(np.count_nonzero(u < p))] == _brute_force(verify._model(law), seed, n, [z])
+
+
+def test_thresholds_outside_the_support_and_past_the_smallest_uniform():
+    # Beta on (-0.5, 0.5): P[X > z] = 0 right of it and 1 left of it; Gamma at z = 100: P[X > z] < 2^-53
+    beta, gamma = build_law(PearsonCoefficients(-0.25, 0.0, 0.0625)), build_law(PearsonCoefficients(0.0, 2.0, 2.0))
+    assert pearson.tail(beta, [0.6, -0.7]).tolist() == [0.0, 1.0] and 0.0 < pearson.tail(gamma, 100.0) < 2.0**-53
+    n = 2 * rng.BLOCK_SIZE + 9
+    counts, oracle = _counts_and_oracle(beta, 11, n, [-0.7, 0.6])
+    assert counts == oracle == [n, 0]
+    counts, oracle = _counts_and_oracle(gamma, 11, n, [100.0])
+    assert counts == oracle == [0]
+
+
+def _beta(r, s, alpha):
+    """The Beta law with shapes (r, s) and quadratic coefficient alpha, on (a, b) = (-r, s) / (r + s) for
+    alpha = -1 / (r + s)."""
+    a, b = -r / (r + s), s / (r + s)
+    return build_law(PearsonCoefficients(alpha, -alpha * (a + b), alpha * a * b))
+
+
+def test_a_threshold_at_the_left_end_counts_every_draw():
+    # Beta with r = 0.02, s = 1 on (-0.0196, 0.980): the median is about 1e-15 above a, where the table's
+    # x cannot tell the draws apart; P[X > a] = 1 counts them all (the table's map counted 109,646)
+    law = _beta(0.02, 1.0, -1.0 / 1.02)
+    assert law.r == pytest.approx(0.02) and law.s == pytest.approx(1.0)
+    n = 3 * rng.BLOCK_SIZE + 5
+    zs = np.array([law.support_a, *np.sort(pearson.quantile_grid(law, np.array([0.1, 1e-3])))])
+    counts = verify._tail_counts(verify._model(law), 3, n, zs)
+    assert counts[0] == n
+    assert counts.tolist() == _brute_force(verify._model(law), 3, n, zs)
+
+
+def test_a_threshold_one_ulp_below_a_pole_at_b_reads_its_tail():
+    # the Beta whose mass sits within a few ulps of b = 1/51: one ulp below b, the table's map read
+    # 0.441964 against P[X > z] = 0.447513, 3.4 DKW half-widths off; the interval reads within one
+    law = build_law(PearsonCoefficients(-0.9803921568627451, -0.9419454056132256, 0.018846446690940887))
+    z, n = math.nextafter(law.support_b, 0.0), 10**6
+    assert z == 0.019607843137254898
+    count = verify._tail_counts(verify._model(law), 7, n, np.array([z]))[0]
+    assert abs(count / n - pearson.tail(law, z)) <= dkw_half_width(n, 0.99)
+
+
+@pytest.mark.parametrize("coeffs, zs, crossings", [
+    # H4: a local maximum at 0 with value 3, where z = 3 leaves |n| > sqrt(6); minima -6 at +-sqrt(3), where
+    # z = -6 leaves the whole line but two points
+    ((0.0, 0.0, 0.0, 0.0, 1.0), (3.0, -6.0), [(-math.sqrt(6.0), math.sqrt(6.0)), ()]),
+    # H2 at its minimum, where {X > z} is the whole line but n = 0, and just above it
+    ((0.0, 0.0, 1.0), (-1.0, -1.0 + 1e-12), [(), (-math.sqrt(1e-12 - 1.0 + 1.0), math.sqrt(1e-12 - 1.0 + 1.0))]),
 ], ids=["H4", "H2"])
-def test_a_threshold_at_a_critical_value_is_decided_by_the_map(mapped_points, coeffs, zs):
-    # the critical point is an end with a band of its own: the draws near it are mapped, the rest counted
+def test_a_threshold_at_a_critical_value_counts_by_its_intervals(mapped_points, coeffs, zs, crossings):
+    # a critical value at z ends no interval where X - z keeps its sign, and no draw is mapped: X > z on
+    # (0, P[N > n_2]) and (P[N > n_1], 1) past the crossings n_1 < n_2, or on (0, 1) without them
     series, n, seed = HermiteSeries(coeffs), 2 * rng.BLOCK_SIZE + 3, 9
+    lo, hi, owner = verify._model(series).intervals(np.asarray(zs))
+    for i, ns in enumerate(crossings):
+        with mp.workdps(30):
+            want = [0.0, *sorted(float(mp.ncdf(-c)) for c in ns), 1.0]
+        got = [v for pair in sorted(zip(lo[owner == i].tolist(), hi[owner == i].tolist())) for v in pair]
+        assert got == pytest.approx(want, rel=1e-12)
     counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs))
-    assert 0 < sum(p.size for p in mapped_points) < n / 10
+    assert not mapped_points
     xs = _chaos_stream(series, seed, n)
     assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
 
 
-def test_chaos_sandwich_maps_few_draws(mapped_points):
-    # a cost guard by count: acceptance scenario 7 at 10^6 draws maps its band draws and band checks
-    # only (10^6 points before, when every normal was mapped)
-    spec = h2_gamma_spec(n_samples=10**6, seed=20240527)
+class _Compared(np.ndarray):
+    """A block of uniforms that records the point of each ``u < v``."""
+
+    seen: list = []
+
+    def __lt__(self, other):
+        _Compared.seen.append(other)
+        return np.asarray(self) < other
+
+
+@pytest.mark.parametrize("x_model, passes", [(H2, 10), (build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5)],
+                         ids=["scenario7", "gamma"])
+def test_each_block_makes_one_compare_pass_per_distinct_end(monkeypatch, mapped_points, x_model, passes):
+    # a cost guard by count: a 10^6-draw sandwich on z = 1, 2, 3, 5, 8 compares each block once per end
+    # inside (0, 1), two per threshold for H2 and one for a Pearson X (20 and 10 with the bands), and maps
+    # no draw (10^6 points when every draw was mapped)
+    block = rng.uniform_block
+    monkeypatch.setattr(rng, "uniform_block", lambda *args: block(*args).view(_Compared))
+    monkeypatch.setattr(_Compared, "seen", [])
+    coeffs = PearsonCoefficients(0.0, 2.0, 2.0)
+    spec = ScenarioSpec(x_model=x_model, reference=coeffs, hypothesis=Hypothesis.SANDWICH,
+                        z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=10**6, seed=20240527)
     assert run_scenario(spec).all_passed
-    assert sum(p.size for p in mapped_points) <= 1000
+    assert len(_Compared.seen) == passes * rng.n_blocks(10**6)
+    assert not mapped_points
 
 
 def test_dkw_consistency_over_repetitions():
