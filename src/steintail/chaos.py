@@ -315,8 +315,13 @@ class PolynomialChaosLaw:
 
     def partial_moments(self, x):
         """(P[X > x], E[X; X > x], E[X^2; X > x]), closed form over one set of superlevel intervals per level."""
-        herms = ((1.0,), self.series.coeffs, herme.hermemul(self.series.coeffs, self.series.coeffs).tolist())
-        return _per_level(self, x, lambda v, pre, above: tuple(_gauss_integral(h, above) for h in herms), 3)
+        return _per_level(self, x, lambda v, pre, above: self.moments_over(above), 3)
+
+    def moments_over(self, intervals) -> tuple[float, float, float]:
+        """(P[N in A], E[X; N in A], E[X^2; N in A]) over A, a union of disjoint intervals of n: at a level x,
+        ``level(x)``'s superlevel intervals give the partial moments without a second solve."""
+        c = self.series.coeffs
+        return tuple(_gauss_integral(h, intervals) for h in ((1.0,), c, herme.hermemul(c, c).tolist()))
 
 
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:

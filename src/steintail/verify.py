@@ -4,13 +4,14 @@ tail verdicts.
 A scenario fixes a model for X (a polynomial chaos variable with an exact law, or a quadratic-kernel law),
 a reference coefficient triple, a z grid, and a sample budget.  The runner certifies the dominance
 hypothesis exactly, over the whole support of X, through one polynomial margin routine for both models
-(``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws reproducible counter-based uniforms, and
-compares the empirical survival function, wrapped in its Dvoretzky-Kiefer-Wolfowitz band, against the rows
-of ``bounds.statement_table``, which owns where each bound is asserted: a miss there fails, any other miss
-is inconclusive.  Both models count the uniforms on the ends of the intervals of u where X > z, which X's
-law gives (decision 10).  Certification, counting and the bounds read X through one model, ``_model``.
-Once the expected tail count n * S(z) drops under 100 the exact tail replaces the empirical estimate
-(relative Monte-Carlo error explodes out there).
+(``chaos.margin_extrema``, docs/DECISIONS.md decision 7), draws keyed exceedance counts, and compares the
+empirical survival function, wrapped in its Dvoretzky-Kiefer-Wolfowitz band, against the rows of
+``bounds.statement_table``, which owns where each bound is asserted: a miss there fails, any other miss is
+inconclusive.  A draw u stands for X's exact inverse at u, so {X > z} is a union of intervals of u whose ends
+X's law gives, and the counts of n draws on the bins those ends cut are one keyed multinomial draw with the
+stream's exact bin probabilities (decision 10): no uniform is drawn.  Certification, counting and the bounds
+read X through one model, ``_model``.  Once the expected tail count n * S(z) drops under 100 the exact tail
+replaces the empirical estimate (relative Monte-Carlo error explodes out there).
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class ScenarioSpec:
     def __post_init__(self):
         with reading("hypothesis"):  # a valid string becomes the member
             object.__setattr__(self, "hypothesis", Hypothesis(self.hypothesis))
+        if not isinstance(self.x_model, (HermiteSeries, PearsonLaw)):
+            raise DomainError(f"x_model must be a HermiteSeries or a PearsonLaw, got {self.x_model!r}")
         for name, value in (("reference", self.reference), ("reference_upper", self.upper_coeffs)):
             if not isinstance(value, PearsonCoefficients):
                 raise DomainError(f"{name} must be a PearsonCoefficients triple, got {value!r}")
@@ -83,6 +86,8 @@ class ScenarioSpec:
             object.__setattr__(self, name, as_float(getattr(self, name), name))
         if self.n_samples < 10_000:
             raise DomainError(f"scenario needs n_samples >= 10^4, got {self.n_samples}")
+        if self.n_samples > 2**63 - 1:  # the count draw takes n as a signed 64-bit integer
+            raise DomainError(f"n_samples must be at most 2^63 - 1, got {self.n_samples}")
         if not 0.0 < self.confidence < 1.0:
             raise DomainError(f"confidence must be in (0,1), got {self.confidence}")
         with reading("z_grid"):  # a grid that is not a sequence; a point that is not a number names itself
@@ -209,7 +214,7 @@ def _certify(spec: ScenarioSpec, model: _Model) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the X model, block sampling and counting
+# the X model and the keyed counts
 
 _Model = namedtuple("_Model", "intervals poly gpoly domain moments x_end")
 
@@ -221,35 +226,38 @@ def _model(x_model: Union[HermiteSeries, PearsonLaw]) -> _Model:
     inverse at u, and the threshold each belongs to, from one tail call for the grid.  A Pearson X exceeds z
     on (0, P[X > z]); a chaos X(n), n the Normal's inverse of u, on (P[N > n_hi], P[N > n_lo]) for each
     interval (n_lo, n_hi) of ``level(z)``.  X is the polynomial ``poly`` (x itself for a Pearson X, whose kernel
-    stands for G) of a variable on ``domain``, where G is ``gpoly``; moments(y) is (P[X > y], E[X; X > y],
-    E[X^2; X > y]), y a number or an array, and ``x_end`` is X's right end.  Any other model raises DomainError.
+    stands for G) of a variable on ``domain``, where G is ``gpoly``; moments(zs) is (P[X > z], E[X; X > z],
+    E[X^2; X > z]) on the grid, a chaos X's from the superlevel intervals its ends came from, and ``x_end`` is
+    X's right end.
     """
     if isinstance(x_model, PearsonLaw):
         c = x_model.coeffs
         return _Model(lambda zs: (np.zeros(zs.size), pearson.tail(x_model, zs), np.arange(zs.size)),
                       (0.0, 1.0), (c.gamma, c.beta, c.alpha), (x_model.support_a, x_model.support_b),
                       functools.partial(pearson.partial_moments, x_model), x_model.support_b)
-    if not isinstance(x_model, HermiteSeries):
-        raise DomainError(f"x_model must be a HermiteSeries or a PearsonLaw, got {x_model!r}")
     law, normal = chaos.law_of_polynomial(x_model), build_law(PearsonCoefficients(0.0, 0.0, 1.0))
+    above = functools.cache(lambda z: law.level(z)[1])  # {n : X(n) > z}, one solve per threshold for ends and moments
 
     def intervals(zs: np.ndarray) -> tuple[np.ndarray, ...]:
-        above = [law.level(z)[1] for z in zs.tolist()]
-        owner = np.repeat(np.arange(zs.size), [len(a) for a in above])
-        n_lo, n_hi = np.array([ends for a in above for ends in a], dtype=float).reshape(-1, 2).T
+        pieces = [above(z) for z in zs.tolist()]
+        owner = np.repeat(np.arange(zs.size), [len(a) for a in pieces])
+        n_lo, n_hi = np.array([ends for a in pieces for ends in a], dtype=float).reshape(-1, 2).T
         p = pearson.tail(normal, np.concatenate([n_hi, n_lo]))  # u falls as n rises
         return p[:owner.size], p[owner.size:], owner
 
-    return _Model(intervals, law.poly, law.gpoly, (-math.inf, math.inf), law.partial_moments, law.support_b)
+    def moments(zs: np.ndarray) -> np.ndarray:
+        return np.array([law.moments_over(above(z)) for z in zs.tolist()]).reshape(-1, 3).T
+
+    return _Model(intervals, law.poly, law.gpoly, (-math.inf, math.inf), moments, law.support_b)
 
 
 def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray) -> np.ndarray:
     """Exceedance counts of the model's n draws from ``seed`` per grid point: the draws strictly inside one of its
-    intervals, #(u < hi) - #(u <= lo), summed over the blocks (docs/DECISIONS.md, decision 10).
+    intervals, #(u < hi) - #(u <= lo) (docs/DECISIONS.md, decision 10).
 
-    Each block makes one compare-and-count pass per distinct end inside the range of the uniforms, and an
-    integer weight matrix sums them by threshold.  The blocks are counted in turn on the calling thread; block b
-    depends on (seed, b) alone, so the sum does not depend on their order.
+    The distinct ends inside the range of the uniforms cut it into bins, whose counts are one keyed multinomial
+    draw (``rng.counts_below``), and an integer weight matrix sums the counts below each end by threshold.  The
+    counts depend on (seed, n) and the set of ends alone.
     """
     lo, hi, owner = model.intervals(zs)
     keep = hi > lo  # an interval that rounds empty holds no draw
@@ -257,12 +265,8 @@ def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray) -> np.ndarray
     weights = np.zeros((zs.size, points.size), dtype=np.int64)
     np.add.at(weights, (np.tile(owner[keep], 2), column), np.repeat([1, -1], np.count_nonzero(keep)))
     read = (points > U_MIN) & (points <= U_MAX)  # u < v holds for no draw at v <= U_MIN and for every one past U_MAX
-    every, weights, points = weights[:, points > U_MAX].sum(axis=1), weights[:, read], points[read]
-    total = np.zeros(zs.shape, dtype=np.int64)
-    for b in range(rng.n_blocks(n)):
-        u = rng.uniform_block(seed, b, min(rng.BLOCK_SIZE, n - b * rng.BLOCK_SIZE))
-        total += weights @ np.array([np.count_nonzero(u < v) for v in points], dtype=np.int64) + every * u.size
-    return total
+    every = weights[:, points > U_MAX].sum(axis=1)
+    return weights[:, read] @ rng.counts_below(seed, n, points[read]) + every * n
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +276,9 @@ def _tail_counts(model: _Model, seed: int, n: int, zs: np.ndarray) -> np.ndarray
 def run_scenario(spec: ScenarioSpec, n_workers: Optional[int] = None) -> TailReport:
     """Execute the scenario and return the per-threshold report.
 
-    The sample blocks are counted on the calling thread, and the report depends on the spec alone.
-    ``n_workers`` is accepted and has no effect: the benchmark's replay still passes it, and it can
-    go with the next change to the benchmark.
+    The exceedance counts are one keyed draw on the calling thread, and the report depends on the spec
+    alone.  ``n_workers`` is accepted and has no effect: the benchmark's replay still passes it, and it
+    can go with the next change to the benchmark.
     """
     ref_law = build_law(spec.reference)
     model = _model(spec.x_model)

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,12 @@ from steintail.pearson import PearsonCoefficients, build_law
 def normal_stream(seed: int, n: int) -> np.ndarray:
     """n standard normals, the Normal's inverse of rng's uniforms: the draws a chaos X is counted on."""
     return pearson.quantile_grid(build_law(PearsonCoefficients(0.0, 0.0, 1.0)), rng.uniform_stream(seed, n))
+
+
+def stream_below(v) -> Fraction:
+    """P[u < v] for a uniform of rng's stream, max(k, 1) 2^-53 with k uniform on [0, 2^53): the k below v 2^53."""
+    top, x = 2**53, Fraction(v) * 2**53
+    return Fraction(min(math.ceil(x), top) if x > 1 else 0, top)
 
 
 # one coefficient triple per canonical case, reused across the suite

@@ -316,6 +316,26 @@ def test_the_model_reads_every_threshold_s_ends_in_one_tail_call(monkeypatch, x_
     assert lo.size == hi.size == intervals and owner.tolist() == np.repeat(np.arange(5), intervals // 5).tolist()
 
 
+def test_scenario_7_solves_each_level_once_for_its_ends_and_its_moments(monkeypatch):
+    # X = H2 on z = 1, 2, 3, 5, 8: the interval ends and the partial moments read one set of superlevel
+    # intervals per threshold, 5 level solves where there were 10, and the moments are the law's to the bit
+    zs = np.array([1.0, 2.0, 3.0, 5.0, 8.0])
+    law = chaos.law_of_polynomial(HermiteSeries((0.0, 0.0, 1.0)))
+    want = np.array(law.partial_moments(zs))
+    levels, level = [], chaos.PolynomialChaosLaw.level
+    monkeypatch.setattr(chaos.PolynomialChaosLaw, "level", lambda self, x: levels.append(x) or level(self, x))
+    report = run_scenario(ScenarioSpec(x_model=law.series, reference=PearsonCoefficients(0.0, 2.0, 2.0),
+                                       hypothesis=Hypothesis.SANDWICH, z_grid=tuple(zs), n_samples=10**6,
+                                       seed=20240527))
+    assert levels == zs.tolist()
+    assert report.meta["exact_tail_x"] == want[0].tolist()
+    levels.clear()
+    model = verify._model(law.series)
+    assert np.array(model.moments(zs)).tobytes() == want.tobytes()
+    model.intervals(zs)
+    assert levels == zs.tolist()
+
+
 # ---------------------------------------------------------------------------
 # scenario checks that come before any draw
 

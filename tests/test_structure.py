@@ -11,7 +11,8 @@ nor ``scipy.integrate``.  Every root goes through ``quadrature.solve_monotone``:
 no module names a library root finder (companion matrix, eigenvalues, Brent or
 Newton).  Every ``raise`` names a class of ``steintail.errors`` or re-raises.
 Only ``rng`` spells the range of the uniforms, and ``verify`` tests the type of
-an X model only in ``_model`` and in scenario (de)serialization.  ``run_scenario``
+an X model only where ``ScenarioSpec`` refuses one of neither kind, in
+``_model`` and in scenario (de)serialization.  ``run_scenario``
 reaches ``bounds`` only through its statement table.  Each rule about a comparison's
 inputs has one owner: a coefficient triple checks itself when it is made, the
 scenario reader casts nothing, only ``bounds`` tests the upper multiplier K, and
@@ -238,8 +239,9 @@ def test_only_rng_spells_the_range_of_the_uniforms():
 X_MODELS = {"HermiteSeries", "PearsonLaw"}
 
 
-def test_verify_tests_the_type_of_an_x_model_only_in_model_and_serialization():
-    # the runner reads one model of X, ``verify._model``; the scenario's JSON names its type
+def test_verify_tests_the_type_of_an_x_model_only_in_the_spec_model_and_serialization():
+    # the spec refuses a model of neither kind, the runner reads one model of X, ``verify._model``, and the
+    # scenario's JSON names its type
     tests = []
     for top in _modules()["verify"].body:
         for node in ast.walk(top):
@@ -248,7 +250,8 @@ def test_verify_tests_the_type_of_an_x_model_only_in_model_and_serialization():
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             if node.func.id == "type" or (node.func.id in {"isinstance", "issubclass"} and names & X_MODELS):
                 tests.append((getattr(top, "name", "<module>"), node.lineno))
-    assert tests and {name for name, _ in tests} <= {"_model", "scenario_to_json", "scenario_from_json"}, tests
+    assert tests and {name for name, _ in tests} <= {"ScenarioSpec", "_model", "scenario_to_json",
+                                                     "scenario_from_json"}, tests
 
 
 def test_run_scenario_reaches_the_bounds_only_through_the_statement_table():

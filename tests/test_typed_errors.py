@@ -192,8 +192,22 @@ def test_a_scenario_of_the_wrong_kind_is_refused_before_any_draw(monkeypatch, fi
         raise AssertionError("a draw was made")
 
     monkeypatch.setattr(rng, "uniform_block", refuse)
+    monkeypatch.setattr(rng, "counts_below", refuse)
     with pytest.raises(DomainError, match=re.escape(message)):
         verify.run_scenario(ScenarioSpec(**{**SPEC, field: value}))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("x_model", "x", "x_model must be a HermiteSeries or a PearsonLaw, got 'x'"),
+    ("x_model", GAMMA, "x_model must be a HermiteSeries or a PearsonLaw, got PearsonCoefficients("),
+    ("n_samples", 2**63, f"n_samples must be at most 2^63 - 1, got {2**63}"),
+], ids=["x_model-str", "x_model-triple", "n_samples-past-int64"])
+def test_a_scenario_spec_of_the_wrong_kind_or_size_is_refused_as_it_is_made(field, value, message):
+    # before, the spec took each: an x_model of neither kind raised a bare AttributeError in scenario_to_json,
+    # and n_samples past 2^63 - 1 looped over about 2^47 blocks (or raised a bare OverflowError in the count draw)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ScenarioSpec(**{**SPEC, field: value})
+    assert ScenarioSpec(**{**SPEC, "n_samples": 2**63 - 1}).n_samples == 2**63 - 1
 
 
 def test_a_hypothesis_given_by_its_value_runs_as_the_member():

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import CANONICAL_COEFFS, WIDER_COEFFS
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS, stream_below
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
@@ -377,12 +377,15 @@ def _chaos_stream(series, seed, n):
     return npoly.polyval(ns, chaos.law_of_polynomial(series).poly)
 
 
-def test_block_counts_match_empirical_tail():
+def test_the_report_reads_the_keyed_counts_within_the_band_of_the_stream():
+    # the report's empirical tail is the keyed count over n, within two DKW half-widths of the empirical
+    # tail of the stream itself, every draw mapped through X
     spec = h2_gamma_spec()
     rep = run_scenario(spec)
-    draws = _chaos_stream(spec.x_model, spec.seed, spec.n_samples)
-    tails, _ = empirical_tail(draws, spec.z_grid)
-    np.testing.assert_array_equal(np.asarray(rep.empirical), tails)
+    counts = _keyed_bins(verify._model(spec.x_model), spec.seed, spec.n_samples, spec.z_grid)
+    assert list(rep.empirical) == [c / spec.n_samples for c in counts]
+    tails, eps = empirical_tail(_chaos_stream(spec.x_model, spec.seed, spec.n_samples), spec.z_grid)
+    assert np.all(np.abs(np.asarray(rep.empirical) - tails) <= 2.0 * eps)
 
 
 @pytest.mark.parametrize("x_model, zs", [
@@ -391,16 +394,20 @@ def test_block_counts_match_empirical_tail():
 ], ids=["chaos", "pearson"])
 @pytest.mark.parametrize("n", [2 * rng.BLOCK_SIZE + rng.CHUNK + 17, 2 * rng.BLOCK_SIZE, rng.CHUNK + 17],
                          ids=["mid_block", "block_end", "one_short_block"])
-def test_chunked_counts_match_the_whole_stream(x_model, zs, n):
-    # n ends mid-block and mid-chunk, on a block's end, or inside the first block:
-    # blocks counted one by one give the counts of the whole stream
+def test_counts_are_the_keyed_bins_walked_interval_by_interval(x_model, zs, n):
+    # n ends mid-block and mid-chunk, on a block's end, or inside the first block: the weight matrix sums
+    # the same keyed bins as a walk over each threshold's intervals, and the counts lie within two DKW
+    # half-widths of the whole stream's, every draw mapped through X
     seed = 77
-    counts = verify._tail_counts(verify._model(x_model), seed, n, np.asarray(zs))
+    model = verify._model(x_model)
+    counts = verify._tail_counts(model, seed, n, np.asarray(zs))
+    assert counts.tolist() == _keyed_bins(model, seed, n, zs)
     if isinstance(x_model, HermiteSeries):
         xs = _chaos_stream(x_model, seed, n)
     else:
         xs = pearson.quantile_grid(x_model, rng.uniform_stream(seed, n))
-    assert counts.tolist() == [int((xs > z).sum()) for z in zs]
+    stream = np.array([int((xs > z).sum()) for z in zs])
+    assert np.all(np.abs(counts - stream) <= 2.0 * dkw_half_width(n, 0.99) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +424,18 @@ def _inside(model, u, zs):
 def _brute_force(model, seed, n, zs):
     """Per threshold, the draws of the whole stream strictly inside one of its intervals."""
     return np.count_nonzero(_inside(model, rng.uniform_stream(seed, n), zs), axis=1).tolist()
+
+
+def _keyed_bins(model, seed, n, zs):
+    """Per threshold, its intervals walked one by one over the keyed bins of every threshold's ends: an interval
+    (lo, hi) that holds a double adds #(u < hi) - #(u < lo+), lo+ the next double; no draw lies below U_MIN,
+    and every draw below a point past U_MAX."""
+    lo, hi, owner = model.intervals(np.asarray(zs, dtype=float))
+    pieces = [(a, b, i) for a, b, i in zip(lo.tolist(), hi.tolist(), owner.tolist()) if b > a]
+    ends = sorted({v for a, b, _ in pieces for v in (math.nextafter(a, 2.0), b) if rng.U_MIN < v <= rng.U_MAX})
+    below = dict(zip(ends, rng.counts_below(seed, n, np.array(ends, dtype=float)).tolist()))
+    count = lambda v: 0 if v <= rng.U_MIN else n if v > rng.U_MAX else below[v]
+    return [sum(count(b) - count(math.nextafter(a, 2.0)) for a, b, j in pieces if j == i) for i in range(len(zs))]
 
 
 def _counts_and_oracle(law, seed, n, zs):
@@ -453,7 +472,7 @@ def _thresholds(draw, law):
 
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_pearson_counts_match_a_brute_force_count_of_the_intervals(data):
+def test_pearson_counts_walk_the_keyed_bins_and_the_intervals_match_the_map(data):
     # all five cases and the mirrored Gamma and inverse-gamma type; n mostly ends mid-block; thresholds
     # on a drawn X and the doubles beside it.  The table's map of a draw decides as the interval does
     # except within its 1e-10 logit contract of the end, P[X > z]
@@ -465,7 +484,7 @@ def test_pearson_counts_match_a_brute_force_count_of_the_intervals(data):
     zs = data.draw(_thresholds(law), label="zs") + [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
     model = verify._model(law)
     counts = verify._tail_counts(model, seed, n, np.asarray(zs))
-    assert counts.tolist() == _brute_force(model, seed, n, zs)
+    assert counts.tolist() == _keyed_bins(model, seed, n, zs)
     xs = pearson.quantile_grid(law, u)
     for z, p, inside in zip(zs, pearson.tail(law, np.asarray(zs)), _inside(model, u, zs)):
         differ = (xs > z) != inside
@@ -486,7 +505,7 @@ def _series(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_chaos_counts_match_a_brute_force_count_of_the_intervals(data):
+def test_chaos_counts_walk_the_keyed_bins_and_the_intervals_match_the_map(data):
     # degrees 1-6; n mostly ends mid-block; thresholds on a drawn X and the doubles beside it, on X at
     # a drawn n (a preimage of that level), and on each critical value and the doubles beside it.  The
     # map X(n) of a draw decides as the intervals do wherever it reads z off by more than Horner's rounding
@@ -501,7 +520,7 @@ def test_chaos_counts_match_a_brute_force_count_of_the_intervals(data):
                                                               math.nextafter(c, math.inf))]
     model = verify._model(series)
     counts = verify._tail_counts(model, seed, n, np.asarray(zs))
-    assert counts.tolist() == _brute_force(model, seed, n, zs)
+    assert counts.tolist() == _keyed_bins(model, seed, n, zs)
     u = rng.uniform_stream(seed, n)
     ns = pearson.quantile_grid(build_law(PearsonCoefficients(0.0, 0.0, 1.0)), u)
     rounding = 2.0**-40 * npoly.polyval(np.abs(ns), np.abs(law.poly))
@@ -541,8 +560,9 @@ def test_chaos_ends_are_the_normal_tails_at_the_crossings(coeffs, zs):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_a_threshold_at_a_drawn_value_counts_the_draws_below_its_tail():
-    # z equal to one drawn X: a Pearson X exceeds z on (0, P[X > z]), and that draw sits at its end
+def test_a_threshold_at_a_drawn_value_counts_the_keyed_draws_below_its_tail():
+    # z equal to one drawn X: a Pearson X exceeds z on (0, P[X > z]), and that draw sits at its end; the
+    # count is the keyed count below P[X > z], its one end
     law, seed, n = build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5, rng.BLOCK_SIZE + 3
     u = rng.uniform_stream(seed, n)
     k = int(np.argmin(np.abs(u - 0.3)))
@@ -550,7 +570,8 @@ def test_a_threshold_at_a_drawn_value_counts_the_draws_below_its_tail():
     p = pearson.tail(law, z)
     assert abs(_logit(u[k]) - _logit(p)) <= 1e-10  # the table's contract
     counts = verify._tail_counts(verify._model(law), seed, n, np.array([z]))
-    assert counts.tolist() == [int(np.count_nonzero(u < p))] == _brute_force(verify._model(law), seed, n, [z])
+    assert counts.tolist() == rng.counts_below(seed, n, np.array([p])).tolist() == _keyed_bins(
+        verify._model(law), seed, n, [z])
 
 
 def test_thresholds_outside_the_support_and_past_the_smallest_uniform():
@@ -580,7 +601,7 @@ def test_a_threshold_at_the_left_end_counts_every_draw():
     zs = np.array([law.support_a, *np.sort(pearson.quantile_grid(law, np.array([0.1, 1e-3])))])
     counts = verify._tail_counts(verify._model(law), 3, n, zs)
     assert counts[0] == n
-    assert counts.tolist() == _brute_force(verify._model(law), 3, n, zs)
+    assert counts.tolist() == _keyed_bins(verify._model(law), 3, n, zs)
 
 
 def test_a_threshold_one_ulp_below_a_pole_at_b_reads_its_tail():
@@ -612,35 +633,51 @@ def test_a_threshold_at_a_critical_value_counts_by_its_intervals(mapped_points, 
         assert got == pytest.approx(want, rel=1e-12)
     counts = verify._tail_counts(verify._model(series), seed, n, np.asarray(zs))
     assert not mapped_points
-    xs = _chaos_stream(series, seed, n)
-    assert counts.tolist() == [int(np.count_nonzero(xs > z)) for z in zs]
+    assert counts.tolist() == _keyed_bins(verify._model(series), seed, n, zs)
 
 
-class _Compared(np.ndarray):
-    """A block of uniforms that records the point of each ``u < v``."""
-
-    seen: list = []
-
-    def __lt__(self, other):
-        _Compared.seen.append(other)
-        return np.asarray(self) < other
-
-
-@pytest.mark.parametrize("x_model, passes", [(H2, 10), (build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5)],
+@pytest.mark.parametrize("x_model, ends", [(H2, 10), (build_law(PearsonCoefficients(0.0, 2.0, 2.0)), 5)],
                          ids=["scenario7", "gamma"])
-def test_each_block_makes_one_compare_pass_per_distinct_end(monkeypatch, mapped_points, x_model, passes):
-    # a cost guard by count: a 10^6-draw sandwich on z = 1, 2, 3, 5, 8 compares each block once per end
-    # inside (0, 1), two per threshold for H2 and one for a Pearson X (20 and 10 with the bands), and maps
-    # no draw (10^6 points when every draw was mapped)
-    block = rng.uniform_block
-    monkeypatch.setattr(rng, "uniform_block", lambda *args: block(*args).view(_Compared))
-    monkeypatch.setattr(_Compared, "seen", [])
+def test_a_sandwich_draws_no_uniform_and_its_counts_in_one_keyed_draw(monkeypatch, mapped_points, x_model, ends):
+    # a cost guard by count: a 10^6-draw sandwich on z = 1, 2, 3, 5, 8 draws no block of uniforms, maps no
+    # draw, and draws its counts once, on the ends inside (0, 1): two per threshold for H2, one for a Pearson X
+    blocks, draws, counts_below = [], [], rng.counts_below
+    monkeypatch.setattr(rng, "uniform_block", lambda *args: blocks.append(args))
+    monkeypatch.setattr(rng, "counts_below", lambda seed, n, points: draws.append(len(points))
+                        or counts_below(seed, n, points))
     coeffs = PearsonCoefficients(0.0, 2.0, 2.0)
     spec = ScenarioSpec(x_model=x_model, reference=coeffs, hypothesis=Hypothesis.SANDWICH,
                         z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=10**6, seed=20240527)
     assert run_scenario(spec).all_passed
-    assert len(_Compared.seen) == passes * rng.n_blocks(10**6)
+    assert blocks == [] and draws == [ends]
     assert not mapped_points
+
+
+@pytest.mark.parametrize("x_model, zs", [
+    (build_law(PearsonCoefficients(0.0, 2.0, 2.0)), (-0.5, 1.0, 4.0, 8.0)),
+    (H2, (-0.5, 0.5, 2.0, 5.0)),
+], ids=["gamma", "H2"])
+def test_the_keyed_counts_have_the_law_of_the_stream_s_counts(x_model, zs):
+    # 200 seeds at n = 10^4, derandomized: per threshold, the keyed counts and the brute-force counts of the
+    # stream on the same intervals each have the mean and the variance of Binomial(n, p), p the sum over the
+    # threshold's intervals of P[u < hi] - P[u <= lo], within 5 standard errors of each estimate; and the two
+    # samples' means agree within 5 standard errors of their difference
+    seeds, n = range(200), 10**4
+    m = len(seeds)
+    model = verify._model(x_model)
+    lo, hi, owner = model.intervals(np.asarray(zs))
+    p = np.array([float(sum(stream_below(b) - stream_below(math.nextafter(a, 2.0))
+                            for a, b, j in zip(lo.tolist(), hi.tolist(), owner.tolist()) if j == i and b > a))
+                  for i in range(len(zs))])
+    assert np.all((p > 1e-3) & (p < 1.0 - 1e-3))
+    keyed = np.array([verify._tail_counts(model, s, n, np.asarray(zs)) for s in seeds])
+    stream = np.array([_brute_force(model, s, n, zs) for s in seeds])
+    var = n * p * (1.0 - p)
+    kurtosis = (1.0 - 6.0 * p * (1.0 - p)) / var  # the binomial's excess kurtosis
+    for counts in (keyed, stream):
+        assert np.all(np.abs(counts.mean(axis=0) - n * p) <= 5.0 * np.sqrt(var / m))
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) <= 5.0 * var * np.sqrt(2.0 / (m - 1) + kurtosis / m))
+    assert np.all(np.abs(keyed.mean(axis=0) - stream.mean(axis=0)) <= 5.0 * np.sqrt(2.0 * var / m))
 
 
 def test_dkw_consistency_over_repetitions():
