@@ -162,15 +162,38 @@ def _real_roots(coeffs) -> list[float]:
     the derivative sequence, one bracketed solve per order.  Only exact
     trailing zeros are dropped: a tiny leading coefficient still places roots,
     far out.  A factor t^k is divided out, so a root 0 is exact: no rounding
-    noise would end Newton's creep into it.
+    noise would end Newton's creep into it.  Every step is on float tuples.
     """
-    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    c = _rounded(coeffs)
     if len(c) <= 1:
         return []
-    if k := int(np.flatnonzero(c)[0]):
+    if k := next(j for j, v in enumerate(c) if v):  # the last coefficient is not 0
         return sorted(_real_roots(c[k:]) + [0.0] * (k % 2))
-    dc = npoly.polyder(c)
-    return _sign_changes(c.tolist(), dc.tolist(), _real_roots(dc))
+    dc = _derivative(c)
+    return _sign_changes(c, dc, _real_roots(dc))
+
+
+def _derivative(c) -> list[float]:
+    """``npoly.polyder``'s coefficients of p' for p's finite float coefficients c, low to high and not trimmed:
+    j c_j for j >= 1, and c_0 * 0 for a constant (() gives []).  A j c_j past the doubles raises DomainError:
+    p' would lose its roots, and with them p's extrema."""
+    dc = [j * c[j] for j in range(1, len(c))] or [v * 0.0 for v in c[:1]]
+    if not all(map(math.isfinite, dc)):
+        raise DomainError(f"the derivative of the polynomial {tuple(c)} has a coefficient past the doubles")
+    return dc
+
+
+def _add(c1, c2, sign: float = 1.0) -> tuple[float, ...]:
+    """c1 + sign c2 for sign 1 or -1, on nonempty float sequences low to high: ``npoly.polyadd``'s and
+    ``polysub``'s operations to the bit.  Both operands lose their trailing zeros first, as numpy's do (which
+    decides the sign of a zero sum), the common terms are added, the rest of the longer one is kept, and the
+    sum loses its trailing zeros (``_rounded``); -c2 is c2 with its signs flipped, and u + (-v) is u - v."""
+    a, b = _rounded(c1), _rounded(c2)
+    if sign < 0.0:
+        b = tuple(-v for v in b)
+    if len(a) < len(b):
+        a, b = b, a
+    return _rounded([u + v for u, v in zip(a, b)] + list(a[len(b):]))
 
 
 @dataclass(frozen=True)
@@ -231,7 +254,8 @@ def _exact_monomials(herm) -> list[Fraction]:
 
 
 def _rounded(coeffs) -> tuple[float, ...]:
-    """The coefficients as doubles, low to high; only trailing zeros are dropped, and one is kept."""
+    """The coefficients as doubles, low to high; only trailing zeros are dropped, and one is kept (numpy's
+    ``trimseq``)."""
     c = [float(v) for v in coeffs]
     while len(c) > 1 and c[-1] == 0.0:
         c.pop()
@@ -268,13 +292,15 @@ class PolynomialChaosLaw:
     critical points of X(n) (one bracketed solve per level) plus closed-form
     Gaussian integrals.  The evaluators and both g routes take a number or an
     array of levels of any shape (``_per_level``).  G(n) is kept next to X(n)
-    and X'(n), so the kernels and margins build each once per series.
+    and X'(n), so the kernels and margins build each once per series, and so
+    is X^2's Hermite form, which every E[X^2; X > x] reads.
     """
 
     series: HermiteSeries
     poly: tuple[float, ...]  # X(n), monomial coefficients low to high
     dpoly: tuple[float, ...]  # X'(n)
     gpoly: tuple[float, ...]  # G(n) = <DX, -DL^{-1}X>, see ``malliavin_G``
+    square: tuple[float, ...]  # X^2 = sum_k square_k H_k, ``herme.hermemul(c, c)``: at most 129 floats
     crit_points: tuple[float, ...]  # sorted, where X'(n) changes sign
     crit_values: tuple[float, ...]  # X at each critical point
     limits: tuple[float, float]  # X(n) as n -> -inf and +inf
@@ -318,10 +344,21 @@ class PolynomialChaosLaw:
         return _per_level(self, x, lambda v, pre, above: self.moments_over(above), 3)
 
     def moments_over(self, intervals) -> tuple[float, float, float]:
-        """(P[N in A], E[X; N in A], E[X^2; N in A]) over A, a union of disjoint intervals of n: at a level x,
-        ``level(x)``'s superlevel intervals give the partial moments without a second solve."""
-        c = self.series.coeffs
-        return tuple(_gauss_integral(h, intervals) for h in ((1.0,), c, herme.hermemul(c, c).tolist()))
+        """(P[N in A], E[X; N in A], E[X^2; N in A]) over A, a union of disjoint intervals (u, v) of n: at a
+        level x, ``level(x)``'s superlevel intervals give the partial moments without a second solve.  A pair
+        that is not two numbers u <= v (a NaN end included) raises DomainError."""
+        with reading("intervals"):  # not a sequence of pairs
+            if not all(_real(u) and _real(v) and u <= v for u, v in intervals):
+                raise DomainError(f"intervals must be pairs (u, v) of numbers with u <= v, got {intervals!r}")
+        return tuple(_gauss_integral(h, intervals) for h in ((1.0,), self.series.coeffs, self.square))
+
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _real(v) -> bool:
+    """Whether v is a real number: an int or a float, numpy's included, but not a bool."""
+    return isinstance(v, _REAL) and not isinstance(v, bool)
 
 
 def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
@@ -333,12 +370,13 @@ def law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
 @functools.lru_cache(maxsize=32)
 def _law_of_polynomial(x_series: HermiteSeries) -> PolynomialChaosLaw:
     poly = x_series.to_polynomial()  # degree >= 1: H_n has leading coefficient 1
-    dpoly = _rounded(npoly.polyder(poly))
+    dpoly = _rounded(_derivative(poly))
     crit = tuple(_real_roots(dpoly))
     values = tuple(npoly.polyval(crit, poly).tolist())
     limits = _poly_limit(poly, -math.inf), _poly_limit(poly, math.inf)
     rest = _log2_root_bound(poly, range(1, len(poly) - 1))
-    return PolynomialChaosLaw(x_series, poly, dpoly, malliavin_G(x_series), crit, values, limits, rest,
+    square = tuple(herme.hermemul(x_series.coeffs, x_series.coeffs).tolist())
+    return PolynomialChaosLaw(x_series, poly, dpoly, malliavin_G(x_series), square, crit, values, limits, rest,
                               min(*values, *limits), max(*values, *limits))
 
 
@@ -430,20 +468,29 @@ def margin_extrema(x_poly, g_poly, coeffs: PearsonCoefficients, domain) -> dict:
     of both pieces, the crossings X = a and X = b, the finite ends of the
     domain, and the limits at its infinite ends: +-inf for a nonconstant
     piece, the constant itself otherwise.  Each piece is evaluated from its
-    subtracted coefficients, so identical kernels give 0.0 exactly.
+    subtracted coefficients, so identical kernels give 0.0 exactly.  The
+    pieces are formed on float tuples (``_add``, ``_derivative``) but for X^2,
+    whose convolution stays ``npoly.polymul``, and the candidates are read by
+    ``npoly.polyval`` on one array.  A polynomial that is empty, not 1-D or
+    not finite, an inside piece (X^2 included) or derivative past the
+    doubles, and a domain that is not two ends lo <= hi raise DomainError.
     """
-    x_poly, g_poly = (as_float(p, "a polynomial's coefficients", arrays=True) for p in (x_poly, g_poly))
+    x_poly, g_poly = (_finite_coefficients(p, name) for p, name in ((x_poly, "x_poly"), (g_poly, "g_poly")))
     with reading("domain"):  # a domain that is not a sequence; an end that is not a number names itself
         domain = tuple(as_float(end, "a domain end") for end in domain)
+    if len(domain) != 2 or not domain[0] <= domain[1]:
+        raise DomainError(f"domain must be two ends lo <= hi, got {domain}")
     a, b = pearson_support(coeffs)
-    quad_comp = npoly.polyadd(
-        npoly.polyadd(coeffs.alpha * npoly.polymul(x_poly, x_poly), coeffs.beta * x_poly), [coeffs.gamma])
-    m_in = npoly.polysub(g_poly, quad_comp)
+    square = npoly.polymul(x_poly, x_poly).tolist()
+    quad_comp = _add(_add([coeffs.alpha * v for v in square], [coeffs.beta * v for v in x_poly]), (coeffs.gamma,))
+    m_in = _add(g_poly, quad_comp, -1.0)
+    if not all(map(math.isfinite, m_in)):  # a square past the doubles too: inf, or NaN where alpha is 0
+        raise DomainError(f"g_poly - g(x_poly) is past the doubles, for g_poly = {g_poly} and x_poly = {x_poly}")
 
-    candidates = [[0.0], _real_roots(npoly.polyder(m_in)), _real_roots(npoly.polyder(g_poly))]
-    candidates += [_real_roots(npoly.polysub(x_poly, [level])) for level in (a, b) if math.isfinite(level)]
+    candidates = [[0.0], _real_roots(_derivative(m_in)), _real_roots(_derivative(g_poly))]
+    candidates += [_real_roots(_add(x_poly, (level,), -1.0)) for level in (a, b) if math.isfinite(level)]
     candidates.append([end for end in domain if math.isfinite(end)])
-    ts = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in candidates]))
+    ts = np.unique(np.array([t for c in candidates for t in c]))
     ts = ts[(ts >= domain[0]) & (ts <= domain[1])]
     x_vals = npoly.polyval(ts, x_poly)
     margin = np.where((x_vals >= a) & (x_vals <= b), npoly.polyval(ts, m_in), npoly.polyval(ts, g_poly))
@@ -456,6 +503,15 @@ def margin_extrema(x_poly, g_poly, coeffs: PearsonCoefficients, domain) -> dict:
     lo = min(points, key=lambda p: p[0])
     hi = max(points, key=lambda p: p[0])
     return {"min": lo[0], "argmin": lo[1], "max": hi[0], "argmax": hi[1]}
+
+
+def _finite_coefficients(p, name: str) -> list[float]:
+    """p's coefficients as floats, a number being a constant; a polynomial that is empty, of more than one
+    dimension or not finite raises DomainError naming it."""
+    c = as_float(p, "a polynomial's coefficients", arrays=True)
+    if c.ndim > 1 or not c.size or not np.isfinite(c).all():
+        raise DomainError(f"{name} must be a nonempty sequence of finite numbers, got {p!r}")
+    return c.reshape(-1).tolist()
 
 
 def _poly_limit(coeffs, end: float) -> float:
@@ -499,13 +555,14 @@ def ibp_check(x_series: HermiteSeries, m_coeffs) -> float:
     """
     if (m := as_float(m_coeffs, "m's coefficients", arrays=True)).ndim != 1:
         raise DomainError(f"m's coefficients must be a sequence of numbers, got {m_coeffs!r}")
-    law = law_of_polynomial(x_series)
+    law, m = law_of_polynomial(x_series), m.tolist()
     lhs = npoly.polymul(law.poly, _compose(m, law.poly))
-    rhs = npoly.polymul(_compose(npoly.polyder(m), law.poly), law.gpoly)
+    rhs = npoly.polymul(_compose(_derivative(m), law.poly), law.gpoly)
     return abs(expect_polynomial(lhs) - expect_polynomial(rhs))
 
 
 def _compose(m, x):
-    """The coefficients of m(X) for X's coefficients x, by Horner on coefficient arrays; () is 0."""
-    step = lambda acc, mk: npoly.polyadd(npoly.polymul(acc, x), mk)
-    return functools.reduce(step, m[-2::-1], m[-1:] if len(m) else (0.0,))
+    """The coefficients of m(X) for X's coefficients x, by Horner: each step is ``npoly.polymul`` by x, then
+    ``_add`` of the next coefficient; [] is 0."""
+    step = lambda acc, mk: _add(npoly.polymul(acc, x).tolist(), (mk,))
+    return functools.reduce(step, m[-2::-1], m[-1:] or (0.0,))

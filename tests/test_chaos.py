@@ -8,10 +8,12 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from conftest import normal_stream
+from conftest import CANONICAL_COEFFS, WIDER_COEFFS, normal_stream
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e as herme
+from numpy.polynomial import polynomial as npoly
+from numpy.polynomial import polyutils as pu
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -555,6 +557,83 @@ def test_horner_equals_polyval_bit_for_bit(lower, lead, ts):
         got = quadrature.horner(c, np.array(ts))
     assert got.tobytes() == expected.tobytes()
     assert np.array([quadrature.horner(c, t) for t in ts]).tobytes() == expected.tobytes()  # on Python floats
+
+
+# zeros of either sign and nonzero magnitudes from 1e-300 to 1e300 of either sign
+_ELEMENTS = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from((v, -v))))
+
+
+def _bits(c) -> bytes:
+    return np.asarray(c, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c1=st.lists(_ELEMENTS, min_size=1, max_size=20), c2=st.lists(_ELEMENTS, min_size=1, max_size=20))
+def test_the_list_sum_and_derivative_equal_numpy_s_bit_for_bit(c1, c2):
+    # the same operations on the same trimmed operands, signed zeros and unequal lengths included
+    assert _bits(chaos._add(c1, c2)) == _bits(npoly.polyadd(c1, c2))
+    assert _bits(chaos._add(c1, c2, -1.0)) == _bits(npoly.polysub(c1, c2))
+    assert _bits(chaos._add(c2, c1, -1.0)) == _bits(npoly.polysub(c2, c1))
+    assert _bits(chaos._derivative(c1)) == _bits(npoly.polyder(c1))
+    assert _bits(chaos._rounded(c1)) == _bits(pu.trimseq(np.array(c1)))
+    assert chaos._derivative([]) == [] and npoly.polyder([]).size == 0
+
+
+def _numpy_real_roots(coeffs) -> list[float]:
+    """The real roots as they were found on numpy.polynomial: trim_zeros, flatnonzero and polyder on arrays."""
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if len(c) <= 1:
+        return []
+    if k := int(np.flatnonzero(c)[0]):
+        return sorted(_numpy_real_roots(c[k:]) + [0.0] * (k % 2))
+    dc = npoly.polyder(c)
+    return chaos._sign_changes(c.tolist(), dc.tolist(), _numpy_real_roots(dc))
+
+
+def _numpy_margin_extrema(x_poly, g_poly, coeffs, domain) -> dict:
+    """``margin_extrema`` with its pieces formed by npoly.polyadd, polysub and polyder on arrays."""
+    x_poly, g_poly = np.asarray(x_poly, dtype=float), np.asarray(g_poly, dtype=float)
+    a, b = pearson.support(coeffs)
+    quad = npoly.polyadd(npoly.polyadd(coeffs.alpha * npoly.polymul(x_poly, x_poly), coeffs.beta * x_poly),
+                         [coeffs.gamma])
+    m_in = npoly.polysub(g_poly, quad)
+    candidates = [[0.0], _numpy_real_roots(npoly.polyder(m_in)), _numpy_real_roots(npoly.polyder(g_poly))]
+    candidates += [_numpy_real_roots(npoly.polysub(x_poly, [v])) for v in (a, b) if math.isfinite(v)]
+    candidates.append([end for end in domain if math.isfinite(end)])
+    ts = np.unique(np.concatenate([np.asarray(c, dtype=float) for c in candidates]))
+    ts = ts[(ts >= domain[0]) & (ts <= domain[1])]
+    x_vals = npoly.polyval(ts, x_poly)
+    margin = np.where((x_vals >= a) & (x_vals <= b), npoly.polyval(ts, m_in), npoly.polyval(ts, g_poly))
+    points = list(zip(margin.tolist(), ts.tolist()))
+    for end in domain:
+        if math.isinf(end):
+            inside = (b == math.inf) if chaos._poly_limit(x_poly, end) > 0 else (a == -math.inf)
+            points.append((chaos._poly_limit(m_in if inside else g_poly, end), end))
+    lo, hi = min(points, key=lambda p: p[0]), max(points, key=lambda p: p[0])
+    return {"min": lo[0], "argmin": lo[1], "max": hi[0], "argmax": hi[1]}
+
+
+def _hex(res: dict) -> dict:
+    return {k: float(v).hex() for k, v in res.items()}  # tells -0.0 from 0.0
+
+
+# centered series of degree 1 to 8, leading coefficient at least 0.05 in size
+_SERIES_1_8 = st.integers(1, 8).flatmap(lambda d: st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=d - 1), st.floats(0.05, 1.0), st.booleans(),
+)).map(lambda a: HermiteSeries((0.0, *a[0], a[1] if a[2] else -a[1])))
+
+
+@pytest.mark.parametrize("ref", CANONICAL_COEFFS.values(), ids=CANONICAL_COEFFS.keys())
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(series=_SERIES_1_8, pearson_x=st.sampled_from(list(WIDER_COEFFS.values())), scale=st.floats(0.1, 10.0))
+def test_margin_extrema_equals_its_numpy_polynomial_form_bit_for_bit(ref, series, pearson_x, scale):
+    # a chaos X over the whole line, and a Pearson X, sX with kernel alpha x^2 + s beta x + s^2 gamma, on its support
+    law = law_of_polynomial(series)
+    args = law.poly, law.gpoly, ref, (-math.inf, math.inf)
+    assert _hex(margin_extrema(*args)) == _hex(_numpy_margin_extrema(*args))
+    cx = PearsonCoefficients(pearson_x.alpha, scale * pearson_x.beta, scale * scale * pearson_x.gamma)
+    args = (0.0, 1.0), (cx.gamma, cx.beta, cx.alpha), ref, pearson.support(cx)
+    assert _hex(margin_extrema(*args)) == _hex(_numpy_margin_extrema(*args))
 
 
 @pytest.mark.parametrize("coeffs", [(0.0, 1.0, 0.0, 0.1), (0.0, 0.0, 1.0), (0.0, 1.0, 0.2)],

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import CANONICAL_COEFFS, WIDER_COEFFS
+from numpy.polynomial import hermite_e as herme
+from numpy.polynomial import polynomial as npoly
 
 from steintail import bounds, chaos, pearson, stein, verify
 from steintail.chaos import HermiteSeries, law_of_polynomial
@@ -334,6 +336,45 @@ def test_scenario_7_solves_each_level_once_for_its_ends_and_its_moments(monkeypa
     assert np.array(model.moments(zs)).tobytes() == want.tobytes()
     model.intervals(zs)
     assert levels == zs.tolist()
+
+
+def _count_calls(monkeypatch, *modules) -> dict:
+    """Counts the calls of every public function of the modules, by name."""
+    calls = {}
+    for module in modules:
+        for name in module.__all__:
+            f = getattr(module, name)
+            if callable(f) and not isinstance(f, type):
+                monkeypatch.setattr(module, name, lambda *a, _f=f, _n=name, **k: calls.update(
+                    {_n: calls.get(_n, 0) + 1}) or _f(*a, **k))
+    return calls
+
+
+def test_scenario_7_forms_x_squared_once_per_law_not_per_threshold(monkeypatch):
+    # E[X^2; X > z] reads the law's Hermite form of X^2: one hermemul when the law is built, none per threshold
+    chaos._law_of_polynomial.cache_clear()
+    calls = _count_calls(monkeypatch, herme)
+    spec = ScenarioSpec(x_model=HermiteSeries((0.0, 0.0, 1.0)), reference=PearsonCoefficients(0.0, 2.0, 2.0),
+                        hypothesis=Hypothesis.SANDWICH, z_grid=(1.0, 2.0, 3.0, 5.0, 8.0), n_samples=10**6,
+                        seed=20240527)
+    run_scenario(spec)
+    assert calls.get("hermemul") == 1
+    calls.clear()
+    run_scenario(spec)
+    assert "hermemul" not in calls
+
+
+@pytest.mark.parametrize("series", [HermiteSeries((0.0, 0.0, 1.0)), HermiteSeries((0.0, 1.0, 0.0, 0.1)),
+                                    HermiteSeries((0.0, 0.3, -0.2, 0.1, 0.0, 0.05, 0.0, 0.0, 0.02))],
+                         ids=["H2", "H1+0.1H3", "degree-8"])
+def test_margin_extrema_makes_one_polymul_and_three_polyvals(monkeypatch, series):
+    # the pieces' sums, derivatives and trims run on float tuples; X^2 and the candidates' values stay on numpy
+    law = law_of_polynomial(series)
+    calls = _count_calls(monkeypatch, npoly, herme)
+    for ref in CANONICAL_COEFFS.values():
+        calls.clear()
+        chaos.margin_extrema(law.poly, law.gpoly, ref, (-math.inf, math.inf))
+        assert calls == {"polymul": 1, "polyval": 3}, ref
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,52 @@ def test_chaos_refuses_a_series_past_the_degree_guard_and_levels_without_a_weigh
         chaos.g_from_conditional(HermiteSeries((0.0, 1e-160)), 1.0)
 
 
+LINE = (-math.inf, math.inf)
+
+
+@pytest.mark.parametrize("x_poly, g_poly, coeffs, domain, message", [
+    ((0.0, math.nan), (1.0,), GAMMA, LINE, "x_poly must be a nonempty sequence of finite numbers"),
+    ((0.0, 1.0), (1.0, math.inf), GAMMA, LINE, "g_poly must be a nonempty sequence of finite numbers"),
+    ((0.0, 1e200), (0.0, 0.0, 1.0), PearsonCoefficients(0.0, 0.0, 1.0), LINE, "g_poly - g(x_poly) is past the doubles"),
+    ((0.0, 1e154), (0.0, 0.0, -1e308), PearsonCoefficients(0.9, 0.0, 1.0), LINE,
+     "g_poly - g(x_poly) is past the doubles"),
+    ((), (1.0,), GAMMA, LINE, "x_poly must be a nonempty sequence of finite numbers"),
+    ([[0.0, 1.0]], (1.0,), GAMMA, LINE, "x_poly must be a nonempty sequence of finite numbers"),
+    ((0.0, 1.0), [[1.0], [2.0]], GAMMA, LINE, "g_poly must be a nonempty sequence of finite numbers"),
+    ((0.0, 1.0), (1.0, 1e308, 1e308), PearsonCoefficients(0.0, 0.0, 1.0), LINE,
+     "the derivative of the polynomial (0.0, 1e+308, 1e+308) has a coefficient past the doubles"),
+    ((0.0, 1.0), (1.0,), GAMMA, (math.nan, 1.0), "domain must be two ends lo <= hi"),
+    ((0.0, 1.0), (1.0,), GAMMA, (1.0, -1.0), "domain must be two ends lo <= hi"),
+    ((0.0, 1.0), (1.0,), GAMMA, (0.0,), "domain must be two ends lo <= hi"),
+], ids=["x_poly-nan", "g_poly-inf", "x_poly-square-overflows", "inside-piece-overflows", "x_poly-empty",
+        "x_poly-2d", "g_poly-2d", "derivative-overflows", "domain-nan", "domain-reversed", "domain-one-end"])
+def test_margin_extrema_refuses_a_polynomial_or_domain_it_cannot_read_and_names_it(x_poly, g_poly, coeffs, domain,
+                                                                                    message):
+    # before, a NaN or overflowing coefficient gave NaN extrema (0 * inf with a RuntimeWarning), an empty or 2-D
+    # polynomial raised numpy's bare ValueError, a NaN or reversed domain a bare ValueError (min() of an empty
+    # sequence), and a one-end domain a bare IndexError; G = 1 + 1e308 n + 1e308 n^2 against the Normal gave a
+    # min of 0.0, as its derivative's 2e308 lost the minimum -2.5e307 at n = -1/2
+    with pytest.raises(DomainError, match=re.escape(message)):
+        chaos.margin_extrema(x_poly, g_poly, coeffs, domain)
+
+
+@pytest.mark.parametrize("intervals, message", [
+    ([(math.nan, 1.0)], "intervals must be pairs (u, v) of numbers with u <= v"),
+    ([(1.0, -1.0)], "intervals must be pairs (u, v) of numbers with u <= v"),
+    ([(0.0, "1")], "intervals must be pairs (u, v) of numbers with u <= v"),
+    ([(False, True)], "intervals must be pairs (u, v) of numbers with u <= v"),
+    (5, "malformed intervals (TypeError"),
+    ([(0.0, 1.0, 2.0)], "malformed intervals (ValueError"),
+], ids=["nan-end", "reversed", "string-end", "bool-ends", "number", "triple"])
+def test_moments_over_refuses_intervals_that_are_not_ordered_pairs_of_numbers(intervals, message):
+    # before, a NaN end returned (nan, nan, nan), a reversed pair a probability of -0.683, and 5 a bare TypeError
+    law = chaos.law_of_polynomial(HermiteSeries((0.0, 0.0, 1.0)))
+    with pytest.raises(DomainError, match=re.escape(message)):
+        law.moments_over(intervals)
+    assert law.moments_over([(0, 1), (np.float64(2.0), math.inf)]) == law.moments_over([(0.0, 1.0), (2.0, math.inf)])
+    assert law.moments_over([]) == (0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["tail", "--alpha", "0", "--beta", "0", "--gamma", "1", "--grid", "0:1"], "grid must be a:b:n"),
     (["tail", "--alpha", "0", "--beta", "0", "--gamma", "1", "--grid", "1:0:5"], "grid needs b >= a"),
